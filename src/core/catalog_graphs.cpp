@@ -20,6 +20,69 @@ std::filesystem::path default_cache_dir() {
   return std::filesystem::path(".prvm-cache");
 }
 
+namespace {
+
+void set_slots(const Catalog& catalog, std::size_t p,
+               std::vector<std::optional<std::size_t>>& slots) {
+  // Invert vm_type_of into per-VM-type slots.
+  const Catalog::FittingDemands& fitting = catalog.fitting_demands(p);
+  slots.assign(catalog.vm_types().size(), std::nullopt);
+  for (std::size_t i = 0; i < fitting.vm_type_of.size(); ++i) {
+    slots[fitting.vm_type_of[i]] = i;
+  }
+}
+
+const Catalog::FittingDemands& fitting_demands(const Catalog& catalog, std::size_t p) {
+  const Catalog::FittingDemands& fitting = catalog.fitting_demands(p);
+  PRVM_REQUIRE(!fitting.demands.empty(), "no VM type fits PM type " + catalog.pm_type(p).name);
+  return fitting;
+}
+
+// The table of PM type p from the binary cache under `cache_dir` when it
+// holds a valid one, else built (and, with `save_built`, written there).
+// Load-vs-build time and the hit/miss count go to the global registry:
+// score tables are built before any service (and its registry) exists, and
+// the daemon exposes the global registry anyway.
+ScoreTable load_or_build(const Catalog& catalog, std::size_t p, const ScoreTableOptions& options,
+                         const std::string& digest,
+                         const std::optional<std::filesystem::path>& cache_dir, bool save_built) {
+  obs::Registry& reg = obs::Registry::global();
+  std::optional<std::filesystem::path> cache_file;
+  if (cache_dir.has_value()) cache_file = *cache_dir / ("scoretable-" + digest + ".bin");
+  if (cache_file.has_value() && std::filesystem::exists(*cache_file)) {
+    try {
+      const obs::ScopedTimerNs timer(reg.histogram("prvm_score_table_load_ns"));
+      ScoreTable loaded = ScoreTable::load(*cache_file);
+      if (loaded.digest_string() == digest) {
+        reg.counter("prvm_score_table_cache_hits_total").inc();
+        return loaded;
+      }
+    } catch (const std::exception&) {
+      // Corrupt or stale cache entry: fall through and rebuild.
+    }
+  }
+  reg.counter("prvm_score_table_cache_misses_total").inc();
+  ScoreTable table = [&] {
+    const obs::ScopedTimerNs timer(reg.histogram("prvm_score_table_build_ns"));
+    const ProfileGraph graph(catalog.shape(p), catalog.fitting_demands(p).demands);
+    return ScoreTable::build(graph, options);
+  }();
+  if (save_built && cache_file.has_value()) {
+    std::error_code ec;
+    std::filesystem::create_directories(*cache_dir, ec);
+    if (!ec) {
+      try {
+        table.save(*cache_file);
+      } catch (const std::exception&) {
+        // Cache write failure is non-fatal (e.g. read-only filesystem).
+      }
+    }
+  }
+  return table;
+}
+
+}  // namespace
+
 ScoreTableSet build_score_tables(const Catalog& catalog, const ScoreTableOptions& options,
                                  const std::optional<std::filesystem::path>& cache_dir) {
   ScoreTableSet set;
@@ -27,60 +90,10 @@ ScoreTableSet build_score_tables(const Catalog& catalog, const ScoreTableOptions
   set.slots_.resize(catalog.pm_types().size());
 
   for (std::size_t p = 0; p < catalog.pm_types().size(); ++p) {
-    const ProfileShape& shape = catalog.shape(p);
-    const Catalog::FittingDemands& fitting = catalog.fitting_demands(p);
-    PRVM_REQUIRE(!fitting.demands.empty(),
-                 "no VM type fits PM type " + catalog.pm_type(p).name);
-
-    const std::string digest = ScoreTable::digest(shape, fitting.demands, options);
-    std::optional<std::filesystem::path> cache_file;
-    if (cache_dir.has_value()) {
-      cache_file = *cache_dir / ("scoretable-" + digest + ".bin");
-    }
-
-    // Load-vs-build time and hit/miss rate go to the global registry: score
-    // tables are built before any service (and its registry) exists, and the
-    // daemon exposes the global registry anyway.
-    obs::Registry& reg = obs::Registry::global();
-    bool loaded = false;
-    if (cache_file.has_value() && std::filesystem::exists(*cache_file)) {
-      try {
-        const obs::ScopedTimerNs timer(reg.histogram("prvm_score_table_load_ns"));
-        ScoreTable table = ScoreTable::load(*cache_file);
-        if (table.digest_string() == digest) {
-          set.tables_.push_back(std::move(table));
-          loaded = true;
-        }
-      } catch (const std::exception&) {
-        // Corrupt or stale cache entry: fall through and rebuild.
-      }
-    }
-    reg.counter(loaded ? "prvm_score_table_cache_hits_total"
-                       : "prvm_score_table_cache_misses_total")
-        .inc();
-    if (!loaded) {
-      const obs::ScopedTimerNs timer(reg.histogram("prvm_score_table_build_ns"));
-      const ProfileGraph graph(shape, fitting.demands);
-      set.tables_.push_back(ScoreTable::build(graph, options));
-      if (cache_file.has_value()) {
-        std::error_code ec;
-        std::filesystem::create_directories(*cache_dir, ec);
-        if (!ec) {
-          try {
-            set.tables_.back().save(*cache_file);
-          } catch (const std::exception&) {
-            // Cache write failure is non-fatal (e.g. read-only filesystem).
-          }
-        }
-      }
-    }
-
-    // Invert vm_type_of into per-VM-type slots.
-    auto& slots = set.slots_[p];
-    slots.assign(catalog.vm_types().size(), std::nullopt);
-    for (std::size_t i = 0; i < fitting.vm_type_of.size(); ++i) {
-      slots[fitting.vm_type_of[i]] = i;
-    }
+    const std::string digest =
+        ScoreTable::digest(catalog.shape(p), fitting_demands(catalog, p).demands, options);
+    set.tables_.push_back(load_or_build(catalog, p, options, digest, cache_dir, true));
+    set_slots(catalog, p, set.slots_[p]);
   }
   return set;
 }
@@ -88,7 +101,8 @@ ScoreTableSet build_score_tables(const Catalog& catalog, const ScoreTableOptions
 ScoreTableSet mapped_score_tables(const Catalog& catalog,
                                   const std::filesystem::path& image_dir,
                                   const ScoreTableOptions& options,
-                                  ScoreImageReport* report) {
+                                  ScoreImageReport* report,
+                                  const std::optional<std::filesystem::path>& cache_dir) {
   ScoreImageReport local;
   ScoreTableSet set;
   set.tables_.reserve(catalog.pm_types().size());
@@ -97,22 +111,22 @@ ScoreTableSet mapped_score_tables(const Catalog& catalog,
   std::error_code ec;
   std::filesystem::create_directories(image_dir, ec);
 
+  obs::Registry& reg = obs::Registry::global();
   for (std::size_t p = 0; p < catalog.pm_types().size(); ++p) {
-    const ProfileShape& shape = catalog.shape(p);
-    const Catalog::FittingDemands& fitting = catalog.fitting_demands(p);
-    PRVM_REQUIRE(!fitting.demands.empty(),
-                 "no VM type fits PM type " + catalog.pm_type(p).name);
-    const std::string digest = ScoreTable::digest(shape, fitting.demands, options);
+    const std::string digest =
+        ScoreTable::digest(catalog.shape(p), fitting_demands(catalog, p).demands, options);
     const std::filesystem::path image = image_dir / ("scoretable-" + digest + ".img");
 
     bool served = false;
     if (std::filesystem::exists(image)) {
       try {
+        const obs::ScopedTimerNs timer(reg.histogram("prvm_score_table_load_ns"));
         ScoreTable table = ScoreTable::map_image(image);
         if (table.digest_string() == digest) {
           set.tables_.push_back(std::move(table));
           ++local.mapped;
           served = true;
+          reg.counter("prvm_score_table_cache_hits_total").inc();
         }
       } catch (const std::exception&) {
         // Corrupt/stale image: rebuild and overwrite it below.
@@ -122,35 +136,17 @@ ScoreTableSet mapped_score_tables(const Catalog& catalog,
       // No usable image: obtain the table the normal way (binary cache or
       // full build), write the image, then serve from the mapping so this
       // process already shares pages with the next one.
-      const std::filesystem::path cache_file =
-          default_cache_dir() / ("scoretable-" + digest + ".bin");
-      std::optional<ScoreTable> built;
-      if (std::filesystem::exists(cache_file)) {
-        try {
-          ScoreTable table = ScoreTable::load(cache_file);
-          if (table.digest_string() == digest) built = std::move(table);
-        } catch (const std::exception&) {
-        }
-      }
-      if (!built.has_value()) {
-        const ProfileGraph graph(shape, fitting.demands);
-        built = ScoreTable::build(graph, options);
-      }
+      ScoreTable table = load_or_build(catalog, p, options, digest, cache_dir, false);
       try {
-        built->save_image(image);
+        table.save_image(image);
         set.tables_.push_back(ScoreTable::map_image(image));
         ++local.written;
       } catch (const std::exception&) {
-        set.tables_.push_back(std::move(*built));
+        set.tables_.push_back(std::move(table));
         ++local.fallback;
       }
     }
-
-    auto& slots = set.slots_[p];
-    slots.assign(catalog.vm_types().size(), std::nullopt);
-    for (std::size_t i = 0; i < fitting.vm_type_of.size(); ++i) {
-      slots[fitting.vm_type_of[i]] = i;
-    }
+    set_slots(catalog, p, set.slots_[p]);
   }
   if (report != nullptr) *report = local;
   return set;
@@ -162,10 +158,7 @@ IncrementalScoreTables::IncrementalScoreTables(const Catalog& catalog,
   graphs_.reserve(catalog.pm_types().size());
   set_.tables_.reserve(catalog.pm_types().size());
   for (std::size_t p = 0; p < catalog.pm_types().size(); ++p) {
-    const Catalog::FittingDemands& fitting = catalog.fitting_demands(p);
-    PRVM_REQUIRE(!fitting.demands.empty(),
-                 "no VM type fits PM type " + catalog.pm_type(p).name);
-    graphs_.emplace_back(catalog.shape(p), fitting.demands);
+    graphs_.emplace_back(catalog.shape(p), fitting_demands(catalog, p).demands);
     set_.tables_.push_back(ScoreTable::build(graphs_.back(), options_));
   }
   rebuild_slots(catalog);
@@ -208,14 +201,7 @@ IncrementalScoreTables::ExtendReport IncrementalScoreTables::extend_to(
 
 void IncrementalScoreTables::rebuild_slots(const Catalog& catalog) {
   set_.slots_.resize(graphs_.size());
-  for (std::size_t p = 0; p < graphs_.size(); ++p) {
-    const Catalog::FittingDemands& fitting = catalog.fitting_demands(p);
-    auto& slots = set_.slots_[p];
-    slots.assign(catalog.vm_types().size(), std::nullopt);
-    for (std::size_t i = 0; i < fitting.vm_type_of.size(); ++i) {
-      slots[fitting.vm_type_of[i]] = i;
-    }
-  }
+  for (std::size_t p = 0; p < graphs_.size(); ++p) set_slots(catalog, p, set_.slots_[p]);
 }
 
 }  // namespace prvm

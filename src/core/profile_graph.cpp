@@ -10,18 +10,28 @@ namespace prvm {
 
 namespace {
 
-// Distinct successor keys of one canonical profile across the given demands.
-std::vector<ProfileKey> expand_node(const ProfileShape& shape, ProfileKey key,
-                                    const std::vector<QuantizedDemand>& demands) {
-  const Profile profile = Profile::unpack(shape, key);
-  std::vector<ProfileKey> succ;
-  for (const QuantizedDemand& demand : demands) {
-    auto keys = enumerate_successor_keys(shape, profile, demand);
-    succ.insert(succ.end(), keys.begin(), keys.end());
+// Appends the distinct successor keys of one canonical profile across the
+// given demands to `out`, sorted ascending.
+void expand_node(const ProfileShape& shape, ProfileKey key,
+                 const std::vector<QuantizedDemand>& demands, std::vector<ProfileKey>& out) {
+  const auto begin = static_cast<std::ptrdiff_t>(out.size());
+  for (const QuantizedDemand& demand : demands) enumerate_successor_keys(shape, key, demand, out);
+  std::sort(out.begin() + begin, out.end());
+  out.erase(std::unique(out.begin() + begin, out.end()), out.end());
+}
+
+// Total usage of a packed profile: the sum of its levels.
+std::uint16_t key_usage(const ProfileShape& shape, ProfileKey key) {
+  int total = 0;
+  for (std::size_t g = 0; g < shape.group_count(); ++g) {
+    const int bits = shape.group_bits(g);
+    const ProfileKey mask = (ProfileKey{1} << bits) - 1;
+    for (int i = 0; i < shape.groups()[g].count; ++i) {
+      total += static_cast<int>(key & mask);
+      key >>= bits;
+    }
   }
-  std::sort(succ.begin(), succ.end());
-  succ.erase(std::unique(succ.begin(), succ.end()), succ.end());
-  return succ;
+  return static_cast<std::uint16_t>(total);
 }
 
 void validate_demands(const ProfileShape& shape, const std::vector<QuantizedDemand>& demands) {
@@ -39,14 +49,10 @@ ProfileGraph::ProfileGraph(ProfileShape shape, std::vector<QuantizedDemand> dema
   PRVM_REQUIRE(!demands_.empty(), "profile graph needs at least one VM type");
   validate_demands(shape_, demands_);
 
-  const Profile zero = Profile::zero(shape_);
-  keys_.push_back(zero.pack(shape_));
-  usage_.push_back(0);
-  index_.try_emplace(keys_[0], NodeId{0});
-
+  intern_node(Profile::zero(shape_).pack(shape_), options);
   std::vector<std::pair<NodeId, NodeId>> edges;
   grow({NodeId{0}}, edges, options);
-  canonicalize(edges);
+  canonicalize(std::move(edges));
 }
 
 ProfileGraph::ExtendStats ProfileGraph::extend(std::vector<QuantizedDemand> new_demands,
@@ -63,21 +69,19 @@ ProfileGraph::ExtendStats ProfileGraph::extend(std::vector<QuantizedDemand> new_
   // only the new demands can add edges out of it. A successor that is itself
   // new seeds the BFS frontier, which then expands under the *full* demand
   // set (its old-demand successors were never enumerated).
+  std::vector<ProfileKey> succ;
   for (NodeId from = 0; from < old_node_count; ++from) {
-    for (ProfileKey key : expand_node(shape_, keys_[from], new_demands)) {
-      auto [node, inserted] = index_.try_emplace(key, static_cast<NodeId>(keys_.size()));
+    succ.clear();
+    expand_node(shape_, keys_[from], new_demands, succ);
+    for (ProfileKey key : succ) {
+      const auto [node, inserted] = intern_node(key, options);
       if (inserted) {
-        PRVM_REQUIRE(keys_.size() < options.max_nodes,
-                     "profile graph exceeds max_nodes; coarsen quantization");
-        keys_.push_back(key);
-        usage_.push_back(
-            static_cast<std::uint16_t>(Profile::unpack(shape_, key).total_usage()));
         frontier.push_back(node);
       } else {
         // Adjacency is sorted by id = sorted by key (canonical numbering),
         // so membership is a binary search.
-        const auto succ = graph_.successors(from);
-        if (std::binary_search(succ.begin(), succ.end(), node)) continue;
+        const auto adjacent = graph_.successors(from);
+        if (std::binary_search(adjacent.begin(), adjacent.end(), node)) continue;
       }
       pending.emplace_back(from, node);
     }
@@ -98,49 +102,60 @@ ProfileGraph::ExtendStats ProfileGraph::extend(std::vector<QuantizedDemand> new_
     for (NodeId v : graph_.successors(u)) edges.emplace_back(u, v);
   }
   edges.insert(edges.end(), pending.begin(), pending.end());
-  canonicalize(edges);
+  canonicalize(std::move(edges));
   return stats;
 }
 
 void ProfileGraph::grow(std::vector<NodeId> frontier,
                         std::vector<std::pair<NodeId, NodeId>>& edges,
                         const ProfileGraphOptions& options) {
-  const unsigned threads = options.threads;
+  constexpr std::size_t kChunk = 256;
   while (!frontier.empty()) {
-    // Parallel phase: enumerate successor keys for the whole frontier on the
-    // shared worker pool (capped at options.threads when set).
-    std::vector<std::vector<ProfileKey>> expanded(frontier.size());
-    auto expand = [&](std::size_t i) {
-      expanded[i] = expand_node(shape_, keys_[frontier[i]], demands_);
+    // Parallel phase: on the shared worker pool, each chunk of the frontier
+    // appends its nodes' successor keys to one flat vector.
+    const std::size_t chunks = (frontier.size() + kChunk - 1) / kChunk;
+    std::vector<std::vector<ProfileKey>> succ(chunks);
+    std::vector<std::uint32_t> succ_count(frontier.size());
+    const auto expand = [&](std::size_t c) {
+      const std::size_t end = std::min(frontier.size(), (c + 1) * kChunk);
+      for (std::size_t i = c * kChunk; i < end; ++i) {
+        const std::size_t before = succ[c].size();
+        expand_node(shape_, keys_[frontier[i]], demands_, succ[c]);
+        succ_count[i] = static_cast<std::uint32_t>(succ[c].size() - before);
+      }
     };
-    if (threads == 1 || frontier.size() < 64) {
-      for (std::size_t i = 0; i < frontier.size(); ++i) expand(i);
-    } else {
-      WorkerPool::shared().parallel_for(0, frontier.size(), expand, 0, threads);
-    }
+    WorkerPool::shared().parallel_for(0, chunks, expand, 1);
 
     // Serial phase: register new nodes and edges.
     std::vector<NodeId> next;
-    for (std::size_t i = 0; i < frontier.size(); ++i) {
-      const NodeId from = frontier[i];
-      for (ProfileKey key : expanded[i]) {
-        auto [node, inserted] = index_.try_emplace(key, static_cast<NodeId>(keys_.size()));
-        if (inserted) {
-          PRVM_REQUIRE(keys_.size() < options.max_nodes,
-                       "profile graph exceeds max_nodes; coarsen quantization");
-          keys_.push_back(key);
-          usage_.push_back(
-              static_cast<std::uint16_t>(Profile::unpack(shape_, key).total_usage()));
-          next.push_back(node);
+    for (std::size_t c = 0; c < chunks; ++c) {
+      const ProfileKey* key = succ[c].data();
+      const std::size_t end = std::min(frontier.size(), (c + 1) * kChunk);
+      for (std::size_t i = c * kChunk; i < end; ++i) {
+        for (std::uint32_t k = 0; k < succ_count[i]; ++k, ++key) {
+          const auto [node, inserted] = intern_node(*key, options);
+          if (inserted) next.push_back(node);
+          edges.emplace_back(frontier[i], node);
         }
-        edges.emplace_back(from, node);
       }
     }
     frontier = std::move(next);
   }
 }
 
-void ProfileGraph::canonicalize(std::vector<std::pair<NodeId, NodeId>>& edges) {
+std::pair<NodeId, bool> ProfileGraph::intern_node(ProfileKey key,
+                                                  const ProfileGraphOptions& options) {
+  const auto [node, inserted] = index_.try_emplace(key, static_cast<NodeId>(keys_.size()));
+  if (inserted) {
+    PRVM_REQUIRE(keys_.size() < options.max_nodes,
+                 "profile graph exceeds max_nodes; coarsen quantization");
+    keys_.push_back(key);
+    usage_.push_back(key_usage(shape_, key));
+  }
+  return {node, inserted};
+}
+
+void ProfileGraph::canonicalize(std::vector<std::pair<NodeId, NodeId>> edges) {
   const std::size_t n = keys_.size();
   std::vector<NodeId> order(n);
   std::iota(order.begin(), order.end(), NodeId{0});
@@ -166,15 +181,24 @@ void ProfileGraph::canonicalize(std::vector<std::pair<NodeId, NodeId>>& edges) {
   index_.reserve(n);
   for (NodeId u = 0; u < n; ++u) index_.try_emplace(keys_[u], u);
 
-  for (auto& [from, to] : edges) {
-    from = new_id[from];
-    to = new_id[to];
+  // CSR by counting sort on the new `from` id, then each (short) row sorted
+  // by target. offsets[u + 1] first counts row u; after the prefix sum
+  // offsets[u] is row u's start and serves as its fill cursor, which leaves
+  // it at row u's end, i.e. the start of row u + 1: shifting the array by
+  // one restores the row starts.
+  std::vector<std::size_t> offsets(n + 1, 0);
+  for (const auto& [from, to] : edges) ++offsets[new_id[from] + 1];
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  std::vector<NodeId> targets(edges.size());
+  for (const auto& [from, to] : edges) targets[offsets[new_id[from]]++] = new_id[to];
+  edges = {};
+  std::copy_backward(offsets.begin(), offsets.end() - 1, offsets.end());
+  offsets[0] = 0;
+  for (std::size_t u = 0; u < n; ++u) {
+    std::sort(targets.begin() + static_cast<std::ptrdiff_t>(offsets[u]),
+              targets.begin() + static_cast<std::ptrdiff_t>(offsets[u + 1]));
   }
-  std::sort(edges.begin(), edges.end());
-  Digraph graph(n);
-  for (const auto& [from, to] : edges) graph.add_edge(from, to);
-  graph.finalize();
-  graph_ = std::move(graph);
+  graph_ = Digraph(std::move(offsets), std::move(targets));
 }
 
 std::optional<NodeId> ProfileGraph::best_node() const {
@@ -198,20 +222,6 @@ std::vector<NodeId> ProfileGraph::sink_nodes() const {
     if (graph_.out_degree(u) == 0) sinks.push_back(u);
   }
   return sinks;
-}
-
-std::vector<NodeId> ProfileGraph::successors_for_demand(NodeId node,
-                                                        std::size_t demand_index) const {
-  PRVM_REQUIRE(node < keys_.size(), "node out of range");
-  PRVM_REQUIRE(demand_index < demands_.size(), "demand index out of range");
-  const Profile profile = profile_of(node);
-  std::vector<NodeId> result;
-  for (ProfileKey key : enumerate_successor_keys(shape_, profile, demands_[demand_index])) {
-    const NodeId* succ = index_.find(key);
-    PRVM_CHECK(succ != nullptr, "successor missing from graph");
-    result.push_back(*succ);
-  }
-  return result;
 }
 
 }  // namespace prvm

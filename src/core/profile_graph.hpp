@@ -22,8 +22,6 @@ struct ProfileGraphOptions {
   /// Safety valve: building aborts (throws) past this many nodes so a
   /// mis-quantized catalog cannot consume all memory.
   std::size_t max_nodes = 8'000'000;
-  /// Worker threads for frontier expansion; 0 = hardware concurrency.
-  unsigned threads = 0;
 };
 
 class ProfileGraph {
@@ -82,20 +80,20 @@ class ProfileGraph {
   /// further VM — the "endpoints" of the BPRU definition.
   std::vector<NodeId> sink_nodes() const;
 
-  /// Re-enumerates the distinct successors of `node` under demand `t`
-  /// (used by the score-table best-successor pass; successors per demand
-  /// are not stored to keep the graph memory-bounded).
-  std::vector<NodeId> successors_for_demand(NodeId node, std::size_t demand_index) const;
-
  private:
   /// BFS-expands `frontier` under the full demand set, appending discovered
   /// nodes and recording edges into `edges`.
   void grow(std::vector<NodeId> frontier, std::vector<std::pair<NodeId, NodeId>>& edges,
             const ProfileGraphOptions& options);
 
-  /// Renumbers nodes by ascending key and rebuilds the finalized graph from
-  /// `edges` with sorted adjacency (see the constructor comment).
-  void canonicalize(std::vector<std::pair<NodeId, NodeId>>& edges);
+  /// The node of `key`, appended when new (then `second` is true);
+  /// `options.max_nodes` bounds the graph.
+  std::pair<NodeId, bool> intern_node(ProfileKey key, const ProfileGraphOptions& options);
+
+  /// Renumbers nodes by ascending key and builds the finalized graph from
+  /// `edges` with sorted adjacency (see the constructor comment). Consumes
+  /// `edges`.
+  void canonicalize(std::vector<std::pair<NodeId, NodeId>> edges);
 
   ProfileShape shape_;
   std::vector<QuantizedDemand> demands_;

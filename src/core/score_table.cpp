@@ -100,20 +100,17 @@ std::string ScoreTable::digest(const ProfileShape& shape,
   return os.str();
 }
 
+static_assert(sizeof(ScoreTable::RankedKey) == 16, "image files store 16-byte ranked entries");
+
 ScoreTable ScoreTable::build(const ProfileGraph& graph, const ScoreTableOptions& options) {
   const PageRankResult pr = [&] {
     if (options.direction == VoteDirection::kForwardAsPrinted) {
       return compute_pagerank(graph.graph(), options.pagerank);
     }
-    // Reverse every edge and run the identical iteration with the teleport
+    // Run the identical iteration on the reversed graph with the teleport
     // mass pinned on the best reachable profile(s): rank(P) becomes the
     // damped, branching-discounted weight of the paths P -> best — the
     // "convergence of transferring to the best profile" of §V-A.
-    Digraph reversed(graph.graph().node_count());
-    for (NodeId u = 0; u < graph.graph().node_count(); ++u) {
-      for (NodeId v : graph.graph().successors(u)) reversed.add_edge(v, u);
-    }
-    reversed.finalize();
     // Teleport to the sinks with maximum utilization (the best profile when
     // the VM set can tile the capacity exactly).
     const std::vector<NodeId> sinks = graph.sink_nodes();
@@ -124,7 +121,7 @@ ScoreTable ScoreTable::build(const ProfileGraph& graph, const ScoreTableOptions&
     for (NodeId s : sinks) {
       if (graph.utilization(s) >= best_util - 1e-12) teleport[s] = 1.0;
     }
-    return compute_pagerank(reversed, options.pagerank, teleport);
+    return compute_pagerank_reversed(graph.graph(), options.pagerank, teleport);
   }();
 
   std::vector<double> scores = pr.scores;
@@ -218,27 +215,33 @@ ScoreTable ScoreTable::extend(const ScoreTable& base, const ProfileGraph& graph,
 
 void ScoreTable::fill_demand_block(const ProfileGraph& graph, std::size_t t) {
   // Best-successor pass for one VM type: the highest-scoring canonical
-  // outcome across anti-collocation permutations. Embarrassingly parallel
-  // over nodes; comparisons run on the stored float scores so build and
-  // extend make bit-identical choices.
+  // outcome across anti-collocation permutations, the first in enumeration
+  // order on ties. Embarrassingly parallel over nodes; comparisons run on
+  // the stored float scores so build and extend make bit-identical choices.
   BestEntry* row = best_.data() + t * node_count_;
   const float* scores = scores_.data();
-  auto work = [&, row, scores](std::size_t u) {
-    BestEntry entry;
-    for (NodeId v : graph.successors_for_demand(static_cast<NodeId>(u), t)) {
-      const float s = scores[v];
-      if (entry.successor == kNoFit || s > entry.score) {
-        entry.score = s;
-        entry.successor = v;
+  const QuantizedDemand& demand = graph.demands()[t];
+  constexpr std::size_t kChunk = 1024;
+  const auto work = [&, row, scores](std::size_t chunk) {
+    std::vector<ProfileKey> succ;
+    const std::size_t end = std::min(node_count_, (chunk + 1) * kChunk);
+    for (std::size_t u = chunk * kChunk; u < end; ++u) {
+      succ.clear();
+      enumerate_successor_keys(graph.shape(), graph.key_of(static_cast<NodeId>(u)), demand, succ);
+      BestEntry entry;
+      for (ProfileKey key : succ) {
+        const std::optional<NodeId> v = graph.find_node(key);
+        PRVM_CHECK(v.has_value(), "successor missing from graph");
+        const float s = scores[*v];
+        if (entry.successor == kNoFit || s > entry.score) {
+          entry.score = s;
+          entry.successor = *v;
+        }
       }
+      row[u] = entry;
     }
-    row[u] = entry;
   };
-  if (node_count_ < 256) {
-    for (std::size_t u = 0; u < node_count_; ++u) work(u);
-  } else {
-    WorkerPool::shared().parallel_for(0, node_count_, work);
-  }
+  WorkerPool::shared().parallel_for(0, (node_count_ + kChunk - 1) / kChunk, work, 1);
 }
 
 void ScoreTable::build_ranked_block(std::size_t t) {
@@ -247,7 +250,7 @@ void ScoreTable::build_ranked_block(std::size_t t) {
   const std::size_t begin = ranked_arena_.size();
   for (std::size_t u = 0; u < node_count_; ++u) {
     if (row[u].successor == kNoFit) continue;
-    ranked_arena_.push_back(RankedKey{row[u].score, keys_[u]});
+    ranked_arena_.push_back(RankedKey{row[u].score, 0, keys_[u]});
   }
   std::sort(ranked_arena_.begin() + static_cast<std::ptrdiff_t>(begin), ranked_arena_.end(),
             [](const RankedKey& a, const RankedKey& b) {

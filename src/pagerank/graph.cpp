@@ -9,6 +9,14 @@ namespace prvm {
 
 Digraph::Digraph(std::size_t node_count) : adjacency_(node_count) {}
 
+Digraph::Digraph(std::vector<std::size_t> offsets, std::vector<NodeId> edges)
+    : csr_offsets_(std::move(offsets)), csr_edges_(std::move(edges)),
+      edge_count_(csr_edges_.size()), finalized_(true) {
+  PRVM_REQUIRE(!csr_offsets_.empty() && csr_offsets_.front() == 0 &&
+                   csr_offsets_.back() == csr_edges_.size(),
+               "CSR offsets do not frame the edge array");
+}
+
 NodeId Digraph::add_node() {
   PRVM_REQUIRE(!finalized_, "cannot add nodes after finalize()");
   adjacency_.emplace_back();
@@ -30,9 +38,8 @@ void Digraph::finalize() {
   for (std::size_t i = 0; i < adjacency_.size(); ++i) {
     for (NodeId to : adjacency_[i]) csr_edges_.push_back(to);
     csr_offsets_[i + 1] = csr_edges_.size();
-    adjacency_[i].clear();
-    adjacency_[i].shrink_to_fit();
   }
+  adjacency_ = {};
   finalized_ = true;
 }
 

@@ -1,10 +1,10 @@
 // A compact directed graph.
 //
-// Built incrementally (adjacency lists) while the profile BFS discovers
-// nodes, then finalize() packs it into CSR form for fast iteration by the
-// PageRank solver and the BPRU sweep. Profile graphs are DAGs (total usage
-// strictly increases along every edge), and the DAG-only utilities
-// (topological order, path counting) verify that.
+// Built either incrementally (adjacency lists, then finalize() packs them
+// into CSR form) or straight from a CSR, as the profile graph does; the
+// PageRank solver and the BPRU sweep iterate the CSR. Profile graphs are
+// DAGs (total usage strictly increases along every edge), and the DAG-only
+// utilities (topological order, path counting) verify that.
 #pragma once
 
 #include <cstdint>
@@ -19,13 +19,20 @@ class Digraph {
  public:
   explicit Digraph(std::size_t node_count = 0);
 
+  /// Adopts a finished CSR: `offsets` has node_count + 1 ascending entries
+  /// starting at 0 and ending at edges.size(); row u's targets are
+  /// edges[offsets[u], offsets[u+1]). The result is finalized.
+  Digraph(std::vector<std::size_t> offsets, std::vector<NodeId> edges);
+
   /// Adds an isolated node and returns its id.
   NodeId add_node();
 
   /// Adds a directed edge. Callers must not add edges after finalize().
   void add_edge(NodeId from, NodeId to);
 
-  std::size_t node_count() const { return adjacency_.size(); }
+  std::size_t node_count() const {
+    return finalized_ ? csr_offsets_.size() - 1 : adjacency_.size();
+  }
   std::size_t edge_count() const { return edge_count_; }
 
   /// Packs adjacency into CSR. Idempotent; successors() works before or

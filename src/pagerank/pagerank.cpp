@@ -7,13 +7,13 @@
 
 namespace prvm {
 
-PageRankResult compute_pagerank(const Digraph& graph, const PageRankOptions& options) {
-  return compute_pagerank(graph, options, {});
-}
+namespace {
 
-PageRankResult compute_pagerank(const Digraph& graph, const PageRankOptions& options,
-                                std::span<const double> teleport) {
-  const std::size_t n = graph.node_count();
+// The Algorithm 1 iteration over n nodes; `accumulate(previous, aux)` fills
+// aux with the votes each node receives from the previous scores.
+template <typename Accumulate>
+PageRankResult iterate(std::size_t n, const PageRankOptions& options,
+                       std::span<const double> teleport, Accumulate accumulate) {
   PRVM_REQUIRE(n > 0, "PageRank over an empty graph");
   PRVM_REQUIRE(options.damping >= 0.0 && options.damping < 1.0, "damping must be in [0,1)");
   PRVM_REQUIRE(options.epsilon > 0.0, "epsilon must be positive");
@@ -44,20 +44,13 @@ PageRankResult compute_pagerank(const Digraph& graph, const PageRankOptions& opt
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     // The outgoing scores become "previous" by pointer swap, not by copying
-    // the vector; the push loop below reads `previous` and the new scores
+    // the vector; accumulate() reads `previous` and the new scores
     // overwrite whatever the buffer held.
     std::swap(previous, result.scores);
-
-    std::fill(aux.begin(), aux.end(), 0.0);
-    for (NodeId u = 0; u < n; ++u) {
-      const std::span<const NodeId> succ = graph.successors(u);
-      if (succ.empty()) continue;
-      const double share = previous[u] / static_cast<double>(succ.size());
-      for (NodeId v : succ) aux[v] += share;
-    }
+    accumulate(previous, aux);
 
     double sum = 0.0;
-    for (NodeId u = 0; u < n; ++u) {
+    for (std::size_t u = 0; u < n; ++u) {
       result.scores[u] = base[u] + options.damping * aux[u];
       sum += result.scores[u];
     }
@@ -66,7 +59,7 @@ PageRankResult compute_pagerank(const Digraph& graph, const PageRankOptions& opt
     // arithmetic (divide, then subtract) matches the former two-pass form
     // exactly, so scores stay bit-identical.
     double max_delta = 0.0;
-    for (NodeId u = 0; u < n; ++u) {
+    for (std::size_t u = 0; u < n; ++u) {
       const double s = result.scores[u] / sum;
       result.scores[u] = s;
       max_delta = std::max(max_delta, std::abs(s - previous[u]));
@@ -78,6 +71,51 @@ PageRankResult compute_pagerank(const Digraph& graph, const PageRankOptions& opt
     }
   }
   return result;
+}
+
+}  // namespace
+
+PageRankResult compute_pagerank(const Digraph& graph, const PageRankOptions& options) {
+  return compute_pagerank(graph, options, {});
+}
+
+PageRankResult compute_pagerank(const Digraph& graph, const PageRankOptions& options,
+                                std::span<const double> teleport) {
+  const std::size_t n = graph.node_count();
+  return iterate(n, options, teleport,
+                 [&](const std::vector<double>& previous, std::vector<double>& aux) {
+                   std::fill(aux.begin(), aux.end(), 0.0);
+                   for (NodeId u = 0; u < n; ++u) {
+                     const std::span<const NodeId> succ = graph.successors(u);
+                     if (succ.empty()) continue;
+                     const double share = previous[u] / static_cast<double>(succ.size());
+                     for (NodeId v : succ) aux[v] += share;
+                   }
+                 });
+}
+
+PageRankResult compute_pagerank_reversed(const Digraph& graph, const PageRankOptions& options,
+                                         std::span<const double> teleport) {
+  const std::size_t n = graph.node_count();
+  // A node's out-degree in the reversed graph is its in-degree here.
+  std::vector<std::size_t> in_degree(n, 0);
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v : graph.successors(u)) ++in_degree[v];
+  }
+  std::vector<double> share(n, 0.0);
+  return iterate(n, options, teleport,
+                 [&](const std::vector<double>& previous, std::vector<double>& aux) {
+                   for (NodeId v = 0; v < n; ++v) {
+                     if (in_degree[v] != 0) {
+                       share[v] = previous[v] / static_cast<double>(in_degree[v]);
+                     }
+                   }
+                   for (NodeId u = 0; u < n; ++u) {
+                     double votes = 0.0;
+                     for (NodeId v : graph.successors(u)) votes += share[v];
+                     aux[u] = votes;
+                   }
+                 });
 }
 
 }  // namespace prvm

@@ -36,4 +36,12 @@ PageRankResult compute_pagerank(const Digraph& graph, const PageRankOptions& opt
 PageRankResult compute_pagerank(const Digraph& graph, const PageRankOptions& options,
                                 std::span<const double> teleport);
 
+/// compute_pagerank(reverse(graph), options, teleport) without building the
+/// reversed graph: a pull over `graph`'s own CSR, Aux(P) = sum of
+/// PR(P')/indeg(P') over P's successors P'. With every adjacency list sorted
+/// ascending (as ProfileGraph's are), the terms are added in the order the
+/// push over the reversed graph adds them, so the scores are bit-identical.
+PageRankResult compute_pagerank_reversed(const Digraph& graph, const PageRankOptions& options,
+                                         std::span<const double> teleport);
+
 }  // namespace prvm

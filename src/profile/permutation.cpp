@@ -4,7 +4,6 @@
 #include <map>
 #include <numeric>
 #include <sstream>
-#include <unordered_set>
 
 #include "common/check.hpp"
 
@@ -161,18 +160,165 @@ std::vector<DemandPlacement> enumerate_placements(const ProfileShape& shape,
   return result;
 }
 
-std::vector<ProfileKey> enumerate_successor_keys(const ProfileShape& shape,
-                                                 const Profile& canonical_current,
-                                                 const QuantizedDemand& demand) {
-  auto placements = enumerate_placements(shape, canonical_current, demand);
-  std::unordered_set<ProfileKey> seen;
-  std::vector<ProfileKey> keys;
-  keys.reserve(placements.size());
-  for (const DemandPlacement& p : placements) {
-    const ProfileKey key = p.result.canonical(shape).pack(shape);
-    if (seen.insert(key).second) keys.push_back(key);
+namespace {
+
+// A packed key holds at most 64 dimension levels of at least one bit, so no
+// group has more than 64 dimensions and no shape more than 64 groups.
+constexpr int kMaxDims = 64;
+
+// Distinct outcomes, summed over the groups of one enumeration, that the
+// stack buffer holds. The EC2 catalogs need at most a few dozen.
+constexpr std::size_t kStackOutcomes = 1024;
+
+// The DFS of enumerate_group_rec for one group of a canonical profile, on
+// fixed arrays. Each leaf's usage, sorted descending, is recorded as a "lex
+// code": the levels packed with dimension 0 in the most significant bits,
+// so numeric order is the lexicographic order of the sorted usage vectors
+// (the order of enumerate_group_placements' map). Codes are kept sorted and
+// distinct in a caller-provided buffer; `overflow` is set when it is full.
+struct GroupDfs {
+  std::span<const int> items;
+  int n = 0;
+  int capacity = 0;
+  int bits = 0;
+  // Only the first n entries are used, each set before it is read: the
+  // struct is built for every group of every enumeration, and zero-filling
+  // all 64 costs about a tenth of the table build.
+  int usage[kMaxDims];
+  bool used[kMaxDims];
+  int pick[kMaxDims];
+  ProfileKey* codes = nullptr;
+  std::size_t size = 0;
+  std::size_t room = 0;
+  bool overflow = false;
+
+  void run(std::size_t t) {
+    if (overflow) return;
+    if (t == items.size()) {
+      record();
+      return;
+    }
+    const int item = items[t];
+    const int start = (t > 0 && items[t - 1] == item) ? pick[t - 1] + 1 : 0;
+    int tried[kMaxDims];  // usage values already tried for this item
+    int tried_count = 0;
+    for (int d = start; d < n; ++d) {
+      if (used[d] || usage[d] + item > capacity) continue;
+      if (std::find(tried, tried + tried_count, usage[d]) != tried + tried_count) continue;
+      tried[tried_count++] = usage[d];
+      used[d] = true;
+      usage[d] += item;
+      pick[t] = d;
+      run(t + 1);
+      usage[d] -= item;
+      used[d] = false;
+    }
   }
-  return keys;
+
+  void record() {
+    int sorted[kMaxDims];
+    std::copy(usage, usage + n, sorted);
+    std::sort(sorted, sorted + n, std::greater<int>());
+    ProfileKey code = 0;
+    for (int i = 0; i < n; ++i) code = (code << bits) | static_cast<ProfileKey>(sorted[i]);
+    ProfileKey* end = codes + size;
+    ProfileKey* at = std::lower_bound(codes, end, code);
+    if (at != end && *at == code) return;
+    if (size == room) {
+      overflow = true;
+      return;
+    }
+    std::copy_backward(at, end, end + 1);
+    *at = code;
+    ++size;
+  }
+};
+
+// Fills `parts` with every group's distinct outcomes, each as its bits of
+// the packed successor key: group g's in [ends[g-1], ends[g]), in the order
+// of enumerate_successor_keys. False when `parts` is too small.
+bool collect_group_parts(const ProfileShape& shape, ProfileKey current,
+                         const QuantizedDemand& demand, std::span<ProfileKey> parts,
+                         std::size_t* ends) {
+  std::size_t filled = 0;
+  int shift = 0;
+  for (std::size_t g = 0; g < shape.group_count(); ++g) {
+    const int bits = shape.group_bits(g);
+    const ProfileKey mask = (ProfileKey{1} << bits) - 1;
+    GroupDfs dfs;
+    dfs.items = demand.group_items[g];
+    dfs.n = shape.groups()[g].count;
+    dfs.capacity = shape.groups()[g].capacity;
+    dfs.bits = bits;
+    for (int i = 0; i < dfs.n; ++i) {
+      dfs.usage[i] = static_cast<int>((current >> (shift + i * bits)) & mask);
+      dfs.used[i] = false;
+      PRVM_REQUIRE(dfs.usage[i] <= dfs.capacity && (i == 0 || dfs.usage[i - 1] >= dfs.usage[i]),
+                   "successor enumeration needs a canonical profile key");
+    }
+    dfs.codes = parts.data() + filled;
+    dfs.room = parts.size() - filled;
+    dfs.run(0);
+    if (dfs.overflow) return false;
+    for (std::size_t c = 0; c < dfs.size; ++c) {
+      const ProfileKey code = dfs.codes[c];
+      ProfileKey part = 0;
+      for (int i = 0; i < dfs.n; ++i) {
+        const ProfileKey level = (code >> ((dfs.n - 1 - i) * bits)) & mask;
+        part |= level << (shift + i * bits);
+      }
+      dfs.codes[c] = part;
+    }
+    filled += dfs.size;
+    ends[g] = filled;
+    shift += dfs.n * bits;
+  }
+  PRVM_REQUIRE(shift == 64 || (current >> shift) == 0,
+               "key has stray high bits for this shape");
+  return true;
+}
+
+// The mixed-radix product of the groups' parts, group 0 varying fastest.
+// Parts of different groups occupy disjoint bits, so a successor key is the
+// OR of one part per group and distinct choices give distinct keys.
+void emit_product(std::span<const ProfileKey> parts, const std::size_t* ends, std::size_t groups,
+                  std::vector<ProfileKey>& out) {
+  std::size_t begin[kMaxDims];
+  std::size_t index[kMaxDims];
+  for (std::size_t g = 0; g < groups; ++g) {
+    begin[g] = g == 0 ? 0 : ends[g - 1];
+    if (begin[g] == ends[g]) return;  // this group cannot take its items
+    index[g] = begin[g];
+  }
+  for (;;) {
+    ProfileKey key = 0;
+    for (std::size_t g = 0; g < groups; ++g) key |= parts[index[g]];
+    out.push_back(key);
+    std::size_t g = 0;
+    while (g < groups && ++index[g] == ends[g]) {
+      index[g] = begin[g];
+      ++g;
+    }
+    if (g == groups) return;
+  }
+}
+
+}  // namespace
+
+void enumerate_successor_keys(const ProfileShape& shape, ProfileKey current,
+                              const QuantizedDemand& demand, std::vector<ProfileKey>& out) {
+  demand.validate(shape);
+  std::size_t ends[kMaxDims];
+  ProfileKey stack[kStackOutcomes];  // written by collect_group_parts before any read
+  if (collect_group_parts(shape, current, demand, stack, ends)) {
+    emit_product(stack, ends, shape.group_count(), out);
+    return;
+  }
+  std::vector<ProfileKey> heap(kStackOutcomes);
+  do {
+    heap.resize(heap.size() * 4);
+  } while (!collect_group_parts(shape, current, demand, heap, ends));
+  emit_product(heap, ends, shape.group_count(), out);
 }
 
 bool demand_fits(const ProfileShape& shape, const Profile& current,

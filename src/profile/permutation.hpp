@@ -66,12 +66,19 @@ std::vector<DemandPlacement> enumerate_placements(const ProfileShape& shape,
                                                   const Profile& current,
                                                   const QuantizedDemand& demand);
 
-/// Distinct canonical successor keys of a *canonical* profile under a
-/// demand; the edge set of the profile graph. Faster than
-/// enumerate_placements (no assignment bookkeeping).
-std::vector<ProfileKey> enumerate_successor_keys(const ProfileShape& shape,
-                                                 const Profile& canonical_current,
-                                                 const QuantizedDemand& demand);
+/// Appends to `out` the distinct canonical successor keys of the canonical
+/// profile `current` under `demand`: the edge set of the profile graph.
+///
+/// Order (the score table keeps the *first* successor with the top score,
+/// so it decides placements): within one group, ascending lexicographic
+/// order of the group's descending-sorted usage; across groups, a
+/// mixed-radix product with group 0 varying fastest.
+///
+/// Works on the packed key and stack buffers only: no heap allocation
+/// unless `out` must grow, or a group has more distinct outcomes than the
+/// stack buffer holds (then one scratch vector is allocated).
+void enumerate_successor_keys(const ProfileShape& shape, ProfileKey current,
+                              const QuantizedDemand& demand, std::vector<ProfileKey>& out);
 
 /// True if at least one placement of the demand exists on `current`.
 bool demand_fits(const ProfileShape& shape, const Profile& current, const QuantizedDemand& demand);

@@ -6,6 +6,7 @@
 // vectors sized, rep cache populated, need masks built, hash maps past their
 // final rehash), a speculate() pick performs ZERO heap allocations — the
 // whole hot path runs on engine-owned scratch and borrowed views.
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -45,6 +46,7 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::f
 #include "common/rng.hpp"
 #include "core/catalog_graphs.hpp"
 #include "placement/pagerank_vm.hpp"
+#include "profile/permutation.hpp"
 #include "service/binary_protocol.hpp"
 #include "service/protocol.hpp"
 
@@ -172,6 +174,47 @@ TEST(ChannelEncodeAlloc, WarmReusedEncodeBufferDelta) {
   // binary must never be worse than JSON on the same reused buffer.
   EXPECT_LT(json_reused_allocs, json_fresh_allocs);
   EXPECT_LE(binary_allocs, json_reused_allocs);
+}
+
+// The profile-graph build enumerates the successors of every (profile, VM
+// type) pair twice, from worker threads. Into a caller-owned buffer with
+// room, the enumerator must not touch the heap at all.
+TEST(SuccessorEnumerationAlloc, CallerOwnedBufferIsAllocationFree) {
+  const Catalog catalog = ec2_sim_catalog();
+  const ProfileShape& shape = catalog.shape(0);
+  const std::vector<QuantizedDemand>& demands = catalog.fitting_demands(0).demands;
+
+  // Three BFS layers from the empty profile (this part may allocate).
+  std::vector<ProfileKey> profiles = {0};
+  std::vector<ProfileKey> layer = {0};
+  for (int depth = 0; depth < 3; ++depth) {
+    std::vector<ProfileKey> next;
+    for (ProfileKey key : layer) {
+      for (const QuantizedDemand& demand : demands) {
+        enumerate_successor_keys(shape, key, demand, next);
+      }
+    }
+    std::sort(next.begin(), next.end());
+    next.erase(std::unique(next.begin(), next.end()), next.end());
+    profiles.insert(profiles.end(), next.begin(), next.end());
+    layer = std::move(next);
+  }
+  ASSERT_GT(profiles.size(), 100u);
+
+  std::vector<ProfileKey> out;
+  out.reserve(1 << 16);
+  std::size_t emitted = 0;
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  for (ProfileKey key : profiles) {
+    for (const QuantizedDemand& demand : demands) {
+      out.clear();
+      enumerate_successor_keys(shape, key, demand, out);
+      emitted += out.size();
+    }
+  }
+  const std::size_t allocs = g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(allocs, 0u) << "enumerating " << emitted << " successors allocated";
+  EXPECT_GT(emitted, profiles.size());
 }
 
 }  // namespace

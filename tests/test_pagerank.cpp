@@ -6,6 +6,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "common/rng.hpp"
 #include "pagerank/graph.hpp"
 
 namespace prvm {
@@ -236,6 +237,41 @@ TEST(PageRank, OptionValidation) {
   bad.max_iterations = 0;
   EXPECT_THROW(compute_pagerank(g, bad), std::invalid_argument);
   EXPECT_THROW(compute_pagerank(Digraph(0)), std::invalid_argument);
+}
+
+// The pull form must reproduce the push over an explicitly reversed graph
+// bit for bit (the score tables depend on it), on random DAGs whose
+// adjacency lists are sorted, as the profile graph's are, and with a
+// teleport vector as ScoreTable::build passes one.
+TEST(PageRank, ReversedPullMatchesPushOverReversedGraphExactly) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 50; ++trial) {
+    const std::size_t n = 2 + rng.uniform_index(60);
+    Digraph forward(n);
+    for (NodeId u = 0; u < n; ++u) {
+      for (NodeId v = u + 1; v < n; ++v) {
+        if (rng.uniform_index(4) == 0) forward.add_edge(u, v);
+      }
+    }
+    forward.finalize();
+    Digraph reversed(n);
+    for (NodeId u = 0; u < n; ++u) {
+      for (NodeId v : forward.successors(u)) reversed.add_edge(v, u);
+    }
+    reversed.finalize();
+    std::vector<double> teleport(n, 0.0);
+    teleport[n - 1] = 1.0;
+    teleport[rng.uniform_index(n)] += 0.5;
+
+    const PageRankResult push = compute_pagerank(reversed, {}, teleport);
+    const PageRankResult pull = compute_pagerank_reversed(forward, {}, teleport);
+    EXPECT_EQ(pull.iterations, push.iterations) << "trial " << trial;
+    EXPECT_EQ(pull.converged, push.converged) << "trial " << trial;
+    ASSERT_EQ(pull.scores.size(), push.scores.size());
+    for (std::size_t u = 0; u < n; ++u) {
+      EXPECT_EQ(pull.scores[u], push.scores[u]) << "trial " << trial << " node " << u;
+    }
+  }
 }
 
 }  // namespace

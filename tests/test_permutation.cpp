@@ -178,9 +178,9 @@ TEST(EnumeratePlacements, WorksOnNonCanonicalCurrent) {
 
 TEST(EnumerateSuccessorKeys, DeduplicatesAcrossPermutations) {
   const ProfileShape shape({DimensionGroup{ResourceKind::kCpu, 4, 4}});
-  const Profile current = Profile::zero(shape);
   const QuantizedDemand demand{{{1, 1, 1, 1}}};
-  const auto keys = enumerate_successor_keys(shape, current, demand);
+  std::vector<ProfileKey> keys;
+  enumerate_successor_keys(shape, Profile::zero(shape).pack(shape), demand, keys);
   ASSERT_EQ(keys.size(), 1u);
   EXPECT_EQ(Profile::unpack(shape, keys[0]).describe(), "[1,1,1,1]");
 }

@@ -97,7 +97,9 @@ TEST(ProfileGraph, SuccessorsForDemandMatchEnumeration) {
   for (NodeId u = 0; u < g.node_count(); ++u) {
     std::set<NodeId> unioned;
     for (std::size_t t = 0; t < g.demands().size(); ++t) {
-      for (NodeId v : g.successors_for_demand(u, t)) unioned.insert(v);
+      std::vector<ProfileKey> keys;
+      enumerate_successor_keys(g.shape(), g.key_of(u), g.demands()[t], keys);
+      for (ProfileKey key : keys) unioned.insert(g.find_node(key).value());
     }
     const auto succ = g.graph().successors(u);
     EXPECT_EQ(unioned, std::set<NodeId>(succ.begin(), succ.end()));

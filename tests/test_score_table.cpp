@@ -4,6 +4,9 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 namespace prvm {
 namespace {
@@ -88,10 +91,11 @@ TEST(ScoreTable, BestAfterMatchesManualEnumeration) {
   const ScoreTable table = ScoreTable::build(g);
   const ProfileShape shape = paper_shape();
   for (NodeId u = 0; u < g.node_count(); ++u) {
-    const Profile p = g.profile_of(u);
     for (std::size_t t = 0; t < g.demands().size(); ++t) {
       double manual_best = -1.0;
-      for (ProfileKey succ : enumerate_successor_keys(shape, p, g.demands()[t])) {
+      std::vector<ProfileKey> successors;
+      enumerate_successor_keys(shape, g.key_of(u), g.demands()[t], successors);
+      for (ProfileKey succ : successors) {
         manual_best = std::max(manual_best, table.score(succ));
       }
       const auto cached = table.best_after(g.key_of(u), t);
@@ -187,6 +191,39 @@ TEST(ScoreTable, SaveLoadRoundTrip) {
       }
     }
   }
+}
+
+TEST(ScoreTable, IndependentBuildsWriteByteIdenticalImages) {
+  // Two cores + memory: ranked spans hold entries with distinct scores.
+  const ProfileShape shape({DimensionGroup{ResourceKind::kCpu, 4, 4},
+                            DimensionGroup{ResourceKind::kMemory, 1, 8}});
+  const std::vector<QuantizedDemand> demands = {QuantizedDemand{{{1}, {1}}},
+                                                QuantizedDemand{{{2, 2}, {3}}}};
+  const auto dir = std::filesystem::temp_directory_path();
+  const auto first = dir / "prvm-scoretable-image-a.img";
+  const auto second = dir / "prvm-scoretable-image-b.img";
+  ScoreTable::build(ProfileGraph(shape, demands)).save_image(first);
+  ScoreTable::build(ProfileGraph(shape, demands)).save_image(second);
+  const auto bytes = [](const std::filesystem::path& path) {
+    std::ifstream is(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(is), {});
+  };
+  const std::string a = bytes(first);
+  EXPECT_FALSE(a.empty());
+  EXPECT_EQ(a, bytes(second));
+
+  // The 4 bytes between a ranked entry's score and key are written as 0.
+  const ScoreTable mapped = ScoreTable::map_image(first);
+  std::size_t entries = 0;
+  for (std::size_t t = 0; t < mapped.demand_count(); ++t) {
+    for (const ScoreTable::RankedKey& r : mapped.ranked_keys(t)) {
+      EXPECT_EQ(r.pad, 0u);
+      ++entries;
+    }
+  }
+  EXPECT_GT(entries, 0u);
+  std::filesystem::remove(first);
+  std::filesystem::remove(second);
 }
 
 TEST(ScoreTable, LoadRejectsGarbage) {

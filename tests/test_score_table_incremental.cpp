@@ -10,6 +10,7 @@
 #include "common/check.hpp"
 #include "core/catalog_graphs.hpp"
 #include "core/score_table.hpp"
+#include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
 
@@ -205,6 +206,56 @@ TEST(IncrementalScoreTable, ImageRoundTripServesIdenticalAnswers) {
     EXPECT_THROW(ScoreTable::map_image(path), std::exception);
   }
   std::filesystem::remove(path);
+}
+
+// The --score-image path records what build_score_tables records (a build
+// or a cache load per table, hit/miss counters) and fills missing images
+// from the binary cache it is given, not from the default one.
+TEST(MappedScoreTables, RecordBuildMetricsAndReadTheGivenCacheDir) {
+  const Catalog catalog = geni_catalog();
+  const std::size_t pm_types = catalog.pm_types().size();
+  const std::filesystem::path root =
+      std::filesystem::temp_directory_path() / "prvm_mapped_tables_test";
+  std::filesystem::remove_all(root);
+  obs::Registry& reg = obs::Registry::global();
+  struct Counts {
+    std::uint64_t builds, loads, hits, misses;
+  };
+  const auto counts = [&] {
+    return Counts{reg.histogram("prvm_score_table_build_ns").snapshot().count,
+                  reg.histogram("prvm_score_table_load_ns").snapshot().count,
+                  reg.counter("prvm_score_table_cache_hits_total").value(),
+                  reg.counter("prvm_score_table_cache_misses_total").value()};
+  };
+
+  // Empty image and cache dirs: every table is built and counted a miss.
+  Counts before = counts();
+  ScoreImageReport report;
+  mapped_score_tables(catalog, root / "img-a", {}, &report, root / "cache");
+  Counts after = counts();
+  EXPECT_EQ(report.written, pm_types);
+  EXPECT_EQ(after.builds - before.builds, pm_types);
+  EXPECT_EQ(after.misses - before.misses, pm_types);
+  EXPECT_EQ(after.hits, before.hits);
+
+  // A fresh image dir over a warm cache dir: loaded, not built.
+  build_score_tables(catalog, {}, root / "cache");
+  before = counts();
+  mapped_score_tables(catalog, root / "img-b", {}, &report, root / "cache");
+  after = counts();
+  EXPECT_EQ(report.written, pm_types);
+  EXPECT_EQ(after.builds, before.builds);
+  EXPECT_EQ(after.loads - before.loads, pm_types);
+  EXPECT_EQ(after.hits - before.hits, pm_types);
+
+  // Existing images: mapped, counted as hits, nothing built.
+  before = counts();
+  mapped_score_tables(catalog, root / "img-a", {}, &report, std::nullopt);
+  after = counts();
+  EXPECT_EQ(report.mapped, pm_types);
+  EXPECT_EQ(after.builds, before.builds);
+  EXPECT_EQ(after.hits - before.hits, pm_types);
+  std::filesystem::remove_all(root);
 }
 
 }  // namespace

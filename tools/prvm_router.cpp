@@ -208,7 +208,8 @@ int main(int argc, char** argv) {
       if (score_image_dir.has_value()) {
         ScoreImageReport report;
         tables = std::make_shared<const ScoreTableSet>(
-            mapped_score_tables(catalog, *score_image_dir, {}, &report));
+            mapped_score_tables(catalog, *score_image_dir, {}, &report,
+                                cache_dir.value_or(default_cache_dir())));
         std::cout << "prvm_router: score tables from image dir "
                   << *score_image_dir << " (" << report.mapped << " mapped, "
                   << report.written << " written";

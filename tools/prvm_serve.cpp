@@ -68,7 +68,8 @@ void usage(const char* argv0) {
       << "  --stats-interval-s N print a human-readable stats line every N seconds\n"
       << "  --cache-dir PATH     score-table cache (default $PRVM_CACHE_DIR or .prvm-cache);\n"
       << "                       shared with the bench/experiment harness, so a warm cache\n"
-      << "                       makes startup skip the expensive table build\n"
+      << "                       makes startup skip the table build (about 1.6 s on 4 CPUs);\n"
+      << "                       with --score-image it is read to fill missing images\n"
       << "  --score-image DIR    serve score tables from read-only mmap images under DIR\n"
       << "                       (written on first use); N cell daemons of one host then\n"
       << "                       share a single physical copy of each table\n"
@@ -203,15 +204,16 @@ int main(int argc, char** argv) {
     }
     const Catalog catalog = ec2_sim_catalog();
     // The daemon shares the experiment harness's score-table cache (see
-    // Ec2ExperimentConfig::cache_dir): a warm cache turns the seconds-long
-    // table build into a file load. With --score-image the tables are
-    // instead served from mmap-shared read-only images, so N cell daemons
-    // on one host keep a single physical copy.
+    // Ec2ExperimentConfig::cache_dir): a warm cache turns the table build
+    // (about 1.6 s on 4 CPUs) into a file load. With --score-image the
+    // tables are instead served from mmap-shared read-only images, so N cell
+    // daemons on one host keep a single physical copy.
     std::shared_ptr<const ScoreTableSet> tables;
     if (score_image_dir.has_value()) {
       ScoreImageReport report;
       tables = std::make_shared<const ScoreTableSet>(
-          mapped_score_tables(catalog, *score_image_dir, {}, &report));
+          mapped_score_tables(catalog, *score_image_dir, {}, &report,
+                              cache_dir.value_or(default_cache_dir())));
       std::cout << "prvm_serve: score tables from image dir " << *score_image_dir
                 << " (" << report.mapped << " mapped, " << report.written
                 << " written";
