@@ -11,7 +11,7 @@
 // cells only add routing overhead — read as what they are.
 //
 // Usage: bench_cells [--json PATH] [--sweep]
-//   --sweep       additionally sweep cells x parallel-workers x flush-group
+//   --sweep       additionally sweep cells x flush-group
 //                 (tools/cells_sweep.sh drives this; rows land under "sweep"
 //                 in the JSON, the standard "runs" schema is unchanged)
 //   PRVM_FAST=1   shrink fleet and op counts for a smoke run
@@ -140,11 +140,11 @@ struct CellsRun {
 CellsRun run_cells(const Catalog& catalog,
                    const std::shared_ptr<const ScoreTableSet>& tables, std::size_t fleet,
                    std::size_t cells, std::size_t drivers, std::size_t churn_pairs,
-                   std::size_t workers = 0, std::size_t flush_group = 256) {
+                   std::size_t flush_group = 256) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() /
       ("prvm-bench-cells-" + std::to_string(::getpid()) + "-" + std::to_string(cells) +
-       "-" + std::to_string(workers) + "-" + std::to_string(flush_group));
+       "-" + std::to_string(flush_group));
   std::filesystem::remove_all(dir);
 
   CellsRun run;
@@ -154,7 +154,6 @@ CellsRun run_cells(const Catalog& catalog,
     config.cells = cells;
     config.data_dir = dir;
     config.service.batch_size = 64;
-    config.service.parallel_workers = workers;
     config.service.flush_group_max = flush_group;
     EmbeddedCells embedded(catalog, mixed_pm_fleet(catalog, fleet), tables, config);
     embedded.start();
@@ -234,28 +233,24 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The tuning sweep: how cell count, intra-cell parallel workers and the
-  // WAL flush-group cap interact. Workers multiply placement compute inside
-  // one WAL domain, cells multiply whole WAL domains — on a single-core box
-  // both only add overhead, which is exactly what the recorded
-  // hardware_threads lets a reader see.
+  // The tuning sweep: how cell count and the WAL flush-group cap interact.
+  // Cells multiply whole WAL domains — on a single-core box they only add
+  // overhead, which is exactly what the recorded hardware_threads lets a
+  // reader see.
   struct SweepRow {
-    std::size_t cells = 0, workers = 0, flush_group = 0;
+    std::size_t cells = 0, flush_group = 0;
     double churn_pps = 0.0;
   };
   std::vector<SweepRow> sweep_rows;
   if (sweep) {
     const std::size_t sweep_pairs = churn_pairs / 2;
     for (const std::size_t cells : {std::size_t{1}, std::size_t{2}}) {
-      for (const std::size_t workers : {std::size_t{0}, std::size_t{4}}) {
-        for (const std::size_t flush_group : {std::size_t{64}, std::size_t{256}}) {
-          const CellsRun run = run_cells(catalog, tables, fleet, cells, drivers,
-                                         sweep_pairs, workers, flush_group);
-          sweep_rows.push_back(SweepRow{cells, workers, flush_group, run.churn_pps});
-          std::printf(
-              "  sweep cells=%zu workers=%zu flush_group=%-4zu  churn %8.0f pl/s\n",
-              cells, workers, flush_group, run.churn_pps);
-        }
+      for (const std::size_t flush_group : {std::size_t{64}, std::size_t{256}}) {
+        const CellsRun run =
+            run_cells(catalog, tables, fleet, cells, drivers, sweep_pairs, flush_group);
+        sweep_rows.push_back(SweepRow{cells, flush_group, run.churn_pps});
+        std::printf("  sweep cells=%zu flush_group=%-4zu  churn %8.0f pl/s\n", cells,
+                    flush_group, run.churn_pps);
       }
     }
   }
@@ -283,8 +278,7 @@ int main(int argc, char** argv) {
       os << ",\n  \"sweep\": [\n";
       for (std::size_t i = 0; i < sweep_rows.size(); ++i) {
         const SweepRow& row = sweep_rows[i];
-        os << "    {\"cells\": " << row.cells << ", \"parallel_workers\": " << row.workers
-           << ", \"flush_group\": " << row.flush_group
+        os << "    {\"cells\": " << row.cells << ", \"flush_group\": " << row.flush_group
            << ", \"aggregate_churn_placements_per_sec\": " << row.churn_pps
            << ", \"speedup_over_serial_one_cell\": " << (base > 0 ? row.churn_pps / base : 0.0)
            << "}" << (i + 1 < sweep_rows.size() ? ",\n" : "\n");

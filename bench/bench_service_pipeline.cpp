@@ -1,11 +1,11 @@
-// Service-pipeline throughput benchmark (this PR's acceptance gauge).
+// Service-pipeline throughput benchmark.
 //
 // Measures the PlacementService hot path in-process — submit() through the
 // real bounded queue, batch worker, WAL append/flush and ack-after-flush
-// promise resolution, on a real data directory — for the serial worker
-// (parallel_workers=0, inline flush) against the parallel pipeline
-// (speculative intra-batch compute + WAL group commit). This isolates the
-// engine/service gap the pipeline closes from the socket+JSON tax that
+// promise resolution, on a real data directory — for the worker flushing
+// inline after every batch against WAL group commit (a flusher thread makes
+// batches durable while the worker computes). This isolates the
+// engine/service gap from the socket+JSON tax that
 // prvm_loadgen measures separately (see BENCH_service_socket.json). Also
 // measures the ack_after_replicated tax: the same group-commit churn with
 // every ack gated on a live in-process follower's confirmation.
@@ -128,7 +128,7 @@ ServiceRun run_service(const Catalog& catalog,
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() /
       ("prvm-bench-svc-" + std::to_string(::getpid()) + "-" +
-       std::to_string(config.parallel_workers) + "-" + std::to_string(config.flush_group_max));
+       std::to_string(config.flush_group_max));
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   config.data_dir = dir;
@@ -286,7 +286,7 @@ int main(int argc, char** argv) {
   const std::size_t churn_pairs = fast ? 1000 : 50000;
   const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
 
-  std::cout << "==== PlacementService pipeline: serial worker vs parallel+group-commit ====\n"
+  std::cout << "==== PlacementService pipeline: inline flush vs WAL group commit ====\n"
             << "(EC2 catalog, " << fleet << " PMs, in-process submit(), real WAL, "
             << churn_pairs << " release+place churn pairs, " << cores
             << " hardware threads; PRVM_FAST=1 shrinks)\n\n";
@@ -298,17 +298,10 @@ int main(int argc, char** argv) {
   serial.batch_size = 256;
   serial.queue_capacity = 8192;
 
-  // Group commit alone: the flusher thread makes batches durable while the
-  // worker computes the next one. Pays off on any machine.
+  // Group commit: the flusher thread makes batches durable while the
+  // worker computes the next one.
   ServiceConfig group_commit = serial;
   group_commit.flush_group_max = 2048;
-
-  // Speculative intra-batch compute on top: only pays off when the shared
-  // WorkerPool has real threads to fan out to; on a single-core machine it
-  // is validation overhead with no parallel gain, so the headline config
-  // skips it there (an operator would, too).
-  ServiceConfig speculative = group_commit;
-  speculative.parallel_workers = std::min<std::size_t>(4, cores);
 
   // ack_after_replicated on top of group commit: a live in-process follower
   // behind a unix socket, and every client ack additionally waits for the
@@ -345,9 +338,6 @@ int main(int argc, char** argv) {
 
   const ServiceRun serial_run = run_service(catalog, tables, fleet, churn_pairs, serial);
   const ServiceRun gc_run = run_service(catalog, tables, fleet, churn_pairs, group_commit);
-  const bool ran_spec = cores > 1;
-  const ServiceRun spec_run =
-      ran_spec ? run_service(catalog, tables, fleet, churn_pairs, speculative) : gc_run;
   const ServiceRun repl_run = run_service(catalog, tables, fleet, churn_pairs, replicated);
   follower_server.stop();
   follower.stop_now();
@@ -355,7 +345,6 @@ int main(int argc, char** argv) {
 
   print_run("serial", serial_run);
   print_run("gc-only", gc_run);
-  if (ran_spec) print_run("spec+gc", spec_run);
   print_run("gc+repl", repl_run);
   const double repl_retention =
       gc_run.churn_pps > 0 ? repl_run.churn_pps / gc_run.churn_pps : 0.0;
@@ -371,7 +360,6 @@ int main(int argc, char** argv) {
   };
   std::vector<Candidate> candidates{{"serial", &serial_run, &serial},
                                     {"group_commit", &gc_run, &group_commit}};
-  if (ran_spec) candidates.push_back({"speculative", &spec_run, &speculative});
   const Candidate best = *std::max_element(
       candidates.begin(), candidates.end(),
       [](const Candidate& a, const Candidate& b) { return a.run->churn_pps < b.run->churn_pps; });
@@ -396,8 +384,7 @@ int main(int argc, char** argv) {
        << "  \"mode\": \"in_process\",\n  \"hardware_threads\": " << cores
        << ",\n  \"churn_ops\": " << headline.churn_ops
        << ",\n  \"batch\": 256,\n  \"headline_config\": \"" << best.name
-       << "\",\n  \"parallel_workers\": " << best.config->parallel_workers
-       << ",\n  \"flush_group_max\": " << best.config->flush_group_max
+       << "\",\n  \"flush_group_max\": " << best.config->flush_group_max
        << ",\n  \"engine_ceiling_placements_per_sec\": " << ceiling_pps << ",\n"
        << "  \"fleets\": [\n    {\"pms\": " << fleet
        << ", \"used_pms\": " << headline.used_pms << ",\n";
@@ -406,10 +393,6 @@ int main(int argc, char** argv) {
     json_run(os, "service_serial", serial_run);
     os << ",\n";
     json_run(os, "service_group_commit", gc_run);
-    if (ran_spec) {
-      os << ",\n";
-      json_run(os, "service_speculative", spec_run);
-    }
     os << ",\n";
     json_run(os, "service_ack_after_replicated", repl_run);
     os << ",\n      \"replication_churn_retention\": " << repl_retention

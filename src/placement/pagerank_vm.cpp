@@ -263,8 +263,7 @@ std::optional<double> PageRankVm::type_top(const Datacenter& dc, std::size_t pm_
   return static_cast<double>(best);
 }
 
-bool PageRankVm::pick_indexed(const Datacenter& dc, std::size_t vm_type, PmIndex& out_pm,
-                              double& out_score) {
+std::optional<PmIndex> PageRankVm::pick_indexed(const Datacenter& dc, std::size_t vm_type) {
   ensure_masks(dc);
   tied_.clear();
   bool found = false;
@@ -284,7 +283,7 @@ bool PageRankVm::pick_indexed(const Datacenter& dc, std::size_t vm_type, PmIndex
       tied_.insert(tied_.end(), type_tied_.begin(), type_tied_.end());
     }
   }
-  if (!found) return false;
+  if (!found) return std::nullopt;
 
   // The linear scan keeps the first maximal candidate in used order, which
   // is exactly the minimum activation sequence among the tied buckets.
@@ -300,14 +299,11 @@ bool PageRankVm::pick_indexed(const Datacenter& dc, std::size_t vm_type, PmIndex
     }
   }
   PRVM_CHECK(winner != Datacenter::kNoPm, "tied bucket set was empty");
-  out_pm = winner;
-  out_score = best_score;
-  return true;
+  return winner;
 }
 
-bool PageRankVm::pick_indexed_constrained(const Datacenter& dc, std::size_t vm_type,
-                                          const PlacementConstraints& constraints,
-                                          PmIndex& out_pm, double& out_score) {
+std::optional<PmIndex> PageRankVm::pick_indexed_constrained(
+    const Datacenter& dc, std::size_t vm_type, const PlacementConstraints& constraints) {
   // Migration-time path: score every distinct live profile, then walk the
   // score groups downward until one holds an allowed PM.
   ensure_masks(dc);
@@ -351,14 +347,10 @@ bool PageRankVm::pick_indexed_constrained(const Datacenter& dc, std::size_t vm_t
         }
       }
     }
-    if (winner != Datacenter::kNoPm) {
-      out_pm = winner;
-      out_score = static_cast<double>(scored_[i].score);
-      return true;
-    }
+    if (winner != Datacenter::kNoPm) return winner;
     i = j;
   }
-  return false;
+  return std::nullopt;
 }
 
 std::optional<PmIndex> PageRankVm::place(Datacenter& dc, const Vm& vm,
@@ -369,13 +361,10 @@ std::optional<PmIndex> PageRankVm::place(Datacenter& dc, const Vm& vm,
     // 2-choice must sample with the exact RNG stream of the linear engine,
     // so it shares the linear candidate path even when indexing is on.
     best_pm = pick_linear(dc, vm, constraints);
+  } else if (!constraints.exclude.has_value() && !constraints.allow) {
+    best_pm = pick_indexed(dc, vm.type_index);
   } else {
-    PmIndex pm = 0;
-    double score = 0.0;
-    const bool picked = (!constraints.exclude.has_value() && !constraints.allow)
-                            ? pick_indexed(dc, vm.type_index, pm, score)
-                            : pick_indexed_constrained(dc, vm.type_index, constraints, pm, score);
-    if (picked) best_pm = pm;
+    best_pm = pick_indexed_constrained(dc, vm.type_index, constraints);
   }
   if (best_pm.has_value()) {
     place_best_permutation(dc, *best_pm, vm);
@@ -391,47 +380,6 @@ std::optional<PmIndex> PageRankVm::place(Datacenter& dc, const Vm& vm,
     return *i;
   }
   return std::nullopt;
-}
-
-bool PageRankVm::speculate(const Datacenter& dc, const Vm& vm,
-                           const PlacementConstraints& constraints, Speculation& out) {
-  // The linear scan and 2-choice sampling depend on the scan/RNG stream of
-  // the committing engine, which speculation cannot reproduce.
-  if (!options_.use_index || options_.two_choice) return false;
-  m_.place_calls->inc();
-  PmIndex pm = 0;
-  double score = 0.0;
-  const bool picked = (!constraints.exclude.has_value() && !constraints.allow)
-                          ? pick_indexed(dc, vm.type_index, pm, score)
-                          : pick_indexed_constrained(dc, vm.type_index, constraints, pm, score);
-  if (picked) {
-    out.pm = pm;
-    out.score = score;
-    out.act_seq = dc.activation_seq(pm);
-    out.profile = dc.pm(pm).canonical_key;
-    out.activated = false;
-    cached_placement_into(dc, pm, vm, out.placement);
-    return true;
-  }
-  for (auto i = dc.next_unused(0); i.has_value(); i = dc.next_unused(*i + 1)) {
-    if (!constraints.allowed(dc, *i)) continue;
-    if (!dc.fits(*i, vm.type_index)) continue;
-    out.pm = *i;
-    out.score = 0.0;
-    out.act_seq = 0;
-    out.activated = true;
-    out.profile = dc.pm(*i).canonical_key;
-    cached_placement_into(dc, *i, vm, out.placement);
-    return true;
-  }
-  return false;
-}
-
-std::optional<PageRankVm::Speculation> PageRankVm::speculate(
-    const Datacenter& dc, const Vm& vm, const PlacementConstraints& constraints) {
-  Speculation spec;
-  if (!speculate(dc, vm, constraints, spec)) return std::nullopt;
-  return spec;
 }
 
 }  // namespace prvm

@@ -64,35 +64,6 @@ class PageRankVm final : public PlacementAlgorithm {
   std::optional<PmIndex> place(Datacenter& dc, const Vm& vm,
                                const PlacementConstraints& constraints = {}) override;
 
-  /// A provisional placement decision computed against a frozen `dc` without
-  /// mutating it: the winning PM plus everything a caller needs to validate
-  /// the decision against a later datacenter state and commit it verbatim —
-  /// the score and activation-sequence tie-break witness, the PM's profile
-  /// at decision time, and the concrete dimension assignments realizing the
-  /// best successor. The service's parallel batch pipeline runs speculate()
-  /// concurrently on per-partition engine clones (the datacenter read path
-  /// is const and cache-free; the engine's own scratch makes each *clone*
-  /// single-threaded).
-  struct Speculation {
-    PmIndex pm = 0;
-    double score = 0.0;         ///< placement_score at decision time (unused when activated)
-    std::uint64_t act_seq = 0;  ///< activation_seq(pm) (tie-break witness)
-    ProfileKey profile = 0;     ///< pm's canonical profile at decision time
-    bool activated = false;     ///< chosen off the free list (no used PM fit)
-    DemandPlacement placement;  ///< concrete assignments realizing the best successor
-  };
-
-  /// Allocation-free form: fills `out` (whose vectors are reused across
-  /// calls) and returns true on a decision. Returns false when no PM fits or
-  /// when the engine options (linear scan, 2-choice sampling) make
-  /// speculation unsupported — either way the caller must fall back to the
-  /// serial place() path.
-  bool speculate(const Datacenter& dc, const Vm& vm, const PlacementConstraints& constraints,
-                 Speculation& out);
-
-  std::optional<Speculation> speculate(const Datacenter& dc, const Vm& vm,
-                                       const PlacementConstraints& constraints = {});
-
   /// Score of placing `vm_type` on PM `i` right now: the PageRank value of
   /// the best resulting profile; nullopt when the VM does not fit. Exposed
   /// for tests and for the migration policy.
@@ -116,15 +87,12 @@ class PageRankVm final : public PlacementAlgorithm {
   std::optional<PmIndex> pick_linear(Datacenter& dc, const Vm& vm,
                                      const PlacementConstraints& constraints);
 
-  /// Indexed engine, no constraints: best PM via the profile buckets. On
-  /// success also reports the winning score (saves the caller a lookup).
-  bool pick_indexed(const Datacenter& dc, std::size_t vm_type, PmIndex& out_pm,
-                    double& out_score);
+  /// Indexed engine, no constraints: best PM via the profile buckets.
+  std::optional<PmIndex> pick_indexed(const Datacenter& dc, std::size_t vm_type);
 
   /// Indexed engine with exclude/allow constraints (migration re-placement).
-  bool pick_indexed_constrained(const Datacenter& dc, std::size_t vm_type,
-                                const PlacementConstraints& constraints, PmIndex& out_pm,
-                                double& out_score);
+  std::optional<PmIndex> pick_indexed_constrained(const Datacenter& dc, std::size_t vm_type,
+                                                  const PlacementConstraints& constraints);
 
   /// Top score of `pm_type`'s live profiles for demand `slot` and the
   /// bucket(s) attaining it; nullopt when no live profile fits the VM.

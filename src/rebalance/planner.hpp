@@ -15,8 +15,8 @@
 //    request through the service queue, carrying a destination utilization
 //    cap (`Request::rebalance_dest_cap`, the CloudSim "a PM at the
 //    threshold cannot receive migrants" rule). Durability (ack after WAL
-//    flush), anti-collocation admission, the speculative pipeline and
-//    follower streaming all apply unchanged — a planner move is
+//    flush), anti-collocation admission, WAL group commit and follower
+//    streaming all apply unchanged — a planner move is
 //    indistinguishable from a client migrate in the WAL.
 //
 //  - Rounds are bounded: at most max_moves_per_round migrations, a per-VM

@@ -39,12 +39,6 @@ PlacementConstraints AdmissionController::constraints_for(const std::string& gro
   return constraints;
 }
 
-bool AdmissionController::group_blocks(const std::string& group, PmIndex pm) const {
-  if (group.empty()) return false;
-  const auto it = group_ids_.find(group);
-  return it != group_ids_.end() && groups_[it->second].pms.contains(pm);
-}
-
 std::uint32_t AdmissionController::group_id(const std::string& name) {
   const auto [it, inserted] =
       group_ids_.try_emplace(name, static_cast<std::uint32_t>(groups_.size()));

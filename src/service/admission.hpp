@@ -58,9 +58,6 @@ class AdmissionController {
   /// record_placement() once the engine committed the placement.
   PlacementConstraints constraints_for(const std::string& group) const;
 
-  /// True when `group` currently vetoes PM `pm`.
-  bool group_blocks(const std::string& group, PmIndex pm) const;
-
   void record_placement(VmId vm, const std::string& group, PmIndex pm);
 
   /// Removes `vm` from its group (no-op for ungrouped VMs). `pm` must be

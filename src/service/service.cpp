@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "common/worker_pool.hpp"
 #include "service/snapshot.hpp"
 
 namespace prvm {
@@ -76,14 +75,6 @@ PlacementService::PlacementService(Catalog catalog, std::vector<std::size_t> fle
   // it elsewhere explicitly.
   if (config_.engine.metrics == nullptr) config_.engine.metrics = metrics_.get();
   engine_ = std::make_unique<PageRankVm>(tables, config_.engine);
-  // Engine clones for speculative parallel compute. Linear-scan and 2-choice
-  // engines cannot speculate (scan order / RNG stream live in the committing
-  // engine), so the clones would only burn memory.
-  if (config_.parallel_workers > 0 && config_.engine.use_index && !config_.engine.two_choice) {
-    for (std::size_t i = 0; i < config_.parallel_workers; ++i) {
-      spec_engines_.push_back(std::make_unique<PageRankVm>(tables, config_.engine));
-    }
-  }
   // The utilization map always exists (the util op is accepted whether or
   // not planning is on — operators can warm the feed before enabling), but
   // the planner thread only when --rebalance asked for it.
@@ -143,9 +134,6 @@ void PlacementService::init_metrics() {
   m_.group_reserves = &r.counter("prvm_cell_group_reserves_total");
   m_.group_commits = &r.counter("prvm_cell_group_commits_total");
   m_.group_aborts = &r.counter("prvm_cell_group_aborts_total");
-  m_.spec_attempts = &r.counter("prvm_spec_attempts_total");
-  m_.spec_commits = &r.counter("prvm_spec_commits_total");
-  m_.spec_conflicts = &r.counter("prvm_spec_conflicts_total");
   m_.flush_groups = &r.counter("prvm_flush_groups_total");
   m_.repl_applied = &r.counter("prvm_repl_applied_records_total");
   m_.repl_snapshots_in = &r.counter("prvm_repl_snapshots_installed_total");
@@ -160,7 +148,6 @@ void PlacementService::init_metrics() {
   m_.place_compute_ns = &r.histogram("prvm_place_compute_ns");
   m_.wal_flush_ns = &r.histogram("prvm_wal_flush_ns");
   m_.snapshot_ns = &r.histogram("prvm_snapshot_ns");
-  m_.partition_size = &r.histogram("prvm_partition_size");
   m_.flush_group_ops = &r.histogram("prvm_flush_group_ops");
   m_.flush_lag_ns = &r.histogram("prvm_flush_lag_ns");
   m_.util_samples = &r.counter("prvm_rebal_util_samples_total");
@@ -1151,198 +1138,6 @@ Response PlacementService::execute_locked(const Request& request) {
   return reject(request, RejectReason::kNone, "unreachable");
 }
 
-void PlacementService::note_dirty_pm(PmIndex pm) {
-  if (dirty_pm_set_.insert(pm).second) dirty_pms_.push_back(pm);
-}
-
-Response PlacementService::execute_noted(const Request& request) {
-  // Capture what the op is about to touch BEFORE executing it: a release or
-  // migrate erases the VM's group/PM mapping on the way through.
-  const VmId vm = static_cast<VmId>(request.vm_id);
-  std::optional<PmIndex> pre_pm;
-  std::string pre_group;
-  if (request.op == RequestOp::kRelease || request.op == RequestOp::kMigrate) {
-    pre_pm = dc_.pm_of(vm);
-    if (pre_pm.has_value()) pre_group = admission_.group_of(vm);
-  }
-  const std::size_t used_before = dc_.used_count();
-
-  Response response = execute_locked(request);
-
-  switch (request.op) {
-    case RequestOp::kPlace:
-      if (response.ok && response.pm.has_value()) {
-        note_dirty_pm(static_cast<PmIndex>(*response.pm));
-        if (!request.group.empty()) dirty_groups_.insert(request.group);
-      }
-      break;
-    case RequestOp::kRelease:
-      if (response.ok && response.pm.has_value()) {
-        note_dirty_pm(static_cast<PmIndex>(*response.pm));
-        if (!pre_group.empty()) dirty_groups_.insert(pre_group);
-      }
-      break;
-    case RequestOp::kMigrate:
-      // Even a FAILED migrate of a placed VM mutates state: the remove +
-      // put-back round trip advances the PM's activation sequence. Treat
-      // every migrate that found its VM as touching both PMs and (to stay
-      // conservative about transient deactivation) the free list.
-      if (pre_pm.has_value()) {
-        note_dirty_pm(*pre_pm);
-        if (response.pm.has_value()) note_dirty_pm(static_cast<PmIndex>(*response.pm));
-        if (response.ok && !pre_group.empty()) dirty_groups_.insert(pre_group);
-        freelist_changed_ = true;
-      }
-      break;
-    default:
-      break;
-  }
-  if (dc_.used_count() != used_before) freelist_changed_ = true;
-  return response;
-}
-
-bool PlacementService::validate_speculation(const Request& request, std::size_t vm_type,
-                                            const PageRankVm::Speculation& spec) {
-  // Anything that changes the serial path's pre-engine verdict first.
-  if (degraded_.load(std::memory_order_relaxed) || draining()) return false;
-  if (dc_.pm_of(static_cast<VmId>(request.vm_id)).has_value()) return false;
-  // A touched group means a changed veto set; recompute rather than reason
-  // about it (grouped requests are the rare case).
-  if (!request.group.empty() && dirty_groups_.count(request.group) > 0) return false;
-
-  if (spec.activated) {
-    // Free-list speculation is exact only while the set of unused PMs is
-    // untouched (the serial walk is first-fit in PM index order) and no
-    // dirtied used PM gained room for this VM type.
-    if (freelist_changed_) return false;
-    if (dirty_pm_set_.count(spec.pm) > 0) return false;
-    for (const PmIndex q : dirty_pms_) {
-      if (!dc_.pm(q).used()) continue;
-      if (!request.group.empty() && admission_.group_blocks(request.group, q)) continue;
-      if (engine_->placement_score(dc_, q, vm_type).has_value()) return false;
-    }
-    return true;
-  }
-
-  // The winner itself must be untouched: its profile, score and activation
-  // sequence are then exactly what the speculation saw. Every PM an earlier
-  // commit touched is re-scored live; the speculation stands unless one of
-  // them would now beat the winner under the engine's exact ordering
-  // (higher score, or equal score with a lower activation sequence —
-  // float-for-float the same comparison pick_indexed performs).
-  if (dirty_pm_set_.count(spec.pm) > 0) return false;
-  for (const PmIndex q : dirty_pms_) {
-    if (!dc_.pm(q).used()) continue;
-    if (!request.group.empty() && admission_.group_blocks(request.group, q)) continue;
-    const std::optional<double> score = engine_->placement_score(dc_, q, vm_type);
-    if (!score.has_value()) continue;
-    if (*score > spec.score) return false;
-    if (*score == spec.score && dc_.activation_seq(q) < spec.act_seq) return false;
-  }
-  return true;
-}
-
-Response PlacementService::commit_speculation(const Request& request, std::size_t vm_type,
-                                              const PageRankVm::Speculation& spec) {
-  // Mirrors place() beyond the engine call: ledger, admission, WAL record
-  // and response are built the same way, so the committed bytes are
-  // indistinguishable from the serial path's.
-  const VmId vm = static_cast<VmId>(request.vm_id);
-  dc_.place(spec.pm, Vm{vm, vm_type}, spec.placement);
-  admission_.record_placement(vm, request.group, spec.pm);
-  WalRecord record;
-  record.type = WalRecord::Type::kPlace;
-  record.op_seq = ++op_seq_;
-  record.vm = vm;
-  record.vm_type = vm_type;
-  record.pm = spec.pm;
-  record.group = request.group;
-  record.assignments = dc_.pm(spec.pm).vms.back().assignments;
-  log_record(std::move(record));
-  m_.placed->inc();
-
-  note_dirty_pm(spec.pm);
-  if (!request.group.empty()) dirty_groups_.insert(request.group);
-  if (spec.activated) freelist_changed_ = true;
-
-  Response response;
-  response.ok = true;
-  response.op = "place";
-  response.vm = request.vm_id;
-  response.pm = spec.pm;
-  return response;
-}
-
-void PlacementService::compute_batch(std::vector<Pending>& batch,
-                                     std::vector<Response>& responses) {
-  dirty_pm_set_.clear();
-  dirty_pms_.clear();
-  dirty_groups_.clear();
-  freelist_changed_ = false;
-
-  // Stage 1: speculate place decisions in parallel against the batch-start
-  // ledger. Only plain places of currently-unplaced VMs are worth it — the
-  // serial commit below re-checks everything anyway, this filter just
-  // avoids speculating ops that are certain to be recomputed.
-  spec_indices_.clear();
-  const bool parallel = !spec_engines_.empty() &&
-                        !degraded_.load(std::memory_order_relaxed) && !draining();
-  if (parallel) {
-    proposals_.assign(batch.size(), Proposal{});
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const Request& request = batch[i].request;
-      if (request.op != RequestOp::kPlace) continue;
-      const std::optional<std::size_t> vm_type = resolve_vm_type(request);
-      if (!vm_type.has_value()) continue;
-      if (dc_.pm_of(static_cast<VmId>(request.vm_id)).has_value()) continue;
-      proposals_[i].vm_type = *vm_type;
-      spec_indices_.push_back(static_cast<std::uint32_t>(i));
-    }
-  }
-  if (spec_indices_.size() > 1) {
-    m_.spec_attempts->add(spec_indices_.size());
-    const std::size_t parts = std::min(spec_engines_.size(), spec_indices_.size());
-    WorkerPool::shared().parallel_for(
-        0, parts,
-        [&](std::size_t p) {
-          const std::size_t lo = spec_indices_.size() * p / parts;
-          const std::size_t hi = spec_indices_.size() * (p + 1) / parts;
-          PageRankVm& engine = *spec_engines_[p];
-          for (std::size_t k = lo; k < hi; ++k) {
-            Proposal& proposal = proposals_[spec_indices_[k]];
-            const Request& request = batch[spec_indices_[k]].request;
-            const obs::ScopedTimerNs timer(*m_.place_compute_ns);
-            auto spec = engine.speculate(dc_, Vm{static_cast<VmId>(request.vm_id),
-                                                 proposal.vm_type},
-                                         admission_.constraints_for(request.group));
-            if (spec.has_value()) {
-              proposal.kind = spec->activated ? Proposal::Kind::kActivate
-                                              : Proposal::Kind::kPick;
-              proposal.spec = std::move(*spec);
-            }
-          }
-          m_.partition_size->record(hi - lo);
-        },
-        1, static_cast<unsigned>(parts));
-  }
-
-  // Stage 2: serial commit in arrival order. Valid speculations are applied
-  // verbatim; everything else goes through the serial engine, with its
-  // writes recorded in the conflict sets for later validations.
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Request& request = batch[i].request;
-    const bool speculated =
-        spec_indices_.size() > 1 && proposals_[i].kind != Proposal::Kind::kNone;
-    if (speculated && validate_speculation(request, proposals_[i].vm_type, proposals_[i].spec)) {
-      m_.spec_commits->inc();
-      responses.push_back(commit_speculation(request, proposals_[i].vm_type, proposals_[i].spec));
-    } else {
-      if (speculated) m_.spec_conflicts->inc();
-      responses.push_back(execute_noted(request));
-    }
-  }
-}
-
 Response PlacementService::execute(const Request& request) {
   maybe_probe_storage();
   Response response = execute_locked(request);
@@ -1600,7 +1395,7 @@ void PlacementService::worker_loop() {
     }
 
     responses.clear();
-    compute_batch(batch, responses);
+    for (const Pending& pending : batch) responses.push_back(execute_locked(pending.request));
     const std::size_t batch_count = batch.size();
     // Durability barrier: every decision of this batch hits the log BEFORE
     // any acknowledgement leaves. Pipelined, the flusher owns that barrier:

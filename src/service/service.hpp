@@ -10,22 +10,15 @@
 // not per request. Requests are acknowledged only AFTER their WAL batch is
 // flushed, so every acknowledged decision survives kill -9.
 //
-// Pipeline (DESIGN.md §6): two optional stages overlap compute with
-// durability without changing any result or guarantee.
-//  - Parallel intra-batch compute (`parallel_workers > 0`): place requests
-//    are partitioned and speculated concurrently on the shared WorkerPool
-//    against the batch-start ledger by per-partition engine clones; the
-//    worker then commits serially in arrival order, validating each
-//    speculation against the ops committed before it and recomputing
-//    serially on conflict. Commits are bit-identical to the serial worker
-//    (differential-tested), because validation re-derives exactly the
-//    argmax/tie-break the serial engine would compute.
-//  - WAL group commit (`flush_group_max > 0`): a dedicated flusher thread
-//    makes batches durable (one write/fsync covering up to flush_group_max
-//    ops) while the worker computes the next batch; promises resolve only
-//    after the covering flush, so ack-after-flush durability is unchanged.
-//    A failed group flush demotes every covered (and queued) mutating
-//    response and degrades the service, exactly like the inline path.
+// Pipeline (DESIGN.md §6): the worker executes every request serially, in
+// arrival order. WAL group commit (`flush_group_max > 0`) overlaps that
+// compute with durability without changing any result or guarantee: a
+// dedicated flusher thread makes batches durable (one write/fsync covering
+// up to flush_group_max ops) while the worker computes the next batch;
+// promises resolve only after the covering flush, so ack-after-flush
+// durability is unchanged. A failed group flush demotes every covered (and
+// queued) mutating response and degrades the service, exactly like the
+// inline path.
 //
 // Backpressure: a full queue rejects immediately with `queue_full` and a
 // client retry hint instead of blocking the socket threads (tail latency
@@ -67,7 +60,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cells/group_directory.hpp"
@@ -116,14 +108,6 @@ struct ServiceConfig {
   /// daemon passes obs::global_registry_ptr() so one exposition covers the
   /// whole process. See DESIGN.md §5.
   std::shared_ptr<obs::Registry> metrics;
-  /// Parallel intra-batch compute: number of engine clones that speculate
-  /// place decisions concurrently on the shared WorkerPool before the worker
-  /// validates and commits them serially in arrival order. 0 = the fully
-  /// serial worker. Results are bit-identical either way (the speculative
-  /// path falls back to serial recomputation on any conflict); engines
-  /// running the linear scan or 2-choice sampling cannot speculate and the
-  /// setting is ignored for them.
-  std::size_t parallel_workers = 0;
   /// WAL group commit: when > 0, a dedicated flusher thread makes batches
   /// durable — one write (+ optional fsync) covering up to this many ops —
   /// while the worker computes the next batch; acknowledgements release only
@@ -252,21 +236,6 @@ class PlacementService : public RequestSink {
 
   void init_metrics();
   void worker_loop();
-  /// Executes one batch: speculative-parallel when configured (and eligible),
-  /// serial otherwise. Appends one response per pending, in arrival order.
-  void compute_batch(std::vector<Pending>& batch, std::vector<Response>& responses);
-  /// Serial execution plus conflict-set bookkeeping (dirty PMs/groups and
-  /// free-list changes) used to validate later speculations in the batch.
-  Response execute_noted(const Request& request);
-  /// True when `spec` would be exactly the serial engine's decision given
-  /// the ops committed so far this batch.
-  bool validate_speculation(const Request& request, std::size_t vm_type,
-                            const PageRankVm::Speculation& spec);
-  /// Applies a validated speculation: ledger + admission + WAL + response,
-  /// byte-identical to the serial place() path.
-  Response commit_speculation(const Request& request, std::size_t vm_type,
-                              const PageRankVm::Speculation& spec);
-  void note_dirty_pm(PmIndex pm);
   Response execute_locked(const Request& request);
   Response place(const Request& request);
   Response release(const Request& request);
@@ -390,31 +359,6 @@ class PlacementService : public RequestSink {
   bool wal_dirty_ = false;  ///< appended since last flush
   std::size_t batch_wal_bytes_ = 0;  ///< frame bytes the current batch appended
 
-  // --- speculative parallel compute (worker thread + WorkerPool) ---
-  /// Per-partition engine clones (empty when parallel_workers == 0 or the
-  /// engine options cannot speculate). Each clone owns its scratch and
-  /// representative cache; the shared datacenter read path is const.
-  std::vector<std::unique_ptr<PageRankVm>> spec_engines_;
-  struct Proposal {
-    enum class Kind : std::uint8_t {
-      kNone,     ///< not speculated; execute serially
-      kPick,     ///< winner among used PMs
-      kActivate  ///< free-list activation (no used PM fit)
-    };
-    Kind kind = Kind::kNone;
-    std::size_t vm_type = 0;
-    PageRankVm::Speculation spec;
-  };
-  std::vector<Proposal> proposals_;          // per-batch scratch
-  std::vector<std::uint32_t> spec_indices_;  // batch indices speculated
-  /// Conflict sets of the batch being committed: PMs whose state an earlier
-  /// commit touched, groups whose veto set changed, and whether the set of
-  /// unused PMs may have changed (invalidates free-list speculations).
-  std::unordered_set<PmIndex> dirty_pm_set_;
-  std::vector<PmIndex> dirty_pms_;
-  std::unordered_set<std::string> dirty_groups_;
-  bool freelist_changed_ = false;
-
   // --- flusher state ---
   std::thread flusher_;
   std::mutex flush_mu_;
@@ -464,9 +408,6 @@ class PlacementService : public RequestSink {
     obs::Counter* group_reserves = nullptr;
     obs::Counter* group_commits = nullptr;
     obs::Counter* group_aborts = nullptr;
-    obs::Counter* spec_attempts = nullptr;   ///< place ops speculated in parallel
-    obs::Counter* spec_commits = nullptr;    ///< speculations validated + committed
-    obs::Counter* spec_conflicts = nullptr;  ///< speculations invalidated -> serial retry
     obs::Counter* flush_groups = nullptr;    ///< group-commit flush calls
     // Replication & failover (DESIGN.md §8).
     obs::Counter* repl_applied = nullptr;     ///< WAL records applied as follower
@@ -486,7 +427,6 @@ class PlacementService : public RequestSink {
     obs::Histogram* place_compute_ns = nullptr;
     obs::Histogram* wal_flush_ns = nullptr;
     obs::Histogram* snapshot_ns = nullptr;
-    obs::Histogram* partition_size = nullptr;   ///< speculated ops per partition
     obs::Histogram* flush_group_ops = nullptr;  ///< ops covered per group flush
     obs::Histogram* flush_lag_ns = nullptr;     ///< batch compute-done -> ack release
     obs::Histogram* util_sample_pct = nullptr;  ///< ingested util samples, in %

@@ -4,8 +4,10 @@
 // overrides below count every heap allocation in the process, which would
 // perturb the main suite. The contract: once the engine is warm (scratch
 // vectors sized, rep cache populated, need masks built, hash maps past their
-// final rehash), a speculate() pick performs ZERO heap allocations — the
-// whole hot path runs on engine-owned scratch and borrowed views.
+// final rehash), place() allocates exactly as often as the bare ledger
+// update it ends in — the engine's own share of a pick is ZERO heap
+// allocations; the whole pick runs on engine-owned scratch and borrowed
+// views.
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
@@ -49,21 +51,21 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::f
 #include "profile/permutation.hpp"
 #include "service/binary_protocol.hpp"
 #include "service/protocol.hpp"
+#include "service/snapshot.hpp"
 
 #include <gtest/gtest.h>
 
 namespace prvm {
 namespace {
 
-TEST(EngineAlloc, WarmSpeculateIsAllocationFree) {
+TEST(EngineAlloc, WarmPlaceAllocatesOnlyWhatTheLedgerDoes) {
   const Catalog catalog = ec2_sim_catalog();
   const auto tables =
       std::make_shared<const ScoreTableSet>(build_score_tables(catalog, {}, std::nullopt));
   Datacenter dc(catalog, std::vector<std::size_t>(64, 0));
   PageRankVm engine(tables, {});
 
-  // Load the fleet part-way so every speculate below lands on a used PM
-  // (the activation fallback re-enumerates placements and may allocate).
+  // Load the fleet part-way so the probe picks below land on used PMs.
   Rng rng(11);
   VmId next_id = 1;
   const std::size_t vm_types = catalog.vm_types().size();
@@ -72,34 +74,64 @@ TEST(EngineAlloc, WarmSpeculateIsAllocationFree) {
     if (!engine.place(dc, vm).has_value()) break;
   }
   ASSERT_GT(dc.used_count(), 0u);
+  // The reference ledger: identical state, only ever touched directly.
+  Datacenter ref = dc;
 
-  const PlacementConstraints constraints;
-  PageRankVm::Speculation spec;
-  // Warm-up pass: sizes the scratch vectors, fills the rep cache for every
-  // (profile, VM type) the probe set touches, triggers the one spurious
-  // FlatMap64 rehash try_emplace may perform at its load threshold, and
-  // builds the need-mask matrix.
-  std::size_t decided = 0;
-  for (std::size_t v = 0; v < vm_types; ++v) {
-    const Vm vm{next_id++, v};
-    for (int rep = 0; rep < 2; ++rep) {
-      if (engine.speculate(dc, vm, constraints, spec)) ++decided;
-    }
-  }
-  ASSERT_GT(decided, 0u);
-
-  // Measured pass: the exact same picks must not touch the heap.
-  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
-  for (int round = 0; round < 50; ++round) {
+  // One probe VM per type, placed and removed again: the ledger returns to
+  // the same state every time, so every round makes the same decisions.
+  // The warm-up rounds size the scratch vectors, fill the rep cache for
+  // every (profile, VM type) the probes touch, trigger the one spurious
+  // FlatMap64 rehash try_emplace may perform at its load threshold, build
+  // the need-mask matrix, and record each decision for the reference run.
+  struct Decision {
+    PmIndex pm;
+    Vm vm;
+    DemandPlacement placement;
+  };
+  std::vector<Decision> decisions;
+  for (int round = 0; round < 2; ++round) {
+    decisions.clear();
     for (std::size_t v = 0; v < vm_types; ++v) {
-      const Vm vm{next_id++, v};
-      const bool ok = engine.speculate(dc, vm, constraints, spec);
-      if (round == 0 && !ok) continue;
+      const Vm vm{static_cast<VmId>(next_id + v), v};
+      const std::optional<PmIndex> pm = engine.place(dc, vm);
+      if (!pm.has_value()) continue;
+      // Datacenter::place reads only the assignments of a placement.
+      decisions.push_back({*pm, vm, DemandPlacement{dc.remove(vm.id).assignments, {}}});
     }
   }
-  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
-  EXPECT_EQ(after, before) << "speculate() allocated " << (after - before)
-                           << " times across 50 warm rounds";
+  ASSERT_FALSE(decisions.empty());
+
+  constexpr int kRounds = 50;
+  std::size_t diverged = 0;  // checked after counting: no gtest inside the window
+  const auto engine_round = [&] {
+    for (const Decision& d : decisions) {
+      if (engine.place(dc, d.vm) != std::optional<PmIndex>(d.pm)) ++diverged;
+      dc.remove(d.vm.id);
+    }
+  };
+  const auto ledger_round = [&] {
+    for (const Decision& d : decisions) {
+      ref.place(d.pm, d.vm, d.placement);
+      ref.remove(d.vm.id);
+    }
+  };
+  // Warm the reference ledger the same way before counting.
+  ledger_round();
+  ledger_round();
+
+  std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int round = 0; round < kRounds; ++round) engine_round();
+  const std::size_t engine_allocs = g_allocations.load(std::memory_order_relaxed) - before;
+
+  before = g_allocations.load(std::memory_order_relaxed);
+  for (int round = 0; round < kRounds; ++round) ledger_round();
+  const std::size_t ledger_allocs = g_allocations.load(std::memory_order_relaxed) - before;
+
+  EXPECT_EQ(diverged, 0u) << "warm rounds must repeat the recorded decisions";
+  EXPECT_EQ(engine_allocs, ledger_allocs)
+      << "place() allocated " << engine_allocs << " times across " << kRounds
+      << " warm rounds; the bare ledger updates alone allocated " << ledger_allocs;
+  EXPECT_TRUE(datacenter_state_equal(dc, ref));
 }
 
 // The cell channel's submit path (cell_channel.cpp) encodes every request

@@ -1,8 +1,8 @@
-// Parallel placement pipeline (DESIGN.md §6): the speculative intra-batch
-// compute path and the WAL group-commit path must be *indistinguishable*
-// from the serial worker — byte-identical WAL, bit-identical ledger,
-// identical responses — and must preserve the ack-after-flush durability
-// contract under injected storage faults and hard stops.
+// Placement pipeline (DESIGN.md §6): the WAL group-commit path must be
+// *indistinguishable* from the inline-flush worker — byte-identical WAL,
+// bit-identical ledger, identical responses — and must preserve the
+// ack-after-flush durability contract under injected storage faults and
+// hard stops.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -110,8 +110,8 @@ class ServicePipelineTest : public ::testing::Test {
   }
 
   /// Pre-enqueues the whole trace, then starts the worker, so batches run at
-  /// full batch_size (the speculative path needs >1 place per batch to
-  /// engage at all), then hard-stops — leaving the WAL bytes on disk.
+  /// full batch_size (several batches then share one flush group), then
+  /// hard-stops — leaving the WAL bytes on disk.
   std::vector<Response> run_trace(PlacementService& service, const std::vector<Request>& trace) {
     std::vector<std::future<Response>> futures;
     futures.reserve(trace.size());
@@ -146,36 +146,33 @@ TEST_F(ServicePipelineTest, ConfigRejectsFlushGroupSmallerThanBatch) {
   EXPECT_NO_THROW(make_service(std::move(ok)));
 }
 
-TEST_F(ServicePipelineTest, ParallelPipelineIsByteIdenticalToSerialWorker) {
+TEST_F(ServicePipelineTest, GroupCommitIsByteIdenticalToSerialWorker) {
   for (const std::uint64_t seed : {0x5eedu, 0xacdcu, 0xf00du}) {
     const std::vector<Request> trace = make_trace(seed, 500);
     TempDir serial_dir("pipe-serial-" + std::to_string(seed));
-    TempDir parallel_dir("pipe-parallel-" + std::to_string(seed));
+    TempDir grouped_dir("pipe-grouped-" + std::to_string(seed));
 
     ServiceConfig serial;
     serial.data_dir = serial_dir.path();
     auto serial_service = make_service(std::move(serial));
     const std::vector<Response> serial_responses = run_trace(*serial_service, trace);
 
-    ServiceConfig parallel;
-    parallel.data_dir = parallel_dir.path();
-    parallel.parallel_workers = 4;
-    parallel.flush_group_max = 256;
-    auto parallel_service = make_service(std::move(parallel));
-    const std::vector<Response> parallel_responses = run_trace(*parallel_service, trace);
+    ServiceConfig grouped;
+    grouped.data_dir = grouped_dir.path();
+    grouped.flush_group_max = 256;
+    auto grouped_service = make_service(std::move(grouped));
+    const std::vector<Response> grouped_responses = run_trace(*grouped_service, trace);
 
-    // The pipeline must actually have engaged — otherwise this test proves
-    // nothing — and must have committed at least some speculations.
-    const obs::Registry& reg = parallel_service->metrics_registry();
-    ASSERT_GT(reg.find_counter("prvm_spec_attempts_total")->value(), 0u);
-    EXPECT_GT(reg.find_counter("prvm_spec_commits_total")->value(), 0u);
-    EXPECT_GT(reg.find_counter("prvm_flush_groups_total")->value(), 0u);
+    // Group commit must actually have engaged — otherwise this test proves
+    // nothing.
+    const obs::Registry& reg = grouped_service->metrics_registry();
+    ASSERT_GT(reg.find_counter("prvm_flush_groups_total")->value(), 0u);
 
     // Identical responses, op for op.
-    ASSERT_EQ(serial_responses.size(), parallel_responses.size());
+    ASSERT_EQ(serial_responses.size(), grouped_responses.size());
     for (std::size_t i = 0; i < serial_responses.size(); ++i) {
       const Response& a = serial_responses[i];
-      const Response& b = parallel_responses[i];
+      const Response& b = grouped_responses[i];
       EXPECT_EQ(a.ok, b.ok) << "op " << i;
       EXPECT_EQ(a.op, b.op) << "op " << i;
       EXPECT_EQ(a.vm, b.vm) << "op " << i;
@@ -186,18 +183,18 @@ TEST_F(ServicePipelineTest, ParallelPipelineIsByteIdenticalToSerialWorker) {
 
     // Identical final ledger, admission state — and byte-identical WAL.
     EXPECT_TRUE(datacenter_state_equal(serial_service->datacenter(),
-                                       parallel_service->datacenter()));
-    EXPECT_TRUE(serial_service->admission().state_equal(parallel_service->admission()));
+                                       grouped_service->datacenter()));
+    EXPECT_TRUE(serial_service->admission().state_equal(grouped_service->admission()));
     EXPECT_EQ(datacenter_state_digest(serial_service->datacenter()),
-              datacenter_state_digest(parallel_service->datacenter()));
+              datacenter_state_digest(grouped_service->datacenter()));
     const std::string serial_wal = read_file(serial_dir.path() / "wal.log");
-    const std::string parallel_wal = read_file(parallel_dir.path() / "wal.log");
+    const std::string grouped_wal = read_file(grouped_dir.path() / "wal.log");
     ASSERT_FALSE(serial_wal.empty());
-    EXPECT_EQ(serial_wal, parallel_wal) << "WAL bytes diverged at seed " << seed;
+    EXPECT_EQ(serial_wal, grouped_wal) << "WAL bytes diverged at seed " << seed;
 
     // And both recover to the same state from their own disk.
     ServiceConfig recover_config;
-    recover_config.data_dir = parallel_dir.path();
+    recover_config.data_dir = grouped_dir.path();
     auto recovered = make_service(std::move(recover_config));
     EXPECT_TRUE(recovered->stats().recovered);
     EXPECT_TRUE(
@@ -212,7 +209,6 @@ TEST_F(ServicePipelineTest, GroupFlushFailureDemotesThenRecoversDurably) {
   ServiceConfig config;
   config.data_dir = dir.path();
   config.io_env = env;
-  config.parallel_workers = 4;
   config.flush_group_max = 256;
   config.probe_initial_ms = 5;
   config.probe_max_ms = 20;
@@ -263,7 +259,6 @@ TEST_F(ServicePipelineTest, DrainFlushesThePipelineBeforeTheFinalSnapshot) {
   {
     ServiceConfig config;
     config.data_dir = dir.path();
-    config.parallel_workers = 2;
     config.flush_group_max = 128;
     auto service = make_service(std::move(config));
     std::vector<std::future<Response>> futures;

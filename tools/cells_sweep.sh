@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# Cell-count x parallel-workers x flush-group tuning sweep.
+# Cell-count x flush-group tuning sweep.
 #
 # Runs bench_cells in --sweep mode and prints the grid sorted by aggregate
 # churn throughput, so an operator picking a deployment shape for a box can
-# read the best (cells, workers, flush_group) combination straight off. The
-# JSON records hardware_threads: on a single-core box every parallel knob
-# only adds overhead, and the output says so rather than hiding it.
+# read the best (cells, flush_group) combination straight off. The JSON
+# records hardware_threads: on a single-core box extra cells only add
+# overhead, and the output says so rather than hiding it.
 #
 # Usage: tools/cells_sweep.sh [BUILD_DIR] [JSON_OUT]
 #   PRVM_FAST=1   shrink fleet and op counts for a smoke run
@@ -26,12 +26,12 @@ rows = sorted(data.get("sweep", []),
               key=lambda r: -r["aggregate_churn_placements_per_sec"])
 print(f"\nsweep on {threads} hardware thread(s), "
       f"{data['fleet_pms']} PMs, {data['drivers']} drivers:")
-print(f"{'cells':>5} {'workers':>7} {'flush':>5} {'churn pl/s':>12} {'vs serial 1-cell':>16}")
+print(f"{'cells':>5} {'flush':>5} {'churn pl/s':>12} {'vs serial 1-cell':>16}")
 for r in rows:
-    print(f"{r['cells']:>5} {r['parallel_workers']:>7} {r['flush_group']:>5} "
+    print(f"{r['cells']:>5} {r['flush_group']:>5} "
           f"{r['aggregate_churn_placements_per_sec']:>12.0f} "
           f"{r['speedup_over_serial_one_cell']:>15.2f}x")
 if threads <= 2 and rows:
-    print("note: few hardware threads -- parallel knobs mostly measure overhead here")
+    print("note: few hardware threads -- extra cells mostly measure overhead here")
 EOF
 echo "wrote $JSON_OUT"

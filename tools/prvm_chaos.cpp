@@ -82,8 +82,8 @@ struct Options {
   std::size_t fleet = 0;
   std::string data_dir;  ///< defaults to a fresh directory under /tmp
   /// Extra flags appended verbatim to every prvm_serve invocation
-  /// (--serve-arg, repeatable) — e.g. --parallel-workers / --flush-group to
-  /// chaos-test the parallel pipeline under the same fault schedules.
+  /// (--serve-arg, repeatable) — e.g. --flush-group to chaos-test WAL group
+  /// commit under the same fault schedules.
   std::vector<std::string> serve_args;
   /// Leader/follower failover mode: ack_after_replicated churn with a
   /// mid-round leader SIGKILL and promotion of the follower.

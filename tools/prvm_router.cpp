@@ -26,6 +26,7 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -62,7 +63,6 @@ void usage(const char* argv0) {
       << "  --batch K            embedded: per-cell engine batch (default 64)\n"
       << "  --queue N            embedded: per-cell queue capacity (default 4096)\n"
       << "  --snapshot-every N   embedded: per-cell snapshot cadence (default 100000)\n"
-      << "  --parallel-workers N embedded: per-cell speculative compute workers\n"
       << "  --flush-group N      embedded: per-cell WAL group commit window\n"
       << "  --fsync              embedded: fsync the WAL every batch\n"
       << "  --cache-dir PATH     score-table cache (default $PRVM_CACHE_DIR or .prvm-cache)\n"
@@ -74,6 +74,14 @@ void usage(const char* argv0) {
       << "  --map-file PATH      persist the vm->cell map: loaded at startup, saved\n"
       << "                       every --map-save-s seconds and on drain\n"
       << "  --map-save-s N       periodic map save interval (default 30)\n";
+}
+
+/// A numeric flag whose value std::sto* rejected (not a number, or out of
+/// range): report it and fail like any other bad invocation.
+int bad_number(const char* argv0, const std::string& flag) {
+  std::cerr << argv0 << ": bad numeric value for " << flag << "\n";
+  usage(argv0);
+  return 2;
 }
 
 }  // namespace
@@ -106,56 +114,59 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--socket") {
-      socket_path = value();
-      use_tcp = false;
-    } else if (arg == "--port") {
-      tcp_port = std::stoi(value());
-      use_tcp = true;
-    } else if (arg == "--cell") {
-      cell_specs.push_back(value());
-    } else if (arg == "--binary-cells") {
-      binary_cells = true;
-    } else if (arg == "--cells") {
-      embedded_cells = static_cast<std::size_t>(std::stoull(value()));
-    } else if (arg == "--fleet") {
-      fleet = static_cast<std::size_t>(std::stoull(value()));
-    } else if (arg == "--data-dir") {
-      cells_config.data_dir = value();
-    } else if (arg == "--batch") {
-      cells_config.service.batch_size = static_cast<std::size_t>(std::stoull(value()));
-    } else if (arg == "--queue") {
-      cells_config.service.queue_capacity = static_cast<std::size_t>(std::stoull(value()));
-    } else if (arg == "--snapshot-every") {
-      cells_config.service.snapshot_every_ops = std::stoull(value());
-    } else if (arg == "--parallel-workers") {
-      cells_config.service.parallel_workers =
-          static_cast<std::size_t>(std::stoull(value()));
-    } else if (arg == "--flush-group") {
-      cells_config.service.flush_group_max =
-          static_cast<std::size_t>(std::stoull(value()));
-    } else if (arg == "--fsync") {
-      cells_config.service.fsync_wal = true;
-    } else if (arg == "--cache-dir") {
-      cache_dir = value();
-    } else if (arg == "--score-image") {
-      score_image_dir = value();
-    } else if (arg == "--metrics-port") {
-      metrics_port = std::stoi(value());
-    } else if (arg == "--retry-attempts") {
-      router_config.retry_attempts = static_cast<std::size_t>(std::stoull(value()));
-    } else if (arg == "--retry-backoff-ms") {
-      router_config.retry_backoff_ms = std::stod(value());
-    } else if (arg == "--map-file") {
-      map_file = value();
-    } else if (arg == "--map-save-s") {
-      map_save_s = static_cast<unsigned>(std::stoul(value()));
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else {
-      usage(argv[0]);
-      return 2;
+    try {
+      if (arg == "--socket") {
+        socket_path = value();
+        use_tcp = false;
+      } else if (arg == "--port") {
+        tcp_port = std::stoi(value());
+        use_tcp = true;
+      } else if (arg == "--cell") {
+        cell_specs.push_back(value());
+      } else if (arg == "--binary-cells") {
+        binary_cells = true;
+      } else if (arg == "--cells") {
+        embedded_cells = static_cast<std::size_t>(std::stoull(value()));
+      } else if (arg == "--fleet") {
+        fleet = static_cast<std::size_t>(std::stoull(value()));
+      } else if (arg == "--data-dir") {
+        cells_config.data_dir = value();
+      } else if (arg == "--batch") {
+        cells_config.service.batch_size = static_cast<std::size_t>(std::stoull(value()));
+      } else if (arg == "--queue") {
+        cells_config.service.queue_capacity = static_cast<std::size_t>(std::stoull(value()));
+      } else if (arg == "--snapshot-every") {
+        cells_config.service.snapshot_every_ops = std::stoull(value());
+      } else if (arg == "--flush-group") {
+        cells_config.service.flush_group_max =
+            static_cast<std::size_t>(std::stoull(value()));
+      } else if (arg == "--fsync") {
+        cells_config.service.fsync_wal = true;
+      } else if (arg == "--cache-dir") {
+        cache_dir = value();
+      } else if (arg == "--score-image") {
+        score_image_dir = value();
+      } else if (arg == "--metrics-port") {
+        metrics_port = std::stoi(value());
+      } else if (arg == "--retry-attempts") {
+        router_config.retry_attempts = static_cast<std::size_t>(std::stoull(value()));
+      } else if (arg == "--retry-backoff-ms") {
+        router_config.retry_backoff_ms = std::stod(value());
+      } else if (arg == "--map-file") {
+        map_file = value();
+      } else if (arg == "--map-save-s") {
+        map_save_s = static_cast<unsigned>(std::stoul(value()));
+      } else if (arg == "--help" || arg == "-h") {
+        usage(argv[0]);
+        return 0;
+      } else {
+        usage(argv[0]);
+        return 2;
+      }
+    } catch (const std::invalid_argument&) {
+      return bad_number(argv[0], arg);
+    } catch (const std::out_of_range&) {
+      return bad_number(argv[0], arg);
     }
   }
   if (!cell_specs.empty() && embedded_cells > 0) {

@@ -23,6 +23,7 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -53,8 +54,6 @@ void usage(const char* argv0) {
       << "  --batch K            max requests per engine pass (default 64)\n"
       << "  --queue N            request queue capacity (default 4096)\n"
       << "  --snapshot-every N   snapshot after N mutating ops (default 100000; 0 = drain only)\n"
-      << "  --parallel-workers N speculate place decisions on N engine clones per batch\n"
-      << "                       (default 0 = fully serial worker; results are identical)\n"
       << "  --flush-group N      WAL group commit: a flusher thread makes batches durable,\n"
       << "                       one write/fsync per up to N ops, while the worker computes\n"
       << "                       the next batch (default 0 = inline flush; must be >= batch)\n"
@@ -97,6 +96,14 @@ void usage(const char* argv0) {
       << "  --rebalance-cooldown-ms N  per-VM re-migration cooldown (default 5000)\n";
 }
 
+/// A numeric flag whose value std::sto* rejected (not a number, or out of
+/// range): report it and fail like any other bad invocation.
+int bad_number(const char* argv0, const std::string& flag) {
+  std::cerr << argv0 << ": bad numeric value for " << flag << "\n";
+  usage(argv0);
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -124,72 +131,76 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--socket") {
-      socket_path = value();
-      use_tcp = false;
-    } else if (arg == "--port") {
-      tcp_port = std::stoi(value());
-      use_tcp = true;
-    } else if (arg == "--fleet") {
-      fleet = static_cast<std::size_t>(std::stoull(value()));
-    } else if (arg == "--data-dir") {
-      config.data_dir = value();
-    } else if (arg == "--batch") {
-      config.batch_size = static_cast<std::size_t>(std::stoull(value()));
-    } else if (arg == "--queue") {
-      config.queue_capacity = static_cast<std::size_t>(std::stoull(value()));
-    } else if (arg == "--snapshot-every") {
-      config.snapshot_every_ops = std::stoull(value());
-    } else if (arg == "--parallel-workers") {
-      config.parallel_workers = static_cast<std::size_t>(std::stoull(value()));
-    } else if (arg == "--flush-group") {
-      config.flush_group_max = static_cast<std::size_t>(std::stoull(value()));
-    } else if (arg == "--fsync") {
-      config.fsync_wal = true;
-    } else if (arg == "--fault-schedule") {
-      fault_schedule = value();
-    } else if (arg == "--probe-initial-ms") {
-      config.probe_initial_ms = std::stoull(value());
-    } else if (arg == "--probe-max-ms") {
-      config.probe_max_ms = std::stoull(value());
-    } else if (arg == "--cache-dir") {
-      cache_dir = value();
-    } else if (arg == "--score-image") {
-      score_image_dir = value();
-    } else if (arg == "--cell-id") {
-      config.cell_id = std::stoull(value());
-    } else if (arg == "--replica") {
-      config.repl.replicas.push_back(value());
-    } else if (arg == "--ack-replicas") {
-      config.repl.ack_replicas = static_cast<std::size_t>(std::stoull(value()));
-    } else if (arg == "--repl-timeout-ms") {
-      config.repl.ack_timeout_ms = std::stoull(value());
-    } else if (arg == "--follower") {
-      config.repl.follower = true;
-    } else if (arg == "--leader-hint") {
-      config.repl.leader_hint = value();
-    } else if (arg == "--rebalance") {
-      config.rebalance.enabled = true;
-    } else if (arg == "--overload") {
-      config.rebalance.overload_threshold = std::stod(value());
-    } else if (arg == "--underload") {
-      config.rebalance.underload_threshold = std::stod(value());
-    } else if (arg == "--rebalance-interval-ms") {
-      config.rebalance.interval_ms = std::stoull(value());
-    } else if (arg == "--max-moves") {
-      config.rebalance.max_moves_per_round = static_cast<std::size_t>(std::stoull(value()));
-    } else if (arg == "--rebalance-cooldown-ms") {
-      config.rebalance.cooldown_ms = std::stoull(value());
-    } else if (arg == "--metrics-port") {
-      metrics_port = std::stoi(value());
-    } else if (arg == "--stats-interval-s") {
-      stats_interval_s = static_cast<unsigned>(std::stoul(value()));
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else {
-      usage(argv[0]);
-      return 2;
+    try {
+      if (arg == "--socket") {
+        socket_path = value();
+        use_tcp = false;
+      } else if (arg == "--port") {
+        tcp_port = std::stoi(value());
+        use_tcp = true;
+      } else if (arg == "--fleet") {
+        fleet = static_cast<std::size_t>(std::stoull(value()));
+      } else if (arg == "--data-dir") {
+        config.data_dir = value();
+      } else if (arg == "--batch") {
+        config.batch_size = static_cast<std::size_t>(std::stoull(value()));
+      } else if (arg == "--queue") {
+        config.queue_capacity = static_cast<std::size_t>(std::stoull(value()));
+      } else if (arg == "--snapshot-every") {
+        config.snapshot_every_ops = std::stoull(value());
+      } else if (arg == "--flush-group") {
+        config.flush_group_max = static_cast<std::size_t>(std::stoull(value()));
+      } else if (arg == "--fsync") {
+        config.fsync_wal = true;
+      } else if (arg == "--fault-schedule") {
+        fault_schedule = value();
+      } else if (arg == "--probe-initial-ms") {
+        config.probe_initial_ms = std::stoull(value());
+      } else if (arg == "--probe-max-ms") {
+        config.probe_max_ms = std::stoull(value());
+      } else if (arg == "--cache-dir") {
+        cache_dir = value();
+      } else if (arg == "--score-image") {
+        score_image_dir = value();
+      } else if (arg == "--cell-id") {
+        config.cell_id = std::stoull(value());
+      } else if (arg == "--replica") {
+        config.repl.replicas.push_back(value());
+      } else if (arg == "--ack-replicas") {
+        config.repl.ack_replicas = static_cast<std::size_t>(std::stoull(value()));
+      } else if (arg == "--repl-timeout-ms") {
+        config.repl.ack_timeout_ms = std::stoull(value());
+      } else if (arg == "--follower") {
+        config.repl.follower = true;
+      } else if (arg == "--leader-hint") {
+        config.repl.leader_hint = value();
+      } else if (arg == "--rebalance") {
+        config.rebalance.enabled = true;
+      } else if (arg == "--overload") {
+        config.rebalance.overload_threshold = std::stod(value());
+      } else if (arg == "--underload") {
+        config.rebalance.underload_threshold = std::stod(value());
+      } else if (arg == "--rebalance-interval-ms") {
+        config.rebalance.interval_ms = std::stoull(value());
+      } else if (arg == "--max-moves") {
+        config.rebalance.max_moves_per_round = static_cast<std::size_t>(std::stoull(value()));
+      } else if (arg == "--rebalance-cooldown-ms") {
+        config.rebalance.cooldown_ms = std::stoull(value());
+      } else if (arg == "--metrics-port") {
+        metrics_port = std::stoi(value());
+      } else if (arg == "--stats-interval-s") {
+        stats_interval_s = static_cast<unsigned>(std::stoul(value()));
+      } else if (arg == "--help" || arg == "-h") {
+        usage(argv[0]);
+        return 0;
+      } else {
+        usage(argv[0]);
+        return 2;
+      }
+    } catch (const std::invalid_argument&) {
+      return bad_number(argv[0], arg);
+    } catch (const std::out_of_range&) {
+      return bad_number(argv[0], arg);
     }
   }
 
