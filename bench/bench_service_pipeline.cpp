@@ -36,7 +36,7 @@
 #include "core/catalog_graphs.hpp"
 #include "service/protocol.hpp"
 #include "service/service.hpp"
-#include "service/socket_server.hpp"
+#include "service/cell_server.hpp"
 #include "sim/simulator.hpp"
 
 namespace prvm {
@@ -320,7 +320,7 @@ int main(int argc, char** argv) {
   SocketServerConfig follower_socket;
   follower_socket.unix_path = (repl_dir / "follower.sock").string();
   follower_socket.max_frame = kMaxReplFrameBytes;
-  SocketServer follower_server(follower, follower_socket);
+  CellServer follower_server(follower, follower_socket);
   follower_server.start();
 
   ServiceConfig replicated = group_commit;

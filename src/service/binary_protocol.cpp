@@ -710,6 +710,34 @@ std::optional<BinaryFrameBuffer::Frame> BinaryFrameBuffer::next() {
   }
 }
 
+std::optional<bool> sniff_binary(std::string_view prefix) {
+  if (prefix.empty()) return std::nullopt;
+  if (prefix[0] != kBinaryPreamble[0]) return false;
+  if (prefix.size() < sizeof(kBinaryPreamble)) return std::nullopt;
+  return prefix.substr(0, sizeof(kBinaryPreamble)) ==
+         std::string_view(kBinaryPreamble, sizeof(kBinaryPreamble));
+}
+
+std::optional<std::variant<Request, ProtocolError>> next_request(BinaryFrameBuffer& frames,
+                                                                 BinaryStringTable& types) {
+  while (const auto frame = frames.next()) {
+    if (frame->status != BinaryFrameBuffer::Status::kOk) return binary_frame_error(frame->status);
+    if (frame->kind == BinaryFrameKind::kIntern) {
+      // One-way: a damaged or over-cap intern is dropped; the next request
+      // referencing the slot reports bad_field in its own order slot.
+      if (const auto intern = parse_intern(frame->payload)) {
+        types.install(intern->first, intern->second);
+      }
+      continue;
+    }
+    if (frame->kind != BinaryFrameKind::kRequest) {
+      return ProtocolError{"bad_frame", "unexpected frame kind from a client"};
+    }
+    return parse_binary_request(frame->payload, types);
+  }
+  return std::nullopt;
+}
+
 ProtocolError binary_frame_error(BinaryFrameBuffer::Status status) {
   switch (status) {
     case BinaryFrameBuffer::Status::kOversized:

@@ -52,6 +52,13 @@ namespace prvm {
 
 /// Connection preamble a binary client sends first ("PRVB1").
 inline constexpr char kBinaryPreamble[5] = {'P', 'R', 'V', 'B', '1'};
+
+/// Protocol of a connection from its first bytes: true = PRVB1 (`prefix`
+/// starts with the preamble), false = JSON-lines, nullopt = too few bytes to
+/// tell. Only a PRVB1 client starts with 'P' (JSON-lines requests lead with
+/// '{' or whitespace), and only the exact preamble selects binary — a near
+/// miss falls back to JSON, where it reports as bad_json.
+std::optional<bool> sniff_binary(std::string_view prefix);
 /// First byte of every binary frame; doubles as the resync scan target.
 inline constexpr std::uint8_t kBinaryMagic = 0xBF;
 /// Frame header: magic, kind, reserved u16, payload len u32, payload CRC u32.
@@ -179,5 +186,13 @@ class BinaryFrameBuffer {
 
 /// The structured error a server reports for a damaged binary frame.
 ProtocolError binary_frame_error(BinaryFrameBuffer::Status status);
+
+/// Pops the next client request: nullopt when no complete frame is
+/// buffered. Intern frames install into `types` and consume no response
+/// slot; damaged frames and non-request kinds decode to their error. The
+/// request decodes straight out of the frame buffer (the payload view is
+/// borrowed; only the Request's own fields are materialized).
+std::optional<std::variant<Request, ProtocolError>> next_request(BinaryFrameBuffer& frames,
+                                                                 BinaryStringTable& types);
 
 }  // namespace prvm

@@ -721,6 +721,24 @@ std::optional<Response> parse_response(std::string_view line, std::string* error
   return response;
 }
 
+std::optional<std::variant<Request, ProtocolError>> next_request(LineBuffer& lines) {
+  while (const auto frame = lines.next()) {
+    if (frame->oversized) {
+      return ProtocolError{"oversized_frame", "request exceeds frame size limit"};
+    }
+    if (!frame->line.empty()) return parse_request(frame->line);
+  }
+  return std::nullopt;
+}
+
+Response protocol_error_response(const ProtocolError& error) {
+  Response response;
+  response.ok = false;
+  response.error = error.code;
+  response.message = error.message;
+  return response;
+}
+
 void LineBuffer::feed(std::string_view bytes) { buffer_.append(bytes); }
 
 std::optional<LineBuffer::Frame> LineBuffer::next() {

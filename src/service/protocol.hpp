@@ -228,4 +228,12 @@ class LineBuffer {
   bool discarding_ = false;  ///< inside an already-reported oversized frame
 };
 
+/// Pops the next request line: nullopt when no complete line is buffered.
+/// Blank lines are skipped; an oversized line decodes to its error, which
+/// the server answers in that request's response slot.
+std::optional<std::variant<Request, ProtocolError>> next_request(LineBuffer& lines);
+
+/// The response a server sends for a request it could not decode.
+Response protocol_error_response(const ProtocolError& error);
+
 }  // namespace prvm

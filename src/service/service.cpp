@@ -1,14 +1,19 @@
 #include "service/service.hpp"
 
 #include <fcntl.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <utility>
 
 #include "common/check.hpp"
+#include "service/cell_server.hpp"
 #include "service/snapshot.hpp"
 
 namespace prvm {
@@ -109,6 +114,17 @@ PlacementService::PlacementService(Catalog catalog, std::vector<std::size_t> fle
     repl_ = std::make_unique<ReplicationSender>(config_.repl.replicas, metrics_.get(),
                                                 config_.repl.ack_timeout_ms);
   }
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  ::epoll_event event{};
+  event.events = EPOLLIN;
+  event.data.ptr = nullptr;  // the only untagged fd
+  if (epoll_fd_ < 0 || wake_fd_ < 0 ||
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &event) != 0) {
+    if (epoll_fd_ >= 0) ::close(epoll_fd_);  // no destructor runs after a throw
+    if (wake_fd_ >= 0) ::close(wake_fd_);
+    PRVM_REQUIRE(false, "cannot create the service event loop");
+  }
 }
 
 void PlacementService::init_metrics() {
@@ -155,7 +171,11 @@ void PlacementService::init_metrics() {
   m_.util_sample_pct = &r.histogram("prvm_rebal_util_sample_pct");
 }
 
-PlacementService::~PlacementService() { stop_now(); }
+PlacementService::~PlacementService() {
+  stop_now();
+  ::close(wake_fd_);
+  ::close(epoll_fd_);
+}
 
 void PlacementService::recover(const std::vector<std::size_t>& fleet) {
   const std::filesystem::path snapshot_path = config_.data_dir / kSnapshotFile;
@@ -230,15 +250,16 @@ void PlacementService::apply_wal_record(const WalRecord& record) {
   }
 }
 
-void PlacementService::log_record(WalRecord record) {
+void PlacementService::log_record(const WalRecord& record) {
   if (wal_ == nullptr) return;
   if (repl_ != nullptr) {
     // Leaders capture the exact frame bytes for the replication stream (the
     // follower's re-appended WAL is then byte-identical to the leader's) —
-    // encode once and feed both the WAL buffer and the stream from it.
-    const std::string frame = encode_wal_frame(record);
-    batch_wal_bytes_ += wal_->append_frames(frame, 1);
-    batch_repl_frames_ += frame;
+    // encode once into the stream and splice the same bytes into the WAL.
+    const std::size_t at = batch_repl_frames_.size();
+    append_wal_frame(record, batch_repl_frames_);
+    batch_wal_bytes_ +=
+        wal_->append_frames(std::string_view(batch_repl_frames_).substr(at), 1);
   } else {
     batch_wal_bytes_ += wal_->append(record);
   }
@@ -448,15 +469,18 @@ Response PlacementService::place(const Request& request) {
   }
 
   admission_.record_placement(vm, request.group, *pm);
-  WalRecord record;
+  // The reused record keeps its string/vector capacity: no per-op allocation.
+  WalRecord& record = wal_record_;
+  const auto& assignments = dc_.pm(*pm).vms.back().assignments;
   record.type = WalRecord::Type::kPlace;
   record.op_seq = ++op_seq_;
   record.vm = vm;
   record.vm_type = *vm_type;
   record.pm = *pm;
-  record.group = request.group;
-  record.assignments = dc_.pm(*pm).vms.back().assignments;
-  log_record(std::move(record));
+  record.from_pm = 0;
+  record.group.assign(request.group);
+  record.assignments.assign(assignments.begin(), assignments.end());
+  log_record(record);
   m_.placed->inc();
 
   Response response;
@@ -475,12 +499,16 @@ Response PlacementService::release(const Request& request) {
   }
   dc_.remove(vm);
   admission_.record_release(vm, *pm);
-  WalRecord record;
+  WalRecord& record = wal_record_;
   record.type = WalRecord::Type::kRelease;
   record.op_seq = ++op_seq_;
   record.vm = vm;
+  record.vm_type = 0;
   record.pm = *pm;
-  log_record(std::move(record));
+  record.from_pm = 0;
+  record.group.clear();
+  record.assignments.clear();
+  log_record(record);
   m_.released->inc();
 
   Response response;
@@ -545,7 +573,7 @@ Response PlacementService::migrate(const Request& request) {
     dc_.place(*old_pm, removed.vm, placement);
     record.pm = *old_pm;
     record.assignments = removed.assignments;
-    log_record(std::move(record));
+    log_record(record);
     m_.rejected->inc();
     return reject(request, RejectReason::kNoCapacity,
                   "no other PM can host this VM right now");
@@ -555,7 +583,7 @@ Response PlacementService::migrate(const Request& request) {
   admission_.record_placement(vm, group, *new_pm);
   record.pm = *new_pm;
   record.assignments = dc_.pm(*new_pm).vms.back().assignments;
-  log_record(std::move(record));
+  log_record(record);
   m_.migrated->inc();
 
   Response response;
@@ -600,7 +628,7 @@ Response PlacementService::group_reserve(const Request& request) {
   record.vm = request.vm_id;
   record.group = request.group;
   record.from_pm = deadline_ms;
-  log_record(std::move(record));
+  log_record(record);
   group_dir_.apply_reserve(request.group, request.vm_id, op_seq_, deadline_ms);
   m_.group_reserves->inc();
 
@@ -626,7 +654,7 @@ Response PlacementService::group_commit(const Request& request) {
   record.vm = request.vm_id;
   record.pm = cell;
   record.group = request.group;
-  log_record(std::move(record));
+  log_record(record);
   group_dir_.apply_commit(request.group, request.vm_id, cell);
   m_.group_commits->inc();
 
@@ -646,7 +674,7 @@ Response PlacementService::group_abort(const Request& request) {
     record.op_seq = ++op_seq_;
     record.vm = request.vm_id;
     record.group = request.group;
-    log_record(std::move(record));
+    log_record(record);
     group_dir_.apply_abort(request.group, request.vm_id);
     m_.group_aborts->inc();
   }
@@ -886,12 +914,11 @@ Response PlacementService::health_response() {
   response.ok = true;
   response.op = "health";
   std::size_t queue_depth = 0;
-  bool draining_now = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    queue_depth = queue_.size();
-    draining_now = draining_;
+    queue_depth = inbox_.size();
   }
+  const bool draining_now = draining();
   const bool degraded_now = degraded_.load(std::memory_order_relaxed);
   const char* mode = degraded_now ? "degraded" : (draining_now ? "draining" : "ok");
   // Keep the gauges honest even when nobody scrapes between batches.
@@ -942,7 +969,7 @@ Response PlacementService::util_response(const Request& request) const {
   response.op = "util";
   if (request.pm.has_value()) {
     // Bounds come from the map (fixed at construction), not dc_ — this runs
-    // on connection threads and must never race the worker's ledger.
+    // on submit() callers' threads and must never race the worker's ledger.
     if (*request.pm >= util_map_->pm_count()) {
       response.ok = false;
       response.error = "bad_field";
@@ -1063,7 +1090,7 @@ Response PlacementService::metrics_response() {
 Response PlacementService::drain_response() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    draining_ = true;
+    draining_.store(true, std::memory_order_relaxed);
   }
   const IoStatus status = take_snapshot();
   Response response;
@@ -1158,10 +1185,16 @@ Response PlacementService::execute(const Request& request) {
   return response;
 }
 
+void PlacementService::wake() const {
+  const std::uint64_t one = 1;
+  // Only a saturated counter could fail, and that still leaves it readable.
+  [[maybe_unused]] const ::ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+}
+
 std::future<Response> PlacementService::submit(Request request) {
   // Utilization samples and planner control touch only lock-free state, so
-  // answer them right here on the connection thread: a 10Hz-per-PM feed must
-  // never compete with placements for queue slots or worker time. The
+  // answer them right here on the caller's thread: a 10Hz-per-PM feed must
+  // never compete with placements for inbox slots or loop time. The
   // internal rebalance_scan is the exception — it reads the ledger, so it
   // queues like any mutation.
   if (request.op == RequestOp::kUtil || request.op == RequestOp::kRebalance) {
@@ -1170,34 +1203,87 @@ std::future<Response> PlacementService::submit(Request request) {
                                                      : rebalance_response(request));
     return promise.get_future();
   }
-  // Pre-decode on the submitting (connection) thread: resolve a textual VM
-  // type to its catalog index here so the worker's hot loop never touches
-  // the name map. The map is immutable after construction, so concurrent
-  // lookups are safe; unknown names stay unresolved and are rejected by the
-  // worker with the exact same error as before.
+  // Resolve a textual VM type here so the loop never touches the name map.
+  // The map is immutable after construction, so concurrent lookups are
+  // safe; unknown names stay unresolved and are rejected by the loop with
+  // the exact same error as before.
   if (request.op == RequestOp::kPlace && !request.vm_type_index.has_value()) {
     const auto it = vm_type_by_name_.find(request.vm_type_name);
     if (it != vm_type_by_name_.end()) request.vm_type_index = it->second;
   }
   std::promise<Response> promise;
   std::future<Response> future = promise.get_future();
+  bool queued = false;
+  bool was_empty = false;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!draining_ && !stop_ && queue_.size() < config_.queue_capacity) {
-      queue_.push_back(Pending{std::move(request), std::move(promise), obs::now_ns()});
-      cv_.notify_one();
-      return future;
-    }
-    if (draining_ || stop_) {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (draining() || stop_) {
+      lock.unlock();
       promise.set_value(reject(request, RejectReason::kDraining, "daemon is draining"));
       return future;
     }
-    m_.queue_rejected->inc();
+    if (inbox_.size() < config_.queue_capacity) {
+      was_empty = inbox_.empty();
+      inbox_.push_back(Pending{std::move(request), std::move(promise), obs::now_ns()});
+      queued = true;
+    } else {
+      m_.queue_rejected->inc();
+    }
+  }
+  if (queued) {
+    // Only the empty -> non-empty edge wakes the loop (after the
+    // unlock, so it does not wake into a held lock); the loop keeps polling
+    // while a backlog remains.
+    if (was_empty) wake();
+    return future;
   }
   Response response = reject(request, RejectReason::kQueueFull, "request queue is full");
   response.retry_after_ms = config_.retry_after_ms;
   promise.set_value(std::move(response));
   return future;
+}
+
+void PlacementService::attach(CellServer& server, int listen_fd) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    PRVM_REQUIRE(server_.load(std::memory_order_relaxed) == nullptr,
+                 "a service serves one CellServer at a time");
+    server_.store(&server, std::memory_order_release);
+  }
+  ::epoll_event event{};
+  event.events = EPOLLIN;
+  event.data.ptr = &server;
+  PRVM_REQUIRE(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd, &event) == 0,
+               "cannot register the listener with the service loop");
+}
+
+void PlacementService::detach(CellServer& server) {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (server_.load(std::memory_order_relaxed) != &server) return;
+  if (loop_active_) {
+    // Only the loop may touch its connections: hand it the close.
+    detach_requested_ = true;
+    wake();
+    detached_cv_.wait(lock, [&] { return server_.load(std::memory_order_relaxed) != &server; });
+    return;
+  }
+  server.close_all();
+  server_.store(nullptr, std::memory_order_release);
+}
+
+void PlacementService::detach_server_now() {
+  if (CellServer* server = server_.load(std::memory_order_acquire)) {
+    // Every response a connection is owed must be out of the flush pipeline
+    // before its connection object goes away.
+    flusher_barrier();
+    release_flushed();
+    server->send_pending();
+    server->close_all();
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  server_.store(nullptr, std::memory_order_release);
+  detach_requested_ = false;
+  detached_cv_.notify_all();
 }
 
 void PlacementService::start_flusher() {
@@ -1237,11 +1323,10 @@ void PlacementService::flusher_loop() {
       flush_cv_.wait(lock, [this] { return flusher_stop_ || !flush_queue_.empty(); });
       if (flush_queue_.empty() && flusher_stop_) return;
       // Coalesce adjacent groups up to the cap; the first group is always
-      // taken whole (the constructor guarantees a full batch fits).
+      // taken whole (the constructor guarantees a full pass fits).
       while (!flush_queue_.empty() &&
-             (covered.empty() || ops + flush_queue_.front().batch.size() <=
-                                     config_.flush_group_max)) {
-        ops += flush_queue_.front().batch.size();
+             (covered.empty() || ops + flush_queue_.front().ops <= config_.flush_group_max)) {
+        ops += flush_queue_.front().ops;
         bytes += flush_queue_.front().wal_bytes;
         covered.push_back(std::move(flush_queue_.front()));
         flush_queue_.pop_front();
@@ -1250,9 +1335,10 @@ void PlacementService::flusher_loop() {
     }
 
     // One fsync covers every op of every coalesced group. After a failure
-    // the flusher stops touching the device — the worker drives probes and
+    // the flusher stops touching the device — the loop drives probes and
     // recovery — and every group still in flight is demoted truthfully.
-    std::string failure;
+    FlushDone done;
+    done.seq = covered.back().seq;
     if (!flush_failed_.load(std::memory_order_acquire)) {
       if (bytes > 0) {
         const obs::ScopedTimerNs timer(*m_.wal_flush_ns);
@@ -1262,72 +1348,123 @@ void PlacementService::flusher_loop() {
             std::lock_guard<std::mutex> lock(flush_mu_);
             flusher_status_ = status;
           }
-          failure = status.message();
+          done.failure = status.message();
           flush_failed_.store(true, std::memory_order_release);
         }
       }
     } else {
       std::lock_guard<std::mutex> lock(flush_mu_);
-      failure = flusher_status_.message();
+      done.failure = flusher_status_.message();
     }
     m_.flush_groups->inc();
     m_.flush_group_ops->record(ops);
 
     // Replication rides the flusher: stream the (now locally durable)
     // frames of every coalesced group in one call, then — when an ack
-    // quorum is configured — hold the client acks until enough followers
-    // confirmed, demoting truthfully on a shortfall.
-    bool replicated = true;
-    if (repl_ != nullptr && failure.empty() && !covered.empty()) {
+    // quorum is configured — report whether enough followers confirmed.
+    if (repl_ != nullptr && done.failure.empty()) {
       std::string frames;
       for (const FlushGroup& group : covered) frames += group.repl_frames;
-      replicated = replicate_frames(frames, covered.back().last_seq);
+      done.replicated = replicate_frames(frames, covered.back().last_seq);
     }
 
     const std::uint64_t acked_ns = obs::now_ns();
-    for (FlushGroup& group : covered) {
+    for (const FlushGroup& group : covered) {
       m_.flush_lag_ns->record(acked_ns > group.computed_ns ? acked_ns - group.computed_ns : 0);
-      for (std::size_t i = 0; i < group.batch.size(); ++i) {
-        if (!failure.empty()) {
-          demote_unlogged(group.responses[i], failure);
-        } else if (!replicated) {
-          demote_unreplicated(group.responses[i]);
-        }
-        group.batch[i].promise.set_value(std::move(group.responses[i]));
-      }
     }
 
     std::size_t depth = 0;
     {
       std::lock_guard<std::mutex> lock(flush_mu_);
+      flush_done_.push_back(std::move(done));
       flusher_busy_ = false;
       depth = flush_queue_.size();
       if (flush_queue_.empty()) flush_idle_cv_.notify_all();
     }
     m_.flush_queue_depth->set(static_cast<std::int64_t>(depth));
+    wake();  // the loop releases the covered acks
   }
 }
 
+void PlacementService::release_flushed() {
+  {
+    std::lock_guard<std::mutex> lock(flush_mu_);
+    if (flush_done_.empty()) return;
+    done_scratch_.swap(flush_done_);
+  }
+  for (const FlushDone& done : done_scratch_) {
+    while (!awaiting_.empty() && awaiting_.front().group <= done.seq) {
+      Outbox& box = awaiting_.front();
+      if (box.own_group) {
+        for (Job& job : box.jobs) {
+          if (!done.failure.empty()) {
+            demote_unlogged(job.response, done.failure);
+          } else if (!done.replicated) {
+            demote_unreplicated(job.response);
+          }
+        }
+      }
+      deliver(box);
+      spare_.push_back(std::move(box));
+      awaiting_.pop_front();
+    }
+  }
+  done_scratch_.clear();
+}
+
+void PlacementService::deliver(Outbox& box) {
+  CellServer* server = server_.load(std::memory_order_relaxed);
+  auto promise = box.promises.begin();
+  for (Job& job : box.jobs) {
+    if (job.conn != nullptr) {
+      server->deliver(job.conn, job.response);
+    } else {
+      (promise++)->set_value(std::move(job.response));
+    }
+  }
+  box.jobs.clear();
+  box.promises.clear();
+}
+
 void PlacementService::start() {
-  start_flusher();  // before the worker exists: worker reads flusher_running_ locklessly
+  start_flusher();  // before the loop exists: it reads flusher_running_ locklessly
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (worker_running_) return;
     stop_ = false;
     worker_running_ = true;
+    loop_active_ = true;
     worker_ = std::thread([this] { worker_loop(); });
   }
-  // The planner scans through the request queue, so it only runs while the
-  // worker does (start() is idempotent and so is planner start()).
+  // The planner scans through the inbox, so it only runs while the loop
+  // does (start() is idempotent and so is planner start()).
   if (planner_ != nullptr) planner_->start();
 }
 
-void PlacementService::worker_loop() {
-  std::vector<Pending> batch;
-  batch.reserve(config_.batch_size);
-  std::vector<Response> responses;
-  responses.reserve(config_.batch_size);
+bool PlacementService::take_inbox(bool& inbox_backlog) {
+  bool detach_now = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (stop_) return true;
+    detach_now = detach_requested_;
+    const std::size_t take = std::min(config_.batch_size, inbox_.size());
+    for (std::size_t i = 0; i < take; ++i) {
+      Pending& pending = inbox_.front();
+      Job& job = pass_.jobs.emplace_back();
+      job.request = std::move(pending.request);
+      job.decoded_ns = pending.enqueued_ns;
+      pass_.promises.push_back(std::move(pending.promise));
+      inbox_.pop_front();
+    }
+    inbox_backlog = !inbox_.empty();
+    m_.queue_depth->set(static_cast<std::int64_t>(inbox_.size()));
+    if (!inbox_backlog) drained_cv_.notify_all();
+  }
+  if (detach_now) detach_server_now();
+  return false;
+}
 
+void PlacementService::worker_loop() {
   // Establish replication links before traffic; a follower that is behind
   // gets its catch-up snapshot now rather than on the first flush.
   if (repl_ != nullptr) {
@@ -1335,138 +1472,79 @@ void PlacementService::worker_loop() {
     maybe_send_catchup_snapshot();
   }
 
+  std::array<::epoll_event, 64> events;
+  bool inbox_backlog = false;
+  bool backlog = false;
   while (true) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (!degraded_.load(std::memory_order_relaxed)) {
-        cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      } else {
-        // While degraded the worker must wake up without traffic to probe
-        // storage — sleep only until the next backoff deadline.
+    // Block when idle; poll while decoded work is left over; wake for the
+    // next storage probe or accept retry.
+    int timeout_ms = -1;
+    if (!backlog) {
+      if (degraded_.load(std::memory_order_relaxed)) {
         const std::uint64_t now = io_->now_ms();
-        const std::uint64_t wait_ms = next_probe_at_ms_ > now ? next_probe_at_ms_ - now : 1;
-        cv_.wait_for(lock, std::chrono::milliseconds(wait_ms),
-                     [this] { return stop_ || !queue_.empty(); });
+        timeout_ms = static_cast<int>(
+            std::clamp<std::uint64_t>(next_probe_at_ms_ > now ? next_probe_at_ms_ - now : 1, 1,
+                                      60000));
       }
-      if (stop_) break;
-      const std::size_t take = std::min(config_.batch_size, queue_.size());
-      for (std::size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
+      if (const CellServer* server = server_.load(std::memory_order_acquire)) {
+        const int server_ms = server->timeout_ms();
+        if (server_ms >= 0 && (timeout_ms < 0 || server_ms < timeout_ms)) {
+          timeout_ms = server_ms;
+        }
       }
-      m_.queue_depth->set(static_cast<std::int64_t>(queue_.size()));
-    }
-
-    // One clock read covers the whole batch (queue wait is dominated by the
-    // time spent queued, not the pop loop above).
-    if (!batch.empty()) {
-      const std::uint64_t now = obs::now_ns();
-      for (const Pending& pending : batch) {
-        m_.queue_wait_ns->record(now > pending.enqueued_ns ? now - pending.enqueued_ns : 0);
-      }
-    }
-
-    // A group flush failed since the last pass: let the flusher finish
-    // demoting what it still holds, then take its status as the
-    // degraded-mode trigger (same transition an inline flush failure makes).
-    if (flush_failed_.load(std::memory_order_acquire) &&
-        !degraded_.load(std::memory_order_relaxed)) {
-      flusher_barrier();
-      IoStatus status;
-      {
-        std::lock_guard<std::mutex> lock(flush_mu_);
-        status = flusher_status_;
-      }
-      enter_degraded(status);
-    }
-
-    maybe_probe_storage();
-
-    // A link parked itself (gap, follower restart, rejection) since the
-    // last pass: only this thread may serialize the authoritative state.
-    if (repl_ != nullptr && !degraded_.load(std::memory_order_relaxed)) {
-      maybe_send_catchup_snapshot();
-    }
-
-    if (batch.empty()) {  // degraded-mode probe wakeup with no traffic
-      std::lock_guard<std::mutex> lock(mu_);
-      if (queue_.empty()) drained_cv_.notify_all();
-      continue;
-    }
-
-    responses.clear();
-    for (const Pending& pending : batch) responses.push_back(execute_locked(pending.request));
-    const std::size_t batch_count = batch.size();
-    // Durability barrier: every decision of this batch hits the log BEFORE
-    // any acknowledgement leaves. Pipelined, the flusher owns that barrier:
-    // it flushes the group's frames (coalescing neighbors) and only then
-    // resolves the promises, while this thread already computes the next
-    // batch. Inline (no flusher, or degraded), flush-then-ack happens right
-    // here; a failed flush demotes the would-be acks and suspends writes.
-    const bool pipelined = flusher_running_ && !degraded_.load(std::memory_order_relaxed);
-    if (pipelined) {
-      FlushGroup group;
-      group.batch = std::move(batch);
-      group.responses = std::move(responses);
-      group.wal_bytes = batch_wal_bytes_;
-      group.computed_ns = obs::now_ns();
-      group.repl_frames = std::move(batch_repl_frames_);
-      group.last_seq = op_seq_;
-      batch_wal_bytes_ = 0;
-      batch_repl_frames_.clear();
-      std::size_t depth = 0;
-      {
-        std::lock_guard<std::mutex> lock(flush_mu_);
-        flush_queue_.push_back(std::move(group));
-        depth = flush_queue_.size();
-      }
-      m_.flush_queue_depth->set(static_cast<std::int64_t>(depth));
-      flush_cv_.notify_one();
     } else {
-      if (wal_ != nullptr && wal_dirty_) {
-        const IoStatus status = flush_wal();
-        if (!status.ok()) {
-          enter_degraded(status);
-          for (Response& response : responses) demote_unlogged(response, last_io_error_);
-        }
-      }
-      batch_wal_bytes_ = 0;
-      if (repl_ != nullptr) {
-        if (!degraded_.load(std::memory_order_relaxed) &&
-            !replicate_frames(batch_repl_frames_, op_seq_)) {
-          for (Response& response : responses) demote_unreplicated(response);
-        }
-        batch_repl_frames_.clear();
-      }
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        batch[i].promise.set_value(std::move(responses[i]));
+      timeout_ms = 0;
+    }
+    int ready = ::epoll_wait(epoll_fd_, events.data(), static_cast<int>(events.size()),
+                             timeout_ms);
+    if (ready < 0) ready = 0;  // EINTR: just run the pass
+
+    bool woke = false;
+    for (int i = 0; i < ready; ++i) {
+      if (events[i].data.ptr == nullptr) {
+        std::uint64_t count = 0;
+        [[maybe_unused]] const ::ssize_t n = ::read(wake_fd_, &count, sizeof(count));
+        woke = true;
       }
     }
-    m_.batches->inc();
-    m_.batch_size->record(batch_count);
-    m_.max_batch->set_max(static_cast<std::int64_t>(batch_count));
-    max_batch_seen_ = std::max<std::uint64_t>(max_batch_seen_, batch_count);
-    m_.wal_lag->set(static_cast<std::int64_t>(op_seq_ - snapshot_op_seq_));
-    batch.clear();
-    responses.clear();
-
-    if (config_.snapshot_every_ops > 0 && !degraded_.load(std::memory_order_relaxed) &&
-        op_seq_ - snapshot_op_seq_ >= config_.snapshot_every_ops) {
-      const IoStatus status = take_snapshot();
-      if (!status.ok()) enter_degraded(status);
+    CellServer* const before = server_.load(std::memory_order_relaxed);
+    if (woke || inbox_backlog) {
+      if (take_inbox(inbox_backlog)) break;
+      release_flushed();
     }
 
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (queue_.empty()) drained_cv_.notify_all();
+    CellServer* server = server_.load(std::memory_order_acquire);
+    if (server != nullptr) {
+      // A detach this pass freed the connections these events point at.
+      if (server == before) {
+        for (int i = 0; i < ready; ++i) {
+          if (events[i].data.ptr != nullptr) server->on_event(events[i].data.ptr, events[i].events);
+        }
+      }
+      server->collect(pass_.jobs, config_.batch_size);
     }
+    backlog = inbox_backlog || (server != nullptr && server->has_backlog());
+
+    run_pass();
+    if (server != nullptr) server->send_pending();
   }
 
-  // Fail whatever is still queued (hard stop path).
+  // Exit: settle the pipeline so every executed request is answered, then
+  // fail what is still queued and release the connections.
+  flusher_barrier();
+  release_flushed();
   std::deque<Pending> leftover;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    leftover.swap(queue_);
+    loop_active_ = false;
+    leftover.swap(inbox_);
+    if (CellServer* server = server_.load(std::memory_order_relaxed)) {
+      server->send_pending();
+      server->close_all();
+      server_.store(nullptr, std::memory_order_release);
+    }
+    detach_requested_ = false;
+    detached_cv_.notify_all();
     drained_cv_.notify_all();
   }
   for (Pending& pending : leftover) {
@@ -1475,18 +1553,127 @@ void PlacementService::worker_loop() {
   }
 }
 
+void PlacementService::run_pass() {
+  // A group flush failed since the last pass: let the flusher finish
+  // settling what it still holds, then take its status as the degraded-mode
+  // trigger (same transition an inline flush failure makes).
+  if (flush_failed_.load(std::memory_order_acquire) &&
+      !degraded_.load(std::memory_order_relaxed)) {
+    flusher_barrier();
+    release_flushed();
+    IoStatus status;
+    {
+      std::lock_guard<std::mutex> lock(flush_mu_);
+      status = flusher_status_;
+    }
+    enter_degraded(status);
+  }
+
+  maybe_probe_storage();
+
+  // A link parked itself (gap, follower restart, rejection) since the last
+  // pass: only this thread may serialize the authoritative state.
+  if (repl_ != nullptr && !degraded_.load(std::memory_order_relaxed)) {
+    maybe_send_catchup_snapshot();
+  }
+
+  std::vector<Job>& jobs = pass_.jobs;
+  if (jobs.empty()) return;
+
+  // One clock read covers the pass: queue wait runs from a request's recv
+  // (or submit) to the start of the pass that executes it.
+  const std::uint64_t start_ns = obs::now_ns();
+  for (const Job& job : jobs) {
+    m_.queue_wait_ns->record(start_ns > job.decoded_ns ? start_ns - job.decoded_ns : 0);
+  }
+  for (Job& job : jobs) {
+    if (!job.answered) job.response = execute_locked(job.request);
+  }
+  const std::size_t count = jobs.size();
+
+  // Durability barrier: every decision of this pass hits the log BEFORE any
+  // acknowledgement leaves. Pipelined, the flusher owns that barrier: it
+  // flushes the group's frames (coalescing neighbors) and posts the result
+  // back, while this thread already computes the next pass. Inline (no
+  // flusher, or degraded), flush-then-ack happens right here; a failed
+  // flush demotes the would-be acks and suspends writes.
+  const bool pipelined = flusher_running_ && !degraded_.load(std::memory_order_relaxed);
+  if (pipelined) {
+    FlushGroup group;
+    group.seq = ++last_group_;
+    group.ops = count;
+    group.wal_bytes = batch_wal_bytes_;
+    group.computed_ns = obs::now_ns();
+    group.repl_frames = std::move(batch_repl_frames_);
+    group.last_seq = op_seq_;
+    batch_wal_bytes_ = 0;
+    batch_repl_frames_.clear();
+    std::size_t depth = 0;
+    {
+      std::lock_guard<std::mutex> lock(flush_mu_);
+      flush_queue_.push_back(std::move(group));
+      depth = flush_queue_.size();
+    }
+    m_.flush_queue_depth->set(static_cast<std::int64_t>(depth));
+    flush_cv_.notify_one();
+    pass_.group = last_group_;
+    pass_.own_group = true;
+  } else {
+    if (wal_ != nullptr && wal_dirty_) {
+      const IoStatus status = flush_wal();
+      if (!status.ok()) {
+        enter_degraded(status);
+        for (Job& job : jobs) demote_unlogged(job.response, last_io_error_);
+      }
+    }
+    batch_wal_bytes_ = 0;
+    if (repl_ != nullptr) {
+      if (!degraded_.load(std::memory_order_relaxed) &&
+          !replicate_frames(batch_repl_frames_, op_seq_)) {
+        for (Job& job : jobs) demote_unreplicated(job.response);
+      }
+      batch_repl_frames_.clear();
+    }
+    pass_.group = last_group_;
+    pass_.own_group = false;
+  }
+  if (pipelined || !awaiting_.empty()) {
+    // Acks wait for their own group — or, to keep per-connection order,
+    // behind the groups still in flight.
+    awaiting_.push_back(std::move(pass_));
+    pass_ = Outbox{};
+    if (!spare_.empty()) {
+      pass_ = std::move(spare_.back());
+      spare_.pop_back();
+    }
+  } else {
+    deliver(pass_);
+  }
+  m_.batches->inc();
+  m_.batch_size->record(count);
+  m_.max_batch->set_max(static_cast<std::int64_t>(count));
+  max_batch_seen_ = std::max<std::uint64_t>(max_batch_seen_, count);
+  m_.wal_lag->set(static_cast<std::int64_t>(op_seq_ - snapshot_op_seq_));
+
+  if (config_.snapshot_every_ops > 0 && !degraded_.load(std::memory_order_relaxed) &&
+      op_seq_ - snapshot_op_seq_ >= config_.snapshot_every_ops) {
+    const IoStatus status = take_snapshot();
+    if (!status.ok()) enter_degraded(status);
+  }
+}
+
 void PlacementService::drain() {
-  // Planner first, while the worker is still alive: its in-flight round gets
+  // Planner first, while the loop is still alive: its in-flight round gets
   // real answers (or a truthful draining rejection) instead of a futures
-  // deadlock against a worker that already exited.
+  // deadlock against a loop that already exited.
   if (planner_ != nullptr) planner_->stop();
   {
     std::unique_lock<std::mutex> lock(mu_);
-    draining_ = true;
+    draining_.store(true, std::memory_order_relaxed);
     if (worker_running_) {
-      drained_cv_.wait(lock, [this] { return queue_.empty(); });
+      drained_cv_.wait(lock, [this] { return inbox_.empty(); });
       stop_ = true;
-      cv_.notify_all();
+      wake();
     }
   }
   if (worker_.joinable()) worker_.join();
@@ -1494,11 +1681,10 @@ void PlacementService::drain() {
     std::lock_guard<std::mutex> lock(mu_);
     worker_running_ = false;
   }
-  // The flusher still holds the tail of the pipeline: flush and ack those
-  // groups (the acks are truthful — stop_flusher only returns once every
-  // queued group hit the device or was demoted) before the final snapshot.
+  // The loop settled the flush pipeline on exit; join the idle flusher
+  // before the final snapshot.
   stop_flusher();
-  // Best effort: if the final snapshot fails, the per-batch WAL flushes
+  // Best effort: if the final snapshot fails, the per-pass WAL flushes
   // already cover every acknowledged op, so the next boot replays instead
   // of starting from the snapshot alone.
   const IoStatus status = take_snapshot();
@@ -1511,19 +1697,19 @@ void PlacementService::stop_now() {
     std::lock_guard<std::mutex> lock(mu_);
     if (!worker_running_ && !worker_.joinable()) return;
     stop_ = true;
-    draining_ = true;
-    cv_.notify_all();
+    draining_.store(true, std::memory_order_relaxed);
+    wake();
   }
   if (worker_.joinable()) worker_.join();
-  stop_flusher();  // drains + acks (or demotes) whatever the worker handed off
+  stop_flusher();
   std::lock_guard<std::mutex> lock(mu_);
   worker_running_ = false;
 }
 
 ServiceStats PlacementService::stats() const {
   // Counters live in the registry (atomic, readable any time); the plain
-  // members are worker-owned, so this copy is only guaranteed consistent
-  // when the worker is stopped (tests) or via the in-band stats op.
+  // members are loop-owned, so this copy is only guaranteed consistent
+  // when the loop is stopped (tests) or via the in-band stats op.
   std::lock_guard<std::mutex> lock(mu_);
   ServiceStats copy;
   copy.placed = m_.placed->value();
@@ -1546,11 +1732,6 @@ ServiceStats PlacementService::stats() const {
   copy.io_errors = m_.io_errors->value();
   copy.last_io_error = last_io_error_;
   return copy;
-}
-
-bool PlacementService::draining() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return draining_;
 }
 
 bool PlacementService::degraded() const { return degraded_.load(std::memory_order_relaxed); }

@@ -2,27 +2,46 @@
 // pipeline around one Datacenter + PageRankVM engine, with write-ahead
 // logging and snapshot-based crash recovery.
 //
-// Threading model: any number of producer threads call submit(); one worker
+// Threading model: one loop thread per cell, run to completion. The worker
 // thread owns every piece of mutable placement state (ledger, engine,
-// admission controller, WAL) and drains the queue in batches of up to
-// `batch_size`. Batching amortizes the queue lock, the engine's warm
-// caches, and — critically — WAL durability: one write()/fsync() per batch,
-// not per request. Requests are acknowledged only AFTER their WAL batch is
-// flushed, so every acknowledged decision survives kill -9.
+// admission controller, WAL) and is also the cell's only socket thread: it
+// epoll_waits on an eventfd plus, when a CellServer is attached, the
+// listener and every connection (cell_server.hpp). Each pass it
 //
-// Pipeline (DESIGN.md §6): the worker executes every request serially, in
-// arrival order. WAL group commit (`flush_group_max > 0`) overlaps that
-// compute with durability without changing any result or guarantee: a
-// dedicated flusher thread makes batches durable (one write/fsync covering
-// up to flush_group_max ops) while the worker computes the next batch;
-// promises resolve only after the covering flush, so ack-after-flush
-// durability is unchanged. A failed group flush demotes every covered (and
-// queued) mutating response and degrades the service, exactly like the
-// inline path.
+//   1. handles ready fds: accepts, one non-blocking recv per readable
+//      connection, retries pending sends;
+//   2. takes requests, up to `batch_size`, from the in-process inbox and
+//      from the connections' decoded frames, in arrival order;
+//   3. executes each through execute_locked, serially;
+//   4. appends the pass's WAL frames and flushes them once (inline), or
+//      hands them to the group-commit flusher;
+//   5. encodes every response into its connection's output buffer and
+//      sends each buffer with one sendmsg — or resolves the in-process
+//      promise.
 //
-// Backpressure: a full queue rejects immediately with `queue_full` and a
-// client retry hint instead of blocking the socket threads (tail latency
-// stays bounded; clients own their retry policy).
+// Requests are acknowledged only AFTER their WAL bytes are flushed, so
+// every acknowledged decision survives kill -9. Responses leave in request
+// order per connection, including those answered without the engine
+// (decode errors, util, rebalance). The loop blocks in epoll_wait when idle
+// (no busy polling) and wakes on fd readiness, the eventfd, or a timeout
+// for degraded-mode storage probes.
+//
+// In-process submit() is a thin adapter over the same loop: a mutex-guarded
+// inbox plus an eventfd wake; util and rebalance answer on the caller's
+// thread. The planner, embedded cells, tests and benches use it.
+//
+// WAL group commit (`flush_group_max > 0`) overlaps compute with durability
+// without changing any result or guarantee (DESIGN.md §6): a flusher thread
+// makes passes durable (one write/fsync covering up to flush_group_max ops)
+// while the loop computes the next pass; it posts each finished group back
+// through the eventfd, and the loop releases the group's responses only
+// then. A failed group flush demotes every covered mutating response and
+// degrades the service, exactly like the inline path.
+//
+// Backpressure: a full inbox rejects immediately with `queue_full` and a
+// retry hint; a socket connection stops being read once `max_pipeline` of
+// its responses are unsent (tail latency and memory stay bounded; clients
+// own their retry policy).
 //
 // Recovery: on construction with a data directory, the service loads the
 // newest snapshot (if any) and re-applies WAL records with op_seq beyond
@@ -77,8 +96,9 @@
 namespace prvm {
 
 struct ServiceConfig {
+  /// In-process submit() inbox capacity; submits beyond it get queue_full.
   std::size_t queue_capacity = 4096;
-  /// Max requests drained per engine pass (K). Also the WAL flush batch.
+  /// Max requests executed per loop pass (K). Also the WAL flush batch.
   std::size_t batch_size = 64;
   /// Snapshot after this many mutating ops; 0 = only the final drain
   /// snapshot. Snapshotting truncates the WAL (op_seq gating makes the
@@ -108,13 +128,13 @@ struct ServiceConfig {
   /// daemon passes obs::global_registry_ptr() so one exposition covers the
   /// whole process. See DESIGN.md §5.
   std::shared_ptr<obs::Registry> metrics;
-  /// WAL group commit: when > 0, a dedicated flusher thread makes batches
+  /// WAL group commit: when > 0, a dedicated flusher thread makes passes
   /// durable — one write (+ optional fsync) covering up to this many ops —
-  /// while the worker computes the next batch; acknowledgements release only
-  /// after their covering flush. 0 = the worker flushes inline after every
-  /// batch (the legacy path). When enabled the value must be >= batch_size
-  /// so one full batch always fits a group (ServiceConfigError otherwise —
-  /// silently clamping would hide a misconfigured durability pipeline).
+  /// while the loop computes the next pass; acknowledgements release only
+  /// after their covering flush. 0 = the loop flushes inline after every
+  /// pass. When enabled the value must be >= batch_size so one full pass
+  /// always fits a group (ServiceConfigError otherwise — silently clamping
+  /// would hide a misconfigured durability pipeline).
   std::size_t flush_group_max = 0;
   /// Identity within a multi-cell deployment (DESIGN.md §7). Unset = a
   /// standalone single-cell daemon; health then reports cell_id 0 with role
@@ -152,8 +172,8 @@ struct ServiceStats {
   std::uint64_t migrated = 0;
   std::uint64_t rejected = 0;         ///< admission rejections (not queue_full)
   std::uint64_t queue_rejected = 0;   ///< backpressure rejections
-  std::uint64_t batches = 0;          ///< worker drain passes
-  std::uint64_t max_batch = 0;        ///< largest single drain
+  std::uint64_t batches = 0;          ///< loop passes that executed requests
+  std::uint64_t max_batch = 0;        ///< most requests in one pass
   std::uint64_t snapshots = 0;
   std::uint64_t replayed_records = 0; ///< WAL records applied at startup
   std::uint64_t op_seq = 0;           ///< last assigned operation sequence
@@ -167,6 +187,9 @@ struct ServiceStats {
   std::uint64_t io_errors = 0;        ///< WAL/snapshot/probe IO failures observed
   std::string last_io_error;          ///< most recent IO failure (errno-rich)
 };
+
+class CellServer;
+struct CellConnection;
 
 class PlacementService : public RequestSink {
  public:
@@ -182,40 +205,40 @@ class PlacementService : public RequestSink {
   PlacementService(const PlacementService&) = delete;
   PlacementService& operator=(const PlacementService&) = delete;
 
-  /// Starts the worker thread. Idempotent.
+  /// Starts the loop thread. Idempotent.
   void start();
 
   /// Graceful shutdown: stop admitting (queue_full -> draining), process
   /// everything already queued, write a final snapshot, truncate the WAL,
-  /// join the worker. Idempotent.
+  /// join the loop. An attached CellServer loses its connections. Idempotent.
   void drain();
 
-  /// Hard stop: worker finishes its current batch and exits; queued
+  /// Hard stop: the loop finishes its current pass and exits; queued
   /// requests are failed with `draining`; NO final snapshot is written.
   /// This is the in-process stand-in for kill -9 in recovery tests (the
   /// WAL alone must reconstruct acknowledged state).
   void stop_now();
 
-  /// Enqueues a request. The future is satisfied by the worker after the
-  /// batch's WAL flush; backpressure and draining rejections resolve
-  /// immediately.
+  /// Enqueues a request in the in-process inbox. The future is satisfied by
+  /// the loop after the pass's WAL flush; backpressure and draining
+  /// rejections, util and rebalance resolve immediately.
   std::future<Response> submit(Request request) override;
 
-  /// Synchronous execution, bypassing the queue. Only safe when the worker
-  /// is not running (replay, single-threaded tests, benchmarks).
+  /// Synchronous execution, bypassing the loop. Only safe when the loop is
+  /// not running (replay, single-threaded tests, benchmarks).
   Response execute(const Request& request);
 
   /// True while this node serves as a replication follower (mutations are
   /// rejected with not_leader; repl_* ops and reads are served).
   bool is_follower() const { return follower_.load(std::memory_order_relaxed); }
 
-  /// Read-side accessors. Only consistent while the worker is stopped.
+  /// Read-side accessors. Only consistent while the loop is stopped.
   const Datacenter& datacenter() const { return dc_; }
   const AdmissionController& admission() const { return admission_; }
   const GroupDirectory& group_directory() const { return group_dir_; }
   const Catalog& catalog() const { return dc_.catalog(); }
   ServiceStats stats() const;
-  bool draining() const;
+  bool draining() const { return draining_.load(std::memory_order_relaxed); }
   /// True while storage is failing and mutating requests are rejected.
   bool degraded() const;
   /// The registry every service/engine/IO metric of this instance lives in
@@ -228,14 +251,55 @@ class PlacementService : public RequestSink {
   RebalancePlanner* rebalancer() { return planner_.get(); }
 
  private:
+  friend class CellServer;
+
+  /// An in-process submit() waiting in the inbox.
   struct Pending {
     Request request;
     std::promise<Response> promise;
     std::uint64_t enqueued_ns = 0;  ///< submit() timestamp (queue-wait metric)
   };
 
+  /// One request of a loop pass and where its response goes.
+  struct Job {
+    Request request;
+    Response response;
+    /// Socket origin; null = in-process, answered through the next promise
+    /// of the pass (promises keep job order).
+    CellConnection* conn = nullptr;
+    std::uint64_t decoded_ns = 0;  ///< recv or submit clock (queue-wait start)
+    bool answered = false;         ///< decode error: response preset, not executed
+  };
+
+  /// The responses of one pass, delivered together once the flush group
+  /// `group` is durable (or at once when nothing is awaiting a flush).
+  struct Outbox {
+    std::vector<Job> jobs;
+    std::vector<std::promise<Response>> promises;
+    std::uint64_t group = 0;
+    /// The group holds this pass's WAL frames: a failed or unreplicated
+    /// flush demotes its acks. False when the pass only waits behind
+    /// earlier groups to keep response order.
+    bool own_group = false;
+  };
+
   void init_metrics();
   void worker_loop();
+  /// Inbox intake and loop control (stop, server detach) under mu_; true
+  /// when the loop must exit.
+  bool take_inbox(bool& inbox_backlog);
+  /// Executes the current pass and routes its responses.
+  void run_pass();
+  /// Hands every response of `box` to its connection or promise.
+  void deliver(Outbox& box);
+  /// Releases outboxes whose flush groups the flusher reported done.
+  void release_flushed();
+  /// Loop-side server detach: quiesces, then closes every connection.
+  void detach_server_now();
+  void wake() const;
+  /// Called by CellServer on the caller's thread.
+  void attach(CellServer& server, int listen_fd);
+  void detach(CellServer& server);
   Response execute_locked(const Request& request);
   Response place(const Request& request);
   Response release(const Request& request);
@@ -252,7 +316,7 @@ class PlacementService : public RequestSink {
   Response drain_response();
   // --- online rebalancer (DESIGN.md §9) ---
   /// Records one utilization sample. Lock-free; submit() answers these on
-  /// the connection thread without a queue slot.
+  /// the caller's thread without an inbox slot.
   Response util_response(const Request& request) const;
   /// Planner status/trigger/pause/resume; atomics only, any thread.
   Response rebalance_response(const Request& request) const;
@@ -288,31 +352,37 @@ class PlacementService : public RequestSink {
   std::optional<std::size_t> resolve_vm_type(const Request& request) const;
   bool feasible_anywhere(std::size_t vm_type, const PlacementConstraints& constraints) const;
   void apply_wal_record(const WalRecord& record);
-  void log_record(WalRecord record);
+  void log_record(const WalRecord& record);
   /// Timed, counted wal_->flush(); clears wal_dirty_.
   IoStatus flush_wal();
   IoStatus take_snapshot();
   void recover(const std::vector<std::size_t>& fleet);
 
   // --- WAL group commit (flusher thread) ---
-  /// A computed batch awaiting durability: the flusher flushes its WAL bytes
-  /// (coalesced with neighbors up to flush_group_max ops) and only then
-  /// resolves the promises.
+  /// A computed pass awaiting durability: the flusher flushes its WAL bytes
+  /// (coalesced with neighbors up to flush_group_max ops) and posts the
+  /// result back; the loop then releases the pass's Outbox.
   struct FlushGroup {
-    std::vector<Pending> batch;
-    std::vector<Response> responses;
-    std::size_t wal_bytes = 0;        ///< frame bytes this batch appended
+    std::uint64_t seq = 0;            ///< group number, increasing
+    std::size_t ops = 0;              ///< requests of the pass
+    std::size_t wal_bytes = 0;        ///< frame bytes this pass appended
     std::uint64_t computed_ns = 0;    ///< compute-done timestamp (flush-lag metric)
     std::string repl_frames;          ///< the same frames, for replication
     std::uint64_t last_seq = 0;       ///< op_seq of the group's last record
   };
+  /// Flusher -> loop: every group up to `seq` is settled with this verdict.
+  struct FlushDone {
+    std::uint64_t seq = 0;
+    std::string failure;      ///< flush error; empty = durable
+    bool replicated = true;   ///< replication quorum met (or not required)
+  };
   void start_flusher();
-  /// Flushes and acks everything still queued, then joins the flusher.
+  /// Flushes everything still queued, then joins the flusher.
   void stop_flusher();
   void flusher_loop();
   /// Blocks until the flusher queue is empty and the flusher is idle. The
-  /// worker quiesces the pipeline this way before any snapshot, WAL
-  /// truncate or storage-probe recovery.
+  /// loop quiesces the pipeline this way before any snapshot, WAL truncate,
+  /// storage-probe recovery or server detach.
   void flusher_barrier();
   /// Builds a structured rejection and bumps its per-reason verdict counter
   /// (const: counter updates are atomic, no service state changes).
@@ -441,7 +511,7 @@ class PlacementService : public RequestSink {
   /// Role flag; flips exactly once, on promote. Atomic so submit-side
   /// callers (router health checks, tools) can read it without the lock.
   std::atomic<bool> follower_{false};
-  /// Leader side, worker-owned: frames of the batch being computed, handed
+  /// Leader side, worker-owned: frames of the pass being computed, handed
   /// to the flusher with the FlushGroup (mirrors batch_wal_bytes_).
   std::string batch_repl_frames_;
   /// Follower side, worker-owned: snapshot chunks accumulated during
@@ -456,12 +526,29 @@ class PlacementService : public RequestSink {
   std::string last_io_error_;
   std::uint64_t max_batch_seen_ = 0;
 
+  // --- the loop (worker thread) ---
+  int epoll_fd_ = -1;
+  int wake_fd_ = -1;  ///< eventfd: inbox, flusher completions, control
+  /// Attached socket front end. Set by attach() before its listener enters
+  /// the epoll set; cleared only by the loop (or by detach() while no loop
+  /// runs).
+  std::atomic<CellServer*> server_{nullptr};
+  Outbox pass_;                       ///< the pass being built / executed
+  std::deque<Outbox> awaiting_;       ///< passes waiting for their flush group
+  std::vector<Outbox> spare_;         ///< recycled outboxes (keep capacity)
+  std::uint64_t last_group_ = 0;      ///< newest group handed to the flusher
+  std::vector<FlushDone> flush_done_; ///< guarded by flush_mu_
+  std::vector<FlushDone> done_scratch_;
+  WalRecord wal_record_;              ///< reused by the mutation handlers
+
   mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::condition_variable drained_cv_;
-  std::deque<Pending> queue_;
-  bool draining_ = false;
-  bool stop_ = false;
+  std::condition_variable drained_cv_;   ///< inbox emptied (drain waits)
+  std::condition_variable detached_cv_;  ///< server detach completed
+  std::deque<Pending> inbox_;            ///< guarded by mu_
+  std::atomic<bool> draining_{false};    ///< written under mu_
+  bool stop_ = false;                    ///< guarded by mu_
+  bool detach_requested_ = false;        ///< guarded by mu_
+  bool loop_active_ = false;             ///< guarded by mu_: the loop serves
   bool worker_running_ = false;
   std::thread worker_;
 };

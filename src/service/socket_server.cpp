@@ -1,18 +1,22 @@
 #include "service/socket_server.hpp"
 
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <deque>
 #include <filesystem>
+#include <optional>
 
 #include "common/check.hpp"
 #include "service/binary_protocol.hpp"
@@ -20,7 +24,8 @@
 namespace prvm {
 
 struct SocketServer::Connection {
-  int fd = -1;
+  int fd = -1;  ///< closed by the reader when it finishes (under the server's mu_)
+  std::atomic<bool> finished{false};  ///< both threads done; join and free
   std::thread reader;
   std::thread writer;
   /// Wire protocol, set by the reader's preamble sniff before the first
@@ -65,14 +70,6 @@ std::future<Response> ready_response(Response response) {
   return promise.get_future();
 }
 
-Response protocol_error_response(const ProtocolError& error) {
-  Response response;
-  response.ok = false;
-  response.error = error.code;
-  response.message = error.message;
-  return response;
-}
-
 }  // namespace
 
 SocketServer::SocketServer(RequestSink& service, SocketServerConfig config)
@@ -80,44 +77,93 @@ SocketServer::SocketServer(RequestSink& service, SocketServerConfig config)
 
 SocketServer::~SocketServer() { stop(); }
 
-void SocketServer::start() {
-  PRVM_REQUIRE(listen_fd_ < 0, "server already started");
-  if (!config_.unix_path.empty()) {
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    PRVM_REQUIRE(listen_fd_ >= 0, "cannot create unix socket");
+int open_listener(const SocketServerConfig& config, int& port) {
+  port = -1;
+  int fd = -1;
+  // Closes the half-built listener before reporting, so a failed start
+  // leaks no descriptor.
+  const auto require = [&fd](bool ok, const std::string& message) {
+    if (ok) return;
+    if (fd >= 0) ::close(fd);
+    PRVM_REQUIRE(false, message);
+  };
+  if (!config.unix_path.empty()) {
+    fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    require(fd >= 0, "cannot create unix socket");
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
-    PRVM_REQUIRE(config_.unix_path.size() < sizeof(addr.sun_path),
-                 "unix socket path too long");
-    std::strncpy(addr.sun_path, config_.unix_path.c_str(), sizeof(addr.sun_path) - 1);
-    ::unlink(config_.unix_path.c_str());  // stale socket from a previous run
-    PRVM_REQUIRE(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0,
-                 "cannot bind " + config_.unix_path);
+    require(config.unix_path.size() < sizeof(addr.sun_path), "unix socket path too long");
+    std::strncpy(addr.sun_path, config.unix_path.c_str(), sizeof(addr.sun_path) - 1);
+    ::unlink(config.unix_path.c_str());  // stale socket from a previous run
+    require(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0,
+            "cannot bind " + config.unix_path);
   } else {
-    PRVM_REQUIRE(config_.tcp_port >= 0, "no unix path and no TCP port configured");
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    PRVM_REQUIRE(listen_fd_ >= 0, "cannot create TCP socket");
+    require(config.tcp_port >= 0, "no unix path and no TCP port configured");
+    fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    require(fd >= 0, "cannot create TCP socket");
     const int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(config_.tcp_port));
-    PRVM_REQUIRE(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0,
-                 "cannot bind TCP port " + std::to_string(config_.tcp_port));
+    addr.sin_port = htons(static_cast<std::uint16_t>(config.tcp_port));
+    require(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0,
+            "cannot bind TCP port " + std::to_string(config.tcp_port));
     sockaddr_in bound{};
     socklen_t len = sizeof(bound);
-    ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-    port_ = ntohs(bound.sin_port);
+    ::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len);
+    port = ntohs(bound.sin_port);
   }
-  PRVM_REQUIRE(::listen(listen_fd_, config_.backlog) == 0, "listen failed");
+  require(::listen(fd, config.backlog) == 0, "listen failed");
+  ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK);
+  return fd;
+}
+
+void SocketServer::start() {
+  PRVM_REQUIRE(listen_fd_ < 0, "server already started");
+  listen_fd_ = open_listener(config_, port_);
+  // The accept loop blocks in poll(); accept itself stays non-blocking so a
+  // connection that vanished between the two cannot wedge it.
   accept_thread_ = std::thread([this] { accept_loop(); });
 }
 
 void SocketServer::accept_loop() {
+  const int listen_fd = listen_fd_;
   while (true) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) return;  // listener closed during stop()
+    ::pollfd pfd{};
+    pfd.fd = listen_fd;
+    pfd.events = POLLIN;
+    // stop() wakes the poll by shutting the listener down; the timeout is a
+    // backstop for platforms where that does not wake it.
+    const int ready = ::poll(&pfd, 1, 1000);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (stopping_) return;
+    }
+    if (ready == 0) continue;
+    if (ready < 0) {
+      if (errno == EINTR) continue;
+      return;
+    }
+    if ((pfd.revents & (POLLNVAL | POLLERR)) != 0) return;  // listener closed
+    const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
+    if (fd < 0) {
+      // Fd exhaustion and aborted handshakes are transient: back off and
+      // keep serving. Only a closed listener ends the loop.
+      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS || errno == ENOMEM) {
+        {
+          std::lock_guard<std::mutex> lock(mu_);
+          reap_finished();
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        continue;
+      }
+      if (errno == EINTR || errno == ECONNABORTED || errno == EAGAIN ||
+          errno == EWOULDBLOCK || errno == EPROTO) {
+        continue;
+      }
+      return;
+    }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));  // no-op on UDS
 
@@ -126,11 +172,26 @@ void SocketServer::accept_loop() {
       ::close(fd);
       return;
     }
+    reap_finished();
     auto connection = std::make_unique<Connection>();
     Connection* raw = connection.get();
     raw->fd = fd;
     connections_.push_back(std::move(connection));
     raw->reader = std::thread([this, raw] { serve_connection(raw); });
+  }
+}
+
+void SocketServer::reap_finished() {
+  for (std::size_t i = 0; i < connections_.size();) {
+    Connection* connection = connections_[i].get();
+    if (!connection->finished.load(std::memory_order_acquire)) {
+      ++i;
+      continue;
+    }
+    // The reader joined its writer and closed the fd before flagging.
+    if (connection->reader.joinable()) connection->reader.join();
+    connections_[i] = std::move(connections_.back());
+    connections_.pop_back();
   }
 }
 
@@ -205,37 +266,20 @@ void SocketServer::serve_connection(Connection* connection) {
     }
   });
 
-  // Sniff the protocol off the connection's first bytes: only a PRVB1
-  // client starts with 'P' (JSON-lines requests lead with '{' or
-  // whitespace), and only the exact 5-byte preamble selects binary — a
-  // mismatch falls back to the JSON path, where it reports as bad_json.
+  // Sniff the protocol off the connection's first bytes.
   char buf[64 * 1024];
   std::string prefix;
-  bool binary = false;
-  bool eof = false;
-  while (true) {
+  std::optional<bool> binary;
+  while (!binary.has_value()) {
     const ::ssize_t n = ::recv(connection->fd, buf, sizeof(buf), 0);
-    if (n <= 0) {
-      eof = true;
-      break;
-    }
+    if (n <= 0) break;
     prefix.append(buf, static_cast<std::size_t>(n));
-    if (prefix[0] != kBinaryPreamble[0]) break;
-    if (prefix.size() >= sizeof(kBinaryPreamble)) {
-      if (std::memcmp(prefix.data(), kBinaryPreamble, sizeof(kBinaryPreamble)) == 0) {
-        binary = true;
-        prefix.erase(0, sizeof(kBinaryPreamble));
-      }
-      break;
-    }
+    binary = sniff_binary(prefix);
   }
-  if (!eof) {
-    connection->binary.store(binary, std::memory_order_relaxed);
-    if (binary) {
-      serve_binary(connection, prefix);
-    } else {
-      serve_json(connection, prefix);
-    }
+  if (binary.has_value()) {
+    if (*binary) prefix.erase(0, sizeof(kBinaryPreamble));
+    connection->binary.store(*binary, std::memory_order_relaxed);
+    serve_requests(connection, prefix, *binary);
   }
 
   {
@@ -244,70 +288,33 @@ void SocketServer::serve_connection(Connection* connection) {
   }
   connection->cv.notify_all();
   connection->writer.join();
-  ::shutdown(connection->fd, SHUT_RDWR);
-}
-
-void SocketServer::serve_json(Connection* connection, std::string_view initial) {
-  LineBuffer frames(config_.max_frame);
-  char buf[64 * 1024];
-  std::string_view chunk = initial;
-  while (true) {
-    frames.feed(chunk);
-    while (const auto frame = frames.next()) {
-      if (!frame->oversized && frame->line.empty()) continue;  // ignore blank lines
-      std::future<Response> response;
-      if (frame->oversized) {
-        response = ready_response(protocol_error_response(
-            ProtocolError{"oversized_frame", "request exceeds frame size limit"}));
-      } else {
-        auto parsed = parse_request(frame->line);
-        if (auto* error = std::get_if<ProtocolError>(&parsed)) {
-          response = ready_response(protocol_error_response(*error));
-        } else {
-          response = service_.submit(std::get<Request>(std::move(parsed)));
-        }
-      }
-      enqueue(connection, std::move(response));
-    }
-    const ::ssize_t n = ::recv(connection->fd, buf, sizeof(buf), 0);
-    if (n <= 0) return;
-    chunk = std::string_view(buf, static_cast<std::size_t>(n));
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ::close(connection->fd);
+    connection->fd = -1;
   }
+  connection->finished.store(true, std::memory_order_release);
 }
 
-void SocketServer::serve_binary(Connection* connection, std::string_view initial) {
+void SocketServer::serve_requests(Connection* connection, std::string_view initial,
+                                  bool binary) {
+  LineBuffer lines(config_.max_frame);
   BinaryFrameBuffer frames(config_.max_frame);
   BinaryStringTable types;
   char buf[64 * 1024];
   std::string_view chunk = initial;
   while (true) {
-    frames.feed(chunk);
-    while (const auto frame = frames.next()) {
-      std::future<Response> response;
-      if (frame->status != BinaryFrameBuffer::Status::kOk) {
-        response = ready_response(protocol_error_response(binary_frame_error(frame->status)));
-      } else if (frame->kind == BinaryFrameKind::kIntern) {
-        // One-way: consumes no response slot. A damaged or over-cap intern
-        // is dropped; the next request referencing the slot reports
-        // bad_field in its own order slot.
-        if (const auto intern = parse_intern(frame->payload)) {
-          types.install(intern->first, intern->second);
-        }
-        continue;
-      } else if (frame->kind != BinaryFrameKind::kRequest) {
-        response = ready_response(protocol_error_response(
-            ProtocolError{"bad_frame", "unexpected frame kind from a client"}));
+    if (binary) {
+      frames.feed(chunk);
+    } else {
+      lines.feed(chunk);
+    }
+    while (auto next = binary ? next_request(frames, types) : next_request(lines)) {
+      if (const auto* error = std::get_if<ProtocolError>(&*next)) {
+        enqueue(connection, ready_response(protocol_error_response(*error)));
       } else {
-        // Decodes straight out of the frame buffer: the payload view is
-        // borrowed, only the Request's own fields are materialized.
-        auto parsed = parse_binary_request(frame->payload, types);
-        if (auto* error = std::get_if<ProtocolError>(&parsed)) {
-          response = ready_response(protocol_error_response(*error));
-        } else {
-          response = service_.submit(std::get<Request>(std::move(parsed)));
-        }
+        enqueue(connection, service_.submit(std::get<Request>(std::move(*next))));
       }
-      enqueue(connection, std::move(response));
     }
     const ::ssize_t n = ::recv(connection->fd, buf, sizeof(buf), 0);
     if (n <= 0) return;
@@ -319,22 +326,21 @@ void SocketServer::stop() {
   std::vector<std::unique_ptr<Connection>> connections;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) return;
+    if (stopping_ || listen_fd_ < 0) return;
     stopping_ = true;
+    // Unblocks every reader's recv; fds close as their readers finish
+    // (under mu_, so none closes under this shutdown).
+    for (auto& connection : connections_) {
+      if (connection->fd >= 0) ::shutdown(connection->fd, SHUT_RDWR);
+    }
     connections.swap(connections_);
   }
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  ::shutdown(listen_fd_, SHUT_RDWR);  // wakes the accept loop's poll
   if (accept_thread_.joinable()) accept_thread_.join();
-  for (auto& connection : connections) {
-    ::shutdown(connection->fd, SHUT_RDWR);  // unblocks the reader's recv
-  }
+  ::close(listen_fd_);
+  listen_fd_ = -1;
   for (auto& connection : connections) {
     if (connection->reader.joinable()) connection->reader.join();
-    ::close(connection->fd);
   }
   if (!config_.unix_path.empty()) ::unlink(config_.unix_path.c_str());
 }

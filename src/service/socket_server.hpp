@@ -1,7 +1,9 @@
-// Socket front-end of the placement daemon: accepts TCP or Unix-domain
-// connections and feeds a RequestSink — the PlacementService queue in a
-// standalone daemon, the multi-cell Router in a routing tier (they share
-// the submit() contract, see request_sink.hpp).
+// Thread-per-connection socket front end for a RequestSink: the routing
+// tier's (prvm_router) listener. A cell daemon serves its sockets from the
+// PlacementService loop instead (cell_server.hpp). The router keeps this
+// design because its responses are futures that resolve on other threads —
+// deferred cross-cell saga steps block on remote cells — so each
+// connection needs a thread that can wait on them in order.
 //
 // Each connection auto-negotiates its wire protocol from the first bytes
 // it sends: the 5-byte preamble "PRVB1" selects the binary protocol
@@ -23,6 +25,10 @@
 //
 // Decode failures never kill the connection: they resolve to structured
 // error replies in the same order slot the request occupied.
+//
+// A finished connection closes its own fd; its threads are joined by the
+// next accept (or stop()). Accept survives EMFILE/ENFILE with a short
+// back-off and only returns once the listener is closed.
 #pragma once
 
 #include <atomic>
@@ -38,6 +44,7 @@
 
 namespace prvm {
 
+/// Listener settings, shared by SocketServer and CellServer.
 struct SocketServerConfig {
   /// Unix-domain socket path; takes precedence over TCP when non-empty.
   std::string unix_path;
@@ -45,13 +52,18 @@ struct SocketServerConfig {
   /// Negative = TCP disabled.
   int tcp_port = -1;
   int backlog = 64;
-  /// Max responses in flight per connection before the reader blocks.
+  /// Max responses in flight per connection before it stops being read.
   std::size_t max_pipeline = 256;
   /// Per-connection frame cap. Followers raise this to kMaxReplFrameBytes
   /// so repl_snap/repl_frames payloads fit on one line; client-facing
   /// servers keep the tight default.
   std::size_t max_frame = kMaxFrameBytes;
 };
+
+/// Binds and listens per `config` (Unix path first, else loopback TCP),
+/// non-blocking and close-on-exec; sets `port` to the bound TCP port (-1
+/// for UDS). Throws on failure.
+int open_listener(const SocketServerConfig& config, int& port);
 
 class SocketServer {
  public:
@@ -75,11 +87,12 @@ class SocketServer {
   struct Connection;
 
   void accept_loop();
+  /// Joins and frees connections whose threads finished (under mu_).
+  void reap_finished();
   void serve_connection(Connection* connection);
-  /// Protocol-specific read loops; `initial` is whatever arrived past the
+  /// The connection's read loop; `initial` is whatever arrived past the
   /// sniffed preamble in the first read(s).
-  void serve_json(Connection* connection, std::string_view initial);
-  void serve_binary(Connection* connection, std::string_view initial);
+  void serve_requests(Connection* connection, std::string_view initial, bool binary);
   /// Pushes one response future into the ordered pipeline, blocking on the
   /// `max_pipeline` cap.
   void enqueue(Connection* connection, std::future<Response> response);

@@ -2,7 +2,6 @@
 
 #include <fcntl.h>
 
-#include <array>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
@@ -11,22 +10,64 @@ namespace prvm {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables of the reflected IEEE polynomial: table[0] is the
+/// classic byte-at-a-time table, table[k][b] advances table[k-1][b] by one
+/// more zero byte, so eight input bytes fold into the CRC with eight lookups.
+struct CrcTables {
+  std::uint32_t t[8][256];
+};
+
+CrcTables make_crc_tables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    tables.t[0][i] = c;
   }
-  return table;
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    for (int k = 1; k < 8; ++k) {
+      const std::uint32_t prev = tables.t[k - 1][i];
+      tables.t[k][i] = (prev >> 8) ^ tables.t[0][prev & 0xFF];
+    }
+  }
+  return tables;
 }
 
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+std::uint32_t load_u32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
 }
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+char* store_u64(char* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  return p + 8;
+}
+
+char* store_u32(char* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  return p + 4;
+}
+
+std::size_t wal_payload_size(const WalRecord& record) {
+  return 1 + 7 * 8 + record.group.size() + 16 * record.assignments.size();
+}
+
+/// Writes the record payload at `p` (exactly wal_payload_size bytes).
+void store_wal_payload(const WalRecord& record, char* p) {
+  *p++ = static_cast<char>(record.type);
+  p = store_u64(p, record.op_seq);
+  p = store_u64(p, record.vm);
+  p = store_u64(p, record.vm_type);
+  p = store_u64(p, record.pm);
+  p = store_u64(p, record.from_pm);
+  p = store_u64(p, record.group.size());
+  std::memcpy(p, record.group.data(), record.group.size());
+  p += record.group.size();
+  p = store_u64(p, record.assignments.size());
+  for (auto [dim, amount] : record.assignments) {
+    p = store_u64(p, static_cast<std::uint64_t>(static_cast<std::int64_t>(dim)));
+    p = store_u64(p, static_cast<std::uint64_t>(static_cast<std::int64_t>(amount)));
+  }
 }
 
 class Cursor {
@@ -61,29 +102,23 @@ class Cursor {
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t size) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  static const CrcTables tables = make_crc_tables();
+  const auto& t = tables.t;
   std::uint32_t crc = 0xFFFFFFFFu;
   const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) crc = table[(crc ^ bytes[i]) & 0xFF] ^ (crc >> 8);
+  for (; size >= 8; size -= 8, bytes += 8) {
+    const std::uint32_t lo = load_u32(bytes) ^ crc;
+    const std::uint32_t hi = load_u32(bytes + 4);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^
+          t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^ t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; --size, ++bytes) crc = t[0][(crc ^ *bytes) & 0xFF] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
 }
 
 std::string encode_wal_record(const WalRecord& record) {
-  std::string payload;
-  payload.reserve(64 + record.group.size() + 16 * record.assignments.size());
-  payload.push_back(static_cast<char>(record.type));
-  put_u64(payload, record.op_seq);
-  put_u64(payload, record.vm);
-  put_u64(payload, record.vm_type);
-  put_u64(payload, record.pm);
-  put_u64(payload, record.from_pm);
-  put_u64(payload, record.group.size());
-  payload += record.group;
-  put_u64(payload, record.assignments.size());
-  for (auto [dim, amount] : record.assignments) {
-    put_u64(payload, static_cast<std::uint64_t>(static_cast<std::int64_t>(dim)));
-    put_u64(payload, static_cast<std::uint64_t>(static_cast<std::int64_t>(amount)));
-  }
+  std::string payload(wal_payload_size(record), '\0');
+  store_wal_payload(record, payload.data());
   return payload;
 }
 
@@ -113,13 +148,20 @@ bool decode_wal_record(const std::string& payload, WalRecord& record) {
   return cursor.done();
 }
 
+std::size_t append_wal_frame(const WalRecord& record, std::string& out) {
+  const std::size_t payload_size = wal_payload_size(record);
+  const std::size_t start = out.size();
+  out.resize(start + 8 + payload_size);
+  char* frame = out.data() + start;
+  store_wal_payload(record, frame + 8);
+  store_u32(frame, static_cast<std::uint32_t>(payload_size));
+  store_u32(frame + 4, crc32(frame + 8, payload_size));
+  return 8 + payload_size;
+}
+
 std::string encode_wal_frame(const WalRecord& record) {
-  const std::string payload = encode_wal_record(record);
   std::string frame;
-  frame.reserve(8 + payload.size());
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  put_u32(frame, crc32(payload.data(), payload.size()));
-  frame += payload;
+  append_wal_frame(record, frame);
   return frame;
 }
 
@@ -177,13 +219,9 @@ WalWriter::~WalWriter() {
 }
 
 std::size_t WalWriter::append(const WalRecord& record) {
-  const std::string payload = encode_wal_record(record);
   const std::lock_guard<std::mutex> lock(mu_);
-  put_u32(buffer_, static_cast<std::uint32_t>(payload.size()));
-  put_u32(buffer_, crc32(payload.data(), payload.size()));
-  buffer_ += payload;
   ++appended_;
-  return 8 + payload.size();
+  return append_wal_frame(record, buffer_);
 }
 
 std::size_t WalWriter::append_frames(std::string_view frames, std::uint64_t count) {

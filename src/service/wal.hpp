@@ -53,8 +53,8 @@ struct WalRecord {
   bool operator==(const WalRecord&) const = default;
 };
 
-/// CRC-32 (IEEE, reflected) of a byte buffer — also used by tests to craft
-/// deliberately-corrupt records.
+/// CRC-32 (IEEE, reflected; table-driven slicing-by-8) of a byte buffer. The
+/// WAL and PRVB1 frames share it; tests use it to craft corrupt records.
 std::uint32_t crc32(const void* data, std::size_t size);
 
 /// Append-only writer. Records are buffered in memory; flush() makes the
@@ -179,6 +179,10 @@ bool decode_wal_record(const std::string& payload, WalRecord& record);
 /// bytes WalWriter::append buffers. Replication streams these frames to
 /// followers, so a follower's re-appended WAL is byte-identical.
 std::string encode_wal_frame(const WalRecord& record);
+
+/// Appends the frame encode_wal_frame would return straight onto `out` (one
+/// resize, no temporary payload) and returns its size in bytes.
+std::size_t append_wal_frame(const WalRecord& record, std::string& out);
 
 /// Decodes a concatenation of framed records. All-or-nothing: returns
 /// false (leaving `out` in an unspecified state) on any torn or corrupt

@@ -29,7 +29,7 @@
 #include "service/protocol.hpp"
 #include "service/service.hpp"
 #include "service/snapshot.hpp"
-#include "service/socket_server.hpp"
+#include "service/cell_server.hpp"
 #include "sim/simulator.hpp"
 
 namespace prvm {
@@ -211,7 +211,7 @@ class BinarySocketTest : public ::testing::Test {
     service->start();
     SocketServerConfig socket_config;
     socket_config.unix_path = socket_path;
-    SocketServer server(*service, socket_config);
+    CellServer server(*service, socket_config);
     server.start();
 
     ReplayResult result;
@@ -270,7 +270,7 @@ TEST_F(BinarySocketTest, GarbageMidStreamGetsOneErrorAndTheConnectionSurvives) {
   service->start();
   SocketServerConfig socket_config;
   socket_config.unix_path = socket_path;
-  SocketServer server(*service, socket_config);
+  CellServer server(*service, socket_config);
   server.start();
 
   RawClient client(socket_path);
@@ -311,7 +311,7 @@ TEST_F(BinarySocketTest, EveryDamagedCrcFrameGetsItsOwnErrorAndFifoHolds) {
   service->start();
   SocketServerConfig socket_config;
   socket_config.unix_path = socket_path;
-  SocketServer server(*service, socket_config);
+  CellServer server(*service, socket_config);
   server.start();
 
   RawClient client(socket_path);
@@ -352,7 +352,7 @@ TEST_F(BinarySocketTest, NearMissPreambleFallsBackToJsonLines) {
   service->start();
   SocketServerConfig socket_config;
   socket_config.unix_path = socket_path;
-  SocketServer server(*service, socket_config);
+  CellServer server(*service, socket_config);
   server.start();
 
   // Starts with 'P' like the preamble but is not it: the server must fall
@@ -381,7 +381,7 @@ TEST_F(BinarySocketTest, FailoverChannelQualifiesAndServesOverBinary) {
   service->start();
   SocketServerConfig socket_config;
   socket_config.unix_path = socket_path;
-  SocketServer server(*service, socket_config);
+  CellServer server(*service, socket_config);
   server.start();
 
   // Qualification runs health (and possibly promote) through the same

@@ -29,7 +29,7 @@
 #include "service/protocol.hpp"
 #include "service/service.hpp"
 #include "service/snapshot.hpp"
-#include "service/socket_server.hpp"
+#include "service/cell_server.hpp"
 #include "sim/simulator.hpp"
 
 namespace prvm {
@@ -604,7 +604,7 @@ TEST_F(RouterTest, SocketChannelRoundTripsAndFailsFastWhenTheCellDies) {
   cell.start();
   SocketServerConfig socket_config;
   socket_config.unix_path = socket_path;
-  SocketServer server(cell, socket_config);
+  CellServer server(cell, socket_config);
   server.start();
 
   auto channel = std::make_unique<SocketCellChannel>(socket_path);

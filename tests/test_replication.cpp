@@ -23,7 +23,7 @@
 #include "service/protocol.hpp"
 #include "service/service.hpp"
 #include "service/snapshot.hpp"
-#include "service/socket_server.hpp"
+#include "service/cell_server.hpp"
 #include "service/wal.hpp"
 #include "sim/simulator.hpp"
 
@@ -181,7 +181,7 @@ class ReplicationTest : public ::testing::Test {
     SocketServerConfig socket_config;
     socket_config.unix_path = socket_path;
     socket_config.max_frame = kMaxReplFrameBytes;
-    server_ = std::make_unique<SocketServer>(*follower_, socket_config);
+    server_ = std::make_unique<CellServer>(*follower_, socket_config);
     server_->start();
 
     ServiceConfig leader_config;
@@ -218,7 +218,7 @@ class ReplicationTest : public ::testing::Test {
   Catalog catalog_;
   std::shared_ptr<const ScoreTableSet> tables_;
   std::unique_ptr<PlacementService> follower_;
-  std::unique_ptr<SocketServer> server_;
+  std::unique_ptr<CellServer> server_;
   std::unique_ptr<PlacementService> leader_;
 };
 
@@ -284,7 +284,7 @@ TEST_F(ReplicationTest, FollowerCatchesUpFromSnapshotMidStream) {
   SocketServerConfig socket_config;
   socket_config.unix_path = socket_path;
   socket_config.max_frame = kMaxReplFrameBytes;
-  server_ = std::make_unique<SocketServer>(*follower_, socket_config);
+  server_ = std::make_unique<CellServer>(*follower_, socket_config);
   server_->start();
 
   // Keep trickling ops: each flush retries the down link until it joins.

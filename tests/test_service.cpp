@@ -19,7 +19,7 @@
 #include "core/catalog_graphs.hpp"
 #include "obs/metrics.hpp"
 #include "service/service.hpp"
-#include "service/socket_server.hpp"
+#include "service/cell_server.hpp"
 #include "sim/simulator.hpp"
 
 namespace prvm {
@@ -281,7 +281,7 @@ TEST_F(ServiceTest, SocketEndToEndPlaceAndStats) {
   service->start();
   SocketServerConfig socket_config;
   socket_config.tcp_port = 0;  // ephemeral: parallel test runs cannot collide
-  SocketServer server(*service, socket_config);
+  CellServer server(*service, socket_config);
   server.start();
   ASSERT_GT(server.port(), 0);
 
@@ -311,7 +311,7 @@ TEST_F(ServiceTest, SocketSurvivesHostileFrames) {
   service->start();
   SocketServerConfig socket_config;
   socket_config.tcp_port = 0;
-  SocketServer server(*service, socket_config);
+  CellServer server(*service, socket_config);
   server.start();
 
   {
@@ -344,7 +344,7 @@ TEST_F(ServiceTest, SocketPipelinedRequestsKeepOrder) {
   service->start();
   SocketServerConfig socket_config;
   socket_config.tcp_port = 0;
-  SocketServer server(*service, socket_config);
+  CellServer server(*service, socket_config);
   server.start();
 
   {

@@ -95,6 +95,77 @@ TEST(ServiceWal, RoundTripsRecordsExactly) {
   EXPECT_EQ(read_wal(path), written);
 }
 
+std::string to_hex_string(std::string_view bytes) {
+  static const char* digits = "0123456789abcdef";
+  std::string hex;
+  for (const unsigned char c : bytes) {
+    hex += digits[c >> 4];
+    hex += digits[c & 0xF];
+  }
+  return hex;
+}
+
+TEST(ServiceWal, Crc32MatchesTheIeeeCheckValue) {
+  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(crc32("", 0), 0u);
+  // Every length around the 8-byte stride agrees with a bitwise reference.
+  std::string data;
+  for (int i = 0; i < 40; ++i) {
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (const unsigned char c : data) {
+      crc ^= c;
+      for (int k = 0; k < 8; ++k) crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+    EXPECT_EQ(crc32(data.data(), data.size()), crc ^ 0xFFFFFFFFu) << "length " << i;
+    data.push_back(static_cast<char>(i * 37 + 11));
+  }
+}
+
+TEST(ServiceWal, FrameBytesArePinned) {
+  // Recorded from the byte-at-a-time encoder: the WAL format must not move.
+  WalRecord place;
+  place.type = WalRecord::Type::kPlace;
+  place.op_seq = 42;
+  place.vm = 7;
+  place.vm_type = 3;
+  place.pm = 1234;
+  place.group = "web-tier";
+  place.assignments = {{0, 2}, {5, 1}, {-1, 300}};
+  const std::string place_hex =
+      "71000000223f69ea012a000000000000000700000000000000030000000000000"
+      "0d204000000000000000000000000000008000000000000007765622d74696572"
+      "0300000000000000000000000000000002000000000000000500000000000000"
+      "0100000000000000ffffffffffffffff2c01000000000000";
+  EXPECT_EQ(to_hex_string(encode_wal_frame(place)), place_hex);
+
+  WalRecord migrate;
+  migrate.type = WalRecord::Type::kMigrate;
+  migrate.op_seq = 0xFFFFFFFFFFull;
+  migrate.vm = 1ull << 40;
+  migrate.vm_type = 1;
+  migrate.pm = 9;
+  migrate.from_pm = 8;
+  EXPECT_EQ(to_hex_string(encode_wal_frame(migrate)),
+            "390000007061dc9103ffffffffff0000000000000000010000010000000000000009"
+            "00000000000000080000000000000000000000000000000000000000000000");
+
+  // The writer buffers exactly those bytes, appended in place.
+  TempDir dir("wal-pinned");
+  const auto path = dir.path() / "wal.log";
+  {
+    WalWriter writer(path);
+    EXPECT_EQ(writer.append(place), place_hex.size() / 2);
+    writer.append(migrate);
+    ASSERT_TRUE(writer.flush().ok());
+  }
+  std::ifstream is(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(is)), std::istreambuf_iterator<char>());
+  EXPECT_EQ(bytes, encode_wal_frame(place) + encode_wal_frame(migrate));
+  std::string appended;
+  EXPECT_EQ(append_wal_frame(place, appended), place_hex.size() / 2);
+  EXPECT_EQ(appended, encode_wal_frame(place));
+}
+
 TEST(ServiceWal, TornTailIsDiscardedCleanly) {
   TempDir dir("wal-torn");
   const auto path = dir.path() / "wal.log";

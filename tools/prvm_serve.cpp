@@ -2,8 +2,10 @@
 //
 // Owns one Datacenter + score-table set and serves place/release/migrate
 // requests over a JSON-lines socket protocol (Unix-domain or loopback
-// TCP), with write-ahead logging and snapshots for crash recovery. See
-// src/service/ for the moving parts and DESIGN.md §4 for the architecture.
+// TCP), with write-ahead logging and snapshots for crash recovery. One loop
+// thread serves the socket and runs the engine (CellServer on the
+// PlacementService loop). See src/service/ for the moving parts and
+// DESIGN.md §4 for the architecture.
 //
 //   prvm_serve --socket /tmp/prvm.sock --fleet 10000 --data-dir /var/lib/prvm
 //
@@ -32,7 +34,7 @@
 #include "obs/metrics.hpp"
 #include "service/io_env.hpp"
 #include "service/service.hpp"
-#include "service/socket_server.hpp"
+#include "service/cell_server.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -51,12 +53,12 @@ void usage(const char* argv0) {
       << "  --port N             listen on loopback TCP instead (0 = ephemeral)\n"
       << "  --fleet N            PM fleet size, alternating EC2 M3/C3 (default 10000)\n"
       << "  --data-dir PATH      WAL + snapshot directory; omit for an ephemeral daemon\n"
-      << "  --batch K            max requests per engine pass (default 64)\n"
-      << "  --queue N            request queue capacity (default 4096)\n"
+      << "  --batch K            max requests per loop pass (default 64)\n"
+      << "  --queue N            in-process submit inbox capacity (default 4096)\n"
       << "  --snapshot-every N   snapshot after N mutating ops (default 100000; 0 = drain only)\n"
-      << "  --flush-group N      WAL group commit: a flusher thread makes batches durable,\n"
-      << "                       one write/fsync per up to N ops, while the worker computes\n"
-      << "                       the next batch (default 0 = inline flush; must be >= batch)\n"
+      << "  --flush-group N      WAL group commit: a flusher thread makes passes durable,\n"
+      << "                       one write/fsync per up to N ops, while the loop computes\n"
+      << "                       the next pass (default 0 = inline flush; must be >= batch)\n"
       << "  --fsync              fsync the WAL every batch (power-loss durability)\n"
       << "  --fault-schedule S   inject IO faults per the schedule spec (see io_env.hpp);\n"
       << "                       defaults to $PRVM_FAULT_SCHEDULE when set\n"
@@ -273,7 +275,7 @@ int main(int argc, char** argv) {
     // A follower's inbound stream carries repl_snap / repl_frames lines far
     // larger than client requests; raise the per-connection frame cap.
     if (config.repl.follower) socket_config.max_frame = kMaxReplFrameBytes;
-    SocketServer server(service, socket_config);
+    CellServer server(service, socket_config);
     server.start();
     if (use_tcp) {
       std::cout << "prvm_serve: listening on 127.0.0.1:" << server.port() << std::endl;
@@ -327,7 +329,7 @@ int main(int argc, char** argv) {
 
     std::cout << "prvm_serve: draining..." << std::endl;
     server.stop();      // no new requests
-    service.drain();    // flush the queue, final snapshot, truncate WAL
+    service.drain();    // flush the inbox, final snapshot, truncate WAL
     const ServiceStats stats = service.stats();
     std::cout << "prvm_serve: drained at op_seq " << stats.op_seq << " ("
               << stats.placed << " placed, " << stats.released << " released, "
