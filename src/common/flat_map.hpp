@@ -125,6 +125,14 @@ class FlatMap64 {
 
   Value& operator[](std::uint64_t key) { return try_emplace(key).first; }
 
+  /// Calls fn(value) on every stored value (e.g. to renumber them in place).
+  template <typename Fn>
+  void for_each_value(Fn fn) {
+    for (std::size_t i = 0; i < keys_.size(); ++i) {
+      if (full_[i]) fn(values_[i]);
+    }
+  }
+
   /// Raw table arrays, for serializing the map verbatim (capacity() entries
   /// each); a FlatMap64View over the copies probes identically.
   const std::uint64_t* keys_data() const { return keys_.data(); }

@@ -3,17 +3,29 @@
 #include <algorithm>
 #include <utility>
 
+#include <sched.h>
+
 namespace prvm {
 
 namespace {
 // Set while a thread is executing pool work; nested parallel_for() calls on
 // such a thread run inline instead of waiting on the (busy) pool.
 thread_local bool t_inside_pool = false;
+
+// The CPUs this process may run on (what `nproc` prints): under
+// `taskset -c 0` a pool of hardware_concurrency() threads would only
+// time-slice one CPU.
+unsigned usable_cpus() {
+  cpu_set_t set;
+  if (::sched_getaffinity(0, sizeof set, &set) == 0) {
+    return static_cast<unsigned>(CPU_COUNT(&set));
+  }
+  return std::thread::hardware_concurrency();
+}
 }  // namespace
 
 WorkerPool::WorkerPool(unsigned threads)
-    : worker_target_(std::max(1u, threads == 0 ? std::thread::hardware_concurrency() : threads) -
-                     1) {}
+    : worker_target_(std::max(1u, threads == 0 ? usable_cpus() : threads) - 1) {}
 
 WorkerPool::~WorkerPool() {
   {
@@ -105,6 +117,13 @@ void WorkerPool::parallel_for(std::size_t begin, std::size_t end,
   done_cv_.wait(lock, [&] { return busy_ == 0; });
   fn_ = nullptr;
   if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
+}
+
+void WorkerPool::parallel_chunks(std::size_t n, std::size_t chunk,
+                                 const std::function<void(std::size_t, std::size_t)>& fn) {
+  parallel_for(
+      0, (n + chunk - 1) / chunk,
+      [&](std::size_t c) { fn(c * chunk, std::min(n, (c + 1) * chunk)); }, 1);
 }
 
 }  // namespace prvm

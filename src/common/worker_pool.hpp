@@ -23,7 +23,8 @@ namespace prvm {
 
 class WorkerPool {
  public:
-  /// Creates a pool with `threads` workers (0 = hardware concurrency).
+  /// Creates a pool of `threads` threads, the caller included (0 = one per
+  /// CPU the process may run on, as `nproc` counts them).
   /// The worker threads start on the first parallel_for().
   explicit WorkerPool(unsigned threads = 0);
   ~WorkerPool();
@@ -42,7 +43,13 @@ class WorkerPool {
                     const std::function<void(std::size_t)>& fn, std::size_t grain = 0,
                     unsigned max_threads = 0);
 
-  /// The process-wide shared pool, sized to hardware concurrency.
+  /// Runs fn(lo, hi) over [0, n) cut into consecutive slices of `chunk`
+  /// indices (the last one shorter), one slice per pool task. Slice
+  /// boundaries depend only on n and chunk, never on the thread count.
+  void parallel_chunks(std::size_t n, std::size_t chunk,
+                       const std::function<void(std::size_t, std::size_t)>& fn);
+
+  /// The process-wide shared pool, one thread per usable CPU.
   static WorkerPool& shared();
 
  private:

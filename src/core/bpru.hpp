@@ -13,7 +13,8 @@
 
 namespace prvm {
 
-/// BPRU per node, in [0, 1]. Single reverse-topological sweep over the DAG.
+/// BPRU per node, in [0, 1]. One sweep over the DAG from the fullest usage
+/// level down.
 std::vector<double> compute_bpru(const ProfileGraph& graph);
 
 }  // namespace prvm

@@ -3,6 +3,10 @@
 #include <cstdlib>
 #include <exception>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "common/check.hpp"
 #include "obs/metrics.hpp"
 
@@ -81,6 +85,16 @@ ScoreTable load_or_build(const Catalog& catalog, std::size_t p, const ScoreTable
   return table;
 }
 
+// Hands the pages a table build freed back to the OS. Once glibc's mmap
+// threshold has grown to the build's large arrays, later ones come from the
+// main heap, and one live allocation above them would keep tens of MB
+// resident for the life of a daemon.
+void release_freed_memory() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+}
+
 }  // namespace
 
 ScoreTableSet build_score_tables(const Catalog& catalog, const ScoreTableOptions& options,
@@ -95,6 +109,7 @@ ScoreTableSet build_score_tables(const Catalog& catalog, const ScoreTableOptions
     set.tables_.push_back(load_or_build(catalog, p, options, digest, cache_dir, true));
     set_slots(catalog, p, set.slots_[p]);
   }
+  release_freed_memory();
   return set;
 }
 
@@ -138,7 +153,10 @@ ScoreTableSet mapped_score_tables(const Catalog& catalog,
       // process already shares pages with the next one.
       ScoreTable table = load_or_build(catalog, p, options, digest, cache_dir, false);
       try {
-        table.save_image(image);
+        {
+          const obs::ScopedTimerNs timer(score_table_stage_histogram("image_write"));
+          table.save_image(image);
+        }
         set.tables_.push_back(ScoreTable::map_image(image));
         ++local.written;
       } catch (const std::exception&) {
@@ -148,6 +166,7 @@ ScoreTableSet mapped_score_tables(const Catalog& catalog,
     }
     set_slots(catalog, p, set.slots_[p]);
   }
+  release_freed_memory();
   if (report != nullptr) *report = local;
   return set;
 }

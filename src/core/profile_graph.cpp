@@ -1,14 +1,44 @@
 #include "core/profile_graph.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/worker_pool.hpp"
+#include "core/score_table.hpp"
+#include "obs/metrics.hpp"
 
 namespace prvm {
 
 namespace {
+
+constexpr std::size_t kWaveChunk = 256;  ///< frontier nodes per expansion task
+constexpr std::size_t kRowChunk = 1024;  ///< CSR rows per canonicalize task
+
+// Tags a node id handed out inside a wave before the wave numbers its new
+// nodes; the low bits count the shard's new keys. Node ids therefore stay
+// below 2^31.
+constexpr NodeId kProvisional = NodeId{1} << 31;
+
+// A scratch array that grows to the largest wave and is never initialized:
+// every pass writes the elements it hands to the next one.
+template <typename T>
+class WaveArray {
+ public:
+  T* get(std::size_t n) {
+    if (n > capacity_) {
+      data_ = std::make_unique_for_overwrite<T[]>(n);
+      capacity_ = n;
+    }
+    return data_.get();
+  }
+
+ private:
+  std::unique_ptr<T[]> data_;
+  std::size_t capacity_ = 0;
+};
 
 // Appends the distinct successor keys of one canonical profile across the
 // given demands to `out`, sorted ascending.
@@ -43,16 +73,48 @@ void validate_demands(const ProfileShape& shape, const std::vector<QuantizedDema
 
 }  // namespace
 
+struct ProfileGraph::WaveScratch {
+  std::vector<std::vector<ProfileKey>> chunk_keys;  ///< per expansion task, reused
+  std::vector<std::size_t> chunk_start;   ///< where each task's keys start in the wave
+  std::vector<std::uint32_t> row_len;     ///< successor count per wave node
+  std::vector<std::size_t> cursor;        ///< [task * kShards + shard] scatter position
+  std::vector<std::size_t> shard_begin;   ///< kShards + 1 bounds of the items
+  WaveArray<ProfileKey> item_keys;        ///< the wave's keys grouped by shard
+  WaveArray<NodeId> item_nodes;           ///< each item's node, provisional or final
+  WaveArray<std::uint32_t> item_of;       ///< per position in the wave's rows: its item
+  std::vector<std::size_t> fresh_count;   ///< per shard
+  std::vector<NodeId> first_id;           ///< per shard: id of its first new node
+  std::uint64_t expand_ns = 0;
+  std::uint64_t intern_ns = 0;
+
+  void record() const {
+    score_table_stage_histogram("expand").record(expand_ns);
+    score_table_stage_histogram("intern").record(intern_ns);
+  }
+};
+
+std::size_t ProfileGraph::shard_of(ProfileKey key) {
+  // Fibonacci hashing: one multiply, and its top bits owe nothing to the low
+  // bits of the hash a shard's FlatMap64 probes with.
+  return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> (64 - kShardBits));
+}
+
 ProfileGraph::ProfileGraph(ProfileShape shape, std::vector<QuantizedDemand> demands,
                            const ProfileGraphOptions& options)
     : shape_(std::move(shape)), demands_(std::move(demands)) {
   PRVM_REQUIRE(!demands_.empty(), "profile graph needs at least one VM type");
   validate_demands(shape_, demands_);
 
-  intern_node(Profile::zero(shape_).pack(shape_), options);
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  grow({NodeId{0}}, edges, options);
-  canonicalize(std::move(edges));
+  const ProfileKey zero = Profile::zero(shape_).pack(shape_);
+  keys_.push_back(zero);
+  usage_.push_back(key_usage(shape_, zero));
+  index_[shard_of(zero)].try_emplace(zero, NodeId{0});
+  std::vector<std::size_t> offsets{0};
+  std::vector<NodeId> targets;
+  WaveScratch scratch;
+  grow(offsets, targets, options, scratch);
+  scratch.record();
+  canonicalize(offsets, targets);
 }
 
 ProfileGraph::ExtendStats ProfileGraph::extend(std::vector<QuantizedDemand> new_demands,
@@ -61,102 +123,184 @@ ProfileGraph::ExtendStats ProfileGraph::extend(std::vector<QuantizedDemand> new_
   ExtendStats stats;
   if (new_demands.empty()) return stats;
 
-  const std::size_t old_node_count = keys_.size();
-  std::vector<std::pair<NodeId, NodeId>> pending;
-  std::vector<NodeId> frontier;
-
   // Every existing node already has its successors under the old demands;
   // only the new demands can add edges out of it. A successor that is itself
-  // new seeds the BFS frontier, which then expands under the *full* demand
-  // set (its old-demand successors were never enumerated).
-  std::vector<ProfileKey> succ;
-  for (NodeId from = 0; from < old_node_count; ++from) {
-    succ.clear();
-    expand_node(shape_, keys_[from], new_demands, succ);
-    for (ProfileKey key : succ) {
-      const auto [node, inserted] = intern_node(key, options);
-      if (inserted) {
-        frontier.push_back(node);
-      } else {
-        // Adjacency is sorted by id = sorted by key (canonical numbering),
-        // so membership is a binary search.
-        const auto adjacent = graph_.successors(from);
-        if (std::binary_search(adjacent.begin(), adjacent.end(), node)) continue;
-      }
-      pending.emplace_back(from, node);
-    }
-  }
-
+  // new is expanded by grow() under the *full* demand set (its old-demand
+  // successors were never enumerated).
+  const auto old_node_count = static_cast<NodeId>(keys_.size());
+  WaveScratch scratch;
+  std::vector<std::size_t> added_offsets{0};
+  std::vector<NodeId> added;
+  expand_wave(0, old_node_count, new_demands, added_offsets, added, options, scratch);
   demands_.insert(demands_.end(), std::make_move_iterator(new_demands.begin()),
                   std::make_move_iterator(new_demands.end()));
-  if (pending.empty()) return stats;  // no new edge, no new node: graph unchanged
 
-  grow(std::move(frontier), pending, options);
-  stats.new_nodes = keys_.size() - old_node_count;
-  stats.new_edges = pending.size();
-
-  // Rebuild the edge list as old edges + everything new, then renumber.
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  edges.reserve(graph_.edge_count() + pending.size());
+  // Rows of the existing nodes: old edges plus the additions that are not
+  // already edges. Adjacency is sorted by id = sorted by key (canonical
+  // numbering), so membership is a binary search.
+  std::vector<std::size_t> offsets{0};
+  std::vector<NodeId> targets;
+  targets.reserve(graph_.edge_count() + added.size());
   for (NodeId u = 0; u < old_node_count; ++u) {
-    for (NodeId v : graph_.successors(u)) edges.emplace_back(u, v);
+    const auto adjacent = graph_.successors(u);
+    targets.insert(targets.end(), adjacent.begin(), adjacent.end());
+    for (std::size_t e = added_offsets[u]; e < added_offsets[u + 1]; ++e) {
+      const NodeId v = added[e];
+      if (v >= old_node_count || !std::binary_search(adjacent.begin(), adjacent.end(), v)) {
+        targets.push_back(v);
+      }
+    }
+    offsets.push_back(targets.size());
   }
-  edges.insert(edges.end(), pending.begin(), pending.end());
-  canonicalize(std::move(edges));
+  if (targets.size() == graph_.edge_count()) return stats;  // no new edge, no new node
+
+  grow(offsets, targets, options, scratch);
+  scratch.record();
+  stats.new_nodes = keys_.size() - old_node_count;
+  stats.new_edges = targets.size() - graph_.edge_count();
+  canonicalize(offsets, targets);
   return stats;
 }
 
-void ProfileGraph::grow(std::vector<NodeId> frontier,
-                        std::vector<std::pair<NodeId, NodeId>>& edges,
-                        const ProfileGraphOptions& options) {
-  constexpr std::size_t kChunk = 256;
-  while (!frontier.empty()) {
-    // Parallel phase: on the shared worker pool, each chunk of the frontier
-    // appends its nodes' successor keys to one flat vector.
-    const std::size_t chunks = (frontier.size() + kChunk - 1) / kChunk;
-    std::vector<std::vector<ProfileKey>> succ(chunks);
-    std::vector<std::uint32_t> succ_count(frontier.size());
-    const auto expand = [&](std::size_t c) {
-      const std::size_t end = std::min(frontier.size(), (c + 1) * kChunk);
-      for (std::size_t i = c * kChunk; i < end; ++i) {
-        const std::size_t before = succ[c].size();
-        expand_node(shape_, keys_[frontier[i]], demands_, succ[c]);
-        succ_count[i] = static_cast<std::uint32_t>(succ[c].size() - before);
-      }
-    };
-    WorkerPool::shared().parallel_for(0, chunks, expand, 1);
+void ProfileGraph::grow(std::vector<std::size_t>& offsets, std::vector<NodeId>& targets,
+                        const ProfileGraphOptions& options, WaveScratch& scratch) {
+  for (auto begin = static_cast<NodeId>(offsets.size() - 1); begin < keys_.size();) {
+    const auto end = static_cast<NodeId>(keys_.size());
+    expand_wave(begin, end, demands_, offsets, targets, options, scratch);
+    begin = end;
+  }
+}
 
-    // Serial phase: register new nodes and edges.
-    std::vector<NodeId> next;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const ProfileKey* key = succ[c].data();
-      const std::size_t end = std::min(frontier.size(), (c + 1) * kChunk);
-      for (std::size_t i = c * kChunk; i < end; ++i) {
-        for (std::uint32_t k = 0; k < succ_count[i]; ++k, ++key) {
-          const auto [node, inserted] = intern_node(*key, options);
-          if (inserted) next.push_back(node);
-          edges.emplace_back(frontier[i], node);
-        }
-      }
+void ProfileGraph::expand_wave(NodeId begin, NodeId end,
+                               const std::vector<QuantizedDemand>& demands,
+                               std::vector<std::size_t>& offsets, std::vector<NodeId>& targets,
+                               const ProfileGraphOptions& options, WaveScratch& w) {
+  WorkerPool& pool = WorkerPool::shared();
+  const std::size_t count = end - begin;
+  const std::size_t chunks = (count + kWaveChunk - 1) / kWaveChunk;
+  const std::uint64_t start_ns = obs::now_ns();
+
+  // Expand: each task appends its nodes' sorted successor keys to its own
+  // buffer and counts them per shard.
+  if (w.chunk_keys.size() < chunks) w.chunk_keys.resize(chunks);
+  w.row_len.resize(count);
+  w.cursor.assign(chunks * kShards, 0);
+  pool.parallel_chunks(count, kWaveChunk, [&](std::size_t lo, std::size_t hi) {
+    std::vector<ProfileKey>& keys = w.chunk_keys[lo / kWaveChunk];
+    keys.clear();
+    for (std::size_t i = lo; i < hi; ++i) {
+      const std::size_t before = keys.size();
+      expand_node(shape_, keys_[begin + i], demands, keys);
+      w.row_len[i] = static_cast<std::uint32_t>(keys.size() - before);
     }
-    frontier = std::move(next);
-  }
-}
+    std::size_t* per_shard = &w.cursor[lo / kWaveChunk * kShards];
+    for (ProfileKey key : keys) ++per_shard[shard_of(key)];
+  });
+  const std::uint64_t expanded_ns = obs::now_ns();
+  w.expand_ns += expanded_ns - start_ns;
 
-std::pair<NodeId, bool> ProfileGraph::intern_node(ProfileKey key,
-                                                  const ProfileGraphOptions& options) {
-  const auto [node, inserted] = index_.try_emplace(key, static_cast<NodeId>(keys_.size()));
-  if (inserted) {
-    PRVM_REQUIRE(keys_.size() < options.max_nodes,
+  // Intern. The keys are copied into items grouped by shard, in wave order
+  // within a shard, so each shard task meets its keys in the order a serial
+  // pass would. Every pass writes only its own contiguous ranges.
+  w.chunk_start.resize(chunks);
+  std::size_t total = 0;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    w.chunk_start[c] = total;
+    total += w.chunk_keys[c].size();
+  }
+  PRVM_CHECK(total <= UINT32_MAX, "profile-graph wave too large");
+  w.shard_begin.assign(kShards + 1, total);
+  for (std::size_t s = 0, pos = 0; s < kShards; ++s) {
+    w.shard_begin[s] = pos;
+    for (std::size_t c = 0; c < chunks; ++c) pos += std::exchange(w.cursor[c * kShards + s], pos);
+  }
+  ProfileKey* const item_keys = w.item_keys.get(total);
+  NodeId* const item_nodes = w.item_nodes.get(total);
+  std::uint32_t* const item_of = w.item_of.get(total);
+  pool.parallel_for(
+      0, chunks,
+      [&](std::size_t c) {
+        std::size_t* cursor = &w.cursor[c * kShards];
+        std::uint32_t* out = item_of + w.chunk_start[c];
+        for (ProfileKey key : w.chunk_keys[c]) {
+          const std::size_t item = cursor[shard_of(key)]++;
+          item_keys[item] = key;
+          *out++ = static_cast<std::uint32_t>(item);
+        }
+      },
+      1);
+
+  // Each shard task probes its own map. The j-th key new to the shard this
+  // wave gets the provisional id kProvisional | j until the wave numbers its
+  // new nodes.
+  w.fresh_count.assign(kShards, 0);
+  pool.parallel_for(
+      0, kShards,
+      [&](std::size_t s) {
+        FlatMap64<NodeId>& index = index_[s];
+        std::size_t fresh = 0;
+        for (std::size_t p = w.shard_begin[s]; p < w.shard_begin[s + 1]; ++p) {
+          const auto [node, inserted] =
+              index.try_emplace(item_keys[p], kProvisional | static_cast<NodeId>(fresh));
+          fresh += inserted ? 1 : 0;
+          item_nodes[p] = node;
+        }
+        w.fresh_count[s] = fresh;
+      },
+      1);
+
+  // New nodes are numbered shard by shard and entered one task per shard;
+  // then each expansion task writes its nodes' rows, resolving provisional
+  // ids.
+  w.first_id.resize(kShards);
+  std::size_t node_count = keys_.size();
+  for (std::size_t s = 0; s < kShards; ++s) {
+    w.first_id[s] = static_cast<NodeId>(node_count);
+    node_count += w.fresh_count[s];
+    PRVM_REQUIRE(node_count <= std::min<std::size_t>(options.max_nodes, kProvisional),
                  "profile graph exceeds max_nodes; coarsen quantization");
-    keys_.push_back(key);
-    usage_.push_back(key_usage(shape_, key));
   }
-  return {node, inserted};
+  keys_.resize(node_count);
+  usage_.resize(node_count);
+  pool.parallel_for(
+      0, kShards,
+      [&](std::size_t s) {
+        // New key j first occurs before new key j + 1.
+        NodeId id = w.first_id[s];
+        NodeId next = kProvisional;
+        for (std::size_t p = w.shard_begin[s]; p < w.shard_begin[s + 1]; ++p) {
+          if (item_nodes[p] != next) continue;
+          keys_[id] = item_keys[p];
+          usage_[id] = key_usage(shape_, item_keys[p]);
+          *index_[s].find(item_keys[p]) = id++;
+          ++next;
+        }
+      },
+      1);
+  const std::size_t base = targets.size();
+  for (std::size_t i = 0; i < count; ++i) offsets.push_back(offsets.back() + w.row_len[i]);
+  targets.resize(base + total);
+  pool.parallel_for(
+      0, chunks,
+      [&](std::size_t c) {
+        const std::uint32_t* item = item_of + w.chunk_start[c];
+        NodeId* out = targets.data() + base + w.chunk_start[c];
+        for (ProfileKey key : w.chunk_keys[c]) {
+          const NodeId node = item_nodes[*item++];
+          *out++ = (node & kProvisional) == 0 ? node
+                                              : w.first_id[shard_of(key)] + (node & ~kProvisional);
+        }
+      },
+      1);
+  w.intern_ns += obs::now_ns() - expanded_ns;
 }
 
-void ProfileGraph::canonicalize(std::vector<std::pair<NodeId, NodeId>> edges) {
+void ProfileGraph::canonicalize(const std::vector<std::size_t>& offsets,
+                                const std::vector<NodeId>& targets) {
+  const obs::ScopedTimerNs timer(score_table_stage_histogram("canonicalize"));
+  WorkerPool& pool = WorkerPool::shared();
   const std::size_t n = keys_.size();
+  PRVM_CHECK(offsets.size() == n + 1, "every node needs its successor row");
   std::vector<NodeId> order(n);
   std::iota(order.begin(), order.end(), NodeId{0});
   std::sort(order.begin(), order.end(),
@@ -176,29 +320,28 @@ void ProfileGraph::canonicalize(std::vector<std::pair<NodeId, NodeId>> edges) {
   // The empty profile packs to key 0, the minimum, so it stays node 0.
   PRVM_CHECK(keys_[0] == Profile::zero(shape_).pack(shape_),
              "canonical numbering lost the zero node");
+  pool.parallel_for(
+      0, kShards,
+      [&](std::size_t s) { index_[s].for_each_value([&](NodeId& v) { v = new_id[v]; }); }, 1);
 
-  index_.clear();
-  index_.reserve(n);
-  for (NodeId u = 0; u < n; ++u) index_.try_emplace(keys_[u], u);
-
-  // CSR by counting sort on the new `from` id, then each (short) row sorted
-  // by target. offsets[u + 1] first counts row u; after the prefix sum
-  // offsets[u] is row u's start and serves as its fill cursor, which leaves
-  // it at row u's end, i.e. the start of row u + 1: shifting the array by
-  // one restores the row starts.
-  std::vector<std::size_t> offsets(n + 1, 0);
-  for (const auto& [from, to] : edges) ++offsets[new_id[from] + 1];
-  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
-  std::vector<NodeId> targets(edges.size());
-  for (const auto& [from, to] : edges) targets[offsets[new_id[from]]++] = new_id[to];
-  edges = {};
-  std::copy_backward(offsets.begin(), offsets.end() - 1, offsets.end());
-  offsets[0] = 0;
-  for (std::size_t u = 0; u < n; ++u) {
-    std::sort(targets.begin() + static_cast<std::ptrdiff_t>(offsets[u]),
-              targets.begin() + static_cast<std::ptrdiff_t>(offsets[u + 1]));
+  // Canonical row p is the discovery row of node order[p], renumbered and
+  // sorted by target; each row is written by one task.
+  std::vector<std::size_t> canon_offsets(n + 1, 0);
+  for (std::size_t p = 0; p < n; ++p) {
+    canon_offsets[p + 1] = canon_offsets[p] + offsets[order[p] + 1] - offsets[order[p]];
   }
-  graph_ = Digraph(std::move(offsets), std::move(targets));
+  std::vector<NodeId> canon_targets(targets.size());
+  pool.parallel_chunks(n, kRowChunk, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t p = lo; p < hi; ++p) {
+      NodeId* const row = canon_targets.data() + canon_offsets[p];
+      NodeId* out = row;
+      for (std::size_t e = offsets[order[p]]; e < offsets[order[p] + 1]; ++e) {
+        *out++ = new_id[targets[e]];
+      }
+      std::sort(row, out);
+    }
+  });
+  graph_ = Digraph(std::move(canon_offsets), std::move(canon_targets));
 }
 
 std::optional<NodeId> ProfileGraph::best_node() const {
@@ -206,7 +349,7 @@ std::optional<NodeId> ProfileGraph::best_node() const {
 }
 
 std::optional<NodeId> ProfileGraph::find_node(ProfileKey key) const {
-  const NodeId* node = index_.find(key);
+  const NodeId* node = index_[shard_of(key)].find(key);
   if (node == nullptr) return std::nullopt;
   return *node;
 }

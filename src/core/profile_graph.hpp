@@ -76,31 +76,47 @@ class ProfileGraph {
   /// Utilization in [0,1] of a node's profile (cached).
   double utilization(NodeId node) const;
 
+  /// Total usage (sum of levels) of a node's profile. It strictly increases
+  /// along every edge, so descending usage is a topological order.
+  std::uint16_t usage(NodeId node) const { return usage_[node]; }
+
   /// Nodes with no outgoing edges: profiles that cannot accommodate any
   /// further VM — the "endpoints" of the BPRU definition.
   std::vector<NodeId> sink_nodes() const;
 
  private:
-  /// BFS-expands `frontier` under the full demand set, appending discovered
-  /// nodes and recording edges into `edges`.
-  void grow(std::vector<NodeId> frontier, std::vector<std::pair<NodeId, NodeId>>& edges,
-            const ProfileGraphOptions& options);
+  /// The node index is split into 2^kShardBits maps by the top bits of a
+  /// multiplicative hash of the key, so one BFS wave's keys are interned by
+  /// every pool thread at once, each shard by one task.
+  static constexpr int kShardBits = 6;
+  static constexpr std::size_t kShards = std::size_t{1} << kShardBits;
+  static std::size_t shard_of(ProfileKey key);
 
-  /// The node of `key`, appended when new (then `second` is true);
-  /// `options.max_nodes` bounds the graph.
-  std::pair<NodeId, bool> intern_node(ProfileKey key, const ProfileGraphOptions& options);
+  /// Buffers reused across the waves of one build, and its stage times.
+  struct WaveScratch;
+
+  /// BFS: expands every node from `offsets.size() - 1` on under the full
+  /// demand set, wave by wave, until no new node appears. Each node's
+  /// successor row (discovery ids) is appended to offsets/targets.
+  void grow(std::vector<std::size_t>& offsets, std::vector<NodeId>& targets,
+            const ProfileGraphOptions& options, WaveScratch& scratch);
+
+  /// One wave: expands nodes [begin, end) under `demands` and appends their
+  /// rows; successors not yet in the graph become nodes end, end + 1, ...
+  void expand_wave(NodeId begin, NodeId end, const std::vector<QuantizedDemand>& demands,
+                   std::vector<std::size_t>& offsets, std::vector<NodeId>& targets,
+                   const ProfileGraphOptions& options, WaveScratch& scratch);
 
   /// Renumbers nodes by ascending key and builds the finalized graph from
-  /// `edges` with sorted adjacency (see the constructor comment). Consumes
-  /// `edges`.
-  void canonicalize(std::vector<std::pair<NodeId, NodeId>> edges);
+  /// the discovery-order rows, each row sorted (see the constructor).
+  void canonicalize(const std::vector<std::size_t>& offsets, const std::vector<NodeId>& targets);
 
   ProfileShape shape_;
   std::vector<QuantizedDemand> demands_;
   Digraph graph_;
   std::vector<ProfileKey> keys_;
   std::vector<std::uint16_t> usage_;  ///< total usage per node
-  FlatMap64<NodeId> index_;
+  std::vector<FlatMap64<NodeId>> index_ = std::vector<FlatMap64<NodeId>>(kShards);
 };
 
 }  // namespace prvm

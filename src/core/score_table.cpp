@@ -1,6 +1,8 @@
 #include "core/score_table.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -13,6 +15,7 @@
 #include "common/check.hpp"
 #include "common/worker_pool.hpp"
 #include "core/bpru.hpp"
+#include "obs/metrics.hpp"
 
 namespace prvm {
 
@@ -59,6 +62,42 @@ void read_pod(std::istream& is, T& value) {
 /// boundary so mapped pointers are cache-line (and type-) aligned.
 constexpr std::size_t align_up(std::size_t offset) { return (offset + 63) & ~std::size_t{63}; }
 
+std::string stage_metric(std::string_view stage) {
+  return "prvm_score_table_" + std::string(stage) + "_ns";
+}
+
+// Writes a file through write(os) into a fresh temporary next to `path` and
+// renames it over `path`. A published file is never truncated in place, so a
+// process that has it mapped keeps reading the old inode, and a reader never
+// sees a half-written file. The temporary is removed when anything fails.
+template <typename Write>
+void publish_file(const std::filesystem::path& path, Write write) {
+  static std::atomic<unsigned> serial{0};
+  std::filesystem::path tmp;
+  for (;;) {
+    tmp = path;
+    tmp += ".tmp." + std::to_string(::getpid()) + "." + std::to_string(serial++);
+    const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+    if (fd >= 0) {
+      ::close(fd);
+      break;
+    }
+    PRVM_REQUIRE(errno == EEXIST, "cannot create file for writing: " + tmp.string());
+  }
+  try {
+    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
+    PRVM_REQUIRE(os.is_open(), "cannot open file for writing: " + tmp.string());
+    write(os);
+    os.close();
+    PRVM_REQUIRE(!os.fail(), "error writing " + tmp.string());
+    std::filesystem::rename(tmp, path);
+  } catch (...) {
+    std::error_code ec;
+    std::filesystem::remove(tmp, ec);
+    throw;
+  }
+}
+
 }  // namespace
 
 /// An open read-only mapping of an image file; destroyed when the last
@@ -100,9 +139,31 @@ std::string ScoreTable::digest(const ProfileShape& shape,
   return os.str();
 }
 
+obs::Histogram& score_table_stage_histogram(std::string_view stage) {
+  return obs::Registry::global().histogram(stage_metric(stage));
+}
+
+std::string score_table_build_split() {
+  std::ostringstream split;
+  for (std::string_view stage : kScoreTableBuildStages) {
+    const obs::Histogram* h = obs::Registry::global().find_histogram(stage_metric(stage));
+    if (h == nullptr) continue;
+    const obs::HistogramSnapshot snap = h->snapshot();
+    split << (split.tellp() > 0 ? ", " : "") << stage << ' ' << snap.sum / 1'000'000 << " ms";
+  }
+  return split.str();
+}
+
 static_assert(sizeof(ScoreTable::RankedKey) == 16, "image files store 16-byte ranked entries");
 
 ScoreTable ScoreTable::build(const ProfileGraph& graph, const ScoreTableOptions& options) {
+  // Each stage's wall time goes to its prvm_score_table_<stage>_ns histogram.
+  std::uint64_t stage_start = obs::now_ns();
+  const auto stage_done = [&stage_start](std::string_view stage) {
+    const std::uint64_t now = obs::now_ns();
+    score_table_stage_histogram(stage).record(now - stage_start);
+    stage_start = now;
+  };
   const PageRankResult pr = [&] {
     if (options.direction == VoteDirection::kForwardAsPrinted) {
       return compute_pagerank(graph.graph(), options.pagerank);
@@ -124,6 +185,8 @@ ScoreTable ScoreTable::build(const ProfileGraph& graph, const ScoreTableOptions&
     return compute_pagerank_reversed(graph.graph(), options.pagerank, teleport);
   }();
 
+  stage_done("pagerank");
+
   std::vector<double> scores = pr.scores;
   if (options.apply_bpru) {
     const std::vector<double> bpru = compute_bpru(graph);
@@ -135,6 +198,7 @@ ScoreTable ScoreTable::build(const ProfileGraph& graph, const ScoreTableOptions&
       for (double& s : scores) s /= max;
     }
   }
+  stage_done("bpru");
 
   ScoreTable table;
   table.shape_ = graph.shape();
@@ -155,11 +219,11 @@ ScoreTable ScoreTable::build(const ProfileGraph& graph, const ScoreTableOptions&
   }
 
   table.best_.assign(n * table.demand_count_, BestEntry{});
+  for (std::size_t t = 0; t < table.demand_count_; ++t) table.fill_demand_block(graph, t);
+  stage_done("best_successor");
   table.ranked_offsets_.assign(1, 0);
-  for (std::size_t t = 0; t < table.demand_count_; ++t) {
-    table.fill_demand_block(graph, t);
-    table.build_ranked_block(t);
-  }
+  table.build_ranked_blocks(0);
+  stage_done("ranked_sort");
   return table;
 }
 
@@ -208,8 +272,8 @@ ScoreTable ScoreTable::extend(const ScoreTable& base, const ProfileGraph& graph,
                              base.ranked_arena_data() + base_offsets[base.demand_count_]);
   for (std::size_t t = base.demand_count_; t < table.demand_count_; ++t) {
     table.fill_demand_block(graph, t);
-    table.build_ranked_block(t);
   }
+  table.build_ranked_blocks(base.demand_count_);
   return table;
 }
 
@@ -244,20 +308,30 @@ void ScoreTable::fill_demand_block(const ProfileGraph& graph, std::size_t t) {
   WorkerPool::shared().parallel_for(0, (node_count_ + kChunk - 1) / kChunk, work, 1);
 }
 
-void ScoreTable::build_ranked_block(std::size_t t) {
-  PRVM_CHECK(ranked_offsets_.size() == t + 1, "ranked blocks must be built in demand order");
-  const BestEntry* row = best_.data() + t * node_count_;
-  const std::size_t begin = ranked_arena_.size();
-  for (std::size_t u = 0; u < node_count_; ++u) {
-    if (row[u].successor == kNoFit) continue;
-    ranked_arena_.push_back(RankedKey{row[u].score, 0, keys_[u]});
+void ScoreTable::build_ranked_blocks(std::size_t first) {
+  PRVM_CHECK(ranked_offsets_.size() == first + 1, "ranked blocks must be built in demand order");
+  // Size every block first, so each demand fills and sorts its own span of
+  // the arena on the pool.
+  for (std::size_t t = first; t < demand_count_; ++t) {
+    const BestEntry* row = best_.data() + t * node_count_;
+    const auto fits = std::count_if(row, row + node_count_,
+                                    [](const BestEntry& e) { return e.successor != kNoFit; });
+    ranked_offsets_.push_back(ranked_offsets_.back() + static_cast<std::uint64_t>(fits));
   }
-  std::sort(ranked_arena_.begin() + static_cast<std::ptrdiff_t>(begin), ranked_arena_.end(),
-            [](const RankedKey& a, const RankedKey& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.key < b.key;
-            });
-  ranked_offsets_.push_back(ranked_arena_.size());
+  ranked_arena_.resize(ranked_offsets_.back());
+  const auto fill = [&](std::size_t t) {
+    const BestEntry* row = best_.data() + t * node_count_;
+    RankedKey* const block = ranked_arena_.data() + ranked_offsets_[t];
+    RankedKey* out = block;
+    for (std::size_t u = 0; u < node_count_; ++u) {
+      if (row[u].successor != kNoFit) *out++ = RankedKey{row[u].score, 0, keys_[u]};
+    }
+    std::sort(block, out, [](const RankedKey& a, const RankedKey& b) {
+      if (a.score != b.score) return a.score > b.score;
+      return a.key < b.key;
+    });
+  };
+  WorkerPool::shared().parallel_for(first, demand_count_, fill, 1);
 }
 
 std::span<const ScoreTable::RankedKey> ScoreTable::ranked_keys(std::size_t demand_index) const {
@@ -311,8 +385,10 @@ std::optional<ScoreTable::Best> ScoreTable::best_after(ProfileKey current,
 }
 
 void ScoreTable::save(const std::filesystem::path& path) const {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  PRVM_REQUIRE(os.is_open(), "cannot open score-table file for writing: " + path.string());
+  publish_file(path, [&](std::ostream& os) { write_cache(os); });
+}
+
+void ScoreTable::write_cache(std::ostream& os) const {
   os.write(kMagic, sizeof kMagic);
 
   const std::uint64_t digest_len = digest_.size();
@@ -337,7 +413,6 @@ void ScoreTable::save(const std::filesystem::path& path) const {
            static_cast<std::streamsize>(node_count_ * demand_count_ * sizeof(BestEntry)));
   write_pod(os, static_cast<std::int32_t>(iterations_));
   write_pod(os, static_cast<std::uint8_t>(converged_));
-  PRVM_REQUIRE(os.good(), "error writing score-table file: " + path.string());
 }
 
 ScoreTable ScoreTable::load(const std::filesystem::path& path) {
@@ -395,15 +470,16 @@ ScoreTable ScoreTable::load(const std::filesystem::path& path) {
   table.index_.reserve(node_count);
   for (NodeId u = 0; u < node_count; ++u) table.index_.try_emplace(table.keys_[u], u);
   table.ranked_offsets_.assign(1, 0);
-  for (std::size_t t = 0; t < table.demand_count_; ++t) table.build_ranked_block(t);
+  table.build_ranked_blocks(0);
   return table;
 }
 
 void ScoreTable::save_image(const std::filesystem::path& path) const {
   PRVM_REQUIRE(!is_mapped(), "saving an image from a mapped table is redundant");
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  PRVM_REQUIRE(os.is_open(), "cannot open image file for writing: " + path.string());
+  publish_file(path, [&](std::ostream& os) { write_image(os); });
+}
 
+void ScoreTable::write_image(std::ostream& os) const {
   const std::uint64_t index_capacity = index_.capacity();
   const std::uint64_t arena_size = ranked_arena_.size();
   os.write(kImageMagic, sizeof kImageMagic);
@@ -438,7 +514,6 @@ void ScoreTable::save_image(const std::filesystem::path& path) const {
   section(index_.keys_data(), index_capacity * sizeof(std::uint64_t));
   section(index_.values_data(), index_capacity * sizeof(NodeId));
   section(index_.full_data(), index_capacity * sizeof(std::uint8_t));
-  PRVM_REQUIRE(os.good(), "error writing image file: " + path.string());
 }
 
 ScoreTable ScoreTable::map_image(const std::filesystem::path& path) {

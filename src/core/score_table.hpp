@@ -15,7 +15,7 @@
 //
 // The table is self-contained after build (the graph can be discarded) and
 // has three persistence forms: save()/load() (owned binary cache, because
-// building the EC2-scale tables takes about 1.6 s on 4 CPUs and the paper
+// building the EC2-scale tables takes about 0.9 s on 4 CPUs and the paper
 // notes the table "is relatively stable during a certain period of time"),
 // save_image()/map_image() (a page-aligned read-only image mapped with
 // mmap, so N cell processes of one host share one physical copy), and
@@ -26,10 +26,12 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/flat_map.hpp"
@@ -37,6 +39,25 @@
 #include "pagerank/pagerank.hpp"
 
 namespace prvm {
+
+namespace obs {
+class Histogram;
+}  // namespace obs
+
+/// The stages of a cold table build, in order. Each one's wall time per
+/// build is recorded in the global registry's `prvm_score_table_<stage>_ns`
+/// histogram (expand, intern and canonicalize by ProfileGraph, the next four
+/// by ScoreTable::build, image_write by mapped_score_tables).
+inline constexpr std::string_view kScoreTableBuildStages[] = {
+    "expand", "intern", "canonicalize", "pagerank", "bpru", "best_successor", "ranked_sort",
+    "image_write"};
+
+/// The global-registry histogram of one of kScoreTableBuildStages.
+obs::Histogram& score_table_stage_histogram(std::string_view stage);
+
+/// "expand 130 ms, intern 45 ms, ..." summed over every build so far, for
+/// the stages that ran; empty when no table was built.
+std::string score_table_build_split();
 
 /// Which way votes flow in the profile graph.
 ///
@@ -169,11 +190,17 @@ class ScoreTable {
   ScoreTable() = default;
 
   /// Computes the best-successor block of demand `t` into best_ (which must
-  /// already span [t * n, (t+1) * n)), then its ranked span. `scores` are
-  /// the float scores the comparisons run on (identical between build and
-  /// extend, which is what makes extend byte-identical).
+  /// already span [t * n, (t+1) * n)). The comparisons run on the stored
+  /// float scores (identical between build and extend, which is what makes
+  /// extend byte-identical).
   void fill_demand_block(const ProfileGraph& graph, std::size_t t);
-  void build_ranked_block(std::size_t t);
+  /// Appends the ranked spans of demands [first, demand_count_): every span
+  /// is sized first, then filled and sorted on the pool, one demand a task.
+  void build_ranked_blocks(std::size_t first);
+
+  /// The bodies of save() and save_image().
+  void write_cache(std::ostream& os) const;
+  void write_image(std::ostream& os) const;
 
   /// An open mmap; shared_ptr so copies of a mapped table stay cheap and
   /// the mapping lives exactly as long as someone serves from it.

@@ -4,10 +4,15 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "common/worker_pool.hpp"
 
 namespace prvm {
 
 namespace {
+
+// Nodes per pool task in the per-node passes. Task boundaries are fixed by
+// the node count alone, and every pass writes each node from one task only.
+constexpr std::size_t kNodeChunk = 1024;
 
 // The Algorithm 1 iteration over n nodes; `accumulate(previous, aux)` fills
 // aux with the votes each node receives from the previous scores.
@@ -41,6 +46,8 @@ PageRankResult iterate(std::size_t n, const PageRankOptions& options,
   result.scores.assign(n, 1.0 / static_cast<double>(n));
   std::vector<double> aux(n, 0.0);
   std::vector<double> previous(n);
+  std::vector<double> chunk_delta((n + kNodeChunk - 1) / kNodeChunk);
+  WorkerPool& pool = WorkerPool::shared();
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     // The outgoing scores become "previous" by pointer swap, not by copying
@@ -49,21 +56,27 @@ PageRankResult iterate(std::size_t n, const PageRankOptions& options,
     std::swap(previous, result.scores);
     accumulate(previous, aux);
 
+    // The L1 sum stays one serial pass in node order: its rounding depends
+    // on the order of the adds.
     double sum = 0.0;
     for (std::size_t u = 0; u < n; ++u) {
       result.scores[u] = base[u] + options.damping * aux[u];
       sum += result.scores[u];
     }
     PRVM_CHECK(sum > 0.0, "PageRank mass vanished");
-    // One fused pass: L1-renormalize and track the convergence delta. The
-    // arithmetic (divide, then subtract) matches the former two-pass form
-    // exactly, so scores stay bit-identical.
-    double max_delta = 0.0;
-    for (std::size_t u = 0; u < n; ++u) {
-      const double s = result.scores[u] / sum;
-      result.scores[u] = s;
-      max_delta = std::max(max_delta, std::abs(s - previous[u]));
-    }
+    // L1-renormalize and track the convergence delta on the pool. Each score
+    // is one divide, whoever runs it, and a max does not depend on the order
+    // it is taken in, so scores and iteration count stay bit-identical.
+    pool.parallel_chunks(n, kNodeChunk, [&](std::size_t lo, std::size_t hi) {
+      double delta = 0.0;
+      for (std::size_t u = lo; u < hi; ++u) {
+        const double s = result.scores[u] / sum;
+        result.scores[u] = s;
+        delta = std::max(delta, std::abs(s - previous[u]));
+      }
+      chunk_delta[lo / kNodeChunk] = delta;
+    });
+    const double max_delta = *std::max_element(chunk_delta.begin(), chunk_delta.end());
     result.iterations = iter + 1;
     if (max_delta < options.epsilon) {
       result.converged = true;
@@ -103,18 +116,26 @@ PageRankResult compute_pagerank_reversed(const Digraph& graph, const PageRankOpt
     for (NodeId v : graph.successors(u)) ++in_degree[v];
   }
   std::vector<double> share(n, 0.0);
+  WorkerPool& pool = WorkerPool::shared();
+  // Both passes run on the pool over node slices. A pull gives every row one
+  // writer, which adds the row's terms in CSR order whichever thread it is,
+  // so the sums are the serial sums bit for bit.
   return iterate(n, options, teleport,
                  [&](const std::vector<double>& previous, std::vector<double>& aux) {
-                   for (NodeId v = 0; v < n; ++v) {
-                     if (in_degree[v] != 0) {
-                       share[v] = previous[v] / static_cast<double>(in_degree[v]);
+                   pool.parallel_chunks(n, kNodeChunk, [&](std::size_t lo, std::size_t hi) {
+                     for (std::size_t v = lo; v < hi; ++v) {
+                       if (in_degree[v] != 0) {
+                         share[v] = previous[v] / static_cast<double>(in_degree[v]);
+                       }
                      }
-                   }
-                   for (NodeId u = 0; u < n; ++u) {
-                     double votes = 0.0;
-                     for (NodeId v : graph.successors(u)) votes += share[v];
-                     aux[u] = votes;
-                   }
+                   });
+                   pool.parallel_chunks(n, kNodeChunk, [&](std::size_t lo, std::size_t hi) {
+                     for (std::size_t u = lo; u < hi; ++u) {
+                       double votes = 0.0;
+                       for (NodeId v : graph.successors(static_cast<NodeId>(u))) votes += share[v];
+                       aux[u] = votes;
+                     }
+                   });
                  });
 }
 

@@ -41,6 +41,8 @@ PageRankResult compute_pagerank(const Digraph& graph, const PageRankOptions& opt
 /// PR(P')/indeg(P') over P's successors P'. With every adjacency list sorted
 /// ascending (as ProfileGraph's are), the terms are added in the order the
 /// push over the reversed graph adds them, so the scores are bit-identical.
+/// Rows are pulled on the shared worker pool; each row still has one writer
+/// and one summation order, so the thread count cannot change a bit.
 PageRankResult compute_pagerank_reversed(const Digraph& graph, const PageRankOptions& options,
                                          std::span<const double> teleport);
 

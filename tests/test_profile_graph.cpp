@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <set>
+
+#include "cluster/catalog.hpp"
+#include "run_inline.hpp"
 
 namespace prvm {
 namespace {
@@ -149,6 +154,26 @@ TEST(ProfileGraph, SingleVmTypeChain) {
   EXPECT_EQ(g.node_count(), 5u);  // 0..4
   EXPECT_EQ(g.graph().edge_count(), 4u);
   EXPECT_TRUE(g.best_node().has_value());
+}
+
+TEST(ProfileGraph, InlineBuildMatchesPooledCsr) {
+  // The EC2 catalog's PM types: waves of up to ~870k successor keys, so the
+  // pooled build interns every wave on all shards at once.
+  const Catalog catalog = ec2_sim_catalog();
+  for (std::size_t p = 0; p < catalog.pm_types().size(); ++p) {
+    const ProfileGraph pooled(catalog.shape(p), catalog.fitting_demands(p).demands);
+    std::optional<ProfileGraph> serial;
+    run_inline([&] { serial.emplace(catalog.shape(p), catalog.fitting_demands(p).demands); });
+    ASSERT_EQ(serial->node_count(), pooled.node_count());
+    ASSERT_EQ(serial->graph().edge_count(), pooled.graph().edge_count());
+    for (NodeId u = 0; u < pooled.node_count(); ++u) {
+      ASSERT_EQ(serial->key_of(u), pooled.key_of(u));
+      const auto a = serial->graph().successors(u);
+      const auto b = pooled.graph().successors(u);
+      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << "row " << u;
+      ASSERT_EQ(pooled.find_node(pooled.key_of(u)), u);
+    }
+  }
 }
 
 }  // namespace
