@@ -6,8 +6,9 @@
 // the legacy linear scan (use_index = false, Algorithm 2 as printed).
 // Reports placements/sec, p50/p99/p999 single-placement latency off the
 // shared obs::Histogram (same estimator as prvm_loadgen, <= 12.5% relative
-// error), and the engine's own counters (score lookups, ranked-key probes,
-// rep-cache hits) from a per-run private registry.
+// error), and the engine's own counters (score lookups — score-cache
+// refills for the indexed engine — and rep-cache hits) from a per-run
+// private registry.
 //
 // Usage: bench_placement_throughput [--json PATH]
 //   --json PATH   additionally write machine-readable results to PATH
@@ -43,7 +44,6 @@ struct EngineStats {
   double p99_us = 0.0;
   double p999_us = 0.0;
   std::uint64_t score_lookups = 0;   ///< best-successor table lookups (churn)
-  std::uint64_t index_probes = 0;    ///< ranked-key bucket probes (churn)
   std::uint64_t rep_cache_hits = 0;  ///< best-permutation cache hits (churn)
   std::uint64_t linear_scored = 0;   ///< PMs scored by the legacy scan (churn)
 };
@@ -88,7 +88,6 @@ EngineStats run_engine(const Catalog& catalog,
 
   // Counter baselines: report churn-phase deltas, not fill noise.
   const std::uint64_t base_lookups = reg.counter("prvm_engine_score_lookups_total").value();
-  const std::uint64_t base_probes = reg.counter("prvm_engine_index_probes_total").value();
   const std::uint64_t base_hits = reg.counter("prvm_engine_rep_cache_hits_total").value();
   const std::uint64_t base_linear = reg.counter("prvm_engine_linear_scored_total").value();
 
@@ -119,7 +118,6 @@ EngineStats run_engine(const Catalog& catalog,
   stats.p99_us = snap.quantile(0.99) / 1e3;
   stats.p999_us = snap.quantile(0.999) / 1e3;
   stats.score_lookups = reg.counter("prvm_engine_score_lookups_total").value() - base_lookups;
-  stats.index_probes = reg.counter("prvm_engine_index_probes_total").value() - base_probes;
   stats.rep_cache_hits = reg.counter("prvm_engine_rep_cache_hits_total").value() - base_hits;
   stats.linear_scored = reg.counter("prvm_engine_linear_scored_total").value() - base_linear;
   return stats;
@@ -130,10 +128,9 @@ void print_engine(const char* name, const EngineStats& s) {
       "  %-8s fill %8.0f pl/s (%zu VMs)   churn %9.0f pl/s   p50 %7.2f us   p99 %7.2f us   "
       "p999 %7.2f us\n",
       name, s.fill_pps, s.fill_placements, s.churn_pps, s.p50_us, s.p99_us, s.p999_us);
-  std::printf("           churn counters: %llu score lookups, %llu index probes, "
+  std::printf("           churn counters: %llu score lookups, "
               "%llu rep-cache hits, %llu linear-scored\n",
               static_cast<unsigned long long>(s.score_lookups),
-              static_cast<unsigned long long>(s.index_probes),
               static_cast<unsigned long long>(s.rep_cache_hits),
               static_cast<unsigned long long>(s.linear_scored));
 }
@@ -145,7 +142,6 @@ void json_engine(std::ostream& os, const char* name, const EngineStats& s) {
      << ", \"churn_ops\": " << s.churn_ops << ", \"p50_us\": " << s.p50_us
      << ", \"p99_us\": " << s.p99_us << ", \"p999_us\": " << s.p999_us
      << ", \"score_lookups\": " << s.score_lookups
-     << ", \"index_probes\": " << s.index_probes
      << ", \"rep_cache_hits\": " << s.rep_cache_hits
      << ", \"linear_scored\": " << s.linear_scored << "}";
 }

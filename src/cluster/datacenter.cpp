@@ -10,40 +10,6 @@
 
 namespace prvm {
 
-namespace resmask {
-
-std::uint64_t pack_free(const ProfileShape& shape, const Profile& usage) {
-  std::uint64_t packed = 0;
-  const std::size_t groups = std::min<std::size_t>(shape.group_count(), 4);
-  for (std::size_t g = 0; g < groups; ++g) {
-    const DimensionGroup& group = shape.groups()[g];
-    const int offset = shape.group_offset(g);
-    std::uint64_t free = 0;
-    for (int d = 0; d < group.count; ++d) {
-      free += static_cast<std::uint64_t>(group.capacity - usage.level(offset + d));
-    }
-    packed |= std::min(free, kFieldMax) << (kFieldBits * g);
-  }
-  return packed;
-}
-
-std::uint64_t pack_need(const ProfileShape& shape, const QuantizedDemand& demand) {
-  std::uint64_t packed = 0;
-  const std::size_t groups = std::min<std::size_t>(shape.group_count(), 4);
-  for (std::size_t g = 0; g < groups; ++g) {
-    std::uint64_t need = 0;
-    if (g < demand.group_items.size()) {
-      for (int item : demand.group_items[g]) need += static_cast<std::uint64_t>(item);
-    }
-    // A demand a single PM of this shape could never absorb would make the
-    // packed field meaningless; such demands are rejected at catalog build.
-    packed |= std::min(need, kFieldMax) << (kFieldBits * g);
-  }
-  return packed;
-}
-
-}  // namespace resmask
-
 Datacenter::Datacenter(Catalog catalog, std::vector<std::size_t> pm_types_of)
     : catalog_(std::move(catalog)) {
   PRVM_REQUIRE(!pm_types_of.empty(), "datacenter needs at least one PM");
@@ -111,11 +77,7 @@ void Datacenter::add_to_bucket(PmIndex i) {
     ti.keys.push_back(pms_[i].canonical_key);
     ti.heads.push_back(kNoPm);
     ti.counts.push_back(0);
-    // All members of a bucket share the canonical key, hence the residual
-    // summary; raw usage works because group residuals are permutation-
-    // invariant.
-    ti.residuals.push_back(
-        resmask::pack_free(catalog_.shape(pms_[i].type_index), pms_[i].usage));
+    ti.earliest.push_back(Earliest{activation_seq_[i], i});
   }
   const PmIndex head = ti.heads[slot];
   next_in_bucket_[i] = head;
@@ -123,6 +85,17 @@ void Datacenter::add_to_bucket(PmIndex i) {
   if (head != kNoPm) prev_in_bucket_[head] = i;
   ti.heads[slot] = i;
   ++ti.counts[slot];
+  if (activation_seq_[i] < ti.earliest[slot].seq) {
+    ti.earliest[slot] = Earliest{activation_seq_[i], i};
+  }
+}
+
+void Datacenter::refresh_earliest(TypeIndex& ti, std::uint32_t slot) {
+  Earliest first{~std::uint64_t{0}, kNoPm};
+  for (PmIndex m = ti.heads[slot]; m != kNoPm; m = next_in_bucket_[m]) {
+    if (activation_seq_[m] < first.seq) first = Earliest{activation_seq_[m], m};
+  }
+  ti.earliest[slot] = first;
 }
 
 void Datacenter::remove_from_bucket(PmIndex i) {
@@ -142,7 +115,10 @@ void Datacenter::remove_from_bucket(PmIndex i) {
   next_in_bucket_[i] = kNoPm;
   prev_in_bucket_[i] = kNoPm;
   PRVM_CHECK(ti.counts[*slot] > 0, "bucket count out of sync");
-  if (--ti.counts[*slot] > 0) return;
+  if (--ti.counts[*slot] > 0) {
+    if (ti.earliest[*slot].pm == i) refresh_earliest(ti, *slot);
+    return;
+  }
 
   // Swap-erase the dead bucket out of the dense arrays, keeping the key map
   // pointed at the moved bucket's new slot.
@@ -152,7 +128,7 @@ void Datacenter::remove_from_bucket(PmIndex i) {
     ti.keys[*slot] = ti.keys[last];
     ti.heads[*slot] = ti.heads[last];
     ti.counts[*slot] = ti.counts[last];
-    ti.residuals[*slot] = ti.residuals[last];
+    ti.earliest[*slot] = ti.earliest[last];
     std::uint32_t* moved = ti.slot_of.find(ti.keys[*slot]);
     PRVM_CHECK(moved != nullptr, "bucket index out of sync");
     *moved = *slot;
@@ -160,7 +136,7 @@ void Datacenter::remove_from_bucket(PmIndex i) {
   ti.keys.pop_back();
   ti.heads.pop_back();
   ti.counts.pop_back();
-  ti.residuals.pop_back();
+  ti.earliest.pop_back();
   *ti.slot_of.find(dead_key) = kNoBucket;
 }
 
@@ -274,7 +250,7 @@ void Datacenter::clear() {
     ti.keys.clear();
     ti.heads.clear();
     ti.counts.clear();
-    ti.residuals.clear();
+    ti.earliest.clear();
     ti.slot_of.clear();
     ti.used_count = 0;
   }
@@ -396,6 +372,11 @@ Datacenter Datacenter::deserialize(Catalog catalog, std::istream& is) {
     dc.activation_seq_[pm] = seq;
   }
   dc.next_activation_ = next_activation;
+  // Earliest members were tracked against a mix of fresh and pinned
+  // sequence numbers while the loop ran; re-derive them from the pinned ones.
+  for (TypeIndex& ti : dc.index_) {
+    for (std::uint32_t s = 0; s < ti.keys.size(); ++s) dc.refresh_earliest(ti, s);
+  }
   return dc;
 }
 
@@ -404,7 +385,7 @@ void Datacenter::check_index_invariants() const {
   for (std::size_t t = 0; t < index_.size(); ++t) {
     const TypeIndex& ti = index_[t];
     PRVM_CHECK(ti.heads.size() == ti.keys.size() && ti.counts.size() == ti.keys.size() &&
-                   ti.residuals.size() == ti.keys.size(),
+                   ti.earliest.size() == ti.keys.size(),
                "SoA bucket arrays disagree on length");
     std::size_t used_by_type = 0;
     for (std::uint32_t s = 0; s < ti.keys.size(); ++s) {
@@ -413,6 +394,7 @@ void Datacenter::check_index_invariants() const {
       PRVM_CHECK(slot != nullptr && *slot == s, "bucket key maps to the wrong slot");
       std::uint32_t walked = 0;
       PmIndex prev = kNoPm;
+      PmIndex earliest = kNoPm;
       for (PmIndex i = ti.heads[s]; i != kNoPm; i = next_in_bucket_[i]) {
         PRVM_CHECK(walked < ti.counts[s], "bucket list longer than its count");
         PRVM_CHECK(!in_bucket[i], "PM appears in two buckets");
@@ -421,12 +403,13 @@ void Datacenter::check_index_invariants() const {
         PRVM_CHECK(pms_[i].used(), "bucket holds an unused PM");
         PRVM_CHECK(pms_[i].type_index == t, "bucket holds a PM of the wrong type");
         PRVM_CHECK(pms_[i].canonical_key == ti.keys[s], "bucket key does not match PM profile");
-        PRVM_CHECK(ti.residuals[s] == resmask::pack_free(catalog_.shape(t), pms_[i].usage),
-                   "bucket residual summary stale");
+        if (earliest == kNoPm || activation_seq_[i] < activation_seq_[earliest]) earliest = i;
         prev = i;
         ++walked;
       }
       PRVM_CHECK(walked == ti.counts[s], "bucket count does not match its list");
+      PRVM_CHECK(ti.earliest[s].pm == earliest && ti.earliest[s].seq == activation_seq_[earliest],
+                 "bucket earliest member stale");
       used_by_type += walked;
     }
     PRVM_CHECK(ti.used_count == used_by_type, "per-type used count out of sync");

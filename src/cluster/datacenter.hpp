@@ -8,15 +8,16 @@
 //
 // Alongside the per-PM ledger the datacenter incrementally maintains a
 // placement index in struct-of-arrays form: per PM type, parallel arrays of
-// bucket canonical key, head PM, member count and a packed per-bucket
-// residual-capacity summary (one u64, see resmask below), plus an intrusive
-// doubly-linked membership list threaded through per-PM next/prev arrays.
-// PageRankVM's indexed scan sweeps the contiguous key/residual arrays —
-// evaluating each *distinct* live profile once, prefiltered by a branchless
-// feasibility mask — instead of pointer-chasing per-bucket vectors. An
-// activation sequence number per used PM (Algorithm 2's used_PM_list order)
-// and a bitmap free-list of unused PMs round out the index; all maintenance
-// is O(1) per mutation and allocation-free at steady state.
+// bucket canonical key, head PM, member count and earliest member (the
+// member with the smallest activation sequence number, with that number),
+// plus an intrusive doubly-linked membership list threaded through per-PM
+// next/prev arrays. PageRankVM's indexed pick sweeps the contiguous key and
+// earliest-member arrays — evaluating each *distinct* live profile once and
+// breaking score ties by the earliest member — without walking any bucket.
+// An activation sequence number per used PM (Algorithm 2's used_PM_list
+// order) and a bitmap free-list of unused PMs round out the index. Every
+// mutation is O(1) and allocation-free at steady state, except that a
+// bucket losing its earliest member walks its remaining members once.
 #pragma once
 
 #include <cstdint>
@@ -35,33 +36,6 @@ namespace prvm {
 
 /// Index of a PM within a Datacenter.
 using PmIndex = std::size_t;
-
-/// Packed per-group residual-capacity summaries: up to four dimension groups
-/// at 15 bits each (values clamp at 0x7FFF; groups past the fourth are
-/// ignored). `may_fit(free, need)` is a branchless SWAR comparison that is
-/// *conservative*: false only when some group's total residual certainly
-/// cannot absorb the demand's total for that group — anti-collocation can
-/// still reject a bucket that passes, but a bucket that fails can never host
-/// the VM, so filtering on it cannot change any placement decision.
-namespace resmask {
-
-inline constexpr std::uint64_t kHighBits = 0x8000'8000'8000'8000ULL;
-inline constexpr int kFieldBits = 16;
-inline constexpr std::uint64_t kFieldMax = 0x7FFF;
-
-/// Per-group free capacity of `usage` (raw or canonical — residuals are
-/// permutation-invariant within a group).
-std::uint64_t pack_free(const ProfileShape& shape, const Profile& usage);
-
-/// Per-group total demand of `demand`.
-std::uint64_t pack_need(const ProfileShape& shape, const QuantizedDemand& demand);
-
-/// True when every group's packed residual is >= the demand's packed total.
-inline bool may_fit(std::uint64_t free, std::uint64_t need) {
-  return (((free | kHighBits) - need) & kHighBits) == kHighBits;
-}
-
-}  // namespace resmask
 
 class Datacenter {
  public:
@@ -166,17 +140,24 @@ class Datacenter {
 
   /// The canonical keys of `pm_type`'s live buckets, one per bucket, in
   /// dense slot order — the indexed engine's candidate scan sweeps this
-  /// contiguously. Parallel to bucket_residuals(). Invalidated by the next
+  /// contiguously. Parallel to bucket_earliest(). Invalidated by the next
   /// place()/remove().
   std::span<const ProfileKey> bucket_keys(std::size_t pm_type) const {
     const TypeIndex& ti = index_.at(pm_type);
     return {ti.keys.data(), ti.keys.size()};
   }
 
-  /// Packed resmask::pack_free summaries parallel to bucket_keys().
-  std::span<const std::uint64_t> bucket_residuals(std::size_t pm_type) const {
+  /// A bucket's earliest member: the first of its PMs in used_pms() order.
+  struct Earliest {
+    std::uint64_t seq = 0;  ///< activation_seq(pm)
+    PmIndex pm = 0;
+  };
+
+  /// The earliest member of each of `pm_type`'s live buckets, parallel to
+  /// bucket_keys(). Invalidated by the next place()/remove().
+  std::span<const Earliest> bucket_earliest(std::size_t pm_type) const {
     const TypeIndex& ti = index_.at(pm_type);
-    return {ti.residuals.data(), ti.residuals.size()};
+    return {ti.earliest.data(), ti.earliest.size()};
   }
 
   /// Member view of the bucket at dense `slot` (parallel to bucket_keys()).
@@ -252,13 +233,14 @@ class Datacenter {
 
   /// Verifies every placement-index invariant against the ledger (buckets
   /// partition the used PMs by canonical key, intrusive lists and counts
-  /// agree, residual summaries match the keys, free-list matches, activation
-  /// order matches used_pms()). Test hook; throws on violation.
+  /// agree, each bucket's earliest member is its minimum activation sequence,
+  /// free-list matches, activation order matches used_pms()). Test hook;
+  /// throws on violation.
   void check_index_invariants() const;
 
  private:
   /// Placement index of one PM type, struct-of-arrays: slot s of the dense
-  /// bucket array is (keys[s], heads[s], counts[s], residuals[s]); members
+  /// bucket array is (keys[s], heads[s], counts[s], earliest[s]); members
   /// are threaded through next_in_bucket_/prev_in_bucket_. `slot_of` maps a
   /// canonical key to its slot; emptied buckets leave a kNoBucket tombstone
   /// *value* behind (the flat map never erases).
@@ -266,7 +248,7 @@ class Datacenter {
     std::vector<ProfileKey> keys;
     std::vector<PmIndex> heads;
     std::vector<std::uint32_t> counts;
-    std::vector<std::uint64_t> residuals;
+    std::vector<Earliest> earliest;
     FlatMap64<std::uint32_t> slot_of;
     std::size_t used_count = 0;
   };
@@ -275,6 +257,8 @@ class Datacenter {
   void recompute_key(PmIndex i);
   void add_to_bucket(PmIndex i);
   void remove_from_bucket(PmIndex i);
+  /// Re-derives earliest[slot] of `ti` by walking the bucket's members.
+  void refresh_earliest(TypeIndex& ti, std::uint32_t slot);
   void mark_used(PmIndex i);
   void mark_unused(PmIndex i);
 

@@ -45,7 +45,8 @@ class Fnv {
 // canonical; R1 caches would deserialize into the wrong layout, so the
 // magic bump invalidates them wholesale.
 constexpr char kMagic[8] = {'P', 'R', 'V', 'M', 'S', 'C', 'R', '2'};
-constexpr char kImageMagic[8] = {'P', 'R', 'V', 'M', 'S', 'C', 'I', '1'};
+// 'I2': the ranked arena left the image; an I1 image is rebuilt, not misread.
+constexpr char kImageMagic[8] = {'P', 'R', 'V', 'M', 'S', 'C', 'I', '2'};
 
 template <typename T>
 void write_pod(std::ostream& os, const T& value) {
@@ -154,8 +155,6 @@ std::string score_table_build_split() {
   return split.str();
 }
 
-static_assert(sizeof(ScoreTable::RankedKey) == 16, "image files store 16-byte ranked entries");
-
 ScoreTable ScoreTable::build(const ProfileGraph& graph, const ScoreTableOptions& options) {
   // Each stage's wall time goes to its prvm_score_table_<stage>_ns histogram.
   std::uint64_t stage_start = obs::now_ns();
@@ -221,9 +220,6 @@ ScoreTable ScoreTable::build(const ProfileGraph& graph, const ScoreTableOptions&
   table.best_.assign(n * table.demand_count_, BestEntry{});
   for (std::size_t t = 0; t < table.demand_count_; ++t) table.fill_demand_block(graph, t);
   stage_done("best_successor");
-  table.ranked_offsets_.assign(1, 0);
-  table.build_ranked_blocks(0);
-  stage_done("ranked_sort");
   return table;
 }
 
@@ -243,8 +239,8 @@ ScoreTable ScoreTable::extend(const ScoreTable& base, const ProfileGraph& graph,
 
   // Same graph + same options => PageRank, BPRU and normalization are
   // untouched: node keys and scores carry over verbatim, and the old demand
-  // blocks (best entries and ranked spans) are already exactly what a fresh
-  // build would compute. Only the appended demand blocks need work.
+  // blocks are already exactly what a fresh build would compute. Only the
+  // appended demand blocks need work.
   ScoreTable table;
   table.shape_ = graph.shape();
   table.node_count_ = base.node_count_;
@@ -266,14 +262,9 @@ ScoreTable ScoreTable::extend(const ScoreTable& base, const ProfileGraph& graph,
   table.best_.assign(n * table.demand_count_, BestEntry{});
   std::memcpy(table.best_.data(), base.best_data(),
               n * base.demand_count_ * sizeof(BestEntry));
-  const std::uint64_t* base_offsets = base.ranked_offsets_data();
-  table.ranked_offsets_.assign(base_offsets, base_offsets + base.demand_count_ + 1);
-  table.ranked_arena_.assign(base.ranked_arena_data(),
-                             base.ranked_arena_data() + base_offsets[base.demand_count_]);
   for (std::size_t t = base.demand_count_; t < table.demand_count_; ++t) {
     table.fill_demand_block(graph, t);
   }
-  table.build_ranked_blocks(base.demand_count_);
   return table;
 }
 
@@ -306,40 +297,6 @@ void ScoreTable::fill_demand_block(const ProfileGraph& graph, std::size_t t) {
     }
   };
   WorkerPool::shared().parallel_for(0, (node_count_ + kChunk - 1) / kChunk, work, 1);
-}
-
-void ScoreTable::build_ranked_blocks(std::size_t first) {
-  PRVM_CHECK(ranked_offsets_.size() == first + 1, "ranked blocks must be built in demand order");
-  // Size every block first, so each demand fills and sorts its own span of
-  // the arena on the pool.
-  for (std::size_t t = first; t < demand_count_; ++t) {
-    const BestEntry* row = best_.data() + t * node_count_;
-    const auto fits = std::count_if(row, row + node_count_,
-                                    [](const BestEntry& e) { return e.successor != kNoFit; });
-    ranked_offsets_.push_back(ranked_offsets_.back() + static_cast<std::uint64_t>(fits));
-  }
-  ranked_arena_.resize(ranked_offsets_.back());
-  const auto fill = [&](std::size_t t) {
-    const BestEntry* row = best_.data() + t * node_count_;
-    RankedKey* const block = ranked_arena_.data() + ranked_offsets_[t];
-    RankedKey* out = block;
-    for (std::size_t u = 0; u < node_count_; ++u) {
-      if (row[u].successor != kNoFit) *out++ = RankedKey{row[u].score, 0, keys_[u]};
-    }
-    std::sort(block, out, [](const RankedKey& a, const RankedKey& b) {
-      if (a.score != b.score) return a.score > b.score;
-      return a.key < b.key;
-    });
-  };
-  WorkerPool::shared().parallel_for(first, demand_count_, fill, 1);
-}
-
-std::span<const ScoreTable::RankedKey> ScoreTable::ranked_keys(std::size_t demand_index) const {
-  PRVM_REQUIRE(demand_index < demand_count_, "demand index out of range");
-  const std::uint64_t* offsets = ranked_offsets_data();
-  const RankedKey* arena = ranked_arena_data();
-  return {arena + offsets[demand_index],
-          static_cast<std::size_t>(offsets[demand_index + 1] - offsets[demand_index])};
 }
 
 std::span<const ScoreTable::BestEntry> ScoreTable::best_row(std::size_t demand_index) const {
@@ -469,8 +426,6 @@ ScoreTable ScoreTable::load(const std::filesystem::path& path) {
 
   table.index_.reserve(node_count);
   for (NodeId u = 0; u < node_count; ++u) table.index_.try_emplace(table.keys_[u], u);
-  table.ranked_offsets_.assign(1, 0);
-  table.build_ranked_blocks(0);
   return table;
 }
 
@@ -481,11 +436,9 @@ void ScoreTable::save_image(const std::filesystem::path& path) const {
 
 void ScoreTable::write_image(std::ostream& os) const {
   const std::uint64_t index_capacity = index_.capacity();
-  const std::uint64_t arena_size = ranked_arena_.size();
   os.write(kImageMagic, sizeof kImageMagic);
   write_pod(os, static_cast<std::uint64_t>(node_count_));
   write_pod(os, static_cast<std::uint64_t>(demand_count_));
-  write_pod(os, arena_size);
   write_pod(os, index_capacity);
   write_pod(os, static_cast<std::int64_t>(iterations_));
   write_pod(os, static_cast<std::uint64_t>(converged_));
@@ -509,8 +462,6 @@ void ScoreTable::write_image(std::ostream& os) const {
   section(keys_.data(), node_count_ * sizeof(ProfileKey));
   section(scores_.data(), node_count_ * sizeof(float));
   section(best_.data(), node_count_ * demand_count_ * sizeof(BestEntry));
-  section(ranked_offsets_.data(), (demand_count_ + 1) * sizeof(std::uint64_t));
-  section(ranked_arena_.data(), arena_size * sizeof(RankedKey));
   section(index_.keys_data(), index_capacity * sizeof(std::uint64_t));
   section(index_.values_data(), index_capacity * sizeof(NodeId));
   section(index_.full_data(), index_capacity * sizeof(std::uint8_t));
@@ -552,7 +503,6 @@ ScoreTable ScoreTable::map_image(const std::filesystem::path& path) {
   ScoreTable table;
   table.node_count_ = take_u64();
   table.demand_count_ = take_u64();
-  const std::uint64_t arena_size = take_u64();
   const std::uint64_t index_capacity = take_u64();
   std::int64_t iterations = 0;
   std::memcpy(&iterations, take(sizeof iterations), sizeof iterations);
@@ -583,10 +533,6 @@ ScoreTable ScoreTable::map_image(const std::filesystem::path& path) {
   table.img_keys_ = reinterpret_cast<const ProfileKey*>(section(n * sizeof(ProfileKey)));
   table.img_scores_ = reinterpret_cast<const float*>(section(n * sizeof(float)));
   table.img_best_ = reinterpret_cast<const BestEntry*>(section(n * d * sizeof(BestEntry)));
-  table.img_ranked_offsets_ =
-      reinterpret_cast<const std::uint64_t*>(section((d + 1) * sizeof(std::uint64_t)));
-  table.img_ranked_arena_ =
-      reinterpret_cast<const RankedKey*>(section(arena_size * sizeof(RankedKey)));
   const auto* idx_keys =
       reinterpret_cast<const std::uint64_t*>(section(index_capacity * sizeof(std::uint64_t)));
   const auto* idx_values =
@@ -595,8 +541,6 @@ ScoreTable ScoreTable::map_image(const std::filesystem::path& path) {
       reinterpret_cast<const std::uint8_t*>(section(index_capacity * sizeof(std::uint8_t)));
   table.index_view_ = FlatMap64View<NodeId>(idx_keys, idx_values, idx_full,
                                             static_cast<std::size_t>(index_capacity));
-  PRVM_REQUIRE(table.img_ranked_offsets_[d] == arena_size,
-               "corrupt image ranked offsets: " + path.string());
   table.image_ = std::move(image);
   return table;
 }

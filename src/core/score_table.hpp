@@ -7,11 +7,10 @@
 // best successor.
 //
 // Storage is flat and demand-major: best_[slot * n + node] so one VM type's
-// entries are one contiguous block (the indexed engine's fallback sweep
-// walks a fixed slot across nodes, and extending the table with new VM
-// types appends whole blocks); the per-demand score rankings live in a
-// single arena addressed by offset spans. Both make every hot access a
-// plain array load and every entry 8 (BestEntry) or 16 (RankedKey) bytes.
+// entries are one contiguous block (extending the table with new VM types
+// appends whole blocks). A hot access is one hash probe (node_of) and one
+// 8-byte BestEntry load; the indexed engine pays the probe only when a live
+// profile first enters its per-bucket score cache.
 //
 // The table is self-contained after build (the graph can be discarded) and
 // has three persistence forms: save()/load() (owned binary cache, because
@@ -46,11 +45,10 @@ class Histogram;
 
 /// The stages of a cold table build, in order. Each one's wall time per
 /// build is recorded in the global registry's `prvm_score_table_<stage>_ns`
-/// histogram (expand, intern and canonicalize by ProfileGraph, the next four
+/// histogram (expand, intern and canonicalize by ProfileGraph, the next three
 /// by ScoreTable::build, image_write by mapped_score_tables).
 inline constexpr std::string_view kScoreTableBuildStages[] = {
-    "expand", "intern", "canonicalize", "pagerank", "bpru", "best_successor", "ranked_sort",
-    "image_write"};
+    "expand", "intern", "canonicalize", "pagerank", "bpru", "best_successor", "image_write"};
 
 /// The global-registry histogram of one of kScoreTableBuildStages.
 obs::Histogram& score_table_stage_histogram(std::string_view stage);
@@ -90,8 +88,7 @@ struct ScoreTableOptions {
 class ScoreTable {
  public:
   /// One best-successor entry: the score of the best profile reachable by
-  /// one placement, and that profile's node. 8 bytes, so a cache line holds
-  /// eight candidates of the fallback sweep.
+  /// one placement, and that profile's node. 8 bytes.
   struct BestEntry {
     float score = 0.0F;
     NodeId successor = kNoFit;
@@ -143,19 +140,6 @@ class ScoreTable {
   /// resolution; check entry.successor != kNoFit).
   std::span<const BestEntry> best_row(std::size_t demand_index) const;
 
-  /// One entry of the per-VM-type score ranking (see ranked_keys()).
-  struct RankedKey {
-    float score = 0.0F;     ///< best_after score of placing the VM type here
-    std::uint32_t pad = 0;  ///< always 0; spelled out so images are byte-deterministic
-    ProfileKey key = 0;     ///< the current (pre-placement) profile
-  };
-
-  /// Every profile that can accommodate VM type `demand_index`, sorted by
-  /// best_after score descending (ties by key, for determinism). The indexed
-  /// Algorithm 2 walks this ranking and takes the first entry with a live
-  /// PM bucket, instead of scoring every used PM.
-  std::span<const RankedKey> ranked_keys(std::size_t demand_index) const;
-
   /// Diagnostics from the build.
   int pagerank_iterations() const { return iterations_; }
   bool pagerank_converged() const { return converged_; }
@@ -166,8 +150,8 @@ class ScoreTable {
   static ScoreTable load(const std::filesystem::path& path);
 
   /// Read-only image persistence: save_image() writes every array (keys,
-  /// scores, best entries, ranked arena, hash index) into one page-aligned
-  /// file; map_image() mmaps it MAP_SHARED|PROT_READ and serves every
+  /// scores, best entries, hash index) into one page-aligned file;
+  /// map_image() mmaps it MAP_SHARED|PROT_READ and serves every
   /// accessor straight from the mapping — multiple processes mapping the
   /// same file share one physical copy of the table. The mapping is held by
   /// the returned table (and any copies of it) until the last one dies.
@@ -194,10 +178,6 @@ class ScoreTable {
   /// float scores (identical between build and extend, which is what makes
   /// extend byte-identical).
   void fill_demand_block(const ProfileGraph& graph, std::size_t t);
-  /// Appends the ranked spans of demands [first, demand_count_): every span
-  /// is sized first, then filled and sorted on the pool, one demand a task.
-  void build_ranked_blocks(std::size_t first);
-
   /// The bodies of save() and save_image().
   void write_cache(std::ostream& os) const;
   void write_image(std::ostream& os) const;
@@ -210,12 +190,6 @@ class ScoreTable {
   const ProfileKey* keys_data() const { return image_ ? img_keys_ : keys_.data(); }
   const float* scores_data() const { return image_ ? img_scores_ : scores_.data(); }
   const BestEntry* best_data() const { return image_ ? img_best_ : best_.data(); }
-  const std::uint64_t* ranked_offsets_data() const {
-    return image_ ? img_ranked_offsets_ : ranked_offsets_.data();
-  }
-  const RankedKey* ranked_arena_data() const {
-    return image_ ? img_ranked_arena_ : ranked_arena_.data();
-  }
   const NodeId* index_find(ProfileKey key) const {
     return image_ ? index_view_.find(key) : index_.find(key);
   }
@@ -226,8 +200,6 @@ class ScoreTable {
   std::vector<ProfileKey> keys_;
   std::vector<float> scores_;
   std::vector<BestEntry> best_;  ///< demand-major: [demand * node_count_ + node]
-  std::vector<RankedKey> ranked_arena_;
-  std::vector<std::uint64_t> ranked_offsets_;  ///< [demand_count_ + 1] into the arena
   FlatMap64<NodeId> index_;
   std::string digest_;
   int iterations_ = 0;
@@ -238,8 +210,6 @@ class ScoreTable {
   const ProfileKey* img_keys_ = nullptr;
   const float* img_scores_ = nullptr;
   const BestEntry* img_best_ = nullptr;
-  const std::uint64_t* img_ranked_offsets_ = nullptr;
-  const RankedKey* img_ranked_arena_ = nullptr;
   FlatMap64View<NodeId> index_view_;
 };
 

@@ -19,9 +19,12 @@ PageRankVm::PageRankVm(std::shared_ptr<const ScoreTableSet> tables, PageRankVmOp
   m_.place_calls = &reg.counter("prvm_engine_place_total");
   m_.linear_scored = &reg.counter("prvm_engine_linear_scored_total");
   m_.score_lookups = &reg.counter("prvm_engine_score_lookups_total");
-  m_.index_probes = &reg.counter("prvm_engine_index_probes_total");
   m_.rep_cache_hits = &reg.counter("prvm_engine_rep_cache_hits_total");
   m_.rep_cache_misses = &reg.counter("prvm_engine_rep_cache_misses_total");
+  cache_.resize(tables_->pm_type_count());
+  for (std::size_t t = 0; t < cache_.size(); ++t) {
+    cache_[t].demands = tables_->table(t).demand_count();
+  }
 }
 
 std::optional<double> PageRankVm::placement_score(const Datacenter& dc, PmIndex i,
@@ -46,33 +49,15 @@ std::optional<double> PageRankVm::placement_score(const Datacenter& dc, PmIndex 
   return best->score;
 }
 
-void PageRankVm::ensure_masks(const Datacenter& dc) {
-  if (masks_ready_) return;
-  const Catalog& cat = dc.catalog();
-  const std::size_t pm_types = cat.pm_types().size();
-  mask_vm_types_ = cat.vm_types().size();
-  need_masks_.assign(pm_types * mask_vm_types_, 0);
-  for (std::size_t t = 0; t < pm_types; ++t) {
-    for (std::size_t v = 0; v < mask_vm_types_; ++v) {
-      const auto& demand = cat.demand(t, v);
-      if (!demand.has_value()) continue;  // never consulted (no demand slot)
-      need_masks_[t * mask_vm_types_ + v] = resmask::pack_need(cat.shape(t), *demand);
-    }
-  }
-  masks_ready_ = true;
-}
-
 void PageRankVm::cached_placement_into(const Datacenter& dc, PmIndex i, const Vm& vm,
-                                       DemandPlacement& out) {
+                                       std::optional<NodeId> node, DemandPlacement& out) {
   const Datacenter::PmState& pm = dc.pm(i);
   const ProfileShape& shape = dc.shape_of(i);
   const ScoreTable& table = tables_->table(pm.type_index);
   const auto slot = tables_->demand_slot(pm.type_index, vm.type_index);
   PRVM_CHECK(slot.has_value(), "placing a VM type that never fits this PM type");
-  const auto node = table.node_of(pm.canonical_key);
+  if (!node.has_value()) node = table.node_of(pm.canonical_key);
   PRVM_REQUIRE(node.has_value(), "profile not present in score table");
-  const auto best = table.best_after_node(*node, *slot);
-  PRVM_CHECK(best.has_value(), "placing a VM that does not fit");
 
   // One representative per (PM type, canonical profile, VM type): the first
   // enumerated canonical-space placement whose outcome is the best
@@ -84,6 +69,8 @@ void PageRankVm::cached_placement_into(const Datacenter& dc, PmIndex i, const Vm
   auto [rep, inserted] = rep_index_.try_emplace(cache_key, kNoRep);
   (rep == kNoRep ? m_.rep_cache_misses : m_.rep_cache_hits)->inc();
   if (rep == kNoRep) {
+    const auto best = table.best_after_node(*node, *slot);
+    PRVM_CHECK(best.has_value(), "placing a VM that does not fit");
     const Profile canonical = Profile::unpack(shape, pm.canonical_key);
     const auto& demand = dc.catalog().demand(pm.type_index, vm.type_index);
     PRVM_CHECK(demand.has_value(), "demand slot without a catalog demand");
@@ -129,9 +116,10 @@ void PageRankVm::cached_placement_into(const Datacenter& dc, PmIndex i, const Vm
   out.result.assign_levels(shape, levels_scratch_);
 }
 
-void PageRankVm::place_best_permutation(Datacenter& dc, PmIndex i, const Vm& vm) {
+void PageRankVm::place_best_permutation(Datacenter& dc, PmIndex i, const Vm& vm,
+                                        std::optional<NodeId> node) {
   if (options_.use_index) {
-    cached_placement_into(dc, i, vm, placement_scratch_);
+    cached_placement_into(dc, i, vm, node, placement_scratch_);
     dc.place(i, vm, placement_scratch_);
     return;
   }
@@ -195,141 +183,89 @@ std::optional<PmIndex> PageRankVm::pick_linear(Datacenter& dc, const Vm& vm,
   return best_pm;
 }
 
-std::optional<double> PageRankVm::type_top(const Datacenter& dc, std::size_t pm_type,
-                                           const ScoreTable& table, std::size_t slot,
-                                           std::uint64_t need,
-                                           std::vector<Datacenter::BucketView>& out) const {
-  out.clear();
-
-  // Phase A: walk the score-ranked profile keys and take the first (tie
-  // band of) live bucket(s). A fleet under load usually keeps its
-  // highest-ranked profiles live, so a few probes settle it; past the
-  // budget, the contiguous phase-B sweep is cheaper than continued hash
-  // probing. Both phases compute the same top score and tie band, so the
-  // budget is decision-invariant.
-  const auto ranked = table.ranked_keys(slot);
-  const std::size_t initial_budget =
-      std::min<std::size_t>(dc.used_bucket_count(pm_type), options_.phase_a_budget);
-  std::size_t budget = initial_budget;
-  float top = 0.0F;
-  bool bailed = false;
-  for (const ScoreTable::RankedKey& rk : ranked) {
-    if (!out.empty() && rk.score != top) break;  // past the winning tie band
-    if (budget == 0) {
-      bailed = true;
-      break;
-    }
-    --budget;
-    const Datacenter::BucketView bucket = dc.used_bucket(pm_type, rk.key);
-    if (bucket.empty()) continue;
-    if (out.empty()) top = rk.score;
-    out.push_back(bucket);
-  }
-  m_.index_probes->add(initial_budget - budget);
-  if (!bailed) {
-    if (out.empty()) return std::nullopt;
-    return static_cast<double>(top);
-  }
-
-  // Phase B: one linear sweep over the dense bucket arrays. The residual
-  // mask rejects buckets whose free capacity certainly cannot absorb the
-  // demand without touching the hash index or the score table; survivors
-  // resolve their node once and read the demand-major best row directly.
-  out.clear();
-  const std::span<const ProfileKey> keys = dc.bucket_keys(pm_type);
-  const std::span<const std::uint64_t> residuals = dc.bucket_residuals(pm_type);
-  const std::span<const ScoreTable::BestEntry> row = table.best_row(slot);
-  std::uint64_t lookups = 0;
-  float best = 0.0F;
-  bool found = false;
-  for (std::size_t s = 0; s < keys.size(); ++s) {
-    if (!resmask::may_fit(residuals[s], need)) continue;
-    ++lookups;
-    const auto node = table.node_of(keys[s]);
-    PRVM_CHECK(node.has_value(), "live profile missing from score table");
-    const ScoreTable::BestEntry entry = row[*node];
-    if (entry.successor == ScoreTable::kNoFit) continue;
-    if (!found || entry.score > best) {
-      found = true;
-      best = entry.score;
-      out.clear();
-      out.push_back(dc.bucket_at(pm_type, s));
-    } else if (entry.score == best) {
-      out.push_back(dc.bucket_at(pm_type, s));
+void PageRankVm::refill(std::size_t pm_type, std::size_t slot, ProfileKey key) {
+  TypeCache& cache = cache_[pm_type];
+  if (slot == cache.tags.size()) {
+    cache.tags.push_back(key);
+    cache.nodes.push_back(0);
+    if (slot == cache.capacity) {
+      // Re-lay the demand rows out at twice the width.
+      const std::size_t capacity = std::max<std::size_t>(64, 2 * cache.capacity);
+      std::vector<float> scores(cache.demands * capacity);
+      for (std::size_t d = 0; d < cache.demands; ++d) {
+        std::copy_n(cache.scores.data() + d * cache.capacity, cache.capacity,
+                    scores.data() + d * capacity);
+      }
+      cache.scores = std::move(scores);
+      cache.capacity = capacity;
     }
   }
-  m_.score_lookups->add(lookups);
-  if (!found) return std::nullopt;
-  return static_cast<double>(best);
+  PRVM_CHECK(slot < cache.tags.size(), "score cache slots must be filled in dense order");
+  const ScoreTable& table = tables_->table(pm_type);
+  const auto node = table.node_of(key);
+  PRVM_CHECK(node.has_value(), "live profile missing from score table");
+  cache.tags[slot] = key;
+  cache.nodes[slot] = *node;
+  for (std::size_t d = 0; d < cache.demands; ++d) {
+    const ScoreTable::BestEntry entry = table.best_row(d)[*node];
+    cache.scores[d * cache.capacity + slot] =
+        entry.successor == ScoreTable::kNoFit ? kNoFitScore : entry.score;
+  }
+  m_.score_lookups->inc();
 }
 
-std::optional<PmIndex> PageRankVm::pick_indexed(const Datacenter& dc, std::size_t vm_type) {
-  ensure_masks(dc);
-  tied_.clear();
-  bool found = false;
-  double best_score = 0.0;
+void PageRankVm::type_top(const Datacenter& dc, std::size_t pm_type, std::size_t demand,
+                          Candidate& best) {
+  const std::span<const ProfileKey> keys = dc.bucket_keys(pm_type);
+  const std::span<const Datacenter::Earliest> earliest = dc.bucket_earliest(pm_type);
+  TypeCache& cache = cache_[pm_type];
+  const float* row = cache.scores.data() + demand * cache.capacity;
+  for (std::size_t s = 0; s < keys.size(); ++s) {
+    if (!cache.holds(s, keys[s])) {
+      refill(pm_type, s, keys[s]);
+      row = cache.scores.data() + demand * cache.capacity;
+    }
+    const float score = row[s];
+    if (score == kNoFitScore || score < best.score) continue;
+    if (score > best.score || earliest[s].seq < best.seq) {
+      best = Candidate{score, earliest[s].seq, earliest[s].pm, cache.nodes[s]};
+    }
+  }
+}
+
+PageRankVm::Candidate PageRankVm::pick_indexed(const Datacenter& dc, std::size_t vm_type) {
+  // The linear scan keeps the first maximal candidate in used order: the
+  // highest score, then the smallest activation sequence — which within a
+  // bucket is its earliest member.
+  Candidate best;
   for (std::size_t t = 0; t < dc.catalog().pm_types().size(); ++t) {
     if (dc.used_count_of_type(t) == 0) continue;
     const auto slot = tables_->demand_slot(t, vm_type);
     if (!slot.has_value()) continue;
-    const auto score = type_top(dc, t, tables_->table(t), *slot,
-                                need_masks_[t * mask_vm_types_ + vm_type], type_tied_);
-    if (!score.has_value()) continue;
-    if (!found || *score > best_score) {
-      found = true;
-      best_score = *score;
-      tied_.assign(type_tied_.begin(), type_tied_.end());
-    } else if (*score == best_score) {
-      tied_.insert(tied_.end(), type_tied_.begin(), type_tied_.end());
-    }
+    type_top(dc, t, *slot, best);
   }
-  if (!found) return std::nullopt;
-
-  // The linear scan keeps the first maximal candidate in used order, which
-  // is exactly the minimum activation sequence among the tied buckets.
-  PmIndex winner = Datacenter::kNoPm;
-  std::uint64_t winner_seq = 0;
-  for (const Datacenter::BucketView& bucket : tied_) {
-    for (const PmIndex i : bucket) {
-      const std::uint64_t seq = dc.activation_seq(i);
-      if (winner == Datacenter::kNoPm || seq < winner_seq) {
-        winner = i;
-        winner_seq = seq;
-      }
-    }
-  }
-  PRVM_CHECK(winner != Datacenter::kNoPm, "tied bucket set was empty");
-  return winner;
+  return best;
 }
 
 std::optional<PmIndex> PageRankVm::pick_indexed_constrained(
     const Datacenter& dc, std::size_t vm_type, const PlacementConstraints& constraints) {
   // Migration-time path: score every distinct live profile, then walk the
   // score groups downward until one holds an allowed PM.
-  ensure_masks(dc);
   scored_.clear();
-  std::uint64_t lookups = 0;
   for (std::size_t t = 0; t < dc.catalog().pm_types().size(); ++t) {
     if (dc.used_count_of_type(t) == 0) continue;
     const auto slot = tables_->demand_slot(t, vm_type);
     if (!slot.has_value()) continue;
-    const ScoreTable& table = tables_->table(t);
     const std::span<const ProfileKey> keys = dc.bucket_keys(t);
-    const std::span<const std::uint64_t> residuals = dc.bucket_residuals(t);
-    const std::span<const ScoreTable::BestEntry> row = table.best_row(*slot);
-    const std::uint64_t need = need_masks_[t * mask_vm_types_ + vm_type];
+    TypeCache& cache = cache_[t];
     for (std::size_t s = 0; s < keys.size(); ++s) {
-      if (!resmask::may_fit(residuals[s], need)) continue;
-      ++lookups;
-      const auto node = table.node_of(keys[s]);
-      PRVM_CHECK(node.has_value(), "live profile missing from score table");
-      const ScoreTable::BestEntry entry = row[*node];
-      if (entry.successor == ScoreTable::kNoFit) continue;
-      scored_.push_back(ScoredBucket{entry.score, static_cast<std::uint32_t>(t),
+      if (!cache.holds(s, keys[s])) refill(t, s, keys[s]);
+      const float score = cache.scores[*slot * cache.capacity + s];
+      if (score == kNoFitScore) continue;
+      scored_.push_back(ScoredBucket{score, static_cast<std::uint32_t>(t),
                                      static_cast<std::uint32_t>(s)});
     }
   }
-  m_.score_lookups->add(lookups);
   std::sort(scored_.begin(), scored_.end(),
             [](const ScoredBucket& a, const ScoredBucket& b) { return a.score > b.score; });
   for (std::size_t i = 0; i < scored_.size();) {
@@ -362,7 +298,11 @@ std::optional<PmIndex> PageRankVm::place(Datacenter& dc, const Vm& vm,
     // so it shares the linear candidate path even when indexing is on.
     best_pm = pick_linear(dc, vm, constraints);
   } else if (!constraints.exclude.has_value() && !constraints.allow) {
-    best_pm = pick_indexed(dc, vm.type_index);
+    const Candidate best = pick_indexed(dc, vm.type_index);
+    if (best.pm != Datacenter::kNoPm) {
+      place_best_permutation(dc, best.pm, vm, best.node);
+      return best.pm;
+    }
   } else {
     best_pm = pick_indexed_constrained(dc, vm.type_index, constraints);
   }

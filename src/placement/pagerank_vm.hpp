@@ -12,21 +12,22 @@
 // Two engines implement the scan. The legacy linear engine scores every
 // used PM (O(fleet) per VM, the paper's Algorithm 2 as printed). The
 // indexed engine (default) exploits that the score depends only on
-// (PM type, canonical profile, VM type): per PM type it first probes the
-// score table's ranked key list against the live buckets (phase A — a
-// handful of hash probes when a top-ranked profile is live), then falls
-// back to a contiguous sweep of the datacenter's struct-of-arrays bucket
-// index, prefiltered by the branchless residual mask, reading scores
-// straight out of the table's demand-major best row (phase B). Both phases
-// compute the same maximum; the budget only picks the cheaper path.
-// Tie-breaking is pinned to activation order, making the chosen PM
-// identical to the linear scan for every VM (asserted by the differential
-// test). All per-pick state lives in engine-owned scratch, so steady-state
+// (PM type, canonical profile, VM type) and that ties go to the first PM in
+// used_PM_list order: one contiguous sweep over the datacenter's live
+// buckets compares (score descending, earliest member's activation sequence
+// ascending) across both PM types, which is exactly the linear scan's
+// first-hit rule. Scores come from an engine-owned cache with one entry per
+// dense bucket slot, tagged with the profile key it was filled for and
+// holding the best-successor score of every VM type; a slot whose key
+// changed is refilled with one hash probe, so a warm pick touches no hash
+// table and walks no bucket. The chosen PM is identical to the linear
+// scan's for every VM (asserted by the differential test), and steady-state
 // picks are allocation-free (asserted by the counting-allocator test).
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -44,12 +45,8 @@ struct PageRankVmOptions {
   /// Use the bucketed placement index (same placements, near-O(1) per VM).
   /// Off = the literal linear scan, kept for differential tests/ablation.
   bool use_index = true;
-  /// Ranked-key probes per PM type before the indexed scan falls back to the
-  /// contiguous bucket sweep. Decision-invariant (both paths compute the
-  /// same answer); exposed for benchmarking only.
-  std::uint32_t phase_a_budget = 16;
-  /// Registry for the engine's prvm_engine_* counters (score lookups, index
-  /// probes, rep-cache hits). Null = obs::Registry::global().
+  /// Registry for the engine's prvm_engine_* counters (score lookups,
+  /// rep-cache hits). Null = obs::Registry::global().
   obs::Registry* metrics = nullptr;
 };
 
@@ -81,36 +78,54 @@ class PageRankVm final : public PlacementAlgorithm {
  private:
   /// Places `vm` on PM `i` using the permutation whose canonical outcome has
   /// the highest score (via the representative cache when indexing is on).
-  void place_best_permutation(Datacenter& dc, PmIndex i, const Vm& vm);
+  /// `node` is the score-table node of the PM's profile when the pick
+  /// already knows it.
+  void place_best_permutation(Datacenter& dc, PmIndex i, const Vm& vm,
+                              std::optional<NodeId> node = std::nullopt);
 
   /// Linear engine: Algorithm 2 as printed (plus 2-choice sampling).
   std::optional<PmIndex> pick_linear(Datacenter& dc, const Vm& vm,
                                      const PlacementConstraints& constraints);
 
-  /// Indexed engine, no constraints: best PM via the profile buckets.
-  std::optional<PmIndex> pick_indexed(const Datacenter& dc, std::size_t vm_type);
 
   /// Indexed engine with exclude/allow constraints (migration re-placement).
   std::optional<PmIndex> pick_indexed_constrained(const Datacenter& dc, std::size_t vm_type,
                                                   const PlacementConstraints& constraints);
 
-  /// Top score of `pm_type`'s live profiles for demand `slot` and the
-  /// bucket(s) attaining it; nullopt when no live profile fits the VM.
-  /// `need` is the VM's packed resmask demand on this PM type.
-  std::optional<double> type_top(const Datacenter& dc, std::size_t pm_type,
-                                 const ScoreTable& table, std::size_t slot, std::uint64_t need,
-                                 std::vector<Datacenter::BucketView>& out) const;
+  /// Cached score of a VM type that does not fit; below every real score
+  /// (scores are >= 0).
+  static constexpr float kNoFitScore = -1.0F;
 
-  /// Lazily builds need_masks_ from the first datacenter seen (an engine
-  /// serves one catalog — the score tables are already per-catalog).
-  void ensure_masks(const Datacenter& dc);
+  /// The running winner of an indexed sweep: highest score, then earliest
+  /// activation.
+  struct Candidate {
+    float score = kNoFitScore;
+    std::uint64_t seq = 0;
+    PmIndex pm = Datacenter::kNoPm;
+    NodeId node = 0;  ///< score-table node of pm's profile
+  };
+
+  /// Indexed engine, no constraints: best PM via the profile buckets
+  /// (pm == kNoPm when no used PM fits).
+  Candidate pick_indexed(const Datacenter& dc, std::size_t vm_type);
+
+  /// Folds `pm_type`'s live buckets into `best` for demand `demand`,
+  /// refreshing the score cache on the way.
+  void type_top(const Datacenter& dc, std::size_t pm_type, std::size_t demand,
+                Candidate& best);
+
+  /// Fills the score-cache entry of `pm_type`'s dense slot `slot` for the
+  /// live bucket with key `key`: one node_of probe, then one best-row read
+  /// per demand. Sweeps visit slots in dense order, so a new slot is always
+  /// the next one.
+  void refill(std::size_t pm_type, std::size_t slot, ProfileKey key);
 
   /// A placement of `vm` on PM `i` realizing the best successor, computed in
   /// canonical-profile space once per (PM type, profile, VM type) and mapped
   /// onto the PM's concrete dimension permutation. Writes into `out`
   /// (reusing its storage); allocation-free on a rep-cache hit.
   void cached_placement_into(const Datacenter& dc, PmIndex i, const Vm& vm,
-                             DemandPlacement& out);
+                             std::optional<NodeId> node, DemandPlacement& out);
 
   std::shared_ptr<const ScoreTableSet> tables_;
   PageRankVmOptions options_;
@@ -122,8 +137,7 @@ class PageRankVm final : public PlacementAlgorithm {
   struct Metrics {
     obs::Counter* place_calls = nullptr;     ///< place() invocations
     obs::Counter* linear_scored = nullptr;   ///< PMs scored by the legacy scan
-    obs::Counter* score_lookups = nullptr;   ///< best-successor table lookups
-    obs::Counter* index_probes = nullptr;    ///< ranked-key bucket probes (phase A)
+    obs::Counter* score_lookups = nullptr;   ///< table lookups (indexed: cache refills)
     obs::Counter* rep_cache_hits = nullptr;  ///< best-permutation cache hits
     obs::Counter* rep_cache_misses = nullptr;
   };
@@ -137,14 +151,25 @@ class PageRankVm final : public PlacementAlgorithm {
     std::uint32_t slot;
   };
 
+  /// The score cache of one PM type, one entry per dense bucket slot. The
+  /// tag makes an entry valid for any Datacenter whose slot holds that key,
+  /// so one engine may serve several ledgers. Scores are demand-major, so a
+  /// sweep for one VM type reads one contiguous row.
+  struct TypeCache {
+    std::vector<ProfileKey> tags;  ///< key each filled slot was filled for
+    std::vector<NodeId> nodes;     ///< that key's score-table node
+    std::vector<float> scores;     ///< [demand * capacity + slot]
+    std::size_t capacity = 0;      ///< slots per row of `scores`
+    std::size_t demands = 0;
+    bool holds(std::size_t slot, ProfileKey key) const {
+      return slot < tags.size() && tags[slot] == key;
+    }
+  };
+
   // Scratch and caches for the indexed engine (one engine per thread; these
   // make place() non-reentrant but allocation-free at steady state).
-  std::vector<Datacenter::BucketView> tied_;
-  std::vector<Datacenter::BucketView> type_tied_;
+  std::vector<TypeCache> cache_;  ///< per PM type
   std::vector<ScoredBucket> scored_;
-  std::vector<std::uint64_t> need_masks_;  ///< [pm_type * vm_types + vm_type]
-  std::size_t mask_vm_types_ = 0;
-  bool masks_ready_ = false;
   std::vector<int> order_scratch_;
   std::vector<int> levels_scratch_;
   DemandPlacement placement_scratch_;

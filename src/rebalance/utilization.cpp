@@ -28,6 +28,11 @@ std::uint64_t mix(std::uint64_t x) {
 
 constexpr std::size_t kMaxProbes = 64;
 
+// Slot markers above every key (keys are a 32-bit VM id + 1).
+constexpr std::uint64_t kTombstone = ~std::uint64_t{0};
+constexpr std::uint64_t kClaiming = kTombstone - 1;
+constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
 }  // namespace
 
 UtilizationMap::UtilizationMap(UtilizationConfig config, std::uint64_t epoch_ns)
@@ -80,20 +85,55 @@ std::optional<double> UtilizationMap::decayed(std::uint64_t packed, std::uint64_
 bool UtilizationMap::record_vm(VmId vm, double fraction, std::uint64_t now_ns) {
   const std::uint64_t key = static_cast<std::uint64_t>(vm) + 1;
   const std::uint64_t packed = pack(fraction, now_ns);
+  const std::size_t probes = std::min(kMaxProbes, mask_ + 1);
+  for (;;) {
+    // Update the key where it lives; otherwise claim the first free slot of
+    // the chain (a freed one before a never-used one).
+    std::size_t free_slot = kNoSlot;
+    std::uint64_t free_state = 0;
+    std::size_t i = mix(key) & mask_;
+    for (std::size_t n = 0; n < probes; ++n, i = (i + 1) & mask_) {
+      const std::uint64_t cur = keys_[i].load(std::memory_order_acquire);
+      if (cur == key) {
+        values_[i].store(packed, std::memory_order_release);
+        return true;
+      }
+      if (free_slot == kNoSlot && (cur == 0 || cur == kTombstone)) {
+        free_slot = i;
+        free_state = cur;
+      }
+      if (cur == 0) break;  // end of the chain
+    }
+    if (free_slot == kNoSlot) return false;
+    std::uint64_t expected = free_state;
+    if (free_state == 0) {
+      // A never-used slot holds no sample, so the key can go in first.
+      if (keys_[free_slot].compare_exchange_strong(expected, key, std::memory_order_acq_rel)) {
+        values_[free_slot].store(packed, std::memory_order_release);
+        return true;
+      }
+    } else if (keys_[free_slot].compare_exchange_strong(expected, kClaiming,
+                                                        std::memory_order_acq_rel)) {
+      // A freed slot still holds its last VM's sample: replace it before the
+      // key is published, so no reader pairs this key with that sample.
+      values_[free_slot].store(packed, std::memory_order_relaxed);
+      keys_[free_slot].store(key, std::memory_order_release);
+      return true;
+    }
+    // Another writer took the slot first (perhaps for this key): rescan.
+  }
+}
+
+void UtilizationMap::forget_vm(VmId vm) {
+  const std::uint64_t key = static_cast<std::uint64_t>(vm) + 1;
   std::size_t i = mix(key) & mask_;
   const std::size_t probes = std::min(kMaxProbes, mask_ + 1);
   for (std::size_t n = 0; n < probes; ++n, i = (i + 1) & mask_) {
     std::uint64_t cur = keys_[i].load(std::memory_order_acquire);
-    if (cur == 0 &&
-        keys_[i].compare_exchange_strong(cur, key, std::memory_order_acq_rel)) {
-      cur = key;
-    }
-    if (cur == key) {
-      values_[i].store(packed, std::memory_order_release);
-      return true;
-    }
+    if (cur == 0) return;
+    // Racing writers can leave a key in two slots; free every copy.
+    if (cur == key) keys_[i].compare_exchange_strong(cur, kTombstone, std::memory_order_acq_rel);
   }
-  return false;
 }
 
 void UtilizationMap::record_pm(PmIndex pm, double fraction, std::uint64_t now_ns) {
@@ -107,7 +147,7 @@ std::optional<double> UtilizationMap::vm_fraction(VmId vm, std::uint64_t now_ns)
   const std::size_t probes = std::min(kMaxProbes, mask_ + 1);
   for (std::size_t n = 0; n < probes; ++n, i = (i + 1) & mask_) {
     const std::uint64_t cur = keys_[i].load(std::memory_order_acquire);
-    if (cur == 0) return std::nullopt;  // keys are never erased: chain ends here
+    if (cur == 0) return std::nullopt;  // a never-used slot ends the chain
     if (cur == key) return decayed(values_[i].load(std::memory_order_acquire), now_ns);
   }
   return std::nullopt;

@@ -5,9 +5,11 @@
 // The map is the meeting point between the socket threads that ingest
 // samples and the planner/worker threads that read them, so it is fully
 // lock-free: per-PM slots are a flat array of packed atomics, per-VM slots
-// live in a fixed-capacity open-addressed table with CAS insertion. A full
-// table drops new VM keys (the caller counts drops); existing keys always
-// update in place.
+// live in a fixed-capacity open-addressed table with CAS insertion. The
+// service frees a VM's slot when the ledger drops the VM (forget_vm), so
+// the table holds the live VM population, not every id ever sampled. A
+// full table drops new VM keys (the caller counts drops); existing keys
+// always update in place.
 //
 // Samples age instead of being deleted: a read at time t sees the recorded
 // fraction scaled by 2^-(age / half_life) and nothing at all once the
@@ -46,9 +48,14 @@ class UtilizationMap {
   UtilizationMap(UtilizationConfig config, std::uint64_t epoch_ns);
 
   /// Records a per-VM sample. False when the table is full and the key is
-  /// new — the sample is dropped (the feed is lossy by design; decay makes
-  /// any gap self-healing).
+  /// new — the sample is dropped (the feed is lossy by design).
   bool record_vm(VmId vm, double fraction, std::uint64_t now_ns);
+
+  /// Frees `vm`'s slot (the VM left the ledger) for reuse by other VMs.
+  /// Safe against concurrent readers and writers. A sample for an id the
+  /// ledger does not hold (never placed, or racing its release) keeps a
+  /// slot until that id is forgotten.
+  void forget_vm(VmId vm);
 
   /// Records a direct per-PM sample. Out-of-range PMs are ignored.
   void record_pm(PmIndex pm, double fraction, std::uint64_t now_ns);
@@ -78,10 +85,11 @@ class UtilizationMap {
   std::size_t pm_count_;
   std::uint64_t epoch_ns_;
   std::size_t mask_;  ///< vm table size - 1 (size is a power of two)
-  /// Per-VM open-addressed table: keys_[i] is 0 when empty, vm_id + 1 when
-  /// occupied (CAS-claimed once, never erased); values_[i] is the packed
-  /// sample. Probe length is capped: a pathological cluster degrades to a
-  /// drop, not a full-table scan.
+  /// Per-VM open-addressed table: keys_[i] is 0 when never used, vm_id + 1
+  /// when occupied, kTombstone once freed and kClaiming while a freed slot is
+  /// being reused; values_[i] is the packed sample. Only a never-used slot
+  /// ends a probe chain. Probe length is capped: a pathological cluster
+  /// degrades to a drop, not a full-table scan.
   std::unique_ptr<std::atomic<std::uint64_t>[]> keys_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> values_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> pm_values_;  ///< 0 = no sample

@@ -216,6 +216,7 @@ void PlacementService::apply_wal_record(const WalRecord& record) {
     }
     case WalRecord::Type::kRelease: {
       dc_.remove(vm);
+      util_map_->forget_vm(vm);
       admission_.record_release(vm, static_cast<PmIndex>(record.pm));
       m_.released->inc();
       break;
@@ -498,6 +499,7 @@ Response PlacementService::release(const Request& request) {
     return reject(request, RejectReason::kUnknownVm, "VM id is not placed");
   }
   dc_.remove(vm);
+  util_map_->forget_vm(vm);
   admission_.record_release(vm, *pm);
   WalRecord& record = wal_record_;
   record.type = WalRecord::Type::kRelease;

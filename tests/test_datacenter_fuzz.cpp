@@ -98,6 +98,9 @@ TEST(DatacenterFuzz, RandomOperationSequencesMatchReference) {
         reference.placed.clear();
       }
       expect_models_agree(dc, reference);
+      // The bucket index, earliest members included, through place, remove
+      // and clear.
+      ASSERT_NO_THROW(dc.check_index_invariants());
     }
 
     // Serialize/deserialize round trip at the end of every trial: the
@@ -118,6 +121,7 @@ TEST(DatacenterFuzz, RandomOperationSequencesMatchReference) {
       dc.remove(victim);
       restored.remove(victim);
       ASSERT_TRUE(datacenter_state_equal(dc, restored));
+      ASSERT_NO_THROW(restored.check_index_invariants());
     }
   }
 }

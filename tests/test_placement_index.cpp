@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "cluster/catalog.hpp"
@@ -168,6 +169,105 @@ TEST(PlacementIndexDifferential, MigrationReplacementMatchesLinearScan) {
   twin.check();
 }
 
+TEST(PlacementIndexDifferential, SlotReuseAndCrossTypeTiesMatchLinearScan) {
+  // The indexed engine caches scores per dense bucket slot, tagged with the
+  // profile key each slot was filled for. Heavy removal churn on a small
+  // mixed fleet keeps killing buckets, so swap-erase hands their slots to
+  // other profiles between two picks; and with few buckets live, the top
+  // scores of the two PM types often coincide, so the tie goes to the
+  // earliest PM across types. Both must happen here, and neither may move
+  // a pick away from the linear scan's.
+  const Catalog catalog = ec2_sim_catalog();
+  ASSERT_EQ(catalog.pm_types().size(), 2u);
+  Datacenter indexed_dc(catalog, mixed_pm_fleet(catalog, 24));
+  Datacenter linear_dc(catalog, mixed_pm_fleet(catalog, 24));
+  const auto tables = tables_for(catalog);
+  PageRankVm indexed(tables, {});
+  PageRankVm linear(tables, {false, 1, /*use_index=*/false});
+  Rng rng(606);
+  std::vector<VmId> live;
+  VmId next_id = 0;
+  std::vector<std::vector<ProfileKey>> seen(2);  // slot keys at the previous pick
+  std::size_t reused_slots = 0;
+  std::size_t cross_type_ties = 0;
+  for (int step = 0; step < 3000; ++step) {
+    if (!live.empty() && (live.size() >= 40 || rng.uniform_index(2) == 0)) {
+      const std::size_t pick = rng.uniform_index(live.size());
+      indexed_dc.remove(live[pick]);
+      linear_dc.remove(live[pick]);
+      live[pick] = live.back();
+      live.pop_back();
+      continue;
+    }
+    const Vm vm{next_id++, rng.uniform_index(catalog.vm_types().size())};
+    for (std::size_t t = 0; t < 2; ++t) {
+      const auto keys = indexed_dc.bucket_keys(t);
+      for (std::size_t s = 0; s < std::min(keys.size(), seen[t].size()); ++s) {
+        if (keys[s] != seen[t][s]) ++reused_slots;
+      }
+      seen[t].assign(keys.begin(), keys.end());
+    }
+    std::optional<double> top[2];
+    for (const PmIndex i : linear_dc.used_pms()) {
+      const auto score = linear.placement_score(linear_dc, i, vm.type_index);
+      std::optional<double>& t = top[linear_dc.pm(i).type_index];
+      if (score.has_value() && (!t.has_value() || *score > *t)) t = score;
+    }
+    if (top[0].has_value() && top[1].has_value() && *top[0] == *top[1]) ++cross_type_ties;
+
+    const auto a = indexed.place(indexed_dc, vm);
+    const auto b = linear.place(linear_dc, vm);
+    ASSERT_EQ(a, b) << "engines disagree on the PM for VM " << vm.id;
+    if (a.has_value()) live.push_back(vm.id);
+  }
+  indexed_dc.check_index_invariants();
+  EXPECT_EQ(indexed_dc.used_pms(), linear_dc.used_pms());
+  EXPECT_GT(reused_slots, 0u);
+  EXPECT_GT(cross_type_ties, 0u);
+}
+
+TEST(PlacementIndex, OneEngineServingTwoLedgersMatchesTwoFreshEngines) {
+  // The score cache is validated by key, not by ledger: an engine that
+  // alternates between two datacenters with different bucket layouts must
+  // decide exactly as one fresh engine per datacenter would.
+  const Catalog catalog = ec2_sim_catalog();
+  const auto tables = tables_for(catalog);
+  PageRankVm shared(tables, {});
+  struct Side {
+    Datacenter shared_dc;
+    Datacenter own_dc;
+    PageRankVm own;
+    Rng rng;
+    std::vector<VmId> live;
+  };
+  Side sides[2] = {
+      {Datacenter(catalog, mixed_pm_fleet(catalog, 60)),
+       Datacenter(catalog, mixed_pm_fleet(catalog, 60)), PageRankVm(tables, {}), Rng(31), {}},
+      {Datacenter(catalog, mixed_pm_fleet(catalog, 90)),
+       Datacenter(catalog, mixed_pm_fleet(catalog, 90)), PageRankVm(tables, {}), Rng(32), {}}};
+  VmId next_id = 0;
+  for (int step = 0; step < 4000; ++step) {
+    Side& side = sides[step % 2];
+    if (!side.live.empty() && (side.live.size() >= 120 || side.rng.uniform_index(3) == 0)) {
+      const std::size_t pick = side.rng.uniform_index(side.live.size());
+      side.shared_dc.remove(side.live[pick]);
+      side.own_dc.remove(side.live[pick]);
+      side.live[pick] = side.live.back();
+      side.live.pop_back();
+      continue;
+    }
+    const Vm vm{next_id++, side.rng.uniform_index(catalog.vm_types().size())};
+    const auto a = shared.place(side.shared_dc, vm);
+    const auto b = side.own.place(side.own_dc, vm);
+    ASSERT_EQ(a, b) << "shared engine diverged at step " << step;
+    if (a.has_value()) side.live.push_back(vm.id);
+  }
+  for (const Side& side : sides) {
+    EXPECT_EQ(side.shared_dc.used_pms(), side.own_dc.used_pms());
+    EXPECT_GT(side.shared_dc.used_count(), 0u);
+  }
+}
+
 TEST(PlacementIndex, InvariantsHoldUnderRandomChurn) {
   const Catalog catalog = geni_catalog();
   Datacenter dc(catalog, mixed_pm_fleet(catalog, 60));
@@ -258,13 +358,13 @@ TEST(PlacementIndex, BucketLookupMatchesLedger) {
   }
   // Every used PM must be findable through used_bucket() by its own key,
   // and for_each_used_bucket must enumerate the used set exactly. The SoA
-  // accessors (bucket_keys / bucket_residuals / bucket_at) must agree with
+  // accessors (bucket_keys / bucket_earliest / bucket_at) must agree with
   // the view-based enumeration slot for slot.
   std::size_t enumerated = 0;
   for (std::size_t t = 0; t < catalog.pm_types().size(); ++t) {
     const auto keys = dc.bucket_keys(t);
-    const auto residuals = dc.bucket_residuals(t);
-    ASSERT_EQ(keys.size(), residuals.size());
+    const auto earliest = dc.bucket_earliest(t);
+    ASSERT_EQ(keys.size(), earliest.size());
     ASSERT_EQ(keys.size(), dc.used_bucket_count(t));
     std::size_t slot = 0;
     dc.for_each_used_bucket(t, [&](ProfileKey key, Datacenter::BucketView pms) {
@@ -277,21 +377,19 @@ TEST(PlacementIndex, BucketLookupMatchesLedger) {
       EXPECT_EQ(std::vector<PmIndex>(by_slot.begin(), by_slot.end()),
                 std::vector<PmIndex>(pms.begin(), pms.end()));
       std::uint32_t walked = 0;
+      PmIndex first = Datacenter::kNoPm;
       for (PmIndex i : pms) {
         EXPECT_EQ(dc.pm(i).canonical_key, key);
         EXPECT_EQ(dc.pm(i).type_index, t);
-        // The packed residual summary must never reject a VM that fits a
-        // member (conservative prefilter contract).
-        for (std::size_t v = 0; v < catalog.vm_types().size(); ++v) {
-          if (!dc.fits(i, v)) continue;
-          const auto& demand = catalog.demand(t, v);
-          ASSERT_TRUE(demand.has_value());
-          EXPECT_TRUE(resmask::may_fit(
-              residuals[slot], resmask::pack_need(catalog.shape(t), *demand)));
+        if (first == Datacenter::kNoPm || dc.activation_seq(i) < dc.activation_seq(first)) {
+          first = i;
         }
         ++walked;
       }
       EXPECT_EQ(walked, pms.size());
+      // The earliest member is the bucket's first PM in used_pms() order.
+      EXPECT_EQ(earliest[slot].pm, first);
+      EXPECT_EQ(earliest[slot].seq, dc.activation_seq(first));
       enumerated += pms.size();
       ++slot;
     });
@@ -299,33 +397,6 @@ TEST(PlacementIndex, BucketLookupMatchesLedger) {
   }
   EXPECT_EQ(enumerated, dc.used_count());
   EXPECT_TRUE(dc.used_bucket(0, ~ProfileKey{0}).empty());
-}
-
-TEST(PlacementIndex, ResidualMaskIsExactOnGroupTotals) {
-  // may_fit compares per-group totals: it must accept exactly when every
-  // group's residual covers the demand total, across field boundaries.
-  const ProfileShape shape({DimensionGroup{ResourceKind::kCpu, 4, 8},
-                            DimensionGroup{ResourceKind::kMemory, 1, 16},
-                            DimensionGroup{ResourceKind::kDisk, 2, 8}});
-  const Profile usage = Profile::from_levels(shape, {8, 3, 0, 0, 5, 7, 0});
-  const std::uint64_t free = resmask::pack_free(shape, usage);
-  // Group residuals: cpu 32-11=21, mem 16-5=11, disk 16-7=9.
-  EXPECT_EQ(free & 0xFFFF, 21u);
-  EXPECT_EQ((free >> 16) & 0xFFFF, 11u);
-  EXPECT_EQ((free >> 32) & 0xFFFF, 9u);
-
-  const QuantizedDemand fits{{{8, 8, 5}, {11}, {9}}};
-  const QuantizedDemand cpu_over{{{8, 8, 6}, {11}, {9}}};
-  const QuantizedDemand mem_over{{{1}, {12}, {}}};
-  const QuantizedDemand disk_over{{{}, {}, {5, 5}}};
-  EXPECT_TRUE(resmask::may_fit(free, resmask::pack_need(shape, fits)));
-  EXPECT_FALSE(resmask::may_fit(free, resmask::pack_need(shape, cpu_over)));
-  EXPECT_FALSE(resmask::may_fit(free, resmask::pack_need(shape, mem_over)));
-  EXPECT_FALSE(resmask::may_fit(free, resmask::pack_need(shape, disk_over)));
-  // Zero demand always passes; zero residual only passes zero demand.
-  EXPECT_TRUE(resmask::may_fit(free, 0));
-  EXPECT_TRUE(resmask::may_fit(0, 0));
-  EXPECT_FALSE(resmask::may_fit(0, 1));
 }
 
 }  // namespace

@@ -134,6 +134,67 @@ TEST(UtilizationMapTest, FullTableDropsNewKeysButKeepsUpdatingExistingOnes) {
   EXPECT_NEAR(*map.vm_fraction(1, 2 * kMs), 0.9, 1e-6);
 }
 
+TEST(UtilizationMapTest, ForgottenSlotsServeTenTimesTheCapacityInDistinctVms) {
+  UtilizationConfig config;
+  config.pm_count = 1;
+  config.vm_capacity = 1024;
+  UtilizationMap map(config, 0);
+  ASSERT_EQ(map.vm_capacity(), 1024u);
+
+  // Half the table live at any time, but every id new: each VM is sampled
+  // while live and forgotten when it leaves, as the service does on
+  // release. Without forget_vm the table fills after 1024 ids.
+  constexpr VmId kLive = 512;
+  constexpr VmId kLast = 10 * 1024;
+  std::size_t dropped = 0;
+  std::size_t forgotten_but_readable = 0;
+  for (VmId vm = 1; vm <= kLast; ++vm) {
+    if (!map.record_vm(vm, 0.25, kMs)) ++dropped;
+    if (vm > kLive) {
+      map.forget_vm(vm - kLive);
+      if (map.vm_fraction(vm - kLive, kMs).has_value()) ++forgotten_but_readable;
+    }
+  }
+  EXPECT_EQ(dropped, 0u);
+  EXPECT_EQ(forgotten_but_readable, 0u);
+  for (VmId vm = kLast - kLive + 1; vm <= kLast; ++vm) {
+    ASSERT_TRUE(map.vm_fraction(vm, kMs).has_value()) << "live vm " << vm;
+  }
+  EXPECT_TRUE(map.record_vm(kLast, 0.75, 2 * kMs));
+  EXPECT_NEAR(*map.vm_fraction(kLast, 2 * kMs), 0.75, 1e-6);
+  map.forget_vm(kLast + 1);  // never sampled: a no-op
+  EXPECT_NEAR(*map.vm_fraction(kLast, 2 * kMs), 0.75, 1e-6);
+}
+
+TEST(UtilizationMapTest, ReleasedVmsFreeTheirSlotsInTheService) {
+  // Churn ten times the map's capacity in distinct VM ids through the
+  // service: place, sample, release. Every sample must land.
+  const Catalog catalog = ec2_catalog();
+  PlacementService service(catalog, mixed_pm_fleet(catalog, 8), tables_for(catalog), {});
+  const std::size_t capacity = service.utilization_map().vm_capacity();
+  constexpr std::uint64_t kLive = 40;
+  std::uint64_t placed = 0;
+  for (std::uint64_t vm = 1; vm <= 10 * capacity; ++vm) {
+    if (service.execute(place_request(vm, 0)).ok) ++placed;
+    Request sample;
+    sample.op = RequestOp::kUtil;
+    sample.vm_id = vm;
+    sample.cpu = 0.5;
+    ASSERT_TRUE(service.execute(sample).ok);
+    if (vm > kLive) {
+      Request release;
+      release.op = RequestOp::kRelease;
+      release.vm_id = vm - kLive;
+      const Response released = service.execute(release);
+      ASSERT_TRUE(released.ok) << released.error << ": " << released.message;
+    }
+  }
+  EXPECT_EQ(placed, 10 * capacity);
+  EXPECT_EQ(service.metrics_registry().counter("prvm_rebal_util_dropped_total").value(), 0u);
+  EXPECT_TRUE(service.utilization_map().vm_fraction(
+      static_cast<VmId>(10 * capacity), obs::now_ns()).has_value());
+}
+
 // --- LoadView <-> CloudSimulation parity -----------------------------------
 
 class SimParityTest : public ::testing::Test {

@@ -2,13 +2,13 @@
 //
 // prvm_serve builds its tables from ec2_sim_catalog() with default options.
 // Any change to the build pipeline (successor enumeration order, CSR layout,
-// PageRank summation order, best-successor tie-breaking, ranked sort) that
-// moves a single bit of those tables changes placements, so this test pins
-// their exact contents with an FNV-1a hash over every field a placement can
-// read. The recorded value comes from the table build before the
-// allocation-free enumerator, the direct CSR build and the pull-form
-// PageRank were introduced; those rewrites must reproduce it exactly, and so
-// must a build whose parallel loops all run inline on one thread.
+// PageRank summation order, best-successor tie-breaking) that moves a single
+// bit of those tables changes placements, so this test pins their exact
+// contents with an FNV-1a hash over every field a placement can read. The
+// recorded value hashes the tables built before the ranked arena was
+// deleted, without the ranked fields (which no placement reads any more), so
+// every remaining field is pinned to what that build produced; a build whose
+// parallel loops all run inline on one thread must reproduce it too.
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -46,9 +46,7 @@ class Fnv1a {
   std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 
-// Keys, scores, best entries, ranked offsets, ranked (score, key) pairs and
-// the PageRank iteration count. The ranked entries' padding is left out: it
-// carries no information.
+// Keys, scores, best entries and the PageRank iteration count.
 void mix_table(Fnv1a& fnv, const ScoreTable& table) {
   fnv.mix(table.size());
   fnv.mix(table.demand_count());
@@ -63,22 +61,10 @@ void mix_table(Fnv1a& fnv, const ScoreTable& table) {
       fnv.mix(e.successor);
     }
   }
-  std::uint64_t offset = 0;
-  fnv.mix(offset);
-  for (std::size_t t = 0; t < table.demand_count(); ++t) {
-    offset += table.ranked_keys(t).size();
-    fnv.mix(offset);
-  }
-  for (std::size_t t = 0; t < table.demand_count(); ++t) {
-    for (const ScoreTable::RankedKey& r : table.ranked_keys(t)) {
-      fnv.mix_float(r.score);
-      fnv.mix(r.key);
-    }
-  }
   fnv.mix(static_cast<std::uint64_t>(table.pagerank_iterations()));
 }
 
-constexpr std::uint64_t kRecordedHash = 0xdfa367b60d4dfdd2ULL;
+constexpr std::uint64_t kRecordedHash = 0x830102be68d3828eULL;
 
 std::uint64_t tables_hash(const std::vector<const ScoreTable*>& tables) {
   Fnv1a fnv;
