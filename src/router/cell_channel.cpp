@@ -1,71 +1,23 @@
 #include "router/cell_channel.hpp"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 #include "service/binary_protocol.hpp"
+#include "service/socket_server.hpp"
 
 namespace prvm {
 
-namespace {
-
-int connect_unix(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  if (fd < 0 || ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    if (fd >= 0) ::close(fd);
-    throw std::runtime_error("cannot connect to cell at " + path);
-  }
-  return fd;
-}
-
-int connect_tcp(const std::string& host, int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  // Loopback-only, like the daemon's own listener: the deployment story is
-  // cells and router on one box (or behind a private mesh), not the open
-  // internet.
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  (void)host;
-  if (fd < 0 || ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    if (fd >= 0) ::close(fd);
-    throw std::runtime_error("cannot connect to cell at " + host + ":" + std::to_string(port));
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
-}
-
-/// First bytes on a PRVB1 channel: the negotiation preamble the server
-/// sniffs. A send failure here is deliberately ignored — the very next
-/// submit notices the dead connection and fails structurally.
-void send_preamble(int fd) {
-  ::send(fd, kBinaryPreamble, sizeof(kBinaryPreamble), MSG_NOSIGNAL);
-}
-
-}  // namespace
-
-SocketCellChannel::SocketCellChannel(const std::string& unix_path, bool binary)
-    : fd_(connect_unix(unix_path)), peer_(unix_path), binary_(binary) {
-  if (binary_) send_preamble(fd_);
-  start_reader();
-}
-
-SocketCellChannel::SocketCellChannel(const std::string& host, int port, bool binary)
-    : fd_(connect_tcp(host, port)), peer_(host + ":" + std::to_string(port)), binary_(binary) {
-  if (binary_) send_preamble(fd_);
-  start_reader();
+SocketCellChannel::SocketCellChannel(const std::string& spec)
+    : fd_(connect_endpoint(spec)), peer_(spec) {
+  if (fd_ < 0) throw std::runtime_error("cannot connect to cell at " + spec);
+  // First bytes on the channel: the PRVB1 preamble the cell sniffs. A send
+  // failure here is deliberately ignored — the very next submit notices the
+  // dead connection and fails structurally.
+  ::send(fd_, kBinaryPreamble, sizeof(kBinaryPreamble), MSG_NOSIGNAL);
+  reader_ = std::thread([this] { reader_loop(); });
 }
 
 SocketCellChannel::~SocketCellChannel() {
@@ -86,10 +38,6 @@ SocketCellChannel::~SocketCellChannel() {
 bool SocketCellChannel::connected() const {
   std::lock_guard<std::mutex> lock(mu_);
   return !down_;
-}
-
-void SocketCellChannel::start_reader() {
-  reader_ = std::thread([this] { reader_loop(); });
 }
 
 std::future<Response> SocketCellChannel::submit(Request request) {
@@ -123,28 +71,22 @@ std::future<Response> SocketCellChannel::submit(Request request) {
     }
     return true;
   };
-  bool wire_ok = true;
-  if (binary_) {
-    std::optional<std::uint16_t> slot;
-    if (request.op == RequestOp::kPlace && !request.vm_type_name.empty()) {
-      const auto known = intern_slots_.find(request.vm_type_name);
-      if (known != intern_slots_.end()) {
-        slot = known->second;
-      } else if (intern_slots_.size() < BinaryStringTable::kMaxSlots &&
-                 append_intern_frame(static_cast<std::uint16_t>(intern_slots_.size()),
-                                     request.vm_type_name, encode_buf_)) {
-        // First sight of this type name: bind it in the cell's string table
-        // with an intern frame riding the same send as the request.
-        slot = static_cast<std::uint16_t>(intern_slots_.size());
-        intern_slots_.emplace(request.vm_type_name, *slot);
-      }
-      // Table full (or name beyond the wire limit): the name travels inline.
+  std::optional<std::uint16_t> slot;
+  if (request.op == RequestOp::kPlace && !request.vm_type_name.empty()) {
+    const auto known = intern_slots_.find(request.vm_type_name);
+    if (known != intern_slots_.end()) {
+      slot = known->second;
+    } else if (intern_slots_.size() < BinaryStringTable::kMaxSlots &&
+               append_intern_frame(static_cast<std::uint16_t>(intern_slots_.size()),
+                                   request.vm_type_name, encode_buf_)) {
+      // First sight of this type name: bind it in the cell's string table
+      // with an intern frame riding the same send as the request.
+      slot = static_cast<std::uint16_t>(intern_slots_.size());
+      intern_slots_.emplace(request.vm_type_name, *slot);
     }
-    wire_ok = encode_binary_request_into(request, encode_buf_, slot);
-  } else {
-    encode_request_into(request, encode_buf_);
+    // Table full (or name beyond the wire limit): the name travels inline.
   }
-  if (!wire_ok) {
+  if (!encode_binary_request_into(request, encode_buf_, slot)) {
     // The request cannot be represented on the wire (a string field beyond
     // its length prefix): refuse it in its own slot without consuming a
     // response slot. The buffer holds at most an intern frame for a slot
@@ -213,14 +155,7 @@ std::string FailoverCellChannel::active_endpoint() const {
 std::shared_ptr<SocketCellChannel> FailoverCellChannel::qualify(const std::string& spec) {
   std::shared_ptr<SocketCellChannel> channel;
   try {
-    if (spec.rfind("unix:", 0) == 0) {
-      channel = std::make_shared<SocketCellChannel>(spec.substr(5), config_.binary);
-    } else if (spec.rfind("tcp:", 0) == 0) {
-      channel = std::make_shared<SocketCellChannel>("127.0.0.1", std::atoi(spec.c_str() + 4),
-                                                    config_.binary);
-    } else {
-      channel = std::make_shared<SocketCellChannel>(spec, config_.binary);  // bare unix path
-    }
+    channel = std::make_shared<SocketCellChannel>(spec);
   } catch (const std::exception&) {
     return nullptr;
   }
@@ -282,51 +217,6 @@ std::future<Response> FailoverCellChannel::submit(Request request) {
 }
 
 void SocketCellChannel::reader_loop() {
-  if (binary_) {
-    reader_loop_binary();
-    return;
-  }
-  LineBuffer frames;
-  char buf[16 * 1024];
-  while (true) {
-    const ::ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n <= 0) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!down_) fail_all_locked("connection closed by cell");
-      return;
-    }
-    frames.feed(std::string_view(buf, static_cast<std::size_t>(n)));
-    while (const auto frame = frames.next()) {
-      std::string error;
-      std::optional<Response> response;
-      if (!frame->oversized) response = parse_response(frame->line, &error);
-      std::promise<Response> promise;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (pending_.empty()) {
-          // A response with no matching request is a protocol violation;
-          // the stream can no longer be trusted to stay in order.
-          fail_all_locked("unsolicited response from cell");
-          return;
-        }
-        promise = std::move(pending_.front());
-        pending_.pop_front();
-      }
-      if (response.has_value()) {
-        promise.set_value(std::move(*response));
-      } else {
-        Response bad;
-        bad.ok = false;
-        bad.error = kCellUnreachable;
-        bad.message = "malformed response from cell " + peer_ + ": " +
-                      (frame->oversized ? "oversized frame" : error);
-        promise.set_value(std::move(bad));
-      }
-    }
-  }
-}
-
-void SocketCellChannel::reader_loop_binary() {
   // Responses are not bounded by the request frame cap (stats/metrics
   // extras can be large); the server guarantees every encoded response
   // stays under kMaxBinaryResponseBytes — substituting a structured
@@ -344,8 +234,8 @@ void SocketCellChannel::reader_loop_binary() {
     frames.feed(std::string_view(buf, static_cast<std::size_t>(n)));
     while (const auto frame = frames.next()) {
       // The response stream is CRC-framed by our own server; any damage or
-      // non-response frame means the FIFO correspondence is gone, so unlike
-      // a single malformed JSON line the whole connection is condemned.
+      // non-response frame means the FIFO correspondence is gone, so the
+      // whole connection is condemned.
       if (frame->status != BinaryFrameBuffer::Status::kOk ||
           frame->kind != BinaryFrameKind::kResponse) {
         std::lock_guard<std::mutex> lock(mu_);

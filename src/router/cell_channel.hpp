@@ -2,17 +2,15 @@
 //
 // The router talks to cells through the RequestSink contract; an embedded
 // cell is just the PlacementService itself, a remote cell is this class: a
-// pipelined client over one TCP or Unix-domain connection, speaking either
-// JSON-lines or, when constructed with binary = true, the PRVB1 binary
-// protocol (binary_protocol.hpp — the channel sends the preamble at
-// connect and interns vm-type names into the cell's string table, so the
-// router→cell hot path is binary end-to-end). submit() atomically
-// enqueues a promise and sends the encoded request under one lock, so the
-// promise FIFO and the byte stream agree on order; the encode buffer is a
-// member reused across requests, so a warm channel submits without
-// allocating. A reader thread reassembles response frames and resolves
-// promises first-in-first-out (the daemon answers strictly in request
-// order).
+// pipelined client over one TCP or Unix-domain connection speaking PRVB1
+// (binary_protocol.hpp), the only codec one daemon speaks to another. The
+// channel sends the preamble at connect and interns vm-type names into the
+// cell's string table. submit() atomically enqueues a promise and sends the
+// encoded request under one lock, so the promise FIFO and the byte stream
+// agree on order; the encode buffer is a member reused across requests, so
+// a warm channel submits without allocating. A reader thread reassembles
+// response frames and resolves promises first-in-first-out (the daemon
+// answers strictly in request order).
 //
 // A dead connection never hangs callers: every pending and future submit
 // resolves to a structured {"ok":false,"error":"cell_unreachable"} reply.
@@ -41,11 +39,9 @@ inline constexpr char kCellUnreachable[] = "cell_unreachable";
 
 class SocketCellChannel : public RequestSink {
  public:
-  /// Connects to a Unix-domain socket. Throws std::runtime_error on failure.
-  /// `binary` selects the PRVB1 wire protocol (preamble sent at connect).
-  explicit SocketCellChannel(const std::string& unix_path, bool binary = false);
-  /// Connects to a TCP endpoint on `host`:`port`.
-  SocketCellChannel(const std::string& host, int port, bool binary = false);
+  /// Connects to `spec` ("unix:PATH" or "tcp:PORT", see parse_endpoint).
+  /// Throws std::runtime_error on a bad spec or a failed connect.
+  explicit SocketCellChannel(const std::string& spec);
   ~SocketCellChannel() override;
 
   SocketCellChannel(const SocketCellChannel&) = delete;
@@ -56,19 +52,13 @@ class SocketCellChannel : public RequestSink {
   /// False once the connection dropped (submits fail fast afterwards).
   bool connected() const;
 
-  /// True when the channel speaks PRVB1.
-  bool binary() const { return binary_; }
-
  private:
-  void start_reader();
   void reader_loop();
-  void reader_loop_binary();
   /// Fails every queued promise with cell_unreachable (connection loss).
   void fail_all_locked(const std::string& detail);
 
   int fd_ = -1;
-  std::string peer_;  ///< human-readable endpoint for error messages
-  const bool binary_ = false;
+  std::string peer_;  ///< the endpoint spec, for error messages
   std::thread reader_;
 
   mutable std::mutex mu_;
@@ -102,8 +92,6 @@ class FailoverCellChannel : public RequestSink {
     /// Registry for prvm_router_failovers_total / prvm_router_promotions_total
     /// (null = counters skipped).
     obs::Registry* metrics = nullptr;
-    /// Speak PRVB1 to every endpoint (qualification included).
-    bool binary = false;
   };
 
   /// Throws std::runtime_error when NO endpoint is usable at construction

@@ -1,13 +1,15 @@
 // PRVB1 — the placement daemon's length-prefixed binary wire protocol.
 //
-// An opt-in alternative to the JSON-lines protocol (protocol.hpp) that
-// removes the per-request parse/allocate cost on the socket hot path. The
-// two protocols are semantically identical: a binary frame decodes to the
-// same Request struct the JSON parser produces (and a Response encodes
-// losslessly, `extra` members included), so the service behind the codec
-// cannot tell clients apart — the trace-replay differential in
-// tests/test_binary_protocol.cpp proves identical WAL bytes and state
-// digests for the same request stream over either protocol.
+// An alternative to the JSON-lines protocol (protocol.hpp) that removes
+// the per-request parse/allocate cost on the socket hot path. Clients opt
+// in; between daemons it is the only codec (the router's cell channels, a
+// leader's replication links). The two protocols are semantically
+// identical: a binary frame decodes to the same Request struct the JSON
+// parser produces (and a Response encodes losslessly, `extra` members
+// included), so the service behind the codec cannot tell clients apart —
+// the trace-replay differential in tests/test_binary_socket.cpp proves
+// identical WAL bytes and state digests for the same request stream over
+// either protocol.
 //
 // Negotiation: a binary client sends the 5-byte preamble "PRVB1" as its
 // very first bytes on the connection. The server sniffs the first byte: a

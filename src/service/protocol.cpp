@@ -432,7 +432,7 @@ std::variant<Request, ProtocolError> parse_request(std::string_view line) {
     const JsonValue* data = doc->find("data");
     if (data == nullptr) return ProtocolError{"missing_field", "missing \"data\""};
     if (data->kind != JsonValue::Kind::kString) {
-      return ProtocolError{"bad_field", "\"data\" must be a hex string"};
+      return ProtocolError{"bad_field", "\"data\" must be a string"};
     }
     request.data = data->string;
   }
@@ -579,10 +579,8 @@ void encode_request_into(const Request& request, std::string& out) {
   }
   if (request.eof) out += ",\"eof\":true";
   if (!request.data.empty()) {
-    // Hex payload: no characters that need escaping, so quote directly.
-    out += ",\"data\":\"";
-    out += request.data;
-    out += '"';
+    out += ",\"data\":";
+    out += json_quote(request.data);
   }
   out += "}\n";
 }

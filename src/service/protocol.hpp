@@ -53,10 +53,10 @@ namespace prvm {
 inline constexpr std::size_t kMaxFrameBytes = 64 * 1024;
 
 /// Cap for replication traffic (`repl_snap` snapshot chunks and
-/// `repl_frames` WAL batches carry hex payloads far beyond client frames).
-/// Only servers that opt in (follower mode) raise their LineBuffer to this;
-/// parse_request accepts up to this bound and leaves per-connection policy
-/// to the transport.
+/// `repl_frames` WAL batches carry raw payloads of up to 1 MiB, far beyond
+/// client frames). Only servers that opt in (follower mode) raise their
+/// frame buffers to this; parse_request accepts up to this bound and leaves
+/// per-connection policy to the transport.
 inline constexpr std::size_t kMaxReplFrameBytes = 4 * 1024 * 1024;
 
 /// A parsed JSON value (enough of JSON for this protocol: no nested
@@ -95,8 +95,8 @@ enum class RequestOp {
   kGroupCommit,   ///< "gcommit": promote a reservation to a committed member
   kGroupAbort,    ///< "gabort": drop a reservation (or committed member)
   kReplHello,     ///< "repl_hello": leader<->follower handshake (op_seq exchange)
-  kReplSnapshot,  ///< "repl_snap": one chunk of a catch-up snapshot (hex)
-  kReplFrames,    ///< "repl_frames": a batch of CRC-framed WAL records (hex)
+  kReplSnapshot,  ///< "repl_snap": one chunk of a catch-up snapshot (raw bytes)
+  kReplFrames,    ///< "repl_frames": a batch of CRC-framed WAL records (raw bytes)
   kPromote,       ///< "promote": flip a follower to leader
   kUtil,          ///< "util": one CPU utilization sample (vm- or pm-keyed)
   kRebalance,     ///< "rebalance": planner status / trigger / pause / resume
@@ -130,7 +130,8 @@ struct Request {
   std::optional<std::uint64_t> offset;
   /// Last chunk marker on repl_snap.
   bool eof = false;
-  /// Hex-encoded payload (snapshot chunk or framed WAL records).
+  /// Raw payload bytes (snapshot chunk or framed WAL records): PRVB1
+  /// carries them behind a u32 length prefix, JSON escapes them.
   std::string data;
   /// Target PM of a pm-keyed `util` sample; vm-keyed samples use vm_id
   /// (exactly one of the two is present on a well-formed util request).
@@ -162,13 +163,11 @@ struct ProtocolError {
 /// Decodes one request line (newline already stripped).
 std::variant<Request, ProtocolError> parse_request(std::string_view line);
 
-/// Encodes a request as one JSON line, including the trailing '\n'. The
-/// router's socket channel uses this to forward requests to remote cells;
-/// round-trips through parse_request().
+/// Encodes a request as one JSON line, including the trailing '\n';
+/// round-trips through parse_request(), every string field escaped.
 std::string encode_request(const Request& request);
 
-/// As above, appending to `out` instead of allocating a fresh string; lets
-/// the router's cell channels reuse one encode buffer across requests.
+/// As above, appending to `out` instead of allocating a fresh string.
 void encode_request_into(const Request& request, std::string& out);
 
 /// One response line. `extra` carries pre-encoded JSON members (stats

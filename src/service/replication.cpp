@@ -1,62 +1,23 @@
 #include "service/replication.hpp"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <ctime>
+
+#include "service/socket_server.hpp"
 
 namespace prvm {
 
 namespace {
 
-/// Snapshot chunks stay well under kMaxReplFrameBytes after hex doubling.
-constexpr std::size_t kSnapChunkBytes = 512 * 1024;
-/// One repl_frames line carries at most this many raw frame bytes.
-constexpr std::size_t kFrameChunkBytes = 1024 * 1024;
-
-int connect_endpoint(const std::string& spec) {
-  if (spec.rfind("unix:", 0) == 0) {
-    const std::string path = spec.substr(5);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) return -1;
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-      ::close(fd);
-      return -1;
-    }
-    return fd;
-  }
-  if (spec.rfind("tcp:", 0) == 0) {
-    const int port = std::atoi(spec.c_str() + 4);
-    if (port <= 0 || port > 65535) return -1;
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return -1;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    // Loopback-only, like every other socket in this codebase.
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-      ::close(fd);
-      return -1;
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    return fd;
-  }
-  return -1;
-}
+/// One repl_snap or repl_frames request carries at most this many raw
+/// bytes, well under the follower's kMaxReplFrameBytes frame cap.
+constexpr std::size_t kChunkBytes = 1024 * 1024;
 
 std::uint64_t now_ms() {
   timespec ts{};
@@ -103,42 +64,6 @@ std::vector<std::string_view> split_frames(std::string_view frames, std::size_t 
 
 }  // namespace
 
-std::string to_hex(std::string_view bytes) {
-  static const char digits[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(bytes.size() * 2);
-  for (const char c : bytes) {
-    const auto b = static_cast<unsigned char>(c);
-    out.push_back(digits[b >> 4]);
-    out.push_back(digits[b & 0xF]);
-  }
-  return out;
-}
-
-bool from_hex(std::string_view hex, std::string& out) {
-  if (hex.size() % 2 != 0) return false;
-  // Table-driven: frame batches run to hundreds of KB per flush group, so
-  // this decode sits on the follower's apply hot path.
-  static constexpr auto kNibble = [] {
-    std::array<std::int8_t, 256> table{};
-    table.fill(-1);
-    for (int i = 0; i <= 9; ++i) table[static_cast<std::size_t>('0' + i)] = static_cast<std::int8_t>(i);
-    for (int i = 0; i < 6; ++i) {
-      table[static_cast<std::size_t>('a' + i)] = static_cast<std::int8_t>(10 + i);
-      table[static_cast<std::size_t>('A' + i)] = static_cast<std::int8_t>(10 + i);
-    }
-    return table;
-  }();
-  out.resize(hex.size() / 2);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const int hi = kNibble[static_cast<unsigned char>(hex[2 * i])];
-    const int lo = kNibble[static_cast<unsigned char>(hex[2 * i + 1])];
-    if ((hi | lo) < 0) return false;
-    out[i] = static_cast<char>((hi << 4) | lo);
-  }
-  return true;
-}
-
 ReplicationSender::ReplicationSender(std::vector<std::string> endpoints, obs::Registry* registry,
                                      std::uint64_t ack_timeout_ms)
     : ack_timeout_ms_(ack_timeout_ms) {
@@ -177,7 +102,11 @@ bool ReplicationSender::connect_link(Link& link) {
   link.fd = fd;
   link.outstanding = 0;
   link.pending_bytes = 0;
-  link.inbox = LineBuffer();
+  link.inbox = BinaryFrameBuffer(kMaxBinaryResponseBytes);
+  if (!send_bytes(link, std::string_view(kBinaryPreamble, sizeof(kBinaryPreamble)))) {
+    close_link(link, true);
+    return false;
+  }
   return true;
 }
 
@@ -192,15 +121,22 @@ void ReplicationSender::close_link(Link& link, bool failure) {
   if (failure && link_failures_ != nullptr) link_failures_->inc();
 }
 
-bool ReplicationSender::send_line(Link& link, const std::string& line) {
+bool ReplicationSender::send_request(Link& link, const Request& request) {
+  out_.clear();
+  if (!encode_binary_request_into(request, out_) || !send_bytes(link, out_)) {
+    close_link(link, true);
+    return false;
+  }
+  ++link.outstanding;
+  return true;
+}
+
+bool ReplicationSender::send_bytes(Link& link, std::string_view bytes) {
   std::size_t written = 0;
-  while (written < line.size()) {
+  while (written < bytes.size()) {
     const ::ssize_t n =
-        ::send(link.fd, line.data() + written, line.size() - written, MSG_NOSIGNAL);
-    if (n <= 0) {
-      close_link(link, true);
-      return false;
-    }
+        ::send(link.fd, bytes.data() + written, bytes.size() - written, MSG_NOSIGNAL);
+    if (n <= 0) return false;
     written += static_cast<std::size_t>(n);
   }
   return true;
@@ -210,15 +146,16 @@ bool ReplicationSender::read_response(Link& link, std::uint64_t wait_ms) {
   const std::uint64_t deadline = now_ms() + wait_ms;
   char buf[16 * 1024];
   while (true) {
-    // A complete line may already be buffered from a previous read.
-    while (const auto frame = link.inbox.next()) {
-      if (frame->oversized) {
-        close_link(link, true);
-        return false;
-      }
-      if (frame->line.empty()) continue;
+    // A complete frame may already be buffered from a previous read.
+    if (const auto frame = link.inbox.next()) {
+      // Damage on the follower's CRC-framed ack stream means the acks can
+      // no longer be matched to what was sent: drop the link.
       std::string error;
-      const std::optional<Response> response = parse_response(frame->line, &error);
+      const std::optional<Response> response =
+          frame->status == BinaryFrameBuffer::Status::kOk &&
+                  frame->kind == BinaryFrameKind::kResponse
+              ? parse_binary_response(frame->payload, &error)
+              : std::nullopt;
       if (!response.has_value()) {
         close_link(link, true);
         return false;
@@ -257,8 +194,7 @@ bool ReplicationSender::handshake(Link& link, std::uint64_t leader_seq) {
   Request hello;
   hello.op = RequestOp::kReplHello;
   hello.seq = leader_seq;
-  if (!send_line(link, encode_request(hello))) return false;
-  ++link.outstanding;
+  if (!send_request(link, hello)) return false;
   link.acked_seq = 0;
   if (!read_response(link, ack_timeout_ms_)) {
     close_link(link, true);
@@ -298,19 +234,18 @@ void ReplicationSender::send_snapshot(const std::string& blob, std::uint64_t sna
     if (!handshake(link, snap_seq)) continue;
     if (link.state == Link::State::kStreaming) continue;  // already caught up
     bool ok = true;
-    for (std::size_t offset = 0; offset < blob.size() && ok; offset += kSnapChunkBytes) {
+    for (std::size_t offset = 0; offset < blob.size() && ok; offset += kChunkBytes) {
       Request chunk;
       chunk.op = RequestOp::kReplSnapshot;
       chunk.seq = snap_seq;
       chunk.offset = offset;
-      const std::size_t n = std::min(kSnapChunkBytes, blob.size() - offset);
+      const std::size_t n = std::min(kChunkBytes, blob.size() - offset);
       chunk.eof = offset + n == blob.size();
-      chunk.data = to_hex(std::string_view(blob).substr(offset, n));
-      if (!send_line(link, encode_request(chunk))) {
+      chunk.data = blob.substr(offset, n);
+      if (!send_request(link, chunk)) {
         ok = false;
         break;
       }
-      ++link.outstanding;
       if (!read_response(link, ack_timeout_ms_) || link.state == Link::State::kDown) {
         ok = false;
         break;
@@ -335,7 +270,7 @@ std::size_t ReplicationSender::replicate(const std::string& frames, std::uint64_
   const std::lock_guard<std::mutex> lock(mu_);
   std::size_t frame_count = 0;
   const std::vector<std::string_view> chunks =
-      split_frames(frames, kFrameChunkBytes, &frame_count);
+      split_frames(frames, kChunkBytes, &frame_count);
   for (Link& link : links_) {
     if (link.state == Link::State::kDown) {
       // Cheap reconnect attempt each round: a follower that came (back) up
@@ -348,9 +283,8 @@ std::size_t ReplicationSender::replicate(const std::string& frames, std::uint64_
       Request batch;
       batch.op = RequestOp::kReplFrames;
       batch.seq = last_seq;
-      batch.data = to_hex(chunk);
-      if (!send_line(link, encode_request(batch))) break;
-      ++link.outstanding;
+      batch.data = chunk;
+      if (!send_request(link, batch)) break;
       link.pending_bytes += chunk.size();
       if (bytes_total_ != nullptr) bytes_total_->add(chunk.size());
     }

@@ -1,9 +1,10 @@
 // Leader-side WAL replication to follower replicas (DESIGN.md §8).
 //
 // A leader streams the exact CRC-framed WAL bytes it writes locally to one
-// or more followers over the JSON-lines protocol, piggybacked on the group-
-// commit flusher: one repl_frames line per flush group, not one round trip
-// per op. Followers apply the frames into a live PlacementService replica
+// or more followers over PRVB1 (binary_protocol.hpp), piggybacked on the
+// group-commit flusher: one repl_frames request per flush group, not one
+// round trip per op. Snapshot chunks and WAL frames travel as raw bytes in
+// Request::data behind PRVB1's u32 length prefix and frame CRC. Followers apply the frames into a live PlacementService replica
 // (their own WAL makes the apply durable before they ack), so a follower
 // ack means "this op survives the loss of the leader's machine".
 //
@@ -39,7 +40,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "service/protocol.hpp"
+#include "service/binary_protocol.hpp"
 
 namespace prvm {
 
@@ -60,11 +61,6 @@ struct ReplicationConfig {
   /// Advertised to writers rejected with not_leader ("unix:/path/to/leader").
   std::string leader_hint;
 };
-
-/// Lowercase hex codec for replication payloads (hex needs no JSON
-/// escaping, so snapshot chunks and WAL frames embed directly in a line).
-std::string to_hex(std::string_view bytes);
-bool from_hex(std::string_view hex, std::string& out);
 
 class ReplicationSender {
  public:
@@ -108,17 +104,22 @@ class ReplicationSender {
     int fd = -1;
     enum class State { kDown, kNeedsSnapshot, kStreaming } state = State::kDown;
     std::uint64_t acked_seq = 0;
-    std::size_t outstanding = 0;     ///< repl lines sent, acks not yet read
+    std::size_t outstanding = 0;     ///< repl requests sent, acks not yet read
     std::size_t pending_bytes = 0;   ///< payload bytes sent since last full drain
-    LineBuffer inbox;
+    BinaryFrameBuffer inbox{kMaxBinaryResponseBytes};
   };
 
+  /// Connects the link and sends the PRVB1 preamble.
   bool connect_link(Link& link);
   void close_link(Link& link, bool failure);
   /// repl_hello exchange; classifies the link as streaming / needs-snapshot.
   bool handshake(Link& link, std::uint64_t leader_seq);
-  bool send_line(Link& link, const std::string& line);
-  /// Reads one response line, waiting up to `deadline_ms` (0 = only what is
+  /// Encodes `request` as one PRVB1 frame and sends it; counts it
+  /// outstanding. Closes the link on failure.
+  bool send_request(Link& link, const Request& request);
+  /// Writes all of `bytes`; false when the peer is gone (the link stays open).
+  bool send_bytes(Link& link, std::string_view bytes);
+  /// Reads one response frame, waiting up to `deadline_ms` (0 = only what is
   /// already readable). Updates acked_seq/outstanding; flips the link to
   /// kNeedsSnapshot on a repl_gap or any other rejection.
   bool read_response(Link& link, std::uint64_t wait_ms);
@@ -127,6 +128,7 @@ class ReplicationSender {
   std::vector<Link> links_;
   std::uint64_t ack_timeout_ms_;
   mutable std::mutex mu_;  ///< serializes worker (snapshot) vs flusher (frames)
+  std::string out_;        ///< encode buffer reused across requests (under mu_)
   std::atomic<bool> snapshot_needed_{false};
 
   obs::Counter* frames_total_ = nullptr;   ///< WAL records streamed

@@ -742,14 +742,8 @@ Response PlacementService::apply_repl_snapshot(const Request& request) {
                          std::to_string(expected),
                      op_seq_);
   }
-  std::string raw;
-  if (!from_hex(request.data, raw)) {
-    repl_snap_buffer_.clear();
-    repl_snap_offset_ = 0;
-    return repl_fail(request, "bad_frame", "snapshot chunk is not valid hex", op_seq_);
-  }
-  repl_snap_buffer_ += raw;
-  repl_snap_offset_ += raw.size();
+  repl_snap_buffer_ += request.data;
+  repl_snap_offset_ += request.data.size();
   if (!request.eof) {
     Response response;
     response.ok = true;
@@ -777,6 +771,15 @@ Response PlacementService::apply_repl_snapshot(const Request& request) {
                          " does not match this follower's " + std::to_string(dc_.pm_count()),
                      op_seq_);
   }
+  // Free the utilization slots of VMs the installed state no longer holds;
+  // the ledger drops them without a release that would forget them.
+  for (const PmIndex pm : dc_.used_pms()) {
+    for (const Datacenter::PlacedVm& placed : dc_.pm(pm).vms) {
+      if (!snapshot.datacenter->pm_of(placed.vm.id).has_value()) {
+        util_map_->forget_vm(placed.vm.id);
+      }
+    }
+  }
   dc_ = std::move(*snapshot.datacenter);
   admission_ = std::move(snapshot.admission);
   group_dir_ = std::move(snapshot.groups);
@@ -796,11 +799,11 @@ Response PlacementService::apply_repl_snapshot(const Request& request) {
 }
 
 Response PlacementService::apply_repl_frames(const Request& request) {
-  std::string raw;
+  const std::string_view raw = request.data;
   std::vector<WalRecord> records;
   std::vector<std::size_t> offsets;
-  if (!from_hex(request.data, raw) || !decode_wal_frames(raw, records, &offsets)) {
-    return repl_fail(request, "bad_frame", "frame batch failed hex/CRC decode", op_seq_);
+  if (!decode_wal_frames(raw, records, &offsets)) {
+    return repl_fail(request, "bad_frame", "frame batch failed CRC decode", op_seq_);
   }
   // Skip the already-applied prefix (snapshot/stream overlap), apply the
   // contiguous continuation, then re-append that run's validated raw bytes
@@ -823,7 +826,7 @@ Response PlacementService::apply_repl_frames(const Request& request) {
   if (limit > first && wal_ != nullptr) {
     const std::size_t end = limit < offsets.size() ? offsets[limit] : raw.size();
     batch_wal_bytes_ += wal_->append_frames(
-        std::string_view(raw).substr(offsets[first], end - offsets[first]),
+        raw.substr(offsets[first], end - offsets[first]),
         limit - first);
     m_.wal_appends->add(limit - first);
     wal_dirty_ = true;

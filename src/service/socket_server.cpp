@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
@@ -99,6 +100,7 @@ int open_listener(const SocketServerConfig& config, int& port) {
             "cannot bind " + config.unix_path);
   } else {
     require(config.tcp_port >= 0, "no unix path and no TCP port configured");
+    require(config.tcp_port <= 0xFFFF, "bad TCP port " + std::to_string(config.tcp_port));
     fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     require(fd >= 0, "cannot create TCP socket");
     const int one = 1;
@@ -116,6 +118,71 @@ int open_listener(const SocketServerConfig& config, int& port) {
   }
   require(::listen(fd, config.backlog) == 0, "listen failed");
   ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK);
+  return fd;
+}
+
+std::optional<int> parse_port(std::string_view text) {
+  unsigned port = 0;
+  const char* end = text.data() + text.size();
+  // Unsigned from_chars takes no sign or space; five digits cannot overflow.
+  if (text.empty() || text.size() > 5 ||
+      std::from_chars(text.data(), end, port).ptr != end || port > 0xFFFF) {
+    return std::nullopt;
+  }
+  return static_cast<int>(port);
+}
+
+std::optional<Endpoint> parse_endpoint(std::string_view spec) {
+  Endpoint endpoint;
+  if (spec.rfind("unix:", 0) == 0) {
+    endpoint.unix_path = spec.substr(5);
+    if (endpoint.unix_path.empty() ||
+        endpoint.unix_path.size() >= sizeof(sockaddr_un::sun_path)) {
+      return std::nullopt;
+    }
+    return endpoint;
+  }
+  if (spec.rfind("tcp:", 0) == 0) {
+    const std::optional<int> port = parse_port(spec.substr(4));
+    if (!port.has_value() || *port == 0) return std::nullopt;
+    endpoint.tcp_port = *port;
+    return endpoint;
+  }
+  return std::nullopt;
+}
+
+int connect_endpoint(std::string_view spec) {
+  const std::optional<Endpoint> endpoint = parse_endpoint(spec);
+  if (!endpoint.has_value()) return -1;
+  const bool tcp = endpoint->unix_path.empty();
+  const int fd = ::socket(tcp ? AF_INET : AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return -1;
+  sockaddr_un unix_addr{};
+  sockaddr_in tcp_addr{};
+  const sockaddr* addr = nullptr;
+  socklen_t addr_len = 0;
+  if (tcp) {
+    tcp_addr.sin_family = AF_INET;
+    tcp_addr.sin_port = htons(static_cast<std::uint16_t>(endpoint->tcp_port));
+    // Loopback-only, like every listener here: the deployment story is
+    // daemons on one box (or behind a private mesh), not the open internet.
+    tcp_addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr = reinterpret_cast<const sockaddr*>(&tcp_addr);
+    addr_len = sizeof(tcp_addr);
+  } else {
+    unix_addr.sun_family = AF_UNIX;
+    std::memcpy(unix_addr.sun_path, endpoint->unix_path.c_str(), endpoint->unix_path.size() + 1);
+    addr = reinterpret_cast<const sockaddr*>(&unix_addr);
+    addr_len = sizeof(unix_addr);
+  }
+  if (::connect(fd, addr, addr_len) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  if (tcp) {
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  }
   return fd;
 }
 

@@ -36,7 +36,9 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -55,15 +57,35 @@ struct SocketServerConfig {
   /// Max responses in flight per connection before it stops being read.
   std::size_t max_pipeline = 256;
   /// Per-connection frame cap. Followers raise this to kMaxReplFrameBytes
-  /// so repl_snap/repl_frames payloads fit on one line; client-facing
+  /// so repl_snap/repl_frames payloads fit in one frame; client-facing
   /// servers keep the tight default.
   std::size_t max_frame = kMaxFrameBytes;
 };
 
 /// Binds and listens per `config` (Unix path first, else loopback TCP),
 /// non-blocking and close-on-exec; sets `port` to the bound TCP port (-1
-/// for UDS). Throws on failure.
+/// for UDS). Throws on failure, including a port outside 0..65535.
 int open_listener(const SocketServerConfig& config, int& port);
+
+/// A decimal TCP port in 0..65535 (0 = ephemeral, meaningful to listeners
+/// only): digits only, nothing before or after. Nullopt otherwise.
+std::optional<int> parse_port(std::string_view text);
+
+/// The address of another daemon: "unix:PATH" or "tcp:PORT" on loopback.
+struct Endpoint {
+  std::string unix_path;  ///< set for unix:PATH
+  int tcp_port = -1;      ///< 1..65535 for tcp:PORT
+};
+
+/// Parses an endpoint spec. Refuses a bare path, an unknown scheme, an empty
+/// path, a path too long for sun_path (107 bytes plus its terminator) and a
+/// port outside 1..65535 — nothing is truncated into a different address.
+std::optional<Endpoint> parse_endpoint(std::string_view spec);
+
+/// Connects (blocking, close-on-exec; TCP_NODELAY on TCP) to `spec`. The
+/// one client-side connector for daemon-to-daemon links. Returns the fd, or
+/// -1 when the spec does not parse or the connect fails.
+int connect_endpoint(std::string_view spec);
 
 class SocketServer {
  public:

@@ -103,6 +103,13 @@ std::vector<Request> wire_requests() {
     frames.seq = 43;
     frames.data = "cafe";
     requests.push_back(frames);
+    // Replication payloads are raw bytes: both codecs must carry every
+    // byte value, JSON's escapes included.
+    const std::string raw_bytes{'\x00', '\n', '"', '\\', '\x80', '\xFF', 'z'};
+    snap.data = raw_bytes;
+    requests.push_back(snap);
+    frames.data = raw_bytes;
+    requests.push_back(frames);
     Request promote;
     promote.op = RequestOp::kPromote;
     promote.seq = 44;

@@ -1,11 +1,11 @@
 // PRVB1 end-to-end over real sockets (DESIGN.md §10): the trace-replay
-// differential — the same request stream driven through a JSON-lines
-// channel and a binary channel must leave byte-identical WALs and equal
-// state digests behind, with semantically identical responses. Plus the
-// connection-level hostile cases the codec tests cannot reach: garbage
-// injected mid-stream on a live binary connection, a near-miss preamble
-// falling back to JSON, and FailoverCellChannel qualifying a cell over the
-// binary protocol.
+// differential — the same request stream driven through a raw JSON-lines
+// client and the router's binary cell channel must leave byte-identical
+// WALs and equal state digests behind, with semantically identical
+// responses. Plus the connection-level hostile cases the codec tests
+// cannot reach: garbage injected mid-stream on a live binary connection, a
+// near-miss preamble falling back to JSON, and FailoverCellChannel
+// qualifying a cell over the binary protocol.
 #include <gtest/gtest.h>
 
 #include <cerrno>
@@ -194,8 +194,9 @@ class BinarySocketTest : public ::testing::Test {
     return trace;
   }
 
-  /// One complete service + socket server + channel stack; replays `trace`
-  /// through the channel and returns (responses, wal bytes, state digest).
+  /// One complete service + socket server + client stack; replays `trace`
+  /// through the router's cell channel (PRVB1) or a raw JSON-lines client
+  /// and returns (responses, wal bytes, state digest).
   struct ReplayResult {
     std::vector<Response> responses;
     std::string wal;
@@ -215,14 +216,20 @@ class BinarySocketTest : public ::testing::Test {
     server.start();
 
     ReplayResult result;
-    {
-      SocketCellChannel channel(socket_path, binary);
-      EXPECT_EQ(channel.binary(), binary);
+    if (binary) {
+      SocketCellChannel channel("unix:" + socket_path);
       std::vector<std::future<Response>> futures;
       futures.reserve(trace.size());
       for (const Request& request : trace) futures.push_back(channel.submit(request));
       result.responses.reserve(trace.size());
       for (auto& future : futures) result.responses.push_back(future.get());
+    } else {
+      RawClient client(socket_path);
+      EXPECT_TRUE(client.ok());
+      std::string lines;
+      for (const Request& request : trace) encode_request_into(request, lines);
+      client.send(lines);
+      result.responses = client.recv_json_responses(trace.size());
     }
     server.stop();
     service->stop_now();
@@ -388,7 +395,6 @@ TEST_F(BinarySocketTest, FailoverChannelQualifiesAndServesOverBinary) {
   // binary channel the traffic will use.
   FailoverCellChannel::Config failover;
   failover.endpoints = {"unix:" + socket_path};
-  failover.binary = true;
   FailoverCellChannel channel(failover);
   ASSERT_TRUE(channel.connected());
   EXPECT_EQ(channel.active_endpoint(), "unix:" + socket_path);

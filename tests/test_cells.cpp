@@ -266,6 +266,22 @@ TEST(CellProtocol, EncodeRequestRoundTripsEveryOp) {
   by_name.vm_id = 11;
   by_name.vm_type_name = "m3.xlarge";
   requests.push_back(by_name);
+  // Replication payloads are raw bytes: JSON must carry every byte value.
+  const std::string raw_bytes{'\x00', '\n', '"', '\\', '\x80', '\xFF', 'z'};
+  {
+    Request snap;
+    snap.op = RequestOp::kReplSnapshot;
+    snap.seq = 42;
+    snap.offset = 128;
+    snap.eof = true;
+    snap.data = raw_bytes;
+    requests.push_back(snap);
+    Request frames;
+    frames.op = RequestOp::kReplFrames;
+    frames.seq = 43;
+    frames.data = raw_bytes;
+    requests.push_back(frames);
+  }
 
   for (const Request& request : requests) {
     const std::string line = encode_request(request);
@@ -279,6 +295,10 @@ TEST(CellProtocol, EncodeRequestRoundTripsEveryOp) {
     EXPECT_EQ(round->vm_type_name, request.vm_type_name) << line;
     EXPECT_EQ(round->group, request.group) << line;
     EXPECT_EQ(round->cell, request.cell) << line;
+    EXPECT_EQ(round->seq, request.seq) << line;
+    EXPECT_EQ(round->offset, request.offset) << line;
+    EXPECT_EQ(round->eof, request.eof) << line;
+    EXPECT_EQ(round->data, request.data) << line;
   }
 }
 
@@ -607,7 +627,7 @@ TEST_F(RouterTest, SocketChannelRoundTripsAndFailsFastWhenTheCellDies) {
   CellServer server(cell, socket_config);
   server.start();
 
-  auto channel = std::make_unique<SocketCellChannel>(socket_path);
+  auto channel = std::make_unique<SocketCellChannel>("unix:" + socket_path);
   ASSERT_TRUE(channel->connected());
   const Response placed = channel->submit(place_request(1, 0)).get();
   ASSERT_TRUE(placed.ok) << placed.error;

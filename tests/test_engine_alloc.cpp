@@ -135,12 +135,12 @@ TEST(EngineAlloc, WarmPlaceAllocatesOnlyWhatTheLedgerDoes) {
 }
 
 // The cell channel's submit path (cell_channel.cpp) encodes every request
-// into one member buffer it clears and reuses — the fix this test pins
-// down: a warm channel must encode without touching the heap at all on the
-// binary protocol, and the reused JSON buffer must beat the old
-// fresh-string-per-request encode_request() path. The channel itself is not
-// constructed here (its promise queue allocates by design); the encode
-// calls below are exactly the ones submit() makes.
+// as PRVB1 into one member buffer it clears and reuses — the fix this test
+// pins down: a warm channel must encode without touching the heap at all.
+// The channel itself is not constructed here (its promise queue allocates
+// by design); the binary encode calls below are exactly the ones submit()
+// makes. The JSON rows are the reference a JSON-lines client pays: a reused
+// buffer must beat the fresh-string-per-request encode_request() path.
 TEST(ChannelEncodeAlloc, WarmReusedEncodeBufferDelta) {
   Request place;
   place.op = RequestOp::kPlace;
@@ -170,7 +170,7 @@ TEST(ChannelEncodeAlloc, WarmReusedEncodeBufferDelta) {
   // JSON into the same reused buffer: the std::to_string/json_quote
   // temporaries fit the small-string optimization at this request size, so
   // buffer reuse alone gets JSON to zero too — larger fields (long group
-  // names, repl hex payloads) spill and allocate where binary still won't.
+  // names, replication payloads) spill and allocate where binary still won't.
   reused.clear();
   encode_request_into(place, reused);
   before = g_allocations.load(std::memory_order_relaxed);

@@ -12,6 +12,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include <unistd.h>
@@ -19,6 +20,7 @@
 #include "cluster/catalog.hpp"
 #include "core/catalog_graphs.hpp"
 #include "obs/metrics.hpp"
+#include "service/binary_protocol.hpp"
 #include "service/io_env.hpp"
 #include "service/protocol.hpp"
 #include "service/service.hpp"
@@ -68,6 +70,11 @@ Request vm_request(RequestOp op, std::uint64_t vm) {
   request.op = op;
   request.vm_id = vm;
   return request;
+}
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream is(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(is), {});
 }
 
 std::string extra_of(const Response& response, const std::string& key) {
@@ -195,21 +202,34 @@ class ReplicationTest : public ::testing::Test {
     leader_->start();
   }
 
-  void teardown_pair() {
+  /// Stops both loops (and the follower's server), so the ledgers can be
+  /// read directly; the pointers stay for the assertions.
+  void quiesce() {
     if (leader_ != nullptr) leader_->stop_now();
     if (server_ != nullptr) server_->stop();
     if (follower_ != nullptr) follower_->stop_now();
+  }
+
+  void teardown_pair() {
+    quiesce();
     leader_.reset();
     server_.reset();
     follower_.reset();
   }
 
+  /// A live service's op_seq, read in-band: stats() is loop-owned state.
+  static std::uint64_t op_seq_of(PlacementService& service) {
+    Request stats;
+    stats.op = RequestOp::kStats;
+    return std::stoull(extra_of(service.submit(stats).get(), "op_seq"));
+  }
+
   /// Waits until the follower's applied op_seq reaches the leader's.
   bool converged(std::chrono::seconds budget = 20s) {
     const auto deadline = std::chrono::steady_clock::now() + budget;
-    const std::uint64_t target = leader_->stats().op_seq;
+    const std::uint64_t target = op_seq_of(*leader_);
     while (std::chrono::steady_clock::now() < deadline) {
-      if (follower_->stats().op_seq >= target) return true;
+      if (op_seq_of(*follower_) >= target) return true;
       std::this_thread::sleep_for(20ms);
     }
     return false;
@@ -236,9 +256,6 @@ TEST_F(ReplicationTest, FollowerMirrorsLeaderUnderAckAfterReplicated) {
     ASSERT_TRUE(leader_->submit(vm_request(RequestOp::kRelease, vm)).get().ok);
   }
   ASSERT_TRUE(converged());
-  EXPECT_TRUE(datacenter_state_equal(leader_->datacenter(), follower_->datacenter()));
-  EXPECT_EQ(datacenter_state_digest(leader_->datacenter()),
-            datacenter_state_digest(follower_->datacenter()));
 
   // The follower serves reads but routes writers to the leader.
   const Response looked = follower_->submit(vm_request(RequestOp::kLookup, 2)).get();
@@ -247,6 +264,11 @@ TEST_F(ReplicationTest, FollowerMirrorsLeaderUnderAckAfterReplicated) {
   EXPECT_FALSE(rejected.ok);
   EXPECT_EQ(rejected.error, "not_leader");
   EXPECT_EQ(extra_of(rejected, "leader"), "\"unix:leader.sock\"");
+
+  quiesce();
+  EXPECT_TRUE(datacenter_state_equal(leader_->datacenter(), follower_->datacenter()));
+  EXPECT_EQ(datacenter_state_digest(leader_->datacenter()),
+            datacenter_state_digest(follower_->datacenter()));
 
   teardown_pair();
 }
@@ -291,11 +313,12 @@ TEST_F(ReplicationTest, FollowerCatchesUpFromSnapshotMidStream) {
   const auto deadline = std::chrono::steady_clock::now() + 30s;
   std::uint64_t vm = 100;
   while (std::chrono::steady_clock::now() < deadline &&
-         follower_->stats().op_seq < leader_->stats().op_seq) {
+         op_seq_of(*follower_) < op_seq_of(*leader_)) {
     ASSERT_TRUE(leader_->submit(place_request(vm++, 0)).get().ok);
     std::this_thread::sleep_for(50ms);
   }
   ASSERT_TRUE(converged());
+  quiesce();
   EXPECT_TRUE(datacenter_state_equal(leader_->datacenter(), follower_->datacenter()));
   EXPECT_GE(follower_registry->counter("prvm_repl_snapshots_installed_total").value(), 1u);
 
@@ -346,24 +369,116 @@ TEST_F(ReplicationTest, FollowerDiskFaultsDoNotPoisonTheLeader) {
   while (std::chrono::steady_clock::now() < deadline && vm <= 120) {
     const Response response = leader_->submit(place_request(vm++, vm % 3)).get();
     ASSERT_TRUE(response.ok) << response.error << ": " << response.message;
-    if (follower_->stats().degraded) follower_degraded = true;
+    if (follower_->degraded()) follower_degraded = true;
     std::this_thread::sleep_for(10ms);
   }
   EXPECT_TRUE(follower_degraded) << "fault schedule never fired on the follower";
-  EXPECT_FALSE(leader_->stats().degraded);
+  EXPECT_FALSE(leader_->degraded());
 
   // Keep trickling until the follower has recovered and re-converged.
   const auto converge_deadline = std::chrono::steady_clock::now() + 40s;
   while (std::chrono::steady_clock::now() < converge_deadline &&
-         (follower_->stats().degraded ||
-          follower_->stats().op_seq < leader_->stats().op_seq)) {
+         (follower_->degraded() || op_seq_of(*follower_) < op_seq_of(*leader_))) {
     ASSERT_TRUE(leader_->submit(place_request(vm++, 0)).get().ok);
     std::this_thread::sleep_for(50ms);
   }
   ASSERT_TRUE(converged());
+  quiesce();
   EXPECT_TRUE(datacenter_state_equal(leader_->datacenter(), follower_->datacenter()));
 
   teardown_pair();
+}
+
+// ---------------------------------------------------------------------------
+// Follower apply paths, driven in-process.
+
+TEST_F(ReplicationTest, FollowerAppliesRawFrameBytesFromEitherCodec) {
+  // repl_frames carries the leader's WAL frames as raw bytes (length
+  // prefixes and CRCs full of 0x00 and high bytes); the follower applies
+  // them as they arrive, whichever codec the request crossed.
+  TempDir dir("raw");
+  ServiceConfig leader_config;
+  leader_config.data_dir = dir.path();
+  leader_config.metrics = std::make_shared<obs::Registry>();
+  PlacementService leader(catalog_, mixed_pm_fleet(catalog_, 40), tables_, leader_config);
+  for (std::uint64_t vm = 1; vm <= 10; ++vm) {
+    ASSERT_TRUE(leader.execute(place_request(vm, vm % 3, vm % 4 == 0 ? "web" : "")).ok);
+  }
+  ASSERT_TRUE(leader.execute(vm_request(RequestOp::kRelease, 4)).ok);
+  Request batch;
+  batch.op = RequestOp::kReplFrames;
+  batch.seq = leader.stats().op_seq;
+  batch.data = read_file(dir.path() / "wal.log");  // append_wal_frame bytes
+  ASSERT_NE(batch.data.find('\0'), std::string::npos);
+
+  std::string json = encode_request(batch);
+  json.pop_back();
+  std::string binary;
+  ASSERT_TRUE(encode_binary_request_into(batch, binary));
+  BinaryFrameBuffer frames(kMaxReplFrameBytes);
+  frames.feed(binary);
+  const auto frame = frames.next();
+  ASSERT_TRUE(frame.has_value());
+  ASSERT_EQ(frame->status, BinaryFrameBuffer::Status::kOk);
+  for (const auto& decoded :
+       {parse_binary_request(frame->payload, BinaryStringTable{}), parse_request(json)}) {
+    ASSERT_NE(std::get_if<Request>(&decoded), nullptr);
+    ServiceConfig follower_config;
+    follower_config.repl.follower = true;
+    follower_config.metrics = std::make_shared<obs::Registry>();
+    PlacementService follower(catalog_, mixed_pm_fleet(catalog_, 40), tables_, follower_config);
+    const Response applied = follower.execute(std::get<Request>(decoded));
+    ASSERT_TRUE(applied.ok) << applied.error << ": " << applied.message;
+    EXPECT_EQ(extra_of(applied, "op_seq"), std::to_string(leader.stats().op_seq));
+    EXPECT_TRUE(datacenter_state_equal(leader.datacenter(), follower.datacenter()));
+  }
+}
+
+TEST_F(ReplicationTest, SnapshotInstallForgetsUtilizationOfVmsItDoesNotHold) {
+  ServiceConfig leader_config;
+  leader_config.metrics = std::make_shared<obs::Registry>();
+  PlacementService leader(catalog_, mixed_pm_fleet(catalog_, 40), tables_, leader_config);
+  ServiceConfig follower_config;
+  follower_config.repl.follower = true;
+  follower_config.metrics = std::make_shared<obs::Registry>();
+  PlacementService follower(catalog_, mixed_pm_fleet(catalog_, 40), tables_, follower_config);
+  const auto install_leader_state = [&] {
+    Request snap;
+    snap.op = RequestOp::kReplSnapshot;
+    snap.seq = leader.stats().op_seq;
+    snap.offset = 0;
+    snap.eof = true;
+    snap.data = serialize_snapshot(leader.datacenter(), leader.admission(),
+                                   leader.group_directory(), leader.stats().op_seq);
+    return follower.execute(snap);
+  };
+
+  for (std::uint64_t vm = 1; vm <= 6; ++vm) {
+    ASSERT_TRUE(leader.execute(place_request(vm, vm % 3)).ok);
+  }
+  ASSERT_TRUE(install_leader_state().ok);
+  for (std::uint64_t vm = 1; vm <= 6; ++vm) {
+    Request sample;
+    sample.op = RequestOp::kUtil;
+    sample.vm_id = vm;
+    sample.cpu = 0.5;
+    ASSERT_TRUE(follower.execute(sample).ok);
+  }
+
+  // The follower misses the frames that release VMs 1-3, then resyncs.
+  for (std::uint64_t vm = 1; vm <= 3; ++vm) {
+    ASSERT_TRUE(leader.execute(vm_request(RequestOp::kRelease, vm)).ok);
+  }
+  ASSERT_TRUE(leader.execute(place_request(7, 0)).ok);
+  const Response installed = install_leader_state();
+  ASSERT_TRUE(installed.ok) << installed.error << ": " << installed.message;
+
+  // A VM the snapshot does not hold has no sample: its key left the table,
+  // so its slot is free for reuse. The VMs the snapshot holds keep theirs.
+  const UtilizationMap& map = follower.utilization_map();
+  const std::uint64_t now = obs::now_ns();
+  for (VmId vm = 1; vm <= 3; ++vm) EXPECT_FALSE(map.vm_fraction(vm, now).has_value()) << vm;
+  for (VmId vm = 4; vm <= 6; ++vm) EXPECT_TRUE(map.vm_fraction(vm, now).has_value()) << vm;
 }
 
 }  // namespace

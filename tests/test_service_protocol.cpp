@@ -1,12 +1,16 @@
 // Hostile-input tests for the daemon's JSON-lines codec: malformed frames,
 // oversized requests, partial reads and unknown commands must all decode to
 // structured errors — never a crash, never a dropped byte of a later frame.
+// Also the endpoint parser every daemon-to-daemon connection goes through.
 #include <gtest/gtest.h>
+
+#include <sys/un.h>
 
 #include <string>
 #include <variant>
 
 #include "service/protocol.hpp"
+#include "service/socket_server.hpp"
 
 namespace prvm {
 namespace {
@@ -195,6 +199,39 @@ TEST(ServiceProtocol, UnicodeEscapesAndEscapedStringsParse) {
   EXPECT_EQ(doc->find("s")->string, "aA\t\"b\\");
   EXPECT_FALSE(parse_json(R"({"s":"\u12"})", &error).has_value());  // short escape
   EXPECT_FALSE(parse_json("{\"s\":\"unterminated", &error).has_value());
+}
+
+TEST(SocketEndpoint, ParsesUnixAndTcpAndRefusesEverythingElse) {
+  const auto unix_endpoint = parse_endpoint("unix:/tmp/cell.sock");
+  ASSERT_TRUE(unix_endpoint.has_value());
+  EXPECT_EQ(unix_endpoint->unix_path, "/tmp/cell.sock");
+  EXPECT_EQ(unix_endpoint->tcp_port, -1);
+  // The longest path sun_path can hold with its terminator.
+  const std::string longest(sizeof(sockaddr_un::sun_path) - 1, 'p');
+  ASSERT_TRUE(parse_endpoint("unix:" + longest).has_value());
+  for (const int port : {1, 7001, 65535}) {
+    const auto tcp = parse_endpoint("tcp:" + std::to_string(port));
+    ASSERT_TRUE(tcp.has_value()) << port;
+    EXPECT_EQ(tcp->tcp_port, port);
+    EXPECT_TRUE(tcp->unix_path.empty());
+  }
+
+  for (const std::string& bad :
+       {std::string("tcp:0"), std::string("tcp:70000"), std::string("tcp:65536"),
+        std::string("tcp:abc"), std::string("tcp:"), std::string("tcp:-1"),
+        std::string("tcp:+80"), std::string("tcp: 80"), std::string("tcp:80x"),
+        std::string("unix:"), "unix:" + longest + "p", std::string("/tmp/cell.sock"),
+        std::string("udp:80"), std::string("")}) {
+    EXPECT_FALSE(parse_endpoint(bad).has_value()) << bad;
+    EXPECT_EQ(connect_endpoint(bad), -1) << bad;
+  }
+
+  // Listener ports: 0 (ephemeral) is fine there, nothing past 65535 is.
+  EXPECT_EQ(parse_port("0"), 0);
+  EXPECT_EQ(parse_port("65535"), 65535);
+  for (const char* bad : {"65536", "70000", "99999999999", "", "-1", "+1", "1 ", "x1"}) {
+    EXPECT_FALSE(parse_port(bad).has_value()) << bad;
+  }
 }
 
 }  // namespace

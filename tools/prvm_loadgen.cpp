@@ -29,7 +29,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <fstream>
 #include <iostream>
@@ -40,10 +39,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include "cluster/catalog.hpp"
@@ -51,6 +47,7 @@
 #include "obs/metrics.hpp"
 #include "service/binary_protocol.hpp"
 #include "service/protocol.hpp"
+#include "service/socket_server.hpp"
 #include "sim/simulator.hpp"
 
 namespace prvm {
@@ -58,21 +55,14 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// One daemon (or router) to aim at. Multiple --endpoint flags drive several
-/// targets from one loadgen run: connections are dealt round-robin across
-/// them and the report breaks placements/sec out per target.
-struct Endpoint {
-  std::string spec;         ///< as given on the command line (report label)
-  std::string socket_path;  ///< Unix-domain path; empty selects TCP
-  int port = -1;
-};
-
 struct Options {
   std::string socket_path = "/tmp/prvm.sock";
-  std::string host = "127.0.0.1";
   int port = -1;  ///< >= 0 selects TCP
-  /// Resolved targets (from --endpoint flags, else one from --socket/--port).
-  std::vector<Endpoint> endpoints;
+  /// Endpoint specs to aim at (from --endpoint flags, else one from
+  /// --socket/--port). Several drive several daemons (or routers) from one
+  /// run: connections are dealt round-robin across them and the report
+  /// breaks placements/sec out per target.
+  std::vector<std::string> endpoints;
   std::size_t connections = 4;
   /// --sweep: fill+churn rounds at each of these connection counts against
   /// one warm daemon (workers release their VMs at round end, so every
@@ -103,27 +93,9 @@ struct Options {
 /// buffer, so a warm connection sends without allocating.
 class Client {
  public:
-  explicit Client(const Endpoint& endpoint, bool binary = false) : binary_(binary) {
-    if (endpoint.port >= 0) {
-      fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-      sockaddr_in addr{};
-      addr.sin_family = AF_INET;
-      addr.sin_port = htons(static_cast<std::uint16_t>(endpoint.port));
-      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-      if (fd_ < 0 || ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-        throw std::runtime_error("cannot connect to 127.0.0.1:" + std::to_string(endpoint.port));
-      }
-      const int one = 1;
-      ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    } else {
-      fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-      sockaddr_un addr{};
-      addr.sun_family = AF_UNIX;
-      std::strncpy(addr.sun_path, endpoint.socket_path.c_str(), sizeof(addr.sun_path) - 1);
-      if (fd_ < 0 || ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-        throw std::runtime_error("cannot connect to " + endpoint.socket_path);
-      }
-    }
+  explicit Client(const std::string& endpoint, bool binary = false)
+      : fd_(connect_endpoint(endpoint)), binary_(binary) {
+    if (fd_ < 0) throw std::runtime_error("cannot connect to " + endpoint);
     if (binary_) {
       out_.assign(kBinaryPreamble, sizeof(kBinaryPreamble));
       send_buffer();
@@ -261,7 +233,7 @@ double field_number(const JsonValue& doc, const char* key) {
   return value != nullptr && value->kind == JsonValue::Kind::kNumber ? value->number : 0.0;
 }
 
-JsonValue query_stats(const Endpoint& endpoint) {
+JsonValue query_stats(const std::string& endpoint) {
   Client client(endpoint);
   client.send_line("{\"op\":\"stats\"}\n");
   return client.recv_json();
@@ -270,7 +242,7 @@ JsonValue query_stats(const Endpoint& endpoint) {
 /// used_pms summed across every target (the fill-phase progress signal).
 std::size_t total_used_pms(const Options& options) {
   std::size_t used = 0;
-  for (const Endpoint& endpoint : options.endpoints) {
+  for (const std::string& endpoint : options.endpoints) {
     used += static_cast<std::size_t>(field_number(query_stats(endpoint), "used_pms"));
   }
   return used;
@@ -705,18 +677,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--endpoint") {
       // unix:PATH or tcp:PORT; repeat to drive several daemons (or routers)
       // from one run, connections dealt round-robin across them.
-      const std::string spec = value();
-      Endpoint endpoint;
-      endpoint.spec = spec;
-      if (spec.rfind("unix:", 0) == 0) {
-        endpoint.socket_path = spec.substr(5);
-      } else if (spec.rfind("tcp:", 0) == 0) {
-        endpoint.port = std::stoi(spec.substr(4));
-      } else {
-        std::cerr << "bad --endpoint '" << spec << "' (want unix:PATH or tcp:PORT)\n";
+      options.endpoints.push_back(value());
+      if (!parse_endpoint(options.endpoints.back()).has_value()) {
+        std::cerr << "bad --endpoint '" << options.endpoints.back()
+                  << "' (want unix:PATH or tcp:PORT)\n";
         return 2;
       }
-      options.endpoints.push_back(std::move(endpoint));
     } else if (arg == "--connections") {
       options.connections = std::stoull(value());
     } else if (arg == "--sweep") {
@@ -769,20 +735,13 @@ int main(int argc, char** argv) {
     }
   }
   if (options.endpoints.empty()) {
-    Endpoint endpoint;
-    if (options.port >= 0) {
-      endpoint.port = options.port;
-      endpoint.spec = "tcp:" + std::to_string(options.port);
-    } else {
-      endpoint.socket_path = options.socket_path;
-      endpoint.spec = "unix:" + options.socket_path;
-    }
-    options.endpoints.push_back(std::move(endpoint));
+    options.endpoints.push_back(options.port >= 0 ? "tcp:" + std::to_string(options.port)
+                                                  : "unix:" + options.socket_path);
   }
 
   try {
     if (options.stats_only) {
-      for (const Endpoint& endpoint : options.endpoints) {
+      for (const std::string& endpoint : options.endpoints) {
         print_stats_line(query_stats(endpoint));
       }
       return 0;
@@ -790,7 +749,7 @@ int main(int argc, char** argv) {
     if (options.metrics_only) {
       // Raw scrape of the daemon's in-band metrics op: one JSON line with
       // every counter, gauge and histogram summary in the registry.
-      for (const Endpoint& endpoint : options.endpoints) {
+      for (const std::string& endpoint : options.endpoints) {
         Client client(endpoint);
         client.send_line("{\"op\":\"metrics\"}\n");
         std::cout << client.recv_line() << "\n";
@@ -876,7 +835,7 @@ int main(int argc, char** argv) {
       if (options.endpoints.size() > 1) {
         double aggregate = 0.0;
         for (std::size_t e = 0; e < options.endpoints.size(); ++e) {
-          std::printf("  target %-24s %8.0f pl/s\n", options.endpoints[e].spec.c_str(),
+          std::printf("  target %-24s %8.0f pl/s\n", options.endpoints[e].c_str(),
                       round.per_endpoint_pps[e]);
           aggregate += round.per_endpoint_pps[e];
         }
@@ -916,7 +875,7 @@ int main(int argc, char** argv) {
         os << "], \"endpoints\": [";
         for (std::size_t e = 0; e < round.per_endpoint_pps.size(); ++e) {
           os << (e > 0 ? ", " : "") << "{\"endpoint\": "
-             << json_quote(options.endpoints[e].spec)
+             << json_quote(options.endpoints[e])
              << ", \"churn_placements_per_sec\": " << round.per_endpoint_pps[e] << "}";
         }
         os << "]}";

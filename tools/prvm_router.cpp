@@ -9,7 +9,8 @@
 //
 // Two cell modes:
 //  - remote:   repeat --cell unix:/path/to/cell.sock or --cell tcp:PORT;
-//              each is a prvm_serve daemon started with --cell-id K.
+//              each is a prvm_serve daemon started with --cell-id K, and
+//              the router speaks PRVB1 to it.
 //  - embedded: --cells N hosts N full cells in-process (own WAL/snapshot
 //              dirs under --data-dir/cell-<k>/), the zero-ops way to run
 //              a sharded deployment on one box.
@@ -19,6 +20,7 @@
 //
 // SIGTERM/SIGINT drain: stop accepting, then (embedded mode) drain every
 // cell to a final snapshot. Remote cells are drained by their own daemons.
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
@@ -51,9 +53,8 @@ void usage(const char* argv0) {
       << "usage: " << argv0 << " [options]\n"
       << "  --socket PATH        listen on a Unix-domain socket (default /tmp/prvm.sock)\n"
       << "  --port N             listen on loopback TCP instead (0 = ephemeral)\n"
-      << "  --cell SPEC          add a remote cell: unix:/path.sock or tcp:PORT\n"
-      << "  --binary-cells       speak the PRVB1 binary protocol to remote cells\n"
-      << "                       (repeat once per cell, in cell-id order); a comma-\n"
+      << "  --cell SPEC          add a remote cell, spoken to in PRVB1: unix:/path.sock or\n"
+      << "                       tcp:PORT (repeat once per cell, in cell-id order); a comma-\n"
       << "                       separated list (leader,replica,...) enables failover:\n"
       << "                       on leader loss the next reachable endpoint is promoted\n"
       << "  --cells N            embedded mode: host N cells in-process (default when\n"
@@ -92,8 +93,7 @@ int main(int argc, char** argv) {
   std::string socket_path = "/tmp/prvm.sock";
   bool use_tcp = false;
   int tcp_port = 0;
-  std::vector<std::string> cell_specs;
-  bool binary_cells = false;
+  std::vector<std::vector<std::string>> cells;  ///< per --cell: its endpoints, leader first
   std::size_t embedded_cells = 0;
   std::size_t fleet = 10000;
   std::optional<int> metrics_port;
@@ -119,12 +119,24 @@ int main(int argc, char** argv) {
         socket_path = value();
         use_tcp = false;
       } else if (arg == "--port") {
-        tcp_port = std::stoi(value());
+        tcp_port = parse_port(value()).value_or(-1);
+        if (tcp_port < 0) return bad_number(argv[0], arg);
         use_tcp = true;
       } else if (arg == "--cell") {
-        cell_specs.push_back(value());
-      } else if (arg == "--binary-cells") {
-        binary_cells = true;
+        // "leader,replica,..." lists one cell's failover endpoints.
+        const std::string spec = value();
+        std::vector<std::string>& endpoints = cells.emplace_back();
+        for (std::size_t start = 0; start <= spec.size();) {
+          const std::size_t comma = std::min(spec.find(',', start), spec.size());
+          endpoints.push_back(spec.substr(start, comma - start));
+          if (!parse_endpoint(endpoints.back()).has_value()) {
+            std::cerr << "prvm_router: bad --cell spec '" << spec
+                      << "' (want unix:PATH or tcp:PORT, comma-separated for failover)\n";
+            usage(argv[0]);
+            return 2;
+          }
+          start = comma + 1;
+        }
       } else if (arg == "--cells") {
         embedded_cells = static_cast<std::size_t>(std::stoull(value()));
       } else if (arg == "--fleet") {
@@ -147,7 +159,8 @@ int main(int argc, char** argv) {
       } else if (arg == "--score-image") {
         score_image_dir = value();
       } else if (arg == "--metrics-port") {
-        metrics_port = std::stoi(value());
+        metrics_port = parse_port(value());
+        if (!metrics_port.has_value()) return bad_number(argv[0], arg);
       } else if (arg == "--retry-attempts") {
         router_config.retry_attempts = static_cast<std::size_t>(std::stoull(value()));
       } else if (arg == "--retry-backoff-ms") {
@@ -169,46 +182,28 @@ int main(int argc, char** argv) {
       return bad_number(argv[0], arg);
     }
   }
-  if (!cell_specs.empty() && embedded_cells > 0) {
+  if (!cells.empty() && embedded_cells > 0) {
     std::cerr << "prvm_router: --cell and --cells are mutually exclusive\n";
     return 2;
   }
-  if (cell_specs.empty() && embedded_cells == 0) embedded_cells = 2;
+  if (cells.empty() && embedded_cells == 0) embedded_cells = 2;
 
   try {
     std::vector<std::unique_ptr<RequestSink>> channels;
     std::unique_ptr<EmbeddedCells> embedded;
     std::vector<RequestSink*> sinks;
 
-    if (!cell_specs.empty()) {
-      for (const std::string& spec : cell_specs) {
-        // "leader,replica,..." builds a failover channel; a single endpoint
-        // keeps the plain pipelined channel (no health qualification).
-        if (spec.find(',') != std::string::npos) {
+    if (!cells.empty()) {
+      for (std::vector<std::string>& endpoints : cells) {
+        // A failover list builds a failover channel; a single endpoint keeps
+        // the plain pipelined channel (no health qualification).
+        if (endpoints.size() > 1) {
           FailoverCellChannel::Config failover;
           failover.metrics = &obs::Registry::global();
-          failover.binary = binary_cells;
-          std::size_t start = 0;
-          while (start <= spec.size()) {
-            const std::size_t comma = spec.find(',', start);
-            const std::string endpoint =
-                spec.substr(start, comma == std::string::npos ? std::string::npos
-                                                              : comma - start);
-            if (!endpoint.empty()) failover.endpoints.push_back(endpoint);
-            if (comma == std::string::npos) break;
-            start = comma + 1;
-          }
+          failover.endpoints = std::move(endpoints);
           channels.push_back(std::make_unique<FailoverCellChannel>(std::move(failover)));
-        } else if (spec.rfind("unix:", 0) == 0) {
-          channels.push_back(
-              std::make_unique<SocketCellChannel>(spec.substr(5), binary_cells));
-        } else if (spec.rfind("tcp:", 0) == 0) {
-          channels.push_back(std::make_unique<SocketCellChannel>(
-              "127.0.0.1", std::stoi(spec.substr(4)), binary_cells));
         } else {
-          std::cerr << "prvm_router: bad --cell spec '" << spec
-                    << "' (want unix:PATH or tcp:PORT, comma-separated for failover)\n";
-          return 2;
+          channels.push_back(std::make_unique<SocketCellChannel>(endpoints.front()));
         }
         sinks.push_back(channels.back().get());
       }

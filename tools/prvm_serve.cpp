@@ -138,7 +138,8 @@ int main(int argc, char** argv) {
         socket_path = value();
         use_tcp = false;
       } else if (arg == "--port") {
-        tcp_port = std::stoi(value());
+        tcp_port = parse_port(value()).value_or(-1);
+        if (tcp_port < 0) return bad_number(argv[0], arg);
         use_tcp = true;
       } else if (arg == "--fleet") {
         fleet = static_cast<std::size_t>(std::stoull(value()));
@@ -168,6 +169,12 @@ int main(int argc, char** argv) {
         config.cell_id = std::stoull(value());
       } else if (arg == "--replica") {
         config.repl.replicas.push_back(value());
+        if (!parse_endpoint(config.repl.replicas.back()).has_value()) {
+          std::cerr << "prvm_serve: bad --replica spec '" << config.repl.replicas.back()
+                    << "' (want unix:PATH or tcp:PORT)\n";
+          usage(argv[0]);
+          return 2;
+        }
       } else if (arg == "--ack-replicas") {
         config.repl.ack_replicas = static_cast<std::size_t>(std::stoull(value()));
       } else if (arg == "--repl-timeout-ms") {
@@ -189,7 +196,8 @@ int main(int argc, char** argv) {
       } else if (arg == "--rebalance-cooldown-ms") {
         config.rebalance.cooldown_ms = std::stoull(value());
       } else if (arg == "--metrics-port") {
-        metrics_port = std::stoi(value());
+        metrics_port = parse_port(value());
+        if (!metrics_port.has_value()) return bad_number(argv[0], arg);
       } else if (arg == "--stats-interval-s") {
         stats_interval_s = static_cast<unsigned>(std::stoul(value()));
       } else if (arg == "--help" || arg == "-h") {
@@ -276,8 +284,9 @@ int main(int argc, char** argv) {
     } else {
       socket_config.unix_path = socket_path;
     }
-    // A follower's inbound stream carries repl_snap / repl_frames lines far
-    // larger than client requests; raise the per-connection frame cap.
+    // A follower's inbound stream carries repl_snap / repl_frames frames of
+    // up to 1 MiB of raw bytes, far larger than client requests; raise the
+    // per-connection frame cap.
     if (config.repl.follower) socket_config.max_frame = kMaxReplFrameBytes;
     CellServer server(service, socket_config);
     server.start();
