@@ -10,10 +10,7 @@
 // present). hardware_threads is recorded so single-core results — where
 // cells only add routing overhead — read as what they are.
 //
-// Usage: bench_cells [--json PATH] [--sweep]
-//   --sweep       additionally sweep cells x flush-group
-//                 (tools/cells_sweep.sh drives this; rows land under "sweep"
-//                 in the JSON, the standard "runs" schema is unchanged)
+// Usage: bench_cells [--json PATH]
 //   PRVM_FAST=1   shrink fleet and op counts for a smoke run
 #include <atomic>
 #include <chrono>
@@ -139,12 +136,10 @@ struct CellsRun {
 
 CellsRun run_cells(const Catalog& catalog,
                    const std::shared_ptr<const ScoreTableSet>& tables, std::size_t fleet,
-                   std::size_t cells, std::size_t drivers, std::size_t churn_pairs,
-                   std::size_t flush_group = 256) {
+                   std::size_t cells, std::size_t drivers, std::size_t churn_pairs) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() /
-      ("prvm-bench-cells-" + std::to_string(::getpid()) + "-" + std::to_string(cells) +
-       "-" + std::to_string(flush_group));
+      ("prvm-bench-cells-" + std::to_string(::getpid()) + "-" + std::to_string(cells));
   std::filesystem::remove_all(dir);
 
   CellsRun run;
@@ -154,7 +149,6 @@ CellsRun run_cells(const Catalog& catalog,
     config.cells = cells;
     config.data_dir = dir;
     config.service.batch_size = 64;
-    config.service.flush_group_max = flush_group;
     EmbeddedCells embedded(catalog, mixed_pm_fleet(catalog, fleet), tables, config);
     embedded.start();
     Router router(embedded.sinks());
@@ -194,15 +188,12 @@ int main(int argc, char** argv) {
   using namespace prvm;
 
   std::string json_path;
-  bool sweep = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (arg == "--sweep") {
-      sweep = true;
     } else {
-      std::cerr << "usage: " << argv[0] << " [--json PATH] [--sweep]\n";
+      std::cerr << "usage: " << argv[0] << " [--json PATH]\n";
       return 2;
     }
   }
@@ -233,28 +224,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The tuning sweep: how cell count and the WAL flush-group cap interact.
-  // Cells multiply whole WAL domains — on a single-core box they only add
-  // overhead, which is exactly what the recorded hardware_threads lets a
-  // reader see.
-  struct SweepRow {
-    std::size_t cells = 0, flush_group = 0;
-    double churn_pps = 0.0;
-  };
-  std::vector<SweepRow> sweep_rows;
-  if (sweep) {
-    const std::size_t sweep_pairs = churn_pairs / 2;
-    for (const std::size_t cells : {std::size_t{1}, std::size_t{2}}) {
-      for (const std::size_t flush_group : {std::size_t{64}, std::size_t{256}}) {
-        const CellsRun run =
-            run_cells(catalog, tables, fleet, cells, drivers, sweep_pairs, flush_group);
-        sweep_rows.push_back(SweepRow{cells, flush_group, run.churn_pps});
-        std::printf("  sweep cells=%zu flush_group=%-4zu  churn %8.0f pl/s\n", cells,
-                    flush_group, run.churn_pps);
-      }
-    }
-  }
-
   if (!json_path.empty()) {
     std::ofstream os(json_path, std::ios::trunc);
     if (!os.is_open()) {
@@ -273,19 +242,7 @@ int main(int argc, char** argv) {
          << ", \"speedup_over_one_cell\": " << (base > 0 ? run.churn_pps / base : 0.0)
          << "}" << (i + 1 < runs.size() ? ",\n" : "\n");
     }
-    os << "  ]";
-    if (!sweep_rows.empty()) {
-      os << ",\n  \"sweep\": [\n";
-      for (std::size_t i = 0; i < sweep_rows.size(); ++i) {
-        const SweepRow& row = sweep_rows[i];
-        os << "    {\"cells\": " << row.cells << ", \"flush_group\": " << row.flush_group
-           << ", \"aggregate_churn_placements_per_sec\": " << row.churn_pps
-           << ", \"speedup_over_serial_one_cell\": " << (base > 0 ? row.churn_pps / base : 0.0)
-           << "}" << (i + 1 < sweep_rows.size() ? ",\n" : "\n");
-      }
-      os << "  ]";
-    }
-    os << "\n}\n";
+    os << "  ]\n}\n";
     std::cout << "wrote " << json_path << "\n";
   }
   return 0;

@@ -152,8 +152,7 @@ ChurnRun run_churn(const Catalog& catalog, const std::shared_ptr<const ScoreTabl
       });
     }
 
-    // Sustained churn, FIFO-pipelined a window deep (same harness as
-    // bench_service_pipeline so the two benches' figures are comparable).
+    // Sustained churn, FIFO-pipelined a window deep.
     const std::size_t window = 2 * config.batch_size;
     std::deque<std::future<Response>> releases;
     struct Inflight {

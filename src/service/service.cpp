@@ -36,12 +36,6 @@ PlacementService::PlacementService(Catalog catalog, std::vector<std::size_t> fle
                                           : std::make_shared<obs::Registry>()) {
   PRVM_REQUIRE(config_.batch_size > 0, "batch size must be positive");
   PRVM_REQUIRE(config_.queue_capacity > 0, "queue capacity must be positive");
-  if (config_.flush_group_max > 0 && config_.flush_group_max < config_.batch_size) {
-    throw ServiceConfigError(
-        "flush_group_max",
-        "must be >= batch_size (" + std::to_string(config_.batch_size) +
-            ") when group commit is enabled — a full batch must fit one flush group");
-  }
   if (config_.repl.follower && !config_.repl.replicas.empty()) {
     throw ServiceConfigError("repl.replicas",
                              "a follower cannot itself replicate (chained replication after "
@@ -1292,7 +1286,10 @@ void PlacementService::detach_server_now() {
 }
 
 void PlacementService::start_flusher() {
-  if (config_.flush_group_max == 0 || wal_ == nullptr) return;
+  // A flush that waits on fsync or on a follower's ack is worth overlapping
+  // with the next pass; a page-cache write() is cheaper inline than the
+  // hand-off to another thread (DESIGN.md §6).
+  if (wal_ == nullptr || (!config_.fsync_wal && config_.repl.replicas.empty())) return;
   if (flusher_running_) return;
   flusher_stop_ = false;
   flusher_running_ = true;
@@ -1327,15 +1324,13 @@ void PlacementService::flusher_loop() {
       std::unique_lock<std::mutex> lock(flush_mu_);
       flush_cv_.wait(lock, [this] { return flusher_stop_ || !flush_queue_.empty(); });
       if (flush_queue_.empty() && flusher_stop_) return;
-      // Coalesce adjacent groups up to the cap; the first group is always
-      // taken whole (the constructor guarantees a full pass fits).
-      while (!flush_queue_.empty() &&
-             (covered.empty() || ops + flush_queue_.front().ops <= config_.flush_group_max)) {
-        ops += flush_queue_.front().ops;
-        bytes += flush_queue_.front().wal_bytes;
-        covered.push_back(std::move(flush_queue_.front()));
-        flush_queue_.pop_front();
+      // Coalesce every group queued since the last flush.
+      for (FlushGroup& group : flush_queue_) {
+        ops += group.ops;
+        bytes += group.wal_bytes;
+        covered.push_back(std::move(group));
       }
+      flush_queue_.clear();
       flusher_busy_ = true;
     }
 
@@ -1528,10 +1523,13 @@ void PlacementService::worker_loop() {
       }
       server->collect(pass_.jobs, config_.batch_size);
     }
-    backlog = inbox_backlog || (server != nullptr && server->has_backlog());
 
     run_pass();
     if (server != nullptr) server->send_pending();
+    // Only after the sends: a connection whose output just drained resumes
+    // with frames already buffered in user space, and no epoll event will
+    // report those.
+    backlog = inbox_backlog || (server != nullptr && server->has_backlog());
   }
 
   // Exit: settle the pipeline so every executed request is answered, then
@@ -1632,13 +1630,9 @@ void PlacementService::run_pass() {
       }
     }
     batch_wal_bytes_ = 0;
-    if (repl_ != nullptr) {
-      if (!degraded_.load(std::memory_order_relaxed) &&
-          !replicate_frames(batch_repl_frames_, op_seq_)) {
-        for (Job& job : jobs) demote_unreplicated(job.response);
-      }
-      batch_repl_frames_.clear();
-    }
+    // Every leader runs the flusher, so a leader lands here only degraded,
+    // and a degraded leader does not replicate.
+    batch_repl_frames_.clear();
     pass_.group = last_group_;
     pass_.own_group = false;
   }

@@ -14,7 +14,7 @@
 //      from the connections' decoded frames, in arrival order;
 //   3. executes each through execute_locked, serially;
 //   4. appends the pass's WAL frames and flushes them once (inline), or
-//      hands them to the group-commit flusher;
+//      hands them to the flusher thread (see below);
 //   5. encodes every response into its connection's output buffer and
 //      sends each buffer with one sendmsg — or resolves the in-process
 //      promise.
@@ -30,12 +30,15 @@
 // inbox plus an eventfd wake; util and rebalance answer on the caller's
 // thread. The planner, embedded cells, tests and benches use it.
 //
-// WAL group commit (`flush_group_max > 0`) overlaps compute with durability
-// without changing any result or guarantee (DESIGN.md §6): a flusher thread
-// makes passes durable (one write/fsync covering up to flush_group_max ops)
-// while the loop computes the next pass; it posts each finished group back
-// through the eventfd, and the loop releases the group's responses only
-// then. A failed group flush demotes every covered mutating response and
+// WAL group commit overlaps compute with durability without changing any
+// result or guarantee (DESIGN.md §6). The deployment picks the path: a cell
+// with a WAL whose flush waits on fsync (`fsync_wal`) or on a follower
+// (`repl.replicas`) runs a flusher thread, which makes passes durable (one
+// write/fsync covering every pass queued when it wakes) while the loop
+// computes the next pass; it posts each finished group back through the
+// eventfd, and the loop releases the group's responses only then. Every
+// other cell flushes inline, where a page-cache write() costs less than the
+// hand-off. A failed group flush demotes every covered mutating response and
 // degrades the service, exactly like the inline path.
 //
 // Backpressure: a full inbox rejects immediately with `queue_full` and a
@@ -109,7 +112,8 @@ struct ServiceConfig {
   std::filesystem::path data_dir;
   /// fsync the WAL on every batch flush. Off by default: kill -9 safety
   /// only needs the write() (the page cache survives the process); power-
-  /// loss safety needs fsync and costs ~ms per batch.
+  /// loss safety needs fsync and costs ~ms per batch, so with a data_dir it
+  /// also moves flushing to the flusher thread.
   bool fsync_wal = false;
   /// Retry hint attached to queue_full rejections.
   double retry_after_ms = 5.0;
@@ -128,14 +132,6 @@ struct ServiceConfig {
   /// daemon passes obs::global_registry_ptr() so one exposition covers the
   /// whole process. See DESIGN.md §5.
   std::shared_ptr<obs::Registry> metrics;
-  /// WAL group commit: when > 0, a dedicated flusher thread makes passes
-  /// durable — one write (+ optional fsync) covering up to this many ops —
-  /// while the loop computes the next pass; acknowledgements release only
-  /// after their covering flush. 0 = the loop flushes inline after every
-  /// pass. When enabled the value must be >= batch_size so one full pass
-  /// always fits a group (ServiceConfigError otherwise — silently clamping
-  /// would hide a misconfigured durability pipeline).
-  std::size_t flush_group_max = 0;
   /// Identity within a multi-cell deployment (DESIGN.md §7). Unset = a
   /// standalone single-cell daemon; health then reports cell_id 0 with role
   /// "single" instead of "cell".
@@ -360,8 +356,8 @@ class PlacementService : public RequestSink {
 
   // --- WAL group commit (flusher thread) ---
   /// A computed pass awaiting durability: the flusher flushes its WAL bytes
-  /// (coalesced with neighbors up to flush_group_max ops) and posts the
-  /// result back; the loop then releases the pass's Outbox.
+  /// (coalesced with every group queued behind it) and posts the result
+  /// back; the loop then releases the pass's Outbox.
   struct FlushGroup {
     std::uint64_t seq = 0;            ///< group number, increasing
     std::size_t ops = 0;              ///< requests of the pass

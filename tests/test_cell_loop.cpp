@@ -1,7 +1,8 @@
 // The cell's run-to-completion socket loop (CellServer on the PlacementService
 // loop thread) and the router's thread-per-connection SocketServer:
 // response order across engine-answered and decode-answered requests, a
-// client that never reads, in-process submit() racing socket traffic, and
+// client that never reads, a burst past max_pipeline on both WAL flush
+// paths, in-process submit() racing socket traffic, and
 // descriptor hygiene — closed connections release their fds, and both
 // servers keep serving past RLIMIT_NOFILE.
 #include <gtest/gtest.h>
@@ -46,6 +47,7 @@ class TempDir {
     std::error_code ec;
     std::filesystem::remove_all(path_, ec);
   }
+  const std::filesystem::path& path() const { return path_; }
   std::string socket() const { return (path_ / "s.sock").string(); }
 
  private:
@@ -338,6 +340,49 @@ TEST_F(CellLoopTest, ClientThatNeverReadsStallsOnlyItself) {
   ::close(greedy);
   server.stop();
   service->drain();
+}
+
+TEST_F(CellLoopTest, BurstPastMaxPipelineIsAnsweredInFull) {
+  // 40 requests arrive in one burst on a connection allowed 4 unsent
+  // responses: the loop reads them all into user space, pauses after 4,
+  // and must resume from that buffer once the 4 are sent, with no further
+  // epoll event. Both flush paths: inline, and the flusher (fsync_wal with
+  // a data dir), which holds responses across passes.
+  for (const bool flusher : {false, true}) {
+    TempDir dir(flusher ? "burst-flusher" : "burst-inline");
+    ServiceConfig config;
+    if (flusher) {
+      config.data_dir = dir.path();
+      config.fsync_wal = true;
+    }
+    auto service = make_service(std::move(config));
+    service->start();
+    SocketServerConfig socket = socket_config(dir);
+    socket.max_pipeline = 4;
+    CellServer server(*service, socket);
+    server.start();
+
+    std::string burst;
+    for (int vm = 1; vm <= 40; ++vm) {
+      burst += "{\"op\":\"place\",\"vm\":" + std::to_string(vm) + ",\"type\":0}\n";
+    }
+    const int fd = connect_unix(dir.socket());
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(send_all(fd, burst));
+    const std::vector<Response> responses = recv_responses(fd, 40, false);
+    ::close(fd);
+    ASSERT_EQ(responses.size(), 40u) << (flusher ? "flusher" : "inline");
+    for (std::size_t i = 0; i < responses.size(); ++i) {
+      EXPECT_EQ(responses[i].op, "place");
+      EXPECT_EQ(responses[i].vm.value_or(0), i + 1);
+    }
+    EXPECT_LE(server.peak_unsent(), socket.max_pipeline);
+    EXPECT_EQ(service->metrics_registry().find_counter("prvm_flush_groups_total")->value() > 0,
+              flusher);
+
+    server.stop();
+    service->drain();
+  }
 }
 
 TEST_F(CellLoopTest, InProcessSubmitRacingSocketTrafficKeepsCapacityAndOrder) {

@@ -1,8 +1,9 @@
-// Placement pipeline (DESIGN.md §6): the WAL group-commit path must be
-// *indistinguishable* from the inline-flush worker — byte-identical WAL,
-// bit-identical ledger, identical responses — and must preserve the
-// ack-after-flush durability contract under injected storage faults and
-// hard stops.
+// Placement pipeline (DESIGN.md §6): a cell whose WAL flush waits on fsync
+// or on a follower runs the group-commit flusher, and every other cell
+// flushes inline. The flusher path must be *indistinguishable* from the
+// inline-flush worker — byte-identical WAL, bit-identical ledger, identical
+// responses — and must preserve the ack-after-flush durability contract
+// under injected storage faults and hard stops.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -128,22 +129,35 @@ class ServicePipelineTest : public ::testing::Test {
   std::shared_ptr<const ScoreTableSet> tables_;
 };
 
-TEST_F(ServicePipelineTest, ConfigRejectsFlushGroupSmallerThanBatch) {
-  ServiceConfig config;
-  config.batch_size = 64;
-  config.flush_group_max = 8;
-  try {
-    make_service(std::move(config));
-    FAIL() << "flush_group_max < batch_size must be rejected";
-  } catch (const ServiceConfigError& error) {
-    EXPECT_EQ(error.field(), "flush_group_max");
-    EXPECT_NE(std::string(error.what()).find("batch_size"), std::string::npos);
-  }
-  // Equal-to-batch and disabled (0) are both legal.
-  ServiceConfig ok;
-  ok.batch_size = 64;
-  ok.flush_group_max = 64;
-  EXPECT_NO_THROW(make_service(std::move(ok)));
+TEST_F(ServicePipelineTest, FlusherRunsOnlyWhenAFlushWaitsOnFsyncOrAFollower) {
+  // The same placements through every deployment shape: only a cell with a
+  // WAL whose flush waits on fsync or on a follower hands passes to the
+  // flusher; the others flush inline and never count a flush group.
+  TempDir dir("pipe-rule");
+  const auto flush_groups = [&](const std::string& tag, bool data_dir, bool fsync,
+                                bool replica) {
+    ServiceConfig config;
+    if (data_dir) {
+      config.data_dir = dir.path() / tag;
+      std::filesystem::create_directories(config.data_dir);
+    }
+    config.fsync_wal = fsync;
+    // Nobody listens at the replica: replication is best effort
+    // (ack_replicas 0), so the placements still succeed.
+    if (replica) config.repl.replicas = {"unix:" + (dir.path() / "nobody.sock").string()};
+    auto service = make_service(std::move(config));
+    service->start();
+    for (VmId vm = 1; vm <= 20; ++vm) {
+      const Response response = service->submit(place_request(vm, 0)).get();
+      EXPECT_TRUE(response.ok) << tag << ": " << response.error;
+    }
+    service->stop_now();
+    return service->metrics_registry().find_counter("prvm_flush_groups_total")->value();
+  };
+  EXPECT_EQ(flush_groups("wal", true, false, false), 0u);
+  EXPECT_EQ(flush_groups("ephemeral-fsync", false, true, false), 0u);
+  EXPECT_GT(flush_groups("wal-fsync", true, true, false), 0u);
+  EXPECT_GT(flush_groups("wal-replica", true, false, true), 0u);
 }
 
 TEST_F(ServicePipelineTest, GroupCommitIsByteIdenticalToSerialWorker) {
@@ -159,7 +173,7 @@ TEST_F(ServicePipelineTest, GroupCommitIsByteIdenticalToSerialWorker) {
 
     ServiceConfig grouped;
     grouped.data_dir = grouped_dir.path();
-    grouped.flush_group_max = 256;
+    grouped.fsync_wal = true;  // selects the flusher
     auto grouped_service = make_service(std::move(grouped));
     const std::vector<Response> grouped_responses = run_trace(*grouped_service, trace);
 
@@ -209,7 +223,7 @@ TEST_F(ServicePipelineTest, GroupFlushFailureDemotesThenRecoversDurably) {
   ServiceConfig config;
   config.data_dir = dir.path();
   config.io_env = env;
-  config.flush_group_max = 256;
+  config.fsync_wal = true;  // selects the flusher
   config.probe_initial_ms = 5;
   config.probe_max_ms = 20;
   auto service = make_service(std::move(config));
@@ -259,7 +273,7 @@ TEST_F(ServicePipelineTest, DrainFlushesThePipelineBeforeTheFinalSnapshot) {
   {
     ServiceConfig config;
     config.data_dir = dir.path();
-    config.flush_group_max = 128;
+    config.fsync_wal = true;  // selects the flusher
     auto service = make_service(std::move(config));
     std::vector<std::future<Response>> futures;
     for (VmId vm = 1; vm <= 100; ++vm) futures.push_back(service->submit(place_request(vm, 0)));

@@ -9,7 +9,7 @@
 # tests/test_service_recovery.cpp.
 #
 # Usage: tools/crash_recovery_smoke.sh [BUILD_DIR] [extra flags...]
-# e.g.   tools/crash_recovery_smoke.sh build --flush-group 256
+# e.g.   tools/crash_recovery_smoke.sh build --fsync     # WAL flushes on the flusher thread
 #        tools/crash_recovery_smoke.sh build --binary    # PRVB1 clients
 # `--binary` goes to the loadgen clients (the daemon negotiates per
 # connection); everything else goes to prvm_serve.

@@ -82,8 +82,9 @@ struct Options {
   std::size_t fleet = 0;
   std::string data_dir;  ///< defaults to a fresh directory under /tmp
   /// Extra flags appended verbatim to every prvm_serve invocation
-  /// (--serve-arg, repeatable) — e.g. --flush-group to chaos-test WAL group
-  /// commit under the same fault schedules.
+  /// (--serve-arg, repeatable) — e.g. --batch 64 to chaos-test larger flush
+  /// groups under the same fault schedules. Every daemon runs --fsync, so
+  /// its WAL flushes ride the flusher thread.
   std::vector<std::string> serve_args;
   /// Leader/follower failover mode: ack_after_replicated churn with a
   /// mid-round leader SIGKILL and promotion of the follower.

@@ -11,7 +11,6 @@
 // Modes:
 //   --fill-pms N --ops M   fill the fleet to N used PMs, then run M
 //                          release+place churn ops at that operating point
-//                          (the BENCH_service.json scenario)
 //   --place N              place exactly N VMs and print the daemon's stats
 //                          line (crash-recovery smoke test hook)
 //   --stats                print the daemon's stats line and exit

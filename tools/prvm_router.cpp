@@ -64,7 +64,6 @@ void usage(const char* argv0) {
       << "  --batch K            embedded: per-cell engine batch (default 64)\n"
       << "  --queue N            embedded: per-cell queue capacity (default 4096)\n"
       << "  --snapshot-every N   embedded: per-cell snapshot cadence (default 100000)\n"
-      << "  --flush-group N      embedded: per-cell WAL group commit window\n"
       << "  --fsync              embedded: fsync the WAL every batch\n"
       << "  --cache-dir PATH     score-table cache (default $PRVM_CACHE_DIR or .prvm-cache)\n"
       << "  --score-image DIR    embedded: serve score tables from mmap images under DIR\n"
@@ -149,9 +148,6 @@ int main(int argc, char** argv) {
         cells_config.service.queue_capacity = static_cast<std::size_t>(std::stoull(value()));
       } else if (arg == "--snapshot-every") {
         cells_config.service.snapshot_every_ops = std::stoull(value());
-      } else if (arg == "--flush-group") {
-        cells_config.service.flush_group_max =
-            static_cast<std::size_t>(std::stoull(value()));
       } else if (arg == "--fsync") {
         cells_config.service.fsync_wal = true;
       } else if (arg == "--cache-dir") {

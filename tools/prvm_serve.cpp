@@ -56,10 +56,9 @@ void usage(const char* argv0) {
       << "  --batch K            max requests per loop pass (default 64)\n"
       << "  --queue N            in-process submit inbox capacity (default 4096)\n"
       << "  --snapshot-every N   snapshot after N mutating ops (default 100000; 0 = drain only)\n"
-      << "  --flush-group N      WAL group commit: a flusher thread makes passes durable,\n"
-      << "                       one write/fsync per up to N ops, while the loop computes\n"
-      << "                       the next pass (default 0 = inline flush; must be >= batch)\n"
-      << "  --fsync              fsync the WAL every batch (power-loss durability)\n"
+      << "  --fsync              fsync the WAL every batch (power-loss durability). A cell\n"
+      << "                       with --data-dir and --fsync or --replica flushes on a\n"
+      << "                       flusher thread while its loop computes the next pass\n"
       << "  --fault-schedule S   inject IO faults per the schedule spec (see io_env.hpp);\n"
       << "                       defaults to $PRVM_FAULT_SCHEDULE when set\n"
       << "  --probe-initial-ms N initial storage-probe backoff while degraded (default 100)\n"
@@ -151,8 +150,6 @@ int main(int argc, char** argv) {
         config.queue_capacity = static_cast<std::size_t>(std::stoull(value()));
       } else if (arg == "--snapshot-every") {
         config.snapshot_every_ops = std::stoull(value());
-      } else if (arg == "--flush-group") {
-        config.flush_group_max = static_cast<std::size_t>(std::stoull(value()));
       } else if (arg == "--fsync") {
         config.fsync_wal = true;
       } else if (arg == "--fault-schedule") {
