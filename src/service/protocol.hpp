@@ -59,9 +59,10 @@ inline constexpr std::size_t kMaxFrameBytes = 64 * 1024;
 /// per-connection policy to the transport.
 inline constexpr std::size_t kMaxReplFrameBytes = 4 * 1024 * 1024;
 
-/// A parsed JSON value (enough of JSON for this protocol: no nested
-/// containers are produced by well-formed requests, but the parser accepts
-/// arbitrary nesting so garbage input still yields a clean error).
+/// A parsed JSON value: the DOM parse_json builds for responses and tools.
+/// Requests never build one (parse_request scans its line in place), but
+/// both walk the same grammar, so they accept and reject the same bytes with
+/// the same messages.
 struct JsonValue {
   enum class Kind { kNull, kBool, kNumber, kString, kObject, kArray };
   Kind kind = Kind::kNull;
@@ -160,7 +161,10 @@ struct ProtocolError {
   std::string message;  ///< human-readable detail
 };
 
-/// Decodes one request line (newline already stripped).
+/// Decodes one request line (newline already stripped) in one pass: the
+/// whole line is validated as JSON, the first member of each request key
+/// wins (as JsonValue::find would pick it), and unknown members are checked
+/// and skipped. Strings are copied out of the line only into the Request.
 std::variant<Request, ProtocolError> parse_request(std::string_view line);
 
 /// Encodes a request as one JSON line, including the trailing '\n';
@@ -204,25 +208,33 @@ std::optional<Response> parse_response(std::string_view line, std::string* error
 
 /// Reassembles newline-delimited frames from arbitrary read chunks.
 /// Oversized frames are reported once and the stream resynchronizes at the
-/// next newline instead of dying.
+/// next newline instead of dying. Lines are handed out as views into the
+/// buffer, whose consumed prefix is compacted lazily on feed().
 class LineBuffer {
  public:
   explicit LineBuffer(std::size_t max_frame = kMaxFrameBytes) : max_frame_(max_frame) {}
 
-  /// Appends raw bytes from a read().
+  /// Appends raw bytes from a read(). Invalidates every Frame::line handed
+  /// out before.
   void feed(std::string_view bytes);
 
   struct Frame {
     bool oversized = false;  ///< frame exceeded the cap and was discarded
-    std::string line;        ///< complete line (without '\n'), empty if oversized
+    /// Complete line (without '\n'), empty if oversized. Views the buffer:
+    /// valid until the next feed().
+    std::string_view line;
   };
 
   /// Pops the next complete frame, or nullopt when more bytes are needed.
   std::optional<Frame> next();
 
+  /// Bytes held, consumed prefix included (bounded by the lazy compaction).
+  std::size_t buffered_bytes() const { return buffer_.size(); }
+
  private:
   std::size_t max_frame_;
   std::string buffer_;
+  std::size_t start_ = 0;    ///< first byte not yet handed out
   std::size_t scanned_ = 0;  ///< prefix of buffer_ known to hold no '\n'
   bool discarding_ = false;  ///< inside an already-reported oversized frame
 };

@@ -156,9 +156,8 @@ TEST(ChannelEncodeAlloc, WarmReusedEncodeBufferDelta) {
   reused.clear();
   encode_binary_request_into(place, reused, /*type_slot=*/std::nullopt);
 
-  // Binary encode into the warm buffer: zero heap traffic. This is the
-  // whole point of the PRVB1 hot path — no std::to_string, no json_quote
-  // temporaries, just byte appends into existing capacity.
+  // Binary encode into the warm buffer: zero heap traffic, just byte
+  // appends into existing capacity.
   std::size_t before = g_allocations.load(std::memory_order_relaxed);
   for (int i = 0; i < kRounds; ++i) {
     reused.clear();
@@ -167,10 +166,9 @@ TEST(ChannelEncodeAlloc, WarmReusedEncodeBufferDelta) {
   const std::size_t binary_allocs = g_allocations.load(std::memory_order_relaxed) - before;
   EXPECT_EQ(binary_allocs, 0u) << "warm binary encode allocated";
 
-  // JSON into the same reused buffer: the std::to_string/json_quote
-  // temporaries fit the small-string optimization at this request size, so
-  // buffer reuse alone gets JSON to zero too — larger fields (long group
-  // names, replication payloads) spill and allocate where binary still won't.
+  // JSON into the same reused buffer also appends in place (std::to_chars
+  // integers, strings quoted straight into the buffer), so it reaches zero
+  // too, whatever the field sizes.
   reused.clear();
   encode_request_into(place, reused);
   before = g_allocations.load(std::memory_order_relaxed);
@@ -206,6 +204,43 @@ TEST(ChannelEncodeAlloc, WarmReusedEncodeBufferDelta) {
   // binary must never be worse than JSON on the same reused buffer.
   EXPECT_LT(json_reused_allocs, json_fresh_allocs);
   EXPECT_LE(binary_allocs, json_reused_allocs);
+}
+
+// The JSON decode path a socket server runs per read: feed() a chunk of
+// request lines, then next_request() until it runs dry. Once the buffer has
+// its capacity, lookup, util, release and place lines (with and without a
+// group) decode straight from views into the buffer: no DOM, no line copy,
+// no heap traffic at all.
+TEST(JsonDecodeAlloc, WarmLinesAllocateNothing) {
+  std::string chunk;
+  for (int i = 0; i < 64; ++i) {
+    const std::string vm = std::to_string(1000 + i);
+    switch (i % 5) {
+      case 0: chunk += R"({"op":"lookup","vm":)" + vm + "}\n"; break;
+      case 1: chunk += R"({"op":"util","vm":)" + vm + R"(,"cpu":0.4375})" + "\n"; break;
+      case 2: chunk += R"({"op":"release","vm":)" + vm + "}\n"; break;
+      case 3: chunk += R"({"op":"place","vm":)" + vm + R"(,"type":3})" + "\n"; break;
+      default: chunk += R"({"op":"place","vm":)" + vm + R"(,"type":"m3.xlarge","group":"g1.7"})" + "\n";
+    }
+  }
+
+  LineBuffer lines;
+  std::size_t decoded = 0;
+  const auto decode_chunk = [&] {
+    lines.feed(chunk);
+    while (const auto request = next_request(lines)) {
+      if (std::holds_alternative<Request>(*request)) ++decoded;
+    }
+  };
+  decode_chunk();  // sizes the buffer
+  ASSERT_EQ(decoded, 64u);
+
+  constexpr int kChunks = 200;
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < kChunks; ++i) decode_chunk();
+  const std::size_t allocs = g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(decoded, 64u * (kChunks + 1));
+  EXPECT_EQ(allocs, 0u) << static_cast<double>(allocs) / (64.0 * kChunks) << " per request";
 }
 
 // The profile-graph build enumerates the successors of every (profile, VM

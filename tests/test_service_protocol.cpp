@@ -6,8 +6,10 @@
 
 #include <sys/un.h>
 
+#include <algorithm>
 #include <string>
 #include <variant>
+#include <vector>
 
 #include "service/protocol.hpp"
 #include "service/socket_server.hpp"
@@ -154,7 +156,7 @@ TEST(ServiceProtocol, LineBufferReassemblesArbitraryChunks) {
     buffer.feed(std::string_view(&c, 1));
     while (const auto frame = buffer.next()) {
       EXPECT_FALSE(frame->oversized);
-      lines.push_back(frame->line);
+      lines.emplace_back(frame->line);
     }
   }
   ASSERT_EQ(lines.size(), 3u);
@@ -190,6 +192,137 @@ TEST(ServiceProtocol, OversizedFrameIsDiscardedAndStreamResyncs) {
   EXPECT_FALSE(frame->oversized);
   EXPECT_EQ(frame->line, "{\"op\":\"stats\"}");
   EXPECT_FALSE(buffer.next().has_value());
+}
+
+TEST(ServiceProtocol, LineBufferOneByteFeedsMatchOneGulp) {
+  std::string stream;
+  for (int i = 0; i < 50; ++i) {
+    stream += R"({"op":"lookup","vm":)" + std::to_string(i) + "}\n";
+    if (i % 7 == 0) stream += "\n";  // blank lines are frames too
+  }
+  std::vector<std::string> gulped;
+  LineBuffer gulp;
+  gulp.feed(stream);
+  while (const auto frame = gulp.next()) gulped.emplace_back(frame->line);
+  ASSERT_EQ(gulped.size(), 58u);
+
+  LineBuffer bytewise;
+  std::vector<std::string> lines;
+  for (const char c : stream) {
+    bytewise.feed(std::string_view(&c, 1));
+    while (const auto frame = bytewise.next()) {
+      EXPECT_FALSE(frame->oversized);
+      lines.emplace_back(frame->line);
+    }
+  }
+  EXPECT_EQ(lines, gulped);
+}
+
+TEST(ServiceProtocol, LineBufferSplitsAFullFrameCapFeedAndViewsLastUntilTheNextFeed) {
+  // One read of 64 KiB holding hundreds of lines: every line comes out
+  // whole, and every view handed out stays intact until the next feed().
+  std::string stream;
+  std::vector<std::string> sent;
+  for (int i = 0; stream.size() + 128 < kMaxFrameBytes; ++i) {
+    sent.push_back(R"({"op":"place","vm":)" + std::to_string(i) +
+                   R"(,"type":"m3.xlarge","group":"g)" + std::to_string(i % 17) + "\"}");
+    stream += sent.back() + "\n";
+  }
+  ASSERT_GT(sent.size(), 500u);
+  LineBuffer buffer;
+  buffer.feed(stream);
+  std::vector<std::string_view> views;
+  while (const auto frame = buffer.next()) {
+    ASSERT_FALSE(frame->oversized);
+    views.push_back(frame->line);
+  }
+  ASSERT_EQ(views.size(), sent.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) EXPECT_EQ(views[i], sent[i]) << i;
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    const auto request = parse_request(views[i]);
+    ASSERT_NE(request_of(request), nullptr) << i;
+    EXPECT_EQ(request_of(request)->vm_id, i);
+  }
+}
+
+TEST(ServiceProtocol, OversizedFrameMidBufferIsReportedBetweenIntactNeighbours) {
+  LineBuffer buffer(/*max_frame=*/64);
+  buffer.feed("{\"op\":\"stats\"}\n" + std::string(1000, 'x') + "\n{\"op\":\"health\"}\n");
+  auto frame = buffer.next();
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_FALSE(frame->oversized);
+  EXPECT_EQ(frame->line, "{\"op\":\"stats\"}");
+  frame = buffer.next();
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_TRUE(frame->oversized);
+  EXPECT_TRUE(frame->line.empty());
+  frame = buffer.next();
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_FALSE(frame->oversized);
+  EXPECT_EQ(frame->line, "{\"op\":\"health\"}");
+  EXPECT_FALSE(buffer.next().has_value());
+
+  // An oversized frame still arriving, behind an intact one in the same
+  // read: the intact line first, then one report, then resync.
+  buffer.feed("{\"op\":\"drain\"}\n" + std::string(100, 'y'));
+  frame = buffer.next();
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->line, "{\"op\":\"drain\"}");
+  frame = buffer.next();
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_TRUE(frame->oversized);
+  EXPECT_FALSE(buffer.next().has_value());
+  buffer.feed(std::string(100, 'y') + "\n{\"op\":\"stats\"}\n");
+  frame = buffer.next();
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_FALSE(frame->oversized);
+  EXPECT_EQ(frame->line, "{\"op\":\"stats\"}");
+}
+
+TEST(ServiceProtocol, LineBufferStaysBoundedOverAHundredThousandFrames) {
+  // Reads that always end mid-line, so the consumed prefix never empties
+  // the buffer by itself: the lazy compaction must still bound it.
+  const std::string line = R"({"op":"util","vm":12345,"cpu":0.5})";
+  std::string stream;
+  for (int i = 0; i < 100000; ++i) stream += line + "\n";
+  LineBuffer buffer;
+  std::size_t frames = 0;
+  std::size_t peak = 0;
+  for (std::size_t at = 0; at < stream.size(); at += 1000) {
+    buffer.feed(std::string_view(stream).substr(at, 1000));
+    peak = std::max(peak, buffer.buffered_bytes());
+    while (const auto frame = buffer.next()) {
+      ASSERT_EQ(frame->line, line) << frames;
+      ++frames;
+    }
+  }
+  EXPECT_EQ(frames, 100000u);
+  EXPECT_LT(peak, 16u * 1024u);
+}
+
+TEST(ServiceProtocol, ParseResponseKeepsOutOfRangeIdsAsExtras) {
+  // vm/pm are ids only when they are exact unsigned integers; anything
+  // else stays a member, re-encoded, so forwarding loses nothing.
+  for (const char* value : {"-1", "1.5", "1e+30"}) {
+    for (const char* key : {"vm", "pm"}) {
+      const std::string line = std::string(R"({"ok":true,")") + key + "\":" + value + "}";
+      std::string error;
+      const auto response = parse_response(line, &error);
+      ASSERT_TRUE(response.has_value()) << error << " in " << line;
+      EXPECT_FALSE(response->vm.has_value()) << line;
+      EXPECT_FALSE(response->pm.has_value()) << line;
+      ASSERT_EQ(response->extra.size(), 1u) << line;
+      EXPECT_EQ(response->extra[0].first, key);
+      EXPECT_EQ(response->extra[0].second, value);
+      EXPECT_EQ(encode_response(*response), line + "\n");
+    }
+  }
+  std::string error;
+  const auto ids = parse_response(R"({"ok":true,"vm":7,"pm":4294967296})", &error);
+  ASSERT_TRUE(ids.has_value()) << error;
+  EXPECT_EQ(ids->vm, 7u);
+  EXPECT_EQ(ids->pm, 4294967296u);
+  EXPECT_TRUE(ids->extra.empty());
 }
 
 TEST(ServiceProtocol, UnicodeEscapesAndEscapedStringsParse) {

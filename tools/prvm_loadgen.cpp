@@ -21,9 +21,8 @@
 //
 // --binary switches the workload connections to the PRVB1 binary protocol
 // (binary_protocol.hpp): same requests, same semantics, measured against
-// the same daemon — the json-vs-binary rows in BENCH_service_socket.json
-// come from two runs differing only in this flag. Stats/metrics queries
-// stay JSON-lines on their own connections either way.
+// the same daemon. Stats/metrics queries stay JSON-lines on their own
+// connections either way.
 #include <atomic>
 #include <algorithm>
 #include <chrono>
@@ -188,8 +187,9 @@ class Client {
     }
   }
 
-  /// Next response line (blocking); JSON-lines connections only.
-  std::string recv_line() {
+  /// Next response line (blocking); JSON-lines connections only. The view
+  /// is valid until the next receive on this connection.
+  std::string_view recv_line() {
     while (true) {
       if (const auto frame = frames_.next()) {
         if (frame->oversized) continue;
