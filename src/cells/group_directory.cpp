@@ -1,8 +1,8 @@
 #include "cells/group_directory.hpp"
 
 #include <istream>
-#include <ostream>
 
+#include "common/byte_writer.hpp"
 #include "common/check.hpp"
 
 namespace prvm {
@@ -67,13 +67,13 @@ std::size_t GroupDirectory::pending_count() const {
   return n;
 }
 
-void GroupDirectory::serialize(std::ostream& os) const {
-  os << "gdir " << groups_.size() << "\n";
+void GroupDirectory::serialize(ByteWriter& out) const {
+  out << "gdir " << groups_.size() << "\n";
   for (const auto& [name, members] : groups_) {
-    os << name.size() << ":" << name << " " << members.size() << "\n";
+    out << name.size() << ":" << name << " " << members.size() << "\n";
     for (const auto& [vm, m] : members) {
-      os << vm << " " << static_cast<unsigned>(m.state) << " " << m.cell << " " << m.token
-         << " " << m.deadline_ms << "\n";
+      out << vm << " " << static_cast<unsigned>(m.state) << " " << m.cell << " " << m.token
+          << " " << m.deadline_ms << "\n";
     }
   }
 }

@@ -80,7 +80,7 @@ class GroupDirectory {
 
   /// Snapshot persistence (counted text block, same shape as the admission
   /// controller's; embedded in PRVMSNAP2 snapshots).
-  void serialize(std::ostream& os) const;
+  void serialize(ByteWriter& out) const;
   static GroupDirectory deserialize(std::istream& is);
 
   /// Deep equality — the differential oracle of the mid-reserve crash test.

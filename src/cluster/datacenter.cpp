@@ -4,8 +4,8 @@
 #include <bit>
 #include <cstring>
 #include <istream>
-#include <ostream>
 
+#include "common/byte_writer.hpp"
 #include "common/check.hpp"
 
 namespace prvm {
@@ -268,16 +268,10 @@ void Datacenter::recompute_key(PmIndex i) {
 
 namespace {
 
-// Little-endian fixed-width I/O for the snapshot format. The format is
-// consumed on the machine that wrote it (crash recovery), but pinning the
-// byte order keeps snapshots portable anyway.
+// Little-endian fixed-width reads for the snapshot format (ByteWriter::u64
+// writes them). The format is consumed on the machine that wrote it (crash
+// recovery), but pinning the byte order keeps snapshots portable anyway.
 constexpr char kSnapshotMagic[8] = {'P', 'R', 'V', 'M', 'D', 'C', '0', '1'};
-
-void write_u64(std::ostream& os, std::uint64_t v) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  os.write(buf, 8);
-}
 
 std::uint64_t read_u64(std::istream& is) {
   char buf[8];
@@ -290,36 +284,31 @@ std::uint64_t read_u64(std::istream& is) {
   return v;
 }
 
-void write_i64(std::ostream& os, std::int64_t v) {
-  write_u64(os, static_cast<std::uint64_t>(v));
-}
-
 std::int64_t read_i64(std::istream& is) { return static_cast<std::int64_t>(read_u64(is)); }
 
 }  // namespace
 
-void Datacenter::serialize(std::ostream& os) const {
-  os.write(kSnapshotMagic, sizeof(kSnapshotMagic));
-  write_u64(os, pms_.size());
-  for (const PmState& pm : pms_) write_u64(os, pm.type_index);
-  write_u64(os, next_activation_);
-  write_u64(os, used_order_.size());
+void Datacenter::serialize(ByteWriter& out) const {
+  out.bytes(kSnapshotMagic, sizeof(kSnapshotMagic));
+  out.u64(pms_.size());
+  for (const PmState& pm : pms_) out.u64(pm.type_index);
+  out.u64(next_activation_);
+  out.u64(used_order_.size());
   for (const PmIndex i : used_order_) {
     const PmState& pm = pms_[i];
-    write_u64(os, i);
-    write_u64(os, activation_seq_[i]);
-    write_u64(os, pm.vms.size());
+    out.u64(i);
+    out.u64(activation_seq_[i]);
+    out.u64(pm.vms.size());
     for (const PlacedVm& placed : pm.vms) {
-      write_u64(os, placed.vm.id);
-      write_u64(os, placed.vm.type_index);
-      write_u64(os, placed.assignments.size());
+      out.u64(placed.vm.id);
+      out.u64(placed.vm.type_index);
+      out.u64(placed.assignments.size());
       for (auto [dim, amount] : placed.assignments) {
-        write_i64(os, dim);
-        write_i64(os, amount);
+        out.u64(static_cast<std::uint64_t>(dim));  // sign-extends, as read_i64 expects
+        out.u64(static_cast<std::uint64_t>(amount));
       }
     }
   }
-  PRVM_REQUIRE(os.good(), "snapshot write failed");
 }
 
 Datacenter Datacenter::deserialize(Catalog catalog, std::istream& is) {

@@ -34,6 +34,8 @@
 
 namespace prvm {
 
+class ByteWriter;
+
 /// Index of a PM within a Datacenter.
 using PmIndex = std::size_t;
 
@@ -222,7 +224,7 @@ class Datacenter {
   /// activation counter. The placement index (buckets, free-list bitmap) is
   /// derived state and is rebuilt exactly on deserialize(); the catalog is
   /// NOT serialized — the caller supplies an identical one to deserialize().
-  void serialize(std::ostream& os) const;
+  void serialize(ByteWriter& out) const;
 
   /// Rebuilds a datacenter from a serialize() stream. Placements are
   /// re-applied in activation order through the normal place() path, so

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <istream>
-#include <ostream>
 
+#include "common/byte_writer.hpp"
 #include "common/check.hpp"
 
 namespace prvm {
@@ -70,23 +70,23 @@ const std::string& AdmissionController::group_of(VmId vm) const {
   return groups_[it->second].name;
 }
 
-void AdmissionController::serialize(std::ostream& os) const {
+void AdmissionController::serialize(ByteWriter& out) const {
   // Text block: group count, then per group its name and PM counts, then
   // the VM -> group map. Names are written length-prefixed so arbitrary
   // bytes survive.
-  os << "groups " << groups_.size() << "\n";
+  out << "groups " << groups_.size() << "\n";
   for (const Group& group : groups_) {
-    os << group.name.size() << ":" << group.name << " " << group.pms.size();
+    out << group.name.size() << ":" << group.name << " " << group.pms.size();
     // Deterministic order keeps snapshots byte-stable for identical state.
     std::vector<std::pair<PmIndex, std::size_t>> sorted(group.pms.begin(), group.pms.end());
     std::sort(sorted.begin(), sorted.end());
-    for (const auto& [pm, count] : sorted) os << " " << pm << " " << count;
-    os << "\n";
+    for (const auto& [pm, count] : sorted) out << " " << pm << " " << count;
+    out << "\n";
   }
   std::vector<std::pair<VmId, std::uint32_t>> vms(group_of_vm_.begin(), group_of_vm_.end());
   std::sort(vms.begin(), vms.end());
-  os << "vms " << vms.size() << "\n";
-  for (const auto& [vm, group] : vms) os << vm << " " << group << "\n";
+  out << "vms " << vms.size() << "\n";
+  for (const auto& [vm, group] : vms) out << vm << " " << group << "\n";
 }
 
 AdmissionController AdmissionController::deserialize(std::istream& is) {

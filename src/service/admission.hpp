@@ -71,7 +71,7 @@ class AdmissionController {
 
   /// Snapshot persistence (counted text block, embedded in the service
   /// snapshot between the header and the datacenter blob).
-  void serialize(std::ostream& os) const;
+  void serialize(ByteWriter& out) const;
   static AdmissionController deserialize(std::istream& is);
 
   /// Deep equality (test hook for recovery differential tests).

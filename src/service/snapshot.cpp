@@ -4,7 +4,10 @@
 
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <system_error>
 
+#include "common/byte_writer.hpp"
 #include "common/check.hpp"
 
 namespace prvm {
@@ -13,6 +16,15 @@ namespace {
 
 constexpr char kHeaderMagicV1[] = "PRVMSNAP1";
 constexpr char kHeaderMagicV2[] = "PRVMSNAP2";
+
+void write_snapshot(ByteWriter& out, const Datacenter& datacenter,
+                    const AdmissionController& admission, const GroupDirectory& groups,
+                    std::uint64_t last_op_seq) {
+  out << kHeaderMagicV2 << " " << last_op_seq << "\n";
+  admission.serialize(out);
+  groups.serialize(out);
+  datacenter.serialize(out);
+}
 
 }  // namespace
 
@@ -25,16 +37,23 @@ IoStatus save_snapshot(const std::filesystem::path& path, const Datacenter& data
     std::filesystem::create_directories(path.parent_path(), ec);
   }
 
-  // Serialize fully in memory first: a mid-serialization failure must not
-  // be able to leave a half-written temp file that a later rename promotes.
-  const std::string contents = serialize_snapshot(datacenter, admission, groups, last_op_seq);
-
   const std::filesystem::path tmp = path.string() + ".tmp";
   const int fd = io.open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return IoStatus::failure(-fd, "open(" + tmp.string() + ")");
 
-  IoStatus status =
-      io_write_all(io, fd, contents.data(), contents.size(), "write(" + tmp.string() + ")");
+  // Stream the snapshot through one bounded chunk. Once a write fails the
+  // rest is dropped and the function returns before the rename, so the
+  // partial temp file never replaces the previous snapshot; the next save
+  // truncates it and writes it whole.
+  const std::string what = "write(" + tmp.string() + ")";
+  IoStatus status;
+  std::string chunk;
+  chunk.reserve(kSnapshotChunkBytes);
+  ByteWriter out(chunk, kSnapshotChunkBytes, [&](std::string_view bytes) {
+    if (status.ok()) status = io_write_all(io, fd, bytes.data(), bytes.size(), what);
+  });
+  write_snapshot(out, datacenter, admission, groups, last_op_seq);
+  out.finish();
   if (status.ok()) status = io_fsync(io, fd, "fsync(" + tmp.string() + ")");
   const IoStatus close_status = io_close(io, fd, "close(" + tmp.string() + ")");
   if (status.ok()) status = close_status;
@@ -86,18 +105,26 @@ ServiceSnapshot read_snapshot_stream(std::istream& is, const Catalog& catalog,
 std::optional<ServiceSnapshot> load_snapshot(const std::filesystem::path& path,
                                              const Catalog& catalog) {
   std::ifstream is(path, std::ios::binary);
-  if (!is.is_open()) return std::nullopt;
+  if (!is.is_open()) {
+    // Only a missing file means "no snapshot yet". Recovering from an empty
+    // ledger past any other open failure (EACCES, EIO, ELOOP) would replay
+    // only the post-snapshot WAL tail and silently drop every VM the
+    // snapshot holds.
+    std::error_code ec;
+    static_cast<void>(std::filesystem::status(path, ec));
+    if (ec == std::errc::no_such_file_or_directory) return std::nullopt;
+    throw std::runtime_error("cannot open snapshot " + path.string() +
+                             (ec ? ": " + ec.message() : std::string()));
+  }
   return read_snapshot_stream(is, catalog, path.string());
 }
 
 std::string serialize_snapshot(const Datacenter& datacenter, const AdmissionController& admission,
                                const GroupDirectory& groups, std::uint64_t last_op_seq) {
-  std::ostringstream blob;
-  blob << kHeaderMagicV2 << " " << last_op_seq << "\n";
-  admission.serialize(blob);
-  groups.serialize(blob);
-  datacenter.serialize(blob);
-  return blob.str();
+  std::string blob;
+  ByteWriter out(blob);
+  write_snapshot(out, datacenter, admission, groups, last_op_seq);
+  return blob;
 }
 
 ServiceSnapshot parse_snapshot(const std::string& blob, const Catalog& catalog) {

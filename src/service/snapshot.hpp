@@ -2,13 +2,15 @@
 //
 // A snapshot bundles everything the daemon needs to resume: the op
 // sequence number it covers, the admission controller (anti-collocation
-// group membership) and the full Datacenter ledger. Snapshots are written
-// to a temp file and renamed into place, so a crash mid-write leaves the
-// previous snapshot intact. Double-apply after a crash between
+// group membership) and the full Datacenter ledger. Snapshots stream to a
+// temp file through one bounded chunk and are renamed into place only once
+// every byte is written and synced, so a crash or a failed write mid-way
+// leaves the previous snapshot intact. Double-apply after a crash between
 // snapshot-rename and WAL-truncate is prevented by `last_op_seq`: replay
 // skips WAL records the snapshot already covers.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <optional>
@@ -27,12 +29,17 @@ struct ServiceSnapshot {
   std::optional<Datacenter> datacenter;  ///< engaged after load
 };
 
-/// Atomically writes a snapshot: temp file, fsync, rename, then fsync of
-/// the parent directory — a snapshot that gates WAL truncation must not be
-/// able to vanish on power loss after the rename. Returns an errno-rich
-/// status instead of throwing, so the caller (the degraded-mode state
-/// machine) can keep the service alive on snapshot failure. A failure
-/// leaves the previous snapshot intact.
+/// Largest chunk save_snapshot holds: the snapshot is serialized into it
+/// and written out each time it fills, so no ledger-sized buffer is built.
+inline constexpr std::size_t kSnapshotChunkBytes = std::size_t{256} << 10;
+
+/// Atomically writes a snapshot: open the temp file, stream the bytes to it
+/// chunk by chunk, fsync, close, rename, then fsync the parent directory —
+/// a snapshot that gates WAL truncation must not be able to vanish on power
+/// loss after the rename. A failure at any step returns before the rename,
+/// leaving the previous snapshot intact. Returns an errno-rich status
+/// instead of throwing, so the caller (the degraded-mode state machine) can
+/// keep the service alive on snapshot failure.
 ///
 /// Writes the v2 format (PRVMSNAP2), which adds the GroupDirectory section
 /// between the admission block and the datacenter blob; v1 files are still
@@ -41,13 +48,15 @@ IoStatus save_snapshot(const std::filesystem::path& path, const Datacenter& data
                        const AdmissionController& admission, const GroupDirectory& groups,
                        std::uint64_t last_op_seq, IoEnv* env = nullptr);
 
-/// Loads a snapshot; nullopt when `path` does not exist. Throws on a
-/// corrupt file or a catalog mismatch.
+/// Loads a snapshot; nullopt when `path` does not exist (ENOENT). Throws
+/// when it exists but cannot be opened, on a corrupt file and on a catalog
+/// mismatch.
 std::optional<ServiceSnapshot> load_snapshot(const std::filesystem::path& path,
                                              const Catalog& catalog);
 
-/// Serializes the full snapshot blob in memory (same bytes save_snapshot
-/// writes). Replication uses this for follower catch-up over the wire.
+/// Serializes the full snapshot blob in memory: the same writer as
+/// save_snapshot without the spill, so the same bytes. Replication uses
+/// this for follower catch-up over the wire.
 std::string serialize_snapshot(const Datacenter& datacenter, const AdmissionController& admission,
                                const GroupDirectory& groups, std::uint64_t last_op_seq);
 

@@ -22,6 +22,7 @@
 #include "cells/group_directory.hpp"
 #include "cells/topology.hpp"
 #include "cluster/catalog.hpp"
+#include "common/byte_writer.hpp"
 #include "common/rng.hpp"
 #include "core/catalog_graphs.hpp"
 #include "router/cell_channel.hpp"
@@ -142,8 +143,10 @@ TEST(GroupDirectory, SerializeRoundTripsAllStates) {
   dir.apply_reserve("db", 9, 6, 2000);
   dir.apply_commit("db", 9, 1);  // pending -> committed
 
-  std::stringstream stream;
-  dir.serialize(stream);
+  std::string bytes;
+  ByteWriter out(bytes);
+  dir.serialize(out);
+  std::istringstream stream(bytes);
   const GroupDirectory loaded = GroupDirectory::deserialize(stream);
   EXPECT_TRUE(dir.state_equal(loaded));
   EXPECT_EQ(loaded.member_count(), 3u);
@@ -154,8 +157,10 @@ TEST(GroupDirectory, SerializeRoundTripsAllStates) {
   EXPECT_EQ(loaded.member("db", 9)->cell, 1u);
 
   // Empty directory round-trips too (the common snapshot case).
-  std::stringstream empty;
-  GroupDirectory{}.serialize(empty);
+  std::string empty_bytes;
+  ByteWriter empty_out(empty_bytes);
+  GroupDirectory{}.serialize(empty_out);
+  std::istringstream empty(empty_bytes);
   EXPECT_TRUE(GroupDirectory::deserialize(empty).state_equal(GroupDirectory{}));
   EXPECT_FALSE(loaded.state_equal(GroupDirectory{}));
 }

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "cluster/datacenter.hpp"
+#include "common/byte_writer.hpp"
 #include "common/rng.hpp"
 #include "service/snapshot.hpp"
 
@@ -107,8 +108,10 @@ TEST(DatacenterFuzz, RandomOperationSequencesMatchReference) {
     // restored ledger must be bit-identical under the full recovery
     // predicate (usage, activation sequences, bucket index, free-list) and
     // still agree with the reference model.
-    std::stringstream blob;
-    dc.serialize(blob);
+    std::string bytes;
+    ByteWriter out(bytes);
+    dc.serialize(out);
+    std::istringstream blob(bytes);
     Datacenter restored = Datacenter::deserialize(catalog, blob);
     ASSERT_TRUE(datacenter_state_equal(dc, restored));
     restored.check_index_invariants();
@@ -133,9 +136,9 @@ TEST(DatacenterFuzz, SerializeRejectsCorruptBlobs) {
   ASSERT_FALSE(options.empty());
   dc.place(0, Vm{1, 0}, options.front());
 
-  std::stringstream blob;
-  dc.serialize(blob);
-  const std::string bytes = blob.str();
+  std::string bytes;
+  ByteWriter out(bytes);
+  dc.serialize(out);
 
   // Truncations and a flipped magic byte must throw, not crash or return a
   // half-restored ledger.

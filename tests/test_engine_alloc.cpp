@@ -7,16 +7,29 @@
 // final rehash), place() allocates exactly as often as the bare ledger
 // update it ends in — the engine's own share of a pick is ZERO heap
 // allocations; the whole pick runs on engine-owned scratch and borrowed
-// views.
+// views. The counter also records the largest single request, which the
+// snapshot test below bounds.
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <new>
 
+#include <unistd.h>
+
 static std::atomic<std::size_t> g_allocations{0};
+static std::atomic<std::size_t> g_largest_request{0};
+
+static void count_request(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  std::size_t largest = g_largest_request.load(std::memory_order_relaxed);
+  while (size > largest &&
+         !g_largest_request.compare_exchange_weak(largest, size, std::memory_order_relaxed)) {
+  }
+}
 
 void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_request(size);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc{};
 }
@@ -24,7 +37,7 @@ void* operator new(std::size_t size) {
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
 void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_request(size);
   const std::size_t a = static_cast<std::size_t>(align);
   if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) return p;
   throw std::bad_alloc{};
@@ -49,9 +62,11 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::f
 #include "core/catalog_graphs.hpp"
 #include "placement/pagerank_vm.hpp"
 #include "profile/permutation.hpp"
+#include "service/admission.hpp"
 #include "service/binary_protocol.hpp"
 #include "service/protocol.hpp"
 #include "service/snapshot.hpp"
+#include "sim/simulator.hpp"
 
 #include <gtest/gtest.h>
 
@@ -282,6 +297,52 @@ TEST(SuccessorEnumerationAlloc, CallerOwnedBufferIsAllocationFree) {
   const std::size_t allocs = g_allocations.load(std::memory_order_relaxed) - before;
   EXPECT_EQ(allocs, 0u) << "enumerating " << emitted << " successors allocated";
   EXPECT_GT(emitted, profiles.size());
+}
+
+// save_snapshot streams through one bounded chunk: however large the
+// ledger, no single heap request may exceed the chunk bound plus one PM's
+// record (the most a record-granular spill could overshoot by). Serializing
+// the whole blob first would request several MiB.
+TEST(SnapshotAlloc, SaveRequestsNoBlockLargerThanTheChunk) {
+  const Catalog catalog = ec2_catalog();
+  Datacenter dc(catalog, mixed_pm_fleet(catalog, 1500));
+  AdmissionController admission;
+  Rng rng(0xc4);
+  VmId next_vm = 1;
+  for (PmIndex pm = 0; pm < dc.pm_count(); ++pm) {
+    for (int attempt = 0; attempt < 12; ++attempt) {
+      const std::size_t type = rng.uniform_index(catalog.vm_types().size());
+      const auto options = dc.placements(pm, type);
+      if (options.empty()) continue;
+      dc.place(pm, Vm{next_vm, type}, options.front());
+      admission.record_placement(next_vm, next_vm % 16 == 0 ? "g" : "", pm);
+      ++next_vm;
+    }
+  }
+  const GroupDirectory groups;
+  ASSERT_GE(serialize_snapshot(dc, admission, groups, 1).size(), 3 * kSnapshotChunkBytes)
+      << "the ledger must span three chunks";
+
+  // One PM's record: index, activation sequence, VM count, then per VM its
+  // id, type, assignment count and (dim, amount) pairs, all u64.
+  std::size_t pm_record = 0;
+  for (const PmIndex pm : dc.used_pms()) {
+    std::size_t bytes = 3 * 8;
+    for (const Datacenter::PlacedVm& placed : dc.pm(pm).vms) {
+      bytes += 3 * 8 + placed.assignments.size() * 16;
+    }
+    pm_record = std::max(pm_record, bytes);
+  }
+
+  const std::filesystem::path dir = std::filesystem::temp_directory_path() /
+                                    ("prvm-snap-alloc-" + std::to_string(::getpid()));
+  g_largest_request.store(0, std::memory_order_relaxed);
+  const IoStatus status = save_snapshot(dir / "snapshot.bin", dc, admission, groups, 1);
+  const std::size_t largest = g_largest_request.load(std::memory_order_relaxed);
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(status.ok()) << status.message();
+  EXPECT_LE(largest, kSnapshotChunkBytes + pm_record)
+      << "save_snapshot requested a " << largest << "-byte block";
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 
 #include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
@@ -276,6 +278,81 @@ TEST(ServiceSnapshotFaults, FsyncFailurePreventsPromotion) {
   EXPECT_EQ(failed.err, EIO);
   EXPECT_FALSE(load_snapshot(path, fx.catalog).has_value())
       << "an unsynced snapshot must never become the recovery source";
+}
+
+// A ledger whose snapshot spans several write chunks, so a fault can land
+// after the first chunk has reached the temp file.
+struct ChunkedSnapshotFixture {
+  Catalog catalog = ec2_catalog();
+  Datacenter dc{catalog, mixed_pm_fleet(catalog, 1500)};
+  AdmissionController admission;
+  GroupDirectory groups;
+
+  ChunkedSnapshotFixture() {
+    Rng rng(0xc4);
+    VmId next_vm = 1;
+    for (PmIndex pm = 0; pm < dc.pm_count(); ++pm) {
+      for (int attempt = 0; attempt < 12; ++attempt) {
+        const std::size_t type = rng.uniform_index(catalog.vm_types().size());
+        const auto options = dc.placements(pm, type);
+        if (options.empty()) continue;
+        dc.place(pm, Vm{next_vm, type}, options.front());
+        admission.record_placement(next_vm, next_vm % 16 == 0 ? "g" : "", pm);
+        ++next_vm;
+      }
+    }
+  }
+
+  std::string blob(std::uint64_t op_seq) const {
+    return serialize_snapshot(dc, admission, groups, op_seq);
+  }
+};
+
+std::string file_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
+// Each case fails the streamed write after the first chunk is on disk: the
+// previous snapshot must stay the recovery source, the partial temp file
+// must stay unrenamed, and the next clean save must go through.
+void expect_failed_stream_keeps_old_snapshot(const std::string& schedule, int expected_err) {
+  TempDir dir("snap-stream");
+  const auto path = dir.path() / "snapshot.bin";
+  const auto tmp = dir.path() / "snapshot.bin.tmp";
+  const ChunkedSnapshotFixture fx;
+  const std::string full = fx.blob(20);
+  ASSERT_GE(full.size(), 3 * kSnapshotChunkBytes) << "the fixture must span three chunks";
+  ASSERT_TRUE(save_snapshot(path, fx.dc, fx.admission, fx.groups, 10).ok());
+
+  FaultInjectingIoEnv env(FaultSchedule::parse(schedule));
+  const IoStatus failed = save_snapshot(path, fx.dc, fx.admission, fx.groups, 20, &env);
+  EXPECT_EQ(failed.err, expected_err) << failed.message();
+  EXPECT_EQ(env.calls(IoOp::kRename), 0u) << "a failed write must never reach the rename";
+  ASSERT_TRUE(std::filesystem::exists(tmp));
+  EXPECT_GE(std::filesystem::file_size(tmp), kSnapshotChunkBytes / 2);
+  EXPECT_LT(std::filesystem::file_size(tmp), full.size());
+  auto loaded = load_snapshot(path, fx.catalog);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->last_op_seq, 10u) << "the partial temp file must not be promoted";
+  EXPECT_TRUE(datacenter_state_equal(fx.dc, *loaded->datacenter));
+
+  ASSERT_TRUE(save_snapshot(path, fx.dc, fx.admission, fx.groups, 20, &env).ok());
+  EXPECT_FALSE(std::filesystem::exists(tmp));
+  EXPECT_EQ(file_bytes(path), full) << "the clean save must rewrite the temp file whole";
+  EXPECT_EQ(load_snapshot(path, fx.catalog)->last_op_seq, 20u);
+}
+
+TEST(ServiceSnapshotFaults, DiskFullOnTheSecondChunkKeepsTheOldSnapshot) {
+  expect_failed_stream_keeps_old_snapshot("write:nth=2:errno=ENOSPC", ENOSPC);
+}
+
+// The first chunk lands whole; the write that starts the second chunk is
+// torn half-way and the continuation hits a full disk. The clean save's own
+// short write (call 5, again at a chunk boundary) is continued in place.
+TEST(ServiceSnapshotFaults, ShortWriteAtAChunkBoundaryKeepsTheOldSnapshot) {
+  expect_failed_stream_keeps_old_snapshot(
+      "write:nth=2:short=0.5;write:nth=3:errno=ENOSPC;write:nth=5:short=0.25", ENOSPC);
 }
 
 // ---------------------------------------------------------------------------

@@ -350,6 +350,17 @@ TEST_F(ServiceRecoveryTest, RecoversBitIdenticalStateAfterHardStop) {
   }
 }
 
+// A snapshot that exists but cannot be opened (here ELOOP, from a symlink
+// to itself) is not "no snapshot": recovering from an empty ledger would
+// replay only the post-snapshot WAL tail and lose every VM it holds. The
+// load throws and the service refuses to start.
+TEST_F(ServiceRecoveryTest, UnopenableSnapshotRefusesToStart) {
+  TempDir dir("snapshot-loop");
+  std::filesystem::create_symlink("snapshot.bin", dir.path() / "snapshot.bin");
+  EXPECT_THROW(load_snapshot(dir.path() / "snapshot.bin", catalog_), std::exception);
+  EXPECT_THROW(make_service(dir.path(), 0), std::exception);
+}
+
 TEST_F(ServiceRecoveryTest, DrainTruncatesWalAndRecoversFromSnapshotAlone) {
   TempDir dir("drain");
   std::vector<VmId> live;
