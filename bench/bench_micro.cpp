@@ -1,15 +1,18 @@
 // Micro-benchmarks (google-benchmark) of the hot paths: canonicalization,
-// permutation enumeration, PageRank iteration, graph build, score lookups
-// and single-VM placement for every algorithm.
+// permutation enumeration, PageRank iteration, graph build, score lookups,
+// single-VM placement for every algorithm, and the ledger's own operations
+// (release+place, copy, snapshot serialize and parse).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <string>
 #include <vector>
 
+#include "common/byte_writer.hpp"
 #include "core/catalog_graphs.hpp"
 #include "placement/algorithm_factory.hpp"
 #include "placement/pagerank_vm.hpp"
+#include "service/snapshot.hpp"
 #include "sim/simulator.hpp"
 
 namespace prvm {
@@ -164,6 +167,83 @@ void BM_PlaceOneVmLinearScan(benchmark::State& state) {
   state.SetLabel("PageRankVM-linear/pms:" + std::to_string(fleet));
 }
 BENCHMARK(BM_PlaceOneVmLinearScan)->Arg(1000)->Arg(5000)->UseManualTime();
+
+// The ledger at the daemon's churn operating point: a 10k-PM EC2-sim fleet
+// that PageRankVM fills with the default VM mix until 5000 PMs are used
+// (about 35k VMs).
+Datacenter& churn_ledger() {
+  static Datacenter dc = [] {
+    const Catalog catalog = ec2_sim_catalog();
+    const auto tables = std::make_shared<const ScoreTableSet>(build_score_tables(catalog));
+    Datacenter filled(catalog, mixed_pm_fleet(catalog, 10000));
+    PageRankVm engine(tables, {});
+    Rng rng(21);
+    for (const Vm& vm : weighted_vm_requests(rng, catalog, 60000, default_vm_mix(catalog))) {
+      if (filled.used_count() == 5000) break;
+      engine.place(filled, vm);
+    }
+    return filled;
+  }();
+  return dc;
+}
+
+// One release+place unit of the ledger alone: a random VM leaves and comes
+// back to its PM with the same assignments.
+void BM_LedgerReleasePlace(benchmark::State& state) {
+  Datacenter& dc = churn_ledger();
+  std::vector<VmId> ids;
+  for (const PmIndex pm : dc.used_pms()) {
+    for (const Datacenter::PlacedVm& placed : dc.pm(pm).vms) ids.push_back(placed.vm.id);
+  }
+  Rng rng(3);
+  DemandPlacement placement;
+  for (auto _ : state) {
+    const VmId id = ids[rng.uniform_index(ids.size())];
+    const PmIndex pm = *dc.pm_of(id);
+    const Datacenter::PlacedVm removed = dc.remove(id);
+    placement.assignments.assign(removed.assignments.begin(), removed.assignments.end());
+    dc.place(pm, removed.vm, placement);
+  }
+  state.SetLabel("vms:" + std::to_string(dc.vm_count()));
+}
+BENCHMARK(BM_LedgerReleasePlace);
+
+// The frozen copy rebalance_scan takes on the loop thread.
+void BM_LedgerCopy(benchmark::State& state) {
+  const Datacenter& dc = churn_ledger();
+  for (auto _ : state) {
+    Datacenter copy = dc;
+    benchmark::DoNotOptimize(copy);
+  }
+  state.SetLabel("vms:" + std::to_string(dc.vm_count()));
+}
+BENCHMARK(BM_LedgerCopy)->Unit(benchmark::kMillisecond);
+
+// The ledger's part of a snapshot, into a buffer that already has room, so
+// the row times the walk and the encoding rather than page faults.
+void BM_LedgerSerialize(benchmark::State& state) {
+  const Datacenter& dc = churn_ledger();
+  std::string blob;
+  for (auto _ : state) {
+    blob.clear();
+    ByteWriter out(blob);
+    dc.serialize(out);
+    benchmark::DoNotOptimize(blob.data());
+  }
+  state.SetLabel("vms:" + std::to_string(dc.vm_count()) + " bytes:" + std::to_string(blob.size()));
+}
+BENCHMARK(BM_LedgerSerialize)->Unit(benchmark::kMillisecond);
+
+void BM_LedgerParse(benchmark::State& state) {
+  const Datacenter& dc = churn_ledger();
+  const std::string blob = serialize_snapshot(dc, AdmissionController{}, GroupDirectory{}, 1);
+  for (auto _ : state) {
+    ServiceSnapshot snapshot = parse_snapshot(blob, dc.catalog());
+    benchmark::DoNotOptimize(snapshot.datacenter);
+  }
+  state.SetLabel("vms:" + std::to_string(dc.vm_count()));
+}
+BENCHMARK(BM_LedgerParse)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace prvm

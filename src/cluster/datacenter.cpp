@@ -13,18 +13,61 @@ namespace prvm {
 Datacenter::Datacenter(Catalog catalog, std::vector<std::size_t> pm_types_of)
     : catalog_(std::move(catalog)) {
   PRVM_REQUIRE(!pm_types_of.empty(), "datacenter needs at least one PM");
+  PRVM_REQUIRE(pm_types_of.size() < kNoSlot, "too many PMs");
+  // Row widths: the widest PM shape for levels, the most demand items of any
+  // (PM type, VM type) pair for assignments. Pool size: every VM takes at
+  // least the smallest demand's total levels, so a PM never holds more VMs
+  // than its total capacity over that.
+  std::vector<std::size_t> max_vms(catalog_.pm_types().size(), 0);
+  for (std::size_t p = 0; p < catalog_.pm_types().size(); ++p) {
+    const ProfileShape& shape = catalog_.shape(p);
+    level_stride_ = std::max<std::size_t>(level_stride_, shape.total_dims());
+    int smallest = 0;
+    for (std::size_t v = 0; v < catalog_.vm_types().size(); ++v) {
+      const auto& demand = catalog_.demand(p, v);
+      if (!demand.has_value()) continue;
+      std::size_t items = 0;
+      for (const auto& group : demand->group_items) items += group.size();
+      slot_stride_ = std::max(slot_stride_, items);
+      if (smallest == 0 || demand->total() < smallest) smallest = demand->total();
+    }
+    if (smallest > 0) max_vms[p] = static_cast<std::size_t>(shape.total_capacity() / smallest);
+  }
+  std::size_t max_fleet_vms = 0;
   pms_.reserve(pm_types_of.size());
   for (std::size_t type : pm_types_of) {
     PRVM_REQUIRE(type < catalog_.pm_types().size(), "PM type index out of range");
-    const ProfileShape& shape = catalog_.shape(type);
-    const Profile zero = Profile::zero(shape);
-    pms_.push_back(PmState{type, zero, zero.pack(shape), {}});
+    PmRecord pm;
+    pm.type = static_cast<std::uint32_t>(type);
+    pm.dims = static_cast<std::uint32_t>(catalog_.shape(type).total_dims());
+    pms_.push_back(pm);
+    max_fleet_vms += max_vms[type];
   }
+  // Reserving the pool for the fleet at its densest means filling it never
+  // reallocates: no copy stall mid-fill and no freed old copy left resident
+  // in the heap. Capacity never touched costs address space, not memory.
+  slots_.reserve(max_fleet_vms);
+  arena_.reserve(max_fleet_vms * slot_stride_);
+  levels_.assign(pms_.size() * level_stride_, 0);
+  removed_.reserve(slot_stride_);
   index_.resize(catalog_.pm_types().size());
   next_in_bucket_.assign(pms_.size(), kNoPm);
   prev_in_bucket_.assign(pms_.size(), kNoPm);
   activation_seq_.assign(pms_.size(), 0);
   unused_bits_.assign((pms_.size() + 63) / 64, ~std::uint64_t{0});
+}
+
+Datacenter::PmView Datacenter::pm(PmIndex i) const {
+  const PmRecord& rec = pms_.at(i);
+  PmView view;
+  view.type_index = rec.type;
+  view.usage = ProfileView(levels_of(i));
+  view.canonical_key = rec.canonical_key;
+  view.vms.pool_ = {slots_, arena_, slot_stride_};
+  view.vms.first_ = rec.first;
+  view.vms.last_ = rec.last;
+  view.vms.size_ = rec.vm_count;
+  return view;
 }
 
 std::vector<PmIndex> Datacenter::unused_pms() const {
@@ -56,21 +99,24 @@ Datacenter::BucketView Datacenter::used_bucket(std::size_t pm_type, ProfileKey k
 }
 
 bool Datacenter::fits(PmIndex i, std::size_t vm_type) const {
-  const PmState& pm = pms_.at(i);
-  const auto& demand = catalog_.demand(pm.type_index, vm_type);
+  const std::size_t type = pms_.at(i).type;
+  const auto& demand = catalog_.demand(type, vm_type);
   if (!demand.has_value()) return false;
-  return demand_fits(catalog_.shape(pm.type_index), pm.usage, *demand);
+  return demand_fits(catalog_.shape(type), levels_of(i), *demand);
 }
 
 std::vector<DemandPlacement> Datacenter::placements(PmIndex i, std::size_t vm_type) const {
-  const PmState& pm = pms_.at(i);
-  const auto& demand = catalog_.demand(pm.type_index, vm_type);
+  const std::size_t type = pms_.at(i).type;
+  const auto& demand = catalog_.demand(type, vm_type);
   if (!demand.has_value()) return {};
-  return enumerate_placements(catalog_.shape(pm.type_index), pm.usage, *demand);
+  const ProfileShape& shape = catalog_.shape(type);
+  const std::span<const int> levels = levels_of(i);
+  return enumerate_placements(shape, Profile::from_levels(shape, {levels.begin(), levels.end()}),
+                              *demand);
 }
 
 void Datacenter::add_to_bucket(PmIndex i) {
-  TypeIndex& ti = index_[pms_[i].type_index];
+  TypeIndex& ti = index_[pms_[i].type];
   auto [slot, inserted] = ti.slot_of.try_emplace(pms_[i].canonical_key, kNoBucket);
   if (slot == kNoBucket) {
     slot = static_cast<std::uint32_t>(ti.keys.size());
@@ -100,7 +146,7 @@ void Datacenter::refresh_earliest(TypeIndex& ti, std::uint32_t slot) {
 
 void Datacenter::remove_from_bucket(PmIndex i) {
   // Must run before canonical_key is updated: the key locates the bucket.
-  TypeIndex& ti = index_[pms_[i].type_index];
+  TypeIndex& ti = index_[pms_[i].type];
   std::uint32_t* slot = ti.slot_of.find(pms_[i].canonical_key);
   PRVM_CHECK(slot != nullptr && *slot != kNoBucket, "bucket index out of sync");
   const PmIndex prev = prev_in_bucket_[i];
@@ -144,7 +190,7 @@ void Datacenter::mark_used(PmIndex i) {
   activation_seq_[i] = next_activation_++;
   used_order_.push_back(i);
   unused_bits_[i / 64] &= ~(std::uint64_t{1} << (i % 64));
-  ++index_[pms_[i].type_index].used_count;
+  ++index_[pms_[i].type].used_count;
   add_to_bucket(i);
 }
 
@@ -156,36 +202,74 @@ void Datacenter::mark_unused(PmIndex i) {
   PRVM_CHECK(uit != used_order_.end() && *uit == i, "used list out of sync");
   used_order_.erase(uit);
   unused_bits_[i / 64] |= std::uint64_t{1} << (i % 64);
-  --index_[pms_[i].type_index].used_count;
+  --index_[pms_[i].type].used_count;
+}
+
+std::uint32_t Datacenter::acquire_slot() {
+  if (free_slot_ != kNoSlot) {
+    const std::uint32_t s = free_slot_;
+    free_slot_ = slots_[s].next;
+    return s;
+  }
+  PRVM_REQUIRE(slots_.size() < kNoSlot, "VM slot pool full");
+  slots_.emplace_back();
+  arena_.resize(arena_.size() + slot_stride_);
+  return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
 void Datacenter::place(PmIndex i, const Vm& vm, const DemandPlacement& placement) {
   PRVM_REQUIRE(i < pms_.size(), "PM index out of range");
-  PRVM_REQUIRE(!vm_index_.contains(vm.id), "VM already placed");
-  PmState& pm = pms_[i];
-  const ProfileShape& shape = catalog_.shape(pm.type_index);
+  PRVM_REQUIRE(slot_of_.find(vm.id) == FlatIdMap::kNone, "VM already placed");
+  PRVM_REQUIRE(vm.type_index < catalog_.vm_types().size(), "VM type out of range");
+  PRVM_REQUIRE(placement.assignments.size() <= slot_stride_,
+               "placement has more items than any catalog demand");
+  const ProfileShape& shape = catalog_.shape(pms_[i].type);
+  const std::span<int> row = levels_of(i);
 
-  // Validate: each assignment within capacity and anti-collocation (no two
-  // assignments of this VM on the same dimension).
-  std::vector<int> levels(pm.usage.levels().begin(), pm.usage.levels().end());
-  std::vector<int> touched;
+  // Validate on a copy of the levels: each assignment within capacity and
+  // anti-collocation (no two assignments of this VM on the same dimension).
+  // A profile key packs at most 64 dimensions, so both fit a word / a stack
+  // buffer.
+  int levels[64];
+  std::copy(row.begin(), row.end(), levels);
+  std::uint64_t touched = 0;
   for (auto [dim, amount] : placement.assignments) {
     PRVM_REQUIRE(dim >= 0 && dim < shape.total_dims(), "assignment dimension out of range");
     PRVM_REQUIRE(amount > 0, "assignment amount must be positive");
-    PRVM_REQUIRE(std::find(touched.begin(), touched.end(), dim) == touched.end(),
+    const std::uint64_t bit = std::uint64_t{1} << dim;
+    PRVM_REQUIRE((touched & bit) == 0,
                  "anti-collocation violated: two items of one VM on one dimension");
-    touched.push_back(dim);
-    levels[static_cast<std::size_t>(dim)] += amount;
-    PRVM_REQUIRE(levels[static_cast<std::size_t>(dim)] <= shape.dim_capacity(dim),
+    touched |= bit;
+    PRVM_REQUIRE(amount <= shape.dim_capacity(dim) - levels[dim],
                  "placement exceeds dimension capacity");
+    levels[dim] += amount;
   }
 
-  const bool was_used = pm.used();
+  const std::uint32_t s = acquire_slot();
+  PmRecord& pm = pms_[i];
+  const bool was_used = pm.vm_count > 0;
   if (was_used) remove_from_bucket(i);
-  pm.usage = Profile::from_levels(shape, std::move(levels));
-  pm.vms.push_back(PlacedVm{vm, placement.assignments});
-  recompute_key(i);
-  vm_index_.emplace(vm.id, i);
+  std::copy_n(levels, row.size(), row.begin());
+  pm.canonical_key = pack_canonical(shape, row);
+
+  VmSlot& slot = slots_[s];
+  slot.id = vm.id;
+  slot.type = static_cast<std::uint32_t>(vm.type_index);
+  slot.pm = static_cast<std::uint32_t>(i);
+  slot.next = kNoSlot;
+  slot.prev = pm.last;
+  slot.count = static_cast<std::uint32_t>(placement.assignments.size());
+  std::ranges::copy(placement.assignments,
+                    std::span(arena_).subspan(s * slot_stride_, slot_stride_).begin());
+  if (pm.last != kNoSlot) {
+    slots_[pm.last].next = s;
+  } else {
+    pm.first = s;
+  }
+  pm.last = s;
+  ++pm.vm_count;
+  slot_of_.insert(vm.id, s);
+
   if (was_used) {
     add_to_bucket(i);
   } else {
@@ -200,52 +284,69 @@ void Datacenter::place_first_fit(PmIndex i, const Vm& vm) {
 }
 
 Datacenter::PlacedVm Datacenter::remove(VmId vm) {
-  const auto it = vm_index_.find(vm);
-  PRVM_REQUIRE(it != vm_index_.end(), "VM is not placed");
-  const PmIndex i = it->second;
-  PmState& pm = pms_[i];
-  const ProfileShape& shape = catalog_.shape(pm.type_index);
+  const std::uint32_t s = slot_of_.find(vm);
+  PRVM_REQUIRE(s != FlatIdMap::kNone, "VM is not placed");
+  const VmSlot slot = slots_[s];
+  const PmIndex i = slot.pm;
+  PmRecord& pm = pms_[i];
+  const std::span<int> row = levels_of(i);
+  const Assignments assignments(assignments_of(s));
 
-  const auto vit = std::find_if(pm.vms.begin(), pm.vms.end(),
-                                [&](const PlacedVm& p) { return p.vm.id == vm; });
-  PRVM_CHECK(vit != pm.vms.end(), "ledger out of sync with VM index");
-  PlacedVm record = std::move(*vit);
-  pm.vms.erase(vit);
+  int levels[64];
+  std::copy(row.begin(), row.end(), levels);
+  for (auto [dim, amount] : assignments) {
+    levels[dim] -= amount;
+    PRVM_CHECK(levels[dim] >= 0, "usage underflow on removal");
+  }
 
   remove_from_bucket(i);
-  std::vector<int> levels(pm.usage.levels().begin(), pm.usage.levels().end());
-  for (auto [dim, amount] : record.assignments) {
-    levels[static_cast<std::size_t>(dim)] -= amount;
-    PRVM_CHECK(levels[static_cast<std::size_t>(dim)] >= 0, "usage underflow on removal");
+  std::copy_n(levels, row.size(), row.begin());
+  pm.canonical_key = pack_canonical(catalog_.shape(pm.type), row);
+  if (slot.prev != kNoSlot) {
+    slots_[slot.prev].next = slot.next;
+  } else {
+    pm.first = slot.next;
   }
-  pm.usage = Profile::from_levels(shape, std::move(levels));
-  recompute_key(i);
-  vm_index_.erase(it);
+  if (slot.next != kNoSlot) {
+    slots_[slot.next].prev = slot.prev;
+  } else {
+    pm.last = slot.prev;
+  }
+  --pm.vm_count;
+  removed_.assign(assignments.begin(), assignments.end());
+  slots_[s] = VmSlot{};
+  slots_[s].next = free_slot_;
+  free_slot_ = s;
+  slot_of_.erase(vm);
 
-  if (pm.used()) {
+  if (pm.vm_count > 0) {
     add_to_bucket(i);
   } else {
     mark_unused(i);
   }
-  return record;
+  return PlacedVm{Vm{slot.id, slot.type}, Assignments(removed_)};
 }
 
 std::optional<PmIndex> Datacenter::pm_of(VmId vm) const {
-  const auto it = vm_index_.find(vm);
-  if (it == vm_index_.end()) return std::nullopt;
-  return it->second;
+  const std::uint32_t s = slot_of_.find(vm);
+  if (s == FlatIdMap::kNone) return std::nullopt;
+  return slots_[s].pm;
 }
 
 void Datacenter::clear() {
-  for (PmIndex i = 0; i < pms_.size(); ++i) {
-    PmState& pm = pms_[i];
-    const ProfileShape& shape = catalog_.shape(pm.type_index);
-    pm.usage = Profile::zero(shape);
-    pm.canonical_key = pm.usage.pack(shape);
-    pm.vms.clear();
+  for (PmRecord& pm : pms_) {
+    pm.first = kNoSlot;
+    pm.last = kNoSlot;
+    pm.vm_count = 0;
+    pm.canonical_key = 0;  // the empty profile of any shape
   }
+  std::fill(levels_.begin(), levels_.end(), 0);
+  slots_.clear();
+  arena_.clear();
+  free_slot_ = kNoSlot;
+  slot_of_.clear();
+  removed_.clear();
   used_order_.clear();
-  vm_index_.clear();
   for (TypeIndex& ti : index_) {
     ti.keys.clear();
     ti.heads.clear();
@@ -258,12 +359,6 @@ void Datacenter::clear() {
   prev_in_bucket_.assign(pms_.size(), kNoPm);
   unused_bits_.assign((pms_.size() + 63) / 64, ~std::uint64_t{0});
   next_activation_ = 0;
-}
-
-void Datacenter::recompute_key(PmIndex i) {
-  PmState& pm = pms_[i];
-  const ProfileShape& shape = catalog_.shape(pm.type_index);
-  pm.canonical_key = pm.usage.canonical(shape).pack(shape);
 }
 
 namespace {
@@ -291,19 +386,19 @@ std::int64_t read_i64(std::istream& is) { return static_cast<std::int64_t>(read_
 void Datacenter::serialize(ByteWriter& out) const {
   out.bytes(kSnapshotMagic, sizeof(kSnapshotMagic));
   out.u64(pms_.size());
-  for (const PmState& pm : pms_) out.u64(pm.type_index);
+  for (const PmRecord& pm : pms_) out.u64(pm.type);
   out.u64(next_activation_);
   out.u64(used_order_.size());
   for (const PmIndex i : used_order_) {
-    const PmState& pm = pms_[i];
     out.u64(i);
     out.u64(activation_seq_[i]);
-    out.u64(pm.vms.size());
-    for (const PlacedVm& placed : pm.vms) {
-      out.u64(placed.vm.id);
-      out.u64(placed.vm.type_index);
-      out.u64(placed.assignments.size());
-      for (auto [dim, amount] : placed.assignments) {
+    out.u64(pms_[i].vm_count);
+    for (std::uint32_t s = pms_[i].first; s != kNoSlot; s = slots_[s].next) {
+      const VmSlot& slot = slots_[s];
+      out.u64(slot.id);
+      out.u64(slot.type);
+      out.u64(slot.count);
+      for (auto [dim, amount] : assignments_of(s)) {
         out.u64(static_cast<std::uint64_t>(dim));  // sign-extends, as read_i64 expects
         out.u64(static_cast<std::uint64_t>(amount));
       }
@@ -370,6 +465,57 @@ Datacenter Datacenter::deserialize(Catalog catalog, std::istream& is) {
 }
 
 void Datacenter::check_index_invariants() const {
+  // Slot pool: the free list holds only free slots, each once.
+  PRVM_CHECK(arena_.size() == slots_.size() * slot_stride_, "assignment arena size out of sync");
+  std::vector<std::uint8_t> seen(slots_.size(), 0);  // 1 = free, 2 = on a PM list
+  std::size_t free_count = 0;
+  for (std::uint32_t s = free_slot_; s != kNoSlot; s = slots_[s].next) {
+    PRVM_CHECK(s < slots_.size() && seen[s] == 0, "free-slot list corrupt");
+    PRVM_CHECK(slots_[s].pm == kNoSlot, "slot both free and live");
+    seen[s] = 1;
+    ++free_count;
+  }
+  // Per-PM lists: links, counts, owners, and levels = sum of assignments.
+  std::size_t live_count = 0;
+  std::vector<int> sum;
+  for (PmIndex i = 0; i < pms_.size(); ++i) {
+    const PmRecord& pm = pms_[i];
+    const ProfileShape& shape = catalog_.shape(pm.type);
+    PRVM_CHECK(pm.dims == static_cast<std::uint32_t>(shape.total_dims()), "PM row width wrong");
+    sum.assign(level_stride_, 0);
+    std::uint32_t walked = 0;
+    std::uint32_t prev = kNoSlot;
+    for (std::uint32_t s = pm.first; s != kNoSlot; s = slots_[s].next) {
+      PRVM_CHECK(s < slots_.size() && seen[s] == 0, "slot on two lists or on a list and free");
+      seen[s] = 2;
+      const VmSlot& slot = slots_[s];
+      PRVM_CHECK(slot.pm == i, "slot names the wrong PM");
+      PRVM_CHECK(slot.prev == prev, "PM list back-link out of sync");
+      PRVM_CHECK(slot_of_.find(slot.id) == s, "id map does not point at the VM's slot");
+      PRVM_CHECK(slot.count <= slot_stride_, "slot assignment count exceeds the stride");
+      for (auto [dim, amount] : assignments_of(s)) {
+        PRVM_CHECK(dim >= 0 && dim < shape.total_dims() && amount > 0, "slot assignment corrupt");
+        sum[static_cast<std::size_t>(dim)] += amount;
+      }
+      prev = s;
+      ++walked;
+    }
+    PRVM_CHECK(pm.last == prev, "PM list tail out of sync");
+    PRVM_CHECK(walked == pm.vm_count, "PM VM count does not match its list");
+    live_count += walked;
+    const std::span<const int> row = std::span(levels_).subspan(i * level_stride_, level_stride_);
+    PRVM_CHECK(std::equal(row.begin(), row.end(), sum.begin()),
+               "PM levels differ from the sum of its VMs' assignments");
+    PRVM_CHECK(pm.canonical_key == pack_canonical(shape, levels_of(i)),
+               "PM canonical key stale");
+  }
+  PRVM_CHECK(free_count + live_count == slots_.size(), "slot neither free nor live");
+  PRVM_CHECK(slot_of_.size() == live_count, "id map holds VMs no PM list holds");
+  slot_of_.for_each([&](VmId id, std::uint32_t s) {
+    PRVM_CHECK(s < slots_.size() && seen[s] == 2 && slots_[s].id == id,
+               "id map entry points at a free or foreign slot");
+  });
+
   std::vector<bool> in_bucket(pms_.size(), false);
   for (std::size_t t = 0; t < index_.size(); ++t) {
     const TypeIndex& ti = index_[t];
@@ -389,8 +535,8 @@ void Datacenter::check_index_invariants() const {
         PRVM_CHECK(!in_bucket[i], "PM appears in two buckets");
         in_bucket[i] = true;
         PRVM_CHECK(prev_in_bucket_[i] == prev, "bucket back-link out of sync");
-        PRVM_CHECK(pms_[i].used(), "bucket holds an unused PM");
-        PRVM_CHECK(pms_[i].type_index == t, "bucket holds a PM of the wrong type");
+        PRVM_CHECK(pms_[i].vm_count > 0, "bucket holds an unused PM");
+        PRVM_CHECK(pms_[i].type == t, "bucket holds a PM of the wrong type");
         PRVM_CHECK(pms_[i].canonical_key == ti.keys[s], "bucket key does not match PM profile");
         if (earliest == kNoPm || activation_seq_[i] < activation_seq_[earliest]) earliest = i;
         prev = i;
@@ -404,13 +550,14 @@ void Datacenter::check_index_invariants() const {
     PRVM_CHECK(ti.used_count == used_by_type, "per-type used count out of sync");
   }
   for (PmIndex i = 0; i < pms_.size(); ++i) {
-    PRVM_CHECK(in_bucket[i] == pms_[i].used(), "used PM missing from its bucket");
-    if (!pms_[i].used()) {
+    const bool used = pms_[i].vm_count > 0;
+    PRVM_CHECK(in_bucket[i] == used, "used PM missing from its bucket");
+    if (!used) {
       PRVM_CHECK(next_in_bucket_[i] == kNoPm && prev_in_bucket_[i] == kNoPm,
                  "unused PM still linked into a bucket");
     }
     const bool bit = (unused_bits_[i / 64] >> (i % 64)) & 1;
-    PRVM_CHECK(bit == !pms_[i].used(), "free-list bitmap out of sync");
+    PRVM_CHECK(bit == !used, "free-list bitmap out of sync");
   }
   for (std::size_t k = 0; k + 1 < used_order_.size(); ++k) {
     PRVM_CHECK(activation_seq_[used_order_[k]] < activation_seq_[used_order_[k + 1]],

@@ -6,7 +6,23 @@
 // All placement algorithms mutate a Datacenter through place()/remove(),
 // which enforce capacity and anti-collocation invariants on every call.
 //
-// Alongside the per-PM ledger the datacenter incrementally maintains a
+// The ledger is a slot pool, laid out so a place or a remove touches a few
+// cache lines rather than a dozen heap blocks:
+// - every VM lives in one fixed-size slot record (id, type, PM, assignment
+//   count and the links of its PM's list), with its (dimension, levels)
+//   assignments in a parallel arena at a fixed stride sized by the
+//   catalog's largest demand; freed slots are reused LIFO;
+// - each PM's VMs form a doubly-linked list through the slots, in
+//   insertion order, which keeps snapshots, digests and WAL bytes exactly
+//   as the order VMs were placed;
+// - the levels of all PMs sit in one flat array, one fixed-stride row each;
+// - a VM id finds its slot through an open-addressing FlatIdMap whose
+//   entries hold key and slot side by side.
+// Once the pool and the map have grown to the live population, place() and
+// remove() allocate nothing, and a copy is a handful of flat-array copies
+// whatever the VM count. pm(i) returns a borrowed view of one PM.
+//
+// Alongside the ledger the datacenter incrementally maintains a
 // placement index in struct-of-arrays form: per PM type, parallel arrays of
 // bucket canonical key, head PM, member count and earliest member (the
 // member with the smallest activation sequence number, with that number),
@@ -20,12 +36,13 @@
 // bucket losing its earliest member walks its remaining members once.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <iosfwd>
 #include <iterator>
 #include <optional>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cluster/catalog.hpp"
@@ -41,18 +58,100 @@ using PmIndex = std::size_t;
 
 class Datacenter {
  public:
-  /// A VM placed on a PM together with its dimension assignments
-  /// ((global dimension index, levels) pairs — its y/z variables).
-  struct PlacedVm {
-    Vm vm;
-    std::vector<std::pair<int, int>> assignments;
+  /// One VM's dimension assignments: (global dimension index, levels) pairs
+  /// — its y/z variables. A borrowed view; converts to an owning vector.
+  class Assignments : public std::span<const std::pair<int, int>> {
+   public:
+    using std::span<const std::pair<int, int>>::span;
+    Assignments(std::span<const std::pair<int, int>> items)
+        : std::span<const std::pair<int, int>>(items) {}
+    operator std::vector<std::pair<int, int>>() const { return {begin(), end()}; }
+    friend bool operator==(Assignments a, Assignments b) { return std::ranges::equal(a, b); }
   };
 
-  struct PmState {
+  /// A VM placed on a PM together with its dimension assignments.
+  struct PlacedVm {
+    Vm vm;
+    Assignments assignments;
+  };
+
+ private:
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+
+  /// One VM of the slot pool. A free slot has pm == kNoSlot and chains the
+  /// free list through `next`.
+  struct VmSlot {
+    VmId id = 0;
+    std::uint32_t type = 0;
+    std::uint32_t pm = kNoSlot;
+    std::uint32_t next = kNoSlot;  ///< next VM on the same PM, in insertion order
+    std::uint32_t prev = kNoSlot;
+    std::uint32_t count = 0;  ///< assignments used of the slot's arena row
+  };
+
+ public:
+  /// Borrowed walk of a PM's VMs in insertion order, through its slot list.
+  /// Invalidated by the next place()/remove().
+  class VmList {
+    struct Pool {
+      std::span<const VmSlot> slots;
+      std::span<const std::pair<int, int>> arena;
+      std::size_t stride = 0;
+      PlacedVm at(std::uint32_t slot) const {
+        const VmSlot& s = slots[slot];
+        return {Vm{s.id, s.type}, Assignments(arena.subspan(slot * stride, s.count))};
+      }
+    };
+
+   public:
+    class iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = PlacedVm;
+      using difference_type = std::ptrdiff_t;
+      using pointer = void;
+      using reference = PlacedVm;
+      iterator() = default;
+      PlacedVm operator*() const { return pool_.at(cur_); }
+      iterator& operator++() {
+        cur_ = pool_.slots[cur_].next;
+        return *this;
+      }
+      iterator operator++(int) {
+        iterator old = *this;
+        ++*this;
+        return old;
+      }
+      bool operator==(const iterator& o) const { return cur_ == o.cur_; }
+
+     private:
+      friend class VmList;
+      iterator(Pool pool, std::uint32_t cur) : pool_(pool), cur_(cur) {}
+      Pool pool_;
+      std::uint32_t cur_ = kNoSlot;
+    };
+
+    iterator begin() const { return {pool_, first_}; }
+    iterator end() const { return {pool_, kNoSlot}; }
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    PlacedVm front() const { return pool_.at(first_); }
+    PlacedVm back() const { return pool_.at(last_); }
+
+   private:
+    friend class Datacenter;
+    Pool pool_;
+    std::uint32_t first_ = kNoSlot;
+    std::uint32_t last_ = kNoSlot;
+    std::uint32_t size_ = 0;
+  };
+
+  /// Borrowed view of one PM. Invalidated by the next place()/remove().
+  struct PmView {
     std::size_t type_index = 0;
-    Profile usage;            ///< raw per-dimension levels (not canonical)
-    ProfileKey canonical_key; ///< cached canonical key of `usage`
-    std::vector<PlacedVm> vms;
+    ProfileView usage;         ///< raw per-dimension levels (not canonical)
+    ProfileKey canonical_key = 0;  ///< canonical key of `usage`
+    VmList vms;
 
     bool used() const { return !vms.empty(); }
   };
@@ -114,8 +213,8 @@ class Datacenter {
 
   const Catalog& catalog() const { return catalog_; }
   std::size_t pm_count() const { return pms_.size(); }
-  const PmState& pm(PmIndex i) const { return pms_.at(i); }
-  const ProfileShape& shape_of(PmIndex i) const { return catalog_.shape(pms_.at(i).type_index); }
+  PmView pm(PmIndex i) const;
+  const ProfileShape& shape_of(PmIndex i) const { return catalog_.shape(pms_.at(i).type); }
 
   /// PMs currently hosting at least one VM, in activation order — the
   /// used_PM_list of Algorithm 2.
@@ -208,13 +307,14 @@ class Datacenter {
   /// not score permutations). Throws if the VM does not fit.
   void place_first_fit(PmIndex i, const Vm& vm);
 
-  /// Removes a VM and returns its record (for migration re-placement).
+  /// Removes a VM and returns its record (for migration re-placement). The
+  /// record's assignments stay valid until the next remove() or clear().
   PlacedVm remove(VmId vm);
 
   /// The PM currently hosting `vm`, if any.
   std::optional<PmIndex> pm_of(VmId vm) const;
 
-  std::size_t vm_count() const { return vm_index_.size(); }
+  std::size_t vm_count() const { return slot_of_.size(); }
 
   /// Resets every PM to empty (keeps the catalog and PM fleet).
   void clear();
@@ -233,11 +333,13 @@ class Datacenter {
   /// Throws on malformed input or a catalog mismatch.
   static Datacenter deserialize(Catalog catalog, std::istream& is);
 
-  /// Verifies every placement-index invariant against the ledger (buckets
-  /// partition the used PMs by canonical key, intrusive lists and counts
-  /// agree, each bucket's earliest member is its minimum activation sequence,
-  /// free-list matches, activation order matches used_pms()). Test hook;
-  /// throws on violation.
+  /// Verifies the slot pool and every placement-index invariant against
+  /// each other: the id map, the live slots and the per-PM lists agree both
+  /// ways, no slot is both free and live, each PM's levels are the sum of
+  /// its VMs' assignments; buckets partition the used PMs by canonical key,
+  /// intrusive lists and counts agree, each bucket's earliest member is its
+  /// minimum activation sequence, the free-list bitmap matches, activation
+  /// order matches used_pms(). Test hook; throws on violation.
   void check_index_invariants() const;
 
  private:
@@ -256,7 +358,27 @@ class Datacenter {
   };
   static constexpr std::uint32_t kNoBucket = 0xFFFFFFFFu;
 
-  void recompute_key(PmIndex i);
+  /// Per-PM ledger record: its slot list and canonical key. Its levels are
+  /// row `i` of levels_.
+  struct PmRecord {
+    std::uint32_t type = 0;
+    std::uint32_t dims = 0;  ///< the shape's total_dims()
+    std::uint32_t first = kNoSlot;
+    std::uint32_t last = kNoSlot;
+    std::uint32_t vm_count = 0;
+    ProfileKey canonical_key = 0;
+  };
+
+  std::span<int> levels_of(PmIndex i) {
+    return std::span(levels_).subspan(i * level_stride_, pms_[i].dims);
+  }
+  std::span<const int> levels_of(PmIndex i) const {
+    return std::span(levels_).subspan(i * level_stride_, pms_[i].dims);
+  }
+  std::span<const std::pair<int, int>> assignments_of(std::uint32_t slot) const {
+    return std::span(arena_).subspan(slot * slot_stride_, slots_[slot].count);
+  }
+  std::uint32_t acquire_slot();
   void add_to_bucket(PmIndex i);
   void remove_from_bucket(PmIndex i);
   /// Re-derives earliest[slot] of `ti` by walking the bucket's members.
@@ -265,9 +387,16 @@ class Datacenter {
   void mark_unused(PmIndex i);
 
   Catalog catalog_;
-  std::vector<PmState> pms_;
+  std::vector<PmRecord> pms_;
+  std::vector<int> levels_;  // pm_count() rows of level_stride_ levels
+  std::size_t level_stride_ = 0;
+  std::vector<VmSlot> slots_;
+  std::vector<std::pair<int, int>> arena_;  // slots_.size() rows of slot_stride_
+  std::size_t slot_stride_ = 0;
+  std::uint32_t free_slot_ = kNoSlot;  // head of the free-slot list
+  FlatIdMap slot_of_;                  // VM id -> slot
+  std::vector<std::pair<int, int>> removed_;  // the last remove()'s assignments
   std::vector<PmIndex> used_order_;
-  std::unordered_map<VmId, PmIndex> vm_index_;
 
   // Placement index (see class comment). A PM's dense slot is found through
   // slot_of by its canonical key (so swap-erasing a dead bucket only patches

@@ -8,7 +8,11 @@
 // or two cache lines instead of std::unordered_map's pointer chase. Keys are
 // arbitrary (0 is a valid ProfileKey), so occupancy is tracked in a separate
 // byte array rather than with a sentinel key. No erase: every current user
-// only ever grows (the bucket index tombstones by value instead).
+// only ever grows (the bucket index tombstones by value instead). Its three
+// split arrays are also the on-disk score-image layout FlatMap64View maps.
+//
+// FlatIdMap is the erasable sibling for 32-bit ids: the datacenter's VM id ->
+// slot index, which gains and loses an entry on every place and release.
 #pragma once
 
 #include <cstddef>
@@ -174,6 +178,110 @@ class FlatMap64 {
   std::vector<std::uint64_t> keys_;
   std::vector<Value> values_;
   std::vector<std::uint8_t> full_;
+  std::size_t mask_ = 0;
+  std::size_t size_ = 0;
+};
+
+/// Open-addressing map from 32-bit keys to 32-bit values, with erase. Key
+/// and value share one 8-byte entry, so a probe reads both from one cache
+/// line. Any key is valid; the value kNone marks an empty entry and cannot
+/// be stored. Linear probing at load <= 3/4; erase shifts the rest of the
+/// probe run back (no tombstones), so a long-lived table with churn never
+/// degrades or needs a rebuild.
+class FlatIdMap {
+ public:
+  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  std::size_t capacity() const { return entries_.size(); }
+
+  void clear() {
+    entries_.clear();
+    mask_ = 0;
+    size_ = 0;
+  }
+
+  /// The value stored for `key`, or kNone.
+  std::uint32_t find(std::uint32_t key) const {
+    if (entries_.empty()) return kNone;
+    for (std::size_t i = home(key);; i = (i + 1) & mask_) {
+      const Entry& e = entries_[i];
+      if (e.value == kNone) return kNone;
+      if (e.key == key) return e.value;
+    }
+  }
+
+  /// Stores `(key, value)` if the key is absent; false (and no change) when
+  /// it is present.
+  bool insert(std::uint32_t key, std::uint32_t value) {
+    PRVM_CHECK(value != kNone, "FlatIdMap cannot store its empty marker");
+    if ((size_ + 1) * 4 > entries_.size() * 3) {
+      rehash(entries_.empty() ? 16 : entries_.size() * 2);
+    }
+    std::size_t i = home(key);
+    while (entries_[i].value != kNone) {
+      if (entries_[i].key == key) return false;
+      i = (i + 1) & mask_;
+    }
+    entries_[i] = Entry{key, value};
+    ++size_;
+    return true;
+  }
+
+  /// Removes `key`; returns its value, or kNone when it was absent.
+  std::uint32_t erase(std::uint32_t key) {
+    if (entries_.empty()) return kNone;
+    std::size_t hole = home(key);
+    for (;; hole = (hole + 1) & mask_) {
+      if (entries_[hole].value == kNone) return kNone;
+      if (entries_[hole].key == key) break;
+    }
+    const std::uint32_t value = entries_[hole].value;
+    // Backward shift: walk the rest of the run and move back every entry
+    // whose home does not lie cyclically in (hole, j] — it would otherwise
+    // become unreachable behind the new gap.
+    for (std::size_t j = (hole + 1) & mask_; entries_[j].value != kNone; j = (j + 1) & mask_) {
+      const std::size_t h = home(entries_[j].key);
+      const bool stays = hole < j ? (hole < h && h <= j) : (hole < h || h <= j);
+      if (stays) continue;
+      entries_[hole] = entries_[j];
+      hole = j;
+    }
+    entries_[hole].value = kNone;
+    --size_;
+    return value;
+  }
+
+  /// Calls fn(key, value) on every entry, in table order.
+  template <typename Fn>
+  void for_each(Fn fn) const {
+    for (const Entry& e : entries_) {
+      if (e.value != kNone) fn(e.key, e.value);
+    }
+  }
+
+ private:
+  struct Entry {
+    std::uint32_t key = 0;
+    std::uint32_t value = kNone;
+  };
+
+  std::size_t home(std::uint32_t key) const { return flatmap_detail::probe_start(key, mask_); }
+
+  void rehash(std::size_t new_capacity) {
+    std::vector<Entry> old = std::move(entries_);
+    entries_.assign(new_capacity, Entry{});
+    mask_ = new_capacity - 1;
+    for (const Entry& e : old) {
+      if (e.value == kNone) continue;
+      std::size_t i = home(e.key);
+      while (entries_[i].value != kNone) i = (i + 1) & mask_;
+      entries_[i] = e;
+    }
+  }
+
+  std::vector<Entry> entries_;
   std::size_t mask_ = 0;
   std::size_t size_ = 0;
 };

@@ -67,7 +67,7 @@ ResourceVec min_consumption(const Catalog& catalog, std::size_t vm_type) {
 }
 
 // Free model-space capacity on one (possibly partially used) PM.
-ResourceVec pm_free(const Catalog& catalog, const Datacenter::PmState& state) {
+ResourceVec pm_free(const Catalog& catalog, const Datacenter::PmView& state) {
   const PmType& pm = catalog.pm_type(state.type_index);
   const ProfileShape& shape = catalog.shape(state.type_index);
   const QuantizationConfig& q = catalog.quantization();

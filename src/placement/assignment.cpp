@@ -9,7 +9,7 @@ namespace prvm {
 
 std::optional<DemandPlacement> tight_placement(const Datacenter& dc, PmIndex pm,
                                                std::size_t vm_type) {
-  const Datacenter::PmState& state = dc.pm(pm);
+  const Datacenter::PmView state = dc.pm(pm);
   const auto& demand = dc.catalog().demand(state.type_index, vm_type);
   if (!demand.has_value()) return std::nullopt;
   const ProfileShape& shape = dc.catalog().shape(state.type_index);
@@ -47,7 +47,7 @@ std::optional<DemandPlacement> tight_placement(const Datacenter& dc, PmIndex pm,
 
 std::optional<DemandPlacement> balanced_placement(const Datacenter& dc, PmIndex pm,
                                                   std::size_t vm_type) {
-  const Datacenter::PmState& state = dc.pm(pm);
+  const Datacenter::PmView state = dc.pm(pm);
   const auto& demand = dc.catalog().demand(state.type_index, vm_type);
   if (!demand.has_value()) return std::nullopt;
   const ProfileShape& shape = dc.catalog().shape(state.type_index);

@@ -38,7 +38,7 @@ std::optional<double> PageRankVm::placement_score(const Datacenter& dc, PmIndex 
 std::optional<double> PageRankVm::placement_score(const Datacenter& dc, PmIndex i,
                                                   std::size_t vm_type,
                                                   std::uint64_t& lookups) const {
-  const Datacenter::PmState& pm = dc.pm(i);
+  const Datacenter::PmView pm = dc.pm(i);
   const auto slot = tables_->demand_slot(pm.type_index, vm_type);
   if (!slot.has_value()) return std::nullopt;
   // Counted locally and flushed to the metric once per scan: an atomic add
@@ -51,7 +51,7 @@ std::optional<double> PageRankVm::placement_score(const Datacenter& dc, PmIndex 
 
 void PageRankVm::cached_placement_into(const Datacenter& dc, PmIndex i, const Vm& vm,
                                        std::optional<NodeId> node, DemandPlacement& out) {
-  const Datacenter::PmState& pm = dc.pm(i);
+  const Datacenter::PmView pm = dc.pm(i);
   const ProfileShape& shape = dc.shape_of(i);
   const ScoreTable& table = tables_->table(pm.type_index);
   const auto slot = tables_->demand_slot(pm.type_index, vm.type_index);
@@ -123,7 +123,7 @@ void PageRankVm::place_best_permutation(Datacenter& dc, PmIndex i, const Vm& vm,
     dc.place(i, vm, placement_scratch_);
     return;
   }
-  const Datacenter::PmState& pm = dc.pm(i);
+  const Datacenter::PmView pm = dc.pm(i);
   const ProfileShape& shape = dc.shape_of(i);
   const auto slot = tables_->demand_slot(pm.type_index, vm.type_index);
   PRVM_CHECK(slot.has_value(), "placing a VM type that never fits this PM type");

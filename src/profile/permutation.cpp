@@ -321,7 +321,7 @@ void enumerate_successor_keys(const ProfileShape& shape, ProfileKey current,
   emit_product(heap, ends, shape.group_count(), out);
 }
 
-bool demand_fits(const ProfileShape& shape, const Profile& current,
+bool demand_fits(const ProfileShape& shape, std::span<const int> levels,
                  const QuantizedDemand& demand) {
   demand.validate(shape);
   // Groups are independent, and within one group the greedy matching
@@ -339,7 +339,7 @@ bool demand_fits(const ProfileShape& shape, const Profile& current,
     PRVM_CHECK(n <= 64, "dimension group wider than a profile key");
     int free[64];
     for (int i = 0; i < n; ++i) {
-      free[i] = shape.groups()[g].capacity - current.level(off + i);
+      free[i] = shape.groups()[g].capacity - levels[static_cast<std::size_t>(off + i)];
     }
     std::sort(free, free + n, std::greater<int>());
     for (std::size_t i = 0; i < items.size(); ++i) {

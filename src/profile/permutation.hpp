@@ -80,7 +80,9 @@ std::vector<DemandPlacement> enumerate_placements(const ProfileShape& shape,
 void enumerate_successor_keys(const ProfileShape& shape, ProfileKey current,
                               const QuantizedDemand& demand, std::vector<ProfileKey>& out);
 
-/// True if at least one placement of the demand exists on `current`.
-bool demand_fits(const ProfileShape& shape, const Profile& current, const QuantizedDemand& demand);
+/// True if at least one placement of the demand exists on a profile with
+/// per-dimension `levels` (any order within a group).
+bool demand_fits(const ProfileShape& shape, std::span<const int> levels,
+                 const QuantizedDemand& demand);
 
 }  // namespace prvm

@@ -112,8 +112,34 @@ Profile Profile::unpack(const ProfileShape& shape, ProfileKey key) {
   return from_levels(shape, std::move(levels));
 }
 
-int Profile::total_usage() const {
+int Profile::total_usage() const { return ProfileView(levels_).total_usage(); }
+
+int ProfileView::total_usage() const {
   return std::accumulate(levels_.begin(), levels_.end(), 0);
+}
+
+Profile ProfileView::canonical(const ProfileShape& shape) const {
+  return Profile::from_levels(shape, {levels_.begin(), levels_.end()}).canonical(shape);
+}
+
+ProfileKey pack_canonical(const ProfileShape& shape, std::span<const int> levels) {
+  PRVM_REQUIRE(static_cast<int>(levels.size()) == shape.total_dims(),
+               "level count does not match shape");
+  // A key packs at most 64 dimensions (one bit each at the least), so one
+  // group never needs more than 64 slots of stack.
+  int sorted[64];
+  ProfileKey key = 0;
+  int shift = 0;
+  for (std::size_t g = 0; g < shape.group_count(); ++g) {
+    const int count = shape.groups()[g].count;
+    const int bits = shape.group_bits(g);
+    std::copy_n(levels.begin() + shape.group_offset(g), count, sorted);
+    std::sort(sorted, sorted + count, std::greater<int>());
+    for (int i = 0; i < count; ++i, shift += bits) {
+      key |= static_cast<ProfileKey>(sorted[i]) << shift;
+    }
+  }
+  return key;
 }
 
 double Profile::utilization(const ProfileShape& shape) const {
@@ -174,7 +200,9 @@ bool Profile::is_best(const ProfileShape& shape) const {
   return true;
 }
 
-std::string Profile::describe() const {
+std::string Profile::describe() const { return ProfileView(levels_).describe(); }
+
+std::string ProfileView::describe() const {
   std::ostringstream os;
   os << '[';
   for (std::size_t d = 0; d < levels_.size(); ++d) {

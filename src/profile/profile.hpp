@@ -134,6 +134,30 @@ class Profile {
   std::vector<int> levels_;
 };
 
+/// A borrowed, read-only profile over levels stored elsewhere (one PM's row
+/// of the datacenter's flat level array). Offers Profile's plain accessors;
+/// valid only while the owner of the levels leaves them unchanged.
+class ProfileView {
+ public:
+  ProfileView() = default;
+  explicit ProfileView(std::span<const int> levels) : levels_(levels) {}
+
+  std::span<const int> levels() const { return levels_; }
+  int level(int dim) const { return levels_[static_cast<std::size_t>(dim)]; }
+  int total_usage() const;
+  /// An owning copy in canonical form.
+  Profile canonical(const ProfileShape& shape) const;
+  std::string describe() const;
+
+ private:
+  std::span<const int> levels_;
+};
+
+/// The packed key of the canonical form of raw `levels` (any order within a
+/// group) — Profile::from_levels(shape, levels).canonical(shape).pack(shape)
+/// without the heap: the ledger recomputes it on every place and remove.
+ProfileKey pack_canonical(const ProfileShape& shape, std::span<const int> levels);
+
 /// The best profile of a shape: full utilization in every dimension
 /// (paper §V-A: "the profile with the maximum value across all resource
 /// dimensions").

@@ -33,7 +33,7 @@ double LoadView::vm_cpu_ghz(VmId vm) const {
 }
 
 double LoadView::pm_cpu_utilization(PmIndex pm) const {
-  const Datacenter::PmState& state = dc_->pm(pm);
+  const Datacenter::PmView state = dc_->pm(pm);
   double demand = 0.0;
   for (const Datacenter::PlacedVm& placed : state.vms) {
     const VmType& type = dc_->catalog().vm_type(placed.vm.type_index);
@@ -43,7 +43,7 @@ double LoadView::pm_cpu_utilization(PmIndex pm) const {
 }
 
 std::vector<double> LoadView::pm_core_utilizations(PmIndex pm) const {
-  const Datacenter::PmState& state = dc_->pm(pm);
+  const Datacenter::PmView state = dc_->pm(pm);
   const PmType& type = dc_->catalog().pm_type(state.type_index);
   std::vector<double> demand(static_cast<std::size_t>(type.cores), 0.0);
   for (const Datacenter::PlacedVm& placed : state.vms) {

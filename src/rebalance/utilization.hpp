@@ -2,14 +2,14 @@
 //
 // Collector agents push `util` ops — one CPU fraction per VM (or, for
 // agents that only see the host, per PM) — at whatever cadence they like.
-// The map is the meeting point between the socket threads that ingest
-// samples and the planner/worker threads that read them, so it is fully
+// The map is the meeting point between the service loop, which records
+// samples, and the planner thread, which reads them, so it is fully
 // lock-free: per-PM slots are a flat array of packed atomics, per-VM slots
 // live in a fixed-capacity open-addressed table with CAS insertion. The
-// service frees a VM's slot when the ledger drops the VM (forget_vm), so
-// the table holds the live VM population, not every id ever sampled. A
-// full table drops new VM keys (the caller counts drops); existing keys
-// always update in place.
+// service records a VM sample only while its ledger holds that VM and frees
+// the slot when the ledger drops it (forget_vm), so the table holds the
+// live VM population, not every id ever sampled. A full table drops new VM
+// keys (the caller counts drops); existing keys always update in place.
 //
 // Samples age instead of being deleted: a read at time t sees the recorded
 // fraction scaled by 2^-(age / half_life) and nothing at all once the
@@ -52,9 +52,9 @@ class UtilizationMap {
   bool record_vm(VmId vm, double fraction, std::uint64_t now_ns);
 
   /// Frees `vm`'s slot (the VM left the ledger) for reuse by other VMs.
-  /// Safe against concurrent readers and writers. A sample for an id the
-  /// ledger does not hold (never placed, or racing its release) keeps a
-  /// slot until that id is forgotten.
+  /// Safe against concurrent readers and writers. A slot is only ever freed
+  /// here, which is why the service records no sample for an id its ledger
+  /// does not hold.
   void forget_vm(VmId vm);
 
   /// Records a direct per-PM sample. Out-of-range PMs are ignored.

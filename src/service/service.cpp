@@ -162,6 +162,7 @@ void PlacementService::init_metrics() {
   m_.flush_lag_ns = &r.histogram("prvm_flush_lag_ns");
   m_.util_samples = &r.counter("prvm_rebal_util_samples_total");
   m_.util_dropped = &r.counter("prvm_rebal_util_dropped_total");
+  m_.util_unknown = &r.counter("prvm_rebal_util_unknown_total");
   m_.util_sample_pct = &r.histogram("prvm_rebal_util_sample_pct");
 }
 
@@ -466,7 +467,7 @@ Response PlacementService::place(const Request& request) {
   admission_.record_placement(vm, request.group, *pm);
   // The reused record keeps its string/vector capacity: no per-op allocation.
   WalRecord& record = wal_record_;
-  const auto& assignments = dc_.pm(*pm).vms.back().assignments;
+  const Datacenter::Assignments assignments = dc_.pm(*pm).vms.back().assignments;
   record.type = WalRecord::Type::kPlace;
   record.op_seq = ++op_seq_;
   record.vm = vm;
@@ -967,8 +968,7 @@ Response PlacementService::util_response(const Request& request) const {
   Response response;
   response.op = "util";
   if (request.pm.has_value()) {
-    // Bounds come from the map (fixed at construction), not dc_ — this runs
-    // on submit() callers' threads and must never race the worker's ledger.
+    // The map is sized to the fleet at construction.
     if (*request.pm >= util_map_->pm_count()) {
       response.ok = false;
       response.error = "bad_field";
@@ -977,8 +977,13 @@ Response PlacementService::util_response(const Request& request) const {
     }
     util_map_->record_pm(static_cast<PmIndex>(*request.pm), request.cpu, obs::now_ns());
   } else {
-    if (!util_map_->record_vm(static_cast<VmId>(request.vm_id), request.cpu,
-                              obs::now_ns())) {
+    const VmId vm = static_cast<VmId>(request.vm_id);
+    if (!dc_.pm_of(vm).has_value()) {
+      // Only a release frees a VM's slot, so a sample for an id the ledger
+      // does not hold (never placed, already released, a stray feed) would
+      // keep one forever. Count it and store nothing.
+      m_.util_unknown->inc();
+    } else if (!util_map_->record_vm(vm, request.cpu, obs::now_ns())) {
       m_.util_dropped->inc();
     }
     response.vm = request.vm_id;
@@ -1191,15 +1196,12 @@ void PlacementService::wake() const {
 }
 
 std::future<Response> PlacementService::submit(Request request) {
-  // Utilization samples and planner control touch only lock-free state, so
-  // answer them right here on the caller's thread: a 10Hz-per-PM feed must
-  // never compete with placements for inbox slots or loop time. The
-  // internal rebalance_scan is the exception — it reads the ledger, so it
-  // queues like any mutation.
-  if (request.op == RequestOp::kUtil || request.op == RequestOp::kRebalance) {
+  // Planner control touches only lock-free state, so answer it right here
+  // on the caller's thread. Everything that reads the ledger queues,
+  // utilization samples included: their VM id is checked against it.
+  if (request.op == RequestOp::kRebalance) {
     std::promise<Response> promise;
-    promise.set_value(request.op == RequestOp::kUtil ? util_response(request)
-                                                     : rebalance_response(request));
+    promise.set_value(rebalance_response(request));
     return promise.get_future();
   }
   // Resolve a textual VM type here so the loop never touches the name map.

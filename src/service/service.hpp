@@ -217,7 +217,7 @@ class PlacementService : public RequestSink {
 
   /// Enqueues a request in the in-process inbox. The future is satisfied by
   /// the loop after the pass's WAL flush; backpressure and draining
-  /// rejections, util and rebalance resolve immediately.
+  /// rejections and rebalance control resolve immediately.
   std::future<Response> submit(Request request) override;
 
   /// Synchronous execution, bypassing the loop. Only safe when the loop is
@@ -311,8 +311,9 @@ class PlacementService : public RequestSink {
   Response metrics_response();
   Response drain_response();
   // --- online rebalancer (DESIGN.md §9) ---
-  /// Records one utilization sample. Lock-free; submit() answers these on
-  /// the caller's thread without an inbox slot.
+  /// Records one utilization sample, on the loop thread: a VM sample lands
+  /// only when the ledger holds that VM, otherwise it is counted in
+  /// prvm_rebal_util_unknown_total and dropped.
   Response util_response(const Request& request) const;
   /// Planner status/trigger/pause/resume; atomics only, any thread.
   Response rebalance_response(const Request& request) const;
@@ -483,6 +484,7 @@ class PlacementService : public RequestSink {
     // RebalancePlanner, which shares this registry).
     obs::Counter* util_samples = nullptr;     ///< util ops ingested
     obs::Counter* util_dropped = nullptr;     ///< samples lost to a full VM table
+    obs::Counter* util_unknown = nullptr;     ///< samples for VMs the ledger does not hold
     obs::Gauge* mode = nullptr;        ///< 0 ok, 1 draining, 2 degraded
     obs::Gauge* queue_depth = nullptr;
     obs::Gauge* wal_lag = nullptr;

@@ -138,17 +138,18 @@ bool datacenter_state_equal(const Datacenter& a, const Datacenter& b) {
     return false;
   }
   for (PmIndex i = 0; i < a.pm_count(); ++i) {
-    const Datacenter::PmState& pa = a.pm(i);
-    const Datacenter::PmState& pb = b.pm(i);
+    const Datacenter::PmView pa = a.pm(i);
+    const Datacenter::PmView pb = b.pm(i);
     if (pa.type_index != pb.type_index || pa.canonical_key != pb.canonical_key) return false;
     const auto la = pa.usage.levels();
     const auto lb = pb.usage.levels();
     if (!std::equal(la.begin(), la.end(), lb.begin(), lb.end())) return false;
     if (pa.vms.size() != pb.vms.size()) return false;
-    for (std::size_t v = 0; v < pa.vms.size(); ++v) {
-      if (pa.vms[v].vm.id != pb.vms[v].vm.id ||
-          pa.vms[v].vm.type_index != pb.vms[v].vm.type_index ||
-          pa.vms[v].assignments != pb.vms[v].assignments) {
+    for (auto va = pa.vms.begin(), vb = pb.vms.begin(); va != pa.vms.end(); ++va, ++vb) {
+      const Datacenter::PlacedVm x = *va;
+      const Datacenter::PlacedVm y = *vb;
+      if (x.vm.id != y.vm.id || x.vm.type_index != y.vm.type_index ||
+          x.assignments != y.assignments) {
         return false;
       }
     }
@@ -201,7 +202,7 @@ std::uint64_t datacenter_state_digest(const Datacenter& dc) {
   for (const PmIndex i : dc.used_pms()) {
     mix(i);
     mix(dc.activation_seq(i));
-    const Datacenter::PmState& pm = dc.pm(i);
+    const Datacenter::PmView pm = dc.pm(i);
     mix(pm.vms.size());
     for (const Datacenter::PlacedVm& placed : pm.vms) {
       mix(placed.vm.id);

@@ -1,12 +1,14 @@
 #include "sim/migration_policy.hpp"
 
+#include <iterator>
+
 #include "common/check.hpp"
 
 namespace prvm {
 
 std::optional<VmId> MinimumMigrationTimePolicy::select_victim(const SimView& view, PmIndex pm) {
   const Datacenter& dc = view.datacenter();
-  const Datacenter::PmState& state = dc.pm(pm);
+  const Datacenter::PmView state = dc.pm(pm);
   std::optional<VmId> victim;
   double victim_mem = 0.0;
   for (const Datacenter::PlacedVm& placed : state.vms) {
@@ -27,7 +29,7 @@ PageRankMigrationPolicy::PageRankMigrationPolicy(std::shared_ptr<const ScoreTabl
 
 std::optional<VmId> PageRankMigrationPolicy::select_victim(const SimView& view, PmIndex pm) {
   const Datacenter& dc = view.datacenter();
-  const Datacenter::PmState& state = dc.pm(pm);
+  const Datacenter::PmView state = dc.pm(pm);
   const ProfileShape& shape = dc.catalog().shape(state.type_index);
   const ScoreTable& table = tables_->table(state.type_index);
 
@@ -69,9 +71,10 @@ std::optional<VmId> MaxCpuVictimPolicy::select_victim(const SimView& view, PmInd
 }
 
 std::optional<VmId> RandomVictimPolicy::select_victim(const SimView& view, PmIndex pm) {
-  const auto& vms = view.datacenter().pm(pm).vms;
+  const Datacenter::VmList vms = view.datacenter().pm(pm).vms;
   if (vms.empty()) return std::nullopt;
-  return vms[rng_.uniform_index(vms.size())].vm.id;
+  return (*std::next(vms.begin(), static_cast<std::ptrdiff_t>(rng_.uniform_index(vms.size()))))
+      .vm.id;
 }
 
 std::unique_ptr<MigrationPolicy> default_policy_for(AlgorithmKind kind,

@@ -62,7 +62,7 @@ double CloudSimulation::vm_cpu_ghz(VmId vm) const {
 }
 
 double CloudSimulation::pm_cpu_utilization(PmIndex pm) const {
-  const Datacenter::PmState& state = dc_.pm(pm);
+  const Datacenter::PmView state = dc_.pm(pm);
   double demand = 0.0;
   for (const Datacenter::PlacedVm& placed : state.vms) demand += vm_cpu_ghz(placed.vm.id);
   const double capacity = dc_.catalog().pm_type(state.type_index).total_cpu_ghz();
@@ -72,7 +72,7 @@ double CloudSimulation::pm_cpu_utilization(PmIndex pm) const {
 }
 
 std::vector<double> CloudSimulation::pm_core_utilizations(PmIndex pm) const {
-  const Datacenter::PmState& state = dc_.pm(pm);
+  const Datacenter::PmView state = dc_.pm(pm);
   const PmType& type = dc_.catalog().pm_type(state.type_index);
   std::vector<double> demand(static_cast<std::size_t>(type.cores), 0.0);
   for (const Datacenter::PlacedVm& placed : state.vms) {

@@ -45,14 +45,14 @@ double GeniController::vm_cpu_ghz(VmId job) const {
 }
 
 double GeniController::pm_cpu_utilization(PmIndex instance) const {
-  const Datacenter::PmState& state = dc_.pm(instance);
+  const Datacenter::PmView state = dc_.pm(instance);
   double demand = 0.0;
   for (const Datacenter::PlacedVm& placed : state.vms) demand += vm_cpu_ghz(placed.vm.id);
   return demand / dc_.catalog().pm_type(state.type_index).total_cpu_ghz();
 }
 
 double GeniController::pm_hottest_utilization(PmIndex instance) const {
-  const Datacenter::PmState& state = dc_.pm(instance);
+  const Datacenter::PmView state = dc_.pm(instance);
   const PmType& type = dc_.catalog().pm_type(state.type_index);
   std::vector<double> core_demand(static_cast<std::size_t>(type.cores), 0.0);
   for (const Datacenter::PlacedVm& placed : state.vms) {

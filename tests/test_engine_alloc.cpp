@@ -149,6 +149,79 @@ TEST(EngineAlloc, WarmPlaceAllocatesOnlyWhatTheLedgerDoes) {
   EXPECT_TRUE(datacenter_state_equal(dc, ref));
 }
 
+// Fills `dc` with up to `vms` VMs of random types on random PMs among the
+// first `pms`, each with the first feasible placement, and returns every
+// placed VM's placement indexed by id (ids start at 1).
+std::vector<DemandPlacement> fill_ledger(Datacenter& dc, std::size_t pms, std::size_t vms,
+                                         std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<DemandPlacement> placement_of(1);
+  const std::size_t types = dc.catalog().vm_types().size();
+  for (std::size_t attempt = 0; attempt < 4 * vms && placement_of.size() <= vms; ++attempt) {
+    const PmIndex pm = rng.uniform_index(pms);
+    const Vm vm{static_cast<VmId>(placement_of.size()), rng.uniform_index(types)};
+    auto options = dc.placements(pm, vm.type_index);
+    if (options.empty()) continue;
+    dc.place(pm, vm, options.front());
+    placement_of.push_back(std::move(options.front()));
+  }
+  return placement_of;
+}
+
+// The ledger's own share of churn: releasing a VM and placing it again. Once
+// the slot pool and the id map have grown to the live population, a place
+// and a remove touch only flat arrays and allocate nothing — about 5000 used
+// PMs, PMs turning unused and used again included.
+TEST(LedgerAlloc, WarmPlaceAndRemoveAllocateNothing) {
+  const Catalog catalog = ec2_sim_catalog();
+  Datacenter dc(catalog, mixed_pm_fleet(catalog, 10000));
+  const std::vector<DemandPlacement> placement_of = fill_ledger(dc, 5000, 30000, 0x1ed9);
+  ASSERT_GT(dc.used_count(), 4500u);
+
+  // Each unit releases a random live VM and places it back on its PM with
+  // its recorded assignments (always feasible: the room it left is free).
+  Rng rng(17);
+  std::vector<VmId> churn(20000);
+  for (VmId& id : churn) id = static_cast<VmId>(1 + rng.uniform_index(placement_of.size() - 1));
+  const auto run = [&] {
+    for (const VmId id : churn) {
+      const PmIndex pm = *dc.pm_of(id);
+      const Vm vm = dc.remove(id).vm;
+      dc.place(pm, vm, placement_of[id]);
+    }
+  };
+  run();  // warm-up
+  const std::size_t used_before = dc.used_count();
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  run();
+  const std::size_t allocs = g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(allocs, 0u) << static_cast<double>(allocs) / static_cast<double>(churn.size())
+                        << " allocations per release+place unit";
+  EXPECT_EQ(dc.used_count(), used_before);
+  dc.check_index_invariants();
+}
+
+// rebalance_scan copies the whole ledger on the loop thread. The copy is a
+// fixed set of flat arrays, so its heap traffic must not depend on how many
+// VMs the ledger holds.
+TEST(LedgerAlloc, CopyAllocationsDoNotGrowWithVmCount) {
+  const Catalog catalog = ec2_sim_catalog();
+  const auto copy_allocations = [&](std::size_t vms) {
+    Datacenter dc(catalog, mixed_pm_fleet(catalog, 10000));
+    fill_ledger(dc, 10000, vms, 0xc0b1);
+    EXPECT_GE(dc.vm_count(), vms * 9 / 10);
+    const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+    const Datacenter copy = dc;
+    const std::size_t allocs = g_allocations.load(std::memory_order_relaxed) - before;
+    EXPECT_EQ(copy.vm_count(), dc.vm_count());
+    return allocs;
+  };
+  const std::size_t small = copy_allocations(3000);
+  const std::size_t large = copy_allocations(30000);
+  EXPECT_EQ(small, large) << "copying 3k VMs took " << small << " allocations, 30k took "
+                          << large;
+}
+
 // The cell channel's submit path (cell_channel.cpp) encodes every request
 // as PRVB1 into one member buffer it clears and reuses — the fix this test
 // pins down: a warm channel must encode without touching the heap at all.

@@ -93,5 +93,62 @@ TEST(FlatMap, ReserveAvoidsGrowthAndClearResets) {
   EXPECT_EQ(*map.find(3), 4);
 }
 
+TEST(FlatIdMap, InsertFindEraseBasics) {
+  FlatIdMap map;
+  EXPECT_EQ(map.find(0), FlatIdMap::kNone);
+  EXPECT_EQ(map.erase(0), FlatIdMap::kNone);
+  EXPECT_TRUE(map.insert(0, 5));
+  EXPECT_TRUE(map.insert(0xFFFFFFFFu, 6)) << "every key is valid, the all-ones key too";
+  EXPECT_FALSE(map.insert(0, 7)) << "insert keeps the existing value";
+  EXPECT_EQ(map.find(0), 5u);
+  EXPECT_EQ(map.find(0xFFFFFFFFu), 6u);
+  EXPECT_EQ(map.size(), 2u);
+  EXPECT_EQ(map.erase(0), 5u);
+  EXPECT_EQ(map.erase(0), FlatIdMap::kNone);
+  EXPECT_EQ(map.find(0), FlatIdMap::kNone);
+  EXPECT_EQ(map.size(), 1u);
+  map.clear();
+  EXPECT_TRUE(map.empty());
+  EXPECT_EQ(map.find(0xFFFFFFFFu), FlatIdMap::kNone);
+}
+
+// Random inserts and erases against std::unordered_map: backward-shift
+// erase must keep every surviving key reachable, including across probe
+// runs that wrap the end of the table, and churn must not grow the table.
+TEST(FlatIdMap, ChurnMatchesReferenceWithoutGrowing) {
+  FlatIdMap map;
+  std::unordered_map<std::uint32_t, std::uint32_t> reference;
+  Rng rng(7);
+  const auto key_of = [&] { return static_cast<std::uint32_t>(rng.uniform_index(3000)); };
+  for (int i = 0; i < 2000; ++i) {
+    const std::uint32_t key = key_of();
+    EXPECT_EQ(map.insert(key, key + 1), reference.try_emplace(key, key + 1).second);
+  }
+  const std::size_t capacity = map.capacity();
+  for (int i = 0; i < 200000; ++i) {
+    const std::uint32_t key = key_of();
+    if (i % 2 == 0) {
+      const auto it = reference.find(key);
+      const std::uint32_t expected = it == reference.end() ? FlatIdMap::kNone : it->second;
+      if (it != reference.end()) reference.erase(it);
+      ASSERT_EQ(map.erase(key), expected) << "erase #" << i;
+    } else {
+      ASSERT_EQ(map.insert(key, key + 1), reference.try_emplace(key, key + 1).second);
+    }
+    ASSERT_EQ(map.size(), reference.size());
+  }
+  EXPECT_LE(map.capacity(), 2 * capacity) << "a churning population must not keep growing";
+  for (std::uint32_t key = 0; key < 3000; ++key) {
+    const auto it = reference.find(key);
+    EXPECT_EQ(map.find(key), it == reference.end() ? FlatIdMap::kNone : it->second) << key;
+  }
+  std::size_t visited = 0;
+  map.for_each([&](std::uint32_t key, std::uint32_t value) {
+    EXPECT_EQ(reference.at(key), value);
+    ++visited;
+  });
+  EXPECT_EQ(visited, reference.size());
+}
+
 }  // namespace
 }  // namespace prvm

@@ -201,7 +201,7 @@ TEST(DemandFits, AgreesWithEnumerationOnRandomInstances) {
     std::sort(items.begin(), items.end(), std::greater<int>());
     const QuantizedDemand demand{{items}};
 
-    const bool fits = demand_fits(shape, current, demand);
+    const bool fits = demand_fits(shape, current.levels(), demand);
     const bool enumerable = !enumerate_placements(shape, current, demand).empty();
     EXPECT_EQ(fits, enumerable) << "trial " << trial;
   }

@@ -78,7 +78,7 @@ TEST(ProfileGraph, SinksCannotAccommodateAnyVm) {
   for (NodeId s : sinks) {
     const Profile p = g.profile_of(s);
     for (const QuantizedDemand& d : g.demands()) {
-      EXPECT_FALSE(demand_fits(g.shape(), p, d)) << p.describe();
+      EXPECT_FALSE(demand_fits(g.shape(), p.levels(), d)) << p.describe();
     }
   }
   // The best profile is among the sinks.

@@ -136,7 +136,7 @@ TEST_P(ScoreTablePropertySweep, TableInvariantsAcrossRandomCatalogs) {
     EXPECT_LE(s, 1.0 + 1e-6);
     const Profile p = graph.profile_of(u);
     for (std::size_t t = 0; t < fitting.demands.size(); ++t) {
-      const bool fits = demand_fits(shape, p, fitting.demands[t]);
+      const bool fits = demand_fits(shape, p.levels(), fitting.demands[t]);
       EXPECT_EQ(table.best_after(graph.key_of(u), t).has_value(), fits);
     }
   }

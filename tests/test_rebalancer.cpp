@@ -562,6 +562,7 @@ TEST_F(RebalancerServiceTest, HealthAndRebalanceOpExposeThePlanner) {
 
 TEST_F(RebalancerServiceTest, UtilOpFeedsTheMapAndValidatesItsTarget) {
   auto service = make_service(2);
+  ASSERT_TRUE(service->execute(place_request(9, 0)).ok);
   service->start();
 
   Request sample;
@@ -573,6 +574,13 @@ TEST_F(RebalancerServiceTest, UtilOpFeedsTheMapAndValidatesItsTarget) {
   const auto stored = service->utilization_map().vm_fraction(9, obs::now_ns());
   ASSERT_TRUE(stored.has_value());
   EXPECT_NEAR(*stored, 0.75, 1e-3) << "negligible decay between ingest and read";
+
+  Request unknown = sample;
+  unknown.vm_id = 10;
+  const Response unknown_ok = service->submit(unknown).get();
+  EXPECT_TRUE(unknown_ok.ok) << "a sample for an unplaced VM is not an error";
+  EXPECT_FALSE(service->utilization_map().vm_fraction(10, obs::now_ns()).has_value())
+      << "a sample for a VM the ledger does not hold must not take a slot";
 
   Request pm_sample;
   pm_sample.op = RequestOp::kUtil;
@@ -588,6 +596,50 @@ TEST_F(RebalancerServiceTest, UtilOpFeedsTheMapAndValidatesItsTarget) {
   EXPECT_FALSE(rejected.ok);
   EXPECT_EQ(rejected.error, "bad_field");
   service->drain();
+}
+
+// A feed of ids the ledger never held, ten times the VM table's capacity,
+// through both entry points: none of it may take a slot, so samples for live
+// VMs still land afterwards.
+TEST_F(RebalancerServiceTest, UnknownVmSamplesNeverFillTheTable) {
+  auto service = make_service(2);
+  const UtilizationMap& map = service->utilization_map();
+  const std::uint64_t flood = 10 * map.vm_capacity();
+  const auto util = [](std::uint64_t vm) {
+    Request request;
+    request.op = RequestOp::kUtil;
+    request.vm_id = vm;
+    request.cpu = 0.5;
+    return request;
+  };
+  constexpr std::uint64_t kLive = 6;
+  for (std::uint64_t vm = 1; vm <= kLive; ++vm) {
+    ASSERT_TRUE(service->execute(place_request(vm, 0)).ok);
+  }
+  ASSERT_TRUE(service->execute(util(1)).ok);
+
+  for (std::uint64_t i = 0; i < flood; ++i) {
+    ASSERT_TRUE(service->execute(util(1'000'000 + i)).ok);
+  }
+  service->start();
+  for (std::uint64_t i = 0; i < flood; ++i) {
+    ASSERT_TRUE(service->submit(util(5'000'000 + i)).get().ok);
+  }
+  for (std::uint64_t vm = 2; vm <= kLive; ++vm) {
+    ASSERT_TRUE(service->submit(util(vm)).get().ok);
+  }
+  service->drain();
+
+  const std::uint64_t now = obs::now_ns();
+  for (std::uint64_t vm = 1; vm <= kLive; ++vm) {
+    EXPECT_TRUE(map.vm_fraction(static_cast<VmId>(vm), now).has_value())
+        << "live VM " << vm << " lost its sample";
+  }
+  EXPECT_FALSE(map.vm_fraction(1'000'000, now).has_value());
+  EXPECT_FALSE(map.vm_fraction(static_cast<VmId>(5'000'000 + flood - 1), now).has_value());
+  const obs::Registry& reg = service->metrics_registry();
+  EXPECT_EQ(reg.find_counter("prvm_rebal_util_unknown_total")->value(), 2 * flood);
+  EXPECT_EQ(reg.find_counter("prvm_rebal_util_dropped_total")->value(), 0u);
 }
 
 TEST(RebalanceProtocolTest, UtilAndRebalanceParsing) {
