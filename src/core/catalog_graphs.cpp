@@ -85,10 +85,13 @@ ScoreTable load_or_build(const Catalog& catalog, std::size_t p, const ScoreTable
   return table;
 }
 
-// Hands the pages a table build freed back to the OS. Once glibc's mmap
-// threshold has grown to the build's large arrays, later ones come from the
-// main heap, and one live allocation above them would keep tens of MB
-// resident for the life of a daemon.
+// Hands the pages a table build freed back to the OS: malloc_trim(0)
+// releases the free pages inside every arena and the free top of the main
+// heap, but not the free top of a worker thread's arena, which the trim
+// threshold prvm_serve pins (common/allocator.hpp) takes care of. The build's
+// freed arrays sit inside the heap too, so the daemon needs both: without
+// the trim it kept 6.0-17 MB of anonymous memory instead of 5.6 MB, and a
+// process that pins nothing keeps 26 MB instead of 8.7.
 void release_freed_memory() {
 #if defined(__GLIBC__)
   malloc_trim(0);

@@ -41,12 +41,11 @@ class Fnv {
   std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 
-// 'R2': the best_ array turned demand-major and node numbering turned
-// canonical; R1 caches would deserialize into the wrong layout, so the
-// magic bump invalidates them wholesale.
-constexpr char kMagic[8] = {'P', 'R', 'V', 'M', 'S', 'C', 'R', '2'};
-// 'I2': the ranked arena left the image; an I1 image is rebuilt, not misread.
-constexpr char kImageMagic[8] = {'P', 'R', 'V', 'M', 'S', 'C', 'I', '2'};
+// 'R3'/'I3': best-successor entries shrank from 8 to 4 bytes (the score
+// moved out to scores_). Files of an earlier version would deserialize into
+// the wrong layout, so the magic bump has them rebuilt wholesale.
+constexpr char kMagic[8] = {'P', 'R', 'V', 'M', 'S', 'C', 'R', '3'};
+constexpr char kImageMagic[8] = {'P', 'R', 'V', 'M', 'S', 'C', 'I', '3'};
 
 template <typename T>
 void write_pod(std::ostream& os, const T& value) {
@@ -62,6 +61,20 @@ void read_pod(std::istream& is, T& value) {
 /// Section alignment of the image format: every array starts on a 64-byte
 /// boundary so mapped pointers are cache-line (and type-) aligned.
 constexpr std::size_t align_up(std::size_t offset) { return (offset + 63) & ~std::size_t{63}; }
+
+// Throws unless every best-successor id names a node or is kNoFit and every
+// hash-index value names a node. A flipped byte in a cache file or image
+// would otherwise become an out-of-bounds read in key_of or node_score.
+void check_node_ids(std::span<const ScoreTable::BestEntry> best,
+                    std::span<const NodeId> index_values, std::size_t node_count,
+                    const std::filesystem::path& path) {
+  bool ok = true;
+  for (const ScoreTable::BestEntry& e : best) {
+    ok &= e.successor < node_count || e.successor == ScoreTable::kNoFit;
+  }
+  for (NodeId v : index_values) ok &= v < node_count;
+  PRVM_REQUIRE(ok, "node id out of range in score-table file: " + path.string());
+}
 
 std::string stage_metric(std::string_view stage) {
   return "prvm_score_table_" + std::string(stage) + "_ns";
@@ -284,12 +297,13 @@ void ScoreTable::fill_demand_block(const ProfileGraph& graph, std::size_t t) {
       succ.clear();
       enumerate_successor_keys(graph.shape(), graph.key_of(static_cast<NodeId>(u)), demand, succ);
       BestEntry entry;
+      float best_score = 0.0F;
       for (ProfileKey key : succ) {
         const std::optional<NodeId> v = graph.find_node(key);
         PRVM_CHECK(v.has_value(), "successor missing from graph");
         const float s = scores[*v];
-        if (entry.successor == kNoFit || s > entry.score) {
-          entry.score = s;
+        if (entry.successor == kNoFit || s > best_score) {
+          best_score = s;
           entry.successor = *v;
         }
       }
@@ -320,9 +334,9 @@ std::optional<ScoreTable::Best> ScoreTable::best_after_node(NodeId node,
                                                             std::size_t demand_index) const {
   PRVM_REQUIRE(demand_index < demand_count_, "demand index out of range");
   PRVM_REQUIRE(node < node_count_, "node out of range");
-  const BestEntry& entry = best_data()[demand_index * node_count_ + node];
-  if (entry.successor == kNoFit) return std::nullopt;
-  return Best{static_cast<double>(entry.score), keys_data()[entry.successor]};
+  const NodeId successor = best_data()[demand_index * node_count_ + node].successor;
+  if (successor == kNoFit) return std::nullopt;
+  return Best{static_cast<double>(node_score(successor)), keys_data()[successor]};
 }
 
 double ScoreTable::score(ProfileKey key) const {
@@ -336,9 +350,7 @@ std::optional<ScoreTable::Best> ScoreTable::best_after(ProfileKey current,
   PRVM_REQUIRE(demand_index < demand_count_, "demand index out of range");
   const NodeId* node = index_find(current);
   PRVM_REQUIRE(node != nullptr, "profile not present in score table");
-  const BestEntry& entry = best_data()[demand_index * node_count_ + *node];
-  if (entry.successor == kNoFit) return std::nullopt;
-  return Best{static_cast<double>(entry.score), keys_data()[entry.successor]};
+  return best_after_node(*node, demand_index);
 }
 
 void ScoreTable::save(const std::filesystem::path& path) const {
@@ -423,6 +435,7 @@ ScoreTable ScoreTable::load(const std::filesystem::path& path) {
   read_pod(is, converged);
   table.iterations_ = iterations;
   table.converged_ = converged != 0;
+  check_node_ids(table.best_, {}, node_count, path);
 
   table.index_.reserve(node_count);
   for (NodeId u = 0; u < node_count; ++u) table.index_.try_emplace(table.keys_[u], u);
@@ -510,9 +523,11 @@ ScoreTable ScoreTable::map_image(const std::filesystem::path& path) {
   table.converged_ = take_u64() != 0;
   const std::uint64_t digest_len = take_u64();
   const std::uint64_t group_count = take_u64();
-  PRVM_REQUIRE(digest_len < 256 && group_count >= 1 && group_count < 64,
+  PRVM_REQUIRE(digest_len < 256 && group_count >= 1 && group_count < 64 &&
+                   table.node_count_ < kNoFit && table.demand_count_ < 1024,
                "corrupt image header: " + path.string());
-  PRVM_REQUIRE(index_capacity != 0 && (index_capacity & (index_capacity - 1)) == 0,
+  PRVM_REQUIRE(index_capacity != 0 && (index_capacity & (index_capacity - 1)) == 0 &&
+                   index_capacity <= length,
                "corrupt image index capacity: " + path.string());
   table.digest_.assign(reinterpret_cast<const char*>(take(digest_len)), digest_len);
   std::vector<DimensionGroup> groups;
@@ -539,6 +554,7 @@ ScoreTable ScoreTable::map_image(const std::filesystem::path& path) {
       reinterpret_cast<const NodeId*>(section(index_capacity * sizeof(NodeId)));
   const auto* idx_full =
       reinterpret_cast<const std::uint8_t*>(section(index_capacity * sizeof(std::uint8_t)));
+  check_node_ids({table.img_best_, n * d}, {idx_values, index_capacity}, n, path);
   table.index_view_ = FlatMap64View<NodeId>(idx_keys, idx_values, idx_full,
                                             static_cast<std::size_t>(index_capacity));
   table.image_ = std::move(image);

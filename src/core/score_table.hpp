@@ -8,9 +8,10 @@
 //
 // Storage is flat and demand-major: best_[slot * n + node] so one VM type's
 // entries are one contiguous block (extending the table with new VM types
-// appends whole blocks). A hot access is one hash probe (node_of) and one
-// 8-byte BestEntry load; the indexed engine pays the probe only when a live
-// profile first enters its per-bucket score cache.
+// appends whole blocks). A hot access is one hash probe (node_of), one
+// 4-byte BestEntry load and one load of the successor's score; the indexed
+// engine pays the probe only when a live profile first enters its per-bucket
+// score cache.
 //
 // The table is self-contained after build (the graph can be discarded) and
 // has three persistence forms: save()/load() (owned binary cache, because
@@ -87,10 +88,10 @@ struct ScoreTableOptions {
 
 class ScoreTable {
  public:
-  /// One best-successor entry: the score of the best profile reachable by
-  /// one placement, and that profile's node. 8 bytes.
+  /// One best-successor entry: the node of the best profile reachable by
+  /// one placement, or kNoFit. 4 bytes; its score is node_score(successor),
+  /// so it is stored once per node instead of once per (node, VM type).
   struct BestEntry {
-    float score = 0.0F;
     NodeId successor = kNoFit;
   };
   static constexpr NodeId kNoFit = static_cast<NodeId>(-1);
@@ -133,11 +134,13 @@ class ScoreTable {
   /// let hot paths resolve the hash once and reuse the id.
   std::optional<NodeId> node_of(ProfileKey key) const;
   ProfileKey key_of(NodeId node) const { return keys_data()[node]; }
+  float node_score(NodeId node) const { return scores_data()[node]; }
   std::optional<Best> best_after_node(NodeId node, std::size_t demand_index) const;
 
   /// The contiguous best-successor block of one VM type, indexed by node —
   /// the raw form of best_after_node for hot loops (no optional, no key
-  /// resolution; check entry.successor != kNoFit).
+  /// resolution; check entry.successor != kNoFit, then read its score with
+  /// node_score).
   std::span<const BestEntry> best_row(std::size_t demand_index) const;
 
   /// Diagnostics from the build.
@@ -145,7 +148,9 @@ class ScoreTable {
   bool pagerank_converged() const { return converged_; }
 
   /// Binary persistence. The file embeds a digest of (shape, options,
-  /// demand fingerprint); load() verifies it and throws on mismatch.
+  /// demand fingerprint) for the caller to check. load() throws on a file of
+  /// another format version, a truncated file, or a best-successor id out
+  /// of range.
   void save(const std::filesystem::path& path) const;
   static ScoreTable load(const std::filesystem::path& path);
 
@@ -155,6 +160,8 @@ class ScoreTable {
   /// accessor straight from the mapping — multiple processes mapping the
   /// same file share one physical copy of the table. The mapping is held by
   /// the returned table (and any copies of it) until the last one dies.
+  /// map_image() throws where load() does, and on a hash-index value out of
+  /// range.
   void save_image(const std::filesystem::path& path) const;
   static ScoreTable map_image(const std::filesystem::path& path);
 

@@ -207,9 +207,9 @@ void PageRankVm::refill(std::size_t pm_type, std::size_t slot, ProfileKey key) {
   cache.tags[slot] = key;
   cache.nodes[slot] = *node;
   for (std::size_t d = 0; d < cache.demands; ++d) {
-    const ScoreTable::BestEntry entry = table.best_row(d)[*node];
+    const NodeId successor = table.best_row(d)[*node].successor;
     cache.scores[d * cache.capacity + slot] =
-        entry.successor == ScoreTable::kNoFit ? kNoFitScore : entry.score;
+        successor == ScoreTable::kNoFit ? kNoFitScore : table.node_score(successor);
   }
   m_.score_lookups->inc();
 }

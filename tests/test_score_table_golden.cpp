@@ -9,16 +9,26 @@
 // deleted, without the ranked fields (which no placement reads any more), so
 // every remaining field is pinned to what that build produced; a build whose
 // parallel loops all run inline on one thread must reproduce it too.
+//
+// The ScoreImage suite serves the same tables from image files: written by
+// two processes at once, corrupted, left over in an older format, and
+// measured for the heap a cold build leaves behind.
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "cluster/catalog.hpp"
+#include "common/allocator.hpp"
+#include "common/flat_map.hpp"
 #include "core/catalog_graphs.hpp"
 #include "run_inline.hpp"
 
@@ -56,8 +66,10 @@ void mix_table(Fnv1a& fnv, const ScoreTable& table) {
     fnv.mix_float(static_cast<float>(table.score(key)));
   }
   for (std::size_t t = 0; t < table.demand_count(); ++t) {
+    // kRecordedHash was taken when each best entry stored its successor's
+    // score (0 with kNoFit); hashing node_score in its place keeps it.
     for (const ScoreTable::BestEntry& e : table.best_row(t)) {
-      fnv.mix_float(e.score);
+      fnv.mix_float(e.successor == ScoreTable::kNoFit ? 0.0F : table.node_score(e.successor));
       fnv.mix(e.successor);
     }
   }
@@ -97,6 +109,161 @@ class TempDir {
  private:
   std::filesystem::path path_;
 };
+
+std::filesystem::path file_of(const std::filesystem::path& dir, const ScoreTable& table,
+                              const char* extension) {
+  return dir / ("scoretable-" + table.digest_string() + extension);
+}
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
+template <typename T>
+T read_at(const std::string& bytes, std::size_t offset) {
+  T value{};
+  std::memcpy(&value, bytes.data() + offset, sizeof value);
+  return value;
+}
+
+// Overwrites sizeof(T) bytes at `offset` in place, as a flipped disk byte would.
+template <typename T>
+void patch_file(const std::filesystem::path& path, std::size_t offset, T value) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekp(static_cast<std::streamoff>(offset));
+  f.write(reinterpret_cast<const char*>(&value), sizeof value);
+  ASSERT_TRUE(f.good());
+}
+
+constexpr std::size_t align64(std::size_t offset) { return (offset + 63) & ~std::size_t{63}; }
+
+// Byte offsets in a save_image() file: a 64-byte header (magic, node count,
+// demand count, index capacity, iterations, converged, digest length, group
+// count), the digest, 12 bytes per group, then keys, scores, best entries
+// and the index's keys, values and occupancy bytes, each section starting on
+// a 64-byte boundary.
+struct ImageLayout {
+  std::size_t best = 0;          ///< first best-successor entry
+  std::size_t index_values = 0;  ///< first hash-index value
+};
+
+ImageLayout image_layout(const std::filesystem::path& path) {
+  const std::string bytes = read_file(path);
+  const auto n = read_at<std::uint64_t>(bytes, 8);
+  const auto d = read_at<std::uint64_t>(bytes, 16);
+  const auto capacity = read_at<std::uint64_t>(bytes, 24);
+  const auto digest_len = read_at<std::uint64_t>(bytes, 48);
+  const auto groups = read_at<std::uint64_t>(bytes, 56);
+  const std::size_t keys = align64(64 + digest_len + 12 * groups);
+  const std::size_t scores = align64(keys + n * sizeof(ProfileKey));
+  ImageLayout layout;
+  layout.best = align64(scores + n * sizeof(float));
+  const std::size_t index_keys = align64(layout.best + n * d * sizeof(NodeId));
+  layout.index_values = align64(index_keys + capacity * sizeof(std::uint64_t));
+  return layout;
+}
+
+// The first best-successor entry of a save() file: magic, digest length and
+// digest, group count and 12 bytes per group, demand and node counts, then
+// keys and scores.
+std::size_t cache_best_offset(const ScoreTable& table) {
+  return 8 + 8 + table.digest_string().size() + 8 + 12 * table.shape().groups().size() + 16 +
+         table.size() * (sizeof(ProfileKey) + sizeof(float));
+}
+
+// Writers of the version-2 formats (PRVMSCR2 cache, PRVMSCI2 image), whose
+// best-successor entries were 8 bytes and carried their score.
+class V2Writer {
+ public:
+  explicit V2Writer(const std::filesystem::path& path) : os_(path, std::ios::binary) {}
+  template <typename T>
+  void pod(const T& value) {
+    bytes(&value, sizeof value);
+  }
+  void bytes(const void* data, std::size_t size) {
+    os_.write(static_cast<const char*>(data), static_cast<std::streamsize>(size));
+    offset_ += size;
+  }
+  void section(const void* data, std::size_t size) {
+    for (; offset_ % 64 != 0; ++offset_) os_.put('\0');
+    bytes(data, size);
+  }
+
+ private:
+  std::ofstream os_;
+  std::size_t offset_ = 0;
+};
+
+struct V2Arrays {
+  std::vector<ProfileKey> keys;
+  std::vector<float> scores;
+  std::vector<std::pair<float, NodeId>> best;  // {score, successor}, demand-major
+};
+
+V2Arrays v2_arrays(const ScoreTable& table) {
+  V2Arrays a;
+  for (NodeId u = 0; u < table.size(); ++u) {
+    a.keys.push_back(table.key_of(u));
+    a.scores.push_back(table.node_score(u));
+  }
+  for (std::size_t t = 0; t < table.demand_count(); ++t) {
+    for (const ScoreTable::BestEntry& e : table.best_row(t)) {
+      a.best.emplace_back(e.successor == ScoreTable::kNoFit ? 0.0F : table.node_score(e.successor),
+                          e.successor);
+    }
+  }
+  return a;
+}
+
+void write_v2_header_shape(V2Writer& w, const ScoreTable& table) {
+  for (const DimensionGroup& g : table.shape().groups()) {
+    w.pod(static_cast<std::int32_t>(g.kind));
+    w.pod(static_cast<std::int32_t>(g.count));
+    w.pod(static_cast<std::int32_t>(g.capacity));
+  }
+}
+
+void write_v2_cache(const ScoreTable& table, const std::filesystem::path& path) {
+  const V2Arrays a = v2_arrays(table);
+  V2Writer w(path);
+  w.bytes("PRVMSCR2", 8);
+  w.pod(static_cast<std::uint64_t>(table.digest_string().size()));
+  w.bytes(table.digest_string().data(), table.digest_string().size());
+  w.pod(static_cast<std::uint64_t>(table.shape().groups().size()));
+  write_v2_header_shape(w, table);
+  w.pod(static_cast<std::uint64_t>(table.demand_count()));
+  w.pod(static_cast<std::uint64_t>(table.size()));
+  w.bytes(a.keys.data(), a.keys.size() * sizeof(ProfileKey));
+  w.bytes(a.scores.data(), a.scores.size() * sizeof(float));
+  w.bytes(a.best.data(), a.best.size() * sizeof(a.best[0]));
+  w.pod(static_cast<std::int32_t>(table.pagerank_iterations()));
+  w.pod(static_cast<std::uint8_t>(table.pagerank_converged()));
+}
+
+void write_v2_image(const ScoreTable& table, const std::filesystem::path& path) {
+  const V2Arrays a = v2_arrays(table);
+  FlatMap64<NodeId> index;  // built as ScoreTable::build builds its own
+  index.reserve(table.size());
+  for (NodeId u = 0; u < table.size(); ++u) index.try_emplace(a.keys[u], u);
+  V2Writer w(path);
+  w.bytes("PRVMSCI2", 8);
+  w.pod(static_cast<std::uint64_t>(table.size()));
+  w.pod(static_cast<std::uint64_t>(table.demand_count()));
+  w.pod(static_cast<std::uint64_t>(index.capacity()));
+  w.pod(static_cast<std::int64_t>(table.pagerank_iterations()));
+  w.pod(static_cast<std::uint64_t>(table.pagerank_converged()));
+  w.pod(static_cast<std::uint64_t>(table.digest_string().size()));
+  w.pod(static_cast<std::uint64_t>(table.shape().groups().size()));
+  w.bytes(table.digest_string().data(), table.digest_string().size());
+  write_v2_header_shape(w, table);
+  w.section(a.keys.data(), a.keys.size() * sizeof(ProfileKey));
+  w.section(a.scores.data(), a.scores.size() * sizeof(float));
+  w.section(a.best.data(), a.best.size() * sizeof(a.best[0]));
+  w.section(index.keys_data(), index.capacity() * sizeof(std::uint64_t));
+  w.section(index.values_data(), index.capacity() * sizeof(NodeId));
+  w.section(index.full_data(), index.capacity());
+}
 
 TEST(ScoreTableGolden, Ec2SimCatalogTablesMatchRecordedHash) {
   const Catalog catalog = ec2_sim_catalog();
@@ -171,6 +338,141 @@ TEST(ScoreImage, ConcurrentColdStartsInOneEmptyDirAgree) {
   ::close(fds[0]);
   EXPECT_EQ(hashes[0], kRecordedHash) << std::hex << "actual 0x" << hashes[0];
   EXPECT_EQ(hashes[1], hashes[0]);
+}
+
+TEST(ScoreImage, OutOfRangeNodeIdsAreRejectedAndTheImageRebuilt) {
+  // A successor id or a hash-index value that names no node would be read
+  // as an index into keys and scores. map_image must throw on either, and
+  // mapped_score_tables must then rewrite the image and serve the recorded
+  // tables. Each set is dropped before its file is patched in place.
+  const Catalog catalog = ec2_sim_catalog();
+  const TempDir dir("image-corrupt");
+  std::filesystem::path image;
+  NodeId nodes = 0;
+  {
+    const ScoreTableSet set = mapped_score_tables(catalog, dir.path(), {}, nullptr, std::nullopt);
+    image = file_of(dir.path(), set.table(0), ".img");
+    nodes = static_cast<NodeId>(set.table(0).size());
+  }
+  const ImageLayout layout = image_layout(image);
+  for (const std::size_t offset : {layout.best, layout.index_values}) {
+    EXPECT_NO_THROW(ScoreTable::map_image(image));
+    patch_file(image, offset, nodes);
+    EXPECT_THROW(ScoreTable::map_image(image), std::invalid_argument) << "offset " << offset;
+    ScoreImageReport report;
+    const ScoreTableSet set = mapped_score_tables(catalog, dir.path(), {}, &report, std::nullopt);
+    EXPECT_EQ(report.written, 1u);
+    EXPECT_EQ(report.mapped, 1u);
+    const std::uint64_t hash = set_hash(set);
+    EXPECT_EQ(hash, kRecordedHash) << std::hex << "actual 0x" << hash;
+  }
+}
+
+TEST(ScoreImage, LoadRejectsAnOutOfRangeSuccessorId) {
+  const Catalog catalog = ec2_sim_catalog();
+  const ScoreTableSet owned = build_score_tables(catalog, {}, std::nullopt);
+  const ScoreTable& table = owned.table(0);
+  const TempDir dir("cache-corrupt");
+  const std::filesystem::path cache = dir.path() / "t.bin";
+  table.save(cache);
+  EXPECT_EQ(ScoreTable::load(cache).size(), table.size());
+  patch_file(cache, cache_best_offset(table), static_cast<NodeId>(table.size()));
+  EXPECT_THROW(ScoreTable::load(cache), std::invalid_argument);
+}
+
+TEST(ScoreImage, OldFormatFilesAreRebuiltNotMisread) {
+  // Version-2 files (8-byte best entries) left in the image and cache
+  // directories are replaced by version-3 ones, and the tables served on
+  // the way hash to the recorded value.
+  const Catalog catalog = ec2_sim_catalog();
+  const ScoreTableSet owned = build_score_tables(catalog, {}, std::nullopt);
+  const TempDir dir("old-format");
+  const std::filesystem::path images = dir.path() / "img";
+  const std::filesystem::path caches = dir.path() / "cache";
+  std::filesystem::create_directories(images);
+  std::filesystem::create_directories(caches);
+  for (std::size_t p = 0; p < owned.pm_type_count(); ++p) {
+    write_v2_image(owned.table(p), file_of(images, owned.table(p), ".img"));
+    write_v2_cache(owned.table(p), file_of(caches, owned.table(p), ".bin"));
+  }
+
+  ScoreImageReport report;
+  const std::uint64_t mapped_hash =
+      set_hash(mapped_score_tables(catalog, images, {}, &report, caches));
+  EXPECT_EQ(mapped_hash, kRecordedHash) << std::hex << "actual 0x" << mapped_hash;
+  EXPECT_EQ(report.written, owned.pm_type_count());
+  EXPECT_EQ(report.mapped, 0u);
+  const std::uint64_t cached_hash = set_hash(build_score_tables(catalog, {}, caches));
+  EXPECT_EQ(cached_hash, kRecordedHash) << std::hex << "actual 0x" << cached_hash;
+  for (std::size_t p = 0; p < owned.pm_type_count(); ++p) {
+    EXPECT_EQ(read_file(file_of(images, owned.table(p), ".img")).substr(0, 8), "PRVMSCI3");
+    EXPECT_EQ(read_file(file_of(caches, owned.table(p), ".bin")).substr(0, 8), "PRVMSCR3");
+  }
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitizerAllocator = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitizerAllocator = true;
+#else
+constexpr bool kSanitizerAllocator = false;
+#endif
+#else
+constexpr bool kSanitizerAllocator = false;
+#endif
+
+long rss_anon_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("RssAnon:", 0) == 0) return std::stol(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(ScoreImage, ColdBuildLeavesNoAnonResidue) {
+  // prvm_serve pins glibc's malloc thresholds before anything else. A cold
+  // start on an empty image directory must then leave only a little
+  // anonymous memory behind once its tables are served from the images:
+  // about 1 MB, where unpinned thresholds left about 8 MB in freed arena
+  // tops and heap. Measured in a child, so the pinned thresholds and the
+  // build's heap stay out of this process.
+  if (kSanitizerAllocator) GTEST_SKIP() << "sanitizer allocators ignore mallopt";
+#if !defined(__GLIBC__)
+  GTEST_SKIP() << "the thresholds are glibc's";
+#endif
+  constexpr long kBoundKb = 4096;
+  const Catalog catalog = ec2_sim_catalog();
+  const TempDir dir("image-residue");
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    ::close(fds[0]);
+    int status = 1;
+    try {
+      pin_allocator_thresholds();
+      long kb[2] = {rss_anon_kb(), 0};
+      const ScoreTableSet set = mapped_score_tables(catalog, dir.path(), {}, nullptr, std::nullopt);
+      kb[1] = rss_anon_kb();
+      status = ::write(fds[1], kb, sizeof kb) == sizeof kb ? 0 : 1;
+    } catch (...) {
+    }
+    ::_exit(status);
+  }
+  ::close(fds[1]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << "child status " << status;
+  long kb[2] = {0, 0};
+  ASSERT_EQ(::read(fds[0], kb, sizeof kb), static_cast<ssize_t>(sizeof kb));
+  ::close(fds[0]);
+  ASSERT_GT(kb[0], 0);
+  RecordProperty("rss_anon_growth_kb", std::to_string(kb[1] - kb[0]));
+  EXPECT_LT(kb[1] - kb[0], kBoundKb) << "RssAnon " << kb[0] << " kB before the build, " << kb[1]
+                                     << " kB after";
 }
 
 }  // namespace

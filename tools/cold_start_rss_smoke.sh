@@ -1,0 +1,71 @@
+#!/usr/bin/env bash
+# Resident-memory smoke test for a cold-started placement daemon.
+#
+# Starts prvm_serve on an empty score-image directory and an empty table
+# cache, so it builds both EC2 score tables and writes their images, waits
+# until it answers `health`, and asserts that the idle daemon's anonymous
+# resident memory (RssAnon in /proc/<pid>/status) stays under a budget. The
+# tables themselves are served from the file mappings (RssFile), so RssAnon
+# is what the cold build left on the heap plus the daemon's live state.
+#
+# Usage: tools/cold_start_rss_smoke.sh [BUILD_DIR] [MAX_RSS_ANON_KB]
+# e.g.   tools/cold_start_rss_smoke.sh build 8192
+set -euo pipefail
+
+BUILD_DIR="${1:-build}"
+MAX_KB="${2:-8192}"
+SERVE="$BUILD_DIR/tools/prvm_serve"
+[ -x "$SERVE" ] || { echo "build prvm_serve first"; exit 1; }
+
+WORK="$(mktemp -d)"
+SOCK="$WORK/prvm.sock"
+SERVE_PID=""
+cleanup() {
+  [ -n "$SERVE_PID" ] && kill -9 "$SERVE_PID" 2>/dev/null || true
+  rm -rf "$WORK"
+}
+trap cleanup EXIT
+
+"$SERVE" --socket "$SOCK" --fleet 10000 --score-image "$WORK/img" \
+  --cache-dir "$WORK/cache" > "$WORK/serve.log" 2>&1 &
+SERVE_PID=$!
+
+# The cold build takes about a second on 4 CPUs; allow a slow runner 120 s.
+python3 - "$SOCK" "$SERVE_PID" <<'EOF' || { cat "$WORK/serve.log"; exit 1; }
+import json, os, socket, sys, time
+sock, pid = sys.argv[1], int(sys.argv[2])
+deadline = time.monotonic() + 120
+while True:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        sys.exit("FAIL: daemon died during startup")
+    try:
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as s:
+            s.settimeout(2)
+            s.connect(sock)
+            s.sendall(b'{"op":"health"}\n')
+            data = b""
+            while not data.endswith(b"\n"):
+                chunk = s.recv(4096)
+                if not chunk:
+                    break
+                data += chunk
+        if json.loads(data).get("ok"):
+            break
+    except (OSError, ValueError):
+        pass
+    if time.monotonic() > deadline:
+        sys.exit("FAIL: daemon not healthy in 120 s")
+    time.sleep(0.05)
+EOF
+
+grep -h "score" "$WORK/serve.log" || true
+RSS_ANON_KB="$(awk '/^RssAnon:/ {print $2}' "/proc/$SERVE_PID/status")"
+echo "idle cold-started prvm_serve: RssAnon ${RSS_ANON_KB} kB (budget ${MAX_KB} kB)"
+[ "$RSS_ANON_KB" -le "$MAX_KB" ] || { echo "FAIL: RssAnon over budget"; exit 1; }
+
+kill -TERM "$SERVE_PID"
+wait "$SERVE_PID" || { echo "FAIL: graceful drain exited non-zero"; exit 1; }
+SERVE_PID=""
+echo "cold-start RSS smoke OK"

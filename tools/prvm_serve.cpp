@@ -29,6 +29,7 @@
 #include <string>
 #include <thread>
 
+#include "common/allocator.hpp"
 #include "core/catalog_graphs.hpp"
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
@@ -109,6 +110,7 @@ int bad_number(const char* argv0, const std::string& flag) {
 
 int main(int argc, char** argv) {
   using namespace prvm;
+  pin_allocator_thresholds();
 
   std::string socket_path = "/tmp/prvm.sock";
   bool use_tcp = false;
