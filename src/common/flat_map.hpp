@@ -12,7 +12,8 @@
 // split arrays are also the on-disk score-image layout FlatMap64View maps.
 //
 // FlatIdMap is the erasable sibling for 32-bit ids: the datacenter's VM id ->
-// slot index, which gains and loses an entry on every place and release.
+// slot index and the admission controller's VM id -> group, which gain and
+// lose an entry on every place and release.
 #pragma once
 
 #include <cstddef>

@@ -13,7 +13,11 @@
 //
 // The controller's state is part of the durable service state: it is
 // serialized into snapshots and rebuilt by WAL replay, so group guarantees
-// survive a crash.
+// survive a crash. Only live groups are kept: a group exists while it has a
+// member, its last release frees it, and a later place under the same name
+// starts it afresh. A group without members vetoes nothing, so dropping it
+// changes no placement, and the controller's memory and its snapshot block
+// are bounded by the grouped VMs placed now, not by every name ever seen.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +27,7 @@
 #include <vector>
 
 #include "cluster/datacenter.hpp"
+#include "common/flat_map.hpp"
 #include "placement/algorithm.hpp"
 
 namespace prvm {
@@ -53,44 +58,67 @@ const char* to_string(RejectReason reason);
 
 class AdmissionController {
  public:
-  /// Registers intent to place `vm` in `group` (empty = no group) and
-  /// returns the constraints a placement must honor. Call
-  /// record_placement() once the engine committed the placement.
+  /// The constraints a placement in `group` (empty = no group) must honor:
+  /// a veto on every PM that hosts a member. The veto reads the group's
+  /// live PM set by pointer, so it is valid until the next record_*() call;
+  /// call the engine first, then record_placement() once it committed.
   PlacementConstraints constraints_for(const std::string& group) const;
 
   void record_placement(VmId vm, const std::string& group, PmIndex pm);
 
   /// Removes `vm` from its group (no-op for ungrouped VMs). `pm` must be
-  /// the PM it was recorded on.
+  /// the PM it was recorded on. The group's last release frees the group,
+  /// so a reference from group_of() may dangle afterwards.
   void record_release(VmId vm, PmIndex pm);
 
   /// The group of a placed VM; empty when ungrouped / unknown.
   const std::string& group_of(VmId vm) const;
 
   std::size_t grouped_vm_count() const { return group_of_vm_.size(); }
+  /// Live groups: every one has at least one member.
+  std::size_t group_count() const { return group_ids_.size(); }
 
   /// Snapshot persistence (counted text block, embedded in the service
-  /// snapshot between the header and the datacenter blob).
+  /// snapshot between the header and the datacenter blob). The block lists
+  /// the live groups in name-byte order and each VM's group by its rank in
+  /// that order, so its bytes depend only on the live state, not on the
+  /// order groups were created in.
   void serialize(ByteWriter& out) const;
   static AdmissionController deserialize(std::istream& is);
 
-  /// Deep equality (test hook for recovery differential tests).
+  /// Equality of the live state: the same groups, each with the same PM
+  /// multiset, and the same VM -> group map (test hook for recovery
+  /// differential tests).
   bool state_equal(const AdmissionController& other) const;
 
  private:
-  struct Group {
-    std::string name;
-    /// PM -> number of group members hosted there. With the veto active the
-    /// count is always 1, but the map stays correct even if constraints are
-    /// bypassed (e.g. WAL replay of a historic decision).
-    std::unordered_map<PmIndex, std::size_t> pms;
+  /// A PM hosting group members, and how many.
+  struct PmCount {
+    std::uint32_t pm = 0;
+    std::uint32_t count = 0;
+    bool operator==(const PmCount&) const = default;
   };
 
-  std::uint32_t group_id(const std::string& name);
+  struct Group {
+    std::string name;
+    /// The PMs hosting members, sorted by PM. With the veto active every
+    /// count is 1, but the set stays correct even if constraints are
+    /// bypassed (e.g. WAL replay of a historic decision). Groups are small,
+    /// so a sorted array is the smallest set and the snapshot writes it as
+    /// it stands.
+    std::vector<PmCount> pms;
+  };
 
-  std::vector<Group> groups_;
-  std::unordered_map<std::string, std::uint32_t> group_ids_;
-  std::unordered_map<VmId, std::uint32_t> group_of_vm_;
+  /// The slot of the live group `name`, created (in a free slot if there is
+  /// one) when absent.
+  std::uint32_t group_id(const std::string& name);
+  /// Frees an empty group: its name entry, its PM storage and its slot.
+  void drop_group(std::uint32_t id);
+
+  std::vector<Group> groups_;               ///< by slot; free slots are empty
+  std::vector<std::uint32_t> free_slots_;   ///< reused before groups_ grows
+  std::unordered_map<std::string, std::uint32_t> group_ids_;  ///< live name -> slot
+  FlatIdMap group_of_vm_;                   ///< VM id -> slot
 };
 
 }  // namespace prvm

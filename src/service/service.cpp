@@ -153,6 +153,8 @@ void PlacementService::init_metrics() {
   m_.wal_lag = &r.gauge("prvm_wal_lag");
   m_.max_batch = &r.gauge("prvm_max_batch");
   m_.flush_queue_depth = &r.gauge("prvm_flush_queue_depth");
+  m_.admission_groups = &r.gauge("prvm_admission_groups");
+  m_.admission_grouped_vms = &r.gauge("prvm_admission_grouped_vms");
   m_.queue_wait_ns = &r.histogram("prvm_queue_wait_ns");
   m_.batch_size = &r.histogram("prvm_batch_size");
   m_.place_compute_ns = &r.histogram("prvm_place_compute_ns");
@@ -522,6 +524,8 @@ Response PlacementService::migrate(const Request& request) {
   if (!old_pm.has_value()) {
     return reject(request, RejectReason::kUnknownVm, "VM id is not placed");
   }
+  // A copy: releasing a group's only member below frees the group, and the
+  // record_placement after it re-creates the group under this name.
   const std::string group = admission_.group_of(vm);
 
   const Datacenter::PlacedVm removed = dc_.remove(vm);
@@ -1068,6 +1072,8 @@ Response PlacementService::stats_response() {
   add("op_seq", op_seq_);
   add("group_members", group_dir_.member_count());
   add("group_pending", group_dir_.pending_count());
+  add("admission_groups", admission_.group_count());
+  add("grouped_vms", admission_.grouped_vm_count());
   // 64-bit digest goes out as a string: JSON numbers lose precision > 2^53.
   response.extra.emplace_back("state_digest",
                               json_quote(std::to_string(datacenter_state_digest(dc_))));
@@ -1655,6 +1661,8 @@ void PlacementService::run_pass() {
   m_.max_batch->set_max(static_cast<std::int64_t>(count));
   max_batch_seen_ = std::max<std::uint64_t>(max_batch_seen_, count);
   m_.wal_lag->set(static_cast<std::int64_t>(op_seq_ - snapshot_op_seq_));
+  m_.admission_groups->set(static_cast<std::int64_t>(admission_.group_count()));
+  m_.admission_grouped_vms->set(static_cast<std::int64_t>(admission_.grouped_vm_count()));
 
   if (config_.snapshot_every_ops > 0 && !degraded_.load(std::memory_order_relaxed) &&
       op_seq_ - snapshot_op_seq_ >= config_.snapshot_every_ops) {

@@ -490,6 +490,8 @@ class PlacementService : public RequestSink {
     obs::Gauge* wal_lag = nullptr;
     obs::Gauge* max_batch = nullptr;
     obs::Gauge* flush_queue_depth = nullptr;  ///< batches awaiting their flush
+    obs::Gauge* admission_groups = nullptr;   ///< live anti-collocation groups
+    obs::Gauge* admission_grouped_vms = nullptr;
     obs::Histogram* queue_wait_ns = nullptr;
     obs::Histogram* batch_size = nullptr;
     obs::Histogram* place_compute_ns = nullptr;

@@ -58,6 +58,7 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::f
 
 #include "cluster/catalog.hpp"
 #include "cluster/datacenter.hpp"
+#include "common/byte_writer.hpp"
 #include "common/rng.hpp"
 #include "core/catalog_graphs.hpp"
 #include "placement/pagerank_vm.hpp"
@@ -147,6 +148,86 @@ TEST(EngineAlloc, WarmPlaceAllocatesOnlyWhatTheLedgerDoes) {
       << "place() allocated " << engine_allocs << " times across " << kRounds
       << " warm rounds; the bare ledger updates alone allocated " << ledger_allocs;
   EXPECT_TRUE(datacenter_state_equal(dc, ref));
+}
+
+// A grouped place as the service runs it: the group's veto, the engine's
+// constrained pick, the ledger commit and the group record, then the
+// release. The veto borrows the group's PM set by pointer (no copy into the
+// std::function) and the group and VM maps are flat, so once warm a place
+// into a group that already has members, and its release, allocate nothing.
+TEST(AdmissionAlloc, WarmGroupedPlaceAndReleaseAllocateNothing) {
+  const Catalog catalog = ec2_sim_catalog();
+  const auto tables =
+      std::make_shared<const ScoreTableSet>(build_score_tables(catalog, {}, std::nullopt));
+  Datacenter dc(catalog, std::vector<std::size_t>(64, 0));
+  PageRankVm engine(tables, {});
+  AdmissionController admission;
+  std::vector<std::string> groups;
+  for (int g = 0; g < 8; ++g) {
+    groups.push_back("group-with-a-heap-allocated-name-" + std::to_string(g));
+  }
+
+  Rng rng(23);
+  VmId next_id = 1;
+  const std::size_t vm_types = catalog.vm_types().size();
+  for (int i = 0; i < 160; ++i) {
+    const Vm vm{next_id++, rng.uniform_index(vm_types)};
+    const std::string& group = groups[i % groups.size()];
+    const std::optional<PmIndex> pm = engine.place(dc, vm, admission.constraints_for(group));
+    if (!pm.has_value()) break;
+    admission.record_placement(vm.id, group, *pm);
+  }
+  ASSERT_EQ(admission.group_count(), groups.size());
+
+  std::size_t refused = 0;  // checked after counting: no gtest inside the window
+  const auto round = [&] {
+    for (std::size_t v = 0; v < vm_types; ++v) {
+      const Vm vm{static_cast<VmId>(next_id + v), v};
+      const std::string& group = groups[v % groups.size()];
+      const std::optional<PmIndex> pm = engine.place(dc, vm, admission.constraints_for(group));
+      if (!pm.has_value()) {
+        ++refused;
+        continue;
+      }
+      admission.record_placement(vm.id, group, *pm);
+      admission.record_release(vm.id, *pm);
+      dc.remove(vm.id);
+    }
+  };
+  round();
+  round();
+  refused = 0;
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int r = 0; r < 50; ++r) round();
+  const std::size_t allocs = g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(refused, 0u);
+  EXPECT_EQ(allocs, 0u) << allocs << " allocations across 50 warm rounds of " << vm_types
+                        << " grouped place+release";
+  EXPECT_EQ(admission.group_count(), groups.size());
+}
+
+// A group is freed with its last member: churning 100k VMs through 33k
+// distinct groups (a new group every 3 places, at most ~1000 VMs live)
+// leaves the controller with nothing, and its snapshot block empty.
+TEST(AdmissionAlloc, ChurnThroughManyGroupsLeavesNoGroupBehind) {
+  AdmissionController admission;
+  constexpr VmId kVms = 100000;
+  constexpr VmId kLive = 1000;
+  std::size_t peak_groups = 0;
+  for (VmId vm = 1; vm <= kVms + kLive; ++vm) {
+    if (vm <= kVms) {
+      admission.record_placement(vm, "tenant-" + std::to_string(vm / 3), vm % 500);
+    }
+    if (vm > kLive) admission.record_release(vm - kLive, (vm - kLive) % 500);
+    peak_groups = std::max(peak_groups, admission.group_count());
+  }
+  EXPECT_LE(peak_groups, kLive / 3 + 2) << "only groups with a live member are kept";
+  EXPECT_EQ(admission.group_count(), 0u);
+  EXPECT_EQ(admission.grouped_vm_count(), 0u);
+  std::string block;
+  ByteWriter out(block);
+  admission.serialize(out);
+  EXPECT_EQ(block, "groups 0\nvms 0\n");
 }
 
 // Fills `dc` with up to `vms` VMs of random types on random PMs among the

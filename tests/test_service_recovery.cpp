@@ -11,6 +11,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -359,6 +360,84 @@ TEST_F(ServiceRecoveryTest, UnopenableSnapshotRefusesToStart) {
   std::filesystem::create_symlink("snapshot.bin", dir.path() / "snapshot.bin");
   EXPECT_THROW(load_snapshot(dir.path() / "snapshot.bin", catalog_), std::exception);
   EXPECT_THROW(make_service(dir.path(), 0), std::exception);
+}
+
+// The admission block of a snapshot depends only on live state, so a
+// service rebuilt from a periodic snapshot plus its WAL tail writes the very
+// snapshot bytes of the live service at the same op_seq: after 10k grouped
+// places, releases and migrates, with groups dying and coming back and sole
+// members migrating (which frees and re-creates their group).
+TEST_F(ServiceRecoveryTest, RecoveredServiceWritesTheLiveSnapshotBytes) {
+  TempDir dir("canonical-bytes");
+  ServiceConfig config;
+  config.data_dir = dir.path();
+  config.snapshot_every_ops = 997;
+  const auto make = [&] {
+    return std::make_unique<PlacementService>(catalog_, mixed_pm_fleet(catalog_, 64), tables_,
+                                              config);
+  };
+  auto service = make();
+  service->start();
+
+  Rng rng(0x5ca1e);
+  std::vector<VmId> live;
+  std::unordered_map<VmId, std::string> group_of;    // acked group per live VM
+  std::unordered_map<std::string, int> members;      // acked members per group
+  std::size_t group_deaths = 0;
+  std::size_t sole_member_migrates = 0;
+  VmId next_vm = 1;
+  for (int op = 0; op < 10000; ++op) {
+    const int dice = rng.uniform_int(0, 99);
+    Request request;
+    if (dice < 45 || live.empty()) {
+      request.op = RequestOp::kPlace;
+      request.vm_id = next_vm++;
+      request.vm_type_index = rng.uniform_index(catalog_.vm_types().size());
+      if (rng.chance(0.7)) request.group = "g" + std::to_string(rng.uniform_int(0, 299));
+      if (service->submit(request).get().ok) {
+        live.push_back(static_cast<VmId>(request.vm_id));
+        if (!request.group.empty()) {
+          ++members[request.group];
+          group_of[static_cast<VmId>(request.vm_id)] = request.group;
+        }
+      }
+    } else if (dice < 85) {
+      const std::size_t pick = rng.uniform_index(live.size());
+      request.op = RequestOp::kRelease;
+      request.vm_id = live[pick];
+      ASSERT_TRUE(service->submit(request).get().ok);
+      const auto it = group_of.find(live[pick]);
+      if (it != group_of.end()) {
+        group_deaths += --members[it->second] == 0;
+        group_of.erase(it);
+      }
+      live[pick] = live.back();
+      live.pop_back();
+    } else {
+      request.op = RequestOp::kMigrate;
+      request.vm_id = live[rng.uniform_index(live.size())];
+      const auto it = group_of.find(static_cast<VmId>(request.vm_id));
+      if (service->submit(request).get().ok && it != group_of.end() &&
+          members[it->second] == 1) {
+        ++sole_member_migrates;
+      }
+    }
+  }
+  service->stop_now();
+  EXPECT_GT(group_deaths, 500u);
+  EXPECT_GT(sole_member_migrates, 50u);
+  ASSERT_GT(service->stats().snapshots, 0u);
+  ASSERT_GT(service->admission().group_count(), 0u);
+
+  auto recovered = make();
+  const ServiceStats stats = recovered->stats();
+  EXPECT_GT(stats.replayed_records, 0u) << "recovery must replay a WAL tail past the snapshot";
+  ASSERT_EQ(stats.op_seq, service->stats().op_seq);
+  EXPECT_TRUE(service->admission().state_equal(recovered->admission()));
+  EXPECT_EQ(serialize_snapshot(recovered->datacenter(), recovered->admission(),
+                               recovered->group_directory(), stats.op_seq),
+            serialize_snapshot(service->datacenter(), service->admission(),
+                               service->group_directory(), stats.op_seq));
 }
 
 TEST_F(ServiceRecoveryTest, DrainTruncatesWalAndRecoversFromSnapshotAlone) {

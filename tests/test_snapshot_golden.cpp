@@ -1,17 +1,24 @@
 // Golden bytes for the PRVMSNAP2 service snapshot.
 //
-// snapshot_v2.golden holds the snapshot of a fixed, seeded ledger: VMs with
+// Both golden files hold the snapshot of one fixed, seeded ledger: VMs with
 // several per-core and per-disk assignments, PMs freed again, admission
-// groups whose names carry ':', spaces, newlines and 0xFF bytes, and a group
-// directory with pending and committed members. Both writers of the format,
-// save_snapshot (to a file) and serialize_snapshot (the in-memory blob
-// follower catch-up ships), must reproduce it byte for byte, and
-// parse_snapshot of it must rebuild the same state. A v1 (PRVMSNAP1) blob
-// cut from it must still load.
+// groups whose names carry ':', spaces, newlines and 0xFF bytes (one of them
+// empties and is placed into again), and a group directory with pending and
+// committed members.
 //
-// On a mismatch the test writes the bytes it produced to
-// snapshot_v2.golden.actual next to the golden file; copying that file over
-// the recorded one re-records it.
+// snapshot_v2_live.golden is what the current writer produces: live groups
+// only, in name-byte order. Both writers of the format, save_snapshot (to a
+// file) and serialize_snapshot (the in-memory blob follower catch-up ships),
+// must reproduce it byte for byte.
+//
+// snapshot_v2.golden is the same ledger as written before groups were
+// dropped with their last member (groups in creation order). It stays as
+// recorded: parse_snapshot of it must rebuild the same state, and a v1
+// (PRVMSNAP1) blob cut from it must still load.
+//
+// On a mismatch the writer tests write the bytes they produced to
+// snapshot_v2_live.golden.actual next to the golden file; copying that file
+// over the recorded one re-records it.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -64,6 +71,9 @@ struct GoldenLedger {
 };
 
 std::string golden_path() { return std::string(PRVM_TEST_DATA_DIR) + "/snapshot_v2.golden"; }
+std::string live_golden_path() {
+  return std::string(PRVM_TEST_DATA_DIR) + "/snapshot_v2_live.golden";
+}
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -73,15 +83,16 @@ std::string read_file(const std::string& path) {
 // Byte comparison against the recorded file; on a difference writes the
 // produced bytes beside it and reports the first differing offset.
 void expect_golden(const std::string& bytes, const char* writer) {
-  const std::string recorded = read_file(golden_path());
-  EXPECT_FALSE(recorded.empty()) << "missing golden " << golden_path();
+  const std::string path = live_golden_path();
+  const std::string recorded = read_file(path);
+  EXPECT_FALSE(recorded.empty()) << "missing golden " << path;
   if (bytes == recorded) return;
   std::size_t at = 0;
   while (at < bytes.size() && at < recorded.size() && bytes[at] == recorded[at]) ++at;
-  std::ofstream(golden_path() + ".actual", std::ios::binary) << bytes;
+  std::ofstream(path + ".actual", std::ios::binary) << bytes;
   ADD_FAILURE() << writer << " wrote " << bytes.size() << " bytes against " << recorded.size()
                 << " recorded, first difference at offset " << at << "; actual bytes written to "
-                << golden_path() << ".actual";
+                << path << ".actual";
 }
 
 TEST(SnapshotGolden, SerializeSnapshotMatchesRecordedBytes) {
@@ -107,13 +118,16 @@ TEST(SnapshotGolden, SaveSnapshotMatchesRecordedBytes) {
 
 TEST(SnapshotGolden, RecordedBytesParseBackToTheLedger) {
   const GoldenLedger ledger;
-  const ServiceSnapshot parsed = parse_snapshot(read_file(golden_path()), ledger.catalog);
-  EXPECT_EQ(parsed.last_op_seq, kOpSeq);
-  ASSERT_TRUE(parsed.datacenter.has_value());
-  EXPECT_TRUE(datacenter_state_equal(ledger.dc, *parsed.datacenter));
-  EXPECT_TRUE(ledger.admission.state_equal(parsed.admission));
-  EXPECT_TRUE(ledger.groups.state_equal(parsed.groups));
-  parsed.datacenter->check_index_invariants();
+  for (const std::string& path : {golden_path(), live_golden_path()}) {
+    SCOPED_TRACE(path);
+    const ServiceSnapshot parsed = parse_snapshot(read_file(path), ledger.catalog);
+    EXPECT_EQ(parsed.last_op_seq, kOpSeq);
+    ASSERT_TRUE(parsed.datacenter.has_value());
+    EXPECT_TRUE(datacenter_state_equal(ledger.dc, *parsed.datacenter));
+    EXPECT_TRUE(ledger.admission.state_equal(parsed.admission));
+    EXPECT_TRUE(ledger.groups.state_equal(parsed.groups));
+    parsed.datacenter->check_index_invariants();
+  }
 }
 
 // v1 is v2 without the group-directory section: it still loads, with an

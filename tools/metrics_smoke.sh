@@ -7,6 +7,10 @@
 #   - the in-band `metrics` op: quantiles ordered (p50 <= p90 <= p99 <=
 #     p999) and the queue-wait, WAL-flush and placement-compute histograms
 #     all nonzero — i.e. the daemon actually measured its own pipeline.
+#   - admission groups are live state only: 300 VMs placed in 100
+#     anti-collocation groups over the JSON socket show up as 100 groups in
+#     `stats` and in the prvm_admission_groups gauge, and releasing them
+#     brings both back to 0.
 #
 # Usage: tools/metrics_smoke.sh [BUILD_DIR]
 set -euo pipefail
@@ -61,6 +65,48 @@ FAILED=0
 python3 "$CHECK" prom "$WORK/scrape1.txt" "$WORK/scrape2.txt" || FAILED=1
 python3 "$CHECK" opjson "$WORK/metrics_op.json" || FAILED=1
 
+# Grouped places and their releases. Each step ends with a `stats` round
+# trip, which the daemon answers after the previous batch has updated its
+# gauges, so the scrape that follows sees them.
+grouped() {
+  python3 - "$SOCK" "$1" <<'PY'
+import json, socket, sys
+sock = socket.socket(socket.AF_UNIX)
+sock.connect(sys.argv[1])
+stream = sock.makefile("rw")
+def call(request):
+    stream.write(json.dumps(request) + "\n")
+    stream.flush()
+    return json.loads(stream.readline())
+base = 4000000000  # far above the load generator's VM ids
+for i in range(300):
+    if sys.argv[2] == "place":
+        request = {"op": "place", "vm": base + i, "type": 0, "group": "smoke-%d" % (i // 3)}
+    else:
+        request = {"op": "release", "vm": base + i}
+    response = call(request)
+    if not response.get("ok"):
+        sys.exit("%s of vm %d failed: %s" % (sys.argv[2], base + i, response))
+stats = call({"op": "stats"})
+print(stats["admission_groups"], stats["grouped_vms"])
+PY
+}
+gauge() { sed -n "s/^$1 \([0-9]*\)\$/\1/p" "$2"; }
+check_groups() {  # phase, stats line, scrape file, expected groups, expected VMs
+  local got_scrape
+  got_scrape="$(gauge prvm_admission_groups "$3") $(gauge prvm_admission_grouped_vms "$3")"
+  if [ "$2" != "$4 $5" ] || [ "$got_scrape" != "$4 $5" ]; then
+    echo "FAIL: after $1 stats says groups/VMs '$2', scrape says '$got_scrape', expected '$4 $5'"
+    FAILED=1
+  fi
+}
+STATS="$(grouped place)" || FAILED=1
+scrape "$WORK/scrape3.txt"
+check_groups "300 grouped places" "$STATS" "$WORK/scrape3.txt" 100 300
+STATS="$(grouped release)" || FAILED=1
+scrape "$WORK/scrape4.txt"
+check_groups "their releases" "$STATS" "$WORK/scrape4.txt" 0 0
+
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || { echo "FAIL: graceful drain exited non-zero"; FAILED=1; }
 SERVE_PID=""
@@ -71,4 +117,4 @@ if [ "$FAILED" -ne 0 ]; then
   cat "$WORK/serve.log"
   exit 1
 fi
-echo "OK: exposition parses, counters monotonic, pipeline histograms nonzero"
+echo "OK: exposition parses, counters monotonic, pipeline histograms nonzero, groups freed"
