@@ -40,16 +40,6 @@ class WaveArray {
   std::size_t capacity_ = 0;
 };
 
-// Appends the distinct successor keys of one canonical profile across the
-// given demands to `out`, sorted ascending.
-void expand_node(const ProfileShape& shape, ProfileKey key,
-                 const std::vector<QuantizedDemand>& demands, std::vector<ProfileKey>& out) {
-  const auto begin = static_cast<std::ptrdiff_t>(out.size());
-  for (const QuantizedDemand& demand : demands) enumerate_successor_keys(shape, key, demand, out);
-  std::sort(out.begin() + begin, out.end());
-  out.erase(std::unique(out.begin() + begin, out.end()), out.end());
-}
-
 // Total usage of a packed profile: the sum of its levels.
 std::uint16_t key_usage(const ProfileShape& shape, ProfileKey key) {
   int total = 0;
@@ -76,6 +66,7 @@ void validate_demands(const ProfileShape& shape, const std::vector<QuantizedDema
 struct ProfileGraph::WaveScratch {
   std::vector<std::vector<ProfileKey>> chunk_keys;  ///< per expansion task, reused
   std::vector<std::size_t> chunk_start;   ///< where each task's keys start in the wave
+  std::vector<std::uint8_t> unfilled;     ///< per wave node: needs a memo fill
   std::vector<std::uint32_t> row_len;     ///< successor count per wave node
   std::vector<std::size_t> cursor;        ///< [task * kShards + shard] scatter position
   std::vector<std::size_t> shard_begin;   ///< kShards + 1 bounds of the items
@@ -101,7 +92,7 @@ std::size_t ProfileGraph::shard_of(ProfileKey key) {
 
 ProfileGraph::ProfileGraph(ProfileShape shape, std::vector<QuantizedDemand> demands,
                            const ProfileGraphOptions& options)
-    : shape_(std::move(shape)), demands_(std::move(demands)) {
+    : shape_(std::move(shape)), demands_(std::move(demands)), memo_(shape_) {
   PRVM_REQUIRE(!demands_.empty(), "profile graph needs at least one VM type");
   validate_demands(shape_, demands_);
 
@@ -128,12 +119,13 @@ ProfileGraph::ExtendStats ProfileGraph::extend(std::vector<QuantizedDemand> new_
   // new is expanded by grow() under the *full* demand set (its old-demand
   // successors were never enumerated).
   const auto old_node_count = static_cast<NodeId>(keys_.size());
+  const std::size_t old_demand_count = demands_.size();
+  demands_.insert(demands_.end(), std::make_move_iterator(new_demands.begin()),
+                  std::make_move_iterator(new_demands.end()));
   WaveScratch scratch;
   std::vector<std::size_t> added_offsets{0};
   std::vector<NodeId> added;
-  expand_wave(0, old_node_count, new_demands, added_offsets, added, options, scratch);
-  demands_.insert(demands_.end(), std::make_move_iterator(new_demands.begin()),
-                  std::make_move_iterator(new_demands.end()));
+  expand_wave(0, old_node_count, old_demand_count, added_offsets, added, options, scratch);
 
   // Rows of the existing nodes: old edges plus the additions that are not
   // already edges. Adjacency is sorted by id = sorted by key (canonical
@@ -166,22 +158,32 @@ void ProfileGraph::grow(std::vector<std::size_t>& offsets, std::vector<NodeId>& 
                         const ProfileGraphOptions& options, WaveScratch& scratch) {
   for (auto begin = static_cast<NodeId>(offsets.size() - 1); begin < keys_.size();) {
     const auto end = static_cast<NodeId>(keys_.size());
-    expand_wave(begin, end, demands_, offsets, targets, options, scratch);
+    expand_wave(begin, end, 0, offsets, targets, options, scratch);
     begin = end;
   }
 }
 
-void ProfileGraph::expand_wave(NodeId begin, NodeId end,
-                               const std::vector<QuantizedDemand>& demands,
+void ProfileGraph::expand_wave(NodeId begin, NodeId end, std::size_t first_demand,
                                std::vector<std::size_t>& offsets, std::vector<NodeId>& targets,
                                const ProfileGraphOptions& options, WaveScratch& w) {
   WorkerPool& pool = WorkerPool::shared();
   const std::size_t count = end - begin;
   const std::size_t chunks = (count + kWaveChunk - 1) / kWaveChunk;
   const std::uint64_t start_ns = obs::now_ns();
+  // Only a node with a group state new to the memo needs the serial fill;
+  // finding those runs on the pool, which only reads the memo.
+  w.unfilled.resize(count);
+  pool.parallel_chunks(count, kWaveChunk, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      w.unfilled[i] = !memo_.filled(keys_[begin + i], first_demand, demands_.size());
+    }
+  });
+  for (std::size_t i = 0; i < count; ++i) {
+    if (w.unfilled[i]) memo_.fill(keys_[begin + i], demands_, first_demand);
+  }
 
-  // Expand: each task appends its nodes' sorted successor keys to its own
-  // buffer and counts them per shard.
+  // Expand: each task appends its nodes' distinct successor keys, sorted, to
+  // its own buffer and counts them per shard.
   if (w.chunk_keys.size() < chunks) w.chunk_keys.resize(chunks);
   w.row_len.resize(count);
   w.cursor.assign(chunks * kShards, 0);
@@ -189,9 +191,11 @@ void ProfileGraph::expand_wave(NodeId begin, NodeId end,
     std::vector<ProfileKey>& keys = w.chunk_keys[lo / kWaveChunk];
     keys.clear();
     for (std::size_t i = lo; i < hi; ++i) {
-      const std::size_t before = keys.size();
-      expand_node(shape_, keys_[begin + i], demands, keys);
-      w.row_len[i] = static_cast<std::uint32_t>(keys.size() - before);
+      const auto before = static_cast<std::ptrdiff_t>(keys.size());
+      memo_.append_successors(keys_[begin + i], first_demand, demands_.size(), keys);
+      std::sort(keys.begin() + before, keys.end());
+      keys.erase(std::unique(keys.begin() + before, keys.end()), keys.end());
+      w.row_len[i] = static_cast<std::uint32_t>(keys.size() - static_cast<std::size_t>(before));
     }
     std::size_t* per_shard = &w.cursor[lo / kWaveChunk * kShards];
     for (ProfileKey key : keys) ++per_shard[shard_of(key)];

@@ -84,6 +84,17 @@ class ProfileGraph {
   /// further VM — the "endpoints" of the BPRU definition.
   std::vector<NodeId> sink_nodes() const;
 
+  /// Appends the successor keys of `node` under VM type `demand_index`, in
+  /// enumerate_successor_keys' order, from the build's successor memo. Safe
+  /// from any number of threads; no heap allocation unless `out` must grow.
+  void successor_keys(NodeId node, std::size_t demand_index, std::vector<ProfileKey>& out) const {
+    memo_.append_successors(keys_[node], demand_index, out);
+  }
+
+  /// Per-group anti-collocation enumerations the graph has run (the memo's
+  /// distinct (VM type, group, group state) cases).
+  std::size_t group_enumerations() const { return memo_.group_runs(); }
+
  private:
   /// The node index is split into 2^kShardBits maps by the top bits of a
   /// multiplicative hash of the key, so one BFS wave's keys are interned by
@@ -101,9 +112,11 @@ class ProfileGraph {
   void grow(std::vector<std::size_t>& offsets, std::vector<NodeId>& targets,
             const ProfileGraphOptions& options, WaveScratch& scratch);
 
-  /// One wave: expands nodes [begin, end) under `demands` and appends their
-  /// rows; successors not yet in the graph become nodes end, end + 1, ...
-  void expand_wave(NodeId begin, NodeId end, const std::vector<QuantizedDemand>& demands,
+  /// One wave: expands nodes [begin, end) under demands_[first_demand..] and
+  /// appends their rows; successors not yet in the graph become nodes end,
+  /// end + 1, ... The wave's group states enter the memo before the parallel
+  /// expansion, which only reads it.
+  void expand_wave(NodeId begin, NodeId end, std::size_t first_demand,
                    std::vector<std::size_t>& offsets, std::vector<NodeId>& targets,
                    const ProfileGraphOptions& options, WaveScratch& scratch);
 
@@ -117,6 +130,7 @@ class ProfileGraph {
   std::vector<ProfileKey> keys_;
   std::vector<std::uint16_t> usage_;  ///< total usage per node
   std::vector<FlatMap64<NodeId>> index_ = std::vector<FlatMap64<NodeId>>(kShards);
+  SuccessorMemo memo_;  ///< every node's group outcomes under every demand
 };
 
 }  // namespace prvm

@@ -288,14 +288,13 @@ void ScoreTable::fill_demand_block(const ProfileGraph& graph, std::size_t t) {
   // the stored float scores so build and extend make bit-identical choices.
   BestEntry* row = best_.data() + t * node_count_;
   const float* scores = scores_.data();
-  const QuantizedDemand& demand = graph.demands()[t];
   constexpr std::size_t kChunk = 1024;
   const auto work = [&, row, scores](std::size_t chunk) {
     std::vector<ProfileKey> succ;
     const std::size_t end = std::min(node_count_, (chunk + 1) * kChunk);
     for (std::size_t u = chunk * kChunk; u < end; ++u) {
       succ.clear();
-      enumerate_successor_keys(graph.shape(), graph.key_of(static_cast<NodeId>(u)), demand, succ);
+      graph.successor_keys(static_cast<NodeId>(u), t, succ);
       BestEntry entry;
       float best_score = 0.0F;
       for (ProfileKey key : succ) {

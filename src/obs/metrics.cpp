@@ -37,13 +37,31 @@ double HistogramSnapshot::quantile(double q) const noexcept {
   return static_cast<double>(Histogram::bucket_lo(counts.size() - 1));
 }
 
+Histogram::~Histogram() {
+  for (std::atomic<Shard*>& shard : shards_) delete shard.load(std::memory_order_relaxed);
+}
+
+Histogram::Shard& Histogram::make_shard() noexcept {
+  std::atomic<Shard*>& slot = shards_[shard_index()];
+  auto* fresh = new Shard();
+  Shard* installed = nullptr;
+  if (slot.compare_exchange_strong(installed, fresh, std::memory_order_acq_rel,
+                                   std::memory_order_acquire)) {
+    return *fresh;
+  }
+  delete fresh;
+  return *installed;
+}
+
 HistogramSnapshot Histogram::snapshot() const noexcept {
   HistogramSnapshot snap;
   snap.counts.assign(kBuckets, 0);
-  for (const Shard& shard : shards_) {
-    snap.sum += shard.sum.load(std::memory_order_relaxed);
+  for (const std::atomic<Shard*>& slot : shards_) {
+    const Shard* shard = slot.load(std::memory_order_acquire);
+    if (shard == nullptr) continue;
+    snap.sum += shard->sum.load(std::memory_order_relaxed);
     for (std::size_t i = 0; i < kBuckets; ++i) {
-      snap.counts[i] += shard.counts[i].load(std::memory_order_relaxed);
+      snap.counts[i] += shard->counts[i].load(std::memory_order_relaxed);
     }
   }
   for (const std::uint64_t c : snap.counts) snap.count += c;

@@ -1,14 +1,16 @@
 // Process-wide metrics: counters, gauges and log2-bucketed latency
 // histograms, designed so the placement hot path pays one shard-local
-// relaxed atomic add per update — no locks, no allocation, no false
-// sharing between threads.
+// relaxed atomic add per update — no locks, no allocation once warm, no
+// false sharing between threads.
 //
 // Shard/merge model: every metric owns kShards independent cells; a thread
 // is assigned a shard once (round-robin, thread_local) and only ever
-// touches that shard's cache lines. Readers merge all shards with relaxed
-// loads, so a snapshot is cheap, lock-free and safe to take from any
+// touches that shard's cache lines. A histogram's shards are ~4 KB each, so
+// one is allocated on the first record into it: a histogram the loop thread
+// alone records holds one shard, not sixteen. Readers merge all shards with
+// relaxed loads, so a snapshot is cheap, lock-free and safe to take from any
 // thread while writers keep hammering (TSan-clean by construction — every
-// cell is a std::atomic).
+// cell is a std::atomic, and a shard is published by a release CAS).
 //
 // Histogram bucketing: values are 64-bit non-negative integers (the
 // convention throughout this repo is *nanoseconds* for latency metrics,
@@ -140,11 +142,18 @@ class Histogram {
     return i + 1 < kBuckets ? bucket_lo(i + 1) : ~std::uint64_t{0};
   }
 
-  /// Hot path: two relaxed adds into the calling thread's shard.
+  Histogram() = default;
+  Histogram(const Histogram&) = delete;
+  Histogram& operator=(const Histogram&) = delete;
+  ~Histogram();
+
+  /// Hot path: two relaxed adds into the calling thread's shard, which the
+  /// first record into it allocates.
   void record(std::uint64_t v) noexcept {
-    Shard& shard = shards_[shard_index()];
-    shard.counts[bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
-    shard.sum.fetch_add(v, std::memory_order_relaxed);
+    Shard* shard = shards_[shard_index()].load(std::memory_order_acquire);
+    if (shard == nullptr) shard = &make_shard();
+    shard->counts[bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
+    shard->sum.fetch_add(v, std::memory_order_relaxed);
   }
 
   HistogramSnapshot snapshot() const noexcept;
@@ -154,7 +163,12 @@ class Histogram {
     alignas(64) std::atomic<std::uint64_t> sum{0};
     std::array<std::atomic<std::uint64_t>, kBuckets> counts{};
   };
-  std::array<Shard, kShards> shards_{};
+
+  /// Installs the calling thread's shard (another thread sharing the index
+  /// may have installed it first).
+  Shard& make_shard() noexcept;
+
+  std::array<std::atomic<Shard*>, kShards> shards_{};
 };
 
 /// Records `now_ns() - start` into a histogram on destruction.

@@ -1,6 +1,7 @@
 #include "profile/permutation.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <numeric>
 #include <sstream>
@@ -234,60 +235,90 @@ struct GroupDfs {
   }
 };
 
-// Fills `parts` with every group's distinct outcomes, each as its bits of
-// the packed successor key: group g's in [ends[g-1], ends[g]), in the order
-// of enumerate_successor_keys. False when `parts` is too small.
+// The bits that hold group g's levels, shifted down to bit 0.
+ProfileKey group_mask(const ProfileShape& shape, std::size_t g) {
+  const int width = shape.groups()[g].count * shape.group_bits(g);
+  return width >= 64 ? ~ProfileKey{0} : (ProfileKey{1} << width) - 1;
+}
+
+bool has_stray_bits(const ProfileShape& shape, ProfileKey key) {
+  return shape.key_bits() < 64 && (key >> shape.key_bits()) != 0;
+}
+
+// Decodes the levels of group g (its bits start at `shift`) into `usage`;
+// throws unless they are within capacity and descending.
+void decode_group(const ProfileShape& shape, std::size_t g, int shift, ProfileKey key,
+                  int* usage) {
+  const int bits = shape.group_bits(g);
+  const ProfileKey mask = (ProfileKey{1} << bits) - 1;
+  for (int i = 0; i < shape.groups()[g].count; ++i) {
+    usage[i] = static_cast<int>((key >> (shift + i * bits)) & mask);
+    PRVM_REQUIRE(usage[i] <= shape.groups()[g].capacity && (i == 0 || usage[i - 1] >= usage[i]),
+                 "successor enumeration needs a canonical profile key");
+  }
+}
+
+constexpr std::size_t kOverflow = SIZE_MAX;
+
+// Runs the DFS on group g of the canonical profile `key` and writes the
+// group's distinct outcomes to `parts`, each as its bits of the packed
+// successor key, in the order of enumerate_successor_keys. Returns their
+// count, or kOverflow when `parts` is too small.
+std::size_t group_parts(const ProfileShape& shape, std::size_t g, int shift, ProfileKey key,
+                        std::span<const int> items, std::span<ProfileKey> parts) {
+  GroupDfs dfs;
+  dfs.items = items;
+  dfs.n = shape.groups()[g].count;
+  dfs.capacity = shape.groups()[g].capacity;
+  dfs.bits = shape.group_bits(g);
+  decode_group(shape, g, shift, key, dfs.usage);
+  std::fill(dfs.used, dfs.used + dfs.n, false);
+  dfs.codes = parts.data();
+  dfs.room = parts.size();
+  dfs.run(0);
+  if (dfs.overflow) return kOverflow;
+  const ProfileKey mask = (ProfileKey{1} << dfs.bits) - 1;
+  for (std::size_t c = 0; c < dfs.size; ++c) {
+    const ProfileKey code = dfs.codes[c];
+    ProfileKey part = 0;
+    for (int i = 0; i < dfs.n; ++i) {
+      const ProfileKey level = (code >> ((dfs.n - 1 - i) * dfs.bits)) & mask;
+      part |= level << (shift + i * dfs.bits);
+    }
+    dfs.codes[c] = part;
+  }
+  return dfs.size;
+}
+
+// Fills `parts` with every group's distinct outcomes, group g's in
+// [begin[g], end[g]). False when `parts` is too small.
 bool collect_group_parts(const ProfileShape& shape, ProfileKey current,
                          const QuantizedDemand& demand, std::span<ProfileKey> parts,
-                         std::size_t* ends) {
+                         std::size_t* begin, std::size_t* end) {
   std::size_t filled = 0;
   int shift = 0;
   for (std::size_t g = 0; g < shape.group_count(); ++g) {
-    const int bits = shape.group_bits(g);
-    const ProfileKey mask = (ProfileKey{1} << bits) - 1;
-    GroupDfs dfs;
-    dfs.items = demand.group_items[g];
-    dfs.n = shape.groups()[g].count;
-    dfs.capacity = shape.groups()[g].capacity;
-    dfs.bits = bits;
-    for (int i = 0; i < dfs.n; ++i) {
-      dfs.usage[i] = static_cast<int>((current >> (shift + i * bits)) & mask);
-      dfs.used[i] = false;
-      PRVM_REQUIRE(dfs.usage[i] <= dfs.capacity && (i == 0 || dfs.usage[i - 1] >= dfs.usage[i]),
-                   "successor enumeration needs a canonical profile key");
-    }
-    dfs.codes = parts.data() + filled;
-    dfs.room = parts.size() - filled;
-    dfs.run(0);
-    if (dfs.overflow) return false;
-    for (std::size_t c = 0; c < dfs.size; ++c) {
-      const ProfileKey code = dfs.codes[c];
-      ProfileKey part = 0;
-      for (int i = 0; i < dfs.n; ++i) {
-        const ProfileKey level = (code >> ((dfs.n - 1 - i) * bits)) & mask;
-        part |= level << (shift + i * bits);
-      }
-      dfs.codes[c] = part;
-    }
-    filled += dfs.size;
-    ends[g] = filled;
-    shift += dfs.n * bits;
+    const std::size_t size =
+        group_parts(shape, g, shift, current, demand.group_items[g], parts.subspan(filled));
+    if (size == kOverflow) return false;
+    begin[g] = filled;
+    filled += size;
+    end[g] = filled;
+    shift += shape.groups()[g].count * shape.group_bits(g);
   }
-  PRVM_REQUIRE(shift == 64 || (current >> shift) == 0,
-               "key has stray high bits for this shape");
+  PRVM_REQUIRE(!has_stray_bits(shape, current), "key has stray high bits for this shape");
   return true;
 }
 
-// The mixed-radix product of the groups' parts, group 0 varying fastest.
-// Parts of different groups occupy disjoint bits, so a successor key is the
-// OR of one part per group and distinct choices give distinct keys.
-void emit_product(std::span<const ProfileKey> parts, const std::size_t* ends, std::size_t groups,
-                  std::vector<ProfileKey>& out) {
-  std::size_t begin[kMaxDims];
+// The mixed-radix product of the groups' parts, group 0 varying fastest;
+// group g's parts are parts[begin[g], end[g]). Parts of different groups
+// occupy disjoint bits, so a successor key is the OR of one part per group
+// and distinct choices give distinct keys.
+void emit_product(const ProfileKey* parts, const std::size_t* begin, const std::size_t* end,
+                  std::size_t groups, std::vector<ProfileKey>& out) {
   std::size_t index[kMaxDims];
   for (std::size_t g = 0; g < groups; ++g) {
-    begin[g] = g == 0 ? 0 : ends[g - 1];
-    if (begin[g] == ends[g]) return;  // this group cannot take its items
+    if (begin[g] == end[g]) return;  // this group cannot take its items
     index[g] = begin[g];
   }
   for (;;) {
@@ -295,7 +326,7 @@ void emit_product(std::span<const ProfileKey> parts, const std::size_t* ends, st
     for (std::size_t g = 0; g < groups; ++g) key |= parts[index[g]];
     out.push_back(key);
     std::size_t g = 0;
-    while (g < groups && ++index[g] == ends[g]) {
+    while (g < groups && ++index[g] == end[g]) {
       index[g] = begin[g];
       ++g;
     }
@@ -308,17 +339,127 @@ void emit_product(std::span<const ProfileKey> parts, const std::size_t* ends, st
 void enumerate_successor_keys(const ProfileShape& shape, ProfileKey current,
                               const QuantizedDemand& demand, std::vector<ProfileKey>& out) {
   demand.validate(shape);
-  std::size_t ends[kMaxDims];
+  std::size_t begin[kMaxDims];
+  std::size_t end[kMaxDims];
   ProfileKey stack[kStackOutcomes];  // written by collect_group_parts before any read
-  if (collect_group_parts(shape, current, demand, stack, ends)) {
-    emit_product(stack, ends, shape.group_count(), out);
+  if (collect_group_parts(shape, current, demand, stack, begin, end)) {
+    emit_product(stack, begin, end, shape.group_count(), out);
     return;
   }
   std::vector<ProfileKey> heap(kStackOutcomes);
   do {
     heap.resize(heap.size() * 4);
-  } while (!collect_group_parts(shape, current, demand, heap, ends));
-  emit_product(heap, ends, shape.group_count(), out);
+  } while (!collect_group_parts(shape, current, demand, heap, begin, end));
+  emit_product(heap.data(), begin, end, shape.group_count(), out);
+}
+
+SuccessorMemo::SuccessorMemo(const ProfileShape& shape) : shape_(shape) {
+  int shift = 0;
+  for (std::size_t g = 0; g < shape_.group_count(); ++g) {
+    groups_.push_back(Group{shift, group_mask(shape_, g), {}});
+    shift += shape_.groups()[g].count * shape_.group_bits(g);
+  }
+}
+
+void SuccessorMemo::fill(ProfileKey key, std::span<const QuantizedDemand> demands,
+                         std::size_t first) {
+  PRVM_REQUIRE(!has_stray_bits(shape_, key), "key has stray high bits for this shape");
+  // Every group's state is resolved, and a new one checked, before the memo
+  // changes: a non-canonical key leaves no trace.
+  const std::size_t groups = groups_.size();
+  std::uint32_t id[kMaxDims];
+  for (std::size_t g = 0; g < groups; ++g) {
+    if (const std::uint32_t* known = find_state(g, key)) {
+      id[g] = *known;
+    } else {
+      int usage[kMaxDims];
+      decode_group(shape_, g, groups_[g].shift, key, usage);
+      id[g] = kUnfilled;
+    }
+  }
+  for (std::size_t g = 0; g < groups; ++g) {
+    if (id[g] != kUnfilled) continue;
+    PRVM_CHECK(state_count_ < kUnfilled, "successor memo state ids exhausted");
+    id[g] = static_cast<std::uint32_t>(state_count_++);
+    groups_[g].states.try_emplace(state_of(g, key), id[g]);
+    for (std::vector<Range>& row : ranges_) row.emplace_back();
+  }
+  if (ranges_.size() < demands.size()) {
+    ranges_.resize(demands.size(), std::vector<Range>(state_count_));
+  }
+
+  ProfileKey stack[kStackOutcomes];
+  std::vector<ProfileKey> heap;
+  for (std::size_t t = first; t < demands.size(); ++t) {
+    // Past a group that cannot take its items there is no successor, and
+    // append_successors stops reading there too.
+    for (std::size_t g = 0; g < groups; ++g) {
+      Range& range = ranges_[t][id[g]];
+      if (range.begin != kUnfilled) {
+        if (range.begin == range.end) break;
+        continue;
+      }
+      const std::span<const int> items = demands[t].group_items[g];
+      std::span<ProfileKey> buffer = stack;
+      std::size_t size = group_parts(shape_, g, groups_[g].shift, key, items, buffer);
+      while (size == kOverflow) {
+        heap.resize(std::max(heap.size(), kStackOutcomes) * 4);
+        buffer = heap;
+        size = group_parts(shape_, g, groups_[g].shift, key, items, buffer);
+      }
+      PRVM_CHECK(parts_.size() + size < kUnfilled, "successor memo outgrew its ranges");
+      range.begin = static_cast<std::uint32_t>(parts_.size());
+      parts_.insert(parts_.end(), buffer.data(), buffer.data() + size);
+      range.end = static_cast<std::uint32_t>(parts_.size());
+      ++group_runs_;
+      if (size == 0) break;
+    }
+  }
+}
+
+bool SuccessorMemo::filled(ProfileKey key, std::size_t first, std::size_t count) const {
+  if (has_stray_bits(shape_, key) || count > ranges_.size()) return false;
+  std::uint32_t id[kMaxDims];
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    const std::uint32_t* known = find_state(g, key);
+    if (known == nullptr) return false;
+    id[g] = *known;
+  }
+  for (std::size_t t = first; t < count; ++t) {
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+      const Range& range = ranges_[t][id[g]];
+      if (range.begin == kUnfilled) return false;
+      if (range.begin == range.end) break;  // fill() stops here too
+    }
+  }
+  return true;
+}
+
+void SuccessorMemo::append_successors(ProfileKey key, std::size_t first, std::size_t last,
+                                      std::vector<ProfileKey>& out) const {
+  PRVM_REQUIRE(!has_stray_bits(shape_, key), "key has stray high bits for this shape");
+  PRVM_REQUIRE(last <= ranges_.size(), "successor memo has no such demand");
+  const std::size_t groups = groups_.size();
+  std::uint32_t id[kMaxDims];
+  for (std::size_t g = 0; g < groups; ++g) {
+    const std::uint32_t* known = find_state(g, key);
+    PRVM_REQUIRE(known != nullptr, "successor memo was not filled for this profile");
+    id[g] = *known;
+  }
+  std::size_t begin[kMaxDims];
+  std::size_t end[kMaxDims];
+  for (std::size_t t = first; t < last; ++t) {
+    bool fits = true;
+    for (std::size_t g = 0; g < groups && fits; ++g) {
+      const Range& range = ranges_[t][id[g]];
+      PRVM_REQUIRE(range.begin != kUnfilled,
+                   "successor memo was not filled for this profile and demand");
+      begin[g] = range.begin;
+      end[g] = range.end;
+      fits = range.begin != range.end;  // else this group cannot take its items
+    }
+    if (fits) emit_product(parts_.data(), begin, end, groups, out);
+  }
 }
 
 bool demand_fits(const ProfileShape& shape, std::span<const int> levels,

@@ -8,17 +8,32 @@
 // update it ends in — the engine's own share of a pick is ZERO heap
 // allocations; the whole pick runs on engine-owned scratch and borrowed
 // views. The counter also records the largest single request, which the
-// snapshot test below bounds.
+// snapshot test below bounds, and the heap bytes live at any moment (glibc's
+// usable size of each block), which the memo residue test bounds.
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <new>
 
+#include <malloc.h>
 #include <unistd.h>
 
 static std::atomic<std::size_t> g_allocations{0};
 static std::atomic<std::size_t> g_largest_request{0};
+static std::atomic<long long> g_live_bytes{0};
+
+static void* counted(void* p) {
+  if (p == nullptr) throw std::bad_alloc{};
+  g_live_bytes.fetch_add(static_cast<long long>(malloc_usable_size(p)), std::memory_order_relaxed);
+  return p;
+}
+
+static void release(void* p) noexcept {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(static_cast<long long>(malloc_usable_size(p)), std::memory_order_relaxed);
+  std::free(p);
+}
 
 static void count_request(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
@@ -30,8 +45,7 @@ static void count_request(std::size_t size) {
 
 void* operator new(std::size_t size) {
   count_request(size);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
+  return counted(std::malloc(size));
 }
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
@@ -39,28 +53,28 @@ void* operator new[](std::size_t size) { return ::operator new(size); }
 void* operator new(std::size_t size, std::align_val_t align) {
   count_request(size);
   const std::size_t a = static_cast<std::size_t>(align);
-  if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) return p;
-  throw std::bad_alloc{};
+  return counted(std::aligned_alloc(a, (size + a - 1) / a * a));
 }
 
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { release(p); }
 
 #include "cluster/catalog.hpp"
 #include "cluster/datacenter.hpp"
 #include "common/byte_writer.hpp"
 #include "common/rng.hpp"
 #include "core/catalog_graphs.hpp"
+#include "obs/metrics.hpp"
 #include "placement/pagerank_vm.hpp"
 #include "profile/permutation.hpp"
 #include "service/admission.hpp"
@@ -412,23 +426,26 @@ TEST(JsonDecodeAlloc, WarmLinesAllocateNothing) {
   EXPECT_EQ(allocs, 0u) << static_cast<double>(allocs) / (64.0 * kChunks) << " per request";
 }
 
-// The profile-graph build enumerates the successors of every (profile, VM
-// type) pair twice, from worker threads. Into a caller-owned buffer with
-// room, the enumerator must not touch the heap at all.
+// The profile-graph build and the best-successor pass read the successors of
+// every (profile, VM type) pair from the graph's memo, from worker threads.
+// Once the memo holds a profile's group states, reading its successors into
+// a caller-owned buffer with room must not touch the heap at all.
 TEST(SuccessorEnumerationAlloc, CallerOwnedBufferIsAllocationFree) {
   const Catalog catalog = ec2_sim_catalog();
   const ProfileShape& shape = catalog.shape(0);
   const std::vector<QuantizedDemand>& demands = catalog.fitting_demands(0).demands;
 
-  // Three BFS layers from the empty profile (this part may allocate).
+  // Three BFS layers from the empty profile, each profile entered in the
+  // memo (this part may allocate).
+  SuccessorMemo memo(shape);
   std::vector<ProfileKey> profiles = {0};
   std::vector<ProfileKey> layer = {0};
-  for (int depth = 0; depth < 3; ++depth) {
+  for (int depth = 0;; ++depth) {
+    for (ProfileKey key : layer) memo.fill(key, demands);
+    if (depth == 3) break;
     std::vector<ProfileKey> next;
     for (ProfileKey key : layer) {
-      for (const QuantizedDemand& demand : demands) {
-        enumerate_successor_keys(shape, key, demand, next);
-      }
+      for (std::size_t t = 0; t < demands.size(); ++t) memo.append_successors(key, t, next);
     }
     std::sort(next.begin(), next.end());
     next.erase(std::unique(next.begin(), next.end()), next.end());
@@ -442,15 +459,63 @@ TEST(SuccessorEnumerationAlloc, CallerOwnedBufferIsAllocationFree) {
   std::size_t emitted = 0;
   const std::size_t before = g_allocations.load(std::memory_order_relaxed);
   for (ProfileKey key : profiles) {
-    for (const QuantizedDemand& demand : demands) {
+    for (std::size_t t = 0; t < demands.size(); ++t) {
       out.clear();
-      enumerate_successor_keys(shape, key, demand, out);
+      memo.append_successors(key, t, out);
       emitted += out.size();
     }
   }
   const std::size_t allocs = g_allocations.load(std::memory_order_relaxed) - before;
   EXPECT_EQ(allocs, 0u) << "enumerating " << emitted << " successors allocated";
   EXPECT_GT(emitted, profiles.size());
+}
+
+// The memo lives in the ProfileGraph and dies with it: once an EC2 cold
+// build's graphs and tables are gone, the heap holds what it held before.
+// A memo kept per worker thread (or in any static) would stay behind, about
+// 0.4 MB per thread, for the daemon's whole life.
+TEST(SuccessorEnumerationAlloc, MemoStorageDiesWithTheBuild) {
+  QuantizationConfig coarse;
+  coarse.mem_levels = 4;
+  const Catalog warmup = ec2_catalog(coarse);
+  const Catalog catalog = ec2_sim_catalog();
+  const auto build_all = [](const Catalog& c) {
+    std::size_t runs = 0;
+    for (std::size_t p = 0; p < c.pm_types().size(); ++p) {
+      const ProfileGraph graph(c.shape(p), c.fitting_demands(p).demands);
+      const ScoreTable table = ScoreTable::build(graph);
+      runs += graph.group_enumerations();
+    }
+    return runs;
+  };
+  // The first build starts the shared pool and registers the stage
+  // histograms, which stay by design.
+  ASSERT_GT(build_all(warmup), 0u);
+  const long long before = g_live_bytes.load(std::memory_order_relaxed);
+  const std::size_t runs = build_all(catalog);
+  const long long residue = g_live_bytes.load(std::memory_order_relaxed) - before;
+  EXPECT_GT(runs, 1000u);
+  EXPECT_LT(residue, 16 * 1024) << "bytes left live by a cold build";
+}
+
+// A histogram's shards are about 4 KB each and a daemon registers a few
+// dozen histograms, most recorded by one or two threads. Registering one
+// allocates no shard; a thread's first record allocates its shard, and warm
+// records allocate nothing.
+TEST(HistogramAlloc, AShardIsAllocatedByTheFirstRecordIntoIt) {
+  obs::Registry registry;
+  const long long before = g_live_bytes.load(std::memory_order_relaxed);
+  obs::Histogram& h = registry.histogram("prvm_lazy_shard_ns");
+  const long long registered = g_live_bytes.load(std::memory_order_relaxed) - before;
+  EXPECT_LT(registered, 4096) << "registering a histogram allocated its shards";
+  h.record(7);
+  const long long shard = g_live_bytes.load(std::memory_order_relaxed) - before - registered;
+  EXPECT_GT(shard, static_cast<long long>(obs::Histogram::kBuckets * sizeof(std::uint64_t)));
+  EXPECT_LT(shard, 8192);
+  const std::size_t allocs = g_allocations.load(std::memory_order_relaxed);
+  for (std::uint64_t v = 0; v < 1000; ++v) h.record(v);
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - allocs, 0u);
+  EXPECT_EQ(h.snapshot().count, 1001u);
 }
 
 // save_snapshot streams through one bounded chunk: however large the

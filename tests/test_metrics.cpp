@@ -184,6 +184,27 @@ TEST(ObsHistogramTest, ShardsMergeExactlyAcrossThreads) {
   EXPECT_EQ(snap.sum, expected_sum);
 }
 
+TEST(ObsHistogramTest, ThreadsSharingAShardRaceToAllocateIt) {
+  // Twice as many threads as shards record once each, all released at the
+  // same moment: threads that share a shard race to allocate it, and every
+  // sample must still land exactly once.
+  Histogram h;
+  constexpr std::size_t kThreads = 2 * prvm::obs::kShards;
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&h, &go, t] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      h.record(t);
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& t : threads) t.join();
+  const HistogramSnapshot snap = h.snapshot();
+  EXPECT_EQ(snap.count, kThreads);
+  EXPECT_EQ(snap.sum, kThreads * (kThreads - 1) / 2);
+}
+
 TEST(ObsHistogramTest, SnapshotsWhileWritersHammer) {
   // A reader snapshotting mid-flight must see internally consistent,
   // monotonically growing totals — and TSan must stay quiet.
