@@ -1,7 +1,7 @@
 // Score tables for every PM type of a catalog, with on-disk caching.
 //
-// Building the tables of ec2_sim_catalog() takes about 0.3 s on a 4-vCPU
-// Xeon KVM guest (0.85 s on one CPU); the paper notes the Profile-PageRank
+// Building the tables of ec2_sim_catalog() takes about 0.35 s on a 4-vCPU
+// Xeon KVM guest (0.8 s on one CPU); the paper notes the Profile-PageRank
 // table "is relatively stable during a certain period of time", so we
 // persist each table keyed by a digest of (shape, demand set, PageRank
 // options) and reload on subsequent runs.

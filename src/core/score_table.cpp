@@ -168,6 +168,18 @@ std::string score_table_build_split() {
   return split.str();
 }
 
+std::vector<double> best_profile_teleport(const ProfileGraph& graph) {
+  const std::vector<NodeId> sinks = graph.sink_nodes();
+  PRVM_CHECK(!sinks.empty(), "a finite profile DAG must have sinks");
+  double best_util = 0.0;
+  for (NodeId s : sinks) best_util = std::max(best_util, graph.utilization(s));
+  std::vector<double> teleport(graph.graph().node_count(), 0.0);
+  for (NodeId s : sinks) {
+    if (graph.utilization(s) >= best_util - 1e-12) teleport[s] = 1.0;
+  }
+  return teleport;
+}
+
 ScoreTable ScoreTable::build(const ProfileGraph& graph, const ScoreTableOptions& options) {
   // Each stage's wall time goes to its prvm_score_table_<stage>_ns histogram.
   std::uint64_t stage_start = obs::now_ns();
@@ -184,17 +196,8 @@ ScoreTable ScoreTable::build(const ProfileGraph& graph, const ScoreTableOptions&
     // mass pinned on the best reachable profile(s): rank(P) becomes the
     // damped, branching-discounted weight of the paths P -> best — the
     // "convergence of transferring to the best profile" of §V-A.
-    // Teleport to the sinks with maximum utilization (the best profile when
-    // the VM set can tile the capacity exactly).
-    const std::vector<NodeId> sinks = graph.sink_nodes();
-    PRVM_CHECK(!sinks.empty(), "a finite profile DAG must have sinks");
-    double best_util = 0.0;
-    for (NodeId s : sinks) best_util = std::max(best_util, graph.utilization(s));
-    std::vector<double> teleport(graph.graph().node_count(), 0.0);
-    for (NodeId s : sinks) {
-      if (graph.utilization(s) >= best_util - 1e-12) teleport[s] = 1.0;
-    }
-    return compute_pagerank_reversed(graph.graph(), options.pagerank, teleport);
+    return compute_pagerank_reversed(graph.graph(), options.pagerank,
+                                     best_profile_teleport(graph));
   }();
 
   stage_done("pagerank");

@@ -15,7 +15,7 @@
 //
 // The table is self-contained after build (the graph can be discarded) and
 // has three persistence forms: save()/load() (owned binary cache, because
-// building the EC2-scale tables takes about 0.3 s on 4 CPUs and the paper
+// building the EC2-scale tables takes about 0.35 s on 4 CPUs and the paper
 // notes the table "is relatively stable during a certain period of time"),
 // save_image()/map_image() (a page-aligned read-only image mapped with
 // mmap, so N cell processes of one host share one physical copy), and
@@ -85,6 +85,11 @@ struct ScoreTableOptions {
   /// types comparable during placement.
   bool normalize_to_max = true;
 };
+
+/// The teleport kReverseToBest pins: weight 1 on every sink of maximum
+/// utilization (the best profile when the VM set can tile the capacity
+/// exactly), 0 elsewhere.
+std::vector<double> best_profile_teleport(const ProfileGraph& graph);
 
 class ScoreTable {
  public:

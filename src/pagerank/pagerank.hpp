@@ -23,6 +23,9 @@ struct PageRankResult {
   std::vector<double> scores;  ///< normalized: sums to 1, all non-negative
   int iterations = 0;
   bool converged = false;
+  /// Rows whose score was recomputed, summed over the iterations: nodes x
+  /// iterations for a full sweep, less where dead rows were skipped.
+  std::size_t row_updates = 0;
 };
 
 /// Runs the Algorithm 1 iteration on a graph. Requires at least one node.
@@ -43,6 +46,19 @@ PageRankResult compute_pagerank(const Digraph& graph, const PageRankOptions& opt
 /// push over the reversed graph adds them, so the scores are bit-identical.
 /// Rows are pulled on the shared worker pool; each row still has one writer
 /// and one summation order, so the thread count cannot change a bit.
+///
+/// Dead rows are skipped. Row P is dead at iteration j when its teleport
+/// term is 0 and every successor was dead at iteration j-1; no row is dead
+/// at iteration 0. A dead row's value is exactly 0 + d*0 = 0.0, so dropping
+/// it from the gather, from the node-order L1 sum (adding +0.0 to a
+/// non-negative partial sum is exact) and from the renormalize pass (0/sum
+/// is 0) changes no score bit and no iteration count. The rule reads the
+/// graph's structure, never a score, so an underflow cannot kill a live row;
+/// a row on a cycle or one that reaches a positive-teleport node never dies.
+/// With the teleport pinned on the best profile (ScoreTable's
+/// kReverseToBest), every profile that cannot reach it is dead within a few
+/// iterations. Once an iteration kills no row none can die later, and the
+/// live rows then pull only their live successors.
 PageRankResult compute_pagerank_reversed(const Digraph& graph, const PageRankOptions& options,
                                          std::span<const double> teleport);
 

@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "pagerank/graph.hpp"
+#include "run_inline.hpp"
 
 namespace prvm {
 namespace {
@@ -239,10 +244,57 @@ TEST(PageRank, OptionValidation) {
   EXPECT_THROW(compute_pagerank(Digraph(0)), std::invalid_argument);
 }
 
+// The reversed graph, built the way the push reads it: row v lists the u
+// with an edge u -> v, ascending.
+Digraph reversed_of(const Digraph& forward) {
+  Digraph reversed(forward.node_count());
+  for (NodeId u = 0; u < forward.node_count(); ++u) {
+    for (NodeId v : forward.successors(u)) reversed.add_edge(v, u);
+  }
+  reversed.finalize();
+  return reversed;
+}
+
+// The skipping pull, on the shared pool and with every pool loop inline,
+// against the full push over the reversed graph: same scores bit for bit,
+// same iteration count and converged flag. Returns the pooled pull.
+PageRankResult expect_pull_matches_full_push(const Digraph& forward,
+                                             std::span<const double> teleport,
+                                             const std::string& label,
+                                             const PageRankOptions& options = {}) {
+  const PageRankResult push = compute_pagerank(reversed_of(forward), options, teleport);
+  EXPECT_EQ(push.row_updates, forward.node_count() * push.iterations) << label;
+  PageRankResult pooled = compute_pagerank_reversed(forward, options, teleport);
+  PageRankResult inlined;
+  run_inline([&] { inlined = compute_pagerank_reversed(forward, options, teleport); });
+  for (const PageRankResult* pull : {&pooled, &inlined}) {
+    const std::string which = label + (pull == &pooled ? " pooled" : " inline");
+    EXPECT_EQ(pull->iterations, push.iterations) << which;
+    EXPECT_EQ(pull->converged, push.converged) << which;
+    EXPECT_EQ(pull->row_updates, pooled.row_updates) << which;
+    EXPECT_LE(pull->row_updates, push.row_updates) << which;
+    if (pull->scores.size() != push.scores.size()) {
+      ADD_FAILURE() << which << ": " << pull->scores.size() << " scores";
+    } else if (pull->scores != push.scores) {
+      std::size_t u = 0;
+      while (pull->scores[u] == push.scores[u]) ++u;
+      ADD_FAILURE() << which << ": node " << u << " pulled " << pull->scores[u] << ", pushed "
+                    << push.scores[u];
+    }
+  }
+  return pooled;
+}
+
 // The pull form must reproduce the push over an explicitly reversed graph
-// bit for bit (the score tables depend on it), on random DAGs whose
-// adjacency lists are sorted, as the profile graph's are, and with a
-// teleport vector as ScoreTable::build passes one.
+// bit for bit (the score tables depend on it), and so must its skipping of
+// dead rows: on the shared pool and with every pool loop inline, with
+// adjacency lists sorted as the profile graph's are. First small random
+// DAGs with a teleport vector as ScoreTable::build passes one; then larger
+// random digraphs, cycles allowed and several pool chunks wide, with the
+// teleport on a few nodes only, so that many rows cannot reach it: some
+// are zero-teleport sinks, some sit in deep DAG regions that die one layer
+// per iteration, and some sit on zero-teleport cycles, which never die.
+// Each large graph also runs with a uniform teleport, where nothing dies.
 TEST(PageRank, ReversedPullMatchesPushOverReversedGraphExactly) {
   Rng rng(4242);
   for (int trial = 0; trial < 50; ++trial) {
@@ -254,24 +306,87 @@ TEST(PageRank, ReversedPullMatchesPushOverReversedGraphExactly) {
       }
     }
     forward.finalize();
-    Digraph reversed(n);
-    for (NodeId u = 0; u < n; ++u) {
-      for (NodeId v : forward.successors(u)) reversed.add_edge(v, u);
-    }
-    reversed.finalize();
     std::vector<double> teleport(n, 0.0);
     teleport[n - 1] = 1.0;
     teleport[rng.uniform_index(n)] += 0.5;
-
-    const PageRankResult push = compute_pagerank(reversed, {}, teleport);
-    const PageRankResult pull = compute_pagerank_reversed(forward, {}, teleport);
-    EXPECT_EQ(pull.iterations, push.iterations) << "trial " << trial;
-    EXPECT_EQ(pull.converged, push.converged) << "trial " << trial;
-    ASSERT_EQ(pull.scores.size(), push.scores.size());
-    for (std::size_t u = 0; u < n; ++u) {
-      EXPECT_EQ(pull.scores[u], push.scores[u]) << "trial " << trial << " node " << u;
-    }
+    expect_pull_matches_full_push(forward, teleport, "dag " + std::to_string(trial));
   }
+  for (int trial = 0; trial < 6; ++trial) {
+    const std::size_t n = 1100 + rng.uniform_index(1500);
+    // Nodes below `dag` only link forward, so nothing below it lies on a
+    // cycle; the rest link anywhere.
+    const std::size_t dag = rng.uniform_index(n);
+    Digraph forward(n);
+    for (NodeId u = 0; u < n; ++u) {
+      std::vector<NodeId> succ;
+      const std::size_t degree = rng.uniform_index(4);
+      for (std::size_t k = 0; k < degree; ++k) {
+        const std::size_t v = u < dag ? u + 1 + rng.uniform_index(std::min<std::size_t>(40, n - u))
+                                      : rng.uniform_index(n);
+        if (v < n && v != u) succ.push_back(static_cast<NodeId>(v));
+      }
+      std::sort(succ.begin(), succ.end());
+      succ.erase(std::unique(succ.begin(), succ.end()), succ.end());
+      for (NodeId v : succ) forward.add_edge(u, v);
+    }
+    forward.finalize();
+    std::vector<double> teleport(n, 0.0);
+    for (int k = 0; k < 3; ++k) teleport[rng.uniform_index(n)] += 1.0 + k;
+    const std::string label = "digraph " + std::to_string(trial);
+    const PageRankResult pull = expect_pull_matches_full_push(forward, teleport, label);
+    EXPECT_LT(pull.row_updates, n * pull.iterations) << label << " skipped nothing";
+    const PageRankResult uniform = expect_pull_matches_full_push(forward, {}, label + " uniform");
+    EXPECT_EQ(uniform.row_updates, n * uniform.iterations) << label;
+  }
+}
+
+// A chain of zero-teleport rows ending in a sink dies one row per
+// iteration from the sink back; a zero-teleport cycle, and a row that only
+// pulls from it, are never dead however small their scores get.
+TEST(PageRank, DeadRowsAreExactlyTheRowsThatCannotReachTeleportOrACycle) {
+  constexpr std::size_t kChain = 30;
+  // 0..29: chain 0 -> 1 -> ... -> 29 (sink). 30: teleport, pulls from 0.
+  // 31 -> 32 -> 33 -> 31: cycle. 34 -> 31. 35: isolated, no teleport.
+  constexpr std::size_t n = kChain + 6;
+  Digraph forward(n);
+  for (NodeId u = 0; u + 1 < kChain; ++u) forward.add_edge(u, u + 1);
+  forward.add_edge(30, 0);
+  forward.add_edge(31, 32);
+  forward.add_edge(32, 33);
+  forward.add_edge(33, 31);
+  forward.add_edge(34, 31);
+  forward.finalize();
+  std::vector<double> teleport(n, 0.0);
+  teleport[30] = 1.0;
+  const PageRankResult pull = expect_pull_matches_full_push(forward, teleport, "chain");
+  ASSERT_GT(pull.iterations, static_cast<int>(kChain));
+  // Iteration 1 kills the chain's sink and node 35, iteration j the chain
+  // row kChain - j; from iteration kChain on, only 30..34 are live.
+  std::size_t expected = 0;
+  for (std::size_t j = 1; j <= static_cast<std::size_t>(pull.iterations); ++j) {
+    const std::size_t dead_before = j == 1 ? 0 : 1 + std::min(j - 1, kChain);
+    expected += n - dead_before;
+  }
+  EXPECT_EQ(pull.row_updates, expected);
+  for (NodeId u = 0; u < kChain; ++u) EXPECT_EQ(pull.scores[u], 0.0) << "chain row " << u;
+  EXPECT_EQ(pull.scores[35], 0.0);
+  for (NodeId u = 30; u <= 34; ++u) EXPECT_GT(pull.scores[u], 0.0) << "row " << u;
+}
+
+// A row's change in the iteration it dies counts toward convergence: a
+// zero-teleport sink among 10 teleport sinks dies in iteration 1 with its
+// 1/11 share, while each sink moves by only 1/110, under epsilon.
+TEST(PageRank, ARowsLastChangeCountsTowardConvergence) {
+  constexpr std::size_t n = 11;
+  std::vector<double> teleport(n, 1.0);
+  teleport[0] = 0.0;
+  PageRankOptions options;
+  options.epsilon = 0.05;
+  const PageRankResult pull =
+      expect_pull_matches_full_push(Digraph(std::vector<std::size_t>(n + 1, 0), {}), teleport,
+                                    "sinks", options);
+  EXPECT_EQ(pull.iterations, 2);
+  EXPECT_EQ(pull.row_updates, n + n - 1);
 }
 
 }  // namespace

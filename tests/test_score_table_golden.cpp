@@ -279,6 +279,29 @@ TEST(ScoreTableGolden, HashHoldsWhenEveryParallelLoopRunsInline) {
   EXPECT_EQ(hash, kRecordedHash) << std::hex << "actual 0x" << hash;
 }
 
+// The reversed PageRank of a cold build updates only rows that can still
+// hold mass: with the teleport on the best profile, the profiles that cannot
+// reach it are dead within 10 and 16 iterations and skipped from then on.
+// The exact counts pin the skipping; a full sweep updates every row in every
+// iteration (nodes x iterations, 11,916,942 here).
+TEST(ScoreTableGolden, Ec2PageRankUpdatesOnlyRowsThatReachTheBestProfile) {
+  const Catalog catalog = ec2_sim_catalog();
+  std::vector<int> iterations;
+  std::vector<std::size_t> updates;
+  std::size_t full_sweep = 0;
+  for (std::size_t p = 0; p < catalog.pm_types().size(); ++p) {
+    const ProfileGraph graph(catalog.shape(p), catalog.fitting_demands(p).demands);
+    const PageRankResult pr = compute_pagerank_reversed(
+        graph.graph(), ScoreTableOptions{}.pagerank, best_profile_teleport(graph));
+    iterations.push_back(pr.iterations);
+    updates.push_back(pr.row_updates);
+    full_sweep += graph.node_count() * static_cast<std::size_t>(pr.iterations);
+  }
+  EXPECT_EQ(iterations, (std::vector<int>{97, 87}));
+  EXPECT_EQ(updates, (std::vector<std::size_t>{2'040'693, 464'177}));
+  EXPECT_LT((updates[0] + updates[1]) * 4, full_sweep);
+}
+
 TEST(ScoreTableGolden, MappedTablesSurviveARewriteOfTheirImages) {
   // Map each PM type's image, then write the *other* type's image over it,
   // as a second cell rewriting the file would. The mapped tables must keep

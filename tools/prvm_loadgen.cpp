@@ -10,7 +10,10 @@
 //
 // Modes:
 //   --fill-pms N --ops M   fill the fleet to N used PMs, then run M
-//                          release+place churn ops at that operating point
+//                          release+place churn ops at that operating point;
+//                          the fill places 256 VMs per connection between
+//                          two used-PM checks, so it overshoots N by at most
+//                          one such chunk
 //   --place N              place exactly N VMs and print the daemon's stats
 //                          line (crash-recovery smoke test hook)
 //   --stats                print the daemon's stats line and exit
@@ -23,9 +26,9 @@
 // (binary_protocol.hpp): same requests, same semantics, measured against
 // the same daemon. Stats/metrics queries stay JSON-lines on their own
 // connections either way.
-#include <atomic>
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <deque>
 #include <fstream>
@@ -255,6 +258,62 @@ struct WorkerResult {
   double churn_seconds = 0.0;   ///< this connection's own churn wall clock
 };
 
+/// VMs each connection places per fill chunk.
+constexpr std::size_t kFillChunk = 256;
+
+/// Paces the fill in chunks: the coordinator releases one chunk to every
+/// connection at a time and reads used PMs only once all of them have
+/// settled it, so where the fill stops depends on the placements alone and
+/// not on how many landed between two polls.
+class FillGate {
+ public:
+  explicit FillGate(std::size_t workers) : workers_(workers) {}
+
+  /// Worker: waits until chunk `chunk` (0-based) is released; false once
+  /// the fill is over instead.
+  bool next(std::size_t chunk) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return released_ > chunk || over_; });
+    return released_ > chunk;
+  }
+
+  /// Worker: its current chunk is settled, `placed` of it accepted.
+  void finish(std::size_t placed) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++finished_;
+    placed_ += placed;
+    cv_.notify_all();
+  }
+
+  /// Coordinator: runs one more chunk on every worker; returns the VMs
+  /// placed in it.
+  std::size_t run_chunk() {
+    std::unique_lock<std::mutex> lock(mu_);
+    finished_ = 0;
+    placed_ = 0;
+    ++released_;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return finished_ == workers_; });
+    return placed_;
+  }
+
+  /// Coordinator: the fill is over; workers go on to churn.
+  void end() {
+    std::lock_guard<std::mutex> lock(mu_);
+    over_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  const std::size_t workers_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::size_t released_ = 0;
+  std::size_t finished_ = 0;
+  std::size_t placed_ = 0;
+  bool over_ = false;
+};
+
 /// Churn place latencies, all connections; obs::Histogram is lock-free
 /// across the worker threads by construction.
 obs::Histogram g_churn_latency_ns;
@@ -282,10 +341,10 @@ double retry_delay_ms(double hint_ms, std::uint32_t attempt, Rng& rng) {
   return delay * rng.uniform(0.75, 1.25);
 }
 
-// One connection's workload: pipelined fill until the coordinator calls the
-// fleet full, then `churn_ops` release+place pairs.
+// One connection's workload: pipelined fill chunks while the coordinator
+// releases them, then `churn_ops` release+place pairs.
 void run_worker(const Options& options, const std::vector<double>& mix, std::size_t index,
-                std::size_t churn_ops, std::atomic<bool>& fill_done, WorkerResult& result) {
+                std::size_t churn_ops, FillGate& fill, WorkerResult& result) {
   // Connections are dealt round-robin across the targets.
   Client client(options.endpoints[index % options.endpoints.size()], options.binary);
   Rng rng(0x10adull * (index + 1));
@@ -384,32 +443,26 @@ void run_worker(const Options& options, const std::vector<double>& mix, std::siz
     return accepted ? 1 : 0;
   };
 
-  // Fill phase: stream placements until the coordinator says the fleet hit
-  // the target (or the daemon has been rejecting for a while). Retry
-  // requeues do not count toward the rejection streak.
-  std::size_t rejected_streak = 0;
-  while (!fill_done.load(std::memory_order_relaxed) && rejected_streak < 512) {
-    flush_resends(false);
-    while (inflight.size() < options.pipeline) {
-      Inflight request;
-      request.is_place = true;
-      request.vm = next_vm++;
-      request.type = draw_type();
-      request.sent = Clock::now();
-      client.send_place(request.vm, request.type);
-      inflight.push_back(request);
-    }
-    while (inflight.size() > options.pipeline / 2) {
-      switch (settle_one(false)) {
-        case 1: rejected_streak = 0; break;
-        case 0: ++rejected_streak; break;
-        default: break;
+  // Fill phase: each chunk places kFillChunk VMs, pipelined, and settles
+  // every one of them (retries included) before it is reported.
+  for (std::size_t chunk = 0; fill.next(chunk); ++chunk) {
+    std::size_t sent = 0;
+    std::size_t placed = 0;
+    while (sent < kFillChunk || !inflight.empty() || !resend.empty()) {
+      while (sent < kFillChunk && inflight.size() < options.pipeline) {
+        Inflight request;
+        request.is_place = true;
+        request.vm = next_vm++;
+        request.type = draw_type();
+        request.sent = Clock::now();
+        client.send_place(request.vm, request.type);
+        inflight.push_back(request);
+        ++sent;
       }
+      flush_resends(inflight.empty());
+      if (!inflight.empty() && settle_one(false) == 1) ++placed;
     }
-  }
-  while (!inflight.empty() || !resend.empty()) {
-    flush_resends(true);
-    if (!inflight.empty()) settle_one(false);
+    fill.finish(placed);
   }
 
   // Churn phase: release one, place one; only place latencies are timed.
@@ -505,7 +558,7 @@ RoundResult run_round(const Options& options, const std::vector<double>& mix,
   round.connections = connections;
   const obs::HistogramSnapshot before = g_churn_latency_ns.snapshot();
 
-  std::atomic<bool> fill_done{options.fill_pms == 0};
+  FillGate fill(connections);
   std::vector<WorkerResult> results(connections);
   std::vector<std::thread> workers;
   const std::size_t ops_per_conn = (options.churn_ops + connections - 1) / connections;
@@ -513,20 +566,18 @@ RoundResult run_round(const Options& options, const std::vector<double>& mix,
   const auto fill_start = Clock::now();
   for (std::size_t c = 0; c < connections; ++c) {
     workers.emplace_back(
-        [&, c] { run_worker(options, mix, c, ops_per_conn, fill_done, results[c]); });
+        [&, c] { run_worker(options, mix, c, ops_per_conn, fill, results[c]); });
   }
 
-  // Coordinator: poll daemon stats until the fill target is reached.
+  // Coordinator: one chunk per connection at a time until the fill target
+  // is reached, or until a chunk places nothing (the fleet is full).
   if (options.fill_pms > 0) {
-    while (!fill_done.load()) {
-      if (total_used_pms(options) >= options.fill_pms) {
-        fill_done.store(true);
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    while (total_used_pms(options) < options.fill_pms) {
+      if (fill.run_chunk() == 0) break;
     }
     round.fill_seconds = std::chrono::duration<double>(Clock::now() - fill_start).count();
   }
+  fill.end();
   // The operating point, sampled while churn holds it (the workers release
   // everything before joining, so querying after the join would read 0).
   round.used_pms = total_used_pms(options);

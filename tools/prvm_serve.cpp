@@ -69,7 +69,7 @@ void usage(const char* argv0) {
       << "  --stats-interval-s N print a human-readable stats line every N seconds\n"
       << "  --cache-dir PATH     score-table cache (default $PRVM_CACHE_DIR or .prvm-cache);\n"
       << "                       shared with the bench/experiment harness, so a warm cache\n"
-      << "                       makes startup skip the table build (about 0.3 s on 4 CPUs);\n"
+      << "                       makes startup skip the table build (~0.35 s on 4 CPUs);\n"
       << "                       with --score-image it is read to fill missing images\n"
       << "  --score-image DIR    serve score tables from read-only mmap images under DIR\n"
       << "                       (written on first use); N cell daemons of one host then\n"
@@ -225,7 +225,7 @@ int main(int argc, char** argv) {
     const Catalog catalog = ec2_sim_catalog();
     // The daemon shares the experiment harness's score-table cache (see
     // Ec2ExperimentConfig::cache_dir): a warm cache turns the table build
-    // (about 0.3 s on 4 CPUs) into a file load. With --score-image the
+    // (about 0.35 s on 4 CPUs) into a file load. With --score-image the
     // tables are instead served from mmap-shared read-only images, so N cell
     // daemons on one host keep a single physical copy.
     std::shared_ptr<const ScoreTableSet> tables;
