@@ -4,11 +4,6 @@
 
 namespace prvm {
 
-std::filesystem::path EmbeddedCells::cell_dir(const std::filesystem::path& root,
-                                              std::size_t k) {
-  return root / ("cell-" + std::to_string(k));
-}
-
 EmbeddedCells::EmbeddedCells(const Catalog& catalog,
                              const std::vector<std::size_t>& fleet,
                              std::shared_ptr<const ScoreTableSet> tables,
@@ -24,7 +19,7 @@ EmbeddedCells::EmbeddedCells(const Catalog& catalog,
     if (config.data_dir.empty()) {
       cell_config.data_dir.clear();
     } else {
-      cell_config.data_dir = cell_dir(config.data_dir, k);
+      cell_config.data_dir = config.data_dir / ("cell-" + std::to_string(k));
       std::filesystem::create_directories(cell_config.data_dir);
     }
     cells_.push_back(std::make_unique<PlacementService>(catalog, slices[k],

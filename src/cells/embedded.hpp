@@ -6,8 +6,7 @@
 // fleet (split_fleet, so every cell keeps the catalog's PM-type mix). The
 // Router addresses them as RequestSinks exactly like remote socket cells,
 // which is what lets the sharded-vs-single differential tests and the
-// multi-cell bench run without sockets, and lets prvm_router host its
-// cells in-process when no --cell endpoints are given.
+// multi-cell benchmark run without sockets.
 #pragma once
 
 #include <filesystem>
@@ -51,11 +50,6 @@ class EmbeddedCells {
 
   /// The cells as router targets (non-owning; valid for this object's life).
   std::vector<RequestSink*> sinks();
-
-  /// `<root>/cell-<k>` — the naming contract shared with prvm_router and
-  /// the crash-recovery tests (which restart one cell over its directory).
-  static std::filesystem::path cell_dir(const std::filesystem::path& root,
-                                        std::size_t k);
 
  private:
   std::vector<std::unique_ptr<PlacementService>> cells_;

@@ -42,47 +42,33 @@ const Catalog::FittingDemands& fitting_demands(const Catalog& catalog, std::size
   return fitting;
 }
 
-// The table of PM type p from the binary cache under `cache_dir` when it
-// holds a valid one, else built (and, with `save_built`, written there).
-// Load-vs-build time and the hit/miss count go to the global registry:
-// score tables are built before any service (and its registry) exists, and
-// the daemon exposes the global registry anyway.
-ScoreTable load_or_build(const Catalog& catalog, std::size_t p, const ScoreTableOptions& options,
-                         const std::string& digest,
-                         const std::optional<std::filesystem::path>& cache_dir, bool save_built) {
+// Builds the table of PM type p. Build time and the miss count go to the
+// global registry: score tables are built before any service (and its
+// registry) exists, and the daemon exposes the global registry anyway.
+ScoreTable build_table(const Catalog& catalog, std::size_t p, const ScoreTableOptions& options) {
   obs::Registry& reg = obs::Registry::global();
-  std::optional<std::filesystem::path> cache_file;
-  if (cache_dir.has_value()) cache_file = *cache_dir / ("scoretable-" + digest + ".bin");
-  if (cache_file.has_value() && std::filesystem::exists(*cache_file)) {
-    try {
-      const obs::ScopedTimerNs timer(reg.histogram("prvm_score_table_load_ns"));
-      ScoreTable loaded = ScoreTable::load(*cache_file);
-      if (loaded.digest_string() == digest) {
-        reg.counter("prvm_score_table_cache_hits_total").inc();
-        return loaded;
-      }
-    } catch (const std::exception&) {
-      // Corrupt or stale cache entry: fall through and rebuild.
-    }
-  }
   reg.counter("prvm_score_table_cache_misses_total").inc();
-  ScoreTable table = [&] {
-    const obs::ScopedTimerNs timer(reg.histogram("prvm_score_table_build_ns"));
-    const ProfileGraph graph(catalog.shape(p), catalog.fitting_demands(p).demands);
-    return ScoreTable::build(graph, options);
-  }();
-  if (save_built && cache_file.has_value()) {
-    std::error_code ec;
-    std::filesystem::create_directories(*cache_dir, ec);
-    if (!ec) {
-      try {
-        table.save(*cache_file);
-      } catch (const std::exception&) {
-        // Cache write failure is non-fatal (e.g. read-only filesystem).
-      }
-    }
+  const obs::ScopedTimerNs timer(reg.histogram("prvm_score_table_build_ns"));
+  const ProfileGraph graph(catalog.shape(p), catalog.fitting_demands(p).demands);
+  return ScoreTable::build(graph, options);
+}
+
+// The table of a valid image at `image` built with `digest`, mapped;
+// nullopt when the file is missing, corrupt, of another format version or
+// of another digest (the caller rebuilds and overwrites it).
+std::optional<ScoreTable> map_valid_image(const std::filesystem::path& image,
+                                          const std::string& digest) {
+  if (!std::filesystem::exists(image)) return std::nullopt;
+  obs::Registry& reg = obs::Registry::global();
+  try {
+    const obs::ScopedTimerNs timer(reg.histogram("prvm_score_table_load_ns"));
+    ScoreTable table = ScoreTable::map_image(image);
+    if (table.digest_string() != digest) return std::nullopt;
+    reg.counter("prvm_score_table_cache_hits_total").inc();
+    return table;
+  } catch (const std::exception&) {
+    return std::nullopt;
   }
-  return table;
 }
 
 // Hands the pages a table build freed back to the OS: malloc_trim(0)
@@ -101,70 +87,42 @@ void release_freed_memory() {
 }  // namespace
 
 ScoreTableSet build_score_tables(const Catalog& catalog, const ScoreTableOptions& options,
-                                 const std::optional<std::filesystem::path>& cache_dir) {
-  ScoreTableSet set;
-  set.tables_.reserve(catalog.pm_types().size());
-  set.slots_.resize(catalog.pm_types().size());
-
-  for (std::size_t p = 0; p < catalog.pm_types().size(); ++p) {
-    const std::string digest =
-        ScoreTable::digest(catalog.shape(p), fitting_demands(catalog, p).demands, options);
-    set.tables_.push_back(load_or_build(catalog, p, options, digest, cache_dir, true));
-    set_slots(catalog, p, set.slots_[p]);
-  }
-  release_freed_memory();
-  return set;
-}
-
-ScoreTableSet mapped_score_tables(const Catalog& catalog,
-                                  const std::filesystem::path& image_dir,
-                                  const ScoreTableOptions& options,
-                                  ScoreImageReport* report,
-                                  const std::optional<std::filesystem::path>& cache_dir) {
+                                 const std::optional<std::filesystem::path>& dir,
+                                 ScoreImageReport* report) {
   ScoreImageReport local;
   ScoreTableSet set;
   set.tables_.reserve(catalog.pm_types().size());
   set.slots_.resize(catalog.pm_types().size());
+  if (dir.has_value()) {
+    std::error_code ec;
+    std::filesystem::create_directories(*dir, ec);
+  }
 
-  std::error_code ec;
-  std::filesystem::create_directories(image_dir, ec);
-
-  obs::Registry& reg = obs::Registry::global();
   for (std::size_t p = 0; p < catalog.pm_types().size(); ++p) {
     const std::string digest =
         ScoreTable::digest(catalog.shape(p), fitting_demands(catalog, p).demands, options);
-    const std::filesystem::path image = image_dir / ("scoretable-" + digest + ".img");
-
-    bool served = false;
-    if (std::filesystem::exists(image)) {
-      try {
-        const obs::ScopedTimerNs timer(reg.histogram("prvm_score_table_load_ns"));
-        ScoreTable table = ScoreTable::map_image(image);
-        if (table.digest_string() == digest) {
+    if (!dir.has_value()) {
+      set.tables_.push_back(build_table(catalog, p, options));
+    } else {
+      const std::filesystem::path image = *dir / ("scoretable-" + digest + ".img");
+      if (std::optional<ScoreTable> mapped = map_valid_image(image, digest)) {
+        set.tables_.push_back(std::move(*mapped));
+        ++local.mapped;
+      } else {
+        // Publish the built table and serve it from the mapping, so this
+        // process already shares pages with the next one.
+        ScoreTable table = build_table(catalog, p, options);
+        try {
+          {
+            const obs::ScopedTimerNs timer(score_table_stage_histogram("image_write"));
+            table.save_image(image);
+          }
+          set.tables_.push_back(ScoreTable::map_image(image));
+          ++local.written;
+        } catch (const std::exception&) {
           set.tables_.push_back(std::move(table));
-          ++local.mapped;
-          served = true;
-          reg.counter("prvm_score_table_cache_hits_total").inc();
+          ++local.fallback;
         }
-      } catch (const std::exception&) {
-        // Corrupt/stale image: rebuild and overwrite it below.
-      }
-    }
-    if (!served) {
-      // No usable image: obtain the table the normal way (binary cache or
-      // full build), write the image, then serve from the mapping so this
-      // process already shares pages with the next one.
-      ScoreTable table = load_or_build(catalog, p, options, digest, cache_dir, false);
-      try {
-        {
-          const obs::ScopedTimerNs timer(score_table_stage_histogram("image_write"));
-          table.save_image(image);
-        }
-        set.tables_.push_back(ScoreTable::map_image(image));
-        ++local.written;
-      } catch (const std::exception&) {
-        set.tables_.push_back(std::move(table));
-        ++local.fallback;
       }
     }
     set_slots(catalog, p, set.slots_[p]);

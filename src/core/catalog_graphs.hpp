@@ -1,10 +1,10 @@
-// Score tables for every PM type of a catalog, with on-disk caching.
+// Score tables for every PM type of a catalog, persisted as mmap images.
 //
 // Building the tables of ec2_sim_catalog() takes about 0.35 s on a 4-vCPU
 // Xeon KVM guest (0.8 s on one CPU); the paper notes the Profile-PageRank
 // table "is relatively stable during a certain period of time", so we
-// persist each table keyed by a digest of (shape, demand set, PageRank
-// options) and reload on subsequent runs.
+// persist each table as a read-only image keyed by a digest of (shape,
+// demand set, PageRank options) and map it on subsequent runs.
 #pragma once
 
 #include <filesystem>
@@ -31,10 +31,8 @@ class ScoreTableSet {
 
  private:
   friend ScoreTableSet build_score_tables(const Catalog&, const ScoreTableOptions&,
-                                          const std::optional<std::filesystem::path>&);
-  friend ScoreTableSet mapped_score_tables(const Catalog&, const std::filesystem::path&,
-                                           const ScoreTableOptions&, ScoreImageReport*,
-                                           const std::optional<std::filesystem::path>&);
+                                          const std::optional<std::filesystem::path>&,
+                                          ScoreImageReport*);
   friend class IncrementalScoreTables;
   std::vector<ScoreTable> tables_;
   std::vector<std::vector<std::optional<std::size_t>>> slots_;  // [pm][vm]
@@ -77,35 +75,31 @@ class IncrementalScoreTables {
   ScoreTableSet set_;
 };
 
-/// Directory used for score-table caching: $PRVM_CACHE_DIR if set, else
-/// ".prvm-cache" under the current directory.
+/// Default directory of the score-table images (and of the experiment
+/// harness's result cache): $PRVM_CACHE_DIR if set, else ".prvm-cache"
+/// under the current directory.
 std::filesystem::path default_cache_dir();
 
-/// Builds (or loads from cache) the score tables of every PM type in the
-/// catalog. Pass std::nullopt as cache_dir to disable caching.
-ScoreTableSet build_score_tables(
-    const Catalog& catalog, const ScoreTableOptions& options = {},
-    const std::optional<std::filesystem::path>& cache_dir = default_cache_dir());
-
-/// What mapped_score_tables actually did, for the daemon's startup line.
+/// What build_score_tables did with an image directory, for the daemon's
+/// startup line.
 struct ScoreImageReport {
   std::size_t mapped = 0;    ///< tables served from a pre-existing image
   std::size_t written = 0;   ///< images written this run, then mapped
   std::size_t fallback = 0;  ///< tables served from private memory (image IO failed)
 };
 
-/// Score tables served from read-only mmap images under `image_dir`
-/// (one `scoretable-<digest>.img` per PM type). Existing images are mapped
-/// MAP_SHARED, so N cell processes of one host share a single physical copy
-/// of each table; missing images are loaded from the binary cache under
-/// `cache_dir` when it holds them (the cache is read, never written) or
-/// built, then written and mapped back. Image IO failure falls back to the
-/// in-memory table — the daemon keeps booting, just without page sharing.
-/// Metrics as build_score_tables records them; a mapped image counts as a
-/// cache hit and its mapping time as a load.
-ScoreTableSet mapped_score_tables(
-    const Catalog& catalog, const std::filesystem::path& image_dir,
-    const ScoreTableOptions& options = {}, ScoreImageReport* report = nullptr,
-    const std::optional<std::filesystem::path>& cache_dir = default_cache_dir());
+/// The score tables of every PM type in the catalog. With `dir` unset they
+/// are built in memory. Given a directory, each table is served from the
+/// read-only image `<dir>/scoretable-<digest>.img` (ScoreTable::map_image)
+/// when that image is valid; otherwise it is built, published there with
+/// save_image and mapped back, so N cell processes of one host share a
+/// single physical copy. Image IO failure serves the built table instead:
+/// the daemon keeps booting, just without page sharing. A build counts as a
+/// cache miss and its time as a build, a mapped image as a hit and its
+/// mapping time as a load (global registry).
+ScoreTableSet build_score_tables(
+    const Catalog& catalog, const ScoreTableOptions& options = {},
+    const std::optional<std::filesystem::path>& dir = default_cache_dir(),
+    ScoreImageReport* report = nullptr);
 
 }  // namespace prvm

@@ -41,10 +41,9 @@ class Fnv {
   std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 
-// 'R3'/'I3': best-successor entries shrank from 8 to 4 bytes (the score
-// moved out to scores_). Files of an earlier version would deserialize into
-// the wrong layout, so the magic bump has them rebuilt wholesale.
-constexpr char kMagic[8] = {'P', 'R', 'V', 'M', 'S', 'C', 'R', '3'};
+// 'I3': best-successor entries shrank from 8 to 4 bytes (the score moved
+// out to scores_). Images of an earlier version would map into the wrong
+// layout, so the magic bump has them rebuilt wholesale.
 constexpr char kImageMagic[8] = {'P', 'R', 'V', 'M', 'S', 'C', 'I', '3'};
 
 template <typename T>
@@ -52,19 +51,13 @@ void write_pod(std::ostream& os, const T& value) {
   os.write(reinterpret_cast<const char*>(&value), sizeof value);
 }
 
-template <typename T>
-void read_pod(std::istream& is, T& value) {
-  is.read(reinterpret_cast<char*>(&value), sizeof value);
-  PRVM_REQUIRE(is.good(), "truncated score-table file");
-}
-
 /// Section alignment of the image format: every array starts on a 64-byte
 /// boundary so mapped pointers are cache-line (and type-) aligned.
 constexpr std::size_t align_up(std::size_t offset) { return (offset + 63) & ~std::size_t{63}; }
 
 // Throws unless every best-successor id names a node or is kNoFit and every
-// hash-index value names a node. A flipped byte in a cache file or image
-// would otherwise become an out-of-bounds read in key_of or node_score.
+// hash-index value names a node. A flipped byte in an image would
+// otherwise become an out-of-bounds read in key_of or node_score.
 void check_node_ids(std::span<const ScoreTable::BestEntry> best,
                     std::span<const NodeId> index_values, std::size_t node_count,
                     const std::filesystem::path& path) {
@@ -353,95 +346,6 @@ std::optional<ScoreTable::Best> ScoreTable::best_after(ProfileKey current,
   const NodeId* node = index_find(current);
   PRVM_REQUIRE(node != nullptr, "profile not present in score table");
   return best_after_node(*node, demand_index);
-}
-
-void ScoreTable::save(const std::filesystem::path& path) const {
-  publish_file(path, [&](std::ostream& os) { write_cache(os); });
-}
-
-void ScoreTable::write_cache(std::ostream& os) const {
-  os.write(kMagic, sizeof kMagic);
-
-  const std::uint64_t digest_len = digest_.size();
-  write_pod(os, digest_len);
-  os.write(digest_.data(), static_cast<std::streamsize>(digest_.size()));
-
-  const std::uint64_t group_count = shape_.groups().size();
-  write_pod(os, group_count);
-  for (const DimensionGroup& g : shape_.groups()) {
-    write_pod(os, static_cast<std::int32_t>(g.kind));
-    write_pod(os, static_cast<std::int32_t>(g.count));
-    write_pod(os, static_cast<std::int32_t>(g.capacity));
-  }
-
-  write_pod(os, static_cast<std::uint64_t>(demand_count_));
-  write_pod(os, static_cast<std::uint64_t>(node_count_));
-  os.write(reinterpret_cast<const char*>(keys_data()),
-           static_cast<std::streamsize>(node_count_ * sizeof(ProfileKey)));
-  os.write(reinterpret_cast<const char*>(scores_data()),
-           static_cast<std::streamsize>(node_count_ * sizeof(float)));
-  os.write(reinterpret_cast<const char*>(best_data()),
-           static_cast<std::streamsize>(node_count_ * demand_count_ * sizeof(BestEntry)));
-  write_pod(os, static_cast<std::int32_t>(iterations_));
-  write_pod(os, static_cast<std::uint8_t>(converged_));
-}
-
-ScoreTable ScoreTable::load(const std::filesystem::path& path) {
-  std::ifstream is(path, std::ios::binary);
-  PRVM_REQUIRE(is.is_open(), "cannot open score-table file: " + path.string());
-  char magic[sizeof kMagic];
-  is.read(magic, sizeof magic);
-  PRVM_REQUIRE(is.good() && std::memcmp(magic, kMagic, sizeof kMagic) == 0,
-               "not a score-table file: " + path.string());
-
-  ScoreTable table;
-  std::uint64_t digest_len = 0;
-  read_pod(is, digest_len);
-  PRVM_REQUIRE(digest_len < 256, "corrupt score-table digest");
-  table.digest_.resize(digest_len);
-  is.read(table.digest_.data(), static_cast<std::streamsize>(digest_len));
-
-  std::uint64_t group_count = 0;
-  read_pod(is, group_count);
-  PRVM_REQUIRE(group_count >= 1 && group_count < 64, "corrupt score-table shape");
-  std::vector<DimensionGroup> groups;
-  groups.reserve(group_count);
-  for (std::uint64_t g = 0; g < group_count; ++g) {
-    std::int32_t kind = 0, count = 0, capacity = 0;
-    read_pod(is, kind);
-    read_pod(is, count);
-    read_pod(is, capacity);
-    groups.push_back(DimensionGroup{static_cast<ResourceKind>(kind), count, capacity});
-  }
-  table.shape_ = ProfileShape(std::move(groups));
-
-  std::uint64_t demand_count = 0, node_count = 0;
-  read_pod(is, demand_count);
-  read_pod(is, node_count);
-  PRVM_REQUIRE(node_count < static_cast<std::uint64_t>(kNoFit), "corrupt score-table node count");
-  PRVM_REQUIRE(demand_count < 1024, "corrupt score-table demand count");
-  table.demand_count_ = demand_count;
-  table.node_count_ = node_count;
-  table.keys_.resize(node_count);
-  table.scores_.resize(node_count);
-  table.best_.resize(node_count * demand_count);
-  is.read(reinterpret_cast<char*>(table.keys_.data()),
-          static_cast<std::streamsize>(node_count * sizeof(ProfileKey)));
-  is.read(reinterpret_cast<char*>(table.scores_.data()),
-          static_cast<std::streamsize>(node_count * sizeof(float)));
-  is.read(reinterpret_cast<char*>(table.best_.data()),
-          static_cast<std::streamsize>(table.best_.size() * sizeof(BestEntry)));
-  std::int32_t iterations = 0;
-  std::uint8_t converged = 0;
-  read_pod(is, iterations);
-  read_pod(is, converged);
-  table.iterations_ = iterations;
-  table.converged_ = converged != 0;
-  check_node_ids(table.best_, {}, node_count, path);
-
-  table.index_.reserve(node_count);
-  for (NodeId u = 0; u < node_count; ++u) table.index_.try_emplace(table.keys_[u], u);
-  return table;
 }
 
 void ScoreTable::save_image(const std::filesystem::path& path) const {

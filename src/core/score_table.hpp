@@ -13,15 +13,14 @@
 // engine pays the probe only when a live profile first enters its per-bucket
 // score cache.
 //
-// The table is self-contained after build (the graph can be discarded) and
-// has three persistence forms: save()/load() (owned binary cache, because
-// building the EC2-scale tables takes about 0.35 s on 4 CPUs and the paper
-// notes the table "is relatively stable during a certain period of time"),
-// save_image()/map_image() (a page-aligned read-only image mapped with
-// mmap, so N cell processes of one host share one physical copy), and
-// extend() (grow an existing table in place when the catalog gains VM
-// types; byte-identical to a fresh build, sublinear when the profile graph
-// did not change).
+// The table is self-contained after build (the graph can be discarded). It
+// persists in one form, save_image()/map_image(): a page-aligned read-only
+// image mapped with mmap, so N cell processes of one host share one
+// physical copy (building the EC2-scale tables takes about 0.35 s on 4
+// CPUs, and the paper notes the table "is relatively stable during a
+// certain period of time"). extend() grows an existing table in place when
+// the catalog gains VM types; byte-identical to a fresh build, sublinear
+// when the profile graph did not change.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +46,7 @@ class Histogram;
 /// The stages of a cold table build, in order. Each one's wall time per
 /// build is recorded in the global registry's `prvm_score_table_<stage>_ns`
 /// histogram (expand, intern and canonicalize by ProfileGraph, the next three
-/// by ScoreTable::build, image_write by mapped_score_tables).
+/// by ScoreTable::build, image_write by build_score_tables).
 inline constexpr std::string_view kScoreTableBuildStages[] = {
     "expand", "intern", "canonicalize", "pagerank", "bpru", "best_successor", "image_write"};
 
@@ -152,21 +151,16 @@ class ScoreTable {
   int pagerank_iterations() const { return iterations_; }
   bool pagerank_converged() const { return converged_; }
 
-  /// Binary persistence. The file embeds a digest of (shape, options,
-  /// demand fingerprint) for the caller to check. load() throws on a file of
-  /// another format version, a truncated file, or a best-successor id out
-  /// of range.
-  void save(const std::filesystem::path& path) const;
-  static ScoreTable load(const std::filesystem::path& path);
-
   /// Read-only image persistence: save_image() writes every array (keys,
-  /// scores, best entries, hash index) into one page-aligned file;
-  /// map_image() mmaps it MAP_SHARED|PROT_READ and serves every
+  /// scores, best entries, hash index) into one page-aligned file that
+  /// embeds a digest of (shape, options, demand fingerprint) for the caller
+  /// to check; map_image() mmaps it MAP_SHARED|PROT_READ and serves every
   /// accessor straight from the mapping — multiple processes mapping the
   /// same file share one physical copy of the table. The mapping is held by
   /// the returned table (and any copies of it) until the last one dies.
-  /// map_image() throws where load() does, and on a hash-index value out of
-  /// range.
+  /// map_image() throws on a missing file, a file of another format
+  /// version, a truncated file, or a best-successor id or hash-index value
+  /// out of range.
   void save_image(const std::filesystem::path& path) const;
   static ScoreTable map_image(const std::filesystem::path& path);
 
@@ -174,12 +168,12 @@ class ScoreTable {
   bool is_mapped() const { return image_ != nullptr; }
 
   /// Digest string identifying (shape, demands, options); doubles as the
-  /// cache-file naming scheme. Computable without building the graph.
+  /// image-file naming scheme. Computable without building the graph.
   static std::string digest(const ProfileShape& shape,
                             const std::vector<QuantizedDemand>& demands,
                             const ScoreTableOptions& options);
 
-  /// The digest this table was built with (for cache validation).
+  /// The digest this table was built with (for image validation).
   const std::string& digest_string() const { return digest_; }
 
  private:
@@ -190,8 +184,7 @@ class ScoreTable {
   /// float scores (identical between build and extend, which is what makes
   /// extend byte-identical).
   void fill_demand_block(const ProfileGraph& graph, std::size_t t);
-  /// The bodies of save() and save_image().
-  void write_cache(std::ostream& os) const;
+  /// The body of save_image().
   void write_image(std::ostream& os) const;
 
   /// An open mmap; shared_ptr so copies of a mapped table stay cheap and

@@ -42,7 +42,7 @@ struct Ec2ExperimentConfig {
   /// the score-table cache directory. Results are deterministic in the
   /// config, so this is safe; delete the cache directory to force reruns.
   bool cache_results = true;
-  /// Directory for the score-table and result caches. nullopt resolves to
+  /// Directory for the score-table images and the result cache. nullopt resolves to
   /// default_cache_dir(): $PRVM_CACHE_DIR when set, else ".prvm-cache"
   /// under the current directory. Point every consumer (benches, the
   /// placement daemon, CI) at one directory via PRVM_CACHE_DIR so the

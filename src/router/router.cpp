@@ -135,7 +135,6 @@ bool Router::load_vm_map(const std::filesystem::path& path) {
   if (!(is >> magic >> count) || magic != "PRVMMAP1") return false;
   is.get();  // newline after the header
   std::unordered_map<std::uint64_t, VmEntry> loaded;
-  loaded.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     std::uint64_t vm = 0;
     std::size_t cell = 0;

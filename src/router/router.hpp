@@ -95,9 +95,11 @@ class Router : public RequestSink {
   /// vms immediately instead of answering unknown_vm until re-placement.
   bool save_vm_map(const std::filesystem::path& path) const;
   /// Loads a map written by save_vm_map, replacing the in-memory map.
-  /// Returns false (leaving the map empty) when the file is missing or
-  /// corrupt. Entries whose cell index exceeds this router's cell count are
-  /// dropped (topology changed; those vms resolve via re-placement).
+  /// Returns false, leaving the map as it was (empty at startup), when the
+  /// file is missing or corrupt; a damaged entry count is never trusted to
+  /// size anything. Entries whose cell index exceeds this router's cell
+  /// count are dropped (topology changed; those vms resolve via
+  /// re-placement).
   bool load_vm_map(const std::filesystem::path& path);
   std::size_t vm_map_size() const;
 

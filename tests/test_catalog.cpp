@@ -189,6 +189,7 @@ TEST(CatalogGraphs, CacheRoundTrip) {
   const ScoreTableSet cached = build_score_tables(catalog, {}, dir);
   EXPECT_EQ(cached.table(0).size(), fresh.table(0).size());
   EXPECT_EQ(cached.table(0).digest_string(), fresh.table(0).digest_string());
+  EXPECT_TRUE(cached.table(0).is_mapped());
   std::filesystem::remove_all(dir);
 }
 

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <future>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -615,6 +617,68 @@ TEST_F(RouterTest, AllCellsRecoverToThePreCrashStateAfterHardStop) {
     EXPECT_TRUE(call(router, place_request(100, 0)).ok);
     embedded->stop_now();
   }
+}
+
+// ---------------------------------------------------------------------------
+// Router vm-map persistence (--map-file).
+
+TEST_F(RouterTest, VmMapRoundTripsThroughItsFile) {
+  TempDir dir("vmmap");
+  const std::filesystem::path path = dir.path() / "vm.map";
+  auto embedded = make_cells(2, 8);
+  Router router(embedded->sinks());
+  for (std::uint64_t vm = 1; vm <= 6; ++vm) {
+    ASSERT_TRUE(call(router, place_request(vm, vm % 2, vm % 3 == 0 ? "web" : "")).ok);
+  }
+  ASSERT_TRUE(router.save_vm_map(path));
+
+  // A restarted router serves the saved VMs without re-placing them.
+  Router restarted(embedded->sinks());
+  ASSERT_TRUE(restarted.load_vm_map(path));
+  EXPECT_EQ(restarted.vm_map_size(), 6u);
+  for (std::uint64_t vm = 1; vm <= 6; ++vm) {
+    ASSERT_TRUE(restarted.cell_of(vm).has_value()) << "vm " << vm;
+    EXPECT_EQ(restarted.cell_of(vm), router.cell_of(vm)) << "vm " << vm;
+  }
+  EXPECT_TRUE(call(restarted, vm_request(RequestOp::kLookup, 3)).ok);
+  EXPECT_TRUE(call(restarted, vm_request(RequestOp::kRelease, 3)).ok);
+  embedded->stop_now();
+}
+
+TEST_F(RouterTest, VmMapLoadRejectsDamagedFilesAndDropsUnknownCells) {
+  TempDir dir("vmmap-damaged");
+  auto embedded = make_cells(2, 8);
+  const auto load = [&](const std::string& bytes, Router& router) {
+    const std::filesystem::path path = dir.path() / "vm.map";
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    return router.load_vm_map(path);
+  };
+  {
+    // A damaged count is not trusted to size the map.
+    Router router(embedded->sinks());
+    EXPECT_FALSE(load("PRVMMAP1 1125899906842624\n", router));
+    EXPECT_FALSE(load("PRVMMAP1 1125899906842624\n1 0 \n2 1 web\n", router));
+    EXPECT_EQ(router.vm_map_size(), 0u);
+  }
+  {
+    // A body shorter than its count.
+    Router router(embedded->sinks());
+    EXPECT_FALSE(load("PRVMMAP1 3\n1 0 \n2 1 web\n", router));
+    EXPECT_EQ(router.vm_map_size(), 0u);
+    EXPECT_FALSE(load("PRVMMAP2 0\n", router));
+    EXPECT_FALSE(router.load_vm_map(dir.path() / "missing.map"));
+  }
+  {
+    // A cell index past this router's two cells: the entry is dropped, the
+    // rest load.
+    Router router(embedded->sinks());
+    EXPECT_TRUE(load("PRVMMAP1 3\n1 0 \n2 5 web\n3 1 db\n", router));
+    EXPECT_EQ(router.vm_map_size(), 2u);
+    EXPECT_EQ(router.cell_of(1), std::optional<std::size_t>(0));
+    EXPECT_FALSE(router.cell_of(2).has_value());
+    EXPECT_EQ(router.cell_of(3), std::optional<std::size_t>(1));
+  }
+  embedded->stop_now();
 }
 
 // ---------------------------------------------------------------------------

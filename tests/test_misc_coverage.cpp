@@ -50,8 +50,8 @@ TEST(Describe, QuantizedDemandMultiGroup) {
   EXPECT_EQ(demand.describe(), "{2,1} {} {3}");
 }
 
-// Random-catalog fuzz: build a score table, save, load, and verify the
-// loaded table answers identically for every profile and demand.
+// Random-catalog fuzz: build a score table, write its image, map it, and
+// verify the mapped table answers identically for every profile and demand.
 TEST(ScoreTableFuzz, SaveLoadIdentityOnRandomCatalogs) {
   Rng rng(123321);
   for (int trial = 0; trial < 8; ++trial) {
@@ -70,9 +70,9 @@ TEST(ScoreTableFuzz, SaveLoadIdentityOnRandomCatalogs) {
     const ProfileGraph graph(shape, demands);
     const ScoreTable table = ScoreTable::build(graph);
     const auto path = std::filesystem::temp_directory_path() /
-                      ("prvm-fuzz-" + std::to_string(trial) + ".bin");
-    table.save(path);
-    const ScoreTable loaded = ScoreTable::load(path);
+                      ("prvm-fuzz-" + std::to_string(trial) + ".img");
+    table.save_image(path);
+    const ScoreTable loaded = ScoreTable::map_image(path);
     std::filesystem::remove(path);
     for (NodeId u = 0; u < graph.node_count(); ++u) {
       ASSERT_EQ(loaded.find(graph.key_of(u)), table.find(graph.key_of(u)));

@@ -170,10 +170,10 @@ TEST(ScoreTable, DigestDistinguishesInputs) {
 TEST(ScoreTable, SaveLoadRoundTrip) {
   const ProfileGraph g = paper_graph();
   const ScoreTable table = ScoreTable::build(g);
-  const auto path = std::filesystem::temp_directory_path() / "prvm-scoretable-test.bin";
-  table.save(path);
-  const ScoreTable loaded = ScoreTable::load(path);
-  std::filesystem::remove(path);
+  const auto path = std::filesystem::temp_directory_path() / "prvm-scoretable-test.img";
+  table.save_image(path);
+  const ScoreTable loaded = ScoreTable::map_image(path);
+  std::filesystem::remove(path);  // the mapping outlives the name
 
   EXPECT_EQ(loaded.size(), table.size());
   EXPECT_EQ(loaded.demand_count(), table.demand_count());
@@ -216,16 +216,16 @@ TEST(ScoreTable, IndependentBuildsWriteByteIdenticalImages) {
 }
 
 TEST(ScoreTable, LoadRejectsGarbage) {
-  const auto path = std::filesystem::temp_directory_path() / "prvm-scoretable-garbage.bin";
+  const auto path = std::filesystem::temp_directory_path() / "prvm-scoretable-garbage.img";
   {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
     std::fputs("this is not a score table", f);
     std::fclose(f);
   }
-  EXPECT_THROW(ScoreTable::load(path), std::invalid_argument);
+  EXPECT_THROW(ScoreTable::map_image(path), std::invalid_argument);
   std::filesystem::remove(path);
-  EXPECT_THROW(ScoreTable::load(path), std::invalid_argument);  // missing file
+  EXPECT_THROW(ScoreTable::map_image(path), std::invalid_argument);  // missing file
 }
 
 }  // namespace

@@ -164,16 +164,8 @@ ImageLayout image_layout(const std::filesystem::path& path) {
   return layout;
 }
 
-// The first best-successor entry of a save() file: magic, digest length and
-// digest, group count and 12 bytes per group, demand and node counts, then
-// keys and scores.
-std::size_t cache_best_offset(const ScoreTable& table) {
-  return 8 + 8 + table.digest_string().size() + 8 + 12 * table.shape().groups().size() + 16 +
-         table.size() * (sizeof(ProfileKey) + sizeof(float));
-}
-
-// Writers of the version-2 formats (PRVMSCR2 cache, PRVMSCI2 image), whose
-// best-successor entries were 8 bytes and carried their score.
+// A writer of the version-2 image format (PRVMSCI2), whose best-successor
+// entries were 8 bytes and carried their score.
 class V2Writer {
  public:
   explicit V2Writer(const std::filesystem::path& path) : os_(path, std::ios::binary) {}
@@ -222,23 +214,6 @@ void write_v2_header_shape(V2Writer& w, const ScoreTable& table) {
     w.pod(static_cast<std::int32_t>(g.count));
     w.pod(static_cast<std::int32_t>(g.capacity));
   }
-}
-
-void write_v2_cache(const ScoreTable& table, const std::filesystem::path& path) {
-  const V2Arrays a = v2_arrays(table);
-  V2Writer w(path);
-  w.bytes("PRVMSCR2", 8);
-  w.pod(static_cast<std::uint64_t>(table.digest_string().size()));
-  w.bytes(table.digest_string().data(), table.digest_string().size());
-  w.pod(static_cast<std::uint64_t>(table.shape().groups().size()));
-  write_v2_header_shape(w, table);
-  w.pod(static_cast<std::uint64_t>(table.demand_count()));
-  w.pod(static_cast<std::uint64_t>(table.size()));
-  w.bytes(a.keys.data(), a.keys.size() * sizeof(ProfileKey));
-  w.bytes(a.scores.data(), a.scores.size() * sizeof(float));
-  w.bytes(a.best.data(), a.best.size() * sizeof(a.best[0]));
-  w.pod(static_cast<std::int32_t>(table.pagerank_iterations()));
-  w.pod(static_cast<std::uint8_t>(table.pagerank_converged()));
 }
 
 void write_v2_image(const ScoreTable& table, const std::filesystem::path& path) {
@@ -341,8 +316,7 @@ TEST(ScoreImage, ConcurrentColdStartsInOneEmptyDirAgree) {
       ::close(fds[0]);
       int status = 1;
       try {
-        const ScoreTableSet set =
-            mapped_score_tables(catalog, dir.path(), {}, nullptr, std::nullopt);
+        const ScoreTableSet set = build_score_tables(catalog, {}, dir.path());
         const std::uint64_t hash = set_hash(set);
         status = ::write(fds[1], &hash, sizeof hash) == sizeof hash ? 0 : 1;
       } catch (...) {
@@ -366,14 +340,14 @@ TEST(ScoreImage, ConcurrentColdStartsInOneEmptyDirAgree) {
 TEST(ScoreImage, OutOfRangeNodeIdsAreRejectedAndTheImageRebuilt) {
   // A successor id or a hash-index value that names no node would be read
   // as an index into keys and scores. map_image must throw on either, and
-  // mapped_score_tables must then rewrite the image and serve the recorded
+  // build_score_tables must then rewrite the image and serve the recorded
   // tables. Each set is dropped before its file is patched in place.
   const Catalog catalog = ec2_sim_catalog();
   const TempDir dir("image-corrupt");
   std::filesystem::path image;
   NodeId nodes = 0;
   {
-    const ScoreTableSet set = mapped_score_tables(catalog, dir.path(), {}, nullptr, std::nullopt);
+    const ScoreTableSet set = build_score_tables(catalog, {}, dir.path());
     image = file_of(dir.path(), set.table(0), ".img");
     nodes = static_cast<NodeId>(set.table(0).size());
   }
@@ -383,7 +357,7 @@ TEST(ScoreImage, OutOfRangeNodeIdsAreRejectedAndTheImageRebuilt) {
     patch_file(image, offset, nodes);
     EXPECT_THROW(ScoreTable::map_image(image), std::invalid_argument) << "offset " << offset;
     ScoreImageReport report;
-    const ScoreTableSet set = mapped_score_tables(catalog, dir.path(), {}, &report, std::nullopt);
+    const ScoreTableSet set = build_score_tables(catalog, {}, dir.path(), &report);
     EXPECT_EQ(report.written, 1u);
     EXPECT_EQ(report.mapped, 1u);
     const std::uint64_t hash = set_hash(set);
@@ -392,44 +366,44 @@ TEST(ScoreImage, OutOfRangeNodeIdsAreRejectedAndTheImageRebuilt) {
 }
 
 TEST(ScoreImage, LoadRejectsAnOutOfRangeSuccessorId) {
-  const Catalog catalog = ec2_sim_catalog();
-  const ScoreTableSet owned = build_score_tables(catalog, {}, std::nullopt);
-  const ScoreTable& table = owned.table(0);
-  const TempDir dir("cache-corrupt");
-  const std::filesystem::path cache = dir.path() / "t.bin";
-  table.save(cache);
-  EXPECT_EQ(ScoreTable::load(cache).size(), table.size());
-  patch_file(cache, cache_best_offset(table), static_cast<NodeId>(table.size()));
-  EXPECT_THROW(ScoreTable::load(cache), std::invalid_argument);
+  // Every best entry is checked, not only the first one the test above
+  // patches: here the last entry of a small built table takes the two
+  // values at the edge of the valid range. kNoFit is a valid entry, the
+  // node count is not.
+  const ProfileShape shape({DimensionGroup{ResourceKind::kCpu, 4, 4},
+                            DimensionGroup{ResourceKind::kMemory, 1, 8}});
+  const std::vector<QuantizedDemand> demands = {QuantizedDemand{{{1}, {1}}},
+                                                QuantizedDemand{{{2, 2}, {3}}}};
+  const ScoreTable table = ScoreTable::build(ProfileGraph(shape, demands));
+  const TempDir dir("image-successor");
+  const std::filesystem::path image = dir.path() / "t.img";
+  table.save_image(image);
+  const std::size_t last = image_layout(image).best +
+                           (table.size() * table.demand_count() - 1) * sizeof(NodeId);
+  patch_file(image, last, ScoreTable::kNoFit);
+  EXPECT_EQ(ScoreTable::map_image(image).size(), table.size());
+  patch_file(image, last, static_cast<NodeId>(table.size()));
+  EXPECT_THROW(ScoreTable::map_image(image), std::invalid_argument);
 }
 
 TEST(ScoreImage, OldFormatFilesAreRebuiltNotMisread) {
-  // Version-2 files (8-byte best entries) left in the image and cache
-  // directories are replaced by version-3 ones, and the tables served on
-  // the way hash to the recorded value.
+  // Version-2 images (8-byte best entries) left in the image directory are
+  // replaced by version-3 ones, and the tables served on the way hash to
+  // the recorded value.
   const Catalog catalog = ec2_sim_catalog();
   const ScoreTableSet owned = build_score_tables(catalog, {}, std::nullopt);
   const TempDir dir("old-format");
-  const std::filesystem::path images = dir.path() / "img";
-  const std::filesystem::path caches = dir.path() / "cache";
-  std::filesystem::create_directories(images);
-  std::filesystem::create_directories(caches);
   for (std::size_t p = 0; p < owned.pm_type_count(); ++p) {
-    write_v2_image(owned.table(p), file_of(images, owned.table(p), ".img"));
-    write_v2_cache(owned.table(p), file_of(caches, owned.table(p), ".bin"));
+    write_v2_image(owned.table(p), file_of(dir.path(), owned.table(p), ".img"));
   }
 
   ScoreImageReport report;
-  const std::uint64_t mapped_hash =
-      set_hash(mapped_score_tables(catalog, images, {}, &report, caches));
-  EXPECT_EQ(mapped_hash, kRecordedHash) << std::hex << "actual 0x" << mapped_hash;
+  const std::uint64_t hash = set_hash(build_score_tables(catalog, {}, dir.path(), &report));
+  EXPECT_EQ(hash, kRecordedHash) << std::hex << "actual 0x" << hash;
   EXPECT_EQ(report.written, owned.pm_type_count());
   EXPECT_EQ(report.mapped, 0u);
-  const std::uint64_t cached_hash = set_hash(build_score_tables(catalog, {}, caches));
-  EXPECT_EQ(cached_hash, kRecordedHash) << std::hex << "actual 0x" << cached_hash;
   for (std::size_t p = 0; p < owned.pm_type_count(); ++p) {
-    EXPECT_EQ(read_file(file_of(images, owned.table(p), ".img")).substr(0, 8), "PRVMSCI3");
-    EXPECT_EQ(read_file(file_of(caches, owned.table(p), ".bin")).substr(0, 8), "PRVMSCR3");
+    EXPECT_EQ(read_file(file_of(dir.path(), owned.table(p), ".img")).substr(0, 8), "PRVMSCI3");
   }
 }
 
@@ -478,7 +452,7 @@ TEST(ScoreImage, ColdBuildLeavesNoAnonResidue) {
     try {
       pin_allocator_thresholds();
       long kb[2] = {rss_anon_kb(), 0};
-      const ScoreTableSet set = mapped_score_tables(catalog, dir.path(), {}, nullptr, std::nullopt);
+      const ScoreTableSet set = build_score_tables(catalog, {}, dir.path());
       kb[1] = rss_anon_kb();
       status = ::write(fds[1], kb, sizeof kb) == sizeof kb ? 0 : 1;
     } catch (...) {

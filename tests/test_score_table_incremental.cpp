@@ -16,7 +16,10 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <random>
+#include <string>
 
 namespace prvm {
 namespace {
@@ -203,9 +206,9 @@ TEST(IncrementalScoreTable, ImageRoundTripServesIdenticalAnswers) {
   std::filesystem::remove(path);
 }
 
-// The --score-image path records what build_score_tables records (a build
-// or a cache load per table, hit/miss counters) and fills missing images
-// from the binary cache it is given, not from the default one.
+// A table directory records what an in-memory build records (a build or a
+// mapped load per table, hit/miss counters), and reads and writes the
+// directory it is given, not the default one.
 TEST(MappedScoreTables, RecordBuildMetricsAndReadTheGivenCacheDir) {
   const Catalog catalog = geni_catalog();
   const std::size_t pm_types = catalog.pm_types().size();
@@ -223,34 +226,69 @@ TEST(MappedScoreTables, RecordBuildMetricsAndReadTheGivenCacheDir) {
                   reg.counter("prvm_score_table_cache_misses_total").value()};
   };
 
-  // Empty image and cache dirs: every table is built and counted a miss.
+  // An empty dir: every table is built, counted a miss, written and mapped.
   Counts before = counts();
   ScoreImageReport report;
-  mapped_score_tables(catalog, root / "img-a", {}, &report, root / "cache");
+  const ScoreTableSet written = build_score_tables(catalog, {}, root / "img-a", &report);
   Counts after = counts();
   EXPECT_EQ(report.written, pm_types);
+  EXPECT_TRUE(written.table(0).is_mapped());
   EXPECT_EQ(after.builds - before.builds, pm_types);
   EXPECT_EQ(after.misses - before.misses, pm_types);
   EXPECT_EQ(after.hits, before.hits);
 
-  // A fresh image dir over a warm cache dir: loaded, not built.
-  build_score_tables(catalog, {}, root / "cache");
+  // Another empty dir beside a warm one: built again, not read from img-a.
   before = counts();
-  mapped_score_tables(catalog, root / "img-b", {}, &report, root / "cache");
+  build_score_tables(catalog, {}, root / "img-b", &report);
   after = counts();
   EXPECT_EQ(report.written, pm_types);
+  EXPECT_EQ(after.builds - before.builds, pm_types);
+  EXPECT_EQ(after.hits, before.hits);
+
+  // Existing images: mapped, counted as hits and loads, nothing built.
+  before = counts();
+  build_score_tables(catalog, {}, root / "img-a", &report);
+  after = counts();
+  EXPECT_EQ(report.mapped, pm_types);
+  EXPECT_EQ(report.written, 0u);
   EXPECT_EQ(after.builds, before.builds);
   EXPECT_EQ(after.loads - before.loads, pm_types);
   EXPECT_EQ(after.hits - before.hits, pm_types);
 
-  // Existing images: mapped, counted as hits, nothing built.
+  // No dir: built in memory, counted a miss, nothing mapped.
   before = counts();
-  mapped_score_tables(catalog, root / "img-a", {}, &report, std::nullopt);
+  const ScoreTableSet owned = build_score_tables(catalog, {}, std::nullopt);
   after = counts();
-  EXPECT_EQ(report.mapped, pm_types);
-  EXPECT_EQ(after.builds, before.builds);
-  EXPECT_EQ(after.hits - before.hits, pm_types);
+  EXPECT_FALSE(owned.table(0).is_mapped());
+  EXPECT_EQ(after.builds - before.builds, pm_types);
+  EXPECT_EQ(after.misses - before.misses, pm_types);
   std::filesystem::remove_all(root);
+}
+
+// Earlier versions also kept an owned binary cache, scoretable-<digest>.bin,
+// in the same directory. A leftover one is neither read nor removed: the
+// table is built and its image written beside it.
+TEST(MappedScoreTables, LeftoverBinaryCacheFileIsIgnored) {
+  const Catalog catalog = geni_catalog();
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "prvm_leftover_cache_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string digest = ScoreTable::digest(catalog.shape(0),
+                                                catalog.fitting_demands(0).demands, {});
+  const std::filesystem::path leftover = dir / ("scoretable-" + digest + ".bin");
+  const std::string bytes = "an owned table of an earlier version";
+  std::ofstream(leftover, std::ios::binary) << bytes;
+
+  ScoreImageReport report;
+  const ScoreTableSet set = build_score_tables(catalog, {}, dir, &report);
+  EXPECT_EQ(report.written, 1u);
+  EXPECT_EQ(report.mapped, 0u);
+  EXPECT_TRUE(set.table(0).is_mapped());
+  EXPECT_TRUE(std::filesystem::exists(dir / ("scoretable-" + digest + ".img")));
+  std::ifstream is(leftover, std::ios::binary);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(is), {}), bytes);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Resident-memory smoke test for a cold-started placement daemon.
 #
-# Starts prvm_serve on an empty score-image directory and an empty table
-# cache, so it builds both EC2 score tables and writes their images, waits
-# until it answers `health`, and asserts that the idle daemon's anonymous
-# resident memory (RssAnon in /proc/<pid>/status) stays under a budget. The
+# Starts prvm_serve on an empty score-image directory, so it builds both EC2
+# score tables and writes their images, waits until it answers `health`,
+# and asserts that the idle daemon's anonymous resident memory (RssAnon in
+# /proc/<pid>/status) stays under a budget. The
 # tables themselves are served from the file mappings (RssFile), so RssAnon
 # is what the cold build left on the heap plus the daemon's live state.
 #
@@ -26,8 +26,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
-"$SERVE" --socket "$SOCK" --fleet 10000 --score-image "$WORK/img" \
-  --cache-dir "$WORK/cache" > "$WORK/serve.log" 2>&1 &
+"$SERVE" --socket "$SOCK" --fleet 10000 --score-image "$WORK/img" > "$WORK/serve.log" 2>&1 &
 SERVE_PID=$!
 
 # The cold build takes about half a second on 4 CPUs; allow a slow runner

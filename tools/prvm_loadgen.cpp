@@ -13,7 +13,8 @@
 //                          release+place churn ops at that operating point;
 //                          the fill places 256 VMs per connection between
 //                          two used-PM checks, so it overshoots N by at most
-//                          one such chunk
+//                          one such chunk; the used PMs where the fill ended
+//                          are the reported operating point
 //   --place N              place exactly N VMs and print the daemon's stats
 //                          line (crash-recovery smoke test hook)
 //   --stats                print the daemon's stats line and exit
@@ -544,7 +545,7 @@ struct RoundResult {
   std::size_t retries = 0;
   double fill_seconds = 0.0;
   double churn_seconds = 0.0;  ///< coordinator wall clock, first send -> last join
-  std::size_t used_pms = 0;
+  std::size_t used_pms = 0;  ///< the operating point: used PMs where the fill ended
   obs::HistogramSnapshot latency;     ///< this round's place latencies only
   std::vector<double> per_conn_pps;   ///< per-connection churn placement rates
   /// Per-target sums of the per-connection rates (index = endpoint index);
@@ -570,17 +571,18 @@ RoundResult run_round(const Options& options, const std::vector<double>& mix,
   }
 
   // Coordinator: one chunk per connection at a time until the fill target
-  // is reached, or until a chunk places nothing (the fleet is full).
+  // is reached, or until a chunk places nothing (the fleet is full). The
+  // operating point is where the fill ended: the last read, taken while
+  // every worker waits between chunks, so it depends on the placements
+  // alone (a read during churn would depend on its timing).
+  round.used_pms = total_used_pms(options);
   if (options.fill_pms > 0) {
-    while (total_used_pms(options) < options.fill_pms) {
-      if (fill.run_chunk() == 0) break;
+    while (round.used_pms < options.fill_pms && fill.run_chunk() > 0) {
+      round.used_pms = total_used_pms(options);
     }
     round.fill_seconds = std::chrono::duration<double>(Clock::now() - fill_start).count();
   }
   fill.end();
-  // The operating point, sampled while churn holds it (the workers release
-  // everything before joining, so querying after the join would read 0).
-  round.used_pms = total_used_pms(options);
   for (auto& worker : workers) worker.join();
 
   round.per_endpoint_pps.assign(options.endpoints.size(), 0.0);

@@ -7,19 +7,14 @@
 // fan-out merges for stats/health/drain. Clients cannot tell a router from
 // a single-cell daemon.
 //
-// Two cell modes:
-//  - remote:   repeat --cell unix:/path/to/cell.sock or --cell tcp:PORT;
-//              each is a prvm_serve daemon started with --cell-id K, and
-//              the router speaks PRVB1 to it.
-//  - embedded: --cells N hosts N full cells in-process (own WAL/snapshot
-//              dirs under --data-dir/cell-<k>/), the zero-ops way to run
-//              a sharded deployment on one box.
+// Each cell is a prvm_serve daemon started with --cell-id K, added with
+// --cell unix:/path/to/cell.sock or --cell tcp:PORT in cell-id order; the
+// router speaks PRVB1 to it.
 //
-//   prvm_router --socket /tmp/prvm.sock --cells 4 --fleet 10000 \
-//               --data-dir /var/lib/prvm --score-image /var/lib/prvm/img
+//   prvm_router --socket /tmp/prvm.sock --cell unix:/tmp/c0.sock --cell unix:/tmp/c1.sock
 //
-// SIGTERM/SIGINT drain: stop accepting, then (embedded mode) drain every
-// cell to a final snapshot. Remote cells are drained by their own daemons.
+// SIGTERM/SIGINT drain: stop accepting and save the vm map. The cells are
+// drained by their own daemons.
 #include <algorithm>
 #include <chrono>
 #include <csignal>
@@ -33,14 +28,11 @@
 #include <thread>
 #include <vector>
 
-#include "cells/embedded.hpp"
-#include "core/catalog_graphs.hpp"
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
 #include "router/cell_channel.hpp"
 #include "router/router.hpp"
 #include "service/socket_server.hpp"
-#include "sim/simulator.hpp"
 
 namespace {
 
@@ -56,17 +48,8 @@ void usage(const char* argv0) {
       << "  --cell SPEC          add a remote cell, spoken to in PRVB1: unix:/path.sock or\n"
       << "                       tcp:PORT (repeat once per cell, in cell-id order); a comma-\n"
       << "                       separated list (leader,replica,...) enables failover:\n"
-      << "                       on leader loss the next reachable endpoint is promoted\n"
-      << "  --cells N            embedded mode: host N cells in-process (default when\n"
-      << "                       no --cell endpoints are given: 2)\n"
-      << "  --fleet N            embedded: total PM fleet, split round-robin (default 10000)\n"
-      << "  --data-dir PATH      embedded: WAL/snapshot root; cells log under cell-<k>/\n"
-      << "  --batch K            embedded: per-cell engine batch (default 64)\n"
-      << "  --queue N            embedded: per-cell queue capacity (default 4096)\n"
-      << "  --snapshot-every N   embedded: per-cell snapshot cadence (default 100000)\n"
-      << "  --fsync              embedded: fsync the WAL every batch\n"
-      << "  --cache-dir PATH     score-table cache (default $PRVM_CACHE_DIR or .prvm-cache)\n"
-      << "  --score-image DIR    embedded: serve score tables from mmap images under DIR\n"
+      << "                       on leader loss the next reachable endpoint is promoted.\n"
+      << "                       At least one --cell is required\n"
       << "  --metrics-port N     serve the router registry as Prometheus text on 127.0.0.1:N\n"
       << "  --retry-attempts N   re-submits after cell_unreachable (default 2; each retry\n"
       << "                       re-enters the channel, where failover happens)\n"
@@ -93,13 +76,7 @@ int main(int argc, char** argv) {
   bool use_tcp = false;
   int tcp_port = 0;
   std::vector<std::vector<std::string>> cells;  ///< per --cell: its endpoints, leader first
-  std::size_t embedded_cells = 0;
-  std::size_t fleet = 10000;
   std::optional<int> metrics_port;
-  std::optional<std::filesystem::path> cache_dir;
-  std::optional<std::filesystem::path> score_image_dir;
-  EmbeddedCellsConfig cells_config;
-  cells_config.service.snapshot_every_ops = 100000;
   RouterConfig router_config;
   std::optional<std::filesystem::path> map_file;
   unsigned map_save_s = 30;
@@ -136,24 +113,6 @@ int main(int argc, char** argv) {
           }
           start = comma + 1;
         }
-      } else if (arg == "--cells") {
-        embedded_cells = static_cast<std::size_t>(std::stoull(value()));
-      } else if (arg == "--fleet") {
-        fleet = static_cast<std::size_t>(std::stoull(value()));
-      } else if (arg == "--data-dir") {
-        cells_config.data_dir = value();
-      } else if (arg == "--batch") {
-        cells_config.service.batch_size = static_cast<std::size_t>(std::stoull(value()));
-      } else if (arg == "--queue") {
-        cells_config.service.queue_capacity = static_cast<std::size_t>(std::stoull(value()));
-      } else if (arg == "--snapshot-every") {
-        cells_config.service.snapshot_every_ops = std::stoull(value());
-      } else if (arg == "--fsync") {
-        cells_config.service.fsync_wal = true;
-      } else if (arg == "--cache-dir") {
-        cache_dir = value();
-      } else if (arg == "--score-image") {
-        score_image_dir = value();
       } else if (arg == "--metrics-port") {
         metrics_port = parse_port(value());
         if (!metrics_port.has_value()) return bad_number(argv[0], arg);
@@ -178,67 +137,29 @@ int main(int argc, char** argv) {
       return bad_number(argv[0], arg);
     }
   }
-  if (!cells.empty() && embedded_cells > 0) {
-    std::cerr << "prvm_router: --cell and --cells are mutually exclusive\n";
+  if (cells.empty()) {
+    std::cerr << "prvm_router: at least one --cell is required\n";
+    usage(argv[0]);
     return 2;
   }
-  if (cells.empty() && embedded_cells == 0) embedded_cells = 2;
 
   try {
     std::vector<std::unique_ptr<RequestSink>> channels;
-    std::unique_ptr<EmbeddedCells> embedded;
     std::vector<RequestSink*> sinks;
-
-    if (!cells.empty()) {
-      for (std::vector<std::string>& endpoints : cells) {
-        // A failover list builds a failover channel; a single endpoint keeps
-        // the plain pipelined channel (no health qualification).
-        if (endpoints.size() > 1) {
-          FailoverCellChannel::Config failover;
-          failover.metrics = &obs::Registry::global();
-          failover.endpoints = std::move(endpoints);
-          channels.push_back(std::make_unique<FailoverCellChannel>(std::move(failover)));
-        } else {
-          channels.push_back(std::make_unique<SocketCellChannel>(endpoints.front()));
-        }
-        sinks.push_back(channels.back().get());
-      }
-      std::cout << "prvm_router: " << sinks.size() << " remote cells\n";
-    } else {
-      const Catalog catalog = ec2_sim_catalog();
-      std::shared_ptr<const ScoreTableSet> tables;
-      if (score_image_dir.has_value()) {
-        ScoreImageReport report;
-        tables = std::make_shared<const ScoreTableSet>(
-            mapped_score_tables(catalog, *score_image_dir, {}, &report,
-                                cache_dir.value_or(default_cache_dir())));
-        std::cout << "prvm_router: score tables from image dir "
-                  << *score_image_dir << " (" << report.mapped << " mapped, "
-                  << report.written << " written";
-        if (report.fallback > 0) {
-          std::cout << ", " << report.fallback << " FELL BACK to private memory";
-        }
-        std::cout << ")\n";
+    for (std::vector<std::string>& endpoints : cells) {
+      // A failover list builds a failover channel; a single endpoint keeps
+      // the plain pipelined channel (no health qualification).
+      if (endpoints.size() > 1) {
+        FailoverCellChannel::Config failover;
+        failover.metrics = &obs::Registry::global();
+        failover.endpoints = std::move(endpoints);
+        channels.push_back(std::make_unique<FailoverCellChannel>(std::move(failover)));
       } else {
-        tables = std::make_shared<const ScoreTableSet>(build_score_tables(
-            catalog, {}, cache_dir.value_or(default_cache_dir())));
+        channels.push_back(std::make_unique<SocketCellChannel>(endpoints.front()));
       }
-      cells_config.cells = embedded_cells;
-      embedded = std::make_unique<EmbeddedCells>(
-          catalog, mixed_pm_fleet(catalog, fleet), tables, cells_config);
-      for (std::size_t k = 0; k < embedded->size(); ++k) {
-        const ServiceStats boot = embedded->cell(k).stats();
-        if (boot.recovered) {
-          std::cout << "prvm_router: cell " << k << " recovered "
-                    << embedded->cell(k).datacenter().vm_count() << " VMs ("
-                    << boot.replayed_records << " WAL records replayed)\n";
-        }
-      }
-      embedded->start();
-      sinks = embedded->sinks();
-      std::cout << "prvm_router: " << sinks.size() << " embedded cells, "
-                << fleet << " PMs total\n";
+      sinks.push_back(channels.back().get());
     }
+    std::cout << "prvm_router: " << sinks.size() << " remote cells\n";
 
     router_config.metrics = obs::global_registry_ptr();
     Router router(std::move(sinks), router_config);
@@ -289,14 +210,6 @@ int main(int argc, char** argv) {
     if (map_file.has_value() && router.save_vm_map(*map_file)) {
       std::cout << "prvm_router: saved vm map (" << router.vm_map_size()
                 << " entries) to " << *map_file << "\n";
-    }
-    if (embedded != nullptr) {
-      embedded->drain();  // per-cell final snapshots
-      for (std::size_t k = 0; k < embedded->size(); ++k) {
-        const ServiceStats s = embedded->cell(k).stats();
-        std::cout << "prvm_router: cell " << k << " drained at op_seq "
-                  << s.op_seq << " (" << s.placed << " placed)\n";
-      }
     }
     return 0;
   } catch (const std::exception& e) {

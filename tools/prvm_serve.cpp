@@ -67,13 +67,10 @@ void usage(const char* argv0) {
       << "  --metrics-port N     serve Prometheus text exposition on 127.0.0.1:N\n"
       << "                       (0 = ephemeral; the bound port is printed at startup)\n"
       << "  --stats-interval-s N print a human-readable stats line every N seconds\n"
-      << "  --cache-dir PATH     score-table cache (default $PRVM_CACHE_DIR or .prvm-cache);\n"
-      << "                       shared with the bench/experiment harness, so a warm cache\n"
-      << "                       makes startup skip the table build (~0.35 s on 4 CPUs);\n"
-      << "                       with --score-image it is read to fill missing images\n"
       << "  --score-image DIR    serve score tables from read-only mmap images under DIR\n"
-      << "                       (written on first use); N cell daemons of one host then\n"
-      << "                       share a single physical copy of each table\n"
+      << "                       (default $PRVM_CACHE_DIR or .prvm-cache; built and written\n"
+      << "                       on first use, ~0.35 s on 4 CPUs); N cell daemons of one\n"
+      << "                       host then share a single physical copy of each table\n"
       << "  --cell-id N          identity within a multi-cell deployment: health reports\n"
       << "                       cell_id N with role \"cell\" (omit for a standalone daemon)\n"
       << "  --replica SPEC       stream the WAL to a follower at unix:PATH or tcp:PORT\n"
@@ -120,8 +117,7 @@ int main(int argc, char** argv) {
   unsigned stats_interval_s = 0;
   ServiceConfig config;
   config.snapshot_every_ops = 100000;
-  std::optional<std::filesystem::path> cache_dir;
-  std::optional<std::filesystem::path> score_image_dir;
+  std::filesystem::path score_image_dir = default_cache_dir();
   const char* env_schedule = std::getenv("PRVM_FAULT_SCHEDULE");
   std::string fault_schedule = env_schedule != nullptr ? env_schedule : "";
 
@@ -160,8 +156,6 @@ int main(int argc, char** argv) {
         config.probe_initial_ms = std::stoull(value());
       } else if (arg == "--probe-max-ms") {
         config.probe_max_ms = std::stoull(value());
-      } else if (arg == "--cache-dir") {
-        cache_dir = value();
       } else if (arg == "--score-image") {
         score_image_dir = value();
       } else if (arg == "--cell-id") {
@@ -215,7 +209,7 @@ int main(int argc, char** argv) {
 
   try {
     // One registry for the whole process: service pipeline, engine,
-    // instrumented IO and the score-table cache all report here, and both
+    // instrumented IO and the score-table loader all report here, and both
     // exposition paths (metrics op, Prometheus listener) render it.
     config.metrics = obs::global_registry_ptr();
     if (!fault_schedule.empty()) {
@@ -223,28 +217,19 @@ int main(int argc, char** argv) {
       std::cout << "prvm_serve: FAULT INJECTION ACTIVE: " << fault_schedule << std::endl;
     }
     const Catalog catalog = ec2_sim_catalog();
-    // The daemon shares the experiment harness's score-table cache (see
-    // Ec2ExperimentConfig::cache_dir): a warm cache turns the table build
-    // (about 0.35 s on 4 CPUs) into a file load. With --score-image the
-    // tables are instead served from mmap-shared read-only images, so N cell
-    // daemons on one host keep a single physical copy.
-    std::shared_ptr<const ScoreTableSet> tables;
-    if (score_image_dir.has_value()) {
-      ScoreImageReport report;
-      tables = std::make_shared<const ScoreTableSet>(
-          mapped_score_tables(catalog, *score_image_dir, {}, &report,
-                              cache_dir.value_or(default_cache_dir())));
-      std::cout << "prvm_serve: score tables from image dir " << *score_image_dir
-                << " (" << report.mapped << " mapped, " << report.written
-                << " written";
-      if (report.fallback > 0) {
-        std::cout << ", " << report.fallback << " FELL BACK to private memory";
-      }
-      std::cout << ")\n";
-    } else {
-      tables = std::make_shared<const ScoreTableSet>(
-          build_score_tables(catalog, {}, cache_dir.value_or(default_cache_dir())));
+    // Score tables are served from mmap-shared read-only images, so a warm
+    // directory skips the table build and N cell daemons on one host keep a
+    // single physical copy. The default directory is the experiment
+    // harness's (see Ec2ExperimentConfig::cache_dir).
+    ScoreImageReport report;
+    const auto tables = std::make_shared<const ScoreTableSet>(
+        build_score_tables(catalog, {}, score_image_dir, &report));
+    std::cout << "prvm_serve: score tables from image dir " << score_image_dir << " ("
+              << report.mapped << " mapped, " << report.written << " written";
+    if (report.fallback > 0) {
+      std::cout << ", " << report.fallback << " FELL BACK to private memory";
     }
+    std::cout << ")\n";
     // Where a cold start spent its time (nothing when no table was built).
     if (const std::string split = score_table_build_split(); !split.empty()) {
       std::cout << "prvm_serve: score-table build: " << split << "\n";
