@@ -4,10 +4,13 @@
 // (release+place, copy, snapshot serialize and parse).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
+#include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/allocator.hpp"
 #include "common/byte_writer.hpp"
 #include "core/catalog_graphs.hpp"
 #include "placement/algorithm_factory.hpp"
@@ -171,20 +174,46 @@ BENCHMARK(BM_PlaceOneVmLinearScan)->Arg(1000)->Arg(5000)->UseManualTime();
 // The ledger at the daemon's churn operating point: a 10k-PM EC2-sim fleet
 // that PageRankVM fills with the default VM mix until 5000 PMs are used
 // (about 35k VMs).
+/// The process's resident anonymous memory in kB (RssAnon of
+/// /proc/self/status); 0 where that is unavailable.
+long rss_anon_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("RssAnon:", 0) == 0) return std::stol(line.substr(8));
+  }
+  return 0;
+}
+
+/// Resident bytes the churn ledger's fill added, per VM it holds (set by
+/// churn_ledger()).
+long ledger_bytes_per_vm = 0;
+
 Datacenter& churn_ledger() {
   static Datacenter dc = [] {
     const Catalog catalog = ec2_sim_catalog();
     const auto tables = std::make_shared<const ScoreTableSet>(build_score_tables(catalog));
+    const std::vector<Vm> requests = [&] {
+      Rng rng(21);
+      return weighted_vm_requests(rng, catalog, 60000, default_vm_mix(catalog));
+    }();
     Datacenter filled(catalog, mixed_pm_fleet(catalog, 10000));
     PageRankVm engine(tables, {});
-    Rng rng(21);
-    for (const Vm& vm : weighted_vm_requests(rng, catalog, 60000, default_vm_mix(catalog))) {
+    const long before_kb = rss_anon_kb();
+    for (const Vm& vm : requests) {
       if (filled.used_count() == 5000) break;
       engine.place(filled, vm);
     }
+    const long vms = static_cast<long>(std::max<std::size_t>(filled.vm_count(), 1));
+    ledger_bytes_per_vm = (rss_anon_kb() - before_kb) * 1024 / vms;
     return filled;
   }();
   return dc;
+}
+
+std::string ledger_label(const Datacenter& dc) {
+  return "vms:" + std::to_string(dc.vm_count()) +
+         " fill_bytes/vm:" + std::to_string(ledger_bytes_per_vm);
 }
 
 // One release+place unit of the ledger alone: a random VM leaves and comes
@@ -204,7 +233,7 @@ void BM_LedgerReleasePlace(benchmark::State& state) {
     placement.assignments.assign(removed.assignments.begin(), removed.assignments.end());
     dc.place(pm, removed.vm, placement);
   }
-  state.SetLabel("vms:" + std::to_string(dc.vm_count()));
+  state.SetLabel(ledger_label(dc));
 }
 BENCHMARK(BM_LedgerReleasePlace);
 
@@ -215,7 +244,7 @@ void BM_LedgerCopy(benchmark::State& state) {
     Datacenter copy = dc;
     benchmark::DoNotOptimize(copy);
   }
-  state.SetLabel("vms:" + std::to_string(dc.vm_count()));
+  state.SetLabel(ledger_label(dc));
 }
 BENCHMARK(BM_LedgerCopy)->Unit(benchmark::kMillisecond);
 
@@ -230,7 +259,7 @@ void BM_LedgerSerialize(benchmark::State& state) {
     dc.serialize(out);
     benchmark::DoNotOptimize(blob.data());
   }
-  state.SetLabel("vms:" + std::to_string(dc.vm_count()) + " bytes:" + std::to_string(blob.size()));
+  state.SetLabel(ledger_label(dc) + " bytes:" + std::to_string(blob.size()));
 }
 BENCHMARK(BM_LedgerSerialize)->Unit(benchmark::kMillisecond);
 
@@ -248,4 +277,15 @@ BENCHMARK(BM_LedgerParse)->Unit(benchmark::kMillisecond);
 }  // namespace
 }  // namespace prvm
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  // prvm_serve's malloc policy, so the ledger rows pay the page faults the
+  // daemon pays. Under glibc's floating thresholds a copy's cost would hang
+  // on the sizes of blocks freed earlier in the process: whether the
+  // previous copy's free top is trimmed or kept.
+  prvm::pin_allocator_thresholds();
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -21,6 +21,10 @@ Datacenter::Datacenter(Catalog catalog, std::vector<std::size_t> pm_types_of)
   std::vector<std::size_t> max_vms(catalog_.pm_types().size(), 0);
   for (std::size_t p = 0; p < catalog_.pm_types().size(); ++p) {
     const ProfileShape& shape = catalog_.shape(p);
+    for (int d = 0; d < shape.total_dims(); ++d) {
+      PRVM_REQUIRE(shape.dim_capacity(d) <= 0xFF,
+                   "a dimension capacity exceeds the 255 levels an assignment item holds");
+    }
     level_stride_ = std::max<std::size_t>(level_stride_, shape.total_dims());
     int smallest = 0;
     for (std::size_t v = 0; v < catalog_.vm_types().size(); ++v) {
@@ -259,8 +263,11 @@ void Datacenter::place(PmIndex i, const Vm& vm, const DemandPlacement& placement
   slot.next = kNoSlot;
   slot.prev = pm.last;
   slot.count = static_cast<std::uint32_t>(placement.assignments.size());
-  std::ranges::copy(placement.assignments,
-                    std::span(arena_).subspan(s * slot_stride_, slot_stride_).begin());
+  // Validated above: dim < 64 and 0 < amount <= a capacity that fits a byte.
+  Item* items = arena_.data() + s * slot_stride_;
+  for (auto [dim, amount] : placement.assignments) {
+    *items++ = Item{static_cast<std::uint8_t>(dim), static_cast<std::uint8_t>(amount)};
+  }
   if (pm.last != kNoSlot) {
     slots_[pm.last].next = s;
   } else {
@@ -290,7 +297,7 @@ Datacenter::PlacedVm Datacenter::remove(VmId vm) {
   const PmIndex i = slot.pm;
   PmRecord& pm = pms_[i];
   const std::span<int> row = levels_of(i);
-  const Assignments assignments(assignments_of(s));
+  const Assignments assignments = assignments_of(s);
 
   int levels[64];
   std::copy(row.begin(), row.end(), levels);
@@ -313,7 +320,7 @@ Datacenter::PlacedVm Datacenter::remove(VmId vm) {
     pm.last = slot.prev;
   }
   --pm.vm_count;
-  removed_.assign(assignments.begin(), assignments.end());
+  removed_.assign(assignments.items_.begin(), assignments.items_.end());
   slots_[s] = VmSlot{};
   slots_[s].next = free_slot_;
   free_slot_ = s;
@@ -324,7 +331,7 @@ Datacenter::PlacedVm Datacenter::remove(VmId vm) {
   } else {
     mark_unused(i);
   }
-  return PlacedVm{Vm{slot.id, slot.type}, Assignments(removed_)};
+  return PlacedVm{Vm{slot.id, slot.type}, Assignments(removed_), slot.sample};
 }
 
 std::optional<PmIndex> Datacenter::pm_of(VmId vm) const {
@@ -333,12 +340,32 @@ std::optional<PmIndex> Datacenter::pm_of(VmId vm) const {
   return slots_[s].pm;
 }
 
+bool Datacenter::set_vm_sample(VmId vm, std::uint64_t sample) {
+  const std::uint32_t s = slot_of_.find(vm);
+  if (s == FlatIdMap::kNone) return false;
+  slots_[s].sample = sample;
+  return true;
+}
+
+std::uint64_t Datacenter::vm_sample(VmId vm) const {
+  const std::uint32_t s = slot_of_.find(vm);
+  return s == FlatIdMap::kNone ? 0 : slots_[s].sample;
+}
+
+void Datacenter::copy_samples_from(const Datacenter& from) {
+  for (PmIndex i = 0; i < std::min(pms_.size(), from.pms_.size()); ++i) {
+    pms_[i].sample = from.pms_[i].sample;
+  }
+  slot_of_.for_each([&](VmId id, std::uint32_t s) { slots_[s].sample = from.vm_sample(id); });
+}
+
 void Datacenter::clear() {
   for (PmRecord& pm : pms_) {
     pm.first = kNoSlot;
     pm.last = kNoSlot;
     pm.vm_count = 0;
     pm.canonical_key = 0;  // the empty profile of any shape
+    pm.sample = 0;
   }
   std::fill(levels_.begin(), levels_.end(), 0);
   slots_.clear();
@@ -472,6 +499,7 @@ void Datacenter::check_index_invariants() const {
   for (std::uint32_t s = free_slot_; s != kNoSlot; s = slots_[s].next) {
     PRVM_CHECK(s < slots_.size() && seen[s] == 0, "free-slot list corrupt");
     PRVM_CHECK(slots_[s].pm == kNoSlot, "slot both free and live");
+    PRVM_CHECK(slots_[s].sample == 0, "free slot holds a utilization sample");
     seen[s] = 1;
     ++free_count;
   }
@@ -494,7 +522,9 @@ void Datacenter::check_index_invariants() const {
       PRVM_CHECK(slot_of_.find(slot.id) == s, "id map does not point at the VM's slot");
       PRVM_CHECK(slot.count <= slot_stride_, "slot assignment count exceeds the stride");
       for (auto [dim, amount] : assignments_of(s)) {
-        PRVM_CHECK(dim >= 0 && dim < shape.total_dims() && amount > 0, "slot assignment corrupt");
+        PRVM_CHECK(dim < shape.total_dims() && amount > 0, "slot assignment corrupt");
+        PRVM_CHECK(amount <= shape.dim_capacity(dim),
+                   "slot assignment exceeds its dimension's capacity");
         sum[static_cast<std::size_t>(dim)] += amount;
       }
       prev = s;

@@ -9,15 +9,21 @@
 // The ledger is a slot pool, laid out so a place or a remove touches a few
 // cache lines rather than a dozen heap blocks:
 // - every VM lives in one fixed-size slot record (id, type, PM, assignment
-//   count and the links of its PM's list), with its (dimension, levels)
-//   assignments in a parallel arena at a fixed stride sized by the
-//   catalog's largest demand; freed slots are reused LIFO;
+//   count, the links of its PM's list and its utilization sample), with its
+//   (dimension, levels) assignments in a parallel arena at a fixed stride
+//   sized by the catalog's largest demand, two bytes an item (a dimension
+//   index is < 64 and the constructor requires every capacity to fit a
+//   byte); freed slots are reused LIFO;
 // - each PM's VMs form a doubly-linked list through the slots, in
 //   insertion order, which keeps snapshots, digests and WAL bytes exactly
 //   as the order VMs were placed;
 // - the levels of all PMs sit in one flat array, one fixed-stride row each;
 // - a VM id finds its slot through an open-addressing FlatIdMap whose
-//   entries hold key and slot side by side.
+//   entries hold key and slot side by side;
+// - each VM's and each PM's latest utilization sample (DESIGN.md §9) is one
+//   word in its slot or PM record. Samples are soft state: serialize(), the
+//   state digest and the WAL never see them, remove() drops the VM's, and a
+//   new or deserialized ledger has none.
 // Once the pool and the map have grown to the live population, place() and
 // remove() allocate nothing, and a copy is a handful of flat-array copies
 // whatever the VM count. pm(i) returns a borrowed view of one PM.
@@ -57,22 +63,64 @@ class ByteWriter;
 using PmIndex = std::size_t;
 
 class Datacenter {
+  /// One (dimension, levels) assignment item of the arena. Trivial, so
+  /// copying the arena is one memmove.
+  struct Item {
+    std::uint8_t dim;
+    std::uint8_t amount;
+  };
+
  public:
   /// One VM's dimension assignments: (global dimension index, levels) pairs
-  /// — its y/z variables. A borrowed view; converts to an owning vector.
-  class Assignments : public std::span<const std::pair<int, int>> {
+  /// — its y/z variables. A borrowed view of packed items whose iterator
+  /// yields std::pair<int, int>; converts to an owning vector.
+  class Assignments {
    public:
-    using std::span<const std::pair<int, int>>::span;
-    Assignments(std::span<const std::pair<int, int>> items)
-        : std::span<const std::pair<int, int>>(items) {}
+    class iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = std::pair<int, int>;
+      using difference_type = std::ptrdiff_t;
+      using pointer = void;
+      using reference = std::pair<int, int>;
+      iterator() = default;
+      std::pair<int, int> operator*() const { return {item_->dim, item_->amount}; }
+      iterator& operator++() {
+        ++item_;
+        return *this;
+      }
+      iterator operator++(int) {
+        iterator old = *this;
+        ++item_;
+        return old;
+      }
+      bool operator==(const iterator& o) const { return item_ == o.item_; }
+
+     private:
+      friend class Assignments;
+      explicit iterator(const Item* item) : item_(item) {}
+      const Item* item_ = nullptr;
+    };
+
+    Assignments() = default;
+    iterator begin() const { return iterator(items_.data()); }
+    iterator end() const { return iterator(items_.data() + items_.size()); }
+    std::size_t size() const { return items_.size(); }
+    bool empty() const { return items_.empty(); }
     operator std::vector<std::pair<int, int>>() const { return {begin(), end()}; }
     friend bool operator==(Assignments a, Assignments b) { return std::ranges::equal(a, b); }
+
+   private:
+    friend class Datacenter;
+    explicit Assignments(std::span<const Item> items) : items_(items) {}
+    std::span<const Item> items_;
   };
 
   /// A VM placed on a PM together with its dimension assignments.
   struct PlacedVm {
     Vm vm;
     Assignments assignments;
+    std::uint64_t sample = 0;  ///< the VM's utilization sample word; 0 = none
   };
 
  private:
@@ -87,6 +135,7 @@ class Datacenter {
     std::uint32_t next = kNoSlot;  ///< next VM on the same PM, in insertion order
     std::uint32_t prev = kNoSlot;
     std::uint32_t count = 0;  ///< assignments used of the slot's arena row
+    std::uint64_t sample = 0;  ///< utilization sample word; 0 = none
   };
 
  public:
@@ -95,11 +144,11 @@ class Datacenter {
   class VmList {
     struct Pool {
       std::span<const VmSlot> slots;
-      std::span<const std::pair<int, int>> arena;
+      std::span<const Item> arena;
       std::size_t stride = 0;
       PlacedVm at(std::uint32_t slot) const {
         const VmSlot& s = slots[slot];
-        return {Vm{s.id, s.type}, Assignments(arena.subspan(slot * stride, s.count))};
+        return {Vm{s.id, s.type}, Assignments(arena.subspan(slot * stride, s.count)), s.sample};
       }
     };
 
@@ -208,7 +257,8 @@ class Datacenter {
   };
 
   /// Builds a datacenter of pm_types_of[i] typed PMs over a catalog. The
-  /// catalog is copied so the datacenter is self-contained.
+  /// catalog is copied so the datacenter is self-contained. Every dimension
+  /// capacity must fit a byte (the built-in catalogs use at most 32 levels).
   Datacenter(Catalog catalog, std::vector<std::size_t> pm_types_of);
 
   const Catalog& catalog() const { return catalog_; }
@@ -307,12 +357,25 @@ class Datacenter {
   /// not score permutations). Throws if the VM does not fit.
   void place_first_fit(PmIndex i, const Vm& vm);
 
-  /// Removes a VM and returns its record (for migration re-placement). The
-  /// record's assignments stay valid until the next remove() or clear().
+  /// Removes a VM and returns its record (for migration re-placement),
+  /// sample included. The record's assignments stay valid until the next
+  /// remove() or clear().
   PlacedVm remove(VmId vm);
 
   /// The PM currently hosting `vm`, if any.
   std::optional<PmIndex> pm_of(VmId vm) const;
+
+  /// Utilization sample words (see the class comment; the encoding is
+  /// UtilizationCodec's). set_vm_sample() is false, storing nothing, when
+  /// `vm` is not placed; vm_sample() is 0 then.
+  bool set_vm_sample(VmId vm, std::uint64_t sample);
+  std::uint64_t vm_sample(VmId vm) const;
+  void set_pm_sample(PmIndex i, std::uint64_t sample) { pms_.at(i).sample = sample; }
+  std::uint64_t pm_sample(PmIndex i) const { return pms_.at(i).sample; }
+
+  /// Takes over `from`'s samples of every PM and of every VM this ledger
+  /// also holds (installing a replacement ledger keeps the live feed).
+  void copy_samples_from(const Datacenter& from);
 
   std::size_t vm_count() const { return slot_of_.size(); }
 
@@ -335,8 +398,9 @@ class Datacenter {
 
   /// Verifies the slot pool and every placement-index invariant against
   /// each other: the id map, the live slots and the per-PM lists agree both
-  /// ways, no slot is both free and live, each PM's levels are the sum of
-  /// its VMs' assignments; buckets partition the used PMs by canonical key,
+  /// ways, no slot is both free and live, a free slot holds no sample, every
+  /// assignment item is within its dimension's capacity, each PM's levels
+  /// are the sum of its VMs' assignments; buckets partition the used PMs by canonical key,
   /// intrusive lists and counts agree, each bucket's earliest member is its
   /// minimum activation sequence, the free-list bitmap matches, activation
   /// order matches used_pms(). Test hook; throws on violation.
@@ -367,6 +431,7 @@ class Datacenter {
     std::uint32_t last = kNoSlot;
     std::uint32_t vm_count = 0;
     ProfileKey canonical_key = 0;
+    std::uint64_t sample = 0;  ///< utilization sample word; 0 = none
   };
 
   std::span<int> levels_of(PmIndex i) {
@@ -375,8 +440,8 @@ class Datacenter {
   std::span<const int> levels_of(PmIndex i) const {
     return std::span(levels_).subspan(i * level_stride_, pms_[i].dims);
   }
-  std::span<const std::pair<int, int>> assignments_of(std::uint32_t slot) const {
-    return std::span(arena_).subspan(slot * slot_stride_, slots_[slot].count);
+  Assignments assignments_of(std::uint32_t slot) const {
+    return Assignments(std::span(arena_).subspan(slot * slot_stride_, slots_[slot].count));
   }
   std::uint32_t acquire_slot();
   void add_to_bucket(PmIndex i);
@@ -391,11 +456,11 @@ class Datacenter {
   std::vector<int> levels_;  // pm_count() rows of level_stride_ levels
   std::size_t level_stride_ = 0;
   std::vector<VmSlot> slots_;
-  std::vector<std::pair<int, int>> arena_;  // slots_.size() rows of slot_stride_
+  std::vector<Item> arena_;  // slots_.size() rows of slot_stride_
   std::size_t slot_stride_ = 0;
   std::uint32_t free_slot_ = kNoSlot;  // head of the free-slot list
   FlatIdMap slot_of_;                  // VM id -> slot
-  std::vector<std::pair<int, int>> removed_;  // the last remove()'s assignments
+  std::vector<Item> removed_;  // the last remove()'s assignments
   std::vector<PmIndex> used_order_;
 
   // Placement index (see class comment). A PM's dense slot is found through

@@ -16,8 +16,8 @@ namespace prvm {
 // cores). The only online addition is the direct per-PM sample, which can
 // raise (never lower) the hottest reading.
 
-double LoadView::vm_fraction(VmId vm) const {
-  return map_->vm_fraction(vm, now_ns_).value_or(0.0);
+double LoadView::fraction(std::uint64_t sample) const {
+  return codec_.decayed(sample, now_ns_).value_or(0.0);
 }
 
 double LoadView::vm_cpu_ghz(VmId vm) const {
@@ -26,7 +26,7 @@ double LoadView::vm_cpu_ghz(VmId vm) const {
   for (const Datacenter::PlacedVm& placed : dc_->pm(*pm).vms) {
     if (placed.vm.id == vm) {
       const VmType& type = dc_->catalog().vm_type(placed.vm.type_index);
-      return vm_fraction(vm) * type.total_cpu_ghz();
+      return fraction(placed.sample) * type.total_cpu_ghz();
     }
   }
   return 0.0;
@@ -37,7 +37,7 @@ double LoadView::pm_cpu_utilization(PmIndex pm) const {
   double demand = 0.0;
   for (const Datacenter::PlacedVm& placed : state.vms) {
     const VmType& type = dc_->catalog().vm_type(placed.vm.type_index);
-    demand += vm_fraction(placed.vm.id) * type.total_cpu_ghz();
+    demand += fraction(placed.sample) * type.total_cpu_ghz();
   }
   return demand / dc_->catalog().pm_type(state.type_index).total_cpu_ghz();
 }
@@ -48,7 +48,7 @@ std::vector<double> LoadView::pm_core_utilizations(PmIndex pm) const {
   std::vector<double> demand(static_cast<std::size_t>(type.cores), 0.0);
   for (const Datacenter::PlacedVm& placed : state.vms) {
     const VmType& vm_type = dc_->catalog().vm_type(placed.vm.type_index);
-    const double per_vcpu = vm_fraction(placed.vm.id) * vm_type.vcpu_ghz;
+    const double per_vcpu = fraction(placed.sample) * vm_type.vcpu_ghz;
     for (auto [dim, amount] : placed.assignments) {
       if (dim < type.cores) demand[static_cast<std::size_t>(dim)] += per_vcpu;
     }
@@ -60,16 +60,16 @@ std::vector<double> LoadView::pm_core_utilizations(PmIndex pm) const {
 double LoadView::pm_hottest_utilization(PmIndex pm) const {
   double hottest = pm_cpu_utilization(pm);
   for (double u : pm_core_utilizations(pm)) hottest = std::max(hottest, u);
-  if (const auto direct = map_->pm_fraction(pm, now_ns_); direct.has_value()) {
+  if (const auto direct = codec_.decayed(dc_->pm_sample(pm), now_ns_); direct.has_value()) {
     hottest = std::max(hottest, *direct);
   }
   return hottest;
 }
 
 bool LoadView::has_signal(PmIndex pm) const {
-  if (map_->pm_fraction(pm, now_ns_).has_value()) return true;
+  if (codec_.decayed(dc_->pm_sample(pm), now_ns_).has_value()) return true;
   for (const Datacenter::PlacedVm& placed : dc_->pm(pm).vms) {
-    if (map_->vm_fraction(placed.vm.id, now_ns_).has_value()) return true;
+    if (codec_.decayed(placed.sample, now_ns_).has_value()) return true;
   }
   return false;
 }
@@ -77,10 +77,10 @@ bool LoadView::has_signal(PmIndex pm) const {
 // --- RebalancePlanner -----------------------------------------------------
 
 RebalancePlanner::RebalancePlanner(RebalanceConfig config, RequestSink& sink,
-                                   UtilizationMap& map,
+                                   UtilizationCodec codec,
                                    std::shared_ptr<const ScoreTableSet> tables,
                                    std::shared_ptr<obs::Registry> registry)
-    : config_(config), sink_(sink), map_(map), registry_(std::move(registry)) {
+    : config_(config), sink_(sink), codec_(codec), registry_(std::move(registry)) {
   if (tables != nullptr) {
     policy_ = std::make_unique<PageRankMigrationPolicy>(std::move(tables));
   } else {
@@ -194,6 +194,7 @@ void RebalancePlanner::put_back(Datacenter& dc, PmIndex pm,
   }
   dc.place(pm, record.vm,
            DemandPlacement{record.assignments, Profile::from_levels(shape, std::move(levels))});
+  dc.set_vm_sample(record.vm.id, record.sample);
 }
 
 std::size_t RebalancePlanner::run_round(std::uint64_t now_ns) {
@@ -214,7 +215,7 @@ std::size_t RebalancePlanner::run_round(std::uint64_t now_ns) {
     return 0;
   }
   Datacenter frozen = std::move(*scan->dc);
-  const LoadView view(&frozen, &map_, now_ns);
+  const LoadView view(&frozen, codec_, now_ns);
 
   // Classification pass (the simulator's accounting scan): overloaded PMs
   // sorted hottest-first, underloaded coolest-first; no live signal, no

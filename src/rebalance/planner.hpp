@@ -7,7 +7,8 @@
 //
 //  - It reads load through a LoadView: the sim's SimView contract over a
 //    frozen ledger copy (obtained from the worker via an internal
-//    rebalance_scan request) plus the live UtilizationMap. The same
+//    rebalance_scan request), whose VM slots and PM records carry the
+//    utilization samples; the planner never touches live state. The same
 //    MigrationPolicy implementations the simulator uses (PageRank residual
 //    scoring, minimum-migration-time) therefore run unmodified online.
 //
@@ -59,17 +60,18 @@ struct ScanSink {
   bool degraded = false;  ///< storage degraded: mutations would be rejected
 };
 
-/// SimView over a ledger + utilization map at one instant. Mirrors
+/// SimView over a ledger and its utilization samples at one instant. Mirrors
 /// CloudSimulation's reserved-demand model exactly (same math, same
 /// OverloadRule::kAnyDimension hottest-dimension monitor), so a policy
 /// sees the same world online as in the simulator — the sim-parity tests
 /// in test_rebalancer.cpp pin this equivalence.
 class LoadView final : public SimView {
  public:
-  /// Borrows both arguments; now_ns fixes the decay instant for the whole
-  /// scan so one round sees one consistent timeline.
-  LoadView(const Datacenter* dc, const UtilizationMap* map, std::uint64_t now_ns)
-      : dc_(dc), map_(map), now_ns_(now_ns) {}
+  /// Borrows the ledger; `codec` decodes its sample words and now_ns fixes
+  /// the decay instant for the whole scan so one round sees one consistent
+  /// timeline.
+  LoadView(const Datacenter* dc, UtilizationCodec codec, std::uint64_t now_ns)
+      : dc_(dc), codec_(codec), now_ns_(now_ns) {}
 
   const Datacenter& datacenter() const override { return *dc_; }
   /// Reserved-model demand: fraction * vcpus * vcpu_ghz (a VM without a
@@ -87,10 +89,11 @@ class LoadView final : public SimView {
   bool has_signal(PmIndex pm) const;
 
  private:
-  double vm_fraction(VmId vm) const;
+  /// Decayed fraction of a sample word; 0 without a live sample.
+  double fraction(std::uint64_t sample) const;
 
   const Datacenter* dc_;
-  const UtilizationMap* map_;
+  UtilizationCodec codec_;
   std::uint64_t now_ns_;
 };
 
@@ -106,7 +109,7 @@ struct RebalanceConfig {
   std::size_t max_moves_per_round = 8;
   /// A migrated VM is not re-migrated for this long.
   std::uint64_t cooldown_ms = 5000;
-  /// UtilizationMap tuning (see utilization.hpp).
+  /// Sample decay (see utilization.hpp).
   std::uint64_t half_life_ms = 10'000;
   std::uint64_t stale_after_ms = 30'000;
 };
@@ -124,7 +127,7 @@ class RebalancePlanner {
   /// selects the PageRank victim policy when present, minimum-migration-
   /// time otherwise (default_policy_for semantics). All metrics register in
   /// `registry`.
-  RebalancePlanner(RebalanceConfig config, RequestSink& sink, UtilizationMap& map,
+  RebalancePlanner(RebalanceConfig config, RequestSink& sink, UtilizationCodec codec,
                    std::shared_ptr<const ScoreTableSet> tables,
                    std::shared_ptr<obs::Registry> registry);
   ~RebalancePlanner();
@@ -165,12 +168,13 @@ class RebalancePlanner {
   /// destination), retrying queue_full per the server's hint. True on ack.
   bool submit_migrate(VmId vm, bool consolidate);
   /// Re-inserts an eviction candidate whose migrate failed into the frozen
-  /// ledger, exactly where it was (the simulator's put-back).
+  /// ledger, exactly where it was and with its sample (the simulator's
+  /// put-back).
   static void put_back(Datacenter& dc, PmIndex pm, const Datacenter::PlacedVm& record);
 
   RebalanceConfig config_;
   RequestSink& sink_;
-  UtilizationMap& map_;
+  UtilizationCodec codec_;
   std::unique_ptr<MigrationPolicy> policy_;
   std::shared_ptr<obs::Registry> registry_;
 

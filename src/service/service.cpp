@@ -33,7 +33,9 @@ PlacementService::PlacementService(Catalog catalog, std::vector<std::size_t> fle
       catalog_(std::move(catalog)),
       dc_(catalog_, fleet),
       metrics_(config_.metrics != nullptr ? config_.metrics
-                                          : std::make_shared<obs::Registry>()) {
+                                          : std::make_shared<obs::Registry>()),
+      util_codec_({config_.rebalance.half_life_ms, config_.rebalance.stale_after_ms},
+                  obs::now_ns()) {
   PRVM_REQUIRE(config_.batch_size > 0, "batch size must be positive");
   PRVM_REQUIRE(config_.queue_capacity > 0, "queue capacity must be positive");
   if (config_.repl.follower && !config_.repl.replicas.empty()) {
@@ -74,18 +76,11 @@ PlacementService::PlacementService(Catalog catalog, std::vector<std::size_t> fle
   // it elsewhere explicitly.
   if (config_.engine.metrics == nullptr) config_.engine.metrics = metrics_.get();
   engine_ = std::make_unique<PageRankVm>(tables, config_.engine);
-  // The utilization map always exists (the util op is accepted whether or
-  // not planning is on — operators can warm the feed before enabling), but
-  // the planner thread only when --rebalance asked for it.
-  {
-    UtilizationConfig ucfg;
-    ucfg.pm_count = dc_.pm_count();
-    ucfg.half_life_ms = config_.rebalance.half_life_ms;
-    ucfg.stale_after_ms = config_.rebalance.stale_after_ms;
-    util_map_ = std::make_unique<UtilizationMap>(ucfg, obs::now_ns());
-  }
+  // The util op is accepted whether or not planning is on (operators can
+  // warm the feed before enabling), but the planner thread only runs when
+  // --rebalance asked for it.
   if (config_.rebalance.enabled) {
-    planner_ = std::make_unique<RebalancePlanner>(config_.rebalance, *this, *util_map_,
+    planner_ = std::make_unique<RebalancePlanner>(config_.rebalance, *this, util_codec_,
                                                   tables, metrics_);
   }
   tables.reset();
@@ -163,7 +158,6 @@ void PlacementService::init_metrics() {
   m_.flush_group_ops = &r.histogram("prvm_flush_group_ops");
   m_.flush_lag_ns = &r.histogram("prvm_flush_lag_ns");
   m_.util_samples = &r.counter("prvm_rebal_util_samples_total");
-  m_.util_dropped = &r.counter("prvm_rebal_util_dropped_total");
   m_.util_unknown = &r.counter("prvm_rebal_util_unknown_total");
   m_.util_sample_pct = &r.histogram("prvm_rebal_util_sample_pct");
 }
@@ -213,7 +207,6 @@ void PlacementService::apply_wal_record(const WalRecord& record) {
     }
     case WalRecord::Type::kRelease: {
       dc_.remove(vm);
-      util_map_->forget_vm(vm);
       admission_.record_release(vm, static_cast<PmIndex>(record.pm));
       m_.released->inc();
       break;
@@ -227,6 +220,7 @@ void PlacementService::apply_wal_record(const WalRecord& record) {
       DemandPlacement placement;
       placement.assignments = record.assignments;
       dc_.place(static_cast<PmIndex>(record.pm), removed.vm, placement);
+      dc_.set_vm_sample(vm, removed.sample);
       admission_.record_placement(vm, record.group, static_cast<PmIndex>(record.pm));
       m_.migrated->inc();
       break;
@@ -496,7 +490,6 @@ Response PlacementService::release(const Request& request) {
     return reject(request, RejectReason::kUnknownVm, "VM id is not placed");
   }
   dc_.remove(vm);
-  util_map_->forget_vm(vm);
   admission_.record_release(vm, *pm);
   WalRecord& record = wal_record_;
   record.type = WalRecord::Type::kRelease;
@@ -539,15 +532,15 @@ Response PlacementService::migrate(const Request& request) {
     const bool consolidate = request.rebalance_consolidate;
     const std::uint64_t now = obs::now_ns();
     auto group_allow = std::move(constraints.allow);
-    const UtilizationMap* map = util_map_.get();
-    constraints.allow = [cap, consolidate, now, map,
+    const UtilizationCodec codec = util_codec_;
+    constraints.allow = [cap, consolidate, now, codec,
                          group_allow = std::move(group_allow)](const Datacenter& dc,
                                                                PmIndex candidate) {
       if (group_allow && !group_allow(dc, candidate)) return false;
       // Consolidation packs — an empty destination would just relocate the
       // underloaded PM instead of shrinking the used set.
       if (consolidate && !dc.pm(candidate).used()) return false;
-      const LoadView view(&dc, map, now);
+      const LoadView view(&dc, codec, now);
       return view.pm_hottest_utilization(candidate) <= cap;
     };
   }
@@ -572,6 +565,7 @@ Response PlacementService::migrate(const Request& request) {
     DemandPlacement placement;
     placement.assignments = removed.assignments;
     dc_.place(*old_pm, removed.vm, placement);
+    dc_.set_vm_sample(vm, removed.sample);
     record.pm = *old_pm;
     record.assignments = removed.assignments;
     log_record(record);
@@ -580,6 +574,7 @@ Response PlacementService::migrate(const Request& request) {
                   "no other PM can host this VM right now");
   }
 
+  dc_.set_vm_sample(vm, removed.sample);  // a migrated VM keeps its sample
   admission_.record_release(vm, *old_pm);
   admission_.record_placement(vm, group, *new_pm);
   record.pm = *new_pm;
@@ -770,15 +765,9 @@ Response PlacementService::apply_repl_snapshot(const Request& request) {
                          " does not match this follower's " + std::to_string(dc_.pm_count()),
                      op_seq_);
   }
-  // Free the utilization slots of VMs the installed state no longer holds;
-  // the ledger drops them without a release that would forget them.
-  for (const PmIndex pm : dc_.used_pms()) {
-    for (const Datacenter::PlacedVm& placed : dc_.pm(pm).vms) {
-      if (!snapshot.datacenter->pm_of(placed.vm.id).has_value()) {
-        util_map_->forget_vm(placed.vm.id);
-      }
-    }
-  }
+  // Samples are not snapshot state: carry over those of the PMs and of the
+  // VMs the installed ledger still holds.
+  snapshot.datacenter->copy_samples_from(dc_);
   dc_ = std::move(*snapshot.datacenter);
   admission_ = std::move(snapshot.admission);
   group_dir_ = std::move(snapshot.groups);
@@ -968,28 +957,22 @@ Response PlacementService::health_response() {
   return response;
 }
 
-Response PlacementService::util_response(const Request& request) const {
+Response PlacementService::util_response(const Request& request) {
   Response response;
   response.op = "util";
+  const std::uint64_t sample = util_codec_.pack(request.cpu, obs::now_ns());
   if (request.pm.has_value()) {
-    // The map is sized to the fleet at construction.
-    if (*request.pm >= util_map_->pm_count()) {
+    if (*request.pm >= dc_.pm_count()) {
       response.ok = false;
       response.error = "bad_field";
       response.message = "pm index out of range";
       return response;
     }
-    util_map_->record_pm(static_cast<PmIndex>(*request.pm), request.cpu, obs::now_ns());
+    dc_.set_pm_sample(static_cast<PmIndex>(*request.pm), sample);
   } else {
-    const VmId vm = static_cast<VmId>(request.vm_id);
-    if (!dc_.pm_of(vm).has_value()) {
-      // Only a release frees a VM's slot, so a sample for an id the ledger
-      // does not hold (never placed, already released, a stray feed) would
-      // keep one forever. Count it and store nothing.
-      m_.util_unknown->inc();
-    } else if (!util_map_->record_vm(vm, request.cpu, obs::now_ns())) {
-      m_.util_dropped->inc();
-    }
+    // A sample for an id the ledger does not hold (never placed, already
+    // released, a stray feed) has no slot to live in: count it, store nothing.
+    if (!dc_.set_vm_sample(static_cast<VmId>(request.vm_id), sample)) m_.util_unknown->inc();
     response.vm = request.vm_id;
   }
   m_.util_samples->inc();
@@ -1131,9 +1114,10 @@ Response PlacementService::execute_locked(const Request& request) {
     // probing a degraded follower needs the truthful op_seq to decide
     // between streaming and catch-up.
     case RequestOp::kReplHello: return repl_hello_response(request);
-    // Utilization samples and planner control never touch the ledger, and
-    // the scan answers truthfully (leader/degraded flags) in every mode so
-    // the planner can decide to stand down on its own.
+    // Utilization samples touch only the ledger's sample words, planner
+    // control never touches it, and the scan answers truthfully
+    // (leader/degraded flags) in every mode so the planner can decide to
+    // stand down on its own.
     case RequestOp::kUtil: return util_response(request);
     case RequestOp::kRebalance: return rebalance_response(request);
     case RequestOp::kRebalanceScan: return rebalance_scan_response(request);

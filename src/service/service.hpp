@@ -27,8 +27,9 @@
 // for degraded-mode storage probes.
 //
 // In-process submit() is a thin adapter over the same loop: a mutex-guarded
-// inbox plus an eventfd wake; util and rebalance answer on the caller's
-// thread. The planner, embedded cells, tests and benches use it.
+// inbox plus an eventfd wake; rebalance control answers on the caller's
+// thread, while util samples, which write the ledger, queue like every
+// other request. The planner, embedded cells, tests and benches use it.
 //
 // WAL group commit overlaps compute with durability without changing any
 // result or guarantee (DESIGN.md §6). The deployment picks the path: a cell
@@ -142,9 +143,9 @@ struct ServiceConfig {
   std::uint64_t reserve_ttl_ms = 5000;
   /// WAL replication to follower replicas / follower role (DESIGN.md §8).
   ReplicationConfig repl;
-  /// Online rebalancer (DESIGN.md §9). The utilization map always exists —
-  /// `util` samples are accepted and observable regardless — but the
-  /// planner thread only runs when rebalance.enabled is set.
+  /// Online rebalancer (DESIGN.md §9). `util` samples are accepted into the
+  /// ledger and observable regardless, but the planner thread only runs
+  /// when rebalance.enabled is set.
   RebalanceConfig rebalance;
   PageRankVmOptions engine;
 };
@@ -240,8 +241,9 @@ class PlacementService : public RequestSink {
   /// The registry every service/engine/IO metric of this instance lives in
   /// (config.metrics, or the private one created when that was null).
   obs::Registry& metrics_registry() const { return *metrics_; }
-  /// Live utilization samples (always present; lock-free, any thread).
-  UtilizationMap& utilization_map() { return *util_map_; }
+  /// Encodes and decodes the ledger's utilization sample words
+  /// (Datacenter::vm_sample / pm_sample).
+  const UtilizationCodec& utilization_codec() const { return util_codec_; }
   /// The background planner; null unless config.rebalance.enabled. Tests
   /// drive deterministic rounds through rebalancer()->run_round(now).
   RebalancePlanner* rebalancer() { return planner_.get(); }
@@ -311,10 +313,10 @@ class PlacementService : public RequestSink {
   Response metrics_response();
   Response drain_response();
   // --- online rebalancer (DESIGN.md §9) ---
-  /// Records one utilization sample, on the loop thread: a VM sample lands
-  /// only when the ledger holds that VM, otherwise it is counted in
-  /// prvm_rebal_util_unknown_total and dropped.
-  Response util_response(const Request& request) const;
+  /// Records one utilization sample in the ledger, on the loop thread: a VM
+  /// sample lands in the VM's slot only when the ledger holds that VM,
+  /// otherwise it is counted in prvm_rebal_util_unknown_total and dropped.
+  Response util_response(const Request& request);
   /// Planner status/trigger/pause/resume; atomics only, any thread.
   Response rebalance_response(const Request& request) const;
   /// Worker thread: fills the planner's ScanSink with a frozen ledger copy
@@ -409,10 +411,8 @@ class PlacementService : public RequestSink {
   GroupDirectory group_dir_;  ///< cross-cell reservations (home-cell role)
   std::unordered_map<std::string, std::size_t> vm_type_by_name_;
 
-  /// Lock-free sample store; created in the constructor, never replaced, so
-  /// submit-side util handling and the worker-side destination cap read it
-  /// without synchronization.
-  std::unique_ptr<UtilizationMap> util_map_;
+  /// Sample decay settings and epoch; the samples themselves live in dc_.
+  UtilizationCodec util_codec_;
   /// Background migration planner (null unless config.rebalance.enabled).
   /// Started after the worker, stopped before it: every planner request
   /// must find a live worker or a truthful draining rejection.
@@ -483,7 +483,6 @@ class PlacementService : public RequestSink {
     // Online rebalancer feed (DESIGN.md §9; planner counters live in
     // RebalancePlanner, which shares this registry).
     obs::Counter* util_samples = nullptr;     ///< util ops ingested
-    obs::Counter* util_dropped = nullptr;     ///< samples lost to a full VM table
     obs::Counter* util_unknown = nullptr;     ///< samples for VMs the ledger does not hold
     obs::Gauge* mode = nullptr;        ///< 0 ok, 1 draining, 2 degraded
     obs::Gauge* queue_depth = nullptr;

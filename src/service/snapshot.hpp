@@ -70,7 +70,8 @@ ServiceSnapshot parse_snapshot(const std::string& blob, const Catalog& catalog);
 /// activation sequence numbers and counter, per-type bucket membership and
 /// the free-list. This is the differential oracle of the crash-recovery
 /// tests: replaying snapshot + WAL must reproduce the pre-crash ledger
-/// bit-identically under this predicate.
+/// bit-identically under this predicate. Utilization samples are not
+/// compared: they are soft state no snapshot or WAL record carries.
 bool datacenter_state_equal(const Datacenter& a, const Datacenter& b);
 
 /// FNV-1a digest over (pm, vm, assignments) of every placement plus the

@@ -144,6 +144,74 @@ TEST(Datacenter, ValidatesConstruction) {
   EXPECT_THROW(Datacenter(small_catalog(), {7}), std::invalid_argument);
 }
 
+TEST(Datacenter, RefusesCapacitiesAboveAByte) {
+  // An assignment item holds its levels in one byte.
+  const auto catalog_with_memory_levels = [](int levels) {
+    QuantizationConfig q;
+    q.cpu_levels = 4;
+    q.mem_levels = levels;
+    return Catalog({{"pair", 2, 1.0, 2.0, 0, 0.0}}, {{"node", 2, 4.0, 8.0, 0, 0.0, "E5-2670"}},
+                   q);
+  };
+  EXPECT_THROW(Datacenter(catalog_with_memory_levels(256), {0}), std::invalid_argument);
+  EXPECT_NO_THROW(Datacenter(catalog_with_memory_levels(255), {0}));
+}
+
+TEST(Datacenter, PackedItemsKeepFullByteAmounts) {
+  QuantizationConfig q;
+  q.cpu_levels = 4;
+  q.mem_levels = 255;
+  Datacenter dc(Catalog({{"pair", 2, 1.0, 2.0, 0, 0.0}},
+                        {{"node", 2, 4.0, 8.0, 0, 0.0, "E5-2670"}}, q),
+                {0});
+  const ProfileShape& shape = dc.shape_of(0);
+  using Items = std::vector<std::pair<int, int>>;
+  const Items items = {{0, 4}, {1, 1}, {2, 255}};
+  dc.place(0, Vm{7, 0}, DemandPlacement{items, Profile::zero(shape)});
+  EXPECT_EQ(Items(dc.pm(0).vms.front().assignments), items);
+  EXPECT_EQ(dc.pm(0).usage.level(2), 255);
+  dc.check_index_invariants();  // every item within its dimension's capacity
+  const auto record = dc.remove(7);
+  EXPECT_EQ(Items(record.assignments), items);
+  EXPECT_EQ(dc.pm(0).usage.total_usage(), 0);
+}
+
+TEST(Datacenter, SamplesLiveInSlotsAndLeaveWithTheirVm) {
+  Datacenter dc(small_catalog(), {0, 0});
+  dc.place_first_fit(0, Vm{1, 0});
+  dc.place_first_fit(0, Vm{2, 1});
+  EXPECT_EQ(dc.vm_sample(1), 0u) << "a new VM has no sample";
+  EXPECT_TRUE(dc.set_vm_sample(1, 0x1234));
+  EXPECT_FALSE(dc.set_vm_sample(99, 0x55)) << "no slot for a VM the ledger does not hold";
+  EXPECT_EQ(dc.vm_sample(99), 0u);
+  dc.set_pm_sample(1, 0x77);
+  EXPECT_EQ(dc.vm_sample(1), 0x1234u);
+  EXPECT_EQ(dc.pm(0).vms.front().sample, 0x1234u);
+  EXPECT_EQ(dc.vm_sample(2), 0u);
+  EXPECT_EQ(dc.pm_sample(1), 0x77u);
+
+  ASSERT_TRUE(dc.set_vm_sample(2, 0x99));
+  const Datacenter copy = dc;
+  EXPECT_EQ(copy.vm_sample(1), 0x1234u) << "a frozen copy carries the samples";
+
+  const auto record = dc.remove(1);
+  EXPECT_EQ(record.sample, 0x1234u);
+  EXPECT_EQ(dc.vm_sample(1), 0u);
+  dc.check_index_invariants();  // the freed slot holds no sample
+  dc.place_first_fit(1, Vm{1, 0});  // reuses the freed slot
+  EXPECT_EQ(dc.vm_sample(1), 0u) << "a re-placed VM starts without a sample";
+
+  // Installing a replacement ledger keeps the samples of what both hold.
+  Datacenter replacement(small_catalog(), {0, 0});
+  replacement.place_first_fit(0, Vm{2, 1});
+  replacement.place_first_fit(0, Vm{3, 0});
+  replacement.copy_samples_from(copy);
+  EXPECT_EQ(replacement.vm_sample(2), 0x99u);
+  EXPECT_EQ(replacement.vm_sample(3), 0u);
+  EXPECT_EQ(replacement.pm_sample(1), 0x77u);
+  replacement.check_index_invariants();
+}
+
 TEST(Datacenter, HeterogeneousFleet) {
   // Mixed EC2 fleet: shape differs per PM.
   Datacenter dc(ec2_catalog(), {0, 1});

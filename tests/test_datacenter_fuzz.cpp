@@ -6,6 +6,7 @@
 
 #include <map>
 #include <sstream>
+#include <unordered_map>
 
 #include "cluster/datacenter.hpp"
 #include "common/byte_writer.hpp"
@@ -72,6 +73,7 @@ TEST(DatacenterFuzz, RandomOperationSequencesMatchReference) {
     for (std::size_t i = 0; i < pm_count; ++i) fleet.push_back(rng.uniform_index(2));
     Datacenter dc(catalog, fleet);
     ReferenceModel reference;
+    std::unordered_map<VmId, std::uint64_t> samples;  // soft state, beside the model
     VmId next_id = 0;
 
     for (int op = 0; op < 120; ++op) {
@@ -86,19 +88,26 @@ TEST(DatacenterFuzz, RandomOperationSequencesMatchReference) {
         const Vm vm{next_id++, type};
         dc.place(pm, vm, placement);
         reference.placed[vm.id] = {pm, placement.assignments};
+        // Derived from the id, so the op stream drawn from rng is unchanged.
+        samples[vm.id] = 0x9e3779b97f4a7c15ULL * (vm.id + 1ULL);
+        ASSERT_TRUE(dc.set_vm_sample(vm.id, samples[vm.id]));
       } else if (dice < 95) {
         if (reference.placed.empty()) continue;
         // Remove a random placed VM.
         auto it = reference.placed.begin();
         std::advance(it, static_cast<std::ptrdiff_t>(
                              rng.uniform_index(reference.placed.size())));
-        dc.remove(it->first);
+        ASSERT_EQ(dc.remove(it->first).sample, samples[it->first]);
+        ASSERT_EQ(dc.vm_sample(it->first), 0u);
+        samples.erase(it->first);
         reference.placed.erase(it);
       } else {
         dc.clear();
         reference.placed.clear();
+        samples.clear();
       }
       expect_models_agree(dc, reference);
+      for (const auto& [vm, sample] : samples) ASSERT_EQ(dc.vm_sample(vm), sample);
       // The bucket index, earliest members included, through place, remove
       // and clear.
       ASSERT_NO_THROW(dc.check_index_invariants());
@@ -116,6 +125,9 @@ TEST(DatacenterFuzz, RandomOperationSequencesMatchReference) {
     ASSERT_TRUE(datacenter_state_equal(dc, restored));
     restored.check_index_invariants();
     expect_models_agree(restored, reference);
+    for (const auto& [vm, sample] : samples) {
+      ASSERT_EQ(restored.vm_sample(vm), 0u) << "samples are not snapshot state";
+    }
 
     // The restored ledger is live, not a dead copy: mutating both in
     // lockstep keeps them identical (activation counters were restored too).

@@ -1,11 +1,14 @@
-// Online rebalancer (DESIGN.md §9): utilization-map decay/staleness
-// semantics, LoadView parity with the CloudSimulation reserved-demand model
-// (same threshold => same overload classification and the same victims),
-// planner round bounds (max moves, cooldown), WAL-durable execution with a
-// crash-recovery differential, and the rebalance/util wire surface.
+// Online rebalancer (DESIGN.md §9): utilization-sample decay/staleness
+// semantics and the samples' life in the ledger's slots, LoadView parity
+// with the CloudSimulation reserved-demand model (same threshold => same
+// overload classification and the same victims), planner round bounds (max
+// moves, cooldown), WAL-durable execution with a crash-recovery
+// differential, and the rebalance/util wire surface.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
@@ -70,129 +73,161 @@ const std::string* find_extra(const Response& response, const std::string& key) 
   return nullptr;
 }
 
-// --- UtilizationMap --------------------------------------------------------
+// --- utilization samples: the codec and their slots in the ledger --------
 
 TEST(UtilizationMapTest, DecayHalvesPerHalfLifeAndGoesStale) {
-  UtilizationConfig config;
-  config.pm_count = 4;
-  config.half_life_ms = 1000;
-  config.stale_after_ms = 3000;
-  UtilizationMap map(config, /*epoch_ns=*/0);
-
-  EXPECT_FALSE(map.vm_fraction(7, 10 * kMs).has_value()) << "no sample yet";
-  EXPECT_TRUE(map.record_vm(7, 0.8, 10 * kMs));
-  EXPECT_NEAR(*map.vm_fraction(7, 10 * kMs), 0.8, 1e-6);
-  EXPECT_NEAR(*map.vm_fraction(7, 1010 * kMs), 0.4, 1e-3) << "one half-life";
-  EXPECT_NEAR(*map.vm_fraction(7, 2010 * kMs), 0.2, 1e-3) << "two half-lives";
-  EXPECT_TRUE(map.vm_fraction(7, 3010 * kMs).has_value()) << "at the stale bound";
-  EXPECT_FALSE(map.vm_fraction(7, 3011 * kMs).has_value()) << "past stale_after";
-
-  map.record_pm(2, 0.6, 10 * kMs);
-  EXPECT_NEAR(*map.pm_fraction(2, 10 * kMs), 0.6, 1e-6);
-  EXPECT_NEAR(*map.pm_fraction(2, 1010 * kMs), 0.3, 1e-3);
-  EXPECT_FALSE(map.pm_fraction(2, 4000 * kMs).has_value());
-  EXPECT_FALSE(map.pm_fraction(3, 10 * kMs).has_value()) << "PM never sampled";
-
-  // Out-of-range PMs are ignored on write and answer nothing on read.
-  map.record_pm(99, 0.5, 10 * kMs);
-  EXPECT_FALSE(map.pm_fraction(99, 10 * kMs).has_value());
+  const UtilizationCodec codec({/*half_life_ms=*/1000, /*stale_after_ms=*/3000},
+                               /*epoch_ns=*/0);
+  EXPECT_FALSE(codec.decayed(0, 10 * kMs).has_value()) << "0 is no sample";
+  const std::uint64_t sample = codec.pack(0.8, 10 * kMs);
+  EXPECT_NEAR(*codec.decayed(sample, 10 * kMs), 0.8, 1e-6);
+  EXPECT_NEAR(*codec.decayed(sample, 1010 * kMs), 0.4, 1e-3) << "one half-life";
+  EXPECT_NEAR(*codec.decayed(sample, 2010 * kMs), 0.2, 1e-3) << "two half-lives";
+  EXPECT_TRUE(codec.decayed(sample, 3010 * kMs).has_value()) << "at the stale bound";
+  EXPECT_FALSE(codec.decayed(sample, 3011 * kMs).has_value()) << "past stale_after";
+  EXPECT_NEAR(*codec.decayed(sample, 0), 0.8, 1e-6) << "a read before the write ages nothing";
 }
 
 TEST(UtilizationMapTest, NewestSampleWinsAndClampsToProtocolRange) {
-  UtilizationConfig config;
-  config.pm_count = 1;
-  config.half_life_ms = 1000;
-  config.stale_after_ms = 10'000;
-  UtilizationMap map(config, 0);
+  const UtilizationCodec codec({/*half_life_ms=*/1000, /*stale_after_ms=*/10'000}, 0);
+  Datacenter dc(ec2_catalog(), {0});
+  dc.place_first_fit(0, Vm{5, 0});
 
-  EXPECT_TRUE(map.record_vm(5, 0.5, 100 * kMs));
-  EXPECT_TRUE(map.record_vm(5, 1.3, 2000 * kMs));  // bursting past reservation
-  EXPECT_NEAR(*map.vm_fraction(5, 2000 * kMs), 1.3, 1e-6)
+  ASSERT_TRUE(dc.set_vm_sample(5, codec.pack(0.5, 100 * kMs)));
+  ASSERT_TRUE(dc.set_vm_sample(5, codec.pack(1.3, 2000 * kMs)));  // bursting past reservation
+  EXPECT_NEAR(*codec.decayed(dc.vm_sample(5), 2000 * kMs), 1.3, 1e-6)
       << "the newer sample replaces the old one entirely";
 
-  map.record_pm(0, -3.0, 100 * kMs);
-  EXPECT_NEAR(*map.pm_fraction(0, 100 * kMs), 0.0, 1e-9);
-  map.record_pm(0, 7.5, 100 * kMs);
-  EXPECT_NEAR(*map.pm_fraction(0, 100 * kMs), 2.0, 1e-9)
+  dc.set_pm_sample(0, codec.pack(-3.0, 100 * kMs));
+  EXPECT_NEAR(*codec.decayed(dc.pm_sample(0), 100 * kMs), 0.0, 1e-9);
+  dc.set_pm_sample(0, codec.pack(7.5, 100 * kMs));
+  EXPECT_NEAR(*codec.decayed(dc.pm_sample(0), 100 * kMs), 2.0, 1e-9)
       << "samples clamp to the protocol's [0, 2] range";
 }
 
-TEST(UtilizationMapTest, FullTableDropsNewKeysButKeepsUpdatingExistingOnes) {
-  UtilizationConfig config;
-  config.pm_count = 1;
-  config.vm_capacity = 16;  // the implementation floor; probes cover it fully
-  UtilizationMap map(config, 0);
-  ASSERT_EQ(map.vm_capacity(), 16u);
-
-  std::size_t inserted = 0;
-  for (VmId vm = 1; vm <= 64; ++vm) {
-    if (map.record_vm(vm, 0.5, kMs)) ++inserted;
-  }
-  EXPECT_EQ(inserted, 16u) << "exactly capacity keys fit; the rest drop";
-  EXPECT_TRUE(map.record_vm(1, 0.9, 2 * kMs))
-      << "existing keys always update in place, even when the table is full";
-  EXPECT_NEAR(*map.vm_fraction(1, 2 * kMs), 0.9, 1e-6);
+Request util_request(std::uint64_t vm, double cpu) {
+  Request request;
+  request.op = RequestOp::kUtil;
+  request.vm_id = vm;
+  request.cpu = cpu;
+  return request;
 }
 
-TEST(UtilizationMapTest, ForgottenSlotsServeTenTimesTheCapacityInDistinctVms) {
-  UtilizationConfig config;
-  config.pm_count = 1;
-  config.vm_capacity = 1024;
-  UtilizationMap map(config, 0);
-  ASSERT_EQ(map.vm_capacity(), 1024u);
-
-  // Half the table live at any time, but every id new: each VM is sampled
-  // while live and forgotten when it leaves, as the service does on
-  // release. Without forget_vm the table fills after 1024 ids.
-  constexpr VmId kLive = 512;
-  constexpr VmId kLast = 10 * 1024;
-  std::size_t dropped = 0;
-  std::size_t forgotten_but_readable = 0;
-  for (VmId vm = 1; vm <= kLast; ++vm) {
-    if (!map.record_vm(vm, 0.25, kMs)) ++dropped;
-    if (vm > kLive) {
-      map.forget_vm(vm - kLive);
-      if (map.vm_fraction(vm - kLive, kMs).has_value()) ++forgotten_but_readable;
-    }
-  }
-  EXPECT_EQ(dropped, 0u);
-  EXPECT_EQ(forgotten_but_readable, 0u);
-  for (VmId vm = kLast - kLive + 1; vm <= kLast; ++vm) {
-    ASSERT_TRUE(map.vm_fraction(vm, kMs).has_value()) << "live vm " << vm;
-  }
-  EXPECT_TRUE(map.record_vm(kLast, 0.75, 2 * kMs));
-  EXPECT_NEAR(*map.vm_fraction(kLast, 2 * kMs), 0.75, 1e-6);
-  map.forget_vm(kLast + 1);  // never sampled: a no-op
-  EXPECT_NEAR(*map.vm_fraction(kLast, 2 * kMs), 0.75, 1e-6);
+Request vm_op(RequestOp op, std::uint64_t vm) {
+  Request request;
+  request.op = op;
+  request.vm_id = vm;
+  return request;
 }
 
 TEST(UtilizationMapTest, ReleasedVmsFreeTheirSlotsInTheService) {
-  // Churn ten times the map's capacity in distinct VM ids through the
-  // service: place, sample, release. Every sample must land.
+  // Churn thousands of distinct VM ids through the service: place, sample,
+  // release. Every live VM keeps its sample; a released VM has none, and a
+  // re-placed id starts without one.
   const Catalog catalog = ec2_catalog();
   PlacementService service(catalog, mixed_pm_fleet(catalog, 8), tables_for(catalog), {});
-  const std::size_t capacity = service.utilization_map().vm_capacity();
+  const UtilizationCodec& codec = service.utilization_codec();
   constexpr std::uint64_t kLive = 40;
-  std::uint64_t placed = 0;
-  for (std::uint64_t vm = 1; vm <= 10 * capacity; ++vm) {
-    if (service.execute(place_request(vm, 0)).ok) ++placed;
-    Request sample;
-    sample.op = RequestOp::kUtil;
-    sample.vm_id = vm;
-    sample.cpu = 0.5;
-    ASSERT_TRUE(service.execute(sample).ok);
+  constexpr std::uint64_t kLast = 5000;
+  for (std::uint64_t vm = 1; vm <= kLast; ++vm) {
+    ASSERT_TRUE(service.execute(place_request(vm, 0)).ok);
+    ASSERT_TRUE(service.execute(util_request(vm, 0.5)).ok);
     if (vm > kLive) {
-      Request release;
-      release.op = RequestOp::kRelease;
-      release.vm_id = vm - kLive;
-      const Response released = service.execute(release);
+      const Response released = service.execute(vm_op(RequestOp::kRelease, vm - kLive));
       ASSERT_TRUE(released.ok) << released.error << ": " << released.message;
+      ASSERT_EQ(service.datacenter().vm_sample(static_cast<VmId>(vm - kLive)), 0u);
     }
   }
-  EXPECT_EQ(placed, 10 * capacity);
-  EXPECT_EQ(service.metrics_registry().counter("prvm_rebal_util_dropped_total").value(), 0u);
-  EXPECT_TRUE(service.utilization_map().vm_fraction(
-      static_cast<VmId>(10 * capacity), obs::now_ns()).has_value());
+  const Datacenter& dc = service.datacenter();
+  const std::uint64_t now = obs::now_ns();
+  for (std::uint64_t vm = kLast - kLive + 1; vm <= kLast; ++vm) {
+    const auto fraction = codec.decayed(dc.vm_sample(static_cast<VmId>(vm)), now);
+    ASSERT_TRUE(fraction.has_value()) << "live vm " << vm;
+    EXPECT_NEAR(*fraction, 0.5, 1e-3);
+  }
+  EXPECT_EQ(service.metrics_registry().counter("prvm_rebal_util_unknown_total").value(), 0u);
+  dc.check_index_invariants();  // freed slots hold no sample
+
+  ASSERT_TRUE(service.execute(place_request(1, 0)).ok);
+  EXPECT_EQ(service.datacenter().vm_sample(1), 0u) << "a re-placed id starts without a sample";
+}
+
+TEST(UtilizationMapTest, MigrateKeepsTheSampleAndReleaseDropsIt) {
+  const Catalog catalog = ec2_catalog();
+  PlacementService service(catalog, mixed_pm_fleet(catalog, 4), tables_for(catalog), {});
+  const UtilizationCodec& codec = service.utilization_codec();
+  ASSERT_TRUE(service.execute(place_request(1, 0)).ok);
+  ASSERT_TRUE(service.execute(place_request(2, 0)).ok);
+  ASSERT_TRUE(service.execute(util_request(1, 0.7)).ok);
+  const std::uint64_t sample = service.datacenter().vm_sample(1);
+  ASSERT_NE(sample, 0u);
+
+  const auto from = service.datacenter().pm_of(1);
+  const Response moved = service.execute(vm_op(RequestOp::kMigrate, 1));
+  ASSERT_TRUE(moved.ok) << moved.error << ": " << moved.message;
+  EXPECT_NE(service.datacenter().pm_of(1), from);
+  EXPECT_EQ(service.datacenter().vm_sample(1), sample) << "a migrated VM keeps its sample";
+  EXPECT_NEAR(*codec.decayed(service.datacenter().vm_sample(1), obs::now_ns()), 0.7, 1e-3);
+  EXPECT_EQ(service.datacenter().vm_sample(2), 0u) << "a neighbour gains nothing";
+
+  ASSERT_TRUE(service.execute(vm_op(RequestOp::kRelease, 1)).ok);
+  EXPECT_EQ(service.datacenter().vm_sample(1), 0u) << "a release drops the sample";
+  service.datacenter().check_index_invariants();
+}
+
+// Samples are soft state: a ledger fed samples serializes, digests and logs
+// exactly the bytes of one that never saw a sample.
+TEST(UtilizationMapTest, SamplesLeaveSnapshotDigestAndWalBytesUnchanged) {
+  const Catalog catalog = ec2_catalog();
+  const auto tables = tables_for(catalog);
+  TempDir fed_dir("util-fed");
+  TempDir plain_dir("util-plain");
+  const auto make = [&](const TempDir& dir) {
+    ServiceConfig config;
+    config.data_dir = dir.path();
+    return std::make_unique<PlacementService>(catalog, mixed_pm_fleet(catalog, 6), tables,
+                                              std::move(config));
+  };
+  auto fed = make(fed_dir);
+  auto plain = make(plain_dir);
+  for (std::uint64_t vm = 1; vm <= 30; ++vm) {
+    const Request place = place_request(vm, vm % catalog.vm_types().size());
+    ASSERT_EQ(fed->execute(place).ok, plain->execute(place).ok);
+    ASSERT_TRUE(fed->execute(util_request(vm, 0.1 * static_cast<double>(vm % 10))).ok);
+    Request pm_sample;
+    pm_sample.op = RequestOp::kUtil;
+    pm_sample.pm = vm % 6;
+    pm_sample.cpu = 0.6;
+    ASSERT_TRUE(fed->execute(pm_sample).ok);
+    if (vm % 4 == 0) {
+      const Request migrate = vm_op(RequestOp::kMigrate, vm - 1);
+      ASSERT_EQ(fed->execute(migrate).ok, plain->execute(migrate).ok);
+    }
+    if (vm % 5 == 0) {
+      const Request release = vm_op(RequestOp::kRelease, vm - 2);
+      ASSERT_EQ(fed->execute(release).ok, plain->execute(release).ok);
+    }
+  }
+  const Datacenter& a = fed->datacenter();
+  const Datacenter& b = plain->datacenter();
+  ASSERT_GT(a.vm_count(), 0u);
+  std::size_t sampled = 0;
+  for (const PmIndex pm : a.used_pms()) {
+    for (const Datacenter::PlacedVm& placed : a.pm(pm).vms) sampled += placed.sample != 0;
+  }
+  ASSERT_GT(sampled, 0u) << "the fed ledger must actually hold samples";
+
+  EXPECT_EQ(datacenter_state_digest(a), datacenter_state_digest(b));
+  EXPECT_TRUE(datacenter_state_equal(a, b));
+  EXPECT_EQ(serialize_snapshot(a, fed->admission(), fed->group_directory(), 1),
+            serialize_snapshot(b, plain->admission(), plain->group_directory(), 1));
+  const auto read_file = [](const std::filesystem::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string wal = read_file(fed_dir.path() / "wal.log");
+  EXPECT_FALSE(wal.empty());
+  EXPECT_EQ(wal, read_file(plain_dir.path() / "wal.log"));
 }
 
 // --- LoadView <-> CloudSimulation parity -----------------------------------
@@ -206,7 +241,7 @@ class SimParityTest : public ::testing::Test {
 };
 
 TEST_F(SimParityTest, LoadViewMatchesReservedModelAndPoliciesAgreeOnVictims) {
-  // Place a mixed population with the real engine, then feed the live map
+  // Place a mixed population with the real engine, then give a ledger copy
   // the exact fractions a constant-trace simulation would read at epoch 0.
   PlacementService service(catalog_, mixed_pm_fleet(catalog_, 6), tables_, {});
   std::vector<Vm> vms;
@@ -224,15 +259,13 @@ TEST_F(SimParityTest, LoadViewMatchesReservedModelAndPoliciesAgreeOnVictims) {
     binding.push_back(static_cast<std::size_t>(i));
   }
 
-  const Datacenter dc = service.datacenter();
-  UtilizationConfig map_config;
-  map_config.pm_count = dc.pm_count();
-  UtilizationMap map(map_config, 0);
+  Datacenter dc = service.datacenter();
+  const UtilizationCodec codec({}, 0);
   const std::uint64_t now = 100 * kMs;
   for (std::size_t i = 0; i < vms.size(); ++i) {
-    ASSERT_TRUE(map.record_vm(vms[i].id, fractions[i], now));
+    ASSERT_TRUE(dc.set_vm_sample(vms[i].id, codec.pack(fractions[i], now)));
   }
-  const LoadView view(&dc, &map, now);
+  const LoadView view(&dc, codec, now);
 
   SimulationOptions options;
   options.epochs = 1;
@@ -275,12 +308,10 @@ TEST_F(SimParityTest, AbsenceOfSignalIsNotLoad) {
   PlacementService service(catalog_, mixed_pm_fleet(catalog_, 2), tables_, {});
   const Response placed = service.execute(place_request(1, 0));
   ASSERT_TRUE(placed.ok);
-  const Datacenter dc = service.datacenter();
+  Datacenter dc = service.datacenter();
 
-  UtilizationConfig map_config;
-  map_config.pm_count = dc.pm_count();
-  UtilizationMap map(map_config, 0);
-  const LoadView unfed(&dc, &map, 100 * kMs);
+  const UtilizationCodec codec({}, 0);
+  const LoadView unfed(&dc, codec, 100 * kMs);
   const PmIndex pm = static_cast<PmIndex>(*placed.pm);
   EXPECT_EQ(unfed.vm_cpu_ghz(1), 0.0);
   EXPECT_EQ(unfed.pm_cpu_utilization(pm), 0.0);
@@ -288,8 +319,8 @@ TEST_F(SimParityTest, AbsenceOfSignalIsNotLoad) {
 
   // A direct per-PM sample is signal and raises (never lowers) the hottest
   // reading past anything the per-VM aggregate implies.
-  map.record_pm(pm, 1.2, 100 * kMs);
-  const LoadView fed(&dc, &map, 100 * kMs);
+  dc.set_pm_sample(pm, codec.pack(1.2, 100 * kMs));
+  const LoadView fed(&dc, codec, 100 * kMs);
   EXPECT_TRUE(fed.has_signal(pm));
   EXPECT_NEAR(fed.pm_hottest_utilization(pm), 1.2, 1e-6);
   EXPECT_EQ(fed.pm_cpu_utilization(pm), 0.0) << "aggregate stays sample-driven";
@@ -309,6 +340,17 @@ class RebalancerServiceTest : public ::testing::Test {
     if (config.rebalance.interval_ms == 1000) config.rebalance.interval_ms = 3'600'000;
     return std::make_unique<PlacementService>(catalog_, mixed_pm_fleet(catalog_, fleet),
                                               tables_, std::move(config));
+  }
+
+  /// Feeds one PM-keyed sample through the util op, as a collector would.
+  /// The sample is stamped with the service's clock, obs::now_ns().
+  static void report_pm(PlacementService& service, std::uint64_t pm, double cpu) {
+    Request sample;
+    sample.op = RequestOp::kUtil;
+    sample.pm = pm;
+    sample.cpu = cpu;
+    const Response response = service.submit(sample).get();
+    ASSERT_TRUE(response.ok) << response.error << ": " << response.message;
   }
 
   std::optional<std::uint64_t> lookup_pm(PlacementService& service, std::uint64_t vm) {
@@ -338,13 +380,10 @@ TEST_F(RebalancerServiceTest, OverloadDrainIsBoundedAndWalDurable) {
   ASSERT_TRUE(service->execute(place_request(101, 0, "web")).ok);
   service->start();
 
-  UtilizationMap& map = service->utilization_map();
-  const std::uint64_t now = map.epoch_ns() + 1000 * kMs;
   const auto hot = lookup_pm(*service, 1);
   ASSERT_TRUE(hot.has_value());
-  for (PmIndex pm = 0; pm < 4; ++pm) {
-    map.record_pm(pm, pm == *hot ? 1.3 : 0.3, now);
-  }
+  for (PmIndex pm = 0; pm < 4; ++pm) report_pm(*service, pm, pm == *hot ? 1.3 : 0.3);
+  const std::uint64_t now = obs::now_ns();
 
   RebalancePlanner* planner = service->rebalancer();
   ASSERT_NE(planner, nullptr);
@@ -418,11 +457,8 @@ TEST_F(RebalancerServiceTest, ConsolidationDrainsWholeUnderloadedPmOntoUsedPms) 
       cold_count = count;
     }
   }
-  UtilizationMap& map = service->utilization_map();
-  const std::uint64_t now = map.epoch_ns() + 1000 * kMs;
-  for (PmIndex pm = 0; pm < 6; ++pm) {
-    map.record_pm(pm, pm == cold ? 0.05 : 0.5, now);
-  }
+  for (PmIndex pm = 0; pm < 6; ++pm) report_pm(*service, pm, pm == cold ? 0.05 : 0.5);
+  const std::uint64_t now = obs::now_ns();
 
   const std::size_t moves = service->rebalancer()->run_round(now);
   EXPECT_EQ(moves, cold_count) << "the whole PM drains or none of it does";
@@ -438,6 +474,10 @@ TEST_F(RebalancerServiceTest, CooldownPreventsPingPong) {
   config.rebalance.max_moves_per_round = 8;
   config.rebalance.cooldown_ms = 60'000;
   config.rebalance.underload_threshold = 0.0;  // isolate the overload path
+  // The rounds' clock runs a minute past the samples' wall-clock stamps:
+  // keep the samples fresh and undecayed over that span.
+  config.rebalance.half_life_ms = 0;
+  config.rebalance.stale_after_ms = 3'600'000;
   auto service = make_service(2, std::move(config));
   // Four m3.xlarge (15 GiB) across two PMs: everything fits either PM, so
   // capacity never masks the cooldown behavior under test.
@@ -452,15 +492,14 @@ TEST_F(RebalancerServiceTest, CooldownPreventsPingPong) {
   }
   service->start();
 
-  UtilizationMap& map = service->utilization_map();
   RebalancePlanner* planner = service->rebalancer();
-  const std::uint64_t t0 = map.epoch_ns() + 1000 * kMs;
   const auto hot = lookup_pm(*service, 1);
   ASSERT_TRUE(hot.has_value());
   const std::uint64_t other = *hot == 0 ? 1 : 0;
 
-  map.record_pm(*hot, 1.3, t0);
-  map.record_pm(other, 0.3, t0);
+  report_pm(*service, *hot, 1.3);
+  report_pm(*service, other, 0.3);
+  const std::uint64_t t0 = obs::now_ns();
   const std::size_t moves1 = planner->run_round(t0);
   ASSERT_GE(moves1, 1u);
   std::vector<std::pair<std::uint64_t, std::uint64_t>> moved;  // vm -> new pm
@@ -473,8 +512,8 @@ TEST_F(RebalancerServiceTest, CooldownPreventsPingPong) {
 
   // Reverse the hotspot within the cooldown window: the freshly moved VMs
   // must NOT bounce straight back even though their new PM now reads hot.
-  map.record_pm(*hot, 0.3, t0 + kMs);
-  map.record_pm(other, 1.3, t0 + kMs);
+  report_pm(*service, *hot, 0.3);
+  report_pm(*service, other, 1.3);
   planner->run_round(t0 + kMs);
   for (const auto& [vm, pm] : moved) {
     EXPECT_EQ(lookup_pm(*service, vm), std::optional<std::uint64_t>(pm))
@@ -486,8 +525,8 @@ TEST_F(RebalancerServiceTest, CooldownPreventsPingPong) {
 
   // Past the cooldown the same pressure does move them.
   const std::uint64_t t1 = t0 + (60'000 + 10) * kMs;
-  map.record_pm(*hot, 0.3, t1);
-  map.record_pm(other, 1.3, t1);
+  report_pm(*service, *hot, 0.3);
+  report_pm(*service, other, 1.3);
   EXPECT_GE(planner->run_round(t1), 1u) << "expired cooldowns release their VMs";
 }
 
@@ -495,11 +534,10 @@ TEST_F(RebalancerServiceTest, PausedPlannerPlansNothing) {
   auto service = make_service(2);
   ASSERT_TRUE(service->execute(place_request(1, 0)).ok);
   service->start();
-  UtilizationMap& map = service->utilization_map();
-  const std::uint64_t now = map.epoch_ns() + 1000 * kMs;
   const auto hot = lookup_pm(*service, 1);
   ASSERT_TRUE(hot.has_value());
-  map.record_pm(*hot, 1.3, now);
+  report_pm(*service, *hot, 1.3);
+  const std::uint64_t now = obs::now_ns();
 
   RebalancePlanner* planner = service->rebalancer();
   planner->pause();
@@ -571,7 +609,8 @@ TEST_F(RebalancerServiceTest, UtilOpFeedsTheMapAndValidatesItsTarget) {
   sample.cpu = 0.75;
   const Response ok = service->submit(sample).get();
   ASSERT_TRUE(ok.ok) << ok.error;
-  const auto stored = service->utilization_map().vm_fraction(9, obs::now_ns());
+  const UtilizationCodec& codec = service->utilization_codec();
+  const auto stored = codec.decayed(service->datacenter().vm_sample(9), obs::now_ns());
   ASSERT_TRUE(stored.has_value());
   EXPECT_NEAR(*stored, 0.75, 1e-3) << "negligible decay between ingest and read";
 
@@ -579,14 +618,15 @@ TEST_F(RebalancerServiceTest, UtilOpFeedsTheMapAndValidatesItsTarget) {
   unknown.vm_id = 10;
   const Response unknown_ok = service->submit(unknown).get();
   EXPECT_TRUE(unknown_ok.ok) << "a sample for an unplaced VM is not an error";
-  EXPECT_FALSE(service->utilization_map().vm_fraction(10, obs::now_ns()).has_value())
-      << "a sample for a VM the ledger does not hold must not take a slot";
+  EXPECT_EQ(service->metrics_registry().counter("prvm_rebal_util_unknown_total").value(), 1u)
+      << "a sample for a VM the ledger does not hold is counted and stored nowhere";
 
   Request pm_sample;
   pm_sample.op = RequestOp::kUtil;
   pm_sample.pm = 1;
   pm_sample.cpu = 0.4;
   EXPECT_TRUE(service->submit(pm_sample).get().ok);
+  EXPECT_NEAR(*codec.decayed(service->datacenter().pm_sample(1), obs::now_ns()), 0.4, 1e-3);
 
   Request out_of_range;
   out_of_range.op = RequestOp::kUtil;
@@ -598,48 +638,42 @@ TEST_F(RebalancerServiceTest, UtilOpFeedsTheMapAndValidatesItsTarget) {
   service->drain();
 }
 
-// A feed of ids the ledger never held, ten times the VM table's capacity,
-// through both entry points: none of it may take a slot, so samples for live
-// VMs still land afterwards.
+// A feed of ids the ledger never held, through both entry points: every
+// sample is refused and counted, the ledger gains nothing, and the samples
+// of live VMs are kept whatever else the feed carries.
 TEST_F(RebalancerServiceTest, UnknownVmSamplesNeverFillTheTable) {
   auto service = make_service(2);
-  const UtilizationMap& map = service->utilization_map();
-  const std::uint64_t flood = 10 * map.vm_capacity();
-  const auto util = [](std::uint64_t vm) {
-    Request request;
-    request.op = RequestOp::kUtil;
-    request.vm_id = vm;
-    request.cpu = 0.5;
-    return request;
-  };
+  constexpr std::uint64_t kFlood = 5000;
   constexpr std::uint64_t kLive = 6;
   for (std::uint64_t vm = 1; vm <= kLive; ++vm) {
     ASSERT_TRUE(service->execute(place_request(vm, 0)).ok);
   }
-  ASSERT_TRUE(service->execute(util(1)).ok);
+  ASSERT_TRUE(service->execute(util_request(1, 0.5)).ok);
 
-  for (std::uint64_t i = 0; i < flood; ++i) {
-    ASSERT_TRUE(service->execute(util(1'000'000 + i)).ok);
+  for (std::uint64_t i = 0; i < kFlood; ++i) {
+    ASSERT_TRUE(service->execute(util_request(1'000'000 + i, 0.5)).ok);
   }
   service->start();
-  for (std::uint64_t i = 0; i < flood; ++i) {
-    ASSERT_TRUE(service->submit(util(5'000'000 + i)).get().ok);
+  for (std::uint64_t i = 0; i < kFlood; ++i) {
+    ASSERT_TRUE(service->submit(util_request(5'000'000 + i, 0.5)).get().ok);
   }
   for (std::uint64_t vm = 2; vm <= kLive; ++vm) {
-    ASSERT_TRUE(service->submit(util(vm)).get().ok);
+    ASSERT_TRUE(service->submit(util_request(vm, 0.5)).get().ok);
   }
   service->drain();
 
+  const Datacenter& dc = service->datacenter();
+  const UtilizationCodec& codec = service->utilization_codec();
   const std::uint64_t now = obs::now_ns();
   for (std::uint64_t vm = 1; vm <= kLive; ++vm) {
-    EXPECT_TRUE(map.vm_fraction(static_cast<VmId>(vm), now).has_value())
+    EXPECT_TRUE(codec.decayed(dc.vm_sample(static_cast<VmId>(vm)), now).has_value())
         << "live VM " << vm << " lost its sample";
   }
-  EXPECT_FALSE(map.vm_fraction(1'000'000, now).has_value());
-  EXPECT_FALSE(map.vm_fraction(static_cast<VmId>(5'000'000 + flood - 1), now).has_value());
+  EXPECT_EQ(dc.vm_count(), kLive);
+  dc.check_index_invariants();
   const obs::Registry& reg = service->metrics_registry();
-  EXPECT_EQ(reg.find_counter("prvm_rebal_util_unknown_total")->value(), 2 * flood);
-  EXPECT_EQ(reg.find_counter("prvm_rebal_util_dropped_total")->value(), 0u);
+  EXPECT_EQ(reg.find_counter("prvm_rebal_util_unknown_total")->value(), 2 * kFlood);
+  EXPECT_EQ(reg.find_counter("prvm_rebal_util_samples_total")->value(), 2 * kFlood + kLive);
 }
 
 TEST(RebalanceProtocolTest, UtilAndRebalanceParsing) {

@@ -367,7 +367,8 @@ TEST_F(ReplicationTest, FollowerDiskFaultsDoNotPoisonTheLeader) {
   std::uint64_t vm = 1;
   bool follower_degraded = false;
   while (std::chrono::steady_clock::now() < deadline && vm <= 120) {
-    const Response response = leader_->submit(place_request(vm++, vm % 3)).get();
+    const std::size_t type = vm % 3;
+    const Response response = leader_->submit(place_request(vm++, type)).get();
     ASSERT_TRUE(response.ok) << response.error << ": " << response.message;
     if (follower_->degraded()) follower_degraded = true;
     std::this_thread::sleep_for(10ms);
@@ -473,12 +474,18 @@ TEST_F(ReplicationTest, SnapshotInstallForgetsUtilizationOfVmsItDoesNotHold) {
   const Response installed = install_leader_state();
   ASSERT_TRUE(installed.ok) << installed.error << ": " << installed.message;
 
-  // A VM the snapshot does not hold has no sample: its key left the table,
-  // so its slot is free for reuse. The VMs the snapshot holds keep theirs.
-  const UtilizationMap& map = follower.utilization_map();
+  // A VM the snapshot does not hold has no sample: it left the ledger with
+  // its slot. The VMs the snapshot holds keep theirs, and a VM new to the
+  // follower starts without one.
+  const Datacenter& dc = follower.datacenter();
+  const UtilizationCodec& codec = follower.utilization_codec();
   const std::uint64_t now = obs::now_ns();
-  for (VmId vm = 1; vm <= 3; ++vm) EXPECT_FALSE(map.vm_fraction(vm, now).has_value()) << vm;
-  for (VmId vm = 4; vm <= 6; ++vm) EXPECT_TRUE(map.vm_fraction(vm, now).has_value()) << vm;
+  for (VmId vm = 1; vm <= 3; ++vm) EXPECT_EQ(dc.vm_sample(vm), 0u) << vm;
+  for (VmId vm = 4; vm <= 6; ++vm) {
+    EXPECT_TRUE(codec.decayed(dc.vm_sample(vm), now).has_value()) << vm;
+  }
+  EXPECT_EQ(dc.vm_sample(7), 0u);
+  dc.check_index_invariants();
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 # is what the cold build left on the heap plus the daemon's live state.
 #
 # Usage: tools/cold_start_rss_smoke.sh [BUILD_DIR] [MAX_RSS_ANON_KB]
-# e.g.   tools/cold_start_rss_smoke.sh build 8192
+# e.g.   tools/cold_start_rss_smoke.sh build 4096
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
