@@ -221,11 +221,12 @@ std::uint32_t Datacenter::acquire_slot() {
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
-void Datacenter::place(PmIndex i, const Vm& vm, const DemandPlacement& placement) {
+void Datacenter::place(PmIndex i, const Vm& vm,
+                       std::span<const std::pair<int, int>> assignments) {
   PRVM_REQUIRE(i < pms_.size(), "PM index out of range");
   PRVM_REQUIRE(slot_of_.find(vm.id) == FlatIdMap::kNone, "VM already placed");
   PRVM_REQUIRE(vm.type_index < catalog_.vm_types().size(), "VM type out of range");
-  PRVM_REQUIRE(placement.assignments.size() <= slot_stride_,
+  PRVM_REQUIRE(assignments.size() <= slot_stride_,
                "placement has more items than any catalog demand");
   const ProfileShape& shape = catalog_.shape(pms_[i].type);
   const std::span<int> row = levels_of(i);
@@ -237,7 +238,7 @@ void Datacenter::place(PmIndex i, const Vm& vm, const DemandPlacement& placement
   int levels[64];
   std::copy(row.begin(), row.end(), levels);
   std::uint64_t touched = 0;
-  for (auto [dim, amount] : placement.assignments) {
+  for (auto [dim, amount] : assignments) {
     PRVM_REQUIRE(dim >= 0 && dim < shape.total_dims(), "assignment dimension out of range");
     PRVM_REQUIRE(amount > 0, "assignment amount must be positive");
     const std::uint64_t bit = std::uint64_t{1} << dim;
@@ -262,10 +263,10 @@ void Datacenter::place(PmIndex i, const Vm& vm, const DemandPlacement& placement
   slot.pm = static_cast<std::uint32_t>(i);
   slot.next = kNoSlot;
   slot.prev = pm.last;
-  slot.count = static_cast<std::uint32_t>(placement.assignments.size());
+  slot.count = static_cast<std::uint32_t>(assignments.size());
   // Validated above: dim < 64 and 0 < amount <= a capacity that fits a byte.
   Item* items = arena_.data() + s * slot_stride_;
-  for (auto [dim, amount] : placement.assignments) {
+  for (auto [dim, amount] : assignments) {
     *items++ = Item{static_cast<std::uint8_t>(dim), static_cast<std::uint8_t>(amount)};
   }
   if (pm.last != kNoSlot) {
@@ -338,6 +339,12 @@ std::optional<PmIndex> Datacenter::pm_of(VmId vm) const {
   const std::uint32_t s = slot_of_.find(vm);
   if (s == FlatIdMap::kNone) return std::nullopt;
   return slots_[s].pm;
+}
+
+Datacenter::PlacedVm Datacenter::placed(VmId vm) const {
+  const std::uint32_t s = slot_of_.find(vm);
+  PRVM_REQUIRE(s != FlatIdMap::kNone, "VM is not placed");
+  return PlacedVm{Vm{slots_[s].id, slots_[s].type}, assignments_of(s), slots_[s].sample};
 }
 
 bool Datacenter::set_vm_sample(VmId vm, std::uint64_t sample) {

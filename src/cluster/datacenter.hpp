@@ -349,9 +349,13 @@ class Datacenter {
   /// PM `i` (Algorithm 2 line 6). Empty when the VM does not fit.
   std::vector<DemandPlacement> placements(PmIndex i, std::size_t vm_type) const;
 
-  /// Places a VM with an explicit placement previously obtained from
-  /// placements(). Validates capacity and anti-collocation.
-  void place(PmIndex i, const Vm& vm, const DemandPlacement& placement);
+  /// Places a VM with explicit (dimension, amount) assignments, such as a
+  /// placement from placements() or a WAL record's. Validates capacity and
+  /// anti-collocation.
+  void place(PmIndex i, const Vm& vm, std::span<const std::pair<int, int>> assignments);
+  void place(PmIndex i, const Vm& vm, const DemandPlacement& placement) {
+    place(i, vm, placement.assignments);
+  }
 
   /// Places with the first feasible placement (used by baselines that do
   /// not score permutations). Throws if the VM does not fit.
@@ -364,6 +368,9 @@ class Datacenter {
 
   /// The PM currently hosting `vm`, if any.
   std::optional<PmIndex> pm_of(VmId vm) const;
+  /// The record of placed VM `vm` (throws when it is not placed). Its
+  /// assignments are invalidated by the next place()/remove().
+  PlacedVm placed(VmId vm) const;
 
   /// Utilization sample words (see the class comment; the encoding is
   /// UtilizationCodec's). set_vm_sample() is false, storing nothing, when

@@ -116,12 +116,11 @@ void PageRankVm::cached_placement_into(const Datacenter& dc, PmIndex i, const Vm
   out.result.assign_levels(shape, levels_scratch_);
 }
 
-void PageRankVm::place_best_permutation(Datacenter& dc, PmIndex i, const Vm& vm,
-                                        std::optional<NodeId> node) {
+PageRankVm::Pick PageRankVm::best_permutation(const Datacenter& dc, PmIndex i, const Vm& vm,
+                                              std::optional<NodeId> node) {
   if (options_.use_index) {
     cached_placement_into(dc, i, vm, node, placement_scratch_);
-    dc.place(i, vm, placement_scratch_);
-    return;
+    return Pick{i, placement_scratch_.assignments};
   }
   const Datacenter::PmView pm = dc.pm(i);
   const ProfileShape& shape = dc.shape_of(i);
@@ -138,10 +137,11 @@ void PageRankVm::place_best_permutation(Datacenter& dc, PmIndex i, const Vm& vm,
     return p.result.canonical(shape).pack(shape) == best->successor;
   });
   PRVM_CHECK(it != options.end(), "winning permutation not found among placements");
-  dc.place(i, vm, *it);
+  placement_scratch_ = std::move(*it);
+  return Pick{i, placement_scratch_.assignments};
 }
 
-std::optional<PmIndex> PageRankVm::pick_linear(Datacenter& dc, const Vm& vm,
+std::optional<PmIndex> PageRankVm::pick_linear(const Datacenter& dc, const Vm& vm,
                                                const PlacementConstraints& constraints) {
   // Candidate used PMs: all of them, or two sampled ones in 2-choice mode.
   std::vector<PmIndex> candidates;
@@ -289,8 +289,8 @@ std::optional<PmIndex> PageRankVm::pick_indexed_constrained(
   return std::nullopt;
 }
 
-std::optional<PmIndex> PageRankVm::place(Datacenter& dc, const Vm& vm,
-                                         const PlacementConstraints& constraints) {
+std::optional<PageRankVm::Pick> PageRankVm::pick(const Datacenter& dc, const Vm& vm,
+                                                  const PlacementConstraints& constraints) {
   m_.place_calls->inc();
   std::optional<PmIndex> best_pm;
   if (!options_.use_index || options_.two_choice) {
@@ -299,27 +299,28 @@ std::optional<PmIndex> PageRankVm::place(Datacenter& dc, const Vm& vm,
     best_pm = pick_linear(dc, vm, constraints);
   } else if (!constraints.exclude.has_value() && !constraints.allow) {
     const Candidate best = pick_indexed(dc, vm.type_index);
-    if (best.pm != Datacenter::kNoPm) {
-      place_best_permutation(dc, best.pm, vm, best.node);
-      return best.pm;
-    }
+    if (best.pm != Datacenter::kNoPm) return best_permutation(dc, best.pm, vm, best.node);
   } else {
     best_pm = pick_indexed_constrained(dc, vm.type_index, constraints);
   }
-  if (best_pm.has_value()) {
-    place_best_permutation(dc, *best_pm, vm);
-    return best_pm;
-  }
+  if (best_pm.has_value()) return best_permutation(dc, *best_pm, vm);
 
   // Lines 17-24: first unused PM with sufficient resources, off the
   // incrementally-maintained free list.
   for (auto i = dc.next_unused(0); i.has_value(); i = dc.next_unused(*i + 1)) {
     if (!constraints.allowed(dc, *i)) continue;
     if (!dc.fits(*i, vm.type_index)) continue;
-    place_best_permutation(dc, *i, vm);
-    return *i;
+    return best_permutation(dc, *i, vm);
   }
   return std::nullopt;
+}
+
+std::optional<PmIndex> PageRankVm::place(Datacenter& dc, const Vm& vm,
+                                         const PlacementConstraints& constraints) {
+  const std::optional<Pick> choice = pick(dc, vm, constraints);
+  if (!choice.has_value()) return std::nullopt;
+  dc.place(choice->pm, vm, choice->assignments);
+  return choice->pm;
 }
 
 }  // namespace prvm

@@ -7,7 +7,9 @@
 // materialized into concrete core/disk assignments. If no used PM fits, the
 // first unused PM with sufficient resources is activated. The optional
 // 2-choice mode (§V-C closing remark) scores two randomly sampled used PMs
-// instead of scanning the whole used list.
+// instead of scanning the whole used list. pick() makes that decision
+// without touching the ledger; place() is pick() followed by
+// Datacenter::place().
 //
 // Two engines implement the scan. The legacy linear engine scores every
 // used PM (O(fleet) per VM, the paper's Algorithm 2 as printed). The
@@ -28,6 +30,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -58,8 +61,28 @@ class PageRankVm final : public PlacementAlgorithm {
   std::string_view name() const override { return "PageRankVM"; }
   AlgorithmKind kind() const override { return AlgorithmKind::kPageRankVm; }
 
+  /// pick(), then Datacenter::place() of the pick.
   std::optional<PmIndex> place(Datacenter& dc, const Vm& vm,
                                const PlacementConstraints& constraints = {}) override;
+
+  /// A placement decision that has not touched the ledger: the PM and the
+  /// concrete (dimension, amount) assignments of the VM's best permutation
+  /// there.
+  struct Pick {
+    PmIndex pm = Datacenter::kNoPm;
+    /// Engine scratch, valid until the next pick() or place().
+    std::span<const std::pair<int, int>> assignments;
+  };
+
+  /// Algorithm 2 up to its last step: chooses the PM (lines 2-24) and the
+  /// winning permutation on it, but leaves `dc` unchanged, so a caller can
+  /// validate, log and apply the decision as one record (the placement
+  /// service does; DESIGN.md §4c). Datacenter::place(pm, vm, assignments)
+  /// of the result is exactly what place() does. nullopt when no allowed PM
+  /// can host the VM. Not const: it fills the engine's caches and scratch,
+  /// and 2-choice mode draws from the engine's RNG.
+  std::optional<Pick> pick(const Datacenter& dc, const Vm& vm,
+                           const PlacementConstraints& constraints = {});
 
   /// Score of placing `vm_type` on PM `i` right now: the PageRank value of
   /// the best resulting profile; nullopt when the VM does not fit. Exposed
@@ -76,15 +99,15 @@ class PageRankVm final : public PlacementAlgorithm {
   const ScoreTableSet& tables() const { return *tables_; }
 
  private:
-  /// Places `vm` on PM `i` using the permutation whose canonical outcome has
-  /// the highest score (via the representative cache when indexing is on).
-  /// `node` is the score-table node of the PM's profile when the pick
-  /// already knows it.
-  void place_best_permutation(Datacenter& dc, PmIndex i, const Vm& vm,
-                              std::optional<NodeId> node = std::nullopt);
+  /// The pick of `vm` on PM `i` with the permutation whose canonical
+  /// outcome has the highest score (via the representative cache when
+  /// indexing is on), in placement_scratch_. `node` is the score-table node
+  /// of the PM's profile when the pick already knows it.
+  Pick best_permutation(const Datacenter& dc, PmIndex i, const Vm& vm,
+                        std::optional<NodeId> node = std::nullopt);
 
   /// Linear engine: Algorithm 2 as printed (plus 2-choice sampling).
-  std::optional<PmIndex> pick_linear(Datacenter& dc, const Vm& vm,
+  std::optional<PmIndex> pick_linear(const Datacenter& dc, const Vm& vm,
                                      const PlacementConstraints& constraints);
 
 
@@ -135,7 +158,7 @@ class PageRankVm final : public PlacementAlgorithm {
   /// registry). Incrementing through the pointers is lock-free and valid
   /// from const scoring paths — the engine itself is not mutated.
   struct Metrics {
-    obs::Counter* place_calls = nullptr;     ///< place() invocations
+    obs::Counter* place_calls = nullptr;     ///< pick() invocations
     obs::Counter* linear_scored = nullptr;   ///< PMs scored by the legacy scan
     obs::Counter* score_lookups = nullptr;   ///< table lookups (indexed: cache refills)
     obs::Counter* rep_cache_hits = nullptr;  ///< best-permutation cache hits
@@ -167,7 +190,7 @@ class PageRankVm final : public PlacementAlgorithm {
   };
 
   // Scratch and caches for the indexed engine (one engine per thread; these
-  // make place() non-reentrant but allocation-free at steady state).
+  // make pick() non-reentrant but allocation-free at steady state).
   std::vector<TypeCache> cache_;  ///< per PM type
   std::vector<ScoredBucket> scored_;
   std::vector<int> order_scratch_;

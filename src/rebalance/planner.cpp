@@ -21,15 +21,9 @@ double LoadView::fraction(std::uint64_t sample) const {
 }
 
 double LoadView::vm_cpu_ghz(VmId vm) const {
-  const auto pm = dc_->pm_of(vm);
-  if (!pm.has_value()) return 0.0;
-  for (const Datacenter::PlacedVm& placed : dc_->pm(*pm).vms) {
-    if (placed.vm.id == vm) {
-      const VmType& type = dc_->catalog().vm_type(placed.vm.type_index);
-      return fraction(placed.sample) * type.total_cpu_ghz();
-    }
-  }
-  return 0.0;
+  if (!dc_->pm_of(vm).has_value()) return 0.0;
+  const Datacenter::PlacedVm placed = dc_->placed(vm);
+  return fraction(placed.sample) * dc_->catalog().vm_type(placed.vm.type_index).total_cpu_ghz();
 }
 
 double LoadView::pm_cpu_utilization(PmIndex pm) const {
@@ -187,13 +181,7 @@ bool RebalancePlanner::submit_migrate(VmId vm, bool consolidate) {
 
 void RebalancePlanner::put_back(Datacenter& dc, PmIndex pm,
                                 const Datacenter::PlacedVm& record) {
-  const ProfileShape& shape = dc.shape_of(pm);
-  std::vector<int> levels(dc.pm(pm).usage.levels().begin(), dc.pm(pm).usage.levels().end());
-  for (auto [dim, amount] : record.assignments) {
-    levels[static_cast<std::size_t>(dim)] += amount;
-  }
-  dc.place(pm, record.vm,
-           DemandPlacement{record.assignments, Profile::from_levels(shape, std::move(levels))});
+  dc.place(pm, record.vm, std::vector<std::pair<int, int>>(record.assignments));
   dc.set_vm_sample(record.vm.id, record.sample);
 }
 

@@ -24,6 +24,30 @@ const char* kWalFile = "wal.log";
 const char* kSnapshotFile = "snapshot.bin";
 const char* kProbeFile = ".storage-probe";
 
+/// An acknowledgement of `op`, naming `vm` when the op concerns one.
+Response accepted(const char* op, std::optional<std::uint64_t> vm = std::nullopt) {
+  Response response;
+  response.ok = true;
+  response.op = op;
+  response.vm = vm;
+  return response;
+}
+
+/// The requests whose acknowledgement promises a WAL record: the six that
+/// change the ledger (a gabort of an absent member logs nothing, but its ack
+/// is demoted all the same).
+bool changes_ledger(RequestOp op) {
+  switch (op) {
+    case RequestOp::kPlace:
+    case RequestOp::kRelease:
+    case RequestOp::kMigrate:
+    case RequestOp::kGroupReserve:
+    case RequestOp::kGroupCommit:
+    case RequestOp::kGroupAbort: return true;
+    default: return false;
+  }
+}
+
 }  // namespace
 
 PlacementService::PlacementService(Catalog catalog, std::vector<std::size_t> fleet,
@@ -169,16 +193,13 @@ PlacementService::~PlacementService() {
 }
 
 void PlacementService::recover(const std::vector<std::size_t>& fleet) {
-  const std::filesystem::path snapshot_path = config_.data_dir / kSnapshotFile;
-  std::optional<ServiceSnapshot> snapshot = load_snapshot(snapshot_path, catalog_);
+  std::optional<ServiceSnapshot> snapshot =
+      load_snapshot(config_.data_dir / kSnapshotFile, catalog_);
   if (snapshot.has_value()) {
     PRVM_REQUIRE(snapshot->datacenter->pm_count() == fleet.size() || fleet.empty(),
                  "snapshot fleet size does not match the configured fleet");
-    dc_ = std::move(*snapshot->datacenter);
-    admission_ = std::move(snapshot->admission);
-    group_dir_ = std::move(snapshot->groups);
-    snapshot_op_seq_ = snapshot->last_op_seq;
-    op_seq_ = snapshot->last_op_seq;
+    install_snapshot(std::move(*snapshot));
+    snapshot_op_seq_ = op_seq_;
     recovered_ = true;
   }
   const WalReadResult wal = read_wal_ex(config_.data_dir / kWalFile);
@@ -187,42 +208,44 @@ void PlacementService::recover(const std::vector<std::size_t>& fleet) {
   for (const WalRecord& record : wal.records) {
     if (record.op_seq <= snapshot_op_seq_) continue;  // already in the snapshot
     apply_wal_record(record);
-    op_seq_ = record.op_seq;
     m_.replayed_records->inc();
     recovered_ = true;
   }
 }
 
+void PlacementService::install_snapshot(ServiceSnapshot snapshot) {
+  // Samples are not snapshot state: keep those of the PMs and of the VMs
+  // the installed ledger still holds.
+  snapshot.datacenter->copy_samples_from(dc_);
+  dc_ = std::move(*snapshot.datacenter);
+  admission_ = std::move(snapshot.admission);
+  group_dir_ = std::move(snapshot.groups);
+  op_seq_ = snapshot.last_op_seq;
+}
+
 void PlacementService::apply_wal_record(const WalRecord& record) {
   const VmId vm = static_cast<VmId>(record.vm);
+  const auto pm = static_cast<PmIndex>(record.pm);
   switch (record.type) {
-    case WalRecord::Type::kPlace: {
-      DemandPlacement placement;
-      placement.assignments = record.assignments;
-      dc_.place(static_cast<PmIndex>(record.pm),
-                Vm{vm, static_cast<std::size_t>(record.vm_type)}, placement);
-      admission_.record_placement(vm, record.group, static_cast<PmIndex>(record.pm));
+    case WalRecord::Type::kPlace:
+      dc_.place(pm, Vm{vm, static_cast<std::size_t>(record.vm_type)}, record.assignments);
+      admission_.record_placement(vm, record.group, pm);
       m_.placed->inc();
       break;
-    }
-    case WalRecord::Type::kRelease: {
+    case WalRecord::Type::kRelease:
       dc_.remove(vm);
-      admission_.record_release(vm, static_cast<PmIndex>(record.pm));
+      admission_.record_release(vm, pm);
       m_.released->inc();
       break;
-    }
     case WalRecord::Type::kMigrate: {
-      // Replay re-executes the exact remove+place sequence the live path
-      // ran, including the degenerate pm == from_pm form a failed migrate
-      // logs, so activation sequence numbers evolve identically.
+      // The degenerate pm == from_pm record of a failed migrate runs the
+      // same remove+place: it moves the PM's activation sequence number.
       const Datacenter::PlacedVm removed = dc_.remove(vm);
       admission_.record_release(vm, static_cast<PmIndex>(record.from_pm));
-      DemandPlacement placement;
-      placement.assignments = record.assignments;
-      dc_.place(static_cast<PmIndex>(record.pm), removed.vm, placement);
-      dc_.set_vm_sample(vm, removed.sample);
-      admission_.record_placement(vm, record.group, static_cast<PmIndex>(record.pm));
-      m_.migrated->inc();
+      dc_.place(pm, removed.vm, record.assignments);
+      dc_.set_vm_sample(vm, removed.sample);  // a migrated VM keeps its sample
+      admission_.record_placement(vm, record.group, pm);
+      if (record.pm != record.from_pm) m_.migrated->inc();
       break;
     }
     case WalRecord::Type::kGroupReserve:
@@ -240,6 +263,26 @@ void PlacementService::apply_wal_record(const WalRecord& record) {
       m_.group_aborts->inc();
       break;
   }
+  op_seq_ = record.op_seq;
+}
+
+WalRecord& PlacementService::new_record(WalRecord::Type type, std::uint64_t vm) {
+  // The reused record keeps its string/vector capacity: no per-op allocation.
+  WalRecord& record = wal_record_;
+  record.type = type;
+  record.vm = vm;
+  record.vm_type = 0;
+  record.pm = 0;
+  record.from_pm = 0;
+  record.group.clear();
+  record.assignments.clear();
+  return record;
+}
+
+void PlacementService::commit(WalRecord& record) {
+  record.op_seq = op_seq_ + 1;
+  apply_wal_record(record);
+  log_record(record);
 }
 
 void PlacementService::log_record(const WalRecord& record) {
@@ -278,20 +321,27 @@ IoStatus PlacementService::take_snapshot() {
     const IoStatus status = flush_wal();
     if (!status.ok()) return status;
   }
+  const IoStatus status = write_snapshot();
+  if (!status.ok()) return status;
+  // A failed truncate after a successful snapshot is safe for correctness
+  // (op_seq gating skips the stale records on replay) but still signals a
+  // failing disk — report it so the caller degrades.
+  if (wal_ != nullptr) return wal_->reset();
+  return IoStatus::success();
+}
+
+IoStatus PlacementService::write_snapshot() {
   IoStatus status;
   {
     const obs::ScopedTimerNs timer(*m_.snapshot_ns);
     status = save_snapshot(config_.data_dir / kSnapshotFile, dc_, admission_, group_dir_,
                            op_seq_, io_);
   }
-  if (!status.ok()) return status;
-  snapshot_op_seq_ = op_seq_;
-  m_.snapshots->inc();
-  // A failed truncate after a successful snapshot is safe for correctness
-  // (op_seq gating skips the stale records on replay) but still signals a
-  // failing disk — report it so the caller degrades.
-  if (wal_ != nullptr) return wal_->reset();
-  return IoStatus::success();
+  if (status.ok()) {
+    snapshot_op_seq_ = op_seq_;
+    m_.snapshots->inc();
+  }
+  return status;
 }
 
 void PlacementService::enter_degraded(const IoStatus& status) {
@@ -312,15 +362,13 @@ Response PlacementService::degraded_reject(const Request& request) const {
   return response;
 }
 
-void PlacementService::demote_unlogged(Response& response,
+void PlacementService::demote_unlogged(RequestOp op, Response& response,
                                        const std::string& error_message) const {
-  if (!response.ok) return;
   // repl_frames/repl_snap acks promise follower-side durability, so a
   // failed follower flush must demote them too — the leader then parks the
   // link and resyncs once this node's storage recovers.
-  if (response.op != "place" && response.op != "release" && response.op != "migrate" &&
-      response.op != "gres" && response.op != "gcommit" && response.op != "gabort" &&
-      response.op != "repl_frames" && response.op != "repl_snap") {
+  if (!response.ok ||
+      !(changes_ledger(op) || op == RequestOp::kReplFrames || op == RequestOp::kReplSnapshot)) {
     return;
   }
   Response demoted;
@@ -361,18 +409,8 @@ void PlacementService::maybe_probe_storage() {
   // flush failed and were answered degraded_storage), and only once it is
   // durable may the possibly-torn WAL be discarded.
   IoStatus status = probe_storage();
-  if (status.ok()) {
-    {
-      const obs::ScopedTimerNs timer(*m_.snapshot_ns);
-      status = save_snapshot(config_.data_dir / kSnapshotFile, dc_, admission_, group_dir_,
-                             op_seq_, io_);
-    }
-    if (status.ok()) {
-      snapshot_op_seq_ = op_seq_;
-      m_.snapshots->inc();
-      if (wal_ != nullptr) status = wal_->reopen_truncate();
-    }
-  }
+  if (status.ok()) status = write_snapshot();
+  if (status.ok() && wal_ != nullptr) status = wal_->reopen_truncate();
   if (status.ok()) {
     m_.probe_successes->inc();
     batch_wal_bytes_ = 0;  // reopen_truncate discarded any buffered frames
@@ -441,12 +479,12 @@ Response PlacementService::place(const Request& request) {
   }
 
   const PlacementConstraints constraints = admission_.constraints_for(request.group);
-  std::optional<PmIndex> pm;
+  std::optional<PageRankVm::Pick> pick;
   {
     const obs::ScopedTimerNs timer(*m_.place_compute_ns);
-    pm = engine_->place(dc_, Vm{vm, *vm_type}, constraints);
+    pick = engine_->pick(dc_, Vm{vm, *vm_type}, constraints);
   }
-  if (!pm.has_value()) {
+  if (!pick.has_value()) {
     m_.rejected->inc();
     // Distinguish "the datacenter is full" from "your anti-collocation
     // group vetoed every feasible PM" — clients react differently (scale
@@ -459,27 +497,15 @@ Response PlacementService::place(const Request& request) {
     }
     return reject(request, RejectReason::kNoCapacity, "no PM can host this VM");
   }
-
-  admission_.record_placement(vm, request.group, *pm);
-  // The reused record keeps its string/vector capacity: no per-op allocation.
-  WalRecord& record = wal_record_;
-  const Datacenter::Assignments assignments = dc_.pm(*pm).vms.back().assignments;
-  record.type = WalRecord::Type::kPlace;
-  record.op_seq = ++op_seq_;
-  record.vm = vm;
+  WalRecord& record = new_record(WalRecord::Type::kPlace, vm);
   record.vm_type = *vm_type;
-  record.pm = *pm;
-  record.from_pm = 0;
+  record.pm = pick->pm;
   record.group.assign(request.group);
-  record.assignments.assign(assignments.begin(), assignments.end());
-  log_record(record);
-  m_.placed->inc();
+  record.assignments.assign(pick->assignments.begin(), pick->assignments.end());
+  commit(record);
 
-  Response response;
-  response.ok = true;
-  response.op = "place";
-  response.vm = request.vm_id;
-  response.pm = *pm;
+  Response response = accepted("place", request.vm_id);
+  response.pm = pick->pm;
   return response;
 }
 
@@ -489,24 +515,11 @@ Response PlacementService::release(const Request& request) {
   if (!pm.has_value()) {
     return reject(request, RejectReason::kUnknownVm, "VM id is not placed");
   }
-  dc_.remove(vm);
-  admission_.record_release(vm, *pm);
-  WalRecord& record = wal_record_;
-  record.type = WalRecord::Type::kRelease;
-  record.op_seq = ++op_seq_;
-  record.vm = vm;
-  record.vm_type = 0;
+  WalRecord& record = new_record(WalRecord::Type::kRelease, vm);
   record.pm = *pm;
-  record.from_pm = 0;
-  record.group.clear();
-  record.assignments.clear();
-  log_record(record);
-  m_.released->inc();
+  commit(record);
 
-  Response response;
-  response.ok = true;
-  response.op = "release";
-  response.vm = request.vm_id;
+  Response response = accepted("release", request.vm_id);
   response.pm = *pm;
   return response;
 }
@@ -517,12 +530,16 @@ Response PlacementService::migrate(const Request& request) {
   if (!old_pm.has_value()) {
     return reject(request, RejectReason::kUnknownVm, "VM id is not placed");
   }
-  // A copy: releasing a group's only member below frees the group, and the
-  // record_placement after it re-creates the group under this name.
-  const std::string group = admission_.group_of(vm);
-
-  const Datacenter::PlacedVm removed = dc_.remove(vm);
-  PlacementConstraints constraints = admission_.constraints_for(group);
+  // The pick runs with the VM still on its source PM. The constraints
+  // exclude that PM, and neither another PM's state nor the admission state
+  // depends on where the VM is, so the pick is the one a remove-first order
+  // would make.
+  const Datacenter::PlacedVm placed = dc_.placed(vm);
+  WalRecord& record = new_record(WalRecord::Type::kMigrate, vm);
+  record.vm_type = placed.vm.type_index;
+  record.from_pm = *old_pm;
+  record.group.assign(admission_.group_of(vm));
+  PlacementConstraints constraints = admission_.constraints_for(record.group);
   constraints.exclude = *old_pm;
   if (request.rebalance_dest_cap >= 0.0) {
     // Planner-issued migrate: the destination must stay at or under the
@@ -544,49 +561,28 @@ Response PlacementService::migrate(const Request& request) {
       return view.pm_hottest_utilization(candidate) <= cap;
     };
   }
-  std::optional<PmIndex> new_pm;
+  std::optional<PageRankVm::Pick> pick;
   {
     const obs::ScopedTimerNs timer(*m_.place_compute_ns);
-    new_pm = engine_->place(dc_, removed.vm, constraints);
+    pick = engine_->pick(dc_, placed.vm, constraints);
   }
-
-  WalRecord record;
-  record.type = WalRecord::Type::kMigrate;
-  record.op_seq = ++op_seq_;
-  record.vm = vm;
-  record.vm_type = removed.vm.type_index;
-  record.from_pm = *old_pm;
-  record.group = group;
-
-  if (!new_pm.has_value()) {
+  if (!pick.has_value()) {
     // Put the VM back exactly where it was. The remove+place round trip IS
     // a state change (activation sequencing), so it is logged as a
     // degenerate migrate (pm == from_pm) to keep WAL replay bit-exact.
-    DemandPlacement placement;
-    placement.assignments = removed.assignments;
-    dc_.place(*old_pm, removed.vm, placement);
-    dc_.set_vm_sample(vm, removed.sample);
     record.pm = *old_pm;
-    record.assignments = removed.assignments;
-    log_record(record);
+    record.assignments.assign(placed.assignments.begin(), placed.assignments.end());
+    commit(record);
     m_.rejected->inc();
     return reject(request, RejectReason::kNoCapacity,
                   "no other PM can host this VM right now");
   }
+  record.pm = pick->pm;
+  record.assignments.assign(pick->assignments.begin(), pick->assignments.end());
+  commit(record);
 
-  dc_.set_vm_sample(vm, removed.sample);  // a migrated VM keeps its sample
-  admission_.record_release(vm, *old_pm);
-  admission_.record_placement(vm, group, *new_pm);
-  record.pm = *new_pm;
-  record.assignments = dc_.pm(*new_pm).vms.back().assignments;
-  log_record(record);
-  m_.migrated->inc();
-
-  Response response;
-  response.ok = true;
-  response.op = "migrate";
-  response.vm = request.vm_id;
-  response.pm = *new_pm;
+  Response response = accepted("migrate", request.vm_id);
+  response.pm = pick->pm;
   response.extra.emplace_back("from_pm", std::to_string(*old_pm));
   return response;
 }
@@ -597,10 +593,7 @@ Response PlacementService::lookup(const Request& request) {
   if (!pm.has_value()) {
     return reject(request, RejectReason::kUnknownVm, "VM id is not placed");
   }
-  Response response;
-  response.ok = true;
-  response.op = "lookup";
-  response.vm = request.vm_id;
+  Response response = accepted("lookup", request.vm_id);
   response.pm = *pm;
   const std::string& group = admission_.group_of(vm);
   if (!group.empty()) response.extra.emplace_back("group", json_quote(group));
@@ -617,21 +610,12 @@ Response PlacementService::group_reserve(const Request& request) {
   }
   // Deadline travels in the record (from_pm) so replay rebuilds the exact
   // pending entry; the token is the record's own op_seq.
-  const std::uint64_t deadline_ms = now_ms + config_.reserve_ttl_ms;
-  WalRecord record;
-  record.type = WalRecord::Type::kGroupReserve;
-  record.op_seq = ++op_seq_;
-  record.vm = request.vm_id;
-  record.group = request.group;
-  record.from_pm = deadline_ms;
-  log_record(record);
-  group_dir_.apply_reserve(request.group, request.vm_id, op_seq_, deadline_ms);
-  m_.group_reserves->inc();
+  WalRecord& record = new_record(WalRecord::Type::kGroupReserve, request.vm_id);
+  record.group.assign(request.group);
+  record.from_pm = now_ms + config_.reserve_ttl_ms;
+  commit(record);
 
-  Response response;
-  response.ok = true;
-  response.op = "gres";
-  response.vm = request.vm_id;
+  Response response = accepted("gres", request.vm_id);
   response.extra.emplace_back("token", std::to_string(op_seq_));
   return response;
 }
@@ -644,20 +628,12 @@ Response PlacementService::group_commit(const Request& request) {
     return reject(request, verdict,
                   "VM is committed to a different cell in group \"" + request.group + "\"");
   }
-  WalRecord record;
-  record.type = WalRecord::Type::kGroupCommit;
-  record.op_seq = ++op_seq_;
-  record.vm = request.vm_id;
+  WalRecord& record = new_record(WalRecord::Type::kGroupCommit, request.vm_id);
   record.pm = cell;
-  record.group = request.group;
-  log_record(record);
-  group_dir_.apply_commit(request.group, request.vm_id, cell);
-  m_.group_commits->inc();
+  record.group.assign(request.group);
+  commit(record);
 
-  Response response;
-  response.ok = true;
-  response.op = "gcommit";
-  response.vm = request.vm_id;
+  Response response = accepted("gcommit", request.vm_id);
   return response;
 }
 
@@ -665,19 +641,11 @@ Response PlacementService::group_abort(const Request& request) {
   // Idempotent: aborting an absent member succeeds without touching the WAL
   // (nothing changed, so replay needs no record).
   if (group_dir_.member(request.group, request.vm_id) != nullptr) {
-    WalRecord record;
-    record.type = WalRecord::Type::kGroupAbort;
-    record.op_seq = ++op_seq_;
-    record.vm = request.vm_id;
-    record.group = request.group;
-    log_record(record);
-    group_dir_.apply_abort(request.group, request.vm_id);
-    m_.group_aborts->inc();
+    WalRecord& record = new_record(WalRecord::Type::kGroupAbort, request.vm_id);
+    record.group.assign(request.group);
+    commit(record);
   }
-  Response response;
-  response.ok = true;
-  response.op = "gabort";
-  response.vm = request.vm_id;
+  Response response = accepted("gabort", request.vm_id);
   return response;
 }
 
@@ -703,9 +671,7 @@ Response repl_fail(const Request& request, const char* error, std::string messag
 
 Response PlacementService::repl_hello_response(const Request& request) {
   (void)request;
-  Response response;
-  response.ok = true;
-  response.op = "repl_hello";
+  Response response = accepted("repl_hello");
   response.extra.emplace_back("op_seq", std::to_string(op_seq_));
   response.extra.emplace_back(
       "role", json_quote(follower_.load(std::memory_order_relaxed) ? "follower" : "leader"));
@@ -739,9 +705,7 @@ Response PlacementService::apply_repl_snapshot(const Request& request) {
   repl_snap_buffer_ += request.data;
   repl_snap_offset_ += request.data.size();
   if (!request.eof) {
-    Response response;
-    response.ok = true;
-    response.op = "repl_snap";
+    Response response = accepted("repl_snap");
     response.extra.emplace_back("op_seq", std::to_string(op_seq_));
     return response;
   }
@@ -765,13 +729,7 @@ Response PlacementService::apply_repl_snapshot(const Request& request) {
                          " does not match this follower's " + std::to_string(dc_.pm_count()),
                      op_seq_);
   }
-  // Samples are not snapshot state: carry over those of the PMs and of the
-  // VMs the installed ledger still holds.
-  snapshot.datacenter->copy_samples_from(dc_);
-  dc_ = std::move(*snapshot.datacenter);
-  admission_ = std::move(snapshot.admission);
-  group_dir_ = std::move(snapshot.groups);
-  op_seq_ = snapshot.last_op_seq;
+  install_snapshot(std::move(snapshot));
   m_.repl_snapshots_in->inc();
   const IoStatus status = take_snapshot();
   if (!status.ok()) {
@@ -779,9 +737,7 @@ Response PlacementService::apply_repl_snapshot(const Request& request) {
     return repl_fail(request, "degraded_storage",
                      "installed state could not be persisted: " + status.message(), op_seq_);
   }
-  Response response;
-  response.ok = true;
-  response.op = "repl_snap";
+  Response response = accepted("repl_snap");
   response.extra.emplace_back("op_seq", std::to_string(op_seq_));
   return response;
 }
@@ -807,7 +763,6 @@ Response PlacementService::apply_repl_frames(const Request& request) {
       break;
     }
     apply_wal_record(records[i]);
-    op_seq_ = records[i].op_seq;
     m_.repl_applied->inc();
   }
   const std::size_t limit = i;
@@ -828,9 +783,7 @@ Response PlacementService::apply_repl_frames(const Request& request) {
                          std::to_string(op_seq_),
                      op_seq_);
   }
-  Response response;
-  response.ok = true;
-  response.op = "repl_frames";
+  Response response = accepted("repl_frames");
   response.extra.emplace_back("op_seq", std::to_string(op_seq_));
   return response;
 }
@@ -848,9 +801,7 @@ Response PlacementService::promote_response(const Request& request) {
   }
   follower_.store(false, std::memory_order_relaxed);
   m_.promotions->inc();
-  Response response;
-  response.ok = true;
-  response.op = "promote";
+  Response response = accepted("promote");
   response.extra.emplace_back("op_seq", std::to_string(op_seq_));
   response.extra.emplace_back("role", json_quote("leader"));
   response.extra.emplace_back("state_digest",
@@ -867,12 +818,8 @@ Response PlacementService::not_leader_reject(const Request& request) const {
   return response;
 }
 
-void PlacementService::demote_unreplicated(Response& response) const {
-  if (!response.ok) return;
-  if (response.op != "place" && response.op != "release" && response.op != "migrate" &&
-      response.op != "gres" && response.op != "gcommit" && response.op != "gabort") {
-    return;
-  }
+void PlacementService::demote_unreplicated(RequestOp op, Response& response) const {
+  if (!response.ok || !changes_ledger(op)) return;
   m_.reject_by_reason[static_cast<std::size_t>(RejectReason::kNotReplicated)]->inc();
   Response demoted;
   demoted.ok = false;
@@ -903,9 +850,7 @@ void PlacementService::maybe_send_catchup_snapshot() {
 }
 
 Response PlacementService::health_response() {
-  Response response;
-  response.ok = true;
-  response.op = "health";
+  Response response = accepted("health");
   std::size_t queue_depth = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -1034,9 +979,7 @@ Response PlacementService::rebalance_scan_response(const Request& request) {
 }
 
 Response PlacementService::stats_response() {
-  Response response;
-  response.ok = true;
-  response.op = "stats";
+  Response response = accepted("stats");
   const auto add = [&response](const char* key, std::uint64_t value) {
     response.extra.emplace_back(key, std::to_string(value));
   };
@@ -1049,7 +992,7 @@ Response PlacementService::stats_response() {
   add("rejected", m_.rejected->value());
   add("queue_rejected", m_.queue_rejected->value());
   add("batches", m_.batches->value());
-  add("max_batch", max_batch_seen_);
+  add("max_batch", static_cast<std::uint64_t>(m_.max_batch->value()));
   add("snapshots", m_.snapshots->value());
   add("replayed_records", m_.replayed_records->value());
   add("op_seq", op_seq_);
@@ -1073,9 +1016,7 @@ Response PlacementService::stats_response() {
 }
 
 Response PlacementService::metrics_response() {
-  Response response;
-  response.ok = true;
-  response.op = "metrics";
+  Response response = accepted("metrics");
   response.extra.emplace_back("metrics", metrics_->render_json());
   return response;
 }
@@ -1166,12 +1107,12 @@ Response PlacementService::execute(const Request& request) {
     const IoStatus status = flush_wal();
     if (!status.ok()) {
       enter_degraded(status);
-      demote_unlogged(response, last_io_error_);
+      demote_unlogged(request.op, response, last_io_error_);
     }
   }
   if (repl_ != nullptr) {
     if (!degraded_.load(std::memory_order_relaxed)) {
-      if (!replicate_frames(batch_repl_frames_, op_seq_)) demote_unreplicated(response);
+      if (!replicate_frames(batch_repl_frames_, op_seq_)) demote_unreplicated(request.op, response);
       maybe_send_catchup_snapshot();
     }
     batch_repl_frames_.clear();
@@ -1390,9 +1331,9 @@ void PlacementService::release_flushed() {
       if (box.own_group) {
         for (Job& job : box.jobs) {
           if (!done.failure.empty()) {
-            demote_unlogged(job.response, done.failure);
+            demote_unlogged(job.request.op, job.response, done.failure);
           } else if (!done.replicated) {
-            demote_unreplicated(job.response);
+            demote_unreplicated(job.request.op, job.response);
           }
         }
       }
@@ -1618,7 +1559,7 @@ void PlacementService::run_pass() {
       const IoStatus status = flush_wal();
       if (!status.ok()) {
         enter_degraded(status);
-        for (Job& job : jobs) demote_unlogged(job.response, last_io_error_);
+        for (Job& job : jobs) demote_unlogged(job.request.op, job.response, last_io_error_);
       }
     }
     batch_wal_bytes_ = 0;
@@ -1643,7 +1584,6 @@ void PlacementService::run_pass() {
   m_.batches->inc();
   m_.batch_size->record(count);
   m_.max_batch->set_max(static_cast<std::int64_t>(count));
-  max_batch_seen_ = std::max<std::uint64_t>(max_batch_seen_, count);
   m_.wal_lag->set(static_cast<std::int64_t>(op_seq_ - snapshot_op_seq_));
   m_.admission_groups->set(static_cast<std::int64_t>(admission_.group_count()));
   m_.admission_grouped_vms->set(static_cast<std::int64_t>(admission_.grouped_vm_count()));
@@ -1711,7 +1651,7 @@ ServiceStats PlacementService::stats() const {
   copy.rejected = m_.rejected->value();
   copy.queue_rejected = m_.queue_rejected->value();
   copy.batches = m_.batches->value();
-  copy.max_batch = max_batch_seen_;
+  copy.max_batch = static_cast<std::uint64_t>(m_.max_batch->value());
   copy.snapshots = m_.snapshots->value();
   copy.replayed_records = m_.replayed_records->value();
   copy.op_seq = op_seq_;

@@ -47,6 +47,14 @@
 // its responses are unsent (tail latency and memory stay bounded; clients
 // own their retry policy).
 //
+// One applier (DESIGN.md §4c): the ledger, the admission controller and the
+// group directory change only when a WalRecord is applied by
+// apply_wal_record. A live handler validates, decides (the engine's pick()
+// leaves the ledger alone), fills a record and commits it: next op_seq,
+// apply, append to the WAL. Recovery and a follower's frame stream apply
+// records through the same function, and install_snapshot is the one way a
+// snapshot replaces that state.
+//
 // Recovery: on construction with a data directory, the service loads the
 // newest snapshot (if any) and re-applies WAL records with op_seq beyond
 // it. Replay re-applies logged *outcomes* (PM + concrete assignments), not
@@ -186,6 +194,7 @@ struct ServiceStats {
 };
 
 class CellServer;
+struct ServiceSnapshot;
 struct CellConnection;
 
 class PlacementService : public RequestSink {
@@ -340,7 +349,7 @@ class PlacementService : public RequestSink {
   /// Rewrites an acknowledged mutating response whose replication quorum was
   /// not met into a `not_replicated` rejection. The op stays applied (and
   /// locally durable) — only the replication guarantee is reported missing.
-  void demote_unreplicated(Response& response) const;
+  void demote_unreplicated(RequestOp op, Response& response) const;
   /// Leader side: streams `frames` (last record = last_seq) to followers and
   /// returns true when the configured ack_replicas quorum confirmed (always
   /// true when ack_replicas == 0 — replication is then best-effort).
@@ -350,11 +359,28 @@ class PlacementService : public RequestSink {
   void maybe_send_catchup_snapshot();
   std::optional<std::size_t> resolve_vm_type(const Request& request) const;
   bool feasible_anywhere(std::size_t vm_type, const PlacementConstraints& constraints) const;
+  /// The applier: the only code that changes the ledger, the admission
+  /// controller and the group directory outside install_snapshot(). Applies
+  /// one record and advances op_seq_ to it, live (through commit), in
+  /// recovery and on a follower alike.
   void apply_wal_record(const WalRecord& record);
+  /// wal_record_, reset to a record of `type` for `vm` (capacity kept).
+  WalRecord& new_record(WalRecord::Type type, std::uint64_t vm);
+  /// Live path: numbers `record` with the next op_seq, applies it and
+  /// appends it to the WAL.
+  void commit(WalRecord& record);
   void log_record(const WalRecord& record);
   /// Timed, counted wal_->flush(); clears wal_dirty_.
   IoStatus flush_wal();
+  /// Flushes the WAL, writes a snapshot and truncates the WAL.
   IoStatus take_snapshot();
+  /// Timed, counted save_snapshot() of the current state; on success
+  /// snapshot_op_seq_ covers op_seq_.
+  IoStatus write_snapshot();
+  /// Replaces the ledger, admission controller, group directory and op_seq_
+  /// with a snapshot's (recovery and follower catch-up), keeping the
+  /// utilization samples of the VMs both ledgers hold.
+  void install_snapshot(ServiceSnapshot snapshot);
   void recover(const std::vector<std::size_t>& fleet);
 
   // --- WAL group commit (flusher thread) ---
@@ -394,7 +420,8 @@ class PlacementService : public RequestSink {
   /// a degraded_storage rejection (ack implies durable; this one is not).
   /// `error_message` is passed explicitly because the flusher thread demotes
   /// too and must not race the worker-owned last_io_error_.
-  void demote_unlogged(Response& response, const std::string& error_message) const;
+  void demote_unlogged(RequestOp op, Response& response,
+                       const std::string& error_message) const;
   /// When degraded and the backoff deadline passed: probe storage and, on
   /// success, snapshot + truncate the WAL and resume writes.
   void maybe_probe_storage();
@@ -493,7 +520,7 @@ class PlacementService : public RequestSink {
     obs::Gauge* admission_grouped_vms = nullptr;
     obs::Histogram* queue_wait_ns = nullptr;
     obs::Histogram* batch_size = nullptr;
-    obs::Histogram* place_compute_ns = nullptr;
+    obs::Histogram* place_compute_ns = nullptr;  ///< the engine's pick alone
     obs::Histogram* wal_flush_ns = nullptr;
     obs::Histogram* snapshot_ns = nullptr;
     obs::Histogram* flush_group_ops = nullptr;  ///< ops covered per group flush
@@ -523,7 +550,6 @@ class PlacementService : public RequestSink {
   bool wal_torn_tail_ = false;
   WalTailStatus wal_tail_ = WalTailStatus::kClean;
   std::string last_io_error_;
-  std::uint64_t max_batch_seen_ = 0;
 
   // --- the loop (worker thread) ---
   int epoll_fd_ = -1;
@@ -538,7 +564,7 @@ class PlacementService : public RequestSink {
   std::uint64_t last_group_ = 0;      ///< newest group handed to the flusher
   std::vector<FlushDone> flush_done_; ///< guarded by flush_mu_
   std::vector<FlushDone> done_scratch_;
-  WalRecord wal_record_;              ///< reused by the mutation handlers
+  WalRecord wal_record_;              ///< reused by new_record()
 
   mutable std::mutex mu_;
   std::condition_variable drained_cv_;   ///< inbox emptied (drain waits)

@@ -163,15 +163,7 @@ SimMetrics CloudSimulation::run(PlacementAlgorithm& algorithm, MigrationPolicy& 
         } else {
           // Nowhere to go: put the VM back exactly where it was and give up
           // on this PM for this epoch.
-          const ProfileShape& shape = dc_.shape_of(pm);
-          std::vector<int> levels(dc_.pm(pm).usage.levels().begin(),
-                                  dc_.pm(pm).usage.levels().end());
-          for (auto [dim, amount] : record.assignments) {
-            levels[static_cast<std::size_t>(dim)] += amount;
-          }
-          dc_.place(pm, record.vm,
-                    DemandPlacement{record.assignments,
-                                    Profile::from_levels(shape, std::move(levels))});
+          dc_.place(pm, record.vm, std::vector<std::pair<int, int>>(record.assignments));
           ++metrics.failed_migrations;
           log_.record({epoch_, SimEventType::kMigrationFailed, *victim, pm, 0});
           break;

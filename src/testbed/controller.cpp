@@ -130,15 +130,7 @@ TestbedMetrics GeniController::run(PlacementAlgorithm& algorithm, MigrationPolic
           metrics.job_downtime_seconds +=
               options_.scan_seconds * static_cast<double>(options_.restart_scans);
         } else {
-          const ProfileShape& shape = dc_.shape_of(pm);
-          std::vector<int> levels(dc_.pm(pm).usage.levels().begin(),
-                                  dc_.pm(pm).usage.levels().end());
-          for (auto [dim, amount] : record.assignments) {
-            levels[static_cast<std::size_t>(dim)] += amount;
-          }
-          dc_.place(pm, record.vm,
-                    DemandPlacement{record.assignments,
-                                    Profile::from_levels(shape, std::move(levels))});
+          dc_.place(pm, record.vm, std::vector<std::pair<int, int>>(record.assignments));
           ++metrics.failed_migrations;
           break;
         }

@@ -80,6 +80,7 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { releas
 #include "service/admission.hpp"
 #include "service/binary_protocol.hpp"
 #include "service/protocol.hpp"
+#include "service/service.hpp"
 #include "service/snapshot.hpp"
 #include "sim/simulator.hpp"
 
@@ -218,6 +219,75 @@ TEST(AdmissionAlloc, WarmGroupedPlaceAndReleaseAllocateNothing) {
   EXPECT_EQ(allocs, 0u) << allocs << " allocations across 50 warm rounds of " << vm_types
                         << " grouped place+release";
   EXPECT_EQ(admission.group_count(), groups.size());
+}
+
+// A warm place and release as the daemon runs them: PlacementService::execute
+// decides, fills its reused WAL record, applies it to the ledger and the
+// admission controller, appends the frame and flushes the WAL. Ungrouped and
+// grouped (into groups that keep other members), each op allocates exactly
+// three times, all in WalWriter: the frame buffer grows back after the flush
+// took it, and the flush builds its "write(<path>)" error context. Anything
+// more is the service's own, such as an applier copying a record's
+// assignments into a fresh container.
+TEST(ServiceAlloc, WarmPlaceAndReleaseAllocateOnlyInTheWalWriter) {
+  const Catalog catalog = ec2_sim_catalog();
+  const auto tables =
+      std::make_shared<const ScoreTableSet>(build_score_tables(catalog, {}, std::nullopt));
+  const std::filesystem::path dir = std::filesystem::temp_directory_path() /
+                                    ("prvm-service-alloc-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  ServiceConfig config;
+  config.data_dir = dir;
+  std::size_t allocs = 0;
+  std::size_t ops = 0;
+  std::size_t failed = 0;  // checked after counting: no gtest inside the window
+  {
+    PlacementService service(catalog, std::vector<std::size_t>(64, 0), tables, config);
+    const std::size_t vm_types = catalog.vm_types().size();
+    const auto request = [](RequestOp op, VmId vm, std::size_t type, const std::string& group) {
+      Request r;
+      r.op = op;
+      r.vm_id = vm;
+      r.vm_type_index = type;
+      r.group = group;
+      return r;
+    };
+    // Resident VMs, a third of them in each of two groups with long names.
+    const std::string groups[] = {"", "tenant-with-a-heap-allocated-name-a",
+                                  "tenant-with-a-heap-allocated-name-b"};
+    Rng rng(31);
+    for (VmId vm = 1; vm <= 120; ++vm) {
+      service.execute(request(RequestOp::kPlace, vm, rng.uniform_index(vm_types),
+                              groups[vm % 3]));
+    }
+    // Per VM type, an ungrouped and a grouped place, each released again.
+    std::vector<Request> round;
+    for (std::size_t v = 0; v < vm_types; ++v) {
+      for (int g = 0; g < 2; ++g) {
+        const VmId vm = 1000 + 2 * v + static_cast<VmId>(g);
+        round.push_back(request(RequestOp::kPlace, vm, v, groups[g]));
+        round.push_back(request(RequestOp::kRelease, vm, 0, ""));
+      }
+    }
+    const auto run = [&] {
+      for (const Request& r : round) {
+        if (!service.execute(r).ok) ++failed;
+      }
+    };
+    run();
+    run();
+    failed = 0;
+    const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+    for (int i = 0; i < 50; ++i) run();
+    allocs = g_allocations.load(std::memory_order_relaxed) - before;
+    ops = 50 * round.size();
+  }
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(failed, 0u);
+  constexpr std::size_t kWalWriterAllocsPerOp = 3;
+  EXPECT_EQ(allocs, kWalWriterAllocsPerOp * ops)
+      << static_cast<double>(allocs) / static_cast<double>(ops)
+      << " allocations per warm place or release";
 }
 
 // A group is freed with its last member: churning 100k VMs through 33k

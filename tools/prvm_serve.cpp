@@ -16,11 +16,9 @@
 //
 // Observability (DESIGN.md §5): every service/engine/IO metric lives in the
 // process-global registry. Scrape it three ways: the in-band `metrics`
-// protocol op, the `--metrics-port` Prometheus HTTP listener, or the
-// periodic `--stats-interval-s` human-readable line on stdout.
+// protocol op, the `--metrics-port` Prometheus HTTP listener, or SIGUSR1.
 #include <chrono>
 #include <csignal>
-#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
@@ -55,7 +53,6 @@ void usage(const char* argv0) {
       << "  --fleet N            PM fleet size, alternating EC2 M3/C3 (default 10000)\n"
       << "  --data-dir PATH      WAL + snapshot directory; omit for an ephemeral daemon\n"
       << "  --batch K            max requests per loop pass (default 64)\n"
-      << "  --queue N            in-process submit inbox capacity (default 4096)\n"
       << "  --snapshot-every N   snapshot after N mutating ops (default 100000; 0 = drain only)\n"
       << "  --fsync              fsync the WAL every batch (power-loss durability). A cell\n"
       << "                       with --data-dir and --fsync or --replica flushes on a\n"
@@ -66,7 +63,6 @@ void usage(const char* argv0) {
       << "  --probe-max-ms N     max storage-probe backoff while degraded (default 5000)\n"
       << "  --metrics-port N     serve Prometheus text exposition on 127.0.0.1:N\n"
       << "                       (0 = ephemeral; the bound port is printed at startup)\n"
-      << "  --stats-interval-s N print a human-readable stats line every N seconds\n"
       << "  --score-image DIR    serve score tables from read-only mmap images under DIR\n"
       << "                       (default $PRVM_CACHE_DIR or .prvm-cache; built and written\n"
       << "                       on first use, ~0.35 s on 4 CPUs); N cell daemons of one\n"
@@ -114,7 +110,6 @@ int main(int argc, char** argv) {
   int tcp_port = 0;
   std::size_t fleet = 10000;
   std::optional<int> metrics_port;
-  unsigned stats_interval_s = 0;
   ServiceConfig config;
   config.snapshot_every_ops = 100000;
   std::filesystem::path score_image_dir = default_cache_dir();
@@ -144,8 +139,6 @@ int main(int argc, char** argv) {
         config.data_dir = value();
       } else if (arg == "--batch") {
         config.batch_size = static_cast<std::size_t>(std::stoull(value()));
-      } else if (arg == "--queue") {
-        config.queue_capacity = static_cast<std::size_t>(std::stoull(value()));
       } else if (arg == "--snapshot-every") {
         config.snapshot_every_ops = std::stoull(value());
       } else if (arg == "--fsync") {
@@ -191,8 +184,6 @@ int main(int argc, char** argv) {
       } else if (arg == "--metrics-port") {
         metrics_port = parse_port(value());
         if (!metrics_port.has_value()) return bad_number(argv[0], arg);
-      } else if (arg == "--stats-interval-s") {
-        stats_interval_s = static_cast<unsigned>(std::stoul(value()));
       } else if (arg == "--help" || arg == "-h") {
         usage(argv[0]);
         return 0;
@@ -291,36 +282,11 @@ int main(int argc, char** argv) {
     std::signal(SIGTERM, handle_signal);
     std::signal(SIGINT, handle_signal);
     std::signal(SIGUSR1, handle_usr1);
-    auto next_stats = std::chrono::steady_clock::now() + std::chrono::seconds(stats_interval_s);
     while (g_shutdown == 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
       if (g_dump_metrics != 0) {
         g_dump_metrics = 0;
         std::cout << obs::Registry::global().render_prometheus() << std::flush;
-      }
-      if (stats_interval_s > 0 && std::chrono::steady_clock::now() >= next_stats) {
-        next_stats += std::chrono::seconds(stats_interval_s);
-        const ServiceStats s = service.stats();
-        obs::Registry& reg = obs::Registry::global();
-        const auto p99_us = [&reg](const char* name) {
-          const obs::Histogram* h = reg.find_histogram(name);
-          return h != nullptr ? h->snapshot().quantile(0.99) / 1000.0 : 0.0;
-        };
-        const obs::Gauge* lag = reg.find_gauge("prvm_wal_lag");
-        std::printf(
-            "prvm_serve: op_seq=%llu placed=%llu released=%llu migrated=%llu rejected=%llu "
-            "mode=%s wal_lag=%lld queue_wait_p99_us=%.1f place_p99_us=%.1f "
-            "wal_flush_p99_us=%.1f\n",
-            static_cast<unsigned long long>(s.op_seq),
-            static_cast<unsigned long long>(s.placed),
-            static_cast<unsigned long long>(s.released),
-            static_cast<unsigned long long>(s.migrated),
-            static_cast<unsigned long long>(s.rejected),
-            s.degraded ? "degraded" : "ok",
-            static_cast<long long>(lag != nullptr ? lag->value() : 0),
-            p99_us("prvm_queue_wait_ns"), p99_us("prvm_place_compute_ns"),
-            p99_us("prvm_wal_flush_ns"));
-        std::fflush(stdout);
       }
     }
 
