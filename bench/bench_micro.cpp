@@ -95,6 +95,28 @@ void BM_ScoreLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_ScoreLookup);
 
+// node_of on the mapped EC2 C3 table (the larger one, 82,265 nodes) over
+// 64k random present keys, so most lookups miss the cache as a bucket-cache
+// refill in the indexed engine does. The tables come from the default image
+// directory, as prvm_serve maps them.
+void BM_ScoreNodeOfMapped(benchmark::State& state) {
+  static const ScoreTableSet tables = build_score_tables(ec2_sim_catalog());
+  const ScoreTable& table = tables.table(1);
+  constexpr std::size_t kKeys = std::size_t{1} << 16;
+  std::vector<ProfileKey> keys(kKeys);
+  Rng rng(11);
+  for (ProfileKey& key : keys) {
+    key = table.key_of(static_cast<NodeId>(rng.uniform_index(table.size())));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(table.node_of(keys[i++ & (kKeys - 1)]));
+  }
+  state.SetLabel(std::to_string(table.size()) + " nodes, " +
+                 (table.is_mapped() ? "mapped" : "owned"));
+}
+BENCHMARK(BM_ScoreNodeOfMapped);
+
 // Single-VM placement latency at a steady operating point. The loop places a
 // batch of VMs under manual timing and removes them untimed afterwards:
 // per-iteration Pause/ResumeTiming would add its own overhead (comparable to

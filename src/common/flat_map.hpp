@@ -1,15 +1,15 @@
 // A small open-addressing hash map for 64-bit keys.
 //
-// The profile machinery keys everything by packed 64-bit ProfileKeys and sits
-// on the placement hot path: the score table resolves a key per candidate
-// profile, the graph build probes the node index once per discovered edge,
-// and the datacenter's bucket index probes once per place/remove. A
-// power-of-two flat table with linear probing turns each of those into one
-// or two cache lines instead of std::unordered_map's pointer chase. Keys are
-// arbitrary (0 is a valid ProfileKey), so occupancy is tracked in a separate
-// byte array rather than with a sentinel key. No erase: every current user
-// only ever grows (the bucket index tombstones by value instead). Its three
-// split arrays are also the on-disk score-image layout FlatMap64View maps.
+// The profile machinery keys everything by packed 64-bit ProfileKeys: the
+// graph build probes the node index once per discovered edge, the
+// datacenter's bucket index once per place/remove, and the engine's
+// representative cache once per place. A power-of-two flat table with
+// linear probing turns each of those into one or two cache lines instead of
+// std::unordered_map's pointer chase. Keys are arbitrary (0 is a valid
+// ProfileKey), so occupancy is tracked in a separate byte array rather than
+// with a sentinel key. No erase: every current user only ever grows (the
+// bucket index tombstones by value instead). The score table needs no hash:
+// its keys are sorted, and node_of binary-searches them.
 //
 // FlatIdMap is the erasable sibling for 32-bit ids: the datacenter's VM id ->
 // slot index and the admission controller's VM id -> group, which gain and
@@ -28,8 +28,6 @@ namespace prvm {
 namespace flatmap_detail {
 
 /// SplitMix64 finalizer: full-avalanche, so low bits are usable directly.
-/// Shared by FlatMap64 and FlatMap64View so a serialized table probes
-/// identically when re-read through a view.
 inline std::size_t probe_start(std::uint64_t key, std::size_t mask) {
   std::uint64_t h = key;
   h ^= h >> 30;
@@ -41,37 +39,6 @@ inline std::size_t probe_start(std::uint64_t key, std::size_t mask) {
 }
 
 }  // namespace flatmap_detail
-
-/// Read-only probe over a FlatMap64's raw arrays living elsewhere (e.g. an
-/// mmap-ed score-table image). The arrays must have been produced by
-/// FlatMap64 with the same capacity (a power of two); the view borrows them.
-template <typename Value>
-class FlatMap64View {
- public:
-  FlatMap64View() = default;
-  FlatMap64View(const std::uint64_t* keys, const Value* values, const std::uint8_t* full,
-                std::size_t capacity)
-      : keys_(keys), values_(values), full_(full), mask_(capacity - 1) {
-    PRVM_CHECK(capacity != 0 && (capacity & (capacity - 1)) == 0,
-               "flat-map view capacity must be a power of two");
-  }
-
-  const Value* find(std::uint64_t key) const {
-    if (keys_ == nullptr) return nullptr;
-    std::size_t i = flatmap_detail::probe_start(key, mask_);
-    while (full_[i]) {
-      if (keys_[i] == key) return &values_[i];
-      i = (i + 1) & mask_;
-    }
-    return nullptr;
-  }
-
- private:
-  const std::uint64_t* keys_ = nullptr;
-  const Value* values_ = nullptr;
-  const std::uint8_t* full_ = nullptr;
-  std::size_t mask_ = 0;
-};
 
 template <typename Value>
 class FlatMap64 {
@@ -137,12 +104,6 @@ class FlatMap64 {
       if (full_[i]) fn(values_[i]);
     }
   }
-
-  /// Raw table arrays, for serializing the map verbatim (capacity() entries
-  /// each); a FlatMap64View over the copies probes identically.
-  const std::uint64_t* keys_data() const { return keys_.data(); }
-  const Value* values_data() const { return values_.data(); }
-  const std::uint8_t* full_data() const { return full_.data(); }
 
  private:
   std::size_t probe_start(std::uint64_t key) const {

@@ -5,6 +5,7 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 #include <fcntl.h>
@@ -41,10 +42,12 @@ class Fnv {
   std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 
-// 'I3': best-successor entries shrank from 8 to 4 bytes (the score moved
-// out to scores_). Images of an earlier version would map into the wrong
+// 'I4': the hash-index sections are gone (node_of binary-searches the
+// sorted keys), and the header word that held the index capacity is
+// reserved and must be 0. 'I3' had 4-byte best-successor entries, 'I2'
+// 8-byte ones. Images of an earlier version would map into the wrong
 // layout, so the magic bump has them rebuilt wholesale.
-constexpr char kImageMagic[8] = {'P', 'R', 'V', 'M', 'S', 'C', 'I', '3'};
+constexpr char kImageMagic[8] = {'P', 'R', 'V', 'M', 'S', 'C', 'I', '4'};
 
 template <typename T>
 void write_pod(std::ostream& os, const T& value) {
@@ -55,17 +58,20 @@ void write_pod(std::ostream& os, const T& value) {
 /// boundary so mapped pointers are cache-line (and type-) aligned.
 constexpr std::size_t align_up(std::size_t offset) { return (offset + 63) & ~std::size_t{63}; }
 
-// Throws unless every best-successor id names a node or is kNoFit and every
-// hash-index value names a node. A flipped byte in an image would
-// otherwise become an out-of-bounds read in key_of or node_score.
-void check_node_ids(std::span<const ScoreTable::BestEntry> best,
-                    std::span<const NodeId> index_values, std::size_t node_count,
-                    const std::filesystem::path& path) {
+// Throws unless the keys ascend strictly and every best-successor id names a
+// node or is kNoFit. A flipped byte in an image would otherwise make
+// node_of's binary search return a wrong node, or become an out-of-bounds
+// read in key_of or node_score.
+void check_image_arrays(std::span<const ProfileKey> keys,
+                        std::span<const ScoreTable::BestEntry> best,
+                        const std::filesystem::path& path) {
+  bool ascending = true;
+  for (std::size_t u = 1; u < keys.size(); ++u) ascending &= keys[u - 1] < keys[u];
+  PRVM_REQUIRE(ascending, "keys out of order in score-table file: " + path.string());
   bool ok = true;
   for (const ScoreTable::BestEntry& e : best) {
-    ok &= e.successor < node_count || e.successor == ScoreTable::kNoFit;
+    ok &= e.successor < keys.size() || e.successor == ScoreTable::kNoFit;
   }
-  for (NodeId v : index_values) ok &= v < node_count;
   PRVM_REQUIRE(ok, "node id out of range in score-table file: " + path.string());
 }
 
@@ -219,12 +225,13 @@ ScoreTable ScoreTable::build(const ProfileGraph& graph, const ScoreTableOptions&
   table.node_count_ = n;
   table.keys_.resize(n);
   table.scores_.resize(n);
-  table.index_.reserve(n);
   for (NodeId u = 0; u < n; ++u) {
     table.keys_[u] = graph.key_of(u);
     table.scores_[u] = static_cast<float>(scores[u]);
-    table.index_.try_emplace(table.keys_[u], u);
   }
+  PRVM_CHECK(std::adjacent_find(table.keys_.begin(), table.keys_.end(),
+                                std::greater_equal<>()) == table.keys_.end(),
+             "node_of needs canonical numbering: keys strictly ascending");
 
   table.best_.assign(n * table.demand_count_, BestEntry{});
   for (std::size_t t = 0; t < table.demand_count_; ++t) table.fill_demand_block(graph, t);
@@ -265,8 +272,6 @@ ScoreTable ScoreTable::extend(const ScoreTable& base, const ProfileGraph& graph,
                  "extend: base table and graph disagree on node numbering");
   }
   table.scores_.assign(base.scores_data(), base.scores_data() + n);
-  table.index_.reserve(n);
-  for (NodeId u = 0; u < n; ++u) table.index_.try_emplace(table.keys_[u], u);
 
   table.best_.assign(n * table.demand_count_, BestEntry{});
   std::memcpy(table.best_.data(), base.best_data(),
@@ -314,15 +319,16 @@ std::span<const ScoreTable::BestEntry> ScoreTable::best_row(std::size_t demand_i
 }
 
 std::optional<double> ScoreTable::find(ProfileKey key) const {
-  const NodeId* node = index_find(key);
-  if (node == nullptr) return std::nullopt;
-  return static_cast<double>(scores_data()[*node]);
+  const std::optional<NodeId> node = node_of(key);
+  if (!node.has_value()) return std::nullopt;
+  return static_cast<double>(node_score(*node));
 }
 
 std::optional<NodeId> ScoreTable::node_of(ProfileKey key) const {
-  const NodeId* node = index_find(key);
-  if (node == nullptr) return std::nullopt;
-  return *node;
+  const ProfileKey* keys = keys_data();
+  const ProfileKey* it = std::lower_bound(keys, keys + node_count_, key);
+  if (it == keys + node_count_ || *it != key) return std::nullopt;
+  return static_cast<NodeId>(it - keys);
 }
 
 std::optional<ScoreTable::Best> ScoreTable::best_after_node(NodeId node,
@@ -343,8 +349,8 @@ double ScoreTable::score(ProfileKey key) const {
 std::optional<ScoreTable::Best> ScoreTable::best_after(ProfileKey current,
                                                        std::size_t demand_index) const {
   PRVM_REQUIRE(demand_index < demand_count_, "demand index out of range");
-  const NodeId* node = index_find(current);
-  PRVM_REQUIRE(node != nullptr, "profile not present in score table");
+  const std::optional<NodeId> node = node_of(current);
+  PRVM_REQUIRE(node.has_value(), "profile not present in score table");
   return best_after_node(*node, demand_index);
 }
 
@@ -354,11 +360,10 @@ void ScoreTable::save_image(const std::filesystem::path& path) const {
 }
 
 void ScoreTable::write_image(std::ostream& os) const {
-  const std::uint64_t index_capacity = index_.capacity();
   os.write(kImageMagic, sizeof kImageMagic);
   write_pod(os, static_cast<std::uint64_t>(node_count_));
   write_pod(os, static_cast<std::uint64_t>(demand_count_));
-  write_pod(os, index_capacity);
+  write_pod(os, std::uint64_t{0});  // reserved (the index capacity up to 'I3')
   write_pod(os, static_cast<std::int64_t>(iterations_));
   write_pod(os, static_cast<std::uint64_t>(converged_));
   write_pod(os, static_cast<std::uint64_t>(digest_.size()));
@@ -381,9 +386,6 @@ void ScoreTable::write_image(std::ostream& os) const {
   section(keys_.data(), node_count_ * sizeof(ProfileKey));
   section(scores_.data(), node_count_ * sizeof(float));
   section(best_.data(), node_count_ * demand_count_ * sizeof(BestEntry));
-  section(index_.keys_data(), index_capacity * sizeof(std::uint64_t));
-  section(index_.values_data(), index_capacity * sizeof(NodeId));
-  section(index_.full_data(), index_capacity * sizeof(std::uint8_t));
 }
 
 ScoreTable ScoreTable::map_image(const std::filesystem::path& path) {
@@ -422,19 +424,16 @@ ScoreTable ScoreTable::map_image(const std::filesystem::path& path) {
   ScoreTable table;
   table.node_count_ = take_u64();
   table.demand_count_ = take_u64();
-  const std::uint64_t index_capacity = take_u64();
+  const std::uint64_t reserved = take_u64();
   std::int64_t iterations = 0;
   std::memcpy(&iterations, take(sizeof iterations), sizeof iterations);
   table.iterations_ = static_cast<int>(iterations);
   table.converged_ = take_u64() != 0;
   const std::uint64_t digest_len = take_u64();
   const std::uint64_t group_count = take_u64();
-  PRVM_REQUIRE(digest_len < 256 && group_count >= 1 && group_count < 64 &&
+  PRVM_REQUIRE(reserved == 0 && digest_len < 256 && group_count >= 1 && group_count < 64 &&
                    table.node_count_ < kNoFit && table.demand_count_ < 1024,
                "corrupt image header: " + path.string());
-  PRVM_REQUIRE(index_capacity != 0 && (index_capacity & (index_capacity - 1)) == 0 &&
-                   index_capacity <= length,
-               "corrupt image index capacity: " + path.string());
   table.digest_.assign(reinterpret_cast<const char*>(take(digest_len)), digest_len);
   std::vector<DimensionGroup> groups;
   groups.reserve(group_count);
@@ -454,15 +453,7 @@ ScoreTable ScoreTable::map_image(const std::filesystem::path& path) {
   table.img_keys_ = reinterpret_cast<const ProfileKey*>(section(n * sizeof(ProfileKey)));
   table.img_scores_ = reinterpret_cast<const float*>(section(n * sizeof(float)));
   table.img_best_ = reinterpret_cast<const BestEntry*>(section(n * d * sizeof(BestEntry)));
-  const auto* idx_keys =
-      reinterpret_cast<const std::uint64_t*>(section(index_capacity * sizeof(std::uint64_t)));
-  const auto* idx_values =
-      reinterpret_cast<const NodeId*>(section(index_capacity * sizeof(NodeId)));
-  const auto* idx_full =
-      reinterpret_cast<const std::uint8_t*>(section(index_capacity * sizeof(std::uint8_t)));
-  check_node_ids({table.img_best_, n * d}, {idx_values, index_capacity}, n, path);
-  table.index_view_ = FlatMap64View<NodeId>(idx_keys, idx_values, idx_full,
-                                            static_cast<std::size_t>(index_capacity));
+  check_image_arrays({table.img_keys_, n}, {table.img_best_, n * d}, path);
   table.image_ = std::move(image);
   return table;
 }

@@ -1,5 +1,5 @@
 // The Profile → PageRank-score table (paper §V-B) plus the best-successor
-// cache that makes Algorithm 2's inner loop a hash lookup.
+// cache that makes Algorithm 2's inner loop a table lookup.
 //
 // Build pipeline: profile graph -> Algorithm 1 PageRank -> BPRU discount ->
 // optional normalization to the table maximum (so scores from differently
@@ -8,9 +8,11 @@
 //
 // Storage is flat and demand-major: best_[slot * n + node] so one VM type's
 // entries are one contiguous block (extending the table with new VM types
-// appends whole blocks). A hot access is one hash probe (node_of), one
-// 4-byte BestEntry load and one load of the successor's score; the indexed
-// engine pays the probe only when a live profile first enters its per-bucket
+// appends whole blocks). Nodes are numbered in ascending key order
+// (ProfileGraph's canonical numbering), so the key array is its own index:
+// node_of binary-searches it. A hot access is that search, one 4-byte
+// BestEntry load and one load of the successor's score; the indexed engine
+// pays the search only when a live profile first enters its per-bucket
 // score cache.
 //
 // The table is self-contained after build (the graph can be discarded). It
@@ -33,7 +35,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/flat_map.hpp"
 #include "core/profile_graph.hpp"
 #include "pagerank/pagerank.hpp"
 
@@ -134,8 +135,9 @@ class ScoreTable {
   /// nullopt if the VM does not fit.
   std::optional<Best> best_after(ProfileKey current, std::size_t demand_index) const;
 
-  /// Node id of a canonical profile, if present. Node-keyed accessors below
-  /// let hot paths resolve the hash once and reuse the id.
+  /// Node id of a canonical profile, if present: a binary search over the
+  /// ascending keys. Node-keyed accessors below let hot paths resolve the
+  /// key once and reuse the id.
   std::optional<NodeId> node_of(ProfileKey key) const;
   ProfileKey key_of(NodeId node) const { return keys_data()[node]; }
   float node_score(NodeId node) const { return scores_data()[node]; }
@@ -152,15 +154,16 @@ class ScoreTable {
   bool pagerank_converged() const { return converged_; }
 
   /// Read-only image persistence: save_image() writes every array (keys,
-  /// scores, best entries, hash index) into one page-aligned file that
+  /// scores, best entries) into one page-aligned file that
   /// embeds a digest of (shape, options, demand fingerprint) for the caller
   /// to check; map_image() mmaps it MAP_SHARED|PROT_READ and serves every
   /// accessor straight from the mapping — multiple processes mapping the
   /// same file share one physical copy of the table. The mapping is held by
   /// the returned table (and any copies of it) until the last one dies.
   /// map_image() throws on a missing file, a file of another format
-  /// version, a truncated file, or a best-successor id or hash-index value
-  /// out of range.
+  /// version, a truncated file, keys that are not strictly ascending (the
+  /// binary search would return wrong nodes), or a best-successor id out of
+  /// range.
   void save_image(const std::filesystem::path& path) const;
   static ScoreTable map_image(const std::filesystem::path& path);
 
@@ -195,9 +198,6 @@ class ScoreTable {
   const ProfileKey* keys_data() const { return image_ ? img_keys_ : keys_.data(); }
   const float* scores_data() const { return image_ ? img_scores_ : scores_.data(); }
   const BestEntry* best_data() const { return image_ ? img_best_ : best_.data(); }
-  const NodeId* index_find(ProfileKey key) const {
-    return image_ ? index_view_.find(key) : index_.find(key);
-  }
 
   ProfileShape shape_{std::vector<DimensionGroup>{DimensionGroup{}}};
   std::size_t node_count_ = 0;
@@ -205,7 +205,6 @@ class ScoreTable {
   std::vector<ProfileKey> keys_;
   std::vector<float> scores_;
   std::vector<BestEntry> best_;  ///< demand-major: [demand * node_count_ + node]
-  FlatMap64<NodeId> index_;
   std::string digest_;
   int iterations_ = 0;
   bool converged_ = false;
@@ -215,7 +214,6 @@ class ScoreTable {
   const ProfileKey* img_keys_ = nullptr;
   const float* img_scores_ = nullptr;
   const BestEntry* img_best_ = nullptr;
-  FlatMap64View<NodeId> index_view_;
 };
 
 }  // namespace prvm

@@ -243,7 +243,8 @@ IoStatus WalWriter::flush(std::size_t max_bytes) {
   }
   // Steal the covered prefix so concurrent appends never block on the disk;
   // they land behind the stolen bytes and are covered by a later flush.
-  std::string chunk;
+  std::string& chunk = spare_;
+  chunk.clear();
   {
     const std::lock_guard<std::mutex> lock(mu_);
     if (buffer_.empty()) return IoStatus::success();
@@ -254,9 +255,9 @@ IoStatus WalWriter::flush(std::size_t max_bytes) {
       buffer_.erase(0, max_bytes);
     }
   }
+  // The error contexts are built only when a call fails.
   std::size_t written = 0;
-  const IoStatus status = io_write_all(*env_, fd_, chunk.data(), chunk.size(),
-                                       "write(" + path_.string() + ")", &written);
+  const IoStatus status = io_write_all(*env_, fd_, chunk.data(), chunk.size(), {}, &written);
   if (!status.ok()) {
     // Keep exactly the unwritten suffix, at the FRONT of the buffer (order
     // must survive appends that raced in): a retry after a transient error
@@ -265,9 +266,12 @@ IoStatus WalWriter::flush(std::size_t max_bytes) {
     // discards, which only ever holds unacknowledged records.
     const std::lock_guard<std::mutex> lock(mu_);
     buffer_.insert(0, chunk, written, chunk.size() - written);
-    return status;
+    return IoStatus::failure(status.err, "write(" + path_.string() + ")");
   }
-  if (fsync_on_flush_) return io_fsync(*env_, fd_, "fsync(" + path_.string() + ")");
+  if (fsync_on_flush_) {
+    const IoStatus synced = io_fsync(*env_, fd_, {});
+    if (!synced.ok()) return IoStatus::failure(synced.err, "fsync(" + path_.string() + ")");
+  }
   return IoStatus::success();
 }
 

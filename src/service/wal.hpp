@@ -137,6 +137,10 @@ class WalWriter {
   /// the flushing side (or a quiesced caller) touches them.
   mutable std::mutex mu_;
   std::string buffer_;
+  /// The bytes a flush() writes, swapped out of buffer_ under the lock.
+  /// Flushing side only; the two strings trade places so both keep their
+  /// capacity and a warm append or flush allocates nothing.
+  std::string spare_;
   std::uint64_t appended_ = 0;
   IoStatus open_status_;
 };

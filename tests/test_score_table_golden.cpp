@@ -10,16 +10,20 @@
 // every remaining field is pinned to what that build produced; a build whose
 // parallel loops all run inline on one thread must reproduce it too.
 //
-// The ScoreImage suite serves the same tables from image files: written by
-// two processes at once, corrupted, left over in an older format, and
-// measured for the heap a cold build leaves behind.
+// ScoreTableLookup checks the key lookups against the key array on built and
+// mapped tables. The ScoreImage suite serves the same tables from image
+// files: written by two processes at once, corrupted, left over in an older
+// format, and measured for the heap a cold build leaves behind.
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -139,36 +143,37 @@ void patch_file(const std::filesystem::path& path, std::size_t offset, T value) 
 constexpr std::size_t align64(std::size_t offset) { return (offset + 63) & ~std::size_t{63}; }
 
 // Byte offsets in a save_image() file: a 64-byte header (magic, node count,
-// demand count, index capacity, iterations, converged, digest length, group
-// count), the digest, 12 bytes per group, then keys, scores, best entries
-// and the index's keys, values and occupancy bytes, each section starting on
-// a 64-byte boundary.
+// demand count, a reserved 0 word, iterations, converged, digest length,
+// group count), the digest, 12 bytes per group, then keys, scores and best
+// entries, each section starting on a 64-byte boundary.
 struct ImageLayout {
-  std::size_t best = 0;          ///< first best-successor entry
-  std::size_t index_values = 0;  ///< first hash-index value
+  std::size_t nodes = 0;  ///< node count
+  std::size_t keys = 0;  ///< first key
+  std::size_t best = 0;  ///< first best-successor entry
 };
 
 ImageLayout image_layout(const std::filesystem::path& path) {
   const std::string bytes = read_file(path);
   const auto n = read_at<std::uint64_t>(bytes, 8);
-  const auto d = read_at<std::uint64_t>(bytes, 16);
-  const auto capacity = read_at<std::uint64_t>(bytes, 24);
   const auto digest_len = read_at<std::uint64_t>(bytes, 48);
   const auto groups = read_at<std::uint64_t>(bytes, 56);
-  const std::size_t keys = align64(64 + digest_len + 12 * groups);
-  const std::size_t scores = align64(keys + n * sizeof(ProfileKey));
   ImageLayout layout;
+  layout.nodes = n;
+  layout.keys = align64(64 + digest_len + 12 * groups);
+  const std::size_t scores = align64(layout.keys + n * sizeof(ProfileKey));
   layout.best = align64(scores + n * sizeof(float));
-  const std::size_t index_keys = align64(layout.best + n * d * sizeof(NodeId));
-  layout.index_values = align64(index_keys + capacity * sizeof(std::uint64_t));
   return layout;
 }
 
-// A writer of the version-2 image format (PRVMSCI2), whose best-successor
-// entries were 8 bytes and carried their score.
-class V2Writer {
+// A writer of the earlier image formats, which carried a FlatMap64 hash
+// index (its keys, values and occupancy bytes) after the best entries:
+// PRVMSCI2, whose best entries were 8 bytes and held their score, and
+// PRVMSCI3, whose best entries were 4-byte successor ids. The index sections
+// are written at the capacity FlatMap64 gave them, with every slot free:
+// the loader must refuse both formats by their magic before it reads them.
+class OldWriter {
  public:
-  explicit V2Writer(const std::filesystem::path& path) : os_(path, std::ios::binary) {}
+  explicit OldWriter(const std::filesystem::path& path) : os_(path, std::ios::binary) {}
   template <typename T>
   void pod(const T& value) {
     bytes(&value, sizeof value);
@@ -187,57 +192,53 @@ class V2Writer {
   std::size_t offset_ = 0;
 };
 
-struct V2Arrays {
+void write_old_image(const ScoreTable& table, const std::filesystem::path& path, char version) {
   std::vector<ProfileKey> keys;
   std::vector<float> scores;
-  std::vector<std::pair<float, NodeId>> best;  // {score, successor}, demand-major
-};
-
-V2Arrays v2_arrays(const ScoreTable& table) {
-  V2Arrays a;
   for (NodeId u = 0; u < table.size(); ++u) {
-    a.keys.push_back(table.key_of(u));
-    a.scores.push_back(table.node_score(u));
+    keys.push_back(table.key_of(u));
+    scores.push_back(table.node_score(u));
   }
+  std::vector<std::pair<float, NodeId>> v2_best;  // {score, successor}, demand-major
+  std::vector<NodeId> v3_best;
   for (std::size_t t = 0; t < table.demand_count(); ++t) {
     for (const ScoreTable::BestEntry& e : table.best_row(t)) {
-      a.best.emplace_back(e.successor == ScoreTable::kNoFit ? 0.0F : table.node_score(e.successor),
-                          e.successor);
+      v2_best.emplace_back(
+          e.successor == ScoreTable::kNoFit ? 0.0F : table.node_score(e.successor), e.successor);
+      v3_best.push_back(e.successor);
     }
   }
-  return a;
-}
-
-void write_v2_header_shape(V2Writer& w, const ScoreTable& table) {
-  for (const DimensionGroup& g : table.shape().groups()) {
-    w.pod(static_cast<std::int32_t>(g.kind));
-    w.pod(static_cast<std::int32_t>(g.count));
-    w.pod(static_cast<std::int32_t>(g.capacity));
-  }
-}
-
-void write_v2_image(const ScoreTable& table, const std::filesystem::path& path) {
-  const V2Arrays a = v2_arrays(table);
-  FlatMap64<NodeId> index;  // built as ScoreTable::build builds its own
+  FlatMap64<NodeId> index;
   index.reserve(table.size());
-  for (NodeId u = 0; u < table.size(); ++u) index.try_emplace(a.keys[u], u);
-  V2Writer w(path);
-  w.bytes("PRVMSCI2", 8);
+  const std::size_t capacity = index.capacity();
+
+  OldWriter w(path);
+  const std::string magic = std::string("PRVMSCI") + version;
+  w.bytes(magic.data(), 8);
   w.pod(static_cast<std::uint64_t>(table.size()));
   w.pod(static_cast<std::uint64_t>(table.demand_count()));
-  w.pod(static_cast<std::uint64_t>(index.capacity()));
+  w.pod(static_cast<std::uint64_t>(capacity));
   w.pod(static_cast<std::int64_t>(table.pagerank_iterations()));
   w.pod(static_cast<std::uint64_t>(table.pagerank_converged()));
   w.pod(static_cast<std::uint64_t>(table.digest_string().size()));
   w.pod(static_cast<std::uint64_t>(table.shape().groups().size()));
   w.bytes(table.digest_string().data(), table.digest_string().size());
-  write_v2_header_shape(w, table);
-  w.section(a.keys.data(), a.keys.size() * sizeof(ProfileKey));
-  w.section(a.scores.data(), a.scores.size() * sizeof(float));
-  w.section(a.best.data(), a.best.size() * sizeof(a.best[0]));
-  w.section(index.keys_data(), index.capacity() * sizeof(std::uint64_t));
-  w.section(index.values_data(), index.capacity() * sizeof(NodeId));
-  w.section(index.full_data(), index.capacity());
+  for (const DimensionGroup& g : table.shape().groups()) {
+    w.pod(static_cast<std::int32_t>(g.kind));
+    w.pod(static_cast<std::int32_t>(g.count));
+    w.pod(static_cast<std::int32_t>(g.capacity));
+  }
+  w.section(keys.data(), keys.size() * sizeof(ProfileKey));
+  w.section(scores.data(), scores.size() * sizeof(float));
+  if (version == '2') {
+    w.section(v2_best.data(), v2_best.size() * sizeof(v2_best[0]));
+  } else {
+    w.section(v3_best.data(), v3_best.size() * sizeof(NodeId));
+  }
+  const std::vector<char> free_slots(capacity * sizeof(std::uint64_t), 0);
+  w.section(free_slots.data(), capacity * sizeof(std::uint64_t));  // index keys
+  w.section(free_slots.data(), capacity * sizeof(NodeId));         // index values
+  w.section(free_slots.data(), capacity);                          // occupancy bytes
 }
 
 TEST(ScoreTableGolden, Ec2SimCatalogTablesMatchRecordedHash) {
@@ -300,6 +301,56 @@ TEST(ScoreTableGolden, MappedTablesSurviveARewriteOfTheirImages) {
   EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir.path()), {}), 2);
 }
 
+TEST(ScoreTableLookup, NodeOfInvertsKeyOfOnBuiltAndMappedTables) {
+  // node_of binary-searches the ascending keys. On both EC2 tables, built
+  // and mapped: every node's key finds that node; a key between two
+  // neighbours, past the last key, or UINT64_MAX finds nothing (the first
+  // key is 0, the empty profile, so no key lies below it); and the key-based
+  // find and best_after agree with the node-keyed accessors.
+  const Catalog catalog = ec2_sim_catalog();
+  const ScoreTableSet owned = build_score_tables(catalog, {}, std::nullopt);
+  const TempDir dir("node-of");
+  const ScoreTableSet mapped = build_score_tables(catalog, {}, dir.path());
+  ASSERT_EQ(owned.pm_type_count(), 2u);
+  for (const ScoreTableSet* set : {&owned, &mapped}) {
+    for (std::size_t p = 0; p < set->pm_type_count(); ++p) {
+      const ScoreTable& table = set->table(p);
+      SCOPED_TRACE(std::string(table.is_mapped() ? "mapped" : "built") + " table " +
+                   std::to_string(p));
+      ASSERT_EQ(table.is_mapped(), set == &mapped);
+      ASSERT_EQ(table.key_of(0), ProfileKey{0});
+      std::size_t mismatches = 0;
+      std::size_t gaps = 0;
+      for (NodeId u = 0; u < table.size(); ++u) {
+        const ProfileKey key = table.key_of(u);
+        mismatches += table.node_of(key) != std::optional<NodeId>(u);
+        mismatches += table.find(key) != std::optional<double>(table.node_score(u));
+        for (std::size_t d = 0; d < table.demand_count(); ++d) {
+          const auto by_key = table.best_after(key, d);
+          const auto by_node = table.best_after_node(u, d);
+          mismatches += by_key.has_value() != by_node.has_value() ||
+                        (by_key.has_value() && (by_key->score != by_node->score ||
+                                                by_key->successor != by_node->successor));
+        }
+        if (u + 1 < table.size() && table.key_of(u + 1) - key > 1) {
+          ++gaps;
+          mismatches += table.node_of(key + 1).has_value();
+          mismatches += table.node_of(table.key_of(u + 1) - 1).has_value();
+          mismatches += table.find(key + 1).has_value();
+        }
+      }
+      EXPECT_EQ(mismatches, 0u);
+      EXPECT_GT(gaps, 0u);
+      const ProfileKey last = table.key_of(static_cast<NodeId>(table.size() - 1));
+      ASSERT_LT(last, UINT64_MAX);
+      EXPECT_EQ(table.node_of(last + 1), std::nullopt);
+      EXPECT_EQ(table.node_of(UINT64_MAX), std::nullopt);
+      EXPECT_EQ(table.find(UINT64_MAX), std::nullopt);
+      EXPECT_THROW(table.best_after(UINT64_MAX, 0), std::invalid_argument);
+    }
+  }
+}
+
 TEST(ScoreImage, ConcurrentColdStartsInOneEmptyDirAgree) {
   // Two processes start at once on one empty image directory: both build,
   // both write, and each maps what it wrote or what the other published.
@@ -337,32 +388,73 @@ TEST(ScoreImage, ConcurrentColdStartsInOneEmptyDirAgree) {
   EXPECT_EQ(hashes[1], hashes[0]);
 }
 
-TEST(ScoreImage, OutOfRangeNodeIdsAreRejectedAndTheImageRebuilt) {
-  // A successor id or a hash-index value that names no node would be read
-  // as an index into keys and scores. map_image must throw on either, and
-  // build_score_tables must then rewrite the image and serve the recorded
-  // tables. Each set is dropped before its file is patched in place.
+using ImagePatch = std::function<void(const std::filesystem::path&)>;
+
+// Builds the EC2 images into a fresh directory, then for each patch: applies
+// it to the M3 image, expects map_image to throw std::invalid_argument, and
+// expects build_score_tables to rewrite that one image and serve the
+// recorded tables. Each set is dropped before its file is patched in place.
+void expect_each_patch_rejected_and_rebuilt(const char* tag,
+                                            const std::vector<ImagePatch>& patches) {
   const Catalog catalog = ec2_sim_catalog();
-  const TempDir dir("image-corrupt");
+  const TempDir dir(tag);
   std::filesystem::path image;
-  NodeId nodes = 0;
   {
     const ScoreTableSet set = build_score_tables(catalog, {}, dir.path());
     image = file_of(dir.path(), set.table(0), ".img");
-    nodes = static_cast<NodeId>(set.table(0).size());
   }
-  const ImageLayout layout = image_layout(image);
-  for (const std::size_t offset : {layout.best, layout.index_values}) {
+  for (std::size_t i = 0; i < patches.size(); ++i) {
     EXPECT_NO_THROW(ScoreTable::map_image(image));
-    patch_file(image, offset, nodes);
-    EXPECT_THROW(ScoreTable::map_image(image), std::invalid_argument) << "offset " << offset;
+    patches[i](image);
+    EXPECT_THROW(ScoreTable::map_image(image), std::invalid_argument) << "patch " << i;
     ScoreImageReport report;
     const ScoreTableSet set = build_score_tables(catalog, {}, dir.path(), &report);
-    EXPECT_EQ(report.written, 1u);
-    EXPECT_EQ(report.mapped, 1u);
+    EXPECT_EQ(report.written, 1u) << "patch " << i;
+    EXPECT_EQ(report.mapped, 1u) << "patch " << i;
     const std::uint64_t hash = set_hash(set);
     EXPECT_EQ(hash, kRecordedHash) << std::hex << "actual 0x" << hash;
   }
+}
+
+TEST(ScoreImage, OutOfRangeNodeIdsAreRejectedAndTheImageRebuilt) {
+  // A successor id that names no node would be read as an index into keys
+  // and scores, and a key out of order would make node_of's binary search
+  // miss or return a wrong node. map_image must throw on either: here the
+  // first best entry names one past the last node, and the last key drops
+  // back to 0, the first key.
+  expect_each_patch_rejected_and_rebuilt(
+      "image-corrupt",
+      {[](const std::filesystem::path& image) {
+         const ImageLayout layout = image_layout(image);
+         patch_file(image, layout.best, static_cast<NodeId>(layout.nodes));
+       },
+       [](const std::filesystem::path& image) {
+         const ImageLayout layout = image_layout(image);
+         patch_file(image, layout.keys + (layout.nodes - 1) * sizeof(ProfileKey), ProfileKey{0});
+       }});
+}
+
+TEST(ScoreImage, LoadRejectsKeysOutOfOrder) {
+  // Keys 1000 and 1001 swapped, then key 1000 written over key 1001: the
+  // loader checks that the keys ascend strictly, so neither image maps.
+  constexpr std::size_t kNode = 1000;
+  const auto keys_at = [](const std::filesystem::path& image) {
+    const std::string bytes = read_file(image);
+    const std::size_t at = image_layout(image).keys + kNode * sizeof(ProfileKey);
+    return std::tuple{at, read_at<ProfileKey>(bytes, at),
+                      read_at<ProfileKey>(bytes, at + sizeof(ProfileKey))};
+  };
+  expect_each_patch_rejected_and_rebuilt(
+      "image-key-order",
+      {[&](const std::filesystem::path& image) {
+         const auto [at, key, next] = keys_at(image);
+         patch_file(image, at, next);
+         patch_file(image, at + sizeof(ProfileKey), key);
+       },
+       [&](const std::filesystem::path& image) {
+         const auto [at, key, next] = keys_at(image);
+         patch_file(image, at + sizeof(ProfileKey), key);
+       }});
 }
 
 TEST(ScoreImage, LoadRejectsAnOutOfRangeSuccessorId) {
@@ -388,13 +480,13 @@ TEST(ScoreImage, LoadRejectsAnOutOfRangeSuccessorId) {
 
 TEST(ScoreImage, OldFormatFilesAreRebuiltNotMisread) {
   // Version-2 images (8-byte best entries) left in the image directory are
-  // replaced by version-3 ones, and the tables served on the way hash to
-  // the recorded value.
+  // replaced by current ones, and the tables served on the way hash to the
+  // recorded value.
   const Catalog catalog = ec2_sim_catalog();
   const ScoreTableSet owned = build_score_tables(catalog, {}, std::nullopt);
   const TempDir dir("old-format");
   for (std::size_t p = 0; p < owned.pm_type_count(); ++p) {
-    write_v2_image(owned.table(p), file_of(dir.path(), owned.table(p), ".img"));
+    write_old_image(owned.table(p), file_of(dir.path(), owned.table(p), ".img"), '2');
   }
 
   ScoreImageReport report;
@@ -403,8 +495,33 @@ TEST(ScoreImage, OldFormatFilesAreRebuiltNotMisread) {
   EXPECT_EQ(report.written, owned.pm_type_count());
   EXPECT_EQ(report.mapped, 0u);
   for (std::size_t p = 0; p < owned.pm_type_count(); ++p) {
-    EXPECT_EQ(read_file(file_of(dir.path(), owned.table(p), ".img")).substr(0, 8), "PRVMSCI3");
+    EXPECT_EQ(read_file(file_of(dir.path(), owned.table(p), ".img")).substr(0, 8), "PRVMSCI4");
   }
+}
+
+TEST(ScoreImage, HashIndexedImagesAreRejectedByMagicAndRebuilt) {
+  // A version-3 image (4-byte best entries and a hash index) in the
+  // directory beside a current one: map_image refuses it by its magic, and
+  // build_score_tables rewrites that one image and maps the other.
+  const Catalog catalog = ec2_sim_catalog();
+  const ScoreTableSet owned = build_score_tables(catalog, {}, std::nullopt);
+  const TempDir dir("v3-format");
+  build_score_tables(catalog, {}, dir.path());
+  const std::filesystem::path image = file_of(dir.path(), owned.table(0), ".img");
+  write_old_image(owned.table(0), image, '3');
+  try {
+    ScoreTable::map_image(image);
+    ADD_FAILURE() << "a PRVMSCI3 image mapped";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("not a score-table image"), std::string::npos)
+        << e.what();
+  }
+  ScoreImageReport report;
+  const std::uint64_t hash = set_hash(build_score_tables(catalog, {}, dir.path(), &report));
+  EXPECT_EQ(hash, kRecordedHash) << std::hex << "actual 0x" << hash;
+  EXPECT_EQ(report.written, 1u);
+  EXPECT_EQ(report.mapped, 1u);
+  EXPECT_EQ(read_file(image).substr(0, 8), "PRVMSCI4");
 }
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)

@@ -7,13 +7,17 @@
 # /proc/<pid>/status) stays under a budget. The
 # tables themselves are served from the file mappings (RssFile), so RssAnon
 # is what the cold build left on the heap plus the daemon's live state.
+# The images are mapped whole and end up resident under load, so their
+# total size is a budget of its own: the .img files the daemon wrote must
+# sum to at most MAX_IMAGE_BYTES.
 #
-# Usage: tools/cold_start_rss_smoke.sh [BUILD_DIR] [MAX_RSS_ANON_KB]
-# e.g.   tools/cold_start_rss_smoke.sh build 4096
+# Usage: tools/cold_start_rss_smoke.sh [BUILD_DIR] [MAX_RSS_ANON_KB] [MAX_IMAGE_BYTES]
+# e.g.   tools/cold_start_rss_smoke.sh build 4096 5000000
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
 MAX_KB="${2:-8192}"
+MAX_IMAGE_BYTES="${3:-8000000}"
 SERVE="$BUILD_DIR/tools/prvm_serve"
 [ -x "$SERVE" ] || { echo "build prvm_serve first"; exit 1; }
 
@@ -67,8 +71,15 @@ SPLIT="$(grep -h "score-table build:" "$WORK/serve.log")" ||
 grep -h "score tables from" "$WORK/serve.log" || true
 echo "$SPLIT"
 RSS_ANON_KB="$(awk '/^RssAnon:/ {print $2}' "/proc/$SERVE_PID/status")"
-echo "idle cold-started prvm_serve: RssAnon ${RSS_ANON_KB} kB (budget ${MAX_KB} kB)"
+RSS_FILE_KB="$(awk '/^RssFile:/ {print $2}' "/proc/$SERVE_PID/status")"
+echo "idle cold-started prvm_serve: RssAnon ${RSS_ANON_KB} kB (budget ${MAX_KB} kB)," \
+  "RssFile ${RSS_FILE_KB} kB"
+IMAGE_BYTES="$(find "$WORK/img" -maxdepth 1 -name '*.img' -printf '%s\n' |
+  awk '{s += $1} END {print s + 0}')"
+echo "score images: ${IMAGE_BYTES} bytes (budget ${MAX_IMAGE_BYTES} bytes)"
 [ "$RSS_ANON_KB" -le "$MAX_KB" ] || { echo "FAIL: RssAnon over budget"; exit 1; }
+[ "$IMAGE_BYTES" -gt 0 ] || { echo "FAIL: no score image written"; exit 1; }
+[ "$IMAGE_BYTES" -le "$MAX_IMAGE_BYTES" ] || { echo "FAIL: score images over budget"; exit 1; }
 
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || { echo "FAIL: graceful drain exited non-zero"; exit 1; }
