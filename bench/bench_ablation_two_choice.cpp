@@ -40,7 +40,7 @@ int main() {
   table.print(std::cout);
   std::cout << "\nfinding: the paper motivates 2-choice by the overhead of \"calculating\n"
                "the new profile of each PM\"; this implementation precomputes exactly that\n"
-               "(the best-successor cache makes the full scan one hash lookup per PM), so\n"
+               "(the best-successor memo makes the full scan one hash lookup per PM), so\n"
                "2-choice no longer buys latency — its feasibility pre-filter even costs\n"
                "more than the scan it avoids. The packing quality of both variants ties.\n";
   return 0;

@@ -84,16 +84,60 @@ void BM_ProfileGraphBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_ProfileGraphBuild)->DenseRange(4, 8);
 
+// The first-sight cost of a live profile: its node and its best successor
+// under each of the six EC2 VM types, worked out from its key as the engine
+// does when a profile enters its memo. Keys are 64k random profiles of the
+// mapped M3 table; one iteration is one profile.
 void BM_ScoreLookup(benchmark::State& state) {
-  static const ScoreTableSet tables = build_score_tables(geni_catalog());
-  const Catalog catalog = geni_catalog();
-  const ProfileShape& shape = catalog.shape(0);
-  const ProfileKey key = Profile::from_levels(shape, {3, 2, 1, 0}).pack(shape);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tables.table(0).best_after(key, 0));
+  static const ScoreTableSet tables = build_score_tables(ec2_sim_catalog());
+  const ScoreTable& table = tables.table(0);
+  constexpr std::size_t kKeys = std::size_t{1} << 16;
+  std::vector<ProfileKey> keys(kKeys);
+  Rng rng(13);
+  for (ProfileKey& key : keys) {
+    key = table.key_of(static_cast<NodeId>(rng.uniform_index(table.size())));
   }
+  std::vector<ProfileKey> scratch;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const NodeId node = *table.node_of(keys[i++ & (kKeys - 1)]);
+    for (std::size_t d = 0; d < table.demand_count(); ++d) {
+      benchmark::DoNotOptimize(table.best_successor(node, d, scratch));
+    }
+  }
+  state.SetLabel(std::to_string(table.size()) + " nodes, " +
+                 std::to_string(table.demand_count()) + " VM types");
 }
 BENCHMARK(BM_ScoreLookup);
+
+// The same six answers once the profile is in the engine's memo: the linear
+// scan's placement_score for every VM type on one PM, cycling over 64 used
+// PMs of a half-filled fleet. One iteration is one PM's six scores.
+void BM_ScoreLookupMemoHit(benchmark::State& state) {
+  const Catalog catalog = ec2_sim_catalog();
+  static const auto tables =
+      std::make_shared<const ScoreTableSet>(build_score_tables(ec2_sim_catalog()));
+  Rng rng(17);
+  Datacenter dc(catalog, mixed_pm_fleet(catalog, 64));
+  PageRankVm engine(tables, {});
+  engine.place_all(dc, weighted_vm_requests(rng, catalog, 320, default_vm_mix(catalog)));
+  const std::vector<PmIndex> pms = dc.used_pms();
+  std::uint64_t lookups = 0;
+  for (const PmIndex pm : pms) {
+    for (std::size_t t = 0; t < catalog.vm_types().size(); ++t) {
+      engine.placement_score(dc, pm, t, lookups);  // fills the memo
+    }
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const PmIndex pm = pms[i++ % pms.size()];
+    for (std::size_t t = 0; t < catalog.vm_types().size(); ++t) {
+      benchmark::DoNotOptimize(engine.placement_score(dc, pm, t, lookups));
+    }
+  }
+  state.SetLabel(std::to_string(pms.size()) + " used PMs");
+}
+BENCHMARK(BM_ScoreLookupMemoHit);
 
 // node_of on the mapped EC2 C3 table (the larger one, 82,265 nodes) over
 // 64k random present keys, so most lookups miss the cache as a bucket-cache

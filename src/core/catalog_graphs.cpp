@@ -53,16 +53,18 @@ ScoreTable build_table(const Catalog& catalog, std::size_t p, const ScoreTableOp
   return ScoreTable::build(graph, options);
 }
 
-// The table of a valid image at `image` built with `digest`, mapped;
-// nullopt when the file is missing, corrupt, of another format version or
-// of another digest (the caller rebuilds and overwrites it).
+// The table of a valid image at `image` built with `digest`, mapped with
+// `demands`, the demand list that digest covers; nullopt when the file is
+// missing, corrupt, of another format version or of another digest (the
+// caller rebuilds and overwrites it).
 std::optional<ScoreTable> map_valid_image(const std::filesystem::path& image,
-                                          const std::string& digest) {
+                                          const std::string& digest,
+                                          const std::vector<QuantizedDemand>& demands) {
   if (!std::filesystem::exists(image)) return std::nullopt;
   obs::Registry& reg = obs::Registry::global();
   try {
     const obs::ScopedTimerNs timer(reg.histogram("prvm_score_table_load_ns"));
-    ScoreTable table = ScoreTable::map_image(image);
+    ScoreTable table = ScoreTable::map_image(image, demands);
     if (table.digest_string() != digest) return std::nullopt;
     reg.counter("prvm_score_table_cache_hits_total").inc();
     return table;
@@ -99,13 +101,13 @@ ScoreTableSet build_score_tables(const Catalog& catalog, const ScoreTableOptions
   }
 
   for (std::size_t p = 0; p < catalog.pm_types().size(); ++p) {
-    const std::string digest =
-        ScoreTable::digest(catalog.shape(p), fitting_demands(catalog, p).demands, options);
+    const std::vector<QuantizedDemand>& demands = fitting_demands(catalog, p).demands;
+    const std::string digest = ScoreTable::digest(catalog.shape(p), demands, options);
     if (!dir.has_value()) {
       set.tables_.push_back(build_table(catalog, p, options));
     } else {
       const std::filesystem::path image = *dir / ("scoretable-" + digest + ".img");
-      if (std::optional<ScoreTable> mapped = map_valid_image(image, digest)) {
+      if (std::optional<ScoreTable> mapped = map_valid_image(image, digest, demands)) {
         set.tables_.push_back(std::move(*mapped));
         ++local.mapped;
       } else {
@@ -117,7 +119,7 @@ ScoreTableSet build_score_tables(const Catalog& catalog, const ScoreTableOptions
             const obs::ScopedTimerNs timer(score_table_stage_histogram("image_write"));
             table.save_image(image);
           }
-          set.tables_.push_back(ScoreTable::map_image(image));
+          set.tables_.push_back(ScoreTable::map_image(image, demands));
           ++local.written;
         } catch (const std::exception&) {
           set.tables_.push_back(std::move(table));

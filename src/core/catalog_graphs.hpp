@@ -44,8 +44,8 @@ class ScoreTableSet {
 /// appending VM types to the catalog extends both in place instead of
 /// rebuilding from scratch: the graph BFS runs only over the new frontier
 /// (ProfileGraph::extend), and when the new VM types reach no new profile,
-/// the table reuses its PageRank scores verbatim and computes just the new
-/// demand blocks (ScoreTable::extend's fast path, O(nodes x new demands)).
+/// the table reuses its PageRank scores verbatim and only appends the new
+/// demands (ScoreTable::extend's fast path).
 /// Either way the resulting tables are byte-identical to a from-scratch
 /// build over the grown catalog — asserted by the differential suite.
 class IncrementalScoreTables {

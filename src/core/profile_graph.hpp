@@ -84,13 +84,6 @@ class ProfileGraph {
   /// further VM — the "endpoints" of the BPRU definition.
   std::vector<NodeId> sink_nodes() const;
 
-  /// Appends the successor keys of `node` under VM type `demand_index`, in
-  /// enumerate_successor_keys' order, from the build's successor memo. Safe
-  /// from any number of threads; no heap allocation unless `out` must grow.
-  void successor_keys(NodeId node, std::size_t demand_index, std::vector<ProfileKey>& out) const {
-    memo_.append_successors(keys_[node], demand_index, out);
-  }
-
   /// Per-group anti-collocation enumerations the graph has run (the memo's
   /// distinct (VM type, group, group state) cases).
   std::size_t group_enumerations() const { return memo_.group_runs(); }

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <span>
 #include <sstream>
 
 #include <fcntl.h>
@@ -14,7 +15,6 @@
 #include <unistd.h>
 
 #include "common/check.hpp"
-#include "common/worker_pool.hpp"
 #include "core/bpru.hpp"
 #include "obs/metrics.hpp"
 
@@ -42,12 +42,12 @@ class Fnv {
   std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 
-// 'I4': the hash-index sections are gone (node_of binary-searches the
-// sorted keys), and the header word that held the index capacity is
-// reserved and must be 0. 'I3' had 4-byte best-successor entries, 'I2'
-// 8-byte ones. Images of an earlier version would map into the wrong
-// layout, so the magic bump has them rebuilt wholesale.
-constexpr char kImageMagic[8] = {'P', 'R', 'V', 'M', 'S', 'C', 'I', '4'};
+// 'I5': keys and scores only; the best-successor sections are gone (they are
+// computed on first sight). 'I4' had them after the scores, 'I3' a hash index
+// after those, and the header word that held the index capacity up to 'I3' is
+// reserved and must be 0. Images of an earlier version would map into the
+// wrong layout, so the magic bump has them rebuilt wholesale.
+constexpr char kImageMagic[8] = {'P', 'R', 'V', 'M', 'S', 'C', 'I', '5'};
 
 template <typename T>
 void write_pod(std::ostream& os, const T& value) {
@@ -58,21 +58,12 @@ void write_pod(std::ostream& os, const T& value) {
 /// boundary so mapped pointers are cache-line (and type-) aligned.
 constexpr std::size_t align_up(std::size_t offset) { return (offset + 63) & ~std::size_t{63}; }
 
-// Throws unless the keys ascend strictly and every best-successor id names a
-// node or is kNoFit. A flipped byte in an image would otherwise make
-// node_of's binary search return a wrong node, or become an out-of-bounds
-// read in key_of or node_score.
-void check_image_arrays(std::span<const ProfileKey> keys,
-                        std::span<const ScoreTable::BestEntry> best,
-                        const std::filesystem::path& path) {
+// Throws unless the keys ascend strictly: a flipped byte in an image would
+// otherwise make node_of's binary search return a wrong node.
+void check_image_keys(std::span<const ProfileKey> keys, const std::filesystem::path& path) {
   bool ascending = true;
   for (std::size_t u = 1; u < keys.size(); ++u) ascending &= keys[u - 1] < keys[u];
   PRVM_REQUIRE(ascending, "keys out of order in score-table file: " + path.string());
-  bool ok = true;
-  for (const ScoreTable::BestEntry& e : best) {
-    ok &= e.successor < keys.size() || e.successor == ScoreTable::kNoFit;
-  }
-  PRVM_REQUIRE(ok, "node id out of range in score-table file: " + path.string());
 }
 
 std::string stage_metric(std::string_view stage) {
@@ -216,7 +207,7 @@ ScoreTable ScoreTable::build(const ProfileGraph& graph, const ScoreTableOptions&
 
   ScoreTable table;
   table.shape_ = graph.shape();
-  table.demand_count_ = graph.demands().size();
+  table.demands_ = graph.demands();
   table.digest_ = digest(graph.shape(), graph.demands(), options);
   table.iterations_ = pr.iterations;
   table.converged_ = pr.converged;
@@ -232,10 +223,6 @@ ScoreTable ScoreTable::build(const ProfileGraph& graph, const ScoreTableOptions&
   PRVM_CHECK(std::adjacent_find(table.keys_.begin(), table.keys_.end(),
                                 std::greater_equal<>()) == table.keys_.end(),
              "node_of needs canonical numbering: keys strictly ascending");
-
-  table.best_.assign(n * table.demand_count_, BestEntry{});
-  for (std::size_t t = 0; t < table.demand_count_; ++t) table.fill_demand_block(graph, t);
-  stage_done("best_successor");
   return table;
 }
 
@@ -250,17 +237,16 @@ ScoreTable ScoreTable::extend(const ScoreTable& base, const ProfileGraph& graph,
   PRVM_REQUIRE(base.shape_ == graph.shape(), "extend: shape mismatch");
   PRVM_REQUIRE(base.node_count_ == graph.node_count(),
                "extend: node count mismatch for an unchanged graph");
-  PRVM_REQUIRE(graph.demands().size() >= base.demand_count_,
+  PRVM_REQUIRE(graph.demands().size() >= base.demand_count(),
                "extend: demand list shrank");
 
   // Same graph + same options => PageRank, BPRU and normalization are
-  // untouched: node keys and scores carry over verbatim, and the old demand
-  // blocks are already exactly what a fresh build would compute. Only the
-  // appended demand blocks need work.
+  // untouched: node keys and scores carry over verbatim, and the table takes
+  // the longer demand list.
   ScoreTable table;
   table.shape_ = graph.shape();
   table.node_count_ = base.node_count_;
-  table.demand_count_ = graph.demands().size();
+  table.demands_ = graph.demands();
   table.digest_ = digest(graph.shape(), graph.demands(), options);
   table.iterations_ = base.iterations_;
   table.converged_ = base.converged_;
@@ -272,50 +258,7 @@ ScoreTable ScoreTable::extend(const ScoreTable& base, const ProfileGraph& graph,
                  "extend: base table and graph disagree on node numbering");
   }
   table.scores_.assign(base.scores_data(), base.scores_data() + n);
-
-  table.best_.assign(n * table.demand_count_, BestEntry{});
-  std::memcpy(table.best_.data(), base.best_data(),
-              n * base.demand_count_ * sizeof(BestEntry));
-  for (std::size_t t = base.demand_count_; t < table.demand_count_; ++t) {
-    table.fill_demand_block(graph, t);
-  }
   return table;
-}
-
-void ScoreTable::fill_demand_block(const ProfileGraph& graph, std::size_t t) {
-  // Best-successor pass for one VM type: the highest-scoring canonical
-  // outcome across anti-collocation permutations, the first in enumeration
-  // order on ties. Embarrassingly parallel over nodes; comparisons run on
-  // the stored float scores so build and extend make bit-identical choices.
-  BestEntry* row = best_.data() + t * node_count_;
-  const float* scores = scores_.data();
-  constexpr std::size_t kChunk = 1024;
-  const auto work = [&, row, scores](std::size_t chunk) {
-    std::vector<ProfileKey> succ;
-    const std::size_t end = std::min(node_count_, (chunk + 1) * kChunk);
-    for (std::size_t u = chunk * kChunk; u < end; ++u) {
-      succ.clear();
-      graph.successor_keys(static_cast<NodeId>(u), t, succ);
-      BestEntry entry;
-      float best_score = 0.0F;
-      for (ProfileKey key : succ) {
-        const std::optional<NodeId> v = graph.find_node(key);
-        PRVM_CHECK(v.has_value(), "successor missing from graph");
-        const float s = scores[*v];
-        if (entry.successor == kNoFit || s > best_score) {
-          best_score = s;
-          entry.successor = *v;
-        }
-      }
-      row[u] = entry;
-    }
-  };
-  WorkerPool::shared().parallel_for(0, (node_count_ + kChunk - 1) / kChunk, work, 1);
-}
-
-std::span<const ScoreTable::BestEntry> ScoreTable::best_row(std::size_t demand_index) const {
-  PRVM_REQUIRE(demand_index < demand_count_, "demand index out of range");
-  return {best_data() + demand_index * node_count_, node_count_};
 }
 
 std::optional<double> ScoreTable::find(ProfileKey key) const {
@@ -331,13 +274,35 @@ std::optional<NodeId> ScoreTable::node_of(ProfileKey key) const {
   return static_cast<NodeId>(it - keys);
 }
 
+NodeId ScoreTable::best_successor(NodeId node, std::size_t demand_index,
+                                  std::vector<ProfileKey>& scratch) const {
+  PRVM_REQUIRE(demand_index < demands_.size(), "demand index out of range");
+  PRVM_REQUIRE(node < node_count_, "node out of range");
+  // The highest-scoring canonical outcome across anti-collocation
+  // permutations, the first in enumeration order on ties. Comparisons run on
+  // the stored float scores, which build, extend and map_image share.
+  scratch.clear();
+  enumerate_successor_keys(shape_, key_of(node), demands_[demand_index], scratch);
+  NodeId best = kNoFit;
+  float best_score = 0.0F;
+  for (const ProfileKey key : scratch) {
+    const std::optional<NodeId> successor = node_of(key);
+    PRVM_CHECK(successor.has_value(), "successor missing from score table");
+    const float s = node_score(*successor);
+    if (best == kNoFit || s > best_score) {
+      best_score = s;
+      best = *successor;
+    }
+  }
+  return best;
+}
+
 std::optional<ScoreTable::Best> ScoreTable::best_after_node(NodeId node,
                                                             std::size_t demand_index) const {
-  PRVM_REQUIRE(demand_index < demand_count_, "demand index out of range");
-  PRVM_REQUIRE(node < node_count_, "node out of range");
-  const NodeId successor = best_data()[demand_index * node_count_ + node].successor;
+  std::vector<ProfileKey> scratch;
+  const NodeId successor = best_successor(node, demand_index, scratch);
   if (successor == kNoFit) return std::nullopt;
-  return Best{static_cast<double>(node_score(successor)), keys_data()[successor]};
+  return Best{static_cast<double>(node_score(successor)), key_of(successor)};
 }
 
 double ScoreTable::score(ProfileKey key) const {
@@ -348,7 +313,7 @@ double ScoreTable::score(ProfileKey key) const {
 
 std::optional<ScoreTable::Best> ScoreTable::best_after(ProfileKey current,
                                                        std::size_t demand_index) const {
-  PRVM_REQUIRE(demand_index < demand_count_, "demand index out of range");
+  PRVM_REQUIRE(demand_index < demands_.size(), "demand index out of range");
   const std::optional<NodeId> node = node_of(current);
   PRVM_REQUIRE(node.has_value(), "profile not present in score table");
   return best_after_node(*node, demand_index);
@@ -362,7 +327,7 @@ void ScoreTable::save_image(const std::filesystem::path& path) const {
 void ScoreTable::write_image(std::ostream& os) const {
   os.write(kImageMagic, sizeof kImageMagic);
   write_pod(os, static_cast<std::uint64_t>(node_count_));
-  write_pod(os, static_cast<std::uint64_t>(demand_count_));
+  write_pod(os, static_cast<std::uint64_t>(demands_.size()));
   write_pod(os, std::uint64_t{0});  // reserved (the index capacity up to 'I3')
   write_pod(os, static_cast<std::int64_t>(iterations_));
   write_pod(os, static_cast<std::uint64_t>(converged_));
@@ -385,10 +350,10 @@ void ScoreTable::write_image(std::ostream& os) const {
   };
   section(keys_.data(), node_count_ * sizeof(ProfileKey));
   section(scores_.data(), node_count_ * sizeof(float));
-  section(best_.data(), node_count_ * demand_count_ * sizeof(BestEntry));
 }
 
-ScoreTable ScoreTable::map_image(const std::filesystem::path& path) {
+ScoreTable ScoreTable::map_image(const std::filesystem::path& path,
+                                 std::vector<QuantizedDemand> demands) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   PRVM_REQUIRE(fd >= 0, "cannot open image file: " + path.string());
   struct ::stat st{};
@@ -423,7 +388,7 @@ ScoreTable ScoreTable::map_image(const std::filesystem::path& path) {
 
   ScoreTable table;
   table.node_count_ = take_u64();
-  table.demand_count_ = take_u64();
+  const std::uint64_t demand_count = take_u64();
   const std::uint64_t reserved = take_u64();
   std::int64_t iterations = 0;
   std::memcpy(&iterations, take(sizeof iterations), sizeof iterations);
@@ -432,7 +397,7 @@ ScoreTable ScoreTable::map_image(const std::filesystem::path& path) {
   const std::uint64_t digest_len = take_u64();
   const std::uint64_t group_count = take_u64();
   PRVM_REQUIRE(reserved == 0 && digest_len < 256 && group_count >= 1 && group_count < 64 &&
-                   table.node_count_ < kNoFit && table.demand_count_ < 1024,
+                   table.node_count_ < kNoFit,
                "corrupt image header: " + path.string());
   table.digest_.assign(reinterpret_cast<const char*>(take(digest_len)), digest_len);
   std::vector<DimensionGroup> groups;
@@ -443,17 +408,19 @@ ScoreTable ScoreTable::map_image(const std::filesystem::path& path) {
     groups.push_back(DimensionGroup{static_cast<ResourceKind>(raw[0]), raw[1], raw[2]});
   }
   table.shape_ = ProfileShape(std::move(groups));
+  PRVM_REQUIRE(demands.size() == demand_count,
+               "demand list does not match score-table file: " + path.string());
+  for (const QuantizedDemand& demand : demands) demand.validate(table.shape_);
+  table.demands_ = std::move(demands);
 
   const auto section = [&](std::size_t bytes) {
     offset = align_up(offset);
     return take(bytes);
   };
   const std::size_t n = table.node_count_;
-  const std::size_t d = table.demand_count_;
   table.img_keys_ = reinterpret_cast<const ProfileKey*>(section(n * sizeof(ProfileKey)));
   table.img_scores_ = reinterpret_cast<const float*>(section(n * sizeof(float)));
-  table.img_best_ = reinterpret_cast<const BestEntry*>(section(n * d * sizeof(BestEntry)));
-  check_image_arrays({table.img_keys_, n}, {table.img_best_, n * d}, path);
+  check_image_keys({table.img_keys_, n}, path);
   table.image_ = std::move(image);
   return table;
 }

@@ -1,19 +1,19 @@
-// The Profile → PageRank-score table (paper §V-B) plus the best-successor
-// cache that makes Algorithm 2's inner loop a table lookup.
+// The Profile → PageRank-score table (paper §V-B), and Algorithm 2's inner
+// step on top of it: the best profile one placement can reach.
 //
 // Build pipeline: profile graph -> Algorithm 1 PageRank -> BPRU discount ->
 // optional normalization to the table maximum (so scores from differently
-// sized graphs — M3 vs C3 PMs — are comparable) -> per-(profile, VM-type)
-// best successor.
+// sized graphs — M3 vs C3 PMs — are comparable).
 //
-// Storage is flat and demand-major: best_[slot * n + node] so one VM type's
-// entries are one contiguous block (extending the table with new VM types
-// appends whole blocks). Nodes are numbered in ascending key order
-// (ProfileGraph's canonical numbering), so the key array is its own index:
-// node_of binary-searches it. A hot access is that search, one 4-byte
-// BestEntry load and one load of the successor's score; the indexed engine
-// pays the search only when a live profile first enters its per-bucket
-// score cache.
+// The table stores one key and one float score per node. Nodes are numbered
+// in ascending key order (ProfileGraph's canonical numbering), so the key
+// array is its own index: node_of binary-searches it. The best successor of
+// a (profile, VM type) is not stored: best_after_node enumerates the
+// profile's successor keys under that VM type, looks each one up, and keeps
+// the first with the highest score. That costs about 8 µs for one EC2
+// profile's six VM types, and a placement engine pays it once per live
+// profile it sees: PageRankVm memoizes the answers per engine, and a churn
+// run sees a few thousand of the EC2 tables' 131k profiles.
 //
 // The table is self-contained after build (the graph can be discarded). It
 // persists in one form, save_image()/map_image(): a page-aligned read-only
@@ -30,7 +30,6 @@
 #include <iosfwd>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,10 +45,10 @@ class Histogram;
 
 /// The stages of a cold table build, in order. Each one's wall time per
 /// build is recorded in the global registry's `prvm_score_table_<stage>_ns`
-/// histogram (expand, intern and canonicalize by ProfileGraph, the next three
+/// histogram (expand, intern and canonicalize by ProfileGraph, the next two
 /// by ScoreTable::build, image_write by build_score_tables).
 inline constexpr std::string_view kScoreTableBuildStages[] = {
-    "expand", "intern", "canonicalize", "pagerank", "bpru", "best_successor", "image_write"};
+    "expand", "intern", "canonicalize", "pagerank", "bpru", "image_write"};
 
 /// The global-registry histogram of one of kScoreTableBuildStages.
 obs::Histogram& score_table_stage_histogram(std::string_view stage);
@@ -93,12 +92,7 @@ std::vector<double> best_profile_teleport(const ProfileGraph& graph);
 
 class ScoreTable {
  public:
-  /// One best-successor entry: the node of the best profile reachable by
-  /// one placement, or kNoFit. 4 bytes; its score is node_score(successor),
-  /// so it is stored once per node instead of once per (node, VM type).
-  struct BestEntry {
-    NodeId successor = kNoFit;
-  };
+  /// best_successor's answer when the VM type does not fit.
   static constexpr NodeId kNoFit = static_cast<NodeId>(-1);
 
   /// Builds the table from a freshly constructed profile graph.
@@ -107,16 +101,17 @@ class ScoreTable {
   /// Extends `base` to cover `graph`'s (longer) demand list; `base` must
   /// have been built over the same shape with a prefix of graph's demands.
   /// When `graph_changed` is false (ProfileGraph::extend reported no new
-  /// node or edge) the node set and scores are reused verbatim and only the
-  /// new demand blocks are computed — O(nodes x new demands) instead of a
-  /// full PageRank rebuild. Either way the result is byte-identical to
-  /// build(graph, options), which the differential suite asserts.
+  /// node or edge) the keys and scores are reused verbatim and the new
+  /// demands appended — no PageRank rebuild. Either way the result is
+  /// byte-identical to build(graph, options), which the differential suite
+  /// asserts.
   static ScoreTable extend(const ScoreTable& base, const ProfileGraph& graph,
                            bool graph_changed, const ScoreTableOptions& options = {});
 
   const ProfileShape& shape() const { return shape_; }
   std::size_t size() const { return node_count_; }
-  std::size_t demand_count() const { return demand_count_; }
+  std::size_t demand_count() const { return demands_.size(); }
+  const std::vector<QuantizedDemand>& demands() const { return demands_; }
 
   /// Score of a canonical profile; nullopt if the profile is not in the
   /// graph (unreachable from empty under the VM set).
@@ -132,7 +127,7 @@ class ScoreTable {
 
   /// Best resulting profile of placing VM type `demand_index` on `current`
   /// (the max over anti-collocation permutations, Algorithm 2 lines 6-7);
-  /// nullopt if the VM does not fit.
+  /// nullopt if the VM does not fit. Computed on every call (best_successor).
   std::optional<Best> best_after(ProfileKey current, std::size_t demand_index) const;
 
   /// Node id of a canonical profile, if present: a binary search over the
@@ -143,29 +138,35 @@ class ScoreTable {
   float node_score(NodeId node) const { return scores_data()[node]; }
   std::optional<Best> best_after_node(NodeId node, std::size_t demand_index) const;
 
-  /// The contiguous best-successor block of one VM type, indexed by node —
-  /// the raw form of best_after_node for hot loops (no optional, no key
-  /// resolution; check entry.successor != kNoFit, then read its score with
-  /// node_score).
-  std::span<const BestEntry> best_row(std::size_t demand_index) const;
+  /// The raw form of best_after_node: the node of the best profile reachable
+  /// by placing VM type `demand_index` on `node`, or kNoFit. It walks
+  /// enumerate_successor_keys' order, looks each successor up with node_of
+  /// and keeps the first strictly greater float score, so ties go to the
+  /// first enumerated successor. `scratch` holds the successor keys; a
+  /// caller that reuses it allocates nothing once it has grown.
+  NodeId best_successor(NodeId node, std::size_t demand_index,
+                        std::vector<ProfileKey>& scratch) const;
 
   /// Diagnostics from the build.
   int pagerank_iterations() const { return iterations_; }
   bool pagerank_converged() const { return converged_; }
 
-  /// Read-only image persistence: save_image() writes every array (keys,
-  /// scores, best entries) into one page-aligned file that
-  /// embeds a digest of (shape, options, demand fingerprint) for the caller
-  /// to check; map_image() mmaps it MAP_SHARED|PROT_READ and serves every
-  /// accessor straight from the mapping — multiple processes mapping the
-  /// same file share one physical copy of the table. The mapping is held by
-  /// the returned table (and any copies of it) until the last one dies.
+  /// Read-only image persistence: save_image() writes the keys and scores
+  /// into one page-aligned file that embeds a digest of (shape, options,
+  /// demand fingerprint) for the caller to check; map_image() mmaps it
+  /// MAP_SHARED|PROT_READ and serves every accessor straight from the
+  /// mapping — multiple processes mapping the same file share one physical
+  /// copy of the table. The image does not hold the demand list: map_image
+  /// takes it from the caller, and the embedded digest, which covers it,
+  /// tells the caller whether the two belong together. The mapping is held
+  /// by the returned table (and any copies of it) until the last one dies.
   /// map_image() throws on a missing file, a file of another format
-  /// version, a truncated file, keys that are not strictly ascending (the
-  /// binary search would return wrong nodes), or a best-successor id out of
-  /// range.
+  /// version, a truncated file, a demand list of another length than the
+  /// table's or invalid for its shape, or keys that are not strictly
+  /// ascending (the binary search would return wrong nodes).
   void save_image(const std::filesystem::path& path) const;
-  static ScoreTable map_image(const std::filesystem::path& path);
+  static ScoreTable map_image(const std::filesystem::path& path,
+                              std::vector<QuantizedDemand> demands);
 
   /// True when the table is served from a map_image() mapping.
   bool is_mapped() const { return image_ != nullptr; }
@@ -182,11 +183,6 @@ class ScoreTable {
  private:
   ScoreTable() = default;
 
-  /// Computes the best-successor block of demand `t` into best_ (which must
-  /// already span [t * n, (t+1) * n)). The comparisons run on the stored
-  /// float scores (identical between build and extend, which is what makes
-  /// extend byte-identical).
-  void fill_demand_block(const ProfileGraph& graph, std::size_t t);
   /// The body of save_image().
   void write_image(std::ostream& os) const;
 
@@ -197,14 +193,12 @@ class ScoreTable {
   /// Accessors below serve from the owned vectors or the mapped image.
   const ProfileKey* keys_data() const { return image_ ? img_keys_ : keys_.data(); }
   const float* scores_data() const { return image_ ? img_scores_ : scores_.data(); }
-  const BestEntry* best_data() const { return image_ ? img_best_ : best_.data(); }
 
   ProfileShape shape_{std::vector<DimensionGroup>{DimensionGroup{}}};
   std::size_t node_count_ = 0;
-  std::size_t demand_count_ = 0;
+  std::vector<QuantizedDemand> demands_;
   std::vector<ProfileKey> keys_;
   std::vector<float> scores_;
-  std::vector<BestEntry> best_;  ///< demand-major: [demand * node_count_ + node]
   std::string digest_;
   int iterations_ = 0;
   bool converged_ = false;
@@ -213,7 +207,6 @@ class ScoreTable {
   std::shared_ptr<const Image> image_;
   const ProfileKey* img_keys_ = nullptr;
   const float* img_scores_ = nullptr;
-  const BestEntry* img_best_ = nullptr;
 };
 
 }  // namespace prvm

@@ -21,14 +21,34 @@ PageRankVm::PageRankVm(std::shared_ptr<const ScoreTableSet> tables, PageRankVmOp
   m_.score_lookups = &reg.counter("prvm_engine_score_lookups_total");
   m_.rep_cache_hits = &reg.counter("prvm_engine_rep_cache_hits_total");
   m_.rep_cache_misses = &reg.counter("prvm_engine_rep_cache_misses_total");
+  m_.best_fills = &reg.counter("prvm_engine_best_fills_total");
+  m_.best_memo_entries = &reg.gauge("prvm_engine_best_memo_entries");
   cache_.resize(tables_->pm_type_count());
+  memo_.resize(tables_->pm_type_count());
   for (std::size_t t = 0; t < cache_.size(); ++t) {
     cache_[t].demands = tables_->table(t).demand_count();
   }
 }
 
+const NodeId* PageRankVm::best_entry(std::size_t pm_type, ProfileKey key) {
+  BestMemo& memo = memo_[pm_type];
+  if (const std::uint32_t* at = memo.index.find(key)) return memo.words.data() + *at;
+  const ScoreTable& table = tables_->table(pm_type);
+  const std::optional<NodeId> node = table.node_of(key);
+  PRVM_REQUIRE(node.has_value(), "profile not present in score table");
+  const auto at = static_cast<std::uint32_t>(memo.words.size());
+  memo.words.push_back(*node);
+  for (std::size_t d = 0; d < table.demand_count(); ++d) {
+    memo.words.push_back(table.best_successor(*node, d, successor_scratch_));
+  }
+  memo.index.try_emplace(key, at);
+  m_.best_fills->inc();
+  m_.best_memo_entries->add(1);
+  return memo.words.data() + at;
+}
+
 std::optional<double> PageRankVm::placement_score(const Datacenter& dc, PmIndex i,
-                                                  std::size_t vm_type) const {
+                                                  std::size_t vm_type) {
   std::uint64_t lookups = 0;
   const auto score = placement_score(dc, i, vm_type, lookups);
   m_.score_lookups->add(lookups);
@@ -37,16 +57,16 @@ std::optional<double> PageRankVm::placement_score(const Datacenter& dc, PmIndex 
 
 std::optional<double> PageRankVm::placement_score(const Datacenter& dc, PmIndex i,
                                                   std::size_t vm_type,
-                                                  std::uint64_t& lookups) const {
+                                                  std::uint64_t& lookups) {
   const Datacenter::PmView pm = dc.pm(i);
   const auto slot = tables_->demand_slot(pm.type_index, vm_type);
   if (!slot.has_value()) return std::nullopt;
   // Counted locally and flushed to the metric once per scan: an atomic add
   // per candidate would be measurable at 10k-PM linear-scan sizes.
   ++lookups;
-  const auto best = tables_->table(pm.type_index).best_after(pm.canonical_key, *slot);
-  if (!best.has_value()) return std::nullopt;
-  return best->score;
+  const NodeId successor = best_entry(pm.type_index, pm.canonical_key)[1 + *slot];
+  if (successor == ScoreTable::kNoFit) return std::nullopt;
+  return static_cast<double>(tables_->table(pm.type_index).node_score(successor));
 }
 
 void PageRankVm::cached_placement_into(const Datacenter& dc, PmIndex i, const Vm& vm,
@@ -56,8 +76,7 @@ void PageRankVm::cached_placement_into(const Datacenter& dc, PmIndex i, const Vm
   const ScoreTable& table = tables_->table(pm.type_index);
   const auto slot = tables_->demand_slot(pm.type_index, vm.type_index);
   PRVM_CHECK(slot.has_value(), "placing a VM type that never fits this PM type");
-  if (!node.has_value()) node = table.node_of(pm.canonical_key);
-  PRVM_REQUIRE(node.has_value(), "profile not present in score table");
+  if (!node.has_value()) node = best_entry(pm.type_index, pm.canonical_key)[0];
 
   // One representative per (PM type, canonical profile, VM type): the first
   // enumerated canonical-space placement whose outcome is the best
@@ -69,14 +88,15 @@ void PageRankVm::cached_placement_into(const Datacenter& dc, PmIndex i, const Vm
   auto [rep, inserted] = rep_index_.try_emplace(cache_key, kNoRep);
   (rep == kNoRep ? m_.rep_cache_misses : m_.rep_cache_hits)->inc();
   if (rep == kNoRep) {
-    const auto best = table.best_after_node(*node, *slot);
-    PRVM_CHECK(best.has_value(), "placing a VM that does not fit");
+    const NodeId successor = best_entry(pm.type_index, pm.canonical_key)[1 + *slot];
+    PRVM_CHECK(successor != ScoreTable::kNoFit, "placing a VM that does not fit");
+    const ProfileKey best = table.key_of(successor);
     const Profile canonical = Profile::unpack(shape, pm.canonical_key);
     const auto& demand = dc.catalog().demand(pm.type_index, vm.type_index);
     PRVM_CHECK(demand.has_value(), "demand slot without a catalog demand");
     auto options = enumerate_placements(shape, canonical, *demand);
     const auto it = std::find_if(options.begin(), options.end(), [&](const DemandPlacement& p) {
-      return p.result.canonical(shape).pack(shape) == best->successor;
+      return p.result.canonical(shape).pack(shape) == best;
     });
     PRVM_CHECK(it != options.end(), "winning permutation not found among placements");
     rep = static_cast<std::uint32_t>(rep_assignments_.size());
@@ -88,7 +108,7 @@ void PageRankVm::cached_placement_into(const Datacenter& dc, PmIndex i, const Vm
   // per group); this PM's concrete dims are some permutation of that. Map the
   // p-th canonical dim of each group to the concrete dim holding the p-th
   // largest level — same level, same capacity, so the mapped assignment is
-  // valid and its canonical outcome is exactly best->successor.
+  // valid and its canonical outcome is exactly the best successor.
   order_scratch_.resize(static_cast<std::size_t>(shape.total_dims()));
   for (std::size_t g = 0; g < shape.group_count(); ++g) {
     const int off = shape.group_offset(g);
@@ -126,15 +146,16 @@ PageRankVm::Pick PageRankVm::best_permutation(const Datacenter& dc, PmIndex i, c
   const ProfileShape& shape = dc.shape_of(i);
   const auto slot = tables_->demand_slot(pm.type_index, vm.type_index);
   PRVM_CHECK(slot.has_value(), "placing a VM type that never fits this PM type");
-  const auto best = tables_->table(pm.type_index).best_after(pm.canonical_key, *slot);
-  PRVM_CHECK(best.has_value(), "placing a VM that does not fit");
+  const NodeId successor = best_entry(pm.type_index, pm.canonical_key)[1 + *slot];
+  PRVM_CHECK(successor != ScoreTable::kNoFit, "placing a VM that does not fit");
+  const ProfileKey best = tables_->table(pm.type_index).key_of(successor);
 
   // Materialize a concrete assignment whose canonical outcome matches the
   // winning profile. The enumeration is permutation-invariant, so a match
   // always exists.
   auto options = dc.placements(i, vm.type_index);
   const auto it = std::find_if(options.begin(), options.end(), [&](const DemandPlacement& p) {
-    return p.result.canonical(shape).pack(shape) == best->successor;
+    return p.result.canonical(shape).pack(shape) == best;
   });
   PRVM_CHECK(it != options.end(), "winning permutation not found among placements");
   placement_scratch_ = std::move(*it);
@@ -184,6 +205,7 @@ std::optional<PmIndex> PageRankVm::pick_linear(const Datacenter& dc, const Vm& v
 }
 
 void PageRankVm::refill(std::size_t pm_type, std::size_t slot, ProfileKey key) {
+  const NodeId* entry = best_entry(pm_type, key);  // throws before the cache changes
   TypeCache& cache = cache_[pm_type];
   if (slot == cache.tags.size()) {
     cache.tags.push_back(key);
@@ -202,12 +224,10 @@ void PageRankVm::refill(std::size_t pm_type, std::size_t slot, ProfileKey key) {
   }
   PRVM_CHECK(slot < cache.tags.size(), "score cache slots must be filled in dense order");
   const ScoreTable& table = tables_->table(pm_type);
-  const auto node = table.node_of(key);
-  PRVM_CHECK(node.has_value(), "live profile missing from score table");
   cache.tags[slot] = key;
-  cache.nodes[slot] = *node;
+  cache.nodes[slot] = entry[0];
   for (std::size_t d = 0; d < cache.demands; ++d) {
-    const NodeId successor = table.best_row(d)[*node].successor;
+    const NodeId successor = entry[1 + d];
     cache.scores[d * cache.capacity + slot] =
         successor == ScoreTable::kNoFit ? kNoFitScore : table.node_score(successor);
   }

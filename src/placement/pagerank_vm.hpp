@@ -2,9 +2,9 @@
 //
 // For a given VM, every used PM is scored by the PageRank value of the best
 // profile reachable by hosting the VM there (maximum over anti-collocation
-// permutations, precomputed in the ScoreTable's best-successor cache); the
-// VM goes to the PM with the highest score, with the winning permutation
-// materialized into concrete core/disk assignments. If no used PM fits, the
+// permutations, ScoreTable::best_successor); the VM goes to the PM with the
+// highest score, with the winning permutation materialized into concrete
+// core/disk assignments. If no used PM fits, the
 // first unused PM with sufficient resources is activated. The optional
 // 2-choice mode (§V-C closing remark) scores two randomly sampled used PMs
 // instead of scanning the whole used list. pick() makes that decision
@@ -21,10 +21,13 @@
 // first-hit rule. Scores come from an engine-owned cache with one entry per
 // dense bucket slot, tagged with the profile key it was filled for and
 // holding the best-successor score of every VM type; a slot whose key
-// changed is refilled with one hash probe, so a warm pick touches no hash
-// table and walks no bucket. The chosen PM is identical to the linear
-// scan's for every VM (asserted by the differential test), and steady-state
-// picks are allocation-free (asserted by the counting-allocator test).
+// changed is refilled with one probe into the engine's best-successor memo,
+// so a warm pick touches no hash table and walks no bucket. The memo holds a
+// live profile's node and best successor under every VM type, worked out the
+// first time the engine sees the profile (about 8 µs for an EC2 profile).
+// The chosen PM is identical to the linear scan's for every VM (asserted by
+// the differential test), and steady-state picks are allocation-free
+// (asserted by the counting-allocator test).
 #pragma once
 
 #include <cstdint>
@@ -86,15 +89,15 @@ class PageRankVm final : public PlacementAlgorithm {
 
   /// Score of placing `vm_type` on PM `i` right now: the PageRank value of
   /// the best resulting profile; nullopt when the VM does not fit. Exposed
-  /// for tests and for the migration policy.
-  std::optional<double> placement_score(const Datacenter& dc, PmIndex i,
-                                        std::size_t vm_type) const;
+  /// for tests and for the migration policy. Not const: a profile the engine
+  /// has not seen enters the best-successor memo.
+  std::optional<double> placement_score(const Datacenter& dc, PmIndex i, std::size_t vm_type);
 
   /// As above, but accumulates table lookups into `lookups` instead of
   /// bumping the score-lookup counter itself; the linear-scan hot loop uses
   /// this to flush one batched metric update per scan.
   std::optional<double> placement_score(const Datacenter& dc, PmIndex i, std::size_t vm_type,
-                                        std::uint64_t& lookups) const;
+                                        std::uint64_t& lookups);
 
   const ScoreTableSet& tables() const { return *tables_; }
 
@@ -138,10 +141,16 @@ class PageRankVm final : public PlacementAlgorithm {
                 Candidate& best);
 
   /// Fills the score-cache entry of `pm_type`'s dense slot `slot` for the
-  /// live bucket with key `key`: one node_of probe, then one best-row read
-  /// per demand. Sweeps visit slots in dense order, so a new slot is always
-  /// the next one.
+  /// live bucket with key `key`: one memo probe, then one score read per
+  /// demand. Sweeps visit slots in dense order, so a new slot is always the
+  /// next one.
   void refill(std::size_t pm_type, std::size_t slot, ProfileKey key);
+
+  /// The best-successor memo entry of profile `key` in `pm_type`'s table,
+  /// worked out on first sight: entry[0] is the profile's node, entry[1 + d]
+  /// its best successor under demand d (ScoreTable::kNoFit when the VM type
+  /// does not fit). Valid until the next call.
+  const NodeId* best_entry(std::size_t pm_type, ProfileKey key);
 
   /// A placement of `vm` on PM `i` realizing the best successor, computed in
   /// canonical-profile space once per (PM type, profile, VM type) and mapped
@@ -154,17 +163,25 @@ class PageRankVm final : public PlacementAlgorithm {
   PageRankVmOptions options_;
   Rng rng_;
 
-  /// Counters resolved once at construction (options_.metrics or the global
-  /// registry). Incrementing through the pointers is lock-free and valid
-  /// from const scoring paths — the engine itself is not mutated.
+  /// Metrics resolved once at construction (options_.metrics or the global
+  /// registry). Updating through the pointers is lock-free.
   struct Metrics {
     obs::Counter* place_calls = nullptr;     ///< pick() invocations
     obs::Counter* linear_scored = nullptr;   ///< PMs scored by the legacy scan
     obs::Counter* score_lookups = nullptr;   ///< table lookups (indexed: cache refills)
     obs::Counter* rep_cache_hits = nullptr;  ///< best-permutation cache hits
     obs::Counter* rep_cache_misses = nullptr;
+    obs::Counter* best_fills = nullptr;      ///< profiles entered into the memo
+    obs::Gauge* best_memo_entries = nullptr; ///< profiles the memos hold
   };
   Metrics m_;
+
+  /// The best-successor memo of one PM type. Its keys are profiles of that
+  /// type's table, so it never holds more entries than the table has nodes.
+  struct BestMemo {
+    FlatMap64<std::uint32_t> index;  ///< profile key -> offset of its entry
+    std::vector<NodeId> words;       ///< entries of 1 + demand_count() words each
+  };
 
   /// One scored live bucket of the constrained scan: the dense slot pins the
   /// bucket without holding a pointer into the (stable during a pick) index.
@@ -192,6 +209,8 @@ class PageRankVm final : public PlacementAlgorithm {
   // Scratch and caches for the indexed engine (one engine per thread; these
   // make pick() non-reentrant but allocation-free at steady state).
   std::vector<TypeCache> cache_;  ///< per PM type
+  std::vector<BestMemo> memo_;    ///< per PM type, read by both engines
+  std::vector<ProfileKey> successor_scratch_;  ///< best_entry's successor keys
   std::vector<ScoredBucket> scored_;
   std::vector<int> order_scratch_;
   std::vector<int> levels_scratch_;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <future>
@@ -190,44 +191,72 @@ class CellLoopTest : public ::testing::Test {
     server.stop();
   }
 
-  /// In a child with RLIMIT_NOFILE lowered: exhaust the table with idle
-  /// clients (the server's accept hits EMFILE), free it, then run more
-  /// round trips than the limit — the server must still answer.
+  /// Lowers RLIMIT_NOFILE to 64 in a process of its own: a child that
+  /// re-runs the calling test alone (`/proc/self/exe --gtest_filter=<it>`)
+  /// with kFdLimitChild set. The fork only sets the limit and execs, so no
+  /// thread starts in a forked copy of this threaded process, which
+  /// ThreadSanitizer refuses. The child, seeing the marker, runs
+  /// serve_past_fd_limit instead.
   template <typename Server>
   void expect_serving_past_fd_limit() {
-    TempDir dir("emfile");
+    if (std::getenv(kFdLimitChild) != nullptr) {
+      serve_past_fd_limit<Server>();
+      return;
+    }
+    const ::testing::TestInfo* test = ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string filter = std::string("--gtest_filter=") + test->test_suite_name() + "." +
+                         test->name();
+    std::string self = "/proc/self/exe";
+    char* const argv[] = {self.data(), filter.data(), nullptr};
+    std::string marker = std::string(kFdLimitChild) + "=1";
+    std::vector<char*> env;
+    for (char** var = environ; *var != nullptr; ++var) env.push_back(*var);
+    env.push_back(marker.data());
+    env.push_back(nullptr);
     const pid_t child = ::fork();
     ASSERT_GE(child, 0);
     if (child == 0) {
-      int code = 0;
-      {
-        auto service = make_service();
-        service->start();
-        Server server(*service, socket_config(dir));
-        server.start();
-        const ::rlimit limit{64, 64};
-        ::setrlimit(RLIMIT_NOFILE, &limit);
-        std::vector<int> idle;
-        for (int i = 0; i < 64; ++i) {
-          const int fd = connect_unix(dir.socket());
-          if (fd < 0) break;
-          idle.push_back(fd);
-        }
-        std::this_thread::sleep_for(50ms);  // let accept run into the limit
-        for (const int fd : idle) ::close(fd);
-        for (int i = 0; i < 100 && code == 0; ++i) {
-          if (!health_round_trip(dir.socket())) code = 10 + (i % 100);
-        }
-        server.stop();
-        service->stop_now();
-      }
-      ::_exit(code);
+      const ::rlimit limit{64, 64};
+      ::setrlimit(RLIMIT_NOFILE, &limit);
+      ::execve(self.c_str(), argv, env.data());
+      ::_exit(127);
     }
     int status = 0;
     ASSERT_EQ(::waitpid(child, &status, 0), child);
     ASSERT_TRUE(WIFEXITED(status)) << "child died abnormally";
-    EXPECT_EQ(WEXITSTATUS(status), 0) << "a round trip failed after fd exhaustion";
+    EXPECT_EQ(WEXITSTATUS(status), 0) << "the child run failed (its output is above)";
   }
+
+  /// Under the lowered limit: exhaust the fd table with idle clients (the
+  /// server's accept hits EMFILE), free it, then run more round trips than
+  /// the limit — the server must still answer.
+  template <typename Server>
+  void serve_past_fd_limit() {
+    ::rlimit limit{};
+    ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &limit), 0);
+    ASSERT_EQ(limit.rlim_cur, 64u) << "meant to run under expect_serving_past_fd_limit";
+    TempDir dir("emfile");
+    auto service = make_service();
+    service->start();
+    Server server(*service, socket_config(dir));
+    server.start();
+    std::vector<int> idle;
+    for (int i = 0; i < 64; ++i) {
+      const int fd = connect_unix(dir.socket());
+      if (fd < 0) break;
+      idle.push_back(fd);
+    }
+    std::this_thread::sleep_for(50ms);  // let accept run into the limit
+    for (const int fd : idle) ::close(fd);
+    for (int i = 0; i < 100; ++i) {
+      ASSERT_TRUE(health_round_trip(dir.socket())) << "round trip " << i << " after fd exhaustion";
+    }
+    server.stop();
+    service->stop_now();
+  }
+
+  /// Marks the re-executed child of expect_serving_past_fd_limit.
+  static constexpr const char* kFdLimitChild = "PRVM_TEST_FD_LIMIT_CHILD";
 
   Catalog catalog_;
   std::shared_ptr<const ScoreTableSet> tables_;

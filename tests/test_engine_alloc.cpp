@@ -495,8 +495,8 @@ TEST(JsonDecodeAlloc, WarmLinesAllocateNothing) {
   EXPECT_EQ(allocs, 0u) << static_cast<double>(allocs) / (64.0 * kChunks) << " per request";
 }
 
-// The profile-graph build and the best-successor pass read the successors of
-// every (profile, VM type) pair from the graph's memo, from worker threads.
+// The profile-graph build reads the successors of every (profile, VM type)
+// pair from the graph's memo, from worker threads.
 // Once the memo holds a profile's group states, reading its successors into
 // a caller-owned buffer with room must not touch the heap at all.
 TEST(SuccessorEnumerationAlloc, CallerOwnedBufferIsAllocationFree) {

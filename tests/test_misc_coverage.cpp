@@ -72,7 +72,7 @@ TEST(ScoreTableFuzz, SaveLoadIdentityOnRandomCatalogs) {
     const auto path = std::filesystem::temp_directory_path() /
                       ("prvm-fuzz-" + std::to_string(trial) + ".img");
     table.save_image(path);
-    const ScoreTable loaded = ScoreTable::map_image(path);
+    const ScoreTable loaded = ScoreTable::map_image(path, demands);
     std::filesystem::remove(path);
     for (NodeId u = 0; u < graph.node_count(); ++u) {
       ASSERT_EQ(loaded.find(graph.key_of(u)), table.find(graph.key_of(u)));

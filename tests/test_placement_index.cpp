@@ -268,6 +268,45 @@ TEST(PlacementIndex, OneEngineServingTwoLedgersMatchesTwoFreshEngines) {
   }
 }
 
+TEST(PlacementIndex, ReplayingAStreamFillsNoNewBestSuccessors) {
+  // The engine works out a live profile's best successors the first time it
+  // sees it and memoizes them. Replaying one seeded churn stream on a fresh
+  // ledger through the same engine revisits exactly the first pass's
+  // profiles, so it fills none. The memo holds one entry per fill, each a
+  // profile of a table, so never more than the tables have nodes.
+  const Catalog catalog = ec2_sim_catalog();
+  const auto tables = tables_for(catalog);
+  obs::Registry registry;
+  PageRankVmOptions options;
+  options.metrics = &registry;
+  PageRankVm engine(tables, options);
+  const obs::Counter& fills = registry.counter("prvm_engine_best_fills_total");
+  const obs::Gauge& entries = registry.gauge("prvm_engine_best_memo_entries");
+  std::uint64_t fills_after[2] = {0, 0};
+  for (int pass = 0; pass < 2; ++pass) {
+    Datacenter dc(catalog, mixed_pm_fleet(catalog, 200));
+    Rng rng(41);
+    const std::vector<Vm> vms =
+        weighted_vm_requests(rng, catalog, 6000, default_vm_mix(catalog));
+    std::vector<VmId> live;
+    for (const Vm& vm : vms) {
+      while (!live.empty() && (live.size() >= 300 || rng.uniform_index(4) == 0)) {
+        const std::size_t pick = rng.uniform_index(live.size());
+        dc.remove(live[pick]);
+        live[pick] = live.back();
+        live.pop_back();
+      }
+      if (engine.place(dc, vm).has_value()) live.push_back(vm.id);
+    }
+    fills_after[pass] = fills.value();
+    EXPECT_EQ(static_cast<std::uint64_t>(entries.value()), fills_after[pass]);
+  }
+  EXPECT_GT(fills_after[0], 100u);
+  EXPECT_EQ(fills_after[1], fills_after[0]) << "the replay filled profiles again";
+  EXPECT_LE(static_cast<std::size_t>(entries.value()),
+            tables->table(0).size() + tables->table(1).size());
+}
+
 TEST(PlacementIndex, InvariantsHoldUnderRandomChurn) {
   const Catalog catalog = geni_catalog();
   Datacenter dc(catalog, mixed_pm_fleet(catalog, 60));

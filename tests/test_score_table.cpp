@@ -172,7 +172,7 @@ TEST(ScoreTable, SaveLoadRoundTrip) {
   const ScoreTable table = ScoreTable::build(g);
   const auto path = std::filesystem::temp_directory_path() / "prvm-scoretable-test.img";
   table.save_image(path);
-  const ScoreTable loaded = ScoreTable::map_image(path);
+  const ScoreTable loaded = ScoreTable::map_image(path, g.demands());
   std::filesystem::remove(path);  // the mapping outlives the name
 
   EXPECT_EQ(loaded.size(), table.size());
@@ -223,9 +223,9 @@ TEST(ScoreTable, LoadRejectsGarbage) {
     std::fputs("this is not a score table", f);
     std::fclose(f);
   }
-  EXPECT_THROW(ScoreTable::map_image(path), std::invalid_argument);
+  EXPECT_THROW(ScoreTable::map_image(path, {}), std::invalid_argument);
   std::filesystem::remove(path);
-  EXPECT_THROW(ScoreTable::map_image(path), std::invalid_argument);  // missing file
+  EXPECT_THROW(ScoreTable::map_image(path, {}), std::invalid_argument);  // missing file
 }
 
 }  // namespace

@@ -10,6 +10,10 @@
 // every remaining field is pinned to what that build produced; a build whose
 // parallel loops all run inline on one thread must reproduce it too.
 //
+// The tables no longer store best successors; best_after_node computes them,
+// and the hash still covers them for every node and VM type, so the
+// computation is pinned to what the stored blocks held.
+//
 // ScoreTableLookup checks the key lookups against the key array on built and
 // mapped tables. The ScoreImage suite serves the same tables from image
 // files: written by two processes at once, corrupted, left over in an older
@@ -60,7 +64,7 @@ class Fnv1a {
   std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 
-// Keys, scores, best entries and the PageRank iteration count.
+// Keys, scores, best successors and the PageRank iteration count.
 void mix_table(Fnv1a& fnv, const ScoreTable& table) {
   fnv.mix(table.size());
   fnv.mix(table.demand_count());
@@ -70,11 +74,12 @@ void mix_table(Fnv1a& fnv, const ScoreTable& table) {
     fnv.mix_float(static_cast<float>(table.score(key)));
   }
   for (std::size_t t = 0; t < table.demand_count(); ++t) {
-    // kRecordedHash was taken when each best entry stored its successor's
-    // score (0 with kNoFit); hashing node_score in its place keeps it.
-    for (const ScoreTable::BestEntry& e : table.best_row(t)) {
-      fnv.mix_float(e.successor == ScoreTable::kNoFit ? 0.0F : table.node_score(e.successor));
-      fnv.mix(e.successor);
+    // kRecordedHash was taken when the table stored a best entry per node
+    // and VM type: the successor's score (0 with kNoFit), then its node.
+    for (NodeId u = 0; u < table.size(); ++u) {
+      const auto best = table.best_after_node(u, t);
+      fnv.mix_float(best.has_value() ? static_cast<float>(best->score) : 0.0F);
+      fnv.mix(best.has_value() ? *table.node_of(best->successor) : ScoreTable::kNoFit);
     }
   }
   fnv.mix(static_cast<std::uint64_t>(table.pagerank_iterations()));
@@ -144,33 +149,31 @@ constexpr std::size_t align64(std::size_t offset) { return (offset + 63) & ~std:
 
 // Byte offsets in a save_image() file: a 64-byte header (magic, node count,
 // demand count, a reserved 0 word, iterations, converged, digest length,
-// group count), the digest, 12 bytes per group, then keys, scores and best
-// entries, each section starting on a 64-byte boundary.
+// group count), the digest, 12 bytes per group, then keys and scores, each
+// section starting on a 64-byte boundary.
 struct ImageLayout {
   std::size_t nodes = 0;  ///< node count
   std::size_t keys = 0;  ///< first key
-  std::size_t best = 0;  ///< first best-successor entry
 };
 
 ImageLayout image_layout(const std::filesystem::path& path) {
   const std::string bytes = read_file(path);
-  const auto n = read_at<std::uint64_t>(bytes, 8);
   const auto digest_len = read_at<std::uint64_t>(bytes, 48);
   const auto groups = read_at<std::uint64_t>(bytes, 56);
   ImageLayout layout;
-  layout.nodes = n;
+  layout.nodes = read_at<std::uint64_t>(bytes, 8);
   layout.keys = align64(64 + digest_len + 12 * groups);
-  const std::size_t scores = align64(layout.keys + n * sizeof(ProfileKey));
-  layout.best = align64(scores + n * sizeof(float));
   return layout;
 }
 
-// A writer of the earlier image formats, which carried a FlatMap64 hash
-// index (its keys, values and occupancy bytes) after the best entries:
-// PRVMSCI2, whose best entries were 8 bytes and held their score, and
-// PRVMSCI3, whose best entries were 4-byte successor ids. The index sections
-// are written at the capacity FlatMap64 gave them, with every slot free:
-// the loader must refuse both formats by their magic before it reads them.
+// A writer of the earlier image formats, which stored a best-successor entry
+// per node and VM type after the scores: PRVMSCI2, whose entries were 8
+// bytes and held their score, and PRVMSCI3 and PRVMSCI4, whose entries were
+// 4-byte successor ids. 2 and 3 carried a FlatMap64 hash index (its keys,
+// values and occupancy bytes) after the entries, written here at the
+// capacity FlatMap64 gave it, with every slot free, and its capacity in the
+// header word that 4 reserved as 0. The loader must refuse every one of
+// them by its magic before it reads them.
 class OldWriter {
  public:
   explicit OldWriter(const std::filesystem::path& path) : os_(path, std::ios::binary) {}
@@ -201,16 +204,18 @@ void write_old_image(const ScoreTable& table, const std::filesystem::path& path,
   }
   std::vector<std::pair<float, NodeId>> v2_best;  // {score, successor}, demand-major
   std::vector<NodeId> v3_best;
+  std::vector<ProfileKey> scratch;
   for (std::size_t t = 0; t < table.demand_count(); ++t) {
-    for (const ScoreTable::BestEntry& e : table.best_row(t)) {
+    for (NodeId u = 0; u < table.size(); ++u) {
+      const NodeId successor = table.best_successor(u, t, scratch);
       v2_best.emplace_back(
-          e.successor == ScoreTable::kNoFit ? 0.0F : table.node_score(e.successor), e.successor);
-      v3_best.push_back(e.successor);
+          successor == ScoreTable::kNoFit ? 0.0F : table.node_score(successor), successor);
+      v3_best.push_back(successor);
     }
   }
   FlatMap64<NodeId> index;
   index.reserve(table.size());
-  const std::size_t capacity = index.capacity();
+  const std::size_t capacity = version == '4' ? 0 : index.capacity();
 
   OldWriter w(path);
   const std::string magic = std::string("PRVMSCI") + version;
@@ -235,6 +240,7 @@ void write_old_image(const ScoreTable& table, const std::filesystem::path& path,
   } else {
     w.section(v3_best.data(), v3_best.size() * sizeof(NodeId));
   }
+  if (version == '4') return;
   const std::vector<char> free_slots(capacity * sizeof(std::uint64_t), 0);
   w.section(free_slots.data(), capacity * sizeof(std::uint64_t));  // index keys
   w.section(free_slots.data(), capacity * sizeof(NodeId));         // index values
@@ -290,14 +296,15 @@ TEST(ScoreTableGolden, MappedTablesSurviveARewriteOfTheirImages) {
   std::vector<ScoreTable> mapped;
   for (std::size_t p = 0; p < 2; ++p) {
     owned.table(p).save_image(image(p));
-    mapped.push_back(ScoreTable::map_image(image(p)));
+    mapped.push_back(ScoreTable::map_image(image(p), owned.table(p).demands()));
   }
   for (std::size_t p = 0; p < 2; ++p) owned.table(1 - p).save_image(image(p));
 
   const std::uint64_t hash = tables_hash({&mapped[0], &mapped[1]});
   EXPECT_EQ(hash, kRecordedHash) << std::hex << "actual 0x" << hash;
   // The rewrites are published, and no temporary file is left behind.
-  EXPECT_EQ(ScoreTable::map_image(image(0)).size(), owned.table(1).size());
+  EXPECT_EQ(ScoreTable::map_image(image(0), owned.table(1).demands()).size(),
+            owned.table(1).size());
   EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir.path()), {}), 2);
 }
 
@@ -398,15 +405,16 @@ void expect_each_patch_rejected_and_rebuilt(const char* tag,
                                             const std::vector<ImagePatch>& patches) {
   const Catalog catalog = ec2_sim_catalog();
   const TempDir dir(tag);
+  const std::vector<QuantizedDemand>& demands = catalog.fitting_demands(0).demands;
   std::filesystem::path image;
   {
     const ScoreTableSet set = build_score_tables(catalog, {}, dir.path());
     image = file_of(dir.path(), set.table(0), ".img");
   }
   for (std::size_t i = 0; i < patches.size(); ++i) {
-    EXPECT_NO_THROW(ScoreTable::map_image(image));
+    EXPECT_NO_THROW(ScoreTable::map_image(image, demands));
     patches[i](image);
-    EXPECT_THROW(ScoreTable::map_image(image), std::invalid_argument) << "patch " << i;
+    EXPECT_THROW(ScoreTable::map_image(image, demands), std::invalid_argument) << "patch " << i;
     ScoreImageReport report;
     const ScoreTableSet set = build_score_tables(catalog, {}, dir.path(), &report);
     EXPECT_EQ(report.written, 1u) << "patch " << i;
@@ -417,16 +425,23 @@ void expect_each_patch_rejected_and_rebuilt(const char* tag,
 }
 
 TEST(ScoreImage, OutOfRangeNodeIdsAreRejectedAndTheImageRebuilt) {
-  // A successor id that names no node would be read as an index into keys
-  // and scores, and a key out of order would make node_of's binary search
-  // miss or return a wrong node. map_image must throw on either: here the
-  // first best entry names one past the last node, and the last key drops
-  // back to 0, the first key.
+  // The header's node count bounds every node id the table hands out: a
+  // count past the keys and scores the file holds would let ids index past
+  // the mapping, and one at kNoFit would make the last id read as "no fit".
+  // A key out of order would make node_of's binary search miss or return a
+  // wrong node. map_image must throw on each: here the node count grows by
+  // one, then is set to kNoFit, and then the last key drops back to 0, the
+  // first key.
+  const auto set_node_count = [](const std::filesystem::path& image, std::uint64_t nodes) {
+    patch_file(image, 8, nodes);
+  };
   expect_each_patch_rejected_and_rebuilt(
       "image-corrupt",
-      {[](const std::filesystem::path& image) {
-         const ImageLayout layout = image_layout(image);
-         patch_file(image, layout.best, static_cast<NodeId>(layout.nodes));
+      {[&](const std::filesystem::path& image) {
+         set_node_count(image, image_layout(image).nodes + 1);
+       },
+       [&](const std::filesystem::path& image) {
+         set_node_count(image, ScoreTable::kNoFit);
        },
        [](const std::filesystem::path& image) {
          const ImageLayout layout = image_layout(image);
@@ -457,25 +472,26 @@ TEST(ScoreImage, LoadRejectsKeysOutOfOrder) {
        }});
 }
 
-TEST(ScoreImage, LoadRejectsAnOutOfRangeSuccessorId) {
-  // Every best entry is checked, not only the first one the test above
-  // patches: here the last entry of a small built table takes the two
-  // values at the edge of the valid range. kNoFit is a valid entry, the
-  // node count is not.
+TEST(ScoreImage, LoadRejectsADemandListThatDoesNotFit) {
+  // The image holds no demands; map_image takes them from the caller. A
+  // list of another length than the image's demand count, or one the
+  // image's shape cannot hold, is refused.
   const ProfileShape shape({DimensionGroup{ResourceKind::kCpu, 4, 4},
                             DimensionGroup{ResourceKind::kMemory, 1, 8}});
   const std::vector<QuantizedDemand> demands = {QuantizedDemand{{{1}, {1}}},
                                                 QuantizedDemand{{{2, 2}, {3}}}};
   const ScoreTable table = ScoreTable::build(ProfileGraph(shape, demands));
-  const TempDir dir("image-successor");
+  const TempDir dir("image-demands");
   const std::filesystem::path image = dir.path() / "t.img";
   table.save_image(image);
-  const std::size_t last = image_layout(image).best +
-                           (table.size() * table.demand_count() - 1) * sizeof(NodeId);
-  patch_file(image, last, ScoreTable::kNoFit);
-  EXPECT_EQ(ScoreTable::map_image(image).size(), table.size());
-  patch_file(image, last, static_cast<NodeId>(table.size()));
-  EXPECT_THROW(ScoreTable::map_image(image), std::invalid_argument);
+  const ScoreTable mapped = ScoreTable::map_image(image, demands);
+  EXPECT_EQ(mapped.demand_count(), 2u);
+  EXPECT_EQ(mapped.best_after_node(0, 1)->successor, table.best_after_node(0, 1)->successor);
+  EXPECT_THROW(ScoreTable::map_image(image, {demands[0]}), std::invalid_argument);
+  EXPECT_THROW(ScoreTable::map_image(image, {demands[0], demands[1], demands[0]}),
+               std::invalid_argument);
+  EXPECT_THROW(ScoreTable::map_image(image, {demands[0], QuantizedDemand{{{5}, {1}}}}),
+               std::invalid_argument);
 }
 
 TEST(ScoreImage, OldFormatFilesAreRebuiltNotMisread) {
@@ -495,7 +511,7 @@ TEST(ScoreImage, OldFormatFilesAreRebuiltNotMisread) {
   EXPECT_EQ(report.written, owned.pm_type_count());
   EXPECT_EQ(report.mapped, 0u);
   for (std::size_t p = 0; p < owned.pm_type_count(); ++p) {
-    EXPECT_EQ(read_file(file_of(dir.path(), owned.table(p), ".img")).substr(0, 8), "PRVMSCI4");
+    EXPECT_EQ(read_file(file_of(dir.path(), owned.table(p), ".img")).substr(0, 8), "PRVMSCI5");
   }
 }
 
@@ -510,7 +526,7 @@ TEST(ScoreImage, HashIndexedImagesAreRejectedByMagicAndRebuilt) {
   const std::filesystem::path image = file_of(dir.path(), owned.table(0), ".img");
   write_old_image(owned.table(0), image, '3');
   try {
-    ScoreTable::map_image(image);
+    ScoreTable::map_image(image, owned.table(0).demands());
     ADD_FAILURE() << "a PRVMSCI3 image mapped";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("not a score-table image"), std::string::npos)
@@ -521,7 +537,36 @@ TEST(ScoreImage, HashIndexedImagesAreRejectedByMagicAndRebuilt) {
   EXPECT_EQ(hash, kRecordedHash) << std::hex << "actual 0x" << hash;
   EXPECT_EQ(report.written, 1u);
   EXPECT_EQ(report.mapped, 1u);
-  EXPECT_EQ(read_file(image).substr(0, 8), "PRVMSCI4");
+  EXPECT_EQ(read_file(image).substr(0, 8), "PRVMSCI5");
+}
+
+TEST(ScoreImage, BestSuccessorImagesAreRejectedByMagicAndRebuilt) {
+  // A version-4 image (keys, scores and a 4-byte best-successor entry per
+  // node and VM type) beside a current one: it is refused by its magic, and
+  // build_score_tables rewrites that one image, which then holds only keys
+  // and scores, and maps the other.
+  const Catalog catalog = ec2_sim_catalog();
+  const ScoreTableSet owned = build_score_tables(catalog, {}, std::nullopt);
+  const TempDir dir("v4-format");
+  build_score_tables(catalog, {}, dir.path());
+  const std::filesystem::path image = file_of(dir.path(), owned.table(0), ".img");
+  const std::uintmax_t current_bytes = std::filesystem::file_size(image);
+  write_old_image(owned.table(0), image, '4');
+  EXPECT_GT(std::filesystem::file_size(image), current_bytes);
+  try {
+    ScoreTable::map_image(image, owned.table(0).demands());
+    ADD_FAILURE() << "a PRVMSCI4 image mapped";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("not a score-table image"), std::string::npos)
+        << e.what();
+  }
+  ScoreImageReport report;
+  const std::uint64_t hash = set_hash(build_score_tables(catalog, {}, dir.path(), &report));
+  EXPECT_EQ(hash, kRecordedHash) << std::hex << "actual 0x" << hash;
+  EXPECT_EQ(report.written, 1u);
+  EXPECT_EQ(report.mapped, 1u);
+  EXPECT_EQ(read_file(image).substr(0, 8), "PRVMSCI5");
+  EXPECT_EQ(std::filesystem::file_size(image), current_bytes);
 }
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)

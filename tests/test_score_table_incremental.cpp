@@ -4,7 +4,7 @@
 // The contract under test is strict: a graph grown via extend() and a table
 // grown via ScoreTable::extend() must be *byte-identical* to ones built
 // from scratch over the final demand list — same node numbering, same
-// float scores, same best-successor entries — so that
+// float scores, same best successors — so that
 // an engine running on an extended table makes bit-identical placement
 // decisions.
 #include "common/check.hpp"
@@ -63,14 +63,14 @@ void expect_tables_identical(const ScoreTable& a, const ScoreTable& b) {
     ASSERT_EQ(a.find(a.key_of(u)), b.find(b.key_of(u))) << "score of node " << u;
   }
   for (std::size_t t = 0; t < a.demand_count(); ++t) {
-    const auto row_a = a.best_row(t);
-    const auto row_b = b.best_row(t);
-    ASSERT_EQ(row_a.size(), row_b.size());
-    for (std::size_t u = 0; u < row_a.size(); ++u) {
-      ASSERT_EQ(row_a[u].successor, row_b[u].successor) << "demand " << t << " node " << u;
-      if (row_a[u].successor == ScoreTable::kNoFit) continue;
-      ASSERT_EQ(a.node_score(row_a[u].successor), b.node_score(row_b[u].successor))
-          << "demand " << t << " node " << u;
+    ASSERT_EQ(a.demands()[t].group_items, b.demands()[t].group_items) << "demand " << t;
+    for (NodeId u = 0; u < a.size(); ++u) {
+      const auto best_a = a.best_after_node(u, t);
+      const auto best_b = b.best_after_node(u, t);
+      ASSERT_EQ(best_a.has_value(), best_b.has_value()) << "demand " << t << " node " << u;
+      if (!best_a.has_value()) continue;
+      ASSERT_EQ(best_a->successor, best_b->successor) << "demand " << t << " node " << u;
+      ASSERT_EQ(best_a->score, best_b->score) << "demand " << t << " node " << u;
     }
   }
 }
@@ -185,7 +185,7 @@ TEST(IncrementalScoreTable, ImageRoundTripServesIdenticalAnswers) {
       std::filesystem::temp_directory_path() / "prvm_score_table_image_test.bin";
   built.save_image(path);
   {
-    const ScoreTable mapped = ScoreTable::map_image(path);
+    const ScoreTable mapped = ScoreTable::map_image(path, graph.demands());
     EXPECT_TRUE(mapped.is_mapped());
     EXPECT_FALSE(built.is_mapped());
     expect_tables_identical(built, mapped);
@@ -201,7 +201,7 @@ TEST(IncrementalScoreTable, ImageRoundTripServesIdenticalAnswers) {
     ASSERT_NE(f, nullptr);
     std::fputs("not an image at all, definitely not page aligned", f);
     std::fclose(f);
-    EXPECT_THROW(ScoreTable::map_image(path), std::exception);
+    EXPECT_THROW(ScoreTable::map_image(path, graph.demands()), std::exception);
   }
   std::filesystem::remove(path);
 }

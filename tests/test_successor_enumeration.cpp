@@ -282,10 +282,10 @@ TEST(SuccessorEnumeration, MemoRejectsNonCanonicalKeysAndKeepsNothing) {
   EXPECT_EQ(keys, direct);
 }
 
-// A cold build of the EC2 tables: the graph and the best-successor pass read
-// every (profile, VM type) pair's successors from the graph's memo, so the
-// per-group DFS runs once per distinct (VM type, group, group state) — 6,971
-// times, where enumerating each pair afresh ran it 4,728,096 times.
+// A cold build of the EC2 tables: the graph reads every (profile, VM type)
+// pair's successors from its memo, so the per-group DFS runs once per
+// distinct (VM type, group, group state) — 6,971 times, where enumerating
+// each pair afresh ran it 4,728,096 times — and the table build runs none.
 TEST(SuccessorEnumeration, Ec2ColdBuildEnumeratesEachGroupStateOnce) {
   const Catalog catalog = ec2_sim_catalog();
   std::size_t runs = 0;
@@ -294,7 +294,7 @@ TEST(SuccessorEnumeration, Ec2ColdBuildEnumeratesEachGroupStateOnce) {
     const ProfileGraph graph(catalog.shape(p), catalog.fitting_demands(p).demands);
     const std::size_t graph_runs = graph.group_enumerations();
     const ScoreTable table = ScoreTable::build(graph);
-    EXPECT_EQ(graph.group_enumerations(), graph_runs) << "the best-successor pass enumerated";
+    EXPECT_EQ(graph.group_enumerations(), graph_runs) << "the table build enumerated";
     runs += graph_runs;
     pairs += graph.node_count() * graph.demands().size();
   }
