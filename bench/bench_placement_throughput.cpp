@@ -8,7 +8,8 @@
 // shared obs::Histogram (same estimator as prvm_loadgen, <= 12.5% relative
 // error), and the engine's own counters (score lookups — score-cache
 // refills for the indexed engine — and rep-cache hits) from a per-run
-// private registry.
+// private registry, with the size of the engine's memo at the end of the run
+// (profiles it holds and bytes it allocated).
 //
 // Usage: bench_placement_throughput [--json PATH]
 //   --json PATH   additionally write machine-readable results to PATH
@@ -46,6 +47,8 @@ struct EngineStats {
   std::uint64_t score_lookups = 0;   ///< best-successor table lookups (churn)
   std::uint64_t rep_cache_hits = 0;  ///< best-permutation cache hits (churn)
   std::uint64_t linear_scored = 0;   ///< PMs scored by the legacy scan (churn)
+  std::int64_t memo_entries = 0;     ///< profiles in the engine's memo (end of run)
+  std::int64_t memo_bytes = 0;       ///< bytes the memo allocated (end of run)
 };
 
 EngineStats run_engine(const Catalog& catalog,
@@ -120,6 +123,8 @@ EngineStats run_engine(const Catalog& catalog,
   stats.score_lookups = reg.counter("prvm_engine_score_lookups_total").value() - base_lookups;
   stats.rep_cache_hits = reg.counter("prvm_engine_rep_cache_hits_total").value() - base_hits;
   stats.linear_scored = reg.counter("prvm_engine_linear_scored_total").value() - base_linear;
+  stats.memo_entries = reg.gauge("prvm_engine_best_memo_entries").value();
+  stats.memo_bytes = reg.gauge("prvm_engine_memo_bytes").value();
   return stats;
 }
 
@@ -129,10 +134,11 @@ void print_engine(const char* name, const EngineStats& s) {
       "p999 %7.2f us\n",
       name, s.fill_pps, s.fill_placements, s.churn_pps, s.p50_us, s.p99_us, s.p999_us);
   std::printf("           churn counters: %llu score lookups, "
-              "%llu rep-cache hits, %llu linear-scored\n",
+              "%llu rep-cache hits, %llu linear-scored; memo %lld profiles, %lld bytes\n",
               static_cast<unsigned long long>(s.score_lookups),
               static_cast<unsigned long long>(s.rep_cache_hits),
-              static_cast<unsigned long long>(s.linear_scored));
+              static_cast<unsigned long long>(s.linear_scored),
+              static_cast<long long>(s.memo_entries), static_cast<long long>(s.memo_bytes));
 }
 
 void json_engine(std::ostream& os, const char* name, const EngineStats& s) {
@@ -143,7 +149,9 @@ void json_engine(std::ostream& os, const char* name, const EngineStats& s) {
      << ", \"p99_us\": " << s.p99_us << ", \"p999_us\": " << s.p999_us
      << ", \"score_lookups\": " << s.score_lookups
      << ", \"rep_cache_hits\": " << s.rep_cache_hits
-     << ", \"linear_scored\": " << s.linear_scored << "}";
+     << ", \"linear_scored\": " << s.linear_scored
+     << ", \"prvm_engine_best_memo_entries\": " << s.memo_entries
+     << ", \"prvm_engine_memo_bytes\": " << s.memo_bytes << "}";
 }
 
 }  // namespace

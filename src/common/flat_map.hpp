@@ -49,6 +49,8 @@ class FlatMap64 {
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   std::size_t capacity() const { return keys_.size(); }
+  /// Heap bytes of the slot arrays.
+  std::size_t bytes() const { return capacity() * (sizeof(std::uint64_t) + sizeof(Value) + 1); }
 
   void clear() {
     keys_.clear();

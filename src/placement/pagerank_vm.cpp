@@ -7,10 +7,6 @@
 
 namespace prvm {
 
-namespace {
-constexpr std::uint32_t kNoRep = 0xFFFFFFFFu;
-}  // namespace
-
 PageRankVm::PageRankVm(std::shared_ptr<const ScoreTableSet> tables, PageRankVmOptions options)
     : tables_(std::move(tables)), options_(options), rng_(options.seed) {
   PRVM_REQUIRE(tables_ != nullptr, "PageRankVM needs score tables");
@@ -23,6 +19,7 @@ PageRankVm::PageRankVm(std::shared_ptr<const ScoreTableSet> tables, PageRankVmOp
   m_.rep_cache_misses = &reg.counter("prvm_engine_rep_cache_misses_total");
   m_.best_fills = &reg.counter("prvm_engine_best_fills_total");
   m_.best_memo_entries = &reg.gauge("prvm_engine_best_memo_entries");
+  m_.memo_bytes = &reg.gauge("prvm_engine_memo_bytes");
   cache_.resize(tables_->pm_type_count());
   memo_.resize(tables_->pm_type_count());
   for (std::size_t t = 0; t < cache_.size(); ++t) {
@@ -30,9 +27,9 @@ PageRankVm::PageRankVm(std::shared_ptr<const ScoreTableSet> tables, PageRankVmOp
   }
 }
 
-const NodeId* PageRankVm::best_entry(std::size_t pm_type, ProfileKey key) {
+std::uint32_t PageRankVm::memo_entry(std::size_t pm_type, ProfileKey key) {
   BestMemo& memo = memo_[pm_type];
-  if (const std::uint32_t* at = memo.index.find(key)) return memo.words.data() + *at;
+  if (const std::uint32_t* at = memo.index.find(key)) return *at;
   const ScoreTable& table = tables_->table(pm_type);
   const std::optional<NodeId> node = table.node_of(key);
   PRVM_REQUIRE(node.has_value(), "profile not present in score table");
@@ -41,10 +38,42 @@ const NodeId* PageRankVm::best_entry(std::size_t pm_type, ProfileKey key) {
   for (std::size_t d = 0; d < table.demand_count(); ++d) {
     memo.words.push_back(table.best_successor(*node, d, successor_scratch_));
   }
+  memo.words.insert(memo.words.end(), table.demand_count(), kNoRep);
   memo.index.try_emplace(key, at);
   m_.best_fills->inc();
   m_.best_memo_entries->add(1);
-  return memo.words.data() + at;
+  account_memo_bytes();
+  return at;
+}
+
+void PageRankVm::account_memo_bytes() {
+  std::size_t bytes = 0;
+  for (const BestMemo& memo : memo_) {
+    bytes += memo.index.bytes() + memo.words.capacity() * sizeof(NodeId) + memo.reps.capacity();
+  }
+  m_.memo_bytes->add(static_cast<std::int64_t>(bytes) - static_cast<std::int64_t>(memo_bytes_));
+  memo_bytes_ = bytes;
+}
+
+std::vector<PageRankVm::Representative> PageRankVm::representatives() const {
+  std::vector<Representative> out;
+  for (std::size_t t = 0; t < memo_.size(); ++t) {
+    const BestMemo& memo = memo_[t];
+    const ScoreTable& table = tables_->table(t);
+    const std::size_t demands = table.demand_count();
+    for (std::size_t at = 0; at < memo.words.size(); at += 1 + 2 * demands) {
+      for (std::size_t d = 0; d < demands; ++d) {
+        const std::uint32_t rep = memo.words[at + 1 + demands + d];
+        if (rep == kNoRep) continue;
+        Representative r{t, table.key_of(memo.words[at]), d, {}};
+        for (std::size_t k = 0; k < memo.reps[rep]; ++k) {
+          r.assignments.emplace_back(memo.reps[rep + 1 + 2 * k], memo.reps[rep + 2 + 2 * k]);
+        }
+        out.push_back(std::move(r));
+      }
+    }
+  }
+  return out;
 }
 
 std::optional<double> PageRankVm::placement_score(const Datacenter& dc, PmIndex i,
@@ -64,45 +93,49 @@ std::optional<double> PageRankVm::placement_score(const Datacenter& dc, PmIndex 
   // Counted locally and flushed to the metric once per scan: an atomic add
   // per candidate would be measurable at 10k-PM linear-scan sizes.
   ++lookups;
-  const NodeId successor = best_entry(pm.type_index, pm.canonical_key)[1 + *slot];
+  const BestMemo& memo = memo_[pm.type_index];
+  const NodeId successor = memo.words[memo_entry(pm.type_index, pm.canonical_key) + 1 + *slot];
   if (successor == ScoreTable::kNoFit) return std::nullopt;
   return static_cast<double>(tables_->table(pm.type_index).node_score(successor));
 }
 
 void PageRankVm::cached_placement_into(const Datacenter& dc, PmIndex i, const Vm& vm,
-                                       std::optional<NodeId> node, DemandPlacement& out) {
+                                       std::optional<std::uint32_t> entry, DemandPlacement& out) {
   const Datacenter::PmView pm = dc.pm(i);
   const ProfileShape& shape = dc.shape_of(i);
   const ScoreTable& table = tables_->table(pm.type_index);
   const auto slot = tables_->demand_slot(pm.type_index, vm.type_index);
   PRVM_CHECK(slot.has_value(), "placing a VM type that never fits this PM type");
-  if (!node.has_value()) node = best_entry(pm.type_index, pm.canonical_key)[0];
+  if (!entry.has_value()) entry = memo_entry(pm.type_index, pm.canonical_key);
+  BestMemo& memo = memo_[pm.type_index];
+  std::uint32_t& rep = memo.words[*entry + 1 + table.demand_count() + *slot];
 
   // One representative per (PM type, canonical profile, VM type): the first
   // enumerated canonical-space placement whose outcome is the best
-  // successor. Computed on demand, then reused for every PM that passes
+  // successor. Worked out on first use, then reused for every PM that passes
   // through this profile.
-  const std::uint64_t cache_key = (static_cast<std::uint64_t>(pm.type_index) << 48) |
-                                  (static_cast<std::uint64_t>(*node) << 12) |
-                                  static_cast<std::uint64_t>(*slot);
-  auto [rep, inserted] = rep_index_.try_emplace(cache_key, kNoRep);
   (rep == kNoRep ? m_.rep_cache_misses : m_.rep_cache_hits)->inc();
   if (rep == kNoRep) {
-    const NodeId successor = best_entry(pm.type_index, pm.canonical_key)[1 + *slot];
+    const NodeId successor = memo.words[*entry + 1 + *slot];
     PRVM_CHECK(successor != ScoreTable::kNoFit, "placing a VM that does not fit");
     const ProfileKey best = table.key_of(successor);
     const Profile canonical = Profile::unpack(shape, pm.canonical_key);
-    const auto& demand = dc.catalog().demand(pm.type_index, vm.type_index);
-    PRVM_CHECK(demand.has_value(), "demand slot without a catalog demand");
-    auto options = enumerate_placements(shape, canonical, *demand);
+    const auto options = enumerate_placements(shape, canonical, table.demands()[*slot]);
     const auto it = std::find_if(options.begin(), options.end(), [&](const DemandPlacement& p) {
       return p.result.canonical(shape).pack(shape) == best;
     });
     PRVM_CHECK(it != options.end(), "winning permutation not found among placements");
-    rep = static_cast<std::uint32_t>(rep_assignments_.size());
-    rep_assignments_.push_back(std::move(it->assignments));
+    // Bytes suffice: the ledger holds dims below 64 and capacities up to 255.
+    rep = static_cast<std::uint32_t>(memo.reps.size());
+    memo.reps.push_back(static_cast<std::uint8_t>(it->assignments.size()));
+    for (const auto& [dim, amount] : it->assignments) {
+      memo.reps.push_back(static_cast<std::uint8_t>(dim));
+      memo.reps.push_back(static_cast<std::uint8_t>(amount));
+    }
+    account_memo_bytes();
   }
-  const std::vector<std::pair<int, int>>& canonical_assignments = rep_assignments_[rep];
+  const std::uint8_t* items = memo.reps.data() + rep + 1;
+  const std::size_t item_count = memo.reps[rep];
 
   // The representative speaks canonical coordinates (levels sorted descending
   // per group); this PM's concrete dims are some permutation of that. Map the
@@ -123,9 +156,11 @@ void PageRankVm::cached_placement_into(const Datacenter& dc, PmIndex i, const Vm
     });
   }
   out.assignments.clear();
-  out.assignments.reserve(canonical_assignments.size());
+  out.assignments.reserve(item_count);
   levels_scratch_.assign(pm.usage.levels().begin(), pm.usage.levels().end());
-  for (auto [dim, amount] : canonical_assignments) {
+  for (std::size_t k = 0; k < item_count; ++k) {
+    const int dim = items[2 * k];
+    const int amount = items[2 * k + 1];
     std::size_t g = 0;
     while (g + 1 < shape.group_count() && shape.group_offset(g + 1) <= dim) ++g;
     const int off = shape.group_offset(g);
@@ -137,16 +172,17 @@ void PageRankVm::cached_placement_into(const Datacenter& dc, PmIndex i, const Vm
 }
 
 PageRankVm::Pick PageRankVm::best_permutation(const Datacenter& dc, PmIndex i, const Vm& vm,
-                                              std::optional<NodeId> node) {
+                                              std::optional<std::uint32_t> entry) {
   if (options_.use_index) {
-    cached_placement_into(dc, i, vm, node, placement_scratch_);
+    cached_placement_into(dc, i, vm, entry, placement_scratch_);
     return Pick{i, placement_scratch_.assignments};
   }
   const Datacenter::PmView pm = dc.pm(i);
   const ProfileShape& shape = dc.shape_of(i);
   const auto slot = tables_->demand_slot(pm.type_index, vm.type_index);
   PRVM_CHECK(slot.has_value(), "placing a VM type that never fits this PM type");
-  const NodeId successor = best_entry(pm.type_index, pm.canonical_key)[1 + *slot];
+  const NodeId successor =
+      memo_[pm.type_index].words[memo_entry(pm.type_index, pm.canonical_key) + 1 + *slot];
   PRVM_CHECK(successor != ScoreTable::kNoFit, "placing a VM that does not fit");
   const ProfileKey best = tables_->table(pm.type_index).key_of(successor);
 
@@ -205,11 +241,11 @@ std::optional<PmIndex> PageRankVm::pick_linear(const Datacenter& dc, const Vm& v
 }
 
 void PageRankVm::refill(std::size_t pm_type, std::size_t slot, ProfileKey key) {
-  const NodeId* entry = best_entry(pm_type, key);  // throws before the cache changes
+  const std::uint32_t at = memo_entry(pm_type, key);  // throws before the cache changes
   TypeCache& cache = cache_[pm_type];
   if (slot == cache.tags.size()) {
     cache.tags.push_back(key);
-    cache.nodes.push_back(0);
+    cache.entries.push_back(0);
     if (slot == cache.capacity) {
       // Re-lay the demand rows out at twice the width.
       const std::size_t capacity = std::max<std::size_t>(64, 2 * cache.capacity);
@@ -225,7 +261,8 @@ void PageRankVm::refill(std::size_t pm_type, std::size_t slot, ProfileKey key) {
   PRVM_CHECK(slot < cache.tags.size(), "score cache slots must be filled in dense order");
   const ScoreTable& table = tables_->table(pm_type);
   cache.tags[slot] = key;
-  cache.nodes[slot] = entry[0];
+  cache.entries[slot] = at;
+  const NodeId* entry = memo_[pm_type].words.data() + at;
   for (std::size_t d = 0; d < cache.demands; ++d) {
     const NodeId successor = entry[1 + d];
     cache.scores[d * cache.capacity + slot] =
@@ -248,7 +285,7 @@ void PageRankVm::type_top(const Datacenter& dc, std::size_t pm_type, std::size_t
     const float score = row[s];
     if (score == kNoFitScore || score < best.score) continue;
     if (score > best.score || earliest[s].seq < best.seq) {
-      best = Candidate{score, earliest[s].seq, earliest[s].pm, cache.nodes[s]};
+      best = Candidate{score, earliest[s].seq, earliest[s].pm, cache.entries[s]};
     }
   }
 }
@@ -269,8 +306,9 @@ PageRankVm::Candidate PageRankVm::pick_indexed(const Datacenter& dc, std::size_t
 
 std::optional<PmIndex> PageRankVm::pick_indexed_constrained(
     const Datacenter& dc, std::size_t vm_type, const PlacementConstraints& constraints) {
-  // Migration-time path: score every distinct live profile, then walk the
-  // score groups downward until one holds an allowed PM.
+  // Migration-time path: score every distinct live profile, then pop the
+  // score groups off a max-heap, highest first, until one holds an allowed
+  // PM; the groups below it are never ordered.
   scored_.clear();
   for (std::size_t t = 0; t < dc.catalog().pm_types().size(); ++t) {
     if (dc.used_count_of_type(t) == 0) continue;
@@ -286,15 +324,16 @@ std::optional<PmIndex> PageRankVm::pick_indexed_constrained(
                                      static_cast<std::uint32_t>(s)});
     }
   }
-  std::sort(scored_.begin(), scored_.end(),
-            [](const ScoredBucket& a, const ScoredBucket& b) { return a.score > b.score; });
-  for (std::size_t i = 0; i < scored_.size();) {
-    std::size_t j = i;
-    while (j < scored_.size() && scored_[j].score == scored_[i].score) ++j;
+  const auto lower = [](const ScoredBucket& a, const ScoredBucket& b) { return a.score < b.score; };
+  std::make_heap(scored_.begin(), scored_.end(), lower);
+  for (auto end = scored_.end(); end != scored_.begin();) {
+    const float score = scored_.front().score;
     PmIndex winner = Datacenter::kNoPm;
     std::uint64_t winner_seq = 0;
-    for (std::size_t k = i; k < j; ++k) {
-      for (const PmIndex pm : dc.bucket_at(scored_[k].pm_type, scored_[k].slot)) {
+    while (end != scored_.begin() && scored_.front().score == score) {
+      std::pop_heap(scored_.begin(), end, lower);
+      --end;
+      for (const PmIndex pm : dc.bucket_at(end->pm_type, end->slot)) {
         if (!constraints.allowed(dc, pm)) continue;
         const std::uint64_t seq = dc.activation_seq(pm);
         if (winner == Datacenter::kNoPm || seq < winner_seq) {
@@ -304,7 +343,6 @@ std::optional<PmIndex> PageRankVm::pick_indexed_constrained(
       }
     }
     if (winner != Datacenter::kNoPm) return winner;
-    i = j;
   }
   return std::nullopt;
 }
@@ -319,7 +357,7 @@ std::optional<PageRankVm::Pick> PageRankVm::pick(const Datacenter& dc, const Vm&
     best_pm = pick_linear(dc, vm, constraints);
   } else if (!constraints.exclude.has_value() && !constraints.allow) {
     const Candidate best = pick_indexed(dc, vm.type_index);
-    if (best.pm != Datacenter::kNoPm) return best_permutation(dc, best.pm, vm, best.node);
+    if (best.pm != Datacenter::kNoPm) return best_permutation(dc, best.pm, vm, best.entry);
   } else {
     best_pm = pick_indexed_constrained(dc, vm.type_index, constraints);
   }

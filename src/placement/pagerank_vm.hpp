@@ -20,11 +20,23 @@
 // ascending) across both PM types, which is exactly the linear scan's
 // first-hit rule. Scores come from an engine-owned cache with one entry per
 // dense bucket slot, tagged with the profile key it was filled for and
-// holding the best-successor score of every VM type; a slot whose key
-// changed is refilled with one probe into the engine's best-successor memo,
-// so a warm pick touches no hash table and walks no bucket. The memo holds a
-// live profile's node and best successor under every VM type, worked out the
-// first time the engine sees the profile (about 8 µs for an EC2 profile).
+// holding the best-successor score of every VM type and the offset of the
+// profile's memo entry; a slot whose key changed is refilled with one probe
+// into the engine's memo. The memo keeps, per PM type, one entry per live
+// profile the engine has seen: [node, best successor x D, representative
+// offset x D] for the table's D VM types, the successors worked out the first
+// time the engine sees the profile (about 8 µs for an EC2 profile). A
+// representative is the winning permutation of Algorithm 2's last step in
+// canonical coordinates, the first enumerate_placements() option whose
+// canonical outcome is the best successor; it is worked out on first use and
+// kept in the PM type's byte arena as count, (dim, amount)... (two bytes per
+// item, as the ledger stores assignments). The winner of a sweep carries its
+// memo offset, so a warm indexed pick probes no hash table and walks no
+// bucket; the linear, constrained and first-unused paths make one memo probe.
+// Under the churn-bin benchmark (Release, 4 hardware threads) the loaded
+// daemon's loop-thread malloc arena ends a run at about 2.2 MB resident,
+// against 2.9 MB when the representatives were heap vectors in a hash map of
+// their own (DESIGN.md §3 item 9).
 // The chosen PM is identical to the linear scan's for every VM (asserted by
 // the differential test), and steady-state picks are allocation-free
 // (asserted by the counting-allocator test).
@@ -77,6 +89,19 @@ class PageRankVm final : public PlacementAlgorithm {
     std::span<const std::pair<int, int>> assignments;
   };
 
+  /// A representative placement the memo holds: the canonical-space
+  /// (dimension, amount) pairs that take profile `profile` of `pm_type`'s
+  /// table to its best successor under the table's demand `demand`.
+  struct Representative {
+    std::size_t pm_type = 0;
+    ProfileKey profile = 0;
+    std::size_t demand = 0;
+    std::vector<std::pair<int, int>> assignments;
+  };
+
+  /// Every representative the memo holds, for tests.
+  std::vector<Representative> representatives() const;
+
   /// Algorithm 2 up to its last step: chooses the PM (lines 2-24) and the
   /// winning permutation on it, but leaves `dc` unchanged, so a caller can
   /// validate, log and apply the decision as one record (the placement
@@ -103,11 +128,11 @@ class PageRankVm final : public PlacementAlgorithm {
 
  private:
   /// The pick of `vm` on PM `i` with the permutation whose canonical
-  /// outcome has the highest score (via the representative cache when
-  /// indexing is on), in placement_scratch_. `node` is the score-table node
-  /// of the PM's profile when the pick already knows it.
+  /// outcome has the highest score (via the memo's representative when
+  /// indexing is on), in placement_scratch_. `entry` is the memo offset of
+  /// the PM's profile when the pick already knows it.
   Pick best_permutation(const Datacenter& dc, PmIndex i, const Vm& vm,
-                        std::optional<NodeId> node = std::nullopt);
+                        std::optional<std::uint32_t> entry = std::nullopt);
 
   /// Linear engine: Algorithm 2 as printed (plus 2-choice sampling).
   std::optional<PmIndex> pick_linear(const Datacenter& dc, const Vm& vm,
@@ -122,13 +147,16 @@ class PageRankVm final : public PlacementAlgorithm {
   /// (scores are >= 0).
   static constexpr float kNoFitScore = -1.0F;
 
+  /// Memo word of a representative not worked out yet.
+  static constexpr std::uint32_t kNoRep = 0xFFFFFFFFu;
+
   /// The running winner of an indexed sweep: highest score, then earliest
   /// activation.
   struct Candidate {
     float score = kNoFitScore;
     std::uint64_t seq = 0;
     PmIndex pm = Datacenter::kNoPm;
-    NodeId node = 0;  ///< score-table node of pm's profile
+    std::uint32_t entry = 0;  ///< memo offset of pm's profile
   };
 
   /// Indexed engine, no constraints: best PM via the profile buckets
@@ -146,18 +174,22 @@ class PageRankVm final : public PlacementAlgorithm {
   /// next one.
   void refill(std::size_t pm_type, std::size_t slot, ProfileKey key);
 
-  /// The best-successor memo entry of profile `key` in `pm_type`'s table,
-  /// worked out on first sight: entry[0] is the profile's node, entry[1 + d]
-  /// its best successor under demand d (ScoreTable::kNoFit when the VM type
-  /// does not fit). Valid until the next call.
-  const NodeId* best_entry(std::size_t pm_type, ProfileKey key);
+  /// The offset in memo_[pm_type].words of profile `key`'s entry, worked
+  /// out on first sight: word 0 is the profile's node, word 1 + d its best
+  /// successor under demand d (ScoreTable::kNoFit when the VM type does not
+  /// fit), word 1 + D + d the arena offset of its representative under
+  /// demand d (kNoRep until first used).
+  std::uint32_t memo_entry(std::size_t pm_type, ProfileKey key);
 
-  /// A placement of `vm` on PM `i` realizing the best successor, computed in
-  /// canonical-profile space once per (PM type, profile, VM type) and mapped
-  /// onto the PM's concrete dimension permutation. Writes into `out`
-  /// (reusing its storage); allocation-free on a rep-cache hit.
+  /// Adds the change of the memos' allocated bytes to prvm_engine_memo_bytes.
+  void account_memo_bytes();
+
+  /// A placement of `vm` on PM `i` realizing the best successor: the memo
+  /// entry `entry`'s representative (worked out on first use) mapped onto
+  /// the PM's concrete dimension permutation. Writes into `out` (reusing
+  /// its storage); allocation-free once the representative exists.
   void cached_placement_into(const Datacenter& dc, PmIndex i, const Vm& vm,
-                             std::optional<NodeId> node, DemandPlacement& out);
+                             std::optional<std::uint32_t> entry, DemandPlacement& out);
 
   std::shared_ptr<const ScoreTableSet> tables_;
   PageRankVmOptions options_;
@@ -169,18 +201,21 @@ class PageRankVm final : public PlacementAlgorithm {
     obs::Counter* place_calls = nullptr;     ///< pick() invocations
     obs::Counter* linear_scored = nullptr;   ///< PMs scored by the legacy scan
     obs::Counter* score_lookups = nullptr;   ///< table lookups (indexed: cache refills)
-    obs::Counter* rep_cache_hits = nullptr;  ///< best-permutation cache hits
-    obs::Counter* rep_cache_misses = nullptr;
+    obs::Counter* rep_cache_hits = nullptr;  ///< representatives found in the memo
+    obs::Counter* rep_cache_misses = nullptr;  ///< representatives worked out
     obs::Counter* best_fills = nullptr;      ///< profiles entered into the memo
     obs::Gauge* best_memo_entries = nullptr; ///< profiles the memos hold
+    obs::Gauge* memo_bytes = nullptr;        ///< bytes the memos allocated
   };
   Metrics m_;
+  std::size_t memo_bytes_ = 0;  ///< this engine's share of m_.memo_bytes
 
-  /// The best-successor memo of one PM type. Its keys are profiles of that
-  /// type's table, so it never holds more entries than the table has nodes.
+  /// The memo of one PM type. Its keys are profiles of that type's table,
+  /// so it never holds more entries than the table has nodes.
   struct BestMemo {
     FlatMap64<std::uint32_t> index;  ///< profile key -> offset of its entry
-    std::vector<NodeId> words;       ///< entries of 1 + demand_count() words each
+    std::vector<NodeId> words;       ///< entries of 1 + 2 * demand_count() words
+    std::vector<std::uint8_t> reps;  ///< representatives: count, (dim, amount)...
   };
 
   /// One scored live bucket of the constrained scan: the dense slot pins the
@@ -197,7 +232,7 @@ class PageRankVm final : public PlacementAlgorithm {
   /// sweep for one VM type reads one contiguous row.
   struct TypeCache {
     std::vector<ProfileKey> tags;  ///< key each filled slot was filled for
-    std::vector<NodeId> nodes;     ///< that key's score-table node
+    std::vector<std::uint32_t> entries;  ///< that key's memo offset
     std::vector<float> scores;     ///< [demand * capacity + slot]
     std::size_t capacity = 0;      ///< slots per row of `scores`
     std::size_t demands = 0;
@@ -210,13 +245,11 @@ class PageRankVm final : public PlacementAlgorithm {
   // make pick() non-reentrant but allocation-free at steady state).
   std::vector<TypeCache> cache_;  ///< per PM type
   std::vector<BestMemo> memo_;    ///< per PM type, read by both engines
-  std::vector<ProfileKey> successor_scratch_;  ///< best_entry's successor keys
+  std::vector<ProfileKey> successor_scratch_;  ///< memo_entry's successor keys
   std::vector<ScoredBucket> scored_;
   std::vector<int> order_scratch_;
   std::vector<int> levels_scratch_;
   DemandPlacement placement_scratch_;
-  FlatMap64<std::uint32_t> rep_index_;  // (pm_type, node, slot) -> rep slot
-  std::vector<std::vector<std::pair<int, int>>> rep_assignments_;
 };
 
 }  // namespace prvm

@@ -268,12 +268,32 @@ TEST(PlacementIndex, OneEngineServingTwoLedgersMatchesTwoFreshEngines) {
   }
 }
 
+/// Places a seeded weighted EC2 request stream through `engine` on `dc`,
+/// releasing random live VMs on the way (at most 300 live).
+void churn_stream(PageRankVm& engine, Datacenter& dc, const Catalog& catalog,
+                  std::uint64_t seed) {
+  Rng rng(seed);
+  const std::vector<Vm> vms = weighted_vm_requests(rng, catalog, 6000, default_vm_mix(catalog));
+  std::vector<VmId> live;
+  for (const Vm& vm : vms) {
+    while (!live.empty() && (live.size() >= 300 || rng.uniform_index(4) == 0)) {
+      const std::size_t pick = rng.uniform_index(live.size());
+      dc.remove(live[pick]);
+      live[pick] = live.back();
+      live.pop_back();
+    }
+    if (engine.place(dc, vm).has_value()) live.push_back(vm.id);
+  }
+}
+
 TEST(PlacementIndex, ReplayingAStreamFillsNoNewBestSuccessors) {
   // The engine works out a live profile's best successors the first time it
-  // sees it and memoizes them. Replaying one seeded churn stream on a fresh
-  // ledger through the same engine revisits exactly the first pass's
-  // profiles, so it fills none. The memo holds one entry per fill, each a
-  // profile of a table, so never more than the tables have nodes.
+  // sees it, and a representative placement the first time it places a VM
+  // type there, and memoizes both. Replaying one seeded churn stream on a
+  // fresh ledger through the same engine revisits exactly the first pass's
+  // profiles and placements, so it works out neither again. The memo holds
+  // one entry per fill, each a profile of a table, so never more than the
+  // tables have nodes.
   const Catalog catalog = ec2_sim_catalog();
   const auto tables = tables_for(catalog);
   obs::Registry registry;
@@ -281,30 +301,64 @@ TEST(PlacementIndex, ReplayingAStreamFillsNoNewBestSuccessors) {
   options.metrics = &registry;
   PageRankVm engine(tables, options);
   const obs::Counter& fills = registry.counter("prvm_engine_best_fills_total");
+  const obs::Counter& rep_misses = registry.counter("prvm_engine_rep_cache_misses_total");
   const obs::Gauge& entries = registry.gauge("prvm_engine_best_memo_entries");
+  const obs::Gauge& bytes = registry.gauge("prvm_engine_memo_bytes");
   std::uint64_t fills_after[2] = {0, 0};
+  std::uint64_t misses_after[2] = {0, 0};
   for (int pass = 0; pass < 2; ++pass) {
     Datacenter dc(catalog, mixed_pm_fleet(catalog, 200));
-    Rng rng(41);
-    const std::vector<Vm> vms =
-        weighted_vm_requests(rng, catalog, 6000, default_vm_mix(catalog));
-    std::vector<VmId> live;
-    for (const Vm& vm : vms) {
-      while (!live.empty() && (live.size() >= 300 || rng.uniform_index(4) == 0)) {
-        const std::size_t pick = rng.uniform_index(live.size());
-        dc.remove(live[pick]);
-        live[pick] = live.back();
-        live.pop_back();
-      }
-      if (engine.place(dc, vm).has_value()) live.push_back(vm.id);
-    }
+    churn_stream(engine, dc, catalog, 41);
     fills_after[pass] = fills.value();
+    misses_after[pass] = rep_misses.value();
     EXPECT_EQ(static_cast<std::uint64_t>(entries.value()), fills_after[pass]);
   }
   EXPECT_GT(fills_after[0], 100u);
   EXPECT_EQ(fills_after[1], fills_after[0]) << "the replay filled profiles again";
+  EXPECT_GT(misses_after[0], 100u);
+  EXPECT_EQ(misses_after[1], misses_after[0]) << "the replay worked out representatives again";
   EXPECT_LE(static_cast<std::size_t>(entries.value()),
             tables->table(0).size() + tables->table(1).size());
+  // Each entry holds at least its node, one best successor and one
+  // representative offset, 4 bytes each.
+  EXPECT_GE(bytes.value(), entries.value() * 4 * 3);
+}
+
+TEST(PlacementIndex, RepresentativesMatchTheEnumeration) {
+  // Algorithm 2's last step keeps one canonical-space placement per (PM
+  // type, profile, VM type): the first enumerate_placements option whose
+  // canonical outcome is the best successor. Every representative the memo
+  // holds after a seeded churn stream must be exactly that option.
+  const Catalog catalog = ec2_sim_catalog();
+  const auto tables = tables_for(catalog);
+  obs::Registry registry;
+  PageRankVmOptions options;
+  options.metrics = &registry;
+  PageRankVm engine(tables, options);
+  Datacenter dc(catalog, mixed_pm_fleet(catalog, 200));
+  churn_stream(engine, dc, catalog, 43);
+  const std::vector<PageRankVm::Representative> reps = engine.representatives();
+  EXPECT_EQ(reps.size(), registry.counter("prvm_engine_rep_cache_misses_total").value());
+  EXPECT_GT(reps.size(), 100u);
+  std::vector<ProfileKey> scratch;
+  for (const PageRankVm::Representative& rep : reps) {
+    const ScoreTable& table = tables->table(rep.pm_type);
+    const ProfileShape& shape = table.shape();
+    const NodeId successor = table.best_successor(*table.node_of(rep.profile), rep.demand, scratch);
+    ASSERT_NE(successor, ScoreTable::kNoFit);
+    const ProfileKey best = table.key_of(successor);
+    const std::vector<DemandPlacement> placements = enumerate_placements(
+        shape, Profile::unpack(shape, rep.profile), table.demands()[rep.demand]);
+    const auto reaches_best = [&](const DemandPlacement& p) {
+      return p.result.canonical(shape).pack(shape) == best;
+    };
+    // The enumeration keeps one option per canonical outcome, so the first
+    // option reaching the best successor is the only one.
+    ASSERT_EQ(std::count_if(placements.begin(), placements.end(), reaches_best), 1);
+    const auto first = std::find_if(placements.begin(), placements.end(), reaches_best);
+    EXPECT_EQ(rep.assignments, first->assignments)
+        << "PM type " << rep.pm_type << ", profile " << rep.profile << ", demand " << rep.demand;
+  }
 }
 
 TEST(PlacementIndex, InvariantsHoldUnderRandomChurn) {

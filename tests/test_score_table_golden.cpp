@@ -69,17 +69,17 @@ void mix_table(Fnv1a& fnv, const ScoreTable& table) {
   fnv.mix(table.size());
   fnv.mix(table.demand_count());
   for (NodeId u = 0; u < table.size(); ++u) {
-    const ProfileKey key = table.key_of(u);
-    fnv.mix(key);
-    fnv.mix_float(static_cast<float>(table.score(key)));
+    fnv.mix(table.key_of(u));
+    fnv.mix_float(table.node_score(u));
   }
+  std::vector<ProfileKey> scratch;
   for (std::size_t t = 0; t < table.demand_count(); ++t) {
     // kRecordedHash was taken when the table stored a best entry per node
     // and VM type: the successor's score (0 with kNoFit), then its node.
     for (NodeId u = 0; u < table.size(); ++u) {
-      const auto best = table.best_after_node(u, t);
-      fnv.mix_float(best.has_value() ? static_cast<float>(best->score) : 0.0F);
-      fnv.mix(best.has_value() ? *table.node_of(best->successor) : ScoreTable::kNoFit);
+      const NodeId best = table.best_successor(u, t, scratch);
+      fnv.mix_float(best == ScoreTable::kNoFit ? 0.0F : table.node_score(best));
+      fnv.mix(best);
     }
   }
   fnv.mix(static_cast<std::uint64_t>(table.pagerank_iterations()));

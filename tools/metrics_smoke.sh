@@ -11,6 +11,9 @@
 #     anti-collocation groups over the JSON socket show up as 100 groups in
 #     `stats` and in the prvm_admission_groups gauge, and releasing them
 #     brings both back to 0.
+#   - the engine's memo is exported: after the traffic the
+#     prvm_engine_best_memo_entries and prvm_engine_memo_bytes gauges are
+#     nonzero.
 #
 # Usage: tools/metrics_smoke.sh [BUILD_DIR]
 set -euo pipefail
@@ -100,6 +103,13 @@ check_groups() {  # phase, stats line, scrape file, expected groups, expected VM
     FAILED=1
   fi
 }
+for name in prvm_engine_best_memo_entries prvm_engine_memo_bytes; do
+  value="$(gauge "$name" "$WORK/scrape2.txt")"
+  if [ -z "$value" ] || [ "$value" -eq 0 ]; then
+    echo "FAIL: gauge $name reads '${value}' after the traffic, expected nonzero"
+    FAILED=1
+  fi
+done
 STATS="$(grouped place)" || FAILED=1
 scrape "$WORK/scrape3.txt"
 check_groups "300 grouped places" "$STATS" "$WORK/scrape3.txt" 100 300
@@ -117,4 +127,4 @@ if [ "$FAILED" -ne 0 ]; then
   cat "$WORK/serve.log"
   exit 1
 fi
-echo "OK: exposition parses, counters monotonic, pipeline histograms nonzero, groups freed"
+echo "OK: exposition parses, counters monotonic, pipeline histograms nonzero, memo gauges set, groups freed"
