@@ -43,7 +43,6 @@ Datacenter::Datacenter(Catalog catalog, std::vector<std::size_t> pm_types_of)
     PRVM_REQUIRE(type < catalog_.pm_types().size(), "PM type index out of range");
     PmRecord pm;
     pm.type = static_cast<std::uint32_t>(type);
-    pm.dims = static_cast<std::uint32_t>(catalog_.shape(type).total_dims());
     pms_.push_back(pm);
     max_fleet_vms += max_vms[type];
   }
@@ -55,8 +54,8 @@ Datacenter::Datacenter(Catalog catalog, std::vector<std::size_t> pm_types_of)
   levels_.assign(pms_.size() * level_stride_, 0);
   removed_.reserve(slot_stride_);
   index_.resize(catalog_.pm_types().size());
-  next_in_bucket_.assign(pms_.size(), kNoPm);
-  prev_in_bucket_.assign(pms_.size(), kNoPm);
+  next_in_bucket_.assign(pms_.size(), kNoLink);
+  prev_in_bucket_.assign(pms_.size(), kNoLink);
   activation_seq_.assign(pms_.size(), 0);
   unused_bits_.assign((pms_.size() + 63) / 64, ~std::uint64_t{0});
 }
@@ -106,7 +105,10 @@ bool Datacenter::fits(PmIndex i, std::size_t vm_type) const {
   const std::size_t type = pms_.at(i).type;
   const auto& demand = catalog_.demand(type, vm_type);
   if (!demand.has_value()) return false;
-  return demand_fits(catalog_.shape(type), levels_of(i), *demand);
+  const std::span<const std::uint8_t> row = levels_of(i);
+  int levels[64];
+  std::copy(row.begin(), row.end(), levels);
+  return demand_fits(catalog_.shape(type), std::span<const int>(levels, row.size()), *demand);
 }
 
 std::vector<DemandPlacement> Datacenter::placements(PmIndex i, std::size_t vm_type) const {
@@ -114,7 +116,7 @@ std::vector<DemandPlacement> Datacenter::placements(PmIndex i, std::size_t vm_ty
   const auto& demand = catalog_.demand(type, vm_type);
   if (!demand.has_value()) return {};
   const ProfileShape& shape = catalog_.shape(type);
-  const std::span<const int> levels = levels_of(i);
+  const std::span<const std::uint8_t> levels = levels_of(i);
   return enumerate_placements(shape, Profile::from_levels(shape, {levels.begin(), levels.end()}),
                               *demand);
 }
@@ -125,15 +127,16 @@ void Datacenter::add_to_bucket(PmIndex i) {
   if (slot == kNoBucket) {
     slot = static_cast<std::uint32_t>(ti.keys.size());
     ti.keys.push_back(pms_[i].canonical_key);
-    ti.heads.push_back(kNoPm);
+    ti.heads.push_back(kNoLink);
     ti.counts.push_back(0);
     ti.earliest.push_back(Earliest{activation_seq_[i], i});
   }
-  const PmIndex head = ti.heads[slot];
+  const std::uint32_t head = ti.heads[slot];
+  const auto link = static_cast<std::uint32_t>(i);
   next_in_bucket_[i] = head;
-  prev_in_bucket_[i] = kNoPm;
-  if (head != kNoPm) prev_in_bucket_[head] = i;
-  ti.heads[slot] = i;
+  prev_in_bucket_[i] = kNoLink;
+  if (head != kNoLink) prev_in_bucket_[head] = link;
+  ti.heads[slot] = link;
   ++ti.counts[slot];
   if (activation_seq_[i] < ti.earliest[slot].seq) {
     ti.earliest[slot] = Earliest{activation_seq_[i], i};
@@ -142,7 +145,7 @@ void Datacenter::add_to_bucket(PmIndex i) {
 
 void Datacenter::refresh_earliest(TypeIndex& ti, std::uint32_t slot) {
   Earliest first{~std::uint64_t{0}, kNoPm};
-  for (PmIndex m = ti.heads[slot]; m != kNoPm; m = next_in_bucket_[m]) {
+  for (std::uint32_t m = ti.heads[slot]; m != kNoLink; m = next_in_bucket_[m]) {
     if (activation_seq_[m] < first.seq) first = Earliest{activation_seq_[m], m};
   }
   ti.earliest[slot] = first;
@@ -153,17 +156,17 @@ void Datacenter::remove_from_bucket(PmIndex i) {
   TypeIndex& ti = index_[pms_[i].type];
   std::uint32_t* slot = ti.slot_of.find(pms_[i].canonical_key);
   PRVM_CHECK(slot != nullptr && *slot != kNoBucket, "bucket index out of sync");
-  const PmIndex prev = prev_in_bucket_[i];
-  const PmIndex next = next_in_bucket_[i];
-  if (prev != kNoPm) {
+  const std::uint32_t prev = prev_in_bucket_[i];
+  const std::uint32_t next = next_in_bucket_[i];
+  if (prev != kNoLink) {
     next_in_bucket_[prev] = next;
   } else {
     PRVM_CHECK(ti.heads[*slot] == i, "bucket head out of sync");
     ti.heads[*slot] = next;
   }
-  if (next != kNoPm) prev_in_bucket_[next] = prev;
-  next_in_bucket_[i] = kNoPm;
-  prev_in_bucket_[i] = kNoPm;
+  if (next != kNoLink) prev_in_bucket_[next] = prev;
+  next_in_bucket_[i] = kNoLink;
+  prev_in_bucket_[i] = kNoLink;
   PRVM_CHECK(ti.counts[*slot] > 0, "bucket count out of sync");
   if (--ti.counts[*slot] > 0) {
     if (ti.earliest[*slot].pm == i) refresh_earliest(ti, *slot);
@@ -229,12 +232,13 @@ void Datacenter::place(PmIndex i, const Vm& vm,
   PRVM_REQUIRE(assignments.size() <= slot_stride_,
                "placement has more items than any catalog demand");
   const ProfileShape& shape = catalog_.shape(pms_[i].type);
-  const std::span<int> row = levels_of(i);
+  const std::span<std::uint8_t> row = levels_of(i);
 
-  // Validate on a copy of the levels: each assignment within capacity and
-  // anti-collocation (no two assignments of this VM on the same dimension).
-  // A profile key packs at most 64 dimensions, so both fit a word / a stack
-  // buffer.
+  // Validate on an int copy of the byte levels: each assignment within
+  // capacity and anti-collocation (no two assignments of this VM on the same
+  // dimension). A profile key packs at most 64 dimensions, so both fit a
+  // word / a stack buffer. Capacities fit a byte, so the validated levels
+  // store back into the row exactly.
   int levels[64];
   std::copy(row.begin(), row.end(), levels);
   std::uint64_t touched = 0;
@@ -255,7 +259,7 @@ void Datacenter::place(PmIndex i, const Vm& vm,
   const bool was_used = pm.vm_count > 0;
   if (was_used) remove_from_bucket(i);
   std::copy_n(levels, row.size(), row.begin());
-  pm.canonical_key = pack_canonical(shape, row);
+  pm.canonical_key = pack_canonical(shape, std::span<const int>(levels, row.size()));
 
   VmSlot& slot = slots_[s];
   slot.id = vm.id;
@@ -297,7 +301,7 @@ Datacenter::PlacedVm Datacenter::remove(VmId vm) {
   const VmSlot slot = slots_[s];
   const PmIndex i = slot.pm;
   PmRecord& pm = pms_[i];
-  const std::span<int> row = levels_of(i);
+  const std::span<std::uint8_t> row = levels_of(i);
   const Assignments assignments = assignments_of(s);
 
   int levels[64];
@@ -309,7 +313,8 @@ Datacenter::PlacedVm Datacenter::remove(VmId vm) {
 
   remove_from_bucket(i);
   std::copy_n(levels, row.size(), row.begin());
-  pm.canonical_key = pack_canonical(catalog_.shape(pm.type), row);
+  pm.canonical_key =
+      pack_canonical(catalog_.shape(pm.type), std::span<const int>(levels, row.size()));
   if (slot.prev != kNoSlot) {
     slots_[slot.prev].next = slot.next;
   } else {
@@ -389,8 +394,8 @@ void Datacenter::clear() {
     ti.slot_of.clear();
     ti.used_count = 0;
   }
-  next_in_bucket_.assign(pms_.size(), kNoPm);
-  prev_in_bucket_.assign(pms_.size(), kNoPm);
+  next_in_bucket_.assign(pms_.size(), kNoLink);
+  prev_in_bucket_.assign(pms_.size(), kNoLink);
   unused_bits_.assign((pms_.size() + 63) / 64, ~std::uint64_t{0});
   next_activation_ = 0;
 }
@@ -516,7 +521,6 @@ void Datacenter::check_index_invariants() const {
   for (PmIndex i = 0; i < pms_.size(); ++i) {
     const PmRecord& pm = pms_[i];
     const ProfileShape& shape = catalog_.shape(pm.type);
-    PRVM_CHECK(pm.dims == static_cast<std::uint32_t>(shape.total_dims()), "PM row width wrong");
     sum.assign(level_stride_, 0);
     std::uint32_t walked = 0;
     std::uint32_t prev = kNoSlot;
@@ -540,10 +544,12 @@ void Datacenter::check_index_invariants() const {
     PRVM_CHECK(pm.last == prev, "PM list tail out of sync");
     PRVM_CHECK(walked == pm.vm_count, "PM VM count does not match its list");
     live_count += walked;
-    const std::span<const int> row = std::span(levels_).subspan(i * level_stride_, level_stride_);
+    const std::span<const std::uint8_t> row =
+        std::span(levels_).subspan(i * level_stride_, level_stride_);
     PRVM_CHECK(std::equal(row.begin(), row.end(), sum.begin()),
                "PM levels differ from the sum of its VMs' assignments");
-    PRVM_CHECK(pm.canonical_key == pack_canonical(shape, levels_of(i)),
+    PRVM_CHECK(pm.canonical_key ==
+                   pack_canonical(shape, std::span<const int>(sum).first(dims_of(i))),
                "PM canonical key stale");
   }
   PRVM_CHECK(free_count + live_count == slots_.size(), "slot neither free nor live");
@@ -565,9 +571,9 @@ void Datacenter::check_index_invariants() const {
       const std::uint32_t* slot = ti.slot_of.find(ti.keys[s]);
       PRVM_CHECK(slot != nullptr && *slot == s, "bucket key maps to the wrong slot");
       std::uint32_t walked = 0;
-      PmIndex prev = kNoPm;
+      std::uint32_t prev = kNoLink;
       PmIndex earliest = kNoPm;
-      for (PmIndex i = ti.heads[s]; i != kNoPm; i = next_in_bucket_[i]) {
+      for (std::uint32_t i = ti.heads[s]; i != kNoLink; i = next_in_bucket_[i]) {
         PRVM_CHECK(walked < ti.counts[s], "bucket list longer than its count");
         PRVM_CHECK(!in_bucket[i], "PM appears in two buckets");
         in_bucket[i] = true;
@@ -590,7 +596,7 @@ void Datacenter::check_index_invariants() const {
     const bool used = pms_[i].vm_count > 0;
     PRVM_CHECK(in_bucket[i] == used, "used PM missing from its bucket");
     if (!used) {
-      PRVM_CHECK(next_in_bucket_[i] == kNoPm && prev_in_bucket_[i] == kNoPm,
+      PRVM_CHECK(next_in_bucket_[i] == kNoLink && prev_in_bucket_[i] == kNoLink,
                  "unused PM still linked into a bucket");
     }
     const bool bit = (unused_bits_[i / 64] >> (i % 64)) & 1;

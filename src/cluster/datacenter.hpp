@@ -17,7 +17,9 @@
 // - each PM's VMs form a doubly-linked list through the slots, in
 //   insertion order, which keeps snapshots, digests and WAL bytes exactly
 //   as the order VMs were placed;
-// - the levels of all PMs sit in one flat array, one fixed-stride row each;
+// - the levels of all PMs sit in one flat array of bytes (the constructor
+//   requires every capacity to fit one), one fixed-stride row each, as wide
+//   as the widest PM shape; a PM's own width is its type's total_dims();
 // - a VM id finds its slot through an open-addressing FlatIdMap whose
 //   entries hold key and slot side by side;
 // - each VM's and each PM's latest utilization sample (DESIGN.md §9) is one
@@ -33,13 +35,18 @@
 // bucket canonical key, head PM, member count and earliest member (the
 // member with the smallest activation sequence number, with that number),
 // plus an intrusive doubly-linked membership list threaded through per-PM
-// next/prev arrays. PageRankVM's indexed pick sweeps the contiguous key and
-// earliest-member arrays — evaluating each *distinct* live profile once and
-// breaking score ties by the earliest member — without walking any bucket.
-// An activation sequence number per used PM (Algorithm 2's used_PM_list
-// order) and a bitmap free-list of unused PMs round out the index. Every
-// mutation is O(1) and allocation-free at steady state, except that a
-// bucket losing its earliest member walks its remaining members once.
+// 4-byte next/prev arrays (the constructor caps the fleet below 2^32 PMs).
+// PageRankVM's indexed pick sweeps the contiguous key and earliest-member
+// arrays — evaluating each *distinct* live profile once and breaking score
+// ties by the earliest member — without walking any bucket. An activation
+// sequence number per used PM (Algorithm 2's used_PM_list order) and a
+// bitmap free-list of unused PMs round out the index. Every mutation is
+// O(1) and allocation-free at steady state, except that a bucket losing its
+// earliest member walks its remaining members once.
+//
+// Per PM the ledger keeps a 32-byte PmRecord, a levels row (13 bytes for
+// the EC2 shapes) and 8 bytes of bucket links: 53 bytes, about 0.5 MB at
+// 10,000 PMs.
 #pragma once
 
 #include <algorithm>
@@ -205,8 +212,10 @@ class Datacenter {
     bool used() const { return !vms.empty(); }
   };
 
-  /// Sentinel terminating the intrusive bucket-membership lists.
+  /// No PM (an empty bucket's earliest member, a search that found none).
   static constexpr PmIndex kNoPm = static_cast<PmIndex>(-1);
+  /// Sentinel terminating the intrusive bucket-membership lists.
+  static constexpr std::uint32_t kNoLink = 0xFFFFFFFFu;
 
   /// Borrowed, allocation-free view of one bucket's member PMs (a walk of
   /// the intrusive list). Membership order is arbitrary (use
@@ -219,7 +228,7 @@ class Datacenter {
       using iterator_category = std::forward_iterator_tag;
       using value_type = PmIndex;
       using difference_type = std::ptrdiff_t;
-      using pointer = const PmIndex*;
+      using pointer = void;
       using reference = PmIndex;
       PmIndex operator*() const { return cur_; }
       iterator& operator++() {
@@ -236,24 +245,24 @@ class Datacenter {
 
      private:
       friend class BucketView;
-      iterator(PmIndex cur, const PmIndex* next) : cur_(cur), next_(next) {}
-      PmIndex cur_;
-      const PmIndex* next_;
+      iterator(std::uint32_t cur, const std::uint32_t* next) : cur_(cur), next_(next) {}
+      std::uint32_t cur_;
+      const std::uint32_t* next_;
     };
 
     BucketView() = default;
     iterator begin() const { return {head_, next_}; }
-    iterator end() const { return {kNoPm, next_}; }
+    iterator end() const { return {kNoLink, next_}; }
     std::uint32_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
 
    private:
     friend class Datacenter;
-    BucketView(PmIndex head, std::uint32_t size, const PmIndex* next)
+    BucketView(std::uint32_t head, std::uint32_t size, const std::uint32_t* next)
         : head_(head), size_(size), next_(next) {}
-    PmIndex head_ = kNoPm;
+    std::uint32_t head_ = kNoLink;
     std::uint32_t size_ = 0;
-    const PmIndex* next_ = nullptr;
+    const std::uint32_t* next_ = nullptr;
   };
 
   /// Builds a datacenter of pm_types_of[i] typed PMs over a catalog. The
@@ -421,7 +430,7 @@ class Datacenter {
   /// *value* behind (the flat map never erases).
   struct TypeIndex {
     std::vector<ProfileKey> keys;
-    std::vector<PmIndex> heads;
+    std::vector<std::uint32_t> heads;
     std::vector<std::uint32_t> counts;
     std::vector<Earliest> earliest;
     FlatMap64<std::uint32_t> slot_of;
@@ -430,22 +439,25 @@ class Datacenter {
   static constexpr std::uint32_t kNoBucket = 0xFFFFFFFFu;
 
   /// Per-PM ledger record: its slot list and canonical key. Its levels are
-  /// row `i` of levels_.
+  /// the first shape(type).total_dims() bytes of row `i` of levels_.
   struct PmRecord {
     std::uint32_t type = 0;
-    std::uint32_t dims = 0;  ///< the shape's total_dims()
     std::uint32_t first = kNoSlot;
     std::uint32_t last = kNoSlot;
     std::uint32_t vm_count = 0;
     ProfileKey canonical_key = 0;
     std::uint64_t sample = 0;  ///< utilization sample word; 0 = none
   };
+  static_assert(sizeof(PmRecord) == 32, "a PmRecord is half a cache line");
 
-  std::span<int> levels_of(PmIndex i) {
-    return std::span(levels_).subspan(i * level_stride_, pms_[i].dims);
+  std::size_t dims_of(PmIndex i) const {
+    return static_cast<std::size_t>(catalog_.shape(pms_[i].type).total_dims());
   }
-  std::span<const int> levels_of(PmIndex i) const {
-    return std::span(levels_).subspan(i * level_stride_, pms_[i].dims);
+  std::span<std::uint8_t> levels_of(PmIndex i) {
+    return std::span(levels_).subspan(i * level_stride_, dims_of(i));
+  }
+  std::span<const std::uint8_t> levels_of(PmIndex i) const {
+    return std::span(levels_).subspan(i * level_stride_, dims_of(i));
   }
   Assignments assignments_of(std::uint32_t slot) const {
     return Assignments(std::span(arena_).subspan(slot * slot_stride_, slots_[slot].count));
@@ -460,7 +472,7 @@ class Datacenter {
 
   Catalog catalog_;
   std::vector<PmRecord> pms_;
-  std::vector<int> levels_;  // pm_count() rows of level_stride_ levels
+  std::vector<std::uint8_t> levels_;  // pm_count() rows of level_stride_ levels
   std::size_t level_stride_ = 0;
   std::vector<VmSlot> slots_;
   std::vector<Item> arena_;  // slots_.size() rows of slot_stride_
@@ -474,8 +486,8 @@ class Datacenter {
   // slot_of by its canonical key (so swap-erasing a dead bucket only patches
   // one map entry, never the members of the moved bucket).
   std::vector<TypeIndex> index_;               // per PM type
-  std::vector<PmIndex> next_in_bucket_;        // per PM: intrusive list links
-  std::vector<PmIndex> prev_in_bucket_;
+  std::vector<std::uint32_t> next_in_bucket_;  // per PM: intrusive list links, kNoLink ends
+  std::vector<std::uint32_t> prev_in_bucket_;
   std::vector<std::uint64_t> activation_seq_;  // per PM: valid while used
   std::vector<std::uint64_t> unused_bits_;     // bitmap, 1 = unused
   std::uint64_t next_activation_ = 0;

@@ -42,12 +42,14 @@ class Fnv {
   std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 
-// 'I5': keys and scores only; the best-successor sections are gone (they are
-// computed on first sight). 'I4' had them after the scores, 'I3' a hash index
-// after those, and the header word that held the index capacity up to 'I3' is
-// reserved and must be 0. Images of an earlier version would map into the
-// wrong layout, so the magic bump has them rebuilt wholesale.
-constexpr char kImageMagic[8] = {'P', 'R', 'V', 'M', 'S', 'C', 'I', '5'};
+// 'I6': each key split at bit 32 (the distinct upper words with their
+// segment starts, then one low word per node) and the scores; the header
+// word after the demand count holds the segment count. 'I5' stored whole
+// 8-byte keys and kept that word 0, 'I4' had best-successor sections after
+// the scores and 'I3' a hash index after those. Images of an earlier version
+// would map into the wrong layout, so the magic bump has them rebuilt
+// wholesale.
+constexpr char kImageMagic[8] = {'P', 'R', 'V', 'M', 'S', 'C', 'I', '6'};
 
 template <typename T>
 void write_pod(std::ostream& os, const T& value) {
@@ -58,11 +60,23 @@ void write_pod(std::ostream& os, const T& value) {
 /// boundary so mapped pointers are cache-line (and type-) aligned.
 constexpr std::size_t align_up(std::size_t offset) { return (offset + 63) & ~std::size_t{63}; }
 
-// Throws unless the keys ascend strictly: a flipped byte in an image would
-// otherwise make node_of's binary search return a wrong node.
-void check_image_keys(std::span<const ProfileKey> keys, const std::filesystem::path& path) {
+// Throws unless the arrays describe strictly ascending keys: a flipped byte
+// in an image would otherwise make node_of's binary searches return a wrong
+// node, and a wild segment start would send them past the low words. The
+// starts are checked before any of them indexes the low words.
+void check_image_columns(const std::uint32_t* uppers, const std::uint32_t* starts,
+                         std::size_t segments, const std::uint32_t* lows, std::size_t nodes,
+                         const std::filesystem::path& path) {
+  bool starts_ok = starts[0] == 0 && starts[segments] == nodes;
   bool ascending = true;
-  for (std::size_t u = 1; u < keys.size(); ++u) ascending &= keys[u - 1] < keys[u];
+  for (std::size_t s = 0; s < segments; ++s) {
+    starts_ok &= starts[s] < starts[s + 1];
+    if (s > 0) ascending &= uppers[s - 1] < uppers[s];
+  }
+  PRVM_REQUIRE(starts_ok, "segment starts corrupt in score-table file: " + path.string());
+  for (std::size_t s = 0; s < segments; ++s) {
+    for (std::size_t u = starts[s] + 1; u < starts[s + 1]; ++u) ascending &= lows[u - 1] < lows[u];
+  }
   PRVM_REQUIRE(ascending, "keys out of order in score-table file: " + path.string());
 }
 
@@ -103,6 +117,14 @@ void publish_file(const std::filesystem::path& path, Write write) {
 }
 
 }  // namespace
+
+/// A built table's arrays, laid out as in an image.
+struct ScoreTable::Columns {
+  std::vector<std::uint32_t> uppers;
+  std::vector<std::uint32_t> starts;
+  std::vector<std::uint32_t> lows;
+  std::vector<float> scores;
+};
 
 /// An open read-only mapping of an image file; destroyed when the last
 /// ScoreTable serving from it goes away.
@@ -213,17 +235,38 @@ ScoreTable ScoreTable::build(const ProfileGraph& graph, const ScoreTableOptions&
   table.converged_ = pr.converged;
 
   const std::size_t n = graph.node_count();
-  table.node_count_ = n;
-  table.keys_.resize(n);
-  table.scores_.resize(n);
+  std::vector<ProfileKey> keys(n);
+  std::vector<float> node_scores(n);
   for (NodeId u = 0; u < n; ++u) {
-    table.keys_[u] = graph.key_of(u);
-    table.scores_[u] = static_cast<float>(scores[u]);
+    keys[u] = graph.key_of(u);
+    node_scores[u] = static_cast<float>(scores[u]);
   }
-  PRVM_CHECK(std::adjacent_find(table.keys_.begin(), table.keys_.end(),
-                                std::greater_equal<>()) == table.keys_.end(),
+  PRVM_CHECK(std::adjacent_find(keys.begin(), keys.end(), std::greater_equal<>()) == keys.end(),
              "node_of needs canonical numbering: keys strictly ascending");
+  table.set_columns(keys, std::move(node_scores));
   return table;
+}
+
+void ScoreTable::set_columns(std::span<const ProfileKey> keys, std::vector<float> scores) {
+  auto columns = std::make_shared<Columns>();
+  columns->lows.reserve(keys.size());
+  for (std::size_t u = 0; u < keys.size(); ++u) {
+    const auto upper = static_cast<std::uint32_t>(keys[u] >> 32);
+    if (u == 0 || upper != columns->uppers.back()) {
+      columns->uppers.push_back(upper);
+      columns->starts.push_back(static_cast<std::uint32_t>(u));
+    }
+    columns->lows.push_back(static_cast<std::uint32_t>(keys[u]));
+  }
+  columns->starts.push_back(static_cast<std::uint32_t>(keys.size()));
+  columns->scores = std::move(scores);
+  node_count_ = keys.size();
+  segment_count_ = columns->uppers.size();
+  uppers_ = columns->uppers.data();
+  starts_ = columns->starts.data();
+  lows_ = columns->lows.data();
+  scores_ = columns->scores.data();
+  storage_ = std::move(columns);
 }
 
 ScoreTable ScoreTable::extend(const ScoreTable& base, const ProfileGraph& graph,
@@ -241,23 +284,15 @@ ScoreTable ScoreTable::extend(const ScoreTable& base, const ProfileGraph& graph,
                "extend: demand list shrank");
 
   // Same graph + same options => PageRank, BPRU and normalization are
-  // untouched: node keys and scores carry over verbatim, and the table takes
-  // the longer demand list.
-  ScoreTable table;
-  table.shape_ = graph.shape();
-  table.node_count_ = base.node_count_;
+  // untouched: the table shares base's key and score arrays (immutable, a
+  // mapping's included) and takes the longer demand list.
+  ScoreTable table = base;
   table.demands_ = graph.demands();
   table.digest_ = digest(graph.shape(), graph.demands(), options);
-  table.iterations_ = base.iterations_;
-  table.converged_ = base.converged_;
-
-  const std::size_t n = base.node_count_;
-  table.keys_.assign(base.keys_data(), base.keys_data() + n);
-  for (NodeId u = 0; u < n; ++u) {
-    PRVM_REQUIRE(table.keys_[u] == graph.key_of(u),
+  for (NodeId u = 0; u < base.node_count_; ++u) {
+    PRVM_REQUIRE(base.key_of(u) == graph.key_of(u),
                  "extend: base table and graph disagree on node numbering");
   }
-  table.scores_.assign(base.scores_data(), base.scores_data() + n);
   return table;
 }
 
@@ -268,10 +303,24 @@ std::optional<double> ScoreTable::find(ProfileKey key) const {
 }
 
 std::optional<NodeId> ScoreTable::node_of(ProfileKey key) const {
-  const ProfileKey* keys = keys_data();
-  const ProfileKey* it = std::lower_bound(keys, keys + node_count_, key);
-  if (it == keys + node_count_ || *it != key) return std::nullopt;
-  return static_cast<NodeId>(it - keys);
+  const auto upper = static_cast<std::uint32_t>(key >> 32);
+  const std::uint32_t* segment = std::lower_bound(uppers_, uppers_ + segment_count_, upper);
+  if (segment == uppers_ + segment_count_ || *segment != upper) return std::nullopt;
+  const std::size_t s = static_cast<std::size_t>(segment - uppers_);
+  const auto low = static_cast<std::uint32_t>(key);
+  const std::uint32_t* end = lows_ + starts_[s + 1];
+  const std::uint32_t* it = std::lower_bound(lows_ + starts_[s], end, low);
+  if (it == end || *it != low) return std::nullopt;
+  return static_cast<NodeId>(it - lows_);
+}
+
+ProfileKey ScoreTable::key_of(NodeId node) const {
+  // The last start not above `node` opens its segment; the sentinel start
+  // (the node count) is above every node.
+  const std::size_t s =
+      static_cast<std::size_t>(std::upper_bound(starts_, starts_ + segment_count_ + 1, node) -
+                               starts_) - 1;
+  return (ProfileKey{uppers_[s]} << 32) | lows_[node];
 }
 
 NodeId ScoreTable::best_successor(NodeId node, std::size_t demand_index,
@@ -320,7 +369,6 @@ std::optional<ScoreTable::Best> ScoreTable::best_after(ProfileKey current,
 }
 
 void ScoreTable::save_image(const std::filesystem::path& path) const {
-  PRVM_REQUIRE(!is_mapped(), "saving an image from a mapped table is redundant");
   publish_file(path, [&](std::ostream& os) { write_image(os); });
 }
 
@@ -328,7 +376,7 @@ void ScoreTable::write_image(std::ostream& os) const {
   os.write(kImageMagic, sizeof kImageMagic);
   write_pod(os, static_cast<std::uint64_t>(node_count_));
   write_pod(os, static_cast<std::uint64_t>(demands_.size()));
-  write_pod(os, std::uint64_t{0});  // reserved (the index capacity up to 'I3')
+  write_pod(os, static_cast<std::uint64_t>(segment_count_));
   write_pod(os, static_cast<std::int64_t>(iterations_));
   write_pod(os, static_cast<std::uint64_t>(converged_));
   write_pod(os, static_cast<std::uint64_t>(digest_.size()));
@@ -348,8 +396,10 @@ void ScoreTable::write_image(std::ostream& os) const {
     os.write(reinterpret_cast<const char*>(data), static_cast<std::streamsize>(bytes));
     offset += bytes;
   };
-  section(keys_.data(), node_count_ * sizeof(ProfileKey));
-  section(scores_.data(), node_count_ * sizeof(float));
+  section(uppers_, segment_count_ * sizeof(std::uint32_t));
+  section(starts_, (segment_count_ + 1) * sizeof(std::uint32_t));
+  section(lows_, node_count_ * sizeof(std::uint32_t));
+  section(scores_, node_count_ * sizeof(float));
 }
 
 ScoreTable ScoreTable::map_image(const std::filesystem::path& path,
@@ -389,15 +439,15 @@ ScoreTable ScoreTable::map_image(const std::filesystem::path& path,
   ScoreTable table;
   table.node_count_ = take_u64();
   const std::uint64_t demand_count = take_u64();
-  const std::uint64_t reserved = take_u64();
+  table.segment_count_ = take_u64();
   std::int64_t iterations = 0;
   std::memcpy(&iterations, take(sizeof iterations), sizeof iterations);
   table.iterations_ = static_cast<int>(iterations);
   table.converged_ = take_u64() != 0;
   const std::uint64_t digest_len = take_u64();
   const std::uint64_t group_count = take_u64();
-  PRVM_REQUIRE(reserved == 0 && digest_len < 256 && group_count >= 1 && group_count < 64 &&
-                   table.node_count_ < kNoFit,
+  PRVM_REQUIRE(digest_len < 256 && group_count >= 1 && group_count < 64 &&
+                   table.node_count_ < kNoFit && table.segment_count_ <= table.node_count_,
                "corrupt image header: " + path.string());
   table.digest_.assign(reinterpret_cast<const char*>(take(digest_len)), digest_len);
   std::vector<DimensionGroup> groups;
@@ -418,10 +468,17 @@ ScoreTable ScoreTable::map_image(const std::filesystem::path& path,
     return take(bytes);
   };
   const std::size_t n = table.node_count_;
-  table.img_keys_ = reinterpret_cast<const ProfileKey*>(section(n * sizeof(ProfileKey)));
-  table.img_scores_ = reinterpret_cast<const float*>(section(n * sizeof(float)));
-  check_image_keys({table.img_keys_, n}, path);
-  table.image_ = std::move(image);
+  const std::size_t segments = table.segment_count_;
+  const auto words = [&](std::size_t count) {
+    return reinterpret_cast<const std::uint32_t*>(section(count * sizeof(std::uint32_t)));
+  };
+  table.uppers_ = words(segments);
+  table.starts_ = words(segments + 1);
+  table.lows_ = words(n);
+  table.scores_ = reinterpret_cast<const float*>(section(n * sizeof(float)));
+  check_image_columns(table.uppers_, table.starts_, segments, table.lows_, n, path);
+  table.storage_ = std::move(image);
+  table.mapped_ = true;
   return table;
 }
 

@@ -5,22 +5,28 @@
 // optional normalization to the table maximum (so scores from differently
 // sized graphs — M3 vs C3 PMs — are comparable).
 //
-// The table stores one key and one float score per node. Nodes are numbered
-// in ascending key order (ProfileGraph's canonical numbering), so the key
-// array is its own index: node_of binary-searches it. The best successor of
-// a (profile, VM type) is not stored: best_after_node enumerates the
-// profile's successor keys under that VM type, looks each one up, and keeps
-// the first with the highest score. That costs about 8 µs for one EC2
-// profile's six VM types, and a placement engine pays it once per live
-// profile it sees: PageRankVm memoizes the answers per engine, and a churn
-// run sees a few thousand of the EC2 tables' 131k profiles.
+// The table stores one float score per node and its key split at bit 32.
+// Nodes are numbered in ascending key order (ProfileGraph's canonical
+// numbering), so the keys are their own index. The EC2 tables' keys fit in
+// 41 bits and their upper words take a few dozen values, so the table keeps
+// each distinct upper word once, with the first node of its run (a
+// segment), and one 4-byte low word per node: node_of binary-searches the
+// upper words and then the segment's low words, and key_of finds a node's
+// segment by its start. The best successor of a (profile, VM type) is not
+// stored: best_after_node enumerates the profile's successor keys under that
+// VM type, looks each one up, and keeps the first with the highest score.
+// That costs about 8 µs for one EC2 profile's six VM types, and a placement
+// engine pays it once per live profile it sees: PageRankVm memoizes the
+// answers per engine, and a churn run sees a few thousand of the EC2
+// tables' 131k profiles.
 //
-// The table is self-contained after build (the graph can be discarded). It
-// persists in one form, save_image()/map_image(): a page-aligned read-only
-// image mapped with mmap, so N cell processes of one host share one
-// physical copy (building the EC2-scale tables takes about 0.35 s on 4
-// CPUs, and the paper notes the table "is relatively stable during a
-// certain period of time"). extend() grows an existing table in place when
+// The table is self-contained after build (the graph can be discarded). A
+// built table and a mapped one hold the same four arrays and serve them
+// through the same code. It persists in one form, save_image()/map_image():
+// a page-aligned read-only image mapped with mmap, so N cell processes of
+// one host share one physical copy (building the EC2-scale tables takes
+// about 0.35 s on 4 CPUs, and the paper notes the table "is relatively
+// stable during a certain period of time"). extend() grows an existing table in place when
 // the catalog gains VM types; byte-identical to a fresh build, sublinear
 // when the profile graph did not change.
 #pragma once
@@ -30,6 +36,7 @@
 #include <iosfwd>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -101,10 +108,10 @@ class ScoreTable {
   /// Extends `base` to cover `graph`'s (longer) demand list; `base` must
   /// have been built over the same shape with a prefix of graph's demands.
   /// When `graph_changed` is false (ProfileGraph::extend reported no new
-  /// node or edge) the keys and scores are reused verbatim and the new
-  /// demands appended — no PageRank rebuild. Either way the result is
-  /// byte-identical to build(graph, options), which the differential suite
-  /// asserts.
+  /// node or edge) the result shares base's keys and scores (a mapped
+  /// base's mapping too) and takes the new demands — no PageRank rebuild.
+  /// Either way the result is byte-identical to build(graph, options), which
+  /// the differential suite asserts.
   static ScoreTable extend(const ScoreTable& base, const ProfileGraph& graph,
                            bool graph_changed, const ScoreTableOptions& options = {});
 
@@ -131,11 +138,14 @@ class ScoreTable {
   std::optional<Best> best_after(ProfileKey current, std::size_t demand_index) const;
 
   /// Node id of a canonical profile, if present: a binary search over the
-  /// ascending keys. Node-keyed accessors below let hot paths resolve the
-  /// key once and reuse the id.
+  /// upper key words, then one over the low words of that upper word's
+  /// segment. Node-keyed accessors below let hot paths resolve the key once
+  /// and reuse the id.
   std::optional<NodeId> node_of(ProfileKey key) const;
-  ProfileKey key_of(NodeId node) const { return keys_data()[node]; }
-  float node_score(NodeId node) const { return scores_data()[node]; }
+  /// The key of a node: its segment's upper word (found by the segment
+  /// starts) above its own low word.
+  ProfileKey key_of(NodeId node) const;
+  float node_score(NodeId node) const { return scores_[node]; }
   std::optional<Best> best_after_node(NodeId node, std::size_t demand_index) const;
 
   /// The raw form of best_after_node: the node of the best profile reachable
@@ -151,8 +161,9 @@ class ScoreTable {
   int pagerank_iterations() const { return iterations_; }
   bool pagerank_converged() const { return converged_; }
 
-  /// Read-only image persistence: save_image() writes the keys and scores
-  /// into one page-aligned file that embeds a digest of (shape, options,
+  /// Read-only image persistence: save_image() writes the four arrays
+  /// (upper words, segment starts, low words, scores) into one page-aligned
+  /// file that embeds a digest of (shape, options,
   /// demand fingerprint) for the caller to check; map_image() mmaps it
   /// MAP_SHARED|PROT_READ and serves every accessor straight from the
   /// mapping — multiple processes mapping the same file share one physical
@@ -163,13 +174,15 @@ class ScoreTable {
   /// map_image() throws on a missing file, a file of another format
   /// version, a truncated file, a demand list of another length than the
   /// table's or invalid for its shape, or keys that are not strictly
-  /// ascending (the binary search would return wrong nodes).
+  /// ascending (the binary searches would return wrong nodes): upper words
+  /// out of order, segment starts that do not rise from 0 to the node count,
+  /// or low words out of order within a segment.
   void save_image(const std::filesystem::path& path) const;
   static ScoreTable map_image(const std::filesystem::path& path,
                               std::vector<QuantizedDemand> demands);
 
   /// True when the table is served from a map_image() mapping.
-  bool is_mapped() const { return image_ != nullptr; }
+  bool is_mapped() const { return mapped_; }
 
   /// Digest string identifying (shape, demands, options); doubles as the
   /// image-file naming scheme. Computable without building the graph.
@@ -186,27 +199,30 @@ class ScoreTable {
   /// The body of save_image().
   void write_image(std::ostream& os) const;
 
-  /// An open mmap; shared_ptr so copies of a mapped table stay cheap and
-  /// the mapping lives exactly as long as someone serves from it.
+  /// An open mmap, or the arrays of a built table; either one is immutable
+  /// and held through storage_, so copies of a table share it and it lives
+  /// exactly as long as someone serves from it.
   struct Image;
+  struct Columns;
 
-  /// Accessors below serve from the owned vectors or the mapped image.
-  const ProfileKey* keys_data() const { return image_ ? img_keys_ : keys_.data(); }
-  const float* scores_data() const { return image_ ? img_scores_ : scores_.data(); }
+  /// Splits ascending `keys` into the segment arrays and takes `scores`,
+  /// into fresh storage.
+  void set_columns(std::span<const ProfileKey> keys, std::vector<float> scores);
 
   ProfileShape shape_{std::vector<DimensionGroup>{DimensionGroup{}}};
   std::size_t node_count_ = 0;
+  std::size_t segment_count_ = 0;
   std::vector<QuantizedDemand> demands_;
-  std::vector<ProfileKey> keys_;
-  std::vector<float> scores_;
   std::string digest_;
   int iterations_ = 0;
   bool converged_ = false;
+  bool mapped_ = false;
 
-  // Mapped-image state (null/empty for owned tables).
-  std::shared_ptr<const Image> image_;
-  const ProfileKey* img_keys_ = nullptr;
-  const float* img_scores_ = nullptr;
+  std::shared_ptr<const void> storage_;
+  const std::uint32_t* uppers_ = nullptr;  ///< segment_count_ upper key words, ascending
+  const std::uint32_t* starts_ = nullptr;  ///< segment_count_ + 1 first nodes, then node_count_
+  const std::uint32_t* lows_ = nullptr;    ///< node_count_ low key words
+  const float* scores_ = nullptr;          ///< node_count_ scores
 };
 
 }  // namespace prvm

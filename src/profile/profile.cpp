@@ -112,7 +112,23 @@ Profile Profile::unpack(const ProfileShape& shape, ProfileKey key) {
   return from_levels(shape, std::move(levels));
 }
 
-int Profile::total_usage() const { return ProfileView(levels_).total_usage(); }
+namespace {
+
+template <typename Level>
+std::string describe_levels(std::span<const Level> levels) {
+  std::ostringstream os;
+  os << '[';
+  for (std::size_t d = 0; d < levels.size(); ++d) {
+    if (d) os << ',';
+    os << static_cast<int>(levels[d]);
+  }
+  os << ']';
+  return os.str();
+}
+
+}  // namespace
+
+int Profile::total_usage() const { return std::accumulate(levels_.begin(), levels_.end(), 0); }
 
 int ProfileView::total_usage() const {
   return std::accumulate(levels_.begin(), levels_.end(), 0);
@@ -200,18 +216,9 @@ bool Profile::is_best(const ProfileShape& shape) const {
   return true;
 }
 
-std::string Profile::describe() const { return ProfileView(levels_).describe(); }
+std::string Profile::describe() const { return describe_levels(levels()); }
 
-std::string ProfileView::describe() const {
-  std::ostringstream os;
-  os << '[';
-  for (std::size_t d = 0; d < levels_.size(); ++d) {
-    if (d) os << ',';
-    os << levels_[d];
-  }
-  os << ']';
-  return os.str();
-}
+std::string ProfileView::describe() const { return describe_levels(levels_); }
 
 Profile best_profile(const ProfileShape& shape) {
   std::vector<int> levels;

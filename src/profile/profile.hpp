@@ -134,15 +134,16 @@ class Profile {
   std::vector<int> levels_;
 };
 
-/// A borrowed, read-only profile over levels stored elsewhere (one PM's row
-/// of the datacenter's flat level array). Offers Profile's plain accessors;
-/// valid only while the owner of the levels leaves them unchanged.
+/// A borrowed, read-only profile over byte levels stored elsewhere (one PM's
+/// row of the datacenter's flat level array, whose capacities fit a byte).
+/// Offers Profile's plain accessors, with levels read as int; valid only
+/// while the owner of the levels leaves them unchanged.
 class ProfileView {
  public:
   ProfileView() = default;
-  explicit ProfileView(std::span<const int> levels) : levels_(levels) {}
+  explicit ProfileView(std::span<const std::uint8_t> levels) : levels_(levels) {}
 
-  std::span<const int> levels() const { return levels_; }
+  std::span<const std::uint8_t> levels() const { return levels_; }
   int level(int dim) const { return levels_[static_cast<std::size_t>(dim)]; }
   int total_usage() const;
   /// An owning copy in canonical form.
@@ -150,7 +151,7 @@ class ProfileView {
   std::string describe() const;
 
  private:
-  std::span<const int> levels_;
+  std::span<const std::uint8_t> levels_;
 };
 
 /// The packed key of the canonical form of raw `levels` (any order within a

@@ -174,6 +174,8 @@ void PlacementService::init_metrics() {
   m_.flush_queue_depth = &r.gauge("prvm_flush_queue_depth");
   m_.admission_groups = &r.gauge("prvm_admission_groups");
   m_.admission_grouped_vms = &r.gauge("prvm_admission_grouped_vms");
+  m_.used_pms = &r.gauge("prvm_used_pms");
+  m_.vms = &r.gauge("prvm_vms");
   m_.queue_wait_ns = &r.histogram("prvm_queue_wait_ns");
   m_.batch_size = &r.histogram("prvm_batch_size");
   m_.place_compute_ns = &r.histogram("prvm_place_compute_ns");
@@ -1587,6 +1589,8 @@ void PlacementService::run_pass() {
   m_.wal_lag->set(static_cast<std::int64_t>(op_seq_ - snapshot_op_seq_));
   m_.admission_groups->set(static_cast<std::int64_t>(admission_.group_count()));
   m_.admission_grouped_vms->set(static_cast<std::int64_t>(admission_.grouped_vm_count()));
+  m_.used_pms->set(static_cast<std::int64_t>(dc_.used_count()));
+  m_.vms->set(static_cast<std::int64_t>(dc_.vm_count()));
 
   if (config_.snapshot_every_ops > 0 && !degraded_.load(std::memory_order_relaxed) &&
       op_seq_ - snapshot_op_seq_ >= config_.snapshot_every_ops) {

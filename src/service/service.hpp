@@ -518,6 +518,8 @@ class PlacementService : public RequestSink {
     obs::Gauge* flush_queue_depth = nullptr;  ///< batches awaiting their flush
     obs::Gauge* admission_groups = nullptr;   ///< live anti-collocation groups
     obs::Gauge* admission_grouped_vms = nullptr;
+    obs::Gauge* used_pms = nullptr;  ///< PMs hosting a VM: the fleet's packing
+    obs::Gauge* vms = nullptr;       ///< placed VMs
     obs::Histogram* queue_wait_ns = nullptr;
     obs::Histogram* batch_size = nullptr;
     obs::Histogram* place_compute_ns = nullptr;  ///< the engine's pick alone

@@ -176,6 +176,40 @@ TEST(Datacenter, PackedItemsKeepFullByteAmounts) {
   EXPECT_EQ(dc.pm(0).usage.total_usage(), 0);
 }
 
+TEST(Datacenter, ByteLevelsFillTo255AndEmptyTo0) {
+  // A PM's levels are stored one byte each. Five VMs of 51 memory levels
+  // fill a 255-level dimension exactly, a sixth level does not fit, and
+  // removing them in turn walks the level back down to 0. Every level above
+  // 127 would read negative in a signed byte.
+  QuantizationConfig q;
+  q.cpu_levels = 4;
+  q.mem_levels = 255;
+  Datacenter dc(Catalog({{"pair", 2, 1.0, 2.0, 0, 0.0}},
+                        {{"node", 2, 4.0, 8.0, 0, 0.0, "E5-2670"}}, q),
+                {0, 0});
+  const ProfileShape& shape = dc.shape_of(1);
+  using Items = std::vector<std::pair<int, int>>;
+  const auto expect_memory_level = [&](int level) {
+    EXPECT_EQ(dc.pm(1).usage.level(2), level);
+    EXPECT_EQ(dc.pm(1).usage.total_usage(), level);
+    EXPECT_EQ(dc.pm(1).canonical_key, dc.pm(1).usage.canonical(shape).pack(shape));
+    dc.check_index_invariants();
+  };
+  for (VmId vm = 1; vm <= 5; ++vm) {
+    dc.place(1, Vm{vm, 0}, DemandPlacement{Items{{2, 51}}, Profile::zero(shape)});
+    expect_memory_level(static_cast<int>(vm) * 51);
+  }
+  EXPECT_EQ(dc.pm(1).usage.levels()[2], 255);
+  EXPECT_THROW(dc.place(1, Vm{6, 0}, DemandPlacement{Items{{2, 1}}, Profile::zero(shape)}),
+               std::invalid_argument);
+  expect_memory_level(255);
+  for (VmId vm = 1; vm <= 5; ++vm) {
+    dc.remove(vm);
+    expect_memory_level(255 - static_cast<int>(vm) * 51);
+  }
+  EXPECT_FALSE(dc.pm(1).used());
+}
+
 TEST(Datacenter, SamplesLiveInSlotsAndLeaveWithTheirVm) {
   Datacenter dc(small_catalog(), {0, 0});
   dc.place_first_fit(0, Vm{1, 0});

@@ -12,12 +12,15 @@
 //
 // The tables no longer store best successors; best_after_node computes them,
 // and the hash still covers them for every node and VM type, so the
-// computation is pinned to what the stored blocks held.
+// computation is pinned to what the stored blocks held. The hash works them
+// out in parallel chunks on the shared pool and folds them in node order.
 //
-// ScoreTableLookup checks the key lookups against the key array on built and
-// mapped tables. The ScoreImage suite serves the same tables from image
+// ScoreTableLookup checks the key lookups against the keys on built and
+// mapped tables, at every segment's ends and between segments. The
+// ScoreImage suite serves the same tables from image
 // files: written by two processes at once, corrupted, left over in an older
 // format, and measured for the heap a cold build leaves behind.
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -37,6 +40,7 @@
 #include "cluster/catalog.hpp"
 #include "common/allocator.hpp"
 #include "common/flat_map.hpp"
+#include "common/worker_pool.hpp"
 #include "core/catalog_graphs.hpp"
 #include "run_inline.hpp"
 
@@ -64,6 +68,22 @@ class Fnv1a {
   std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 
+// best_successor of every (VM type, node), VM-type-major: the shared pool
+// works out chunks of nodes, each with its own scratch vector.
+std::vector<NodeId> best_successors(const ScoreTable& table) {
+  const std::size_t n = table.size();
+  std::vector<NodeId> best(table.demand_count() * n);
+  WorkerPool::shared().parallel_chunks(n, 2048, [&](std::size_t lo, std::size_t hi) {
+    std::vector<ProfileKey> scratch;
+    for (std::size_t t = 0; t < table.demand_count(); ++t) {
+      for (std::size_t u = lo; u < hi; ++u) {
+        best[t * n + u] = table.best_successor(static_cast<NodeId>(u), t, scratch);
+      }
+    }
+  });
+  return best;
+}
+
 // Keys, scores, best successors and the PageRank iteration count.
 void mix_table(Fnv1a& fnv, const ScoreTable& table) {
   fnv.mix(table.size());
@@ -72,15 +92,11 @@ void mix_table(Fnv1a& fnv, const ScoreTable& table) {
     fnv.mix(table.key_of(u));
     fnv.mix_float(table.node_score(u));
   }
-  std::vector<ProfileKey> scratch;
-  for (std::size_t t = 0; t < table.demand_count(); ++t) {
-    // kRecordedHash was taken when the table stored a best entry per node
-    // and VM type: the successor's score (0 with kNoFit), then its node.
-    for (NodeId u = 0; u < table.size(); ++u) {
-      const NodeId best = table.best_successor(u, t, scratch);
-      fnv.mix_float(best == ScoreTable::kNoFit ? 0.0F : table.node_score(best));
-      fnv.mix(best);
-    }
+  // kRecordedHash was taken when the table stored a best entry per node and
+  // VM type: the successor's score (0 with kNoFit), then its node.
+  for (const NodeId best : best_successors(table)) {
+    fnv.mix_float(best == ScoreTable::kNoFit ? 0.0F : table.node_score(best));
+    fnv.mix(best);
   }
   fnv.mix(static_cast<std::uint64_t>(table.pagerank_iterations()));
 }
@@ -148,12 +164,17 @@ void patch_file(const std::filesystem::path& path, std::size_t offset, T value) 
 constexpr std::size_t align64(std::size_t offset) { return (offset + 63) & ~std::size_t{63}; }
 
 // Byte offsets in a save_image() file: a 64-byte header (magic, node count,
-// demand count, a reserved 0 word, iterations, converged, digest length,
-// group count), the digest, 12 bytes per group, then keys and scores, each
-// section starting on a 64-byte boundary.
+// demand count, segment count, iterations, converged, digest length, group
+// count), the digest, 12 bytes per group, then the sections, each starting
+// on a 64-byte boundary: the 4-byte upper key words (one per segment), the
+// segment starts (one more, ending with the node count), the 4-byte low key
+// words and the scores (one per node).
 struct ImageLayout {
-  std::size_t nodes = 0;  ///< node count
-  std::size_t keys = 0;  ///< first key
+  std::size_t nodes = 0;     ///< node count
+  std::size_t segments = 0;  ///< segment count
+  std::size_t uppers = 0;    ///< first upper word
+  std::size_t starts = 0;    ///< first segment start
+  std::size_t lows = 0;      ///< first low word
 };
 
 ImageLayout image_layout(const std::filesystem::path& path) {
@@ -162,18 +183,23 @@ ImageLayout image_layout(const std::filesystem::path& path) {
   const auto groups = read_at<std::uint64_t>(bytes, 56);
   ImageLayout layout;
   layout.nodes = read_at<std::uint64_t>(bytes, 8);
-  layout.keys = align64(64 + digest_len + 12 * groups);
+  layout.segments = read_at<std::uint64_t>(bytes, 24);
+  layout.uppers = align64(64 + digest_len + 12 * groups);
+  layout.starts = align64(layout.uppers + 4 * layout.segments);
+  layout.lows = align64(layout.starts + 4 * (layout.segments + 1));
   return layout;
 }
 
-// A writer of the earlier image formats, which stored a best-successor entry
+// A writer of the earlier image formats. PRVMSCI5 held whole 8-byte keys
+// and the scores, with the header word that now holds the segment count
+// reserved as 0. The versions before it also stored a best-successor entry
 // per node and VM type after the scores: PRVMSCI2, whose entries were 8
 // bytes and held their score, and PRVMSCI3 and PRVMSCI4, whose entries were
 // 4-byte successor ids. 2 and 3 carried a FlatMap64 hash index (its keys,
 // values and occupancy bytes) after the entries, written here at the
 // capacity FlatMap64 gave it, with every slot free, and its capacity in the
-// header word that 4 reserved as 0. The loader must refuse every one of
-// them by its magic before it reads them.
+// reserved header word. The loader must refuse every one of them by its
+// magic before it reads them.
 class OldWriter {
  public:
   explicit OldWriter(const std::filesystem::path& path) : os_(path, std::ios::binary) {}
@@ -202,20 +228,16 @@ void write_old_image(const ScoreTable& table, const std::filesystem::path& path,
     keys.push_back(table.key_of(u));
     scores.push_back(table.node_score(u));
   }
+  const std::vector<NodeId> v3_best = version == '5' ? std::vector<NodeId>{}
+                                                      : best_successors(table);
   std::vector<std::pair<float, NodeId>> v2_best;  // {score, successor}, demand-major
-  std::vector<NodeId> v3_best;
-  std::vector<ProfileKey> scratch;
-  for (std::size_t t = 0; t < table.demand_count(); ++t) {
-    for (NodeId u = 0; u < table.size(); ++u) {
-      const NodeId successor = table.best_successor(u, t, scratch);
-      v2_best.emplace_back(
-          successor == ScoreTable::kNoFit ? 0.0F : table.node_score(successor), successor);
-      v3_best.push_back(successor);
-    }
+  for (const NodeId successor : v3_best) {
+    v2_best.emplace_back(successor == ScoreTable::kNoFit ? 0.0F : table.node_score(successor),
+                         successor);
   }
   FlatMap64<NodeId> index;
   index.reserve(table.size());
-  const std::size_t capacity = version == '4' ? 0 : index.capacity();
+  const std::size_t capacity = version >= '4' ? 0 : index.capacity();
 
   OldWriter w(path);
   const std::string magic = std::string("PRVMSCI") + version;
@@ -235,6 +257,7 @@ void write_old_image(const ScoreTable& table, const std::filesystem::path& path,
   }
   w.section(keys.data(), keys.size() * sizeof(ProfileKey));
   w.section(scores.data(), scores.size() * sizeof(float));
+  if (version == '5') return;
   if (version == '2') {
     w.section(v2_best.data(), v2_best.size() * sizeof(v2_best[0]));
   } else {
@@ -309,16 +332,20 @@ TEST(ScoreTableGolden, MappedTablesSurviveARewriteOfTheirImages) {
 }
 
 TEST(ScoreTableLookup, NodeOfInvertsKeyOfOnBuiltAndMappedTables) {
-  // node_of binary-searches the ascending keys. On both EC2 tables, built
-  // and mapped: every node's key finds that node; a key between two
-  // neighbours, past the last key, or UINT64_MAX finds nothing (the first
-  // key is 0, the empty profile, so no key lies below it); and the key-based
-  // find and best_after agree with the node-keyed accessors.
+  // node_of binary-searches the upper key words, then the low words of that
+  // segment. On both EC2 tables, built and mapped: every node's key finds
+  // that node, the first and last key of every segment included; a key
+  // between two neighbours, past the last key, or UINT64_MAX finds nothing
+  // (the first key is 0, the empty profile, so no key lies below it), nor
+  // does a key whose upper word no segment has, even with a low word some
+  // node has; and the key-based find and best_after agree with the
+  // node-keyed accessors (checked in parallel chunks of nodes).
   const Catalog catalog = ec2_sim_catalog();
   const ScoreTableSet owned = build_score_tables(catalog, {}, std::nullopt);
   const TempDir dir("node-of");
   const ScoreTableSet mapped = build_score_tables(catalog, {}, dir.path());
   ASSERT_EQ(owned.pm_type_count(), 2u);
+  const auto upper = [](ProfileKey key) { return key >> 32; };
   for (const ScoreTableSet* set : {&owned, &mapped}) {
     for (std::size_t p = 0; p < set->pm_type_count(); ++p) {
       const ScoreTable& table = set->table(p);
@@ -326,29 +353,58 @@ TEST(ScoreTableLookup, NodeOfInvertsKeyOfOnBuiltAndMappedTables) {
                    std::to_string(p));
       ASSERT_EQ(table.is_mapped(), set == &mapped);
       ASSERT_EQ(table.key_of(0), ProfileKey{0});
-      std::size_t mismatches = 0;
-      std::size_t gaps = 0;
-      for (NodeId u = 0; u < table.size(); ++u) {
-        const ProfileKey key = table.key_of(u);
-        mismatches += table.node_of(key) != std::optional<NodeId>(u);
-        mismatches += table.find(key) != std::optional<double>(table.node_score(u));
-        for (std::size_t d = 0; d < table.demand_count(); ++d) {
-          const auto by_key = table.best_after(key, d);
-          const auto by_node = table.best_after_node(u, d);
-          mismatches += by_key.has_value() != by_node.has_value() ||
-                        (by_key.has_value() && (by_key->score != by_node->score ||
-                                                by_key->successor != by_node->successor));
+      const std::size_t n = table.size();
+      std::atomic<std::size_t> mismatches{0};
+      std::atomic<std::size_t> gaps{0};
+      WorkerPool::shared().parallel_chunks(n, 2048, [&](std::size_t lo, std::size_t hi) {
+        std::size_t bad = 0;
+        std::size_t between = 0;
+        for (std::size_t u = lo; u < hi; ++u) {
+          const ProfileKey key = table.key_of(static_cast<NodeId>(u));
+          bad += table.node_of(key) != std::optional<NodeId>(static_cast<NodeId>(u));
+          bad += table.find(key) != std::optional<double>(table.node_score(static_cast<NodeId>(u)));
+          for (std::size_t d = 0; d < table.demand_count(); ++d) {
+            const auto by_key = table.best_after(key, d);
+            const auto by_node = table.best_after_node(static_cast<NodeId>(u), d);
+            bad += by_key.has_value() != by_node.has_value() ||
+                   (by_key.has_value() && (by_key->score != by_node->score ||
+                                           by_key->successor != by_node->successor));
+          }
+          if (u + 1 < n && table.key_of(static_cast<NodeId>(u + 1)) - key > 1) {
+            ++between;
+            bad += table.node_of(key + 1).has_value();
+            bad += table.node_of(table.key_of(static_cast<NodeId>(u + 1)) - 1).has_value();
+            bad += table.find(key + 1).has_value();
+          }
         }
-        if (u + 1 < table.size() && table.key_of(u + 1) - key > 1) {
-          ++gaps;
-          mismatches += table.node_of(key + 1).has_value();
-          mismatches += table.node_of(table.key_of(u + 1) - 1).has_value();
-          mismatches += table.find(key + 1).has_value();
+        mismatches += bad;
+        gaps += between;
+      });
+      EXPECT_EQ(mismatches.load(), 0u);
+      EXPECT_GT(gaps.load(), 0u);
+
+      // Segment ends, and upper words between and past the segments'.
+      std::size_t segments = 0;
+      std::size_t absent_uppers = 0;
+      for (NodeId first = 0; first < n;) {
+        NodeId last = first;
+        while (last + 1 < n && upper(table.key_of(last + 1)) == upper(table.key_of(first))) ++last;
+        ++segments;
+        EXPECT_EQ(table.node_of(table.key_of(first)), first);
+        EXPECT_EQ(table.node_of(table.key_of(last)), last);
+        const ProfileKey next_upper = upper(table.key_of(last)) + 1;
+        if (last + 1 == n || upper(table.key_of(last + 1)) > next_upper) {
+          ++absent_uppers;
+          EXPECT_EQ(table.node_of(next_upper << 32), std::nullopt);
+          EXPECT_EQ(table.node_of((next_upper << 32) | (table.key_of(first) & 0xFFFFFFFFu)),
+                    std::nullopt);
         }
+        first = last + 1;
       }
-      EXPECT_EQ(mismatches, 0u);
-      EXPECT_GT(gaps, 0u);
-      const ProfileKey last = table.key_of(static_cast<NodeId>(table.size() - 1));
+      EXPECT_GT(segments, 1u);
+      EXPECT_GT(absent_uppers, 0u);
+
+      const ProfileKey last = table.key_of(static_cast<NodeId>(n - 1));
       ASSERT_LT(last, UINT64_MAX);
       EXPECT_EQ(table.node_of(last + 1), std::nullopt);
       EXPECT_EQ(table.node_of(UINT64_MAX), std::nullopt);
@@ -397,10 +453,13 @@ TEST(ScoreImage, ConcurrentColdStartsInOneEmptyDirAgree) {
 
 using ImagePatch = std::function<void(const std::filesystem::path&)>;
 
-// Builds the EC2 images into a fresh directory, then for each patch: applies
-// it to the M3 image, expects map_image to throw std::invalid_argument, and
-// expects build_score_tables to rewrite that one image and serve the
-// recorded tables. Each set is dropped before its file is patched in place.
+// Builds the EC2 images into a fresh directory and checks that the tables
+// they serve hash to kRecordedHash. Then for each patch: applies it to the
+// M3 image, expects map_image to throw std::invalid_argument, and expects
+// build_score_tables to rewrite that one image byte for byte as it was
+// first written and to serve it mapped, so the served tables are the
+// recorded ones without hashing them again. Each set is dropped before its
+// file is patched in place.
 void expect_each_patch_rejected_and_rebuilt(const char* tag,
                                             const std::vector<ImagePatch>& patches) {
   const Catalog catalog = ec2_sim_catalog();
@@ -409,8 +468,11 @@ void expect_each_patch_rejected_and_rebuilt(const char* tag,
   std::filesystem::path image;
   {
     const ScoreTableSet set = build_score_tables(catalog, {}, dir.path());
+    const std::uint64_t hash = set_hash(set);
+    EXPECT_EQ(hash, kRecordedHash) << std::hex << "actual 0x" << hash;
     image = file_of(dir.path(), set.table(0), ".img");
   }
+  const std::string written = read_file(image);
   for (std::size_t i = 0; i < patches.size(); ++i) {
     EXPECT_NO_THROW(ScoreTable::map_image(image, demands));
     patches[i](image);
@@ -419,19 +481,19 @@ void expect_each_patch_rejected_and_rebuilt(const char* tag,
     const ScoreTableSet set = build_score_tables(catalog, {}, dir.path(), &report);
     EXPECT_EQ(report.written, 1u) << "patch " << i;
     EXPECT_EQ(report.mapped, 1u) << "patch " << i;
-    const std::uint64_t hash = set_hash(set);
-    EXPECT_EQ(hash, kRecordedHash) << std::hex << "actual 0x" << hash;
+    EXPECT_TRUE(set.table(0).is_mapped()) << "patch " << i;
+    EXPECT_TRUE(read_file(image) == written) << "patch " << i;
   }
 }
 
 TEST(ScoreImage, OutOfRangeNodeIdsAreRejectedAndTheImageRebuilt) {
   // The header's node count bounds every node id the table hands out: a
-  // count past the keys and scores the file holds would let ids index past
-  // the mapping, and one at kNoFit would make the last id read as "no fit".
-  // A key out of order would make node_of's binary search miss or return a
-  // wrong node. map_image must throw on each: here the node count grows by
-  // one, then is set to kNoFit, and then the last key drops back to 0, the
-  // first key.
+  // count past the low words and scores the file holds would let ids index
+  // past the mapping, and one at kNoFit would make the last id read as "no
+  // fit". A key out of order would make node_of's binary searches miss or
+  // return a wrong node. map_image must throw on each: here the node count
+  // grows by one, then is set to kNoFit, and then the last key drops back to
+  // 0, the first key (its segment's upper word and its own low word).
   const auto set_node_count = [](const std::filesystem::path& image, std::uint64_t nodes) {
     patch_file(image, 8, nodes);
   };
@@ -445,30 +507,77 @@ TEST(ScoreImage, OutOfRangeNodeIdsAreRejectedAndTheImageRebuilt) {
        },
        [](const std::filesystem::path& image) {
          const ImageLayout layout = image_layout(image);
-         patch_file(image, layout.keys + (layout.nodes - 1) * sizeof(ProfileKey), ProfileKey{0});
+         patch_file(image, layout.uppers + (layout.segments - 1) * 4, std::uint32_t{0});
+         patch_file(image, layout.lows + (layout.nodes - 1) * 4, std::uint32_t{0});
        }});
 }
 
 TEST(ScoreImage, LoadRejectsKeysOutOfOrder) {
-  // Keys 1000 and 1001 swapped, then key 1000 written over key 1001: the
-  // loader checks that the keys ascend strictly, so neither image maps.
-  constexpr std::size_t kNode = 1000;
-  const auto keys_at = [](const std::filesystem::path& image) {
+  // In the middle of the largest segment, low words k and k + 1 swapped,
+  // then low word k written over k + 1: the loader checks that the low words
+  // ascend strictly within each segment, so neither image maps.
+  const auto lows_at = [](const std::filesystem::path& image) {
     const std::string bytes = read_file(image);
-    const std::size_t at = image_layout(image).keys + kNode * sizeof(ProfileKey);
-    return std::tuple{at, read_at<ProfileKey>(bytes, at),
-                      read_at<ProfileKey>(bytes, at + sizeof(ProfileKey))};
+    const ImageLayout layout = image_layout(image);
+    std::size_t first = 0;
+    std::size_t largest = 0;
+    for (std::size_t s = 0; s < layout.segments; ++s) {
+      const auto begin = read_at<std::uint32_t>(bytes, layout.starts + 4 * s);
+      const auto end = read_at<std::uint32_t>(bytes, layout.starts + 4 * (s + 1));
+      if (end - begin > largest) {
+        largest = end - begin;
+        first = begin;
+      }
+    }
+    const std::size_t at = layout.lows + 4 * (first + largest / 2);
+    return std::tuple{at, read_at<std::uint32_t>(bytes, at), read_at<std::uint32_t>(bytes, at + 4)};
   };
   expect_each_patch_rejected_and_rebuilt(
       "image-key-order",
       {[&](const std::filesystem::path& image) {
-         const auto [at, key, next] = keys_at(image);
+         const auto [at, low, next] = lows_at(image);
          patch_file(image, at, next);
-         patch_file(image, at + sizeof(ProfileKey), key);
+         patch_file(image, at + 4, low);
        },
        [&](const std::filesystem::path& image) {
-         const auto [at, key, next] = keys_at(image);
-         patch_file(image, at + sizeof(ProfileKey), key);
+         const auto [at, low, next] = lows_at(image);
+         patch_file(image, at + 4, low);
+       }});
+}
+
+TEST(ScoreImage, LoadRejectsACorruptSegmentTable) {
+  // The upper words must ascend strictly, and the segment starts must rise
+  // strictly from 0 to the node count: otherwise node_of would search the
+  // wrong segment, or read low words past the table. Each patch is refused
+  // and the image rebuilt: two upper words swapped, a start equal to the
+  // one before it, a start past the node count, the end start past it, and
+  // a first start above 0.
+  const auto word = [](const std::filesystem::path& image, std::size_t at) {
+    return read_at<std::uint32_t>(read_file(image), at);
+  };
+  expect_each_patch_rejected_and_rebuilt(
+      "image-segments",
+      {[&](const std::filesystem::path& image) {
+         const std::size_t at = image_layout(image).uppers + 4;
+         const std::uint32_t upper = word(image, at);
+         patch_file(image, at, word(image, at + 4));
+         patch_file(image, at + 4, upper);
+       },
+       [&](const std::filesystem::path& image) {
+         const std::size_t at = image_layout(image).starts + 8;
+         patch_file(image, at, word(image, at - 4));
+       },
+       [&](const std::filesystem::path& image) {
+         const ImageLayout layout = image_layout(image);
+         patch_file(image, layout.starts + 4, static_cast<std::uint32_t>(layout.nodes + 1));
+       },
+       [&](const std::filesystem::path& image) {
+         const ImageLayout layout = image_layout(image);
+         patch_file(image, layout.starts + 4 * layout.segments,
+                    static_cast<std::uint32_t>(layout.nodes + 1));
+       },
+       [&](const std::filesystem::path& image) {
+         patch_file(image, image_layout(image).starts, std::uint32_t{1});
        }});
 }
 
@@ -511,62 +620,61 @@ TEST(ScoreImage, OldFormatFilesAreRebuiltNotMisread) {
   EXPECT_EQ(report.written, owned.pm_type_count());
   EXPECT_EQ(report.mapped, 0u);
   for (std::size_t p = 0; p < owned.pm_type_count(); ++p) {
-    EXPECT_EQ(read_file(file_of(dir.path(), owned.table(p), ".img")).substr(0, 8), "PRVMSCI5");
+    EXPECT_EQ(read_file(file_of(dir.path(), owned.table(p), ".img")).substr(0, 8), "PRVMSCI6");
   }
+}
+
+// An image of an older `version` (larger than a current one) in the
+// directory beside a current image: map_image refuses it by its magic, and
+// build_score_tables rewrites that one image, to the current size, and maps
+// the other. The old image is written from the mapped M3 table to a
+// temporary file and renamed over the current one, so the mapping keeps
+// reading the inode it mapped.
+void expect_old_image_refused_by_magic(char version, const char* tag) {
+  const Catalog catalog = ec2_sim_catalog();
+  const std::vector<QuantizedDemand>& demands = catalog.fitting_demands(0).demands;
+  const TempDir dir(tag);
+  std::filesystem::path image;
+  std::uintmax_t current_bytes = 0;
+  {
+    const ScoreTableSet set = build_score_tables(catalog, {}, dir.path());
+    image = file_of(dir.path(), set.table(0), ".img");
+    current_bytes = std::filesystem::file_size(image);
+    const std::filesystem::path old = dir.path() / "old-image.tmp";
+    write_old_image(set.table(0), old, version);
+    std::filesystem::rename(old, image);
+  }
+  EXPECT_GT(std::filesystem::file_size(image), current_bytes);
+  try {
+    ScoreTable::map_image(image, demands);
+    ADD_FAILURE() << "a PRVMSCI" << version << " image mapped";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("not a score-table image"), std::string::npos)
+        << e.what();
+  }
+  ScoreImageReport report;
+  const std::uint64_t hash = set_hash(build_score_tables(catalog, {}, dir.path(), &report));
+  EXPECT_EQ(hash, kRecordedHash) << std::hex << "actual 0x" << hash;
+  EXPECT_EQ(report.written, 1u);
+  EXPECT_EQ(report.mapped, 1u);
+  EXPECT_EQ(read_file(image).substr(0, 8), "PRVMSCI6");
+  EXPECT_EQ(std::filesystem::file_size(image), current_bytes);
 }
 
 TEST(ScoreImage, HashIndexedImagesAreRejectedByMagicAndRebuilt) {
-  // A version-3 image (4-byte best entries and a hash index) in the
-  // directory beside a current one: map_image refuses it by its magic, and
-  // build_score_tables rewrites that one image and maps the other.
-  const Catalog catalog = ec2_sim_catalog();
-  const ScoreTableSet owned = build_score_tables(catalog, {}, std::nullopt);
-  const TempDir dir("v3-format");
-  build_score_tables(catalog, {}, dir.path());
-  const std::filesystem::path image = file_of(dir.path(), owned.table(0), ".img");
-  write_old_image(owned.table(0), image, '3');
-  try {
-    ScoreTable::map_image(image, owned.table(0).demands());
-    ADD_FAILURE() << "a PRVMSCI3 image mapped";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("not a score-table image"), std::string::npos)
-        << e.what();
-  }
-  ScoreImageReport report;
-  const std::uint64_t hash = set_hash(build_score_tables(catalog, {}, dir.path(), &report));
-  EXPECT_EQ(hash, kRecordedHash) << std::hex << "actual 0x" << hash;
-  EXPECT_EQ(report.written, 1u);
-  EXPECT_EQ(report.mapped, 1u);
-  EXPECT_EQ(read_file(image).substr(0, 8), "PRVMSCI5");
+  // Version 3: 4-byte best entries and a hash index.
+  expect_old_image_refused_by_magic('3', "v3-format");
 }
 
 TEST(ScoreImage, BestSuccessorImagesAreRejectedByMagicAndRebuilt) {
-  // A version-4 image (keys, scores and a 4-byte best-successor entry per
-  // node and VM type) beside a current one: it is refused by its magic, and
-  // build_score_tables rewrites that one image, which then holds only keys
-  // and scores, and maps the other.
-  const Catalog catalog = ec2_sim_catalog();
-  const ScoreTableSet owned = build_score_tables(catalog, {}, std::nullopt);
-  const TempDir dir("v4-format");
-  build_score_tables(catalog, {}, dir.path());
-  const std::filesystem::path image = file_of(dir.path(), owned.table(0), ".img");
-  const std::uintmax_t current_bytes = std::filesystem::file_size(image);
-  write_old_image(owned.table(0), image, '4');
-  EXPECT_GT(std::filesystem::file_size(image), current_bytes);
-  try {
-    ScoreTable::map_image(image, owned.table(0).demands());
-    ADD_FAILURE() << "a PRVMSCI4 image mapped";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("not a score-table image"), std::string::npos)
-        << e.what();
-  }
-  ScoreImageReport report;
-  const std::uint64_t hash = set_hash(build_score_tables(catalog, {}, dir.path(), &report));
-  EXPECT_EQ(hash, kRecordedHash) << std::hex << "actual 0x" << hash;
-  EXPECT_EQ(report.written, 1u);
-  EXPECT_EQ(report.mapped, 1u);
-  EXPECT_EQ(read_file(image).substr(0, 8), "PRVMSCI5");
-  EXPECT_EQ(std::filesystem::file_size(image), current_bytes);
+  // Version 4: keys, scores and a 4-byte best-successor entry per node and
+  // VM type.
+  expect_old_image_refused_by_magic('4', "v4-format");
+}
+
+TEST(ScoreImage, WholeKeyImagesAreRejectedByMagicAndRebuilt) {
+  // Version 5: 8-byte keys and the scores, nothing else.
+  expect_old_image_refused_by_magic('5', "v5-format");
 }
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)

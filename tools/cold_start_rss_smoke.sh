@@ -12,7 +12,7 @@
 # sum to at most MAX_IMAGE_BYTES.
 #
 # Usage: tools/cold_start_rss_smoke.sh [BUILD_DIR] [MAX_RSS_ANON_KB] [MAX_IMAGE_BYTES]
-# e.g.   tools/cold_start_rss_smoke.sh build 4096 2000000
+# e.g.   tools/cold_start_rss_smoke.sh build 4096 1500000
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"

@@ -14,6 +14,9 @@
 #   - the engine's memo is exported: after the traffic the
 #     prvm_engine_best_memo_entries and prvm_engine_memo_bytes gauges are
 #     nonzero.
+#   - the fleet's packing is exported: the prvm_used_pms and prvm_vms gauges
+#     read what `stats` reads (used_pms, vm_count) after the grouped places
+#     and after their releases, and are nonzero while the 300 VMs are placed.
 #
 # Usage: tools/metrics_smoke.sh [BUILD_DIR]
 set -euo pipefail
@@ -91,15 +94,21 @@ for i in range(300):
     if not response.get("ok"):
         sys.exit("%s of vm %d failed: %s" % (sys.argv[2], base + i, response))
 stats = call({"op": "stats"})
-print(stats["admission_groups"], stats["grouped_vms"])
+print(stats["admission_groups"], stats["grouped_vms"], stats["used_pms"], stats["vm_count"])
 PY
 }
 gauge() { sed -n "s/^$1 \([0-9]*\)\$/\1/p" "$2"; }
 check_groups() {  # phase, stats line, scrape file, expected groups, expected VMs
-  local got_scrape
+  local groups grouped used vms got_scrape packing
+  read -r groups grouped used vms <<< "$2"
   got_scrape="$(gauge prvm_admission_groups "$3") $(gauge prvm_admission_grouped_vms "$3")"
-  if [ "$2" != "$4 $5" ] || [ "$got_scrape" != "$4 $5" ]; then
-    echo "FAIL: after $1 stats says groups/VMs '$2', scrape says '$got_scrape', expected '$4 $5'"
+  if [ "$groups $grouped" != "$4 $5" ] || [ "$got_scrape" != "$4 $5" ]; then
+    echo "FAIL: after $1 stats says groups/VMs '$groups $grouped', scrape says '$got_scrape', expected '$4 $5'"
+    FAILED=1
+  fi
+  packing="$(gauge prvm_used_pms "$3") $(gauge prvm_vms "$3")"
+  if [ "$packing" != "$used $vms" ]; then
+    echo "FAIL: after $1 stats says used PMs/VMs '$used $vms', scrape says '$packing'"
     FAILED=1
   fi
 }
@@ -113,6 +122,13 @@ done
 STATS="$(grouped place)" || FAILED=1
 scrape "$WORK/scrape3.txt"
 check_groups "300 grouped places" "$STATS" "$WORK/scrape3.txt" 100 300
+for name in prvm_used_pms prvm_vms; do
+  value="$(gauge "$name" "$WORK/scrape3.txt")"
+  if [ -z "$value" ] || [ "$value" -eq 0 ]; then
+    echo "FAIL: gauge $name reads '${value}' with 300 VMs placed, expected nonzero"
+    FAILED=1
+  fi
+done
 STATS="$(grouped release)" || FAILED=1
 scrape "$WORK/scrape4.txt"
 check_groups "their releases" "$STATS" "$WORK/scrape4.txt" 0 0
@@ -127,4 +143,4 @@ if [ "$FAILED" -ne 0 ]; then
   cat "$WORK/serve.log"
   exit 1
 fi
-echo "OK: exposition parses, counters monotonic, pipeline histograms nonzero, memo gauges set, groups freed"
+echo "OK: exposition parses, counters monotonic, pipeline histograms nonzero, memo and packing gauges set, groups freed"
