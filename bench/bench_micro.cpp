@@ -331,7 +331,7 @@ BENCHMARK(BM_LedgerSerialize)->Unit(benchmark::kMillisecond);
 
 void BM_LedgerParse(benchmark::State& state) {
   const Datacenter& dc = churn_ledger();
-  const std::string blob = serialize_snapshot(dc, AdmissionController{}, GroupDirectory{}, 1);
+  const std::string blob = serialize_snapshot(dc, AdmissionController{}, 1);
   for (auto _ : state) {
     ServiceSnapshot snapshot = parse_snapshot(blob, dc.catalog());
     benchmark::DoNotOptimize(snapshot.datacenter);

@@ -11,23 +11,9 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-std::uint64_t hash_group_name(std::string_view group) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : group) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 std::size_t cell_of_vm(std::uint64_t vm, std::size_t cells) {
   PRVM_CHECK(cells > 0, "cell count must be positive");
   return static_cast<std::size_t>(mix64(vm) % cells);
-}
-
-std::size_t cell_of_group(std::string_view group, std::size_t cells) {
-  PRVM_CHECK(cells > 0, "cell count must be positive");
-  return static_cast<std::size_t>(hash_group_name(group) % cells);
 }
 
 std::vector<std::vector<std::size_t>> split_fleet(const std::vector<std::size_t>& fleet,

@@ -1,16 +1,15 @@
-// Cell topology: how VMs, groups and PMs map onto placement cells.
+// Cell topology: how VMs and PMs map onto placement cells.
 //
 // A cell is an independent PlacementService (engine + WAL + snapshot) over
-// a disjoint slice of the PM fleet. The router needs two pure, stable
-// functions — which cell first tries a VM, and which cell owns a group's
-// directory entry — plus a deterministic way to carve one fleet spec into
-// per-cell slices. All three live here so the router, the tools and the
-// sharded-vs-single differential tests agree byte-for-byte.
+// a disjoint slice of the PM fleet. The router needs one pure, stable
+// function — which cell first tries a VM — plus a deterministic way to
+// carve one fleet spec into per-cell slices. Both live here so the router,
+// the tools and the sharded-vs-single differential tests agree
+// byte-for-byte.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 namespace prvm {
@@ -21,14 +20,8 @@ namespace prvm {
 /// them uniformly.
 std::uint64_t mix64(std::uint64_t x);
 
-/// FNV-1a over the group name, for string-keyed routing.
-std::uint64_t hash_group_name(std::string_view group);
-
 /// The cell that first attempts placement of `vm` (spillover may move it).
 std::size_t cell_of_vm(std::uint64_t vm, std::size_t cells);
-
-/// The home cell owning `group`'s GroupDirectory entries.
-std::size_t cell_of_group(std::string_view group, std::size_t cells);
 
 /// Splits a fleet spec (per-PM type indices, the shape mixed_pm_fleet
 /// returns) into `cells` slices round-robin, so every cell keeps the same

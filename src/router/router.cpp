@@ -1,5 +1,8 @@
 #include "router/router.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -53,12 +56,13 @@ Router::Router(std::vector<RequestSink*> cells, RouterConfig config)
   m_.fanout_requests = &metrics_->counter("prvm_router_fanout_requests_total");
   m_.fanout_ops = &metrics_->counter("prvm_router_fanout_ops_total");
   m_.spillover = &metrics_->counter("prvm_router_spillover_total");
-  m_.group_reserves = &metrics_->counter("prvm_router_group_reserves_total");
-  m_.group_commits = &metrics_->counter("prvm_router_group_commits_total");
-  m_.group_aborts = &metrics_->counter("prvm_router_group_aborts_total");
   m_.compensations = &metrics_->counter("prvm_router_compensations_total");
   m_.cell_unreachable = &metrics_->counter("prvm_router_cell_unreachable_total");
   m_.retries = &metrics_->counter("prvm_router_retries_total");
+}
+
+Router::~Router() {
+  if (journal_fd_ >= 0) ::close(journal_fd_);
 }
 
 Response Router::retry_unreachable(std::size_t cell, const Request& request, Response failed) {
@@ -89,7 +93,7 @@ std::optional<std::size_t> Router::cell_of(std::uint64_t vm) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = vm_map_.find(vm);
   if (it == vm_map_.end()) return std::nullopt;
-  return it->second.cell;
+  return it->second;
 }
 
 std::size_t Router::vm_map_size() const {
@@ -97,21 +101,19 @@ std::size_t Router::vm_map_size() const {
   return vm_map_.size();
 }
 
-bool Router::save_vm_map(const std::filesystem::path& path) const {
-  // One line per vm: "<vm> <cell> <group>" (the group runs to end of line;
-  // group names never contain newlines — the same constraint the cells'
-  // own serialization relies on).
+bool Router::save_vm_map(const std::filesystem::path& path) {
+  // Appends wait until the compacted file is in place and reopened, so
+  // every line lands either in the blob or after it in the new file.
+  std::lock_guard<std::mutex> journal_lock(journal_mu_);
   std::string blob;
   std::size_t count = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     count = vm_map_.size();
-    for (const auto& [vm, entry] : vm_map_) {
+    for (const auto& [vm, cell] : vm_map_) {
       blob += std::to_string(vm);
       blob += ' ';
-      blob += std::to_string(entry.cell);
-      blob += ' ';
-      blob += entry.group;
+      blob += std::to_string(cell);
       blob += '\n';
     }
   }
@@ -124,29 +126,73 @@ bool Router::save_vm_map(const std::filesystem::path& path) const {
   }
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
-  return !ec;
+  if (ec) return false;
+  if (journal_fd_ >= 0) ::close(journal_fd_);
+  journal_fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+  return journal_fd_ >= 0;
+}
+
+bool Router::update_map(std::uint64_t vm, std::optional<std::size_t> cell,
+                        std::size_t via_cell) {
+  // A VM off its hash cell is journaled: a router restarted from an older
+  // map would send a retry of it to the hash cell, which may have room by
+  // then. The journal lock is taken first, so lines keep the map's order.
+  const bool off_hash = via_cell != cell_of_vm(vm, cells_.size());
+  std::unique_lock<std::mutex> journal_lock(journal_mu_, std::defer_lock);
+  if (off_hash) journal_lock.lock();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!cell.has_value()) {
+      vm_map_.erase(vm);
+    } else if (!vm_map_.try_emplace(vm, *cell).second) {
+      return false;
+    }
+  }
+  if (off_hash && journal_fd_ >= 0) {
+    const std::string line =
+        std::to_string(vm) + (cell.has_value() ? " " + std::to_string(*cell) : " -") + "\n";
+    // A failed write loses only this line; the next save restores it.
+    static_cast<void>(::write(journal_fd_, line.data(), line.size()));
+  }
+  return true;
 }
 
 bool Router::load_vm_map(const std::filesystem::path& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is.is_open()) return false;
-  std::string magic;
-  std::size_t count = 0;
-  if (!(is >> magic >> count) || magic != "PRVMMAP1") return false;
-  is.get();  // newline after the header
-  std::unordered_map<std::uint64_t, VmEntry> loaded;
-  for (std::size_t i = 0; i < count; ++i) {
-    std::uint64_t vm = 0;
-    std::size_t cell = 0;
-    if (!(is >> vm >> cell)) return false;
-    std::string group;
-    std::getline(is, group);
-    if (!group.empty() && group.front() == ' ') group.erase(0, 1);
-    // Topology shrank since the save: drop the entry, the vm resolves via
-    // re-placement (cells stay the durable truth).
-    if (cell >= cells_.size()) continue;
-    loaded.emplace(vm, VmEntry{cell, std::move(group)});
+  std::string line;
+  unsigned long long count = 0;
+  if (!std::getline(is, line) || is.eof() || line.rfind("PRVMMAP1 ", 0) != 0 ||
+      !parse_u64(line.substr(9), &count)) {
+    return false;
   }
+  std::unordered_map<std::uint64_t, std::size_t> loaded;
+  unsigned long long lines = 0;
+  for (; std::getline(is, line); ++lines) {
+    const bool saved = lines < count;
+    // A journal append cut short by a killed router has no newline.
+    if (is.eof() && !saved) break;
+    // "<vm> <cell>", a third column (older writers' group) ignored, or in
+    // the journal "<vm> -" for a release.
+    const std::size_t space = line.find(' ');
+    const std::string cell_text =
+        space == std::string::npos ? "" : line.substr(space + 1, line.find(' ', space + 1) - space - 1);
+    const bool released = !saved && cell_text == "-";
+    unsigned long long vm = 0;
+    unsigned long long cell = 0;
+    if (is.eof() || !parse_u64(line.substr(0, space), &vm) ||
+        !(released || parse_u64(cell_text, &cell))) {
+      return false;
+    }
+    // A cell past this router's means the topology shrank since the save:
+    // the vm resolves via re-placement (cells stay the durable truth).
+    if (released || cell >= cells_.size()) {
+      loaded.erase(vm);
+    } else {
+      loaded[vm] = static_cast<std::size_t>(cell);
+    }
+  }
+  if (lines < count) return false;  // a body shorter than its count
   std::lock_guard<std::mutex> lock(mu_);
   vm_map_ = std::move(loaded);
   return true;
@@ -167,12 +213,6 @@ std::future<Response> Router::submit(Request request) {
   m_.requests->inc();
   switch (request.op) {
     case RequestOp::kPlace: {
-      if (!request.group.empty()) {
-        return std::async(std::launch::deferred,
-                          [this, request = std::move(request)] {
-                            return do_grouped_place(request);
-                          });
-      }
       bool known = false;
       {
         std::lock_guard<std::mutex> lock(mu_);
@@ -207,7 +247,7 @@ std::future<Response> Router::submit(Request request) {
       {
         std::lock_guard<std::mutex> lock(mu_);
         const auto it = vm_map_.find(request.vm_id);
-        if (it != vm_map_.end()) cell = it->second.cell;
+        if (it != vm_map_.end()) cell = it->second;
       }
       if (cell.has_value()) {
         m_.fanout_requests->inc();
@@ -226,13 +266,6 @@ std::future<Response> Router::submit(Request request) {
                           return do_vm_op(request);
                         });
     }
-    case RequestOp::kGroupReserve:
-    case RequestOp::kGroupCommit:
-    case RequestOp::kGroupAbort:
-      return std::async(std::launch::deferred,
-                        [this, request = std::move(request)] {
-                          return do_group_op(request);
-                        });
     case RequestOp::kUtil: {
       // A sample goes to the cell that owns its subject. Collectors that
       // know the topology say {"cell":N} outright (required for pm-keyed
@@ -254,7 +287,7 @@ std::future<Response> Router::submit(Request request) {
       } else {
         std::lock_guard<std::mutex> lock(mu_);
         const auto it = vm_map_.find(request.vm_id);
-        if (it != vm_map_.end()) cell = it->second.cell;
+        if (it != vm_map_.end()) cell = it->second;
       }
       if (!cell.has_value()) {
         return std::async(std::launch::deferred, [this, request = std::move(request)] {
@@ -364,13 +397,7 @@ Response Router::place_on_cells(const Request& request, std::size_t first,
 
 Response Router::record_or_compensate(const Request& request, Response placed,
                                       std::size_t cell) {
-  bool inserted = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    inserted =
-        vm_map_.try_emplace(request.vm_id, VmEntry{cell, request.group}).second;
-  }
-  if (inserted) {
+  if (update_map(request.vm_id, cell, cell)) {
     placed.extra.emplace_back("cell", std::to_string(cell));
     return placed;
   }
@@ -383,36 +410,26 @@ Response Router::record_or_compensate(const Request& request, Response placed,
   undo.op = RequestOp::kRelease;
   undo.vm_id = request.vm_id;
   cell_call(cell, undo);
-  if (!request.group.empty())
-    abort_group_membership(request.group, request.vm_id);
   return local_reject(request, to_string(RejectReason::kDuplicateVm),
                       "vm placed concurrently by another connection");
-}
-
-void Router::abort_group_membership(const std::string& group,
-                                    std::uint64_t vm) {
-  Request request;
-  request.op = RequestOp::kGroupAbort;
-  request.vm_id = vm;
-  request.group = group;
-  m_.group_aborts->inc();
-  // Best effort: if the home cell is unreachable the reservation simply
-  // expires on its own (lazy TTL), so failure here is counted, not fatal.
-  cell_call(cell_of_group(group, cells_.size()), request);
 }
 
 Response Router::finish_place(Request request, std::future<Response> primary,
                               std::size_t primary_cell) {
   Response r = retry_unreachable(primary_cell, request, primary.get());
   if (r.ok) return record_or_compensate(request, std::move(r), primary_cell);
-  if (r.error != to_string(RejectReason::kNoCapacity) || cells_.size() == 1)
+  const bool conflict = r.error == to_string(RejectReason::kGroupConflict);
+  if ((!conflict && r.error != to_string(RejectReason::kNoCapacity)) || cells_.size() == 1)
     return r;
   std::size_t accepted = 0;
   Response spilled =
       place_on_cells(request, (primary_cell + 1) % cells_.size(),
                      cells_.size() - 1, /*spill_from_start=*/true, &accepted);
-  if (!spilled.ok) return spilled;
-  return record_or_compensate(request, std::move(spilled), accepted);
+  if (spilled.ok) return record_or_compensate(request, std::move(spilled), accepted);
+  // As in place_on_cells, the primary's group_conflict outranks the other
+  // cells' no_capacity.
+  if (conflict && spilled.error == to_string(RejectReason::kNoCapacity)) return r;
+  return spilled;
 }
 
 Response Router::do_place(const Request& request) {
@@ -430,72 +447,10 @@ Response Router::do_place(const Request& request) {
   return record_or_compensate(request, std::move(placed), accepted);
 }
 
-Response Router::do_grouped_place(const Request& request) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (vm_map_.count(request.vm_id) > 0)
-      return local_reject(request, to_string(RejectReason::kDuplicateVm),
-                          "vm id is already placed");
-  }
-  const std::size_t home = cell_of_group(request.group, cells_.size());
-
-  // Phase 1: reserve membership at the home cell. Until this either commits
-  // or expires, no other router connection (or router instance) can place
-  // the same vm into the group.
-  Request reserve;
-  reserve.op = RequestOp::kGroupReserve;
-  reserve.vm_id = request.vm_id;
-  reserve.group = request.group;
-  m_.group_reserves->inc();
-  const Response reserved = cell_call(home, reserve);
-  if (!reserved.ok) {
-    Response r = local_reject(request, reserved.error.c_str(),
-                              "group reservation failed: " + reserved.message);
-    r.retry_after_ms = reserved.retry_after_ms;
-    return r;
-  }
-
-  // Phase 2: place. Per-cell admission enforces anti-collocation within the
-  // cell; across cells PM sets are disjoint, so any accepting cell is safe.
-  std::size_t accepted = 0;
-  Response placed = place_on_cells(request, cell_of_vm(request.vm_id, cells_.size()),
-                                   cells_.size(), /*spill_from_start=*/false,
-                                   &accepted);
-  if (!placed.ok) {
-    abort_group_membership(request.group, request.vm_id);
-    return placed;
-  }
-  Response recorded = record_or_compensate(request, std::move(placed), accepted);
-  if (!recorded.ok) return recorded;  // compensation already aborted
-
-  // Phase 3: commit the membership to its owning cell. The placement is
-  // already durable at the cell, so a failed commit is non-fatal: the
-  // pending reservation keeps blocking duplicates until its TTL.
-  Request commit;
-  commit.op = RequestOp::kGroupCommit;
-  commit.vm_id = request.vm_id;
-  commit.group = request.group;
-  commit.cell = accepted;
-  m_.group_commits->inc();
-  cell_call(home, commit);
-  return recorded;
-}
-
 Response Router::finish_vm_op(Request request, std::future<Response> eager,
                               std::size_t cell) {
   Response r = retry_unreachable(cell, request, eager.get());
-  if (r.ok && request.op == RequestOp::kRelease) {
-    std::string group;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      const auto it = vm_map_.find(request.vm_id);
-      if (it != vm_map_.end()) {
-        group = std::move(it->second.group);
-        vm_map_.erase(it);
-      }
-    }
-    if (!group.empty()) abort_group_membership(group, request.vm_id);
-  }
+  if (r.ok && request.op == RequestOp::kRelease) update_map(request.vm_id, std::nullopt, cell);
   r.extra.emplace_back("cell", std::to_string(cell));
   return r;
 }
@@ -505,7 +460,7 @@ Response Router::do_vm_op(const Request& request) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = vm_map_.find(request.vm_id);
-    if (it != vm_map_.end()) cell = it->second.cell;
+    if (it != vm_map_.end()) cell = it->second;
   }
   if (!cell.has_value())
     return local_reject(request, to_string(RejectReason::kUnknownVm),
@@ -513,13 +468,6 @@ Response Router::do_vm_op(const Request& request) {
   m_.fanout_requests->inc();
   auto f = cells_[*cell]->submit(request);
   return finish_vm_op(request, std::move(f), *cell);
-}
-
-Response Router::do_group_op(const Request& request) {
-  if (request.op == RequestOp::kGroupReserve) m_.group_reserves->inc();
-  if (request.op == RequestOp::kGroupCommit) m_.group_commits->inc();
-  if (request.op == RequestOp::kGroupAbort) m_.group_aborts->inc();
-  return cell_call(cell_of_group(request.group, cells_.size()), request);
 }
 
 Response Router::merge_stats(std::vector<std::future<Response>> futures) {

@@ -7,13 +7,14 @@
 // PlacementService in-process, or a SocketCellChannel to a remote daemon.
 //
 // Routing rules:
-//  - place (ungrouped): hash-routed to cell_of_vm, spilling over to the
-//    remaining cells in deterministic order when the primary rejects with
-//    no_capacity — the sharded fleet only rejects when EVERY cell is full.
-//  - place (grouped): a two-phase saga through the group's home cell —
-//    gres (reserve membership) -> place attempt(s) -> gcommit on success /
-//    gabort on total rejection — so a spanning group never double-places a
-//    VM even when requests race through different router connections.
+//  - place (grouped or not): hash-routed to cell_of_vm, spilling over to
+//    the remaining cells in deterministic order when the primary rejects
+//    with no_capacity or group_conflict — the sharded fleet only rejects
+//    when EVERY cell is full. Anti-collocation needs nothing more: every constraint binds VMs
+//    on one PM, cells own disjoint PMs, so each cell's admission enforces
+//    the group across the whole fleet. VM-id uniqueness across cells rests
+//    on the vm -> cell map: a known id is a duplicate, and two racing places
+//    of one id are settled by record_or_compensate.
 //  - release / migrate / lookup: routed by the router's vm -> cell map;
 //    a vm nobody placed answers unknown_vm without touching any cell.
 //  - stats: fanned out to every cell, numeric counters summed.
@@ -37,9 +38,12 @@
 // routing decision itself to resolve time, where all earlier responses
 // have already resolved.
 //
-// The vm -> cell map is the router's only mutable state and is rebuilt by
-// walking the cells (lookup fan-out) — cells stay the single source of
-// durable truth.
+// The vm -> cell map is the router's only mutable state. A restarted
+// router reloads it from --map-file: a saved map, then a journal of the
+// placements that landed off their hash cell (and of their releases),
+// appended before each such response resolves. A VM on its hash cell needs
+// no line: a retried place of it reaches that cell, which answers
+// duplicate_vm itself.
 #pragma once
 
 #include <cstdint>
@@ -77,6 +81,8 @@ class Router : public RequestSink {
   /// `cells` are non-owning and must outlive the router. At least one.
   Router(std::vector<RequestSink*> cells, RouterConfig config = {});
 
+  ~Router() override;
+
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
@@ -89,45 +95,43 @@ class Router : public RequestSink {
   /// tooling hook; nullopt = not placed through this router).
   std::optional<std::size_t> cell_of(std::uint64_t vm) const;
 
-  /// Persists the vm -> cell map (atomic temp-file + rename). The map is a
-  /// cache — cells remain the durable truth — but reloading it on restart
-  /// means a restarted router serves release/migrate/lookup for existing
-  /// vms immediately instead of answering unknown_vm until re-placement.
-  bool save_vm_map(const std::filesystem::path& path) const;
-  /// Loads a map written by save_vm_map, replacing the in-memory map.
-  /// Returns false, leaving the map as it was (empty at startup), when the
-  /// file is missing or corrupt; a damaged entry count is never trusted to
-  /// size anything. Entries whose cell index exceeds this router's cell
-  /// count are dropped (topology changed; those vms resolve via
-  /// re-placement).
+  /// Persists the vm -> cell map (atomic temp-file + rename), one "<vm>
+  /// <cell>" line per VM after a "PRVMMAP1 <count>" header, and from then
+  /// on journals to that file: each placement that lands off its hash cell
+  /// appends "<vm> <cell>" and its release "<vm> -", before the response
+  /// resolves. The lines are written, not fsynced, so they survive a killed
+  /// router but not a lost host. A save compacts the journal away; it holds
+  /// the journal's lock from building the blob to reopening the file, so
+  /// no line falls between the two files.
+  bool save_vm_map(const std::filesystem::path& path);
+  /// Loads a map written by save_vm_map, replacing the in-memory map: the
+  /// saved entries, then the journal lines after them. A torn last line
+  /// (no newline) is ignored. Returns false, leaving the map as it was
+  /// (empty at startup), when the file is missing or corrupt; a damaged
+  /// entry count is never trusted to size anything. Entries whose cell
+  /// index exceeds this router's cell count are dropped (topology changed;
+  /// those vms resolve via re-placement). A third column (the group, which
+  /// older writers saved) is ignored. Loading does not start the journal.
   bool load_vm_map(const std::filesystem::path& path);
   std::size_t vm_map_size() const;
 
  private:
-  struct VmEntry {
-    std::size_t cell = 0;
-    std::string group;  ///< empty = unconstrained
-  };
-
   // Resolve-time executors (run on the response-ordering thread).
   Response finish_place(Request request, std::future<Response> primary,
                         std::size_t primary_cell);
   Response do_place(const Request& request);
-  Response do_grouped_place(const Request& request);
   Response finish_vm_op(Request request, std::future<Response> eager,
                         std::size_t cell);
   Response do_vm_op(const Request& request);
-  Response do_group_op(const Request& request);
   Response merge_stats(std::vector<std::future<Response>> futures);
   Response merge_health(std::vector<std::future<Response>> futures);
   Response merge_rebalance(std::vector<std::future<Response>> futures);
   Response metrics_response();
   Response merge_drain(std::vector<std::future<Response>> futures);
 
-  /// Spillover loop shared by grouped and ungrouped placement: tries
-  /// `attempts` cells starting at `first` until one accepts; capacity-style
-  /// rejections move on, anything else (backpressure, degraded, duplicate)
-  /// stops the scan. `spill_from_start` counts even the first attempt as
+  /// Spillover loop: tries `attempts` cells starting at `first` until one
+  /// accepts; capacity-style rejections move on, anything else
+  /// (backpressure, degraded, duplicate) stops the scan. `spill_from_start` counts even the first attempt as
   /// spillover (the primary cell already answered before this loop).
   Response place_on_cells(const Request& request, std::size_t first,
                           std::size_t attempts, bool spill_from_start,
@@ -137,8 +141,10 @@ class Router : public RequestSink {
   /// duplicate_vm rejection; otherwise annotates and returns `placed`.
   Response record_or_compensate(const Request& request, Response placed,
                                 std::size_t cell);
-  /// Best-effort gabort at the group's home cell (release / compensation).
-  void abort_group_membership(const std::string& group, std::uint64_t vm);
+  /// Maps `vm` to `cell` (false if it is already mapped) or, with nullopt,
+  /// unmaps it. When `via_cell`, the cell placing or releasing it, is not
+  /// its hash cell, also appends the journal line.
+  bool update_map(std::uint64_t vm, std::optional<std::size_t> cell, std::size_t via_cell);
   Response local_reject(const Request& request, const char* error,
                         std::string message) const;
   /// Routed call with bounded retry/backoff on cell_unreachable (each
@@ -152,16 +158,18 @@ class Router : public RequestSink {
   std::shared_ptr<obs::Registry> metrics_;
 
   mutable std::mutex mu_;
-  std::unordered_map<std::uint64_t, VmEntry> vm_map_;
+  std::unordered_map<std::uint64_t, std::size_t> vm_map_;  ///< vm -> cell
+
+  /// Orders journaled map changes with their lines and with a save's
+  /// compaction. Taken before mu_, and only for VMs off their hash cell.
+  std::mutex journal_mu_;
+  int journal_fd_ = -1;  ///< the map file the last save wrote, or -1
 
   struct Metrics {
     obs::Counter* requests = nullptr;         ///< client requests routed
     obs::Counter* fanout_requests = nullptr;  ///< per-cell sub-requests issued
     obs::Counter* fanout_ops = nullptr;       ///< all-cell fan-outs (stats/health/drain)
     obs::Counter* spillover = nullptr;        ///< placements moved off their hash cell
-    obs::Counter* group_reserves = nullptr;
-    obs::Counter* group_commits = nullptr;
-    obs::Counter* group_aborts = nullptr;
     obs::Counter* compensations = nullptr;    ///< double-place races undone
     obs::Counter* cell_unreachable = nullptr; ///< transport failures observed
     obs::Counter* retries = nullptr;          ///< re-submits after cell_unreachable

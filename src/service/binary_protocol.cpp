@@ -91,7 +91,8 @@ class Reader {
 
 // Wire op codes. Frozen: append only, never renumber — remote cells and
 // routers may run different builds. kRebalanceScan deliberately has no code
-// (it is an in-process handoff, not a wire op).
+// (it is an in-process handoff, not a wire op). 9-11 were the retired
+// cross-cell group ops; they decode as unknown and are never reassigned.
 constexpr std::uint8_t kOpCodeCount = 18;
 
 std::uint8_t op_code_of(RequestOp op) {
@@ -104,9 +105,6 @@ std::uint8_t op_code_of(RequestOp op) {
     case RequestOp::kHealth: return 6;
     case RequestOp::kMetrics: return 7;
     case RequestOp::kDrain: return 8;
-    case RequestOp::kGroupReserve: return 9;
-    case RequestOp::kGroupCommit: return 10;
-    case RequestOp::kGroupAbort: return 11;
     case RequestOp::kReplHello: return 12;
     case RequestOp::kReplSnapshot: return 13;
     case RequestOp::kReplFrames: return 14;
@@ -128,9 +126,6 @@ std::optional<RequestOp> op_of_code(std::uint8_t code) {
     case 6: return RequestOp::kHealth;
     case 7: return RequestOp::kMetrics;
     case 8: return RequestOp::kDrain;
-    case 9: return RequestOp::kGroupReserve;
-    case 10: return RequestOp::kGroupCommit;
-    case 11: return RequestOp::kGroupAbort;
     case 12: return RequestOp::kReplHello;
     case 13: return RequestOp::kReplSnapshot;
     case 14: return RequestOp::kReplFrames;
@@ -160,8 +155,7 @@ constexpr std::uint8_t kStrData = 1u << 4;
 
 bool needs_vm(RequestOp op) {
   return op == RequestOp::kPlace || op == RequestOp::kRelease || op == RequestOp::kMigrate ||
-         op == RequestOp::kLookup || op == RequestOp::kGroupReserve ||
-         op == RequestOp::kGroupCommit || op == RequestOp::kGroupAbort;
+         op == RequestOp::kLookup;
 }
 
 // Response payload flag bits (first byte).
@@ -500,20 +494,9 @@ std::variant<Request, ProtocolError> parse_binary_request(std::string_view paylo
     }
     request.vm_id = vm;
   }
-  const bool is_group_op = request.op == RequestOp::kGroupReserve ||
-                           request.op == RequestOp::kGroupCommit ||
-                           request.op == RequestOp::kGroupAbort;
   if (request.op == RequestOp::kPlace) {
     if (!request.vm_type_index.has_value() && request.vm_type_name.empty()) {
       return ProtocolError{"missing_field", "missing \"type\""};
-    }
-  }
-  if (is_group_op) {
-    if (request.group.empty()) {
-      return ProtocolError{"missing_field", "missing \"group\""};
-    }
-    if (request.op == RequestOp::kGroupCommit && !request.cell.has_value()) {
-      return ProtocolError{"missing_field", "missing \"cell\""};
     }
   }
   const bool is_repl_op = request.op == RequestOp::kReplHello ||

@@ -362,9 +362,6 @@ const char* to_string(RequestOp op) {
     case RequestOp::kHealth: return "health";
     case RequestOp::kMetrics: return "metrics";
     case RequestOp::kDrain: return "drain";
-    case RequestOp::kGroupReserve: return "gres";
-    case RequestOp::kGroupCommit: return "gcommit";
-    case RequestOp::kGroupAbort: return "gabort";
     case RequestOp::kReplHello: return "repl_hello";
     case RequestOp::kReplSnapshot: return "repl_snap";
     case RequestOp::kReplFrames: return "repl_frames";
@@ -454,11 +451,9 @@ std::variant<Request, ProtocolError> parse_request(std::string_view line) {
       {"migrate", RequestOp::kMigrate},      {"lookup", RequestOp::kLookup},
       {"stats", RequestOp::kStats},          {"health", RequestOp::kHealth},
       {"metrics", RequestOp::kMetrics},      {"drain", RequestOp::kDrain},
-      {"gres", RequestOp::kGroupReserve},    {"gcommit", RequestOp::kGroupCommit},
-      {"gabort", RequestOp::kGroupAbort},    {"repl_hello", RequestOp::kReplHello},
-      {"repl_snap", RequestOp::kReplSnapshot}, {"repl_frames", RequestOp::kReplFrames},
-      {"promote", RequestOp::kPromote},      {"util", RequestOp::kUtil},
-      {"rebalance", RequestOp::kRebalance},
+      {"repl_hello", RequestOp::kReplHello}, {"repl_snap", RequestOp::kReplSnapshot},
+      {"repl_frames", RequestOp::kReplFrames}, {"promote", RequestOp::kPromote},
+      {"util", RequestOp::kUtil},            {"rebalance", RequestOp::kRebalance},
   };
   const auto* wire_op = std::find_if(std::begin(kWireOps), std::end(kWireOps),
                                      [&](const auto& entry) { return entry.first == op->string; });
@@ -468,12 +463,8 @@ std::variant<Request, ProtocolError> parse_request(std::string_view line) {
   Request request;
   request.op = wire_op->second;
 
-  const bool is_group_op = request.op == RequestOp::kGroupReserve ||
-                           request.op == RequestOp::kGroupCommit ||
-                           request.op == RequestOp::kGroupAbort;
   const bool needs_vm = request.op == RequestOp::kPlace || request.op == RequestOp::kRelease ||
-                        request.op == RequestOp::kMigrate || request.op == RequestOp::kLookup ||
-                        is_group_op;
+                        request.op == RequestOp::kMigrate || request.op == RequestOp::kLookup;
   if (needs_vm) {
     const JsonToken* vm = doc.find(kVmKey);
     if (vm == nullptr) return ProtocolError{"missing_field", "missing \"vm\""};
@@ -499,24 +490,6 @@ std::variant<Request, ProtocolError> parse_request(std::string_view line) {
         return ProtocolError{"bad_field", "\"group\" must be a string"};
       }
       request.group = group->string;
-    }
-  }
-
-  if (is_group_op) {
-    const JsonToken* group = doc.find(kGroupKey);
-    if (group == nullptr) return ProtocolError{"missing_field", "missing \"group\""};
-    if (group->kind != JsonValue::Kind::kString || group->string.empty()) {
-      return ProtocolError{"bad_field", "\"group\" must be a non-empty string"};
-    }
-    request.group = group->string;
-    if (request.op == RequestOp::kGroupCommit) {
-      const JsonToken* cell = doc.find(kCellKey);
-      if (cell == nullptr) return ProtocolError{"missing_field", "missing \"cell\""};
-      const auto id = as_u64(*cell);
-      if (!id.has_value()) {
-        return ProtocolError{"bad_field", "\"cell\" must be an unsigned integer"};
-      }
-      request.cell = id;
     }
   }
 

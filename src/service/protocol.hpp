@@ -13,12 +13,9 @@
 //   {"op":"metrics"}                                  -> full metrics registry as JSON
 //   {"op":"drain"}                                    snapshot + stop accepting
 //
-// Cross-cell anti-collocation (DESIGN.md §7): the router coordinates
-// spanning groups through three home-cell ops, WAL'd like any mutation:
-//
-//   {"op":"gres","group":"web","vm":7}                reserve membership -> token
-//   {"op":"gcommit","group":"web","vm":7,"cell":2}    reservation -> committed member
-//   {"op":"gabort","group":"web","vm":7}              drop reservation/membership
+// A router in front of several cells (DESIGN.md §7) speaks this same
+// protocol; a grouped place needs no op of its own there, because each
+// cell's admission already enforces anti-collocation over its own PMs.
 //
 // Online rebalancing (DESIGN.md §9): collector agents push CPU samples and
 // operators steer the background planner:
@@ -92,9 +89,6 @@ enum class RequestOp {
   kHealth,
   kMetrics,
   kDrain,
-  kGroupReserve,  ///< "gres": reserve group membership at the home cell
-  kGroupCommit,   ///< "gcommit": promote a reservation to a committed member
-  kGroupAbort,    ///< "gabort": drop a reservation (or committed member)
   kReplHello,     ///< "repl_hello": leader<->follower handshake (op_seq exchange)
   kReplSnapshot,  ///< "repl_snap": one chunk of a catch-up snapshot (raw bytes)
   kReplFrames,    ///< "repl_frames": a batch of CRC-framed WAL records (raw bytes)
@@ -119,9 +113,10 @@ struct Request {
   /// VM type: either a catalog index or a type name, as sent on the wire.
   std::optional<std::uint64_t> vm_type_index;
   std::string vm_type_name;
-  /// Anti-collocation group; empty = unconstrained. Required on group ops.
+  /// Anti-collocation group of a place; empty = unconstrained.
   std::string group;
-  /// Owning cell recorded by gcommit; absent elsewhere.
+  /// The cell a `util` sample addresses behind a router (required for
+  /// pm-keyed samples, whose pm indices are per-cell); absent elsewhere.
   std::optional<std::uint64_t> cell;
   /// Replication sequence number: the sender's op_seq on repl_hello, the
   /// snapshot's last op_seq on repl_snap, the batch's last op_seq on

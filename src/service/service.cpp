@@ -33,19 +33,10 @@ Response accepted(const char* op, std::optional<std::uint64_t> vm = std::nullopt
   return response;
 }
 
-/// The requests whose acknowledgement promises a WAL record: the six that
-/// change the ledger (a gabort of an absent member logs nothing, but its ack
-/// is demoted all the same).
+/// The requests whose acknowledgement promises a WAL record: the three
+/// that change the ledger.
 bool changes_ledger(RequestOp op) {
-  switch (op) {
-    case RequestOp::kPlace:
-    case RequestOp::kRelease:
-    case RequestOp::kMigrate:
-    case RequestOp::kGroupReserve:
-    case RequestOp::kGroupCommit:
-    case RequestOp::kGroupAbort: return true;
-    default: return false;
-  }
+  return op == RequestOp::kPlace || op == RequestOp::kRelease || op == RequestOp::kMigrate;
 }
 
 }  // namespace
@@ -160,9 +151,6 @@ void PlacementService::init_metrics() {
     m_.reject_by_reason[reason] = &r.counter(
         std::string("prvm_reject_") + to_string(static_cast<RejectReason>(reason)) + "_total");
   }
-  m_.group_reserves = &r.counter("prvm_cell_group_reserves_total");
-  m_.group_commits = &r.counter("prvm_cell_group_commits_total");
-  m_.group_aborts = &r.counter("prvm_cell_group_aborts_total");
   m_.flush_groups = &r.counter("prvm_flush_groups_total");
   m_.repl_applied = &r.counter("prvm_repl_applied_records_total");
   m_.repl_snapshots_in = &r.counter("prvm_repl_snapshots_installed_total");
@@ -221,7 +209,6 @@ void PlacementService::install_snapshot(ServiceSnapshot snapshot) {
   snapshot.datacenter->copy_samples_from(dc_);
   dc_ = std::move(*snapshot.datacenter);
   admission_ = std::move(snapshot.admission);
-  group_dir_ = std::move(snapshot.groups);
   op_seq_ = snapshot.last_op_seq;
 }
 
@@ -250,20 +237,10 @@ void PlacementService::apply_wal_record(const WalRecord& record) {
       if (record.pm != record.from_pm) m_.migrated->inc();
       break;
     }
-    case WalRecord::Type::kGroupReserve:
-      // The reserve's token is its op_seq; the deadline rode in from_pm, so
-      // replay rebuilds the exact pending entry regardless of wall time.
-      group_dir_.apply_reserve(record.group, record.vm, record.op_seq, record.from_pm);
-      m_.group_reserves->inc();
-      break;
-    case WalRecord::Type::kGroupCommit:
-      group_dir_.apply_commit(record.group, record.vm, record.pm);
-      m_.group_commits->inc();
-      break;
-    case WalRecord::Type::kGroupAbort:
-      group_dir_.apply_abort(record.group, record.vm);
-      m_.group_aborts->inc();
-      break;
+    case WalRecord::Type::kRetiredGroupReserve:
+    case WalRecord::Type::kRetiredGroupCommit:
+    case WalRecord::Type::kRetiredGroupAbort:
+      break;  // a log written before these were retired: op_seq only
   }
   op_seq_ = record.op_seq;
 }
@@ -336,8 +313,7 @@ IoStatus PlacementService::write_snapshot() {
   IoStatus status;
   {
     const obs::ScopedTimerNs timer(*m_.snapshot_ns);
-    status = save_snapshot(config_.data_dir / kSnapshotFile, dc_, admission_, group_dir_,
-                           op_seq_, io_);
+    status = save_snapshot(config_.data_dir / kSnapshotFile, dc_, admission_, op_seq_, io_);
   }
   if (status.ok()) {
     snapshot_op_seq_ = op_seq_;
@@ -602,55 +578,6 @@ Response PlacementService::lookup(const Request& request) {
   return response;
 }
 
-Response PlacementService::group_reserve(const Request& request) {
-  const std::uint64_t now_ms = io_->now_ms();
-  const RejectReason verdict = group_dir_.try_reserve(request.group, request.vm_id, now_ms);
-  if (verdict != RejectReason::kNone) {
-    m_.rejected->inc();
-    return reject(request, verdict,
-                  "VM is already reserved or committed in group \"" + request.group + "\"");
-  }
-  // Deadline travels in the record (from_pm) so replay rebuilds the exact
-  // pending entry; the token is the record's own op_seq.
-  WalRecord& record = new_record(WalRecord::Type::kGroupReserve, request.vm_id);
-  record.group.assign(request.group);
-  record.from_pm = now_ms + config_.reserve_ttl_ms;
-  commit(record);
-
-  Response response = accepted("gres", request.vm_id);
-  response.extra.emplace_back("token", std::to_string(op_seq_));
-  return response;
-}
-
-Response PlacementService::group_commit(const Request& request) {
-  const std::uint64_t cell = request.cell.value_or(0);
-  const RejectReason verdict = group_dir_.try_commit(request.group, request.vm_id, cell);
-  if (verdict != RejectReason::kNone) {
-    m_.rejected->inc();
-    return reject(request, verdict,
-                  "VM is committed to a different cell in group \"" + request.group + "\"");
-  }
-  WalRecord& record = new_record(WalRecord::Type::kGroupCommit, request.vm_id);
-  record.pm = cell;
-  record.group.assign(request.group);
-  commit(record);
-
-  Response response = accepted("gcommit", request.vm_id);
-  return response;
-}
-
-Response PlacementService::group_abort(const Request& request) {
-  // Idempotent: aborting an absent member succeeds without touching the WAL
-  // (nothing changed, so replay needs no record).
-  if (group_dir_.member(request.group, request.vm_id) != nullptr) {
-    WalRecord& record = new_record(WalRecord::Type::kGroupAbort, request.vm_id);
-    record.group.assign(request.group);
-    commit(record);
-  }
-  Response response = accepted("gabort", request.vm_id);
-  return response;
-}
-
 // --- replication (DESIGN.md §8) ---
 
 namespace {
@@ -848,7 +775,7 @@ void PlacementService::maybe_send_catchup_snapshot() {
   // demote on a failed flush.
   flusher_barrier();
   if (flush_failed_.load(std::memory_order_acquire)) return;
-  repl_->send_snapshot(serialize_snapshot(dc_, admission_, group_dir_, op_seq_), op_seq_);
+  repl_->send_snapshot(serialize_snapshot(dc_, admission_, op_seq_), op_seq_);
 }
 
 Response PlacementService::health_response() {
@@ -998,8 +925,6 @@ Response PlacementService::stats_response() {
   add("snapshots", m_.snapshots->value());
   add("replayed_records", m_.replayed_records->value());
   add("op_seq", op_seq_);
-  add("group_members", group_dir_.member_count());
-  add("group_pending", group_dir_.pending_count());
   add("admission_groups", admission_.group_count());
   add("grouped_vms", admission_.grouped_vm_count());
   // 64-bit digest goes out as a string: JSON numbers lose precision > 2^53.
@@ -1094,9 +1019,6 @@ Response PlacementService::execute_locked(const Request& request) {
     case RequestOp::kPlace: return place(request);
     case RequestOp::kRelease: return release(request);
     case RequestOp::kMigrate: return migrate(request);
-    case RequestOp::kGroupReserve: return group_reserve(request);
-    case RequestOp::kGroupCommit: return group_commit(request);
-    case RequestOp::kGroupAbort: return group_abort(request);
     default: break;
   }
   return reject(request, RejectReason::kNone, "unreachable");

@@ -47,9 +47,8 @@
 // its responses are unsent (tail latency and memory stay bounded; clients
 // own their retry policy).
 //
-// One applier (DESIGN.md §4c): the ledger, the admission controller and the
-// group directory change only when a WalRecord is applied by
-// apply_wal_record. A live handler validates, decides (the engine's pick()
+// One applier (DESIGN.md §4c): the ledger and the admission controller
+// change only when a WalRecord is applied by apply_wal_record. A live handler validates, decides (the engine's pick()
 // leaves the ledger alone), fills a record and commits it: next op_seq,
 // apply, append to the WAL. Recovery and a follower's frame stream apply
 // records through the same function, and install_snapshot is the one way a
@@ -93,7 +92,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cells/group_directory.hpp"
 #include "cluster/datacenter.hpp"
 #include "core/catalog_graphs.hpp"
 #include "obs/metrics.hpp"
@@ -145,10 +143,6 @@ struct ServiceConfig {
   /// standalone single-cell daemon; health then reports cell_id 0 with role
   /// "single" instead of "cell".
   std::optional<std::uint64_t> cell_id;
-  /// Lifetime of a group reservation (gres) before it becomes reclaimable.
-  /// Expiry is lazy: an expired pending entry is simply overwritable by the
-  /// next reserve, it is never dropped outside a WAL'd transition.
-  std::uint64_t reserve_ttl_ms = 5000;
   /// WAL replication to follower replicas / follower role (DESIGN.md §8).
   ReplicationConfig repl;
   /// Online rebalancer (DESIGN.md §9). `util` samples are accepted into the
@@ -241,7 +235,6 @@ class PlacementService : public RequestSink {
   /// Read-side accessors. Only consistent while the loop is stopped.
   const Datacenter& datacenter() const { return dc_; }
   const AdmissionController& admission() const { return admission_; }
-  const GroupDirectory& group_directory() const { return group_dir_; }
   const Catalog& catalog() const { return dc_.catalog(); }
   ServiceStats stats() const;
   bool draining() const { return draining_.load(std::memory_order_relaxed); }
@@ -312,11 +305,6 @@ class PlacementService : public RequestSink {
   Response release(const Request& request);
   Response migrate(const Request& request);
   Response lookup(const Request& request);
-  /// Cross-cell group directory ops (gres/gcommit/gabort), WAL'd like any
-  /// other mutation; only the home cell of a group ever receives them.
-  Response group_reserve(const Request& request);
-  Response group_commit(const Request& request);
-  Response group_abort(const Request& request);
   Response stats_response();
   Response health_response();
   Response metrics_response();
@@ -435,7 +423,6 @@ class PlacementService : public RequestSink {
   std::shared_ptr<obs::Registry> metrics_;  ///< before engine_: the engine points into it
   std::unique_ptr<PageRankVm> engine_;
   AdmissionController admission_;
-  GroupDirectory group_dir_;  ///< cross-cell reservations (home-cell role)
   std::unordered_map<std::string, std::size_t> vm_type_by_name_;
 
   /// Sample decay settings and epoch; the samples themselves live in dc_.
@@ -498,10 +485,6 @@ class PlacementService : public RequestSink {
     /// Per-RejectReason verdict counters (kNone unused).
     std::array<obs::Counter*, kRejectReasonCount> reject_by_reason{};
     // Pipeline stages (DESIGN.md §6).
-    // Cross-cell group directory transitions (DESIGN.md §7).
-    obs::Counter* group_reserves = nullptr;
-    obs::Counter* group_commits = nullptr;
-    obs::Counter* group_aborts = nullptr;
     obs::Counter* flush_groups = nullptr;    ///< group-commit flush calls
     // Replication & failover (DESIGN.md §8).
     obs::Counter* repl_applied = nullptr;     ///< WAL records applied as follower

@@ -18,19 +18,17 @@ constexpr char kHeaderMagicV1[] = "PRVMSNAP1";
 constexpr char kHeaderMagicV2[] = "PRVMSNAP2";
 
 void write_snapshot(ByteWriter& out, const Datacenter& datacenter,
-                    const AdmissionController& admission, const GroupDirectory& groups,
-                    std::uint64_t last_op_seq) {
-  out << kHeaderMagicV2 << " " << last_op_seq << "\n";
+                    const AdmissionController& admission, std::uint64_t last_op_seq) {
+  out << kHeaderMagicV1 << " " << last_op_seq << "\n";
   admission.serialize(out);
-  groups.serialize(out);
   datacenter.serialize(out);
 }
 
 }  // namespace
 
 IoStatus save_snapshot(const std::filesystem::path& path, const Datacenter& datacenter,
-                       const AdmissionController& admission, const GroupDirectory& groups,
-                       std::uint64_t last_op_seq, IoEnv* env) {
+                       const AdmissionController& admission, std::uint64_t last_op_seq,
+                       IoEnv* env) {
   IoEnv& io = env != nullptr ? *env : IoEnv::real();
   if (path.has_parent_path()) {
     std::error_code ec;
@@ -56,7 +54,7 @@ IoStatus save_snapshot(const std::filesystem::path& path, const Datacenter& data
   ByteWriter out(chunk, kSnapshotChunkBytes, [&](std::string_view bytes) {
     if (status.ok()) status = io_write_all(io, fd, bytes.data(), bytes.size(), what);
   });
-  write_snapshot(out, datacenter, admission, groups, last_op_seq);
+  write_snapshot(out, datacenter, admission, last_op_seq);
   out.finish();
   if (status.ok()) status = io_fsync(io, fd, "fsync(" + tmp.string() + ")");
   const IoStatus close_status = io_close(io, fd, "close(" + tmp.string() + ")");
@@ -81,6 +79,34 @@ IoStatus save_snapshot(const std::filesystem::path& path, const Datacenter& data
 
 namespace {
 
+/// Reads past a v2 file's group-directory block ("gdir <groups>", then per
+/// group "<len>:<name> <members>" and five numbers per member), checking its
+/// shape as it goes.
+void skip_group_directory(std::istream& is) {
+  std::string tag;
+  std::size_t group_count = 0;
+  PRVM_REQUIRE(static_cast<bool>(is >> tag >> group_count) && tag == "gdir",
+               "group directory snapshot corrupt");
+  for (std::size_t g = 0; g < group_count; ++g) {
+    std::size_t name_len = 0;
+    char colon = 0;
+    PRVM_REQUIRE(static_cast<bool>(is >> name_len >> colon) && colon == ':' &&
+                     name_len < kMaxGroupName,
+                 "group directory snapshot corrupt");
+    PRVM_REQUIRE(static_cast<bool>(is.ignore(static_cast<std::streamsize>(name_len))) &&
+                     is.gcount() == static_cast<std::streamsize>(name_len),
+                 "group directory snapshot truncated");
+    std::size_t member_count = 0;
+    PRVM_REQUIRE(static_cast<bool>(is >> member_count), "group directory snapshot corrupt");
+    for (std::size_t v = 0; v < member_count; ++v) {
+      std::uint64_t fields[5];
+      for (std::uint64_t& field : fields) {
+        PRVM_REQUIRE(static_cast<bool>(is >> field), "group directory snapshot corrupt");
+      }
+    }
+  }
+}
+
 ServiceSnapshot read_snapshot_stream(std::istream& is, const Catalog& catalog,
                                      const std::string& what) {
   ServiceSnapshot snapshot;
@@ -90,11 +116,9 @@ ServiceSnapshot read_snapshot_stream(std::istream& is, const Catalog& catalog,
                "not a service snapshot: " + what);
   is.get();  // the newline after the header
   snapshot.admission = AdmissionController::deserialize(is);
-  // Pre-sharding snapshots (v1) have no group-directory section; they load
-  // with an empty directory, which is exactly the state they were taken in.
   if (magic == kHeaderMagicV2) {
     while (is.peek() == '\n') is.get();
-    snapshot.groups = GroupDirectory::deserialize(is);
+    skip_group_directory(is);
   }
   // Each text block ends with a newline; the datacenter blob starts at the
   // next byte. operator>> left the stream right after the last token, so
@@ -124,10 +148,10 @@ std::optional<ServiceSnapshot> load_snapshot(const std::filesystem::path& path,
 }
 
 std::string serialize_snapshot(const Datacenter& datacenter, const AdmissionController& admission,
-                               const GroupDirectory& groups, std::uint64_t last_op_seq) {
+                               std::uint64_t last_op_seq) {
   std::string blob;
   ByteWriter out(blob);
-  write_snapshot(out, datacenter, admission, groups, last_op_seq);
+  write_snapshot(out, datacenter, admission, last_op_seq);
   return blob;
 }
 

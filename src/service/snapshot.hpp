@@ -2,10 +2,13 @@
 //
 // A snapshot bundles everything the daemon needs to resume: the op
 // sequence number it covers, the admission controller (anti-collocation
-// group membership) and the full Datacenter ledger. Snapshots stream to a
-// temp file through one bounded chunk and are renamed into place only once
-// every byte is written and synced, so a crash or a failed write mid-way
-// leaves the previous snapshot intact. Double-apply after a crash between
+// group membership) and the full Datacenter ledger, in the PRVMSNAP1
+// layout. Files in the PRVMSNAP2 layout, which wrote the retired cross-cell
+// group directory between the admission block and the ledger, still load:
+// the reader skips that block. Snapshots stream to a temp file through one
+// bounded chunk and are renamed into place only once every byte is written
+// and synced, so a crash or a failed write mid-way leaves the previous
+// snapshot intact. Double-apply after a crash between
 // snapshot-rename and WAL-truncate is prevented by `last_op_seq`: replay
 // skips WAL records the snapshot already covers.
 #pragma once
@@ -15,7 +18,6 @@
 #include <filesystem>
 #include <optional>
 
-#include "cells/group_directory.hpp"
 #include "cluster/datacenter.hpp"
 #include "service/admission.hpp"
 #include "service/io_env.hpp"
@@ -25,7 +27,6 @@ namespace prvm {
 struct ServiceSnapshot {
   std::uint64_t last_op_seq = 0;  ///< highest op_seq folded into the state
   AdmissionController admission;
-  GroupDirectory groups;  ///< cross-cell reservation state (empty in v1 files)
   std::optional<Datacenter> datacenter;  ///< engaged after load
 };
 
@@ -40,13 +41,9 @@ inline constexpr std::size_t kSnapshotChunkBytes = std::size_t{256} << 10;
 /// leaving the previous snapshot intact. Returns an errno-rich status
 /// instead of throwing, so the caller (the degraded-mode state machine) can
 /// keep the service alive on snapshot failure.
-///
-/// Writes the v2 format (PRVMSNAP2), which adds the GroupDirectory section
-/// between the admission block and the datacenter blob; v1 files are still
-/// loaded (with an empty directory).
 IoStatus save_snapshot(const std::filesystem::path& path, const Datacenter& datacenter,
-                       const AdmissionController& admission, const GroupDirectory& groups,
-                       std::uint64_t last_op_seq, IoEnv* env = nullptr);
+                       const AdmissionController& admission, std::uint64_t last_op_seq,
+                       IoEnv* env = nullptr);
 
 /// Loads a snapshot; nullopt when `path` does not exist (ENOENT). Throws
 /// when it exists but cannot be opened, on a corrupt file and on a catalog
@@ -58,7 +55,7 @@ std::optional<ServiceSnapshot> load_snapshot(const std::filesystem::path& path,
 /// save_snapshot without the spill, so the same bytes. Replication uses
 /// this for follower catch-up over the wire.
 std::string serialize_snapshot(const Datacenter& datacenter, const AdmissionController& admission,
-                               const GroupDirectory& groups, std::uint64_t last_op_seq);
+                               std::uint64_t last_op_seq);
 
 /// Parses a snapshot blob produced by serialize_snapshot/save_snapshot.
 /// Throws on a corrupt blob or catalog mismatch (same contract as

@@ -32,22 +32,21 @@ struct WalRecord {
     kPlace = 1,    ///< vm placed on `pm` with `assignments`
     kRelease = 2,  ///< vm removed (pm recorded for group bookkeeping)
     kMigrate = 3,  ///< vm moved: remove from `from_pm`, place on `pm`
-    // Cross-cell group directory transitions (home cell only; DESIGN.md §7).
-    // These reuse the fixed fields rather than growing the frame: reserve
-    // carries its absolute expiry in `from_pm` and its token is the op_seq;
-    // commit carries the owning cell in `pm`.
-    kGroupReserve = 4,  ///< vm pending in `group`; from_pm = deadline_ms
-    kGroupCommit = 5,   ///< vm committed to `group`; pm = owning cell
-    kGroupAbort = 6,    ///< vm dropped from `group`
+    // The retired cross-cell group directory's reserve, commit and abort.
+    // Nothing writes them any more; they still decode so that a log written
+    // with them replays, and replaying one only advances op_seq.
+    kRetiredGroupReserve = 4,
+    kRetiredGroupCommit = 5,
+    kRetiredGroupAbort = 6,
   };
 
   Type type = Type::kPlace;
   std::uint64_t op_seq = 0;  ///< strictly increasing across the log
   std::uint64_t vm = 0;
   std::uint64_t vm_type = 0;
-  std::uint64_t pm = 0;       ///< destination (place/migrate), source (release), cell (gcommit)
-  std::uint64_t from_pm = 0;  ///< migrate: source PM; gres: reservation deadline_ms
-  std::string group;          ///< anti-collocation group (place + group ops)
+  std::uint64_t pm = 0;       ///< destination (place/migrate), source (release)
+  std::uint64_t from_pm = 0;  ///< migrate: source PM
+  std::string group;          ///< anti-collocation group (place, migrate)
   std::vector<std::pair<int, int>> assignments;  ///< (dimension, amount)
 
   bool operator==(const WalRecord&) const = default;

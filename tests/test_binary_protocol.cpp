@@ -51,19 +51,7 @@ std::vector<Request> wire_requests() {
     request.op = op;
     requests.push_back(request);
   }
-  {
-    Request request;
-    request.op = RequestOp::kGroupReserve;
-    request.vm_id = 9;
-    request.group = "g \"quoted\"";
-    requests.push_back(request);
-    request.op = RequestOp::kGroupCommit;
-    request.cell = 3;
-    requests.push_back(request);
-    request.op = RequestOp::kGroupAbort;
-    request.cell.reset();
-    requests.push_back(request);
-  }
+  requests.push_back(place_request(9, 1, "g \"quoted\""));
   Request by_name;
   by_name.op = RequestOp::kPlace;
   by_name.vm_id = 11;
@@ -303,17 +291,6 @@ TEST(BinaryProtocol, ValidationMatchesJsonErrorCodes) {
     EXPECT_EQ(error->code, "missing_field");
   }
 
-  Request no_group;
-  no_group.op = RequestOp::kGroupReserve;
-  no_group.vm_id = 2;
-  EXPECT_EQ(code_of(no_group), "missing_field");
-
-  Request no_cell;
-  no_cell.op = RequestOp::kGroupCommit;
-  no_cell.vm_id = 2;
-  no_cell.group = "g";
-  EXPECT_EQ(code_of(no_cell), "missing_field");
-
   Request big_vm = place_request(0x1'0000'0000ull, 0);
   EXPECT_EQ(code_of(big_vm), "bad_field");  // vm must fit 32 bits, like JSON
 
@@ -493,10 +470,7 @@ TEST(BinaryProtocol, EncoderRefusesStringsBeyondWireLimitsInsteadOfTruncating) {
   // fields — silent corruption instead of an error.
   const std::string huge(0x10000, 'g');
 
-  Request big_group;
-  big_group.op = RequestOp::kGroupReserve;
-  big_group.vm_id = 1;
-  big_group.group = huge;
+  Request big_group = place_request(1, 0, huge);
   std::string out = "prefix";
   EXPECT_FALSE(encode_binary_request_into(big_group, out));
   EXPECT_EQ(out, "prefix");  // nothing half-written
@@ -517,10 +491,7 @@ TEST(BinaryProtocol, EncoderRefusesStringsBeyondWireLimitsInsteadOfTruncating) {
   EXPECT_EQ(out, "prefix");
 
   // The in-range shapes still encode.
-  Request fits;
-  fits.op = RequestOp::kGroupReserve;
-  fits.vm_id = 3;
-  fits.group = std::string(0xFFFF, 'g');
+  Request fits = place_request(3, 0, std::string(0xFFFF, 'g'));
   out.clear();
   EXPECT_TRUE(encode_binary_request_into(fits, out));
   EXPECT_TRUE(append_intern_frame(2, std::string(0xFFFF, 'n'), out));

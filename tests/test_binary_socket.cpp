@@ -352,6 +352,69 @@ TEST_F(BinarySocketTest, EveryDamagedCrcFrameGetsItsOwnErrorAndFifoHolds) {
   service->stop_now();
 }
 
+// The cross-cell group ops are retired: sent straight to a cell, as JSON
+// ("gres", "gcommit", "gabort") or as their old PRVB1 codes 9-11, each is an
+// unknown_op, and none of them touches the cell's op_seq or its WAL.
+TEST_F(BinarySocketTest, RetiredGroupOpsAreUnknownAndLeaveTheCellUntouched) {
+  TempDir dir("retired");
+  const std::string socket_path = (dir.path() / "cell.sock").string();
+  ServiceConfig config;
+  config.data_dir = dir.path();
+  auto service = make_service(std::move(config));
+  service->start();
+  SocketServerConfig socket_config;
+  socket_config.unix_path = socket_path;
+  CellServer server(*service, socket_config);
+  server.start();
+
+  RawClient json(socket_path);
+  ASSERT_TRUE(json.ok());
+  json.send("{\"op\":\"place\",\"vm\":1,\"type\":0,\"group\":\"web\"}\n");
+  ASSERT_TRUE(json.recv_json_responses(1).at(0).ok);
+  const auto op_seq = [&] {
+    json.send("{\"op\":\"stats\"}\n");
+    const Response stats = json.recv_json_responses(1).at(0);
+    for (const auto& [key, value] : stats.extra) {
+      if (key == "op_seq") return value;
+    }
+    return std::string("missing");
+  };
+  const std::string seq_before = op_seq();
+  const std::string wal_before = read_file(dir.path() / "wal.log");
+  ASSERT_EQ(seq_before, "1");
+  ASSERT_FALSE(wal_before.empty());
+
+  json.send("{\"op\":\"gres\",\"group\":\"web\",\"vm\":2}\n"
+            "{\"op\":\"gcommit\",\"group\":\"web\",\"vm\":2,\"cell\":0}\n"
+            "{\"op\":\"gabort\",\"group\":\"web\",\"vm\":1}\n");
+  for (const Response& response : json.recv_json_responses(3)) {
+    EXPECT_FALSE(response.ok);
+    EXPECT_EQ(response.error, "unknown_op") << response.message;
+  }
+
+  RawClient binary(socket_path);
+  ASSERT_TRUE(binary.ok());
+  std::string bytes(kBinaryPreamble, sizeof(kBinaryPreamble));
+  for (const char code : {9, 10, 11}) {
+    // op code, field bits (vm), string bits, reserved, then the vm.
+    std::string payload = {code, 0x01, 0, 0};
+    for (int i = 0; i < 8; ++i) payload.push_back(i == 0 ? 2 : 0);
+    append_binary_frame(BinaryFrameKind::kRequest, payload, bytes);
+  }
+  binary.send(bytes);
+  const std::vector<Response> responses = binary.recv_binary_responses(3);
+  ASSERT_EQ(responses.size(), 3u);
+  for (const Response& response : responses) {
+    EXPECT_FALSE(response.ok);
+    EXPECT_EQ(response.error, "unknown_op") << response.message;
+  }
+
+  EXPECT_EQ(op_seq(), seq_before);
+  EXPECT_EQ(read_file(dir.path() / "wal.log"), wal_before);
+  server.stop();
+  service->stop_now();
+}
+
 TEST_F(BinarySocketTest, NearMissPreambleFallsBackToJsonLines) {
   TempDir dir("fallback");
   const std::string socket_path = (dir.path() / "cell.sock").string();

@@ -1,10 +1,13 @@
-// Sharded-cell subsystem tests (DESIGN.md §7): the GroupDirectory state
-// machine, cell topology hashing, group-op protocol frames, the Router over
-// embedded cells (hash routing, capacity spillover, the cross-cell
-// reserve/commit saga), the sharded-vs-single differential oracle, home-cell
-// crash recovery mid-reserve, and the socket cell channel.
+// Sharded-cell subsystem tests (DESIGN.md §7): cell topology hashing,
+// request round-trips, the Router over embedded cells (hash routing,
+// capacity spillover, grouped places spanning cells, duplicate places raced
+// and retried across a restart), the sharded-vs-single differential oracle,
+// cell crash recovery, the vm-map file and its journal, and the socket cell
+// channel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -14,6 +17,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -21,10 +25,8 @@
 #include <unistd.h>
 
 #include "cells/embedded.hpp"
-#include "cells/group_directory.hpp"
 #include "cells/topology.hpp"
 #include "cluster/catalog.hpp"
-#include "common/byte_writer.hpp"
 #include "common/rng.hpp"
 #include "core/catalog_graphs.hpp"
 #include "router/cell_channel.hpp"
@@ -85,89 +87,6 @@ std::string extra_of(const Response& response, const std::string& key) {
 }
 
 // ---------------------------------------------------------------------------
-// GroupDirectory state machine.
-
-TEST(GroupDirectory, ReserveCommitAbortLifecycle) {
-  GroupDirectory dir;
-  EXPECT_EQ(dir.try_reserve("web", 7, /*now_ms=*/1000), RejectReason::kNone);
-  dir.apply_reserve("web", 7, /*token=*/41, /*deadline_ms=*/6000);
-  EXPECT_EQ(dir.member_count(), 1u);
-  EXPECT_EQ(dir.pending_count(), 1u);
-
-  // A live (unexpired) reservation blocks a second reserve of the same vm.
-  EXPECT_EQ(dir.try_reserve("web", 7, 2000), RejectReason::kDuplicateVm);
-  // Other vms and other groups are unaffected.
-  EXPECT_EQ(dir.try_reserve("web", 8, 2000), RejectReason::kNone);
-  EXPECT_EQ(dir.try_reserve("db", 7, 2000), RejectReason::kNone);
-
-  EXPECT_EQ(dir.try_commit("web", 7, /*cell=*/2), RejectReason::kNone);
-  dir.apply_commit("web", 7, 2);
-  const GroupDirectory::Member* member = dir.member("web", 7);
-  ASSERT_NE(member, nullptr);
-  EXPECT_EQ(member->state, GroupDirectory::MemberState::kCommitted);
-  EXPECT_EQ(member->cell, 2u);
-  EXPECT_EQ(dir.pending_count(), 0u);
-
-  // Commit is idempotent for the same cell; a different cell is the
-  // double-placement a crashed saga could produce.
-  EXPECT_EQ(dir.try_commit("web", 7, 2), RejectReason::kNone);
-  EXPECT_EQ(dir.try_commit("web", 7, 3), RejectReason::kDuplicateVm);
-  // A committed member also blocks re-reserve regardless of deadline.
-  EXPECT_EQ(dir.try_reserve("web", 7, 999999), RejectReason::kDuplicateVm);
-
-  dir.apply_abort("web", 7);
-  EXPECT_EQ(dir.member("web", 7), nullptr);
-  EXPECT_EQ(dir.try_reserve("web", 7, 999999), RejectReason::kNone);
-  dir.apply_abort("web", 7);  // aborting an absent member is a no-op
-  EXPECT_EQ(dir.member_count(), 0u);
-}
-
-TEST(GroupDirectory, ExpiryIsLazyAndPure) {
-  GroupDirectory dir;
-  dir.apply_reserve("g", 1, 10, /*deadline_ms=*/500);
-  // Before the deadline the reservation holds; after, try_reserve treats it
-  // as absent — but the entry itself is NOT dropped (replay determinism).
-  EXPECT_EQ(dir.try_reserve("g", 1, 499), RejectReason::kDuplicateVm);
-  EXPECT_EQ(dir.try_reserve("g", 1, 501), RejectReason::kNone);
-  ASSERT_NE(dir.member("g", 1), nullptr) << "expiry must not mutate the directory";
-  EXPECT_EQ(dir.pending_count(), 1u);
-
-  // A fresh reserve overwrites the expired one (new token, new deadline).
-  dir.apply_reserve("g", 1, 11, 9000);
-  EXPECT_EQ(dir.member("g", 1)->token, 11u);
-  EXPECT_EQ(dir.try_reserve("g", 1, 501), RejectReason::kDuplicateVm);
-}
-
-TEST(GroupDirectory, SerializeRoundTripsAllStates) {
-  GroupDirectory dir;
-  dir.apply_reserve("web", 1, 5, 1000);
-  dir.apply_commit("web", 2, 3);
-  dir.apply_reserve("db", 9, 6, 2000);
-  dir.apply_commit("db", 9, 1);  // pending -> committed
-
-  std::string bytes;
-  ByteWriter out(bytes);
-  dir.serialize(out);
-  std::istringstream stream(bytes);
-  const GroupDirectory loaded = GroupDirectory::deserialize(stream);
-  EXPECT_TRUE(dir.state_equal(loaded));
-  EXPECT_EQ(loaded.member_count(), 3u);
-  EXPECT_EQ(loaded.pending_count(), 1u);
-  ASSERT_NE(loaded.member("web", 1), nullptr);
-  EXPECT_EQ(loaded.member("web", 1)->deadline_ms, 1000u);
-  ASSERT_NE(loaded.member("db", 9), nullptr);
-  EXPECT_EQ(loaded.member("db", 9)->cell, 1u);
-
-  // Empty directory round-trips too (the common snapshot case).
-  std::string empty_bytes;
-  ByteWriter empty_out(empty_bytes);
-  GroupDirectory{}.serialize(empty_out);
-  std::istringstream empty(empty_bytes);
-  EXPECT_TRUE(GroupDirectory::deserialize(empty).state_equal(GroupDirectory{}));
-  EXPECT_FALSE(loaded.state_equal(GroupDirectory{}));
-}
-
-// ---------------------------------------------------------------------------
 // Topology.
 
 TEST(CellTopology, HashingIsStableInRangeAndRoughlyUniform) {
@@ -186,8 +105,6 @@ TEST(CellTopology, HashingIsStableInRangeAndRoughlyUniform) {
       EXPECT_LT(count, 4000 / cells * 3 / 2) << cells << " cells";
     }
   }
-  EXPECT_EQ(cell_of_group("web", 4), cell_of_group("web", 4));
-  EXPECT_LT(cell_of_group("anything", 3), 3u);
   EXPECT_EQ(cell_of_vm(12345, 1), 0u);
 }
 
@@ -213,33 +130,7 @@ TEST(CellTopology, SplitFleetIsARoundRobinPermutationPreservingMix) {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol: group ops and request round-trips.
-
-TEST(CellProtocol, ParsesGroupOps) {
-  const auto reserve = parse_request(R"({"op":"gres","group":"web","vm":7})");
-  const Request* request = std::get_if<Request>(&reserve);
-  ASSERT_NE(request, nullptr);
-  EXPECT_EQ(request->op, RequestOp::kGroupReserve);
-  EXPECT_EQ(request->group, "web");
-  EXPECT_EQ(request->vm_id, 7u);
-
-  const auto commit = parse_request(R"({"op":"gcommit","group":"web","vm":7,"cell":2})");
-  const Request* creq = std::get_if<Request>(&commit);
-  ASSERT_NE(creq, nullptr);
-  EXPECT_EQ(creq->op, RequestOp::kGroupCommit);
-  ASSERT_TRUE(creq->cell.has_value());
-  EXPECT_EQ(*creq->cell, 2u);
-
-  const auto abort_parsed = parse_request(R"({"op":"gabort","group":"web","vm":7})");
-  ASSERT_NE(std::get_if<Request>(&abort_parsed), nullptr);
-  EXPECT_EQ(std::get_if<Request>(&abort_parsed)->op, RequestOp::kGroupAbort);
-
-  // A group op without its group is a structured error, not a default.
-  const auto missing = parse_request(R"({"op":"gres","vm":7})");
-  const ProtocolError* error = std::get_if<ProtocolError>(&missing);
-  ASSERT_NE(error, nullptr);
-  EXPECT_EQ(error->code, "missing_field");
-}
+// Protocol: request round-trips.
 
 TEST(CellProtocol, EncodeRequestRoundTripsEveryOp) {
   std::vector<Request> requests;
@@ -254,18 +145,14 @@ TEST(CellProtocol, EncodeRequestRoundTripsEveryOp) {
     request.op = op;
     requests.push_back(request);
   }
+  requests.push_back(place_request(9, 1, "g \"quoted\""));
   {
-    Request request;
-    request.op = RequestOp::kGroupReserve;
-    request.vm_id = 9;
-    request.group = "g \"quoted\"";
-    requests.push_back(request);
-    request.op = RequestOp::kGroupCommit;
-    request.cell = 3;
-    requests.push_back(request);
-    request.op = RequestOp::kGroupAbort;
-    request.cell.reset();
-    requests.push_back(request);
+    Request util;
+    util.op = RequestOp::kUtil;
+    util.pm = 2;
+    util.cpu = 0.5;
+    util.cell = 3;
+    requests.push_back(util);
   }
   // Type-by-name survives too (the router forwards requests it never built).
   Request by_name;
@@ -335,6 +222,63 @@ class RouterTest : public ::testing::Test {
   std::uint64_t counter(const Router& router, const char* name) {
     const obs::Counter* c = router.metrics_registry().find_counter(name);
     return c != nullptr ? c->value() : 0;
+  }
+
+  /// Places type-0 filler VMs (ids from `first_id` up) straight into
+  /// `cell`, bypassing any router, until the cell rejects one as full.
+  std::vector<std::uint64_t> fill_cell(EmbeddedCells& cells, std::size_t cell,
+                                       std::uint64_t first_id) {
+    std::vector<std::uint64_t> ids;
+    for (std::uint64_t vm = first_id;; ++vm) {
+      const Response r = cells.cell(cell).submit(place_request(vm, 0)).get();
+      if (!r.ok) {
+        EXPECT_EQ(r.error, "no_capacity");
+        return ids;
+      }
+      ids.push_back(vm);
+    }
+  }
+
+  /// How many cells hold `vm`, asked of each cell directly.
+  std::size_t placements_of(EmbeddedCells& cells, std::uint64_t vm) {
+    std::size_t n = 0;
+    for (std::size_t k = 0; k < cells.size(); ++k) {
+      if (cells.cell(k).submit(vm_request(RequestOp::kLookup, vm)).get().ok) ++n;
+    }
+    return n;
+  }
+
+  /// `threads` places of one type-0 VM id through `router`, released at once.
+  std::vector<Response> race_places(Router& router, std::uint64_t vm, const std::string& group,
+                                    std::size_t threads) {
+    std::vector<Response> responses(threads);
+    std::atomic<bool> go{false};
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < threads; ++t) {
+      pool.emplace_back([&, t] {
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+        responses[t] = router.submit(place_request(vm, 0, group)).get();
+      });
+    }
+    go.store(true, std::memory_order_release);
+    for (std::thread& thread : pool) thread.join();
+    return responses;
+  }
+
+  /// `winners` of the responses placed the VM, every other one is a
+  /// duplicate_vm rejection, and exactly one cell holds the VM.
+  void expect_placed_once(EmbeddedCells& cells, std::uint64_t vm,
+                          const std::vector<Response>& responses, std::size_t winners) {
+    std::size_t ok = 0;
+    for (const Response& r : responses) {
+      if (r.ok) {
+        ++ok;
+      } else {
+        EXPECT_EQ(r.error, "duplicate_vm") << "vm " << vm << ": " << r.message;
+      }
+    }
+    EXPECT_EQ(ok, winners) << "vm " << vm;
+    EXPECT_EQ(placements_of(cells, vm), 1u) << "vm " << vm << " is placed more than once";
   }
 
   Catalog catalog_;
@@ -428,41 +372,115 @@ TEST_F(RouterTest, SpillsOverWhenTheHomeCellIsFullAndRejectsWhenAllAre) {
   embedded->stop_now();
 }
 
+// The name predates the retired cross-cell reserve/commit saga; what it
+// checks holds without one: each cell's admission vetoes a shared PM for
+// the members it hosts, and cells own disjoint PMs.
 TEST_F(RouterTest, GroupedSagaSpansCellsWithoutDoublePlacement) {
   auto embedded = make_cells(2, 12);
   Router router(embedded->sinks());
 
-  // Four members of one anti-collocation group; the reserve/commit saga must
-  // land each on a globally distinct (cell, pm) pair.
+  // Four members of one anti-collocation group, two hashed to each cell:
+  // each must land on a globally distinct (cell, pm) pair.
+  std::vector<std::uint64_t> members;
+  for (std::uint64_t vm = 1; members.size() < 4; ++vm) {
+    const std::size_t hashed = cell_of_vm(vm, 2);
+    if (std::count_if(members.begin(), members.end(), [&](std::uint64_t m) {
+          return cell_of_vm(m, 2) == hashed;
+        }) < 2) {
+      members.push_back(vm);
+    }
+  }
   std::set<std::pair<std::string, std::uint64_t>> sites;
-  for (std::uint64_t vm = 1; vm <= 4; ++vm) {
+  for (const std::uint64_t vm : members) {
     const Response placed = call(router, place_request(vm, 0, "web"));
     ASSERT_TRUE(placed.ok) << placed.error << ": " << placed.message;
     ASSERT_TRUE(placed.pm.has_value());
     EXPECT_TRUE(sites.emplace(extra_of(placed, "cell"), *placed.pm).second)
         << "group members must never share a PM";
   }
+  for (std::size_t k = 0; k < 2; ++k) {
+    EXPECT_EQ(embedded->cell(k).admission().grouped_vm_count(), 2u) << "cell " << k;
+  }
 
-  // A duplicate member is vetoed by the home cell's directory, not placed.
-  EXPECT_EQ(call(router, place_request(2, 0, "web")).error, "duplicate_vm");
+  // A duplicate member is rejected by the router's map, not placed.
+  EXPECT_EQ(call(router, place_request(members[1], 0, "web")).error, "duplicate_vm");
+  EXPECT_EQ(placements_of(*embedded, members[1]), 1u);
 
-  // The home cell holds all four committed memberships and no pendings
-  // (every gcommit landed).
-  PlacementService& home = embedded->cell(cell_of_group("web", 2));
-  EXPECT_EQ(home.group_directory().member_count(), 4u);
-  EXPECT_EQ(home.group_directory().pending_count(), 0u);
-
-  // Releasing a member aborts its membership at the home cell, making the
-  // vm id placeable in the group again.
-  ASSERT_TRUE(call(router, vm_request(RequestOp::kRelease, 2)).ok);
-  EXPECT_EQ(home.group_directory().member_count(), 3u);
-  const Response replaced = call(router, place_request(2, 0, "web"));
+  // Releasing a member makes its vm id placeable in the group again.
+  ASSERT_TRUE(call(router, vm_request(RequestOp::kRelease, members[1])).ok);
+  const Response replaced = call(router, place_request(members[1], 0, "web"));
   ASSERT_TRUE(replaced.ok) << replaced.error;
-  EXPECT_EQ(home.group_directory().member_count(), 4u);
+  EXPECT_EQ(placements_of(*embedded, members[1]), 1u);
+  embedded->stop_now();
+}
 
-  EXPECT_GE(counter(router, "prvm_router_group_reserves_total"), 5u);
-  EXPECT_GE(counter(router, "prvm_router_group_commits_total"), 5u);
-  EXPECT_GE(counter(router, "prvm_router_group_aborts_total"), 1u);
+// ---------------------------------------------------------------------------
+// Duplicate places of one VM id: each must end with one placement, and
+// every losing request must see duplicate_vm. Cell 0 is filled directly, so
+// the VM ids that hash to it spill to cell 1.
+
+struct DuplicateCase {
+  std::uint64_t vm;
+  std::string group;  ///< one group per VM, so no anti-collocation veto
+};
+
+/// `per_kind` ids of each (hash cell, grouped) kind named in the arguments.
+std::vector<DuplicateCase> duplicate_cases(const std::vector<std::size_t>& hash_cells,
+                                           std::size_t per_kind) {
+  std::vector<DuplicateCase> cases;
+  std::uint64_t vm = 0;
+  for (const std::size_t hash_cell : hash_cells) {
+    for (const bool grouped : {false, true}) {
+      for (std::size_t n = 0; n < per_kind;) {
+        if (cell_of_vm(++vm, 2) != hash_cell) continue;
+        cases.push_back({vm, grouped ? "dup-" + std::to_string(vm) : ""});
+        ++n;
+      }
+    }
+  }
+  return cases;
+}
+
+TEST_F(RouterTest, DuplicatePlacesRacedAcrossThreadsLandOnce) {
+  auto embedded = make_cells(2, 8);
+  Router router(embedded->sinks());
+  ASSERT_FALSE(fill_cell(*embedded, 0, 1u << 30).empty());
+
+  for (const DuplicateCase& c : duplicate_cases({0, 1}, 2)) {
+    SCOPED_TRACE("vm " + std::to_string(c.vm) + " group '" + c.group + "'");
+    expect_placed_once(*embedded, c.vm, race_places(router, c.vm, c.group, 4), 1);
+    EXPECT_EQ(router.cell_of(c.vm), std::optional<std::size_t>(1));
+  }
+  embedded->stop_now();
+}
+
+TEST_F(RouterTest, DuplicatePlacesRetriedAfterAStaleMapRestartLandOnce) {
+  TempDir dir("stale-map");
+  const std::filesystem::path path = dir.path() / "vm.map";
+  auto embedded = make_cells(2, 8);
+  const std::vector<DuplicateCase> cases = duplicate_cases({0}, 2);
+  {
+    Router first(embedded->sinks());
+    ASSERT_TRUE(first.save_vm_map(path));  // before any VM spilled
+    const std::vector<std::uint64_t> filler = fill_cell(*embedded, 0, 1u << 30);
+    ASSERT_FALSE(filler.empty());
+    for (const DuplicateCase& c : cases) {
+      const Response placed = call(first, place_request(c.vm, 0, c.group));
+      ASSERT_TRUE(placed.ok) << placed.error;
+      ASSERT_EQ(extra_of(placed, "cell"), "1") << "vm " << c.vm << " must spill";
+    }
+    // The hash cell has room again, and the router dies without saving.
+    for (const std::uint64_t vm : filler) {
+      ASSERT_TRUE(embedded->cell(0).submit(vm_request(RequestOp::kRelease, vm)).get().ok);
+    }
+  }
+
+  Router restarted(embedded->sinks());
+  ASSERT_TRUE(restarted.load_vm_map(path));
+  for (const DuplicateCase& c : cases) {
+    SCOPED_TRACE("vm " + std::to_string(c.vm) + " group '" + c.group + "'");
+    expect_placed_once(*embedded, c.vm, race_places(restarted, c.vm, c.group, 3), 0);
+  }
   embedded->stop_now();
 }
 
@@ -534,60 +552,10 @@ TEST_F(RouterTest, ShardedMatchesSingleCellOnRandomSpanningGroupSequences) {
 // ---------------------------------------------------------------------------
 // Crash recovery.
 
-TEST_F(RouterTest, HomeCellCrashMidReserveRecoversThePendingReservation) {
-  TempDir dir("midreserve");
-  ServiceConfig config;
-  config.data_dir = dir.path();
-  config.cell_id = 0;
-
-  GroupDirectory pre_crash;
-  {
-    PlacementService cell(catalog_, mixed_pm_fleet(catalog_, 4), tables_, config);
-    Request reserve;
-    reserve.op = RequestOp::kGroupReserve;
-    reserve.group = "web";
-    reserve.vm_id = 7;
-    ASSERT_TRUE(cell.execute(reserve).ok);
-    // Commit a second member fully, so recovery must reproduce BOTH states.
-    reserve.vm_id = 8;
-    ASSERT_TRUE(cell.execute(reserve).ok);
-    Request commit;
-    commit.op = RequestOp::kGroupCommit;
-    commit.group = "web";
-    commit.vm_id = 8;
-    commit.cell = 1;
-    ASSERT_TRUE(cell.execute(commit).ok);
-    pre_crash = cell.group_directory();
-    cell.stop_now();  // SIGKILL-equivalent: no drain, no snapshot
-  }
-
-  PlacementService recovered(catalog_, mixed_pm_fleet(catalog_, 4), tables_, config);
-  EXPECT_TRUE(recovered.stats().recovered);
-  EXPECT_TRUE(recovered.group_directory().state_equal(pre_crash))
-      << "WAL replay must reproduce the directory bit-identically";
-  EXPECT_EQ(recovered.group_directory().pending_count(), 1u);
-
-  // The recovered reservation still vetoes a duplicate, and the saga can
-  // complete against the recovered cell.
-  Request reserve;
-  reserve.op = RequestOp::kGroupReserve;
-  reserve.group = "web";
-  reserve.vm_id = 7;
-  EXPECT_EQ(recovered.execute(reserve).error, "duplicate_vm");
-  Request commit;
-  commit.op = RequestOp::kGroupCommit;
-  commit.group = "web";
-  commit.vm_id = 7;
-  commit.cell = 0;
-  EXPECT_TRUE(recovered.execute(commit).ok);
-  EXPECT_EQ(recovered.group_directory().pending_count(), 0u);
-  recovered.stop_now();
-}
-
 TEST_F(RouterTest, AllCellsRecoverToThePreCrashStateAfterHardStop) {
   TempDir dir("cellcrash");
   std::vector<std::uint64_t> digests;
-  std::vector<GroupDirectory> directories;
+  std::vector<AdmissionController> admissions;
   {
     auto embedded = make_cells(2, 12, dir.path());
     Router router(embedded->sinks());
@@ -598,7 +566,7 @@ TEST_F(RouterTest, AllCellsRecoverToThePreCrashStateAfterHardStop) {
     ASSERT_TRUE(call(router, vm_request(RequestOp::kRelease, 3)).ok);
     for (std::size_t k = 0; k < embedded->size(); ++k) {
       digests.push_back(datacenter_state_digest(embedded->cell(k).datacenter()));
-      directories.push_back(embedded->cell(k).group_directory());
+      admissions.push_back(embedded->cell(k).admission());
     }
     embedded->stop_now();  // every cell dies with a dirty WAL
   }
@@ -608,8 +576,7 @@ TEST_F(RouterTest, AllCellsRecoverToThePreCrashStateAfterHardStop) {
       EXPECT_TRUE(embedded->cell(k).stats().recovered) << "cell " << k;
       EXPECT_EQ(datacenter_state_digest(embedded->cell(k).datacenter()), digests[k])
           << "cell " << k;
-      EXPECT_TRUE(embedded->cell(k).group_directory().state_equal(directories[k]))
-          << "cell " << k;
+      EXPECT_TRUE(embedded->cell(k).admission().state_equal(admissions[k])) << "cell " << k;
     }
     // The recovered deployment keeps serving: routing state rebuilt from
     // scratch, the fleet still accepts placements.
@@ -678,6 +645,111 @@ TEST_F(RouterTest, VmMapLoadRejectsDamagedFilesAndDropsUnknownCells) {
     EXPECT_FALSE(router.cell_of(2).has_value());
     EXPECT_EQ(router.cell_of(3), std::optional<std::size_t>(1));
   }
+  embedded->stop_now();
+}
+
+TEST_F(RouterTest, VmMapLoadsGroupColumnsJournalLinesAndATornTail) {
+  TempDir dir("vmmap-journal-lines");
+  auto embedded = make_cells(2, 8);
+  const auto load = [&](const std::string& bytes, Router& router) {
+    const std::filesystem::path path = dir.path() / "vm.map";
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    return router.load_vm_map(path);
+  };
+  {
+    // A file written when each entry also carried its group: the group
+    // column is read past.
+    Router router(embedded->sinks());
+    EXPECT_TRUE(load("PRVMMAP1 3\n5 0 \n6 1 web\n7 0 two words\n", router));
+    EXPECT_EQ(router.vm_map_size(), 3u);
+    EXPECT_EQ(router.cell_of(5), std::optional<std::size_t>(0));
+    EXPECT_EQ(router.cell_of(6), std::optional<std::size_t>(1));
+    EXPECT_EQ(router.cell_of(7), std::optional<std::size_t>(0));
+  }
+  {
+    // Journal lines replay in order after the saved entries; a torn last
+    // line (a killed router's cut-short append) is ignored.
+    Router router(embedded->sinks());
+    EXPECT_TRUE(load("PRVMMAP1 2\n1 0\n2 1 web\n3 1\n1 -\n4 0\n3 -\n3 0\n5 1", router));
+    EXPECT_EQ(router.vm_map_size(), 3u);
+    EXPECT_FALSE(router.cell_of(1).has_value());
+    EXPECT_EQ(router.cell_of(2), std::optional<std::size_t>(1));
+    EXPECT_EQ(router.cell_of(3), std::optional<std::size_t>(0));
+    EXPECT_EQ(router.cell_of(4), std::optional<std::size_t>(0));
+    EXPECT_FALSE(router.cell_of(5).has_value());
+  }
+  {
+    // Damage anywhere else is refused: a bad line before the last, a
+    // tombstone among the saved entries, a torn saved entry.
+    Router router(embedded->sinks());
+    EXPECT_FALSE(load("PRVMMAP1 1\n1 0\n2 x\n3 1\n", router));
+    EXPECT_FALSE(load("PRVMMAP1 1\n1 -\n", router));
+    EXPECT_FALSE(load("PRVMMAP1 2\n1 0\n2 1", router));
+    EXPECT_FALSE(load("PRVMMAP1 0", router));
+    EXPECT_EQ(router.vm_map_size(), 0u);
+  }
+  embedded->stop_now();
+}
+
+TEST_F(RouterTest, VmMapJournalServesSpilledVmsAfterARestart) {
+  TempDir dir("vmmap-journal");
+  const std::filesystem::path path = dir.path() / "vm.map";
+  auto embedded = make_cells(2, 8);
+  const std::vector<DuplicateCase> spilled = duplicate_cases({0}, 2);
+  const std::uint64_t on_hash = duplicate_cases({1}, 1).front().vm;
+  std::map<std::uint64_t, std::uint64_t> pm_of;
+  {
+    Router first(embedded->sinks());
+    ASSERT_TRUE(first.save_vm_map(path));
+    ASSERT_FALSE(fill_cell(*embedded, 0, 1u << 30).empty());
+    const Response native = call(first, place_request(on_hash, 0));
+    ASSERT_TRUE(native.ok) << native.error;
+    ASSERT_EQ(extra_of(native, "cell"), "1");
+    for (const DuplicateCase& c : spilled) {
+      const Response placed = call(first, place_request(c.vm, 0, c.group));
+      ASSERT_TRUE(placed.ok) << placed.error;
+      ASSERT_EQ(extra_of(placed, "cell"), "1");
+      pm_of[c.vm] = *placed.pm;
+    }
+    ASSERT_TRUE(call(first, vm_request(RequestOp::kRelease, spilled[0].vm)).ok);
+  }
+  // Only the spills and the spilled VM's release were journaled.
+  {
+    std::ifstream in(path);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    std::vector<std::string> expected = {"PRVMMAP1 0"};
+    for (const DuplicateCase& c : spilled) expected.push_back(std::to_string(c.vm) + " 1");
+    expected.push_back(std::to_string(spilled[0].vm) + " -");
+    EXPECT_EQ(lines, expected);
+  }
+
+  Router restarted(embedded->sinks());
+  ASSERT_TRUE(restarted.load_vm_map(path));
+  EXPECT_EQ(restarted.vm_map_size(), spilled.size() - 1);
+  EXPECT_FALSE(restarted.cell_of(spilled[0].vm).has_value());
+  for (std::size_t i = 1; i < spilled.size(); ++i) {
+    const std::uint64_t vm = spilled[i].vm;
+    EXPECT_EQ(restarted.cell_of(vm), std::optional<std::size_t>(1)) << "vm " << vm;
+    const Response looked = call(restarted, vm_request(RequestOp::kLookup, vm));
+    ASSERT_TRUE(looked.ok) << "vm " << vm << ": " << looked.error;
+    EXPECT_EQ(looked.pm, std::optional<std::uint64_t>(pm_of[vm])) << "vm " << vm;
+  }
+  // The VM on its hash cell has no line: a retried place of it reaches
+  // that cell, which answers duplicate_vm itself.
+  EXPECT_EQ(call(restarted, place_request(on_hash, 0)).error, "duplicate_vm");
+  EXPECT_EQ(placements_of(*embedded, on_hash), 1u);
+
+  // A save compacts the journal and journals on; a release through the
+  // restarted router reaches the next one.
+  ASSERT_TRUE(restarted.save_vm_map(path));
+  ASSERT_TRUE(call(restarted, vm_request(RequestOp::kRelease, spilled[1].vm)).ok);
+  EXPECT_EQ(placements_of(*embedded, spilled[1].vm), 0u);
+  Router third(embedded->sinks());
+  ASSERT_TRUE(third.load_vm_map(path));
+  EXPECT_EQ(third.vm_map_size(), spilled.size() - 2);
+  EXPECT_FALSE(third.cell_of(spilled[1].vm).has_value());
+  EXPECT_EQ(third.cell_of(spilled[2].vm), std::optional<std::size_t>(1));
   embedded->stop_now();
 }
 

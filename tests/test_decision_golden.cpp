@@ -2,9 +2,12 @@
 //
 // A seeded stream of 50,000 requests runs through PlacementService::execute
 // on a 2,000-PM EC2 fleet: ungrouped and grouped places, releases, migrates,
-// group-directory reserve/commit/abort, and requests that must be rejected
-// (duplicates, unknown VMs, a full fleet near the end). Four hashes of what
-// the service produced are pinned in data/decision_golden.txt:
+// and requests that must be rejected (duplicates, unknown VMs, a full fleet
+// near the end). The stream once also sent the retired cross-cell group
+// directory's reserve/commit/abort ops; it still draws their random numbers,
+// so every other request and the final ledger are what they were, but sends
+// nothing for them. Four hashes of what the service produced are pinned in
+// data/decision_golden.txt:
 //   - responses:    every response line, in order;
 //   - state_digest: datacenter_state_digest of the final ledger;
 //   - wal:          the bytes of wal.log after the last request;
@@ -33,7 +36,6 @@
 
 #include "cluster/catalog.hpp"
 #include "core/catalog_graphs.hpp"
-#include "service/io_env.hpp"
 #include "service/protocol.hpp"
 #include "service/service.hpp"
 #include "service/snapshot.hpp"
@@ -45,14 +47,6 @@ namespace {
 constexpr std::size_t kFleet = 2000;
 constexpr std::size_t kOps = 50000;
 constexpr std::size_t kGroups = 400;
-
-// Group reservations carry an absolute deadline taken from the clock; a
-// fixed clock keeps it (and the WAL bytes that record it) a function of the
-// stream alone.
-class FixedClockIoEnv : public IoEnv {
- public:
-  std::uint64_t now_ms() noexcept override { return 1'000'000; }
-};
 
 // splitmix64: the stream must not depend on a standard library's
 // distributions.
@@ -125,16 +119,13 @@ std::string run_stream(const Catalog& catalog, std::shared_ptr<const ScoreTableS
   std::filesystem::create_directories(data_dir);
   ServiceConfig config;
   config.data_dir = data_dir;
-  config.io_env = std::make_shared<FixedClockIoEnv>();
   PlacementService service(catalog, mixed_pm_fleet(catalog, kFleet), std::move(tables), config);
 
   Stream rng(0xdec15104);
   const std::size_t vm_types = catalog.vm_types().size();
   std::vector<std::uint64_t> live;     // VMs placed and not released
-  std::vector<std::uint64_t> pending;  // group-directory members: vm id
-  std::vector<std::size_t> pending_group;
+  std::size_t pending = 0;  // members the retired reserves left pending
   std::uint64_t next_vm = 1;
-  std::uint64_t next_member = 1ULL << 40;
   std::uint64_t responses = kFnvBasis;
   std::string line;
 
@@ -152,23 +143,15 @@ std::string run_stream(const Catalog& catalog, std::shared_ptr<const ScoreTableS
       request = vm_request(RequestOp::kRelease, take(live, rng));
     } else if (roll < 86) {  // migrate
       request = vm_request(RequestOp::kMigrate, live[rng.below(live.size())]);
-    } else if (roll < 92 || pending.empty()) {  // group reserve
-      const std::size_t group = rng.below(kGroups);
-      request = vm_request(RequestOp::kGroupReserve, next_member++);
-      request.group = "g" + std::to_string(group);
-      pending.push_back(request.vm_id);
-      pending_group.push_back(group);
-    } else if (roll < 98) {  // group commit or abort of a pending member
-      const std::size_t i = rng.below(pending.size());
-      const bool commit = rng.below(2) == 0;
-      request = vm_request(commit ? RequestOp::kGroupCommit : RequestOp::kGroupAbort,
-                           pending[i]);
-      request.group = "g" + std::to_string(pending_group[i]);
-      if (commit) request.cell = rng.below(4);
-      pending[i] = pending.back();
-      pending.pop_back();
-      pending_group[i] = pending_group.back();
-      pending_group.pop_back();
+    } else if (roll < 92 || pending == 0) {  // retired: group reserve
+      rng.below(kGroups);  // its group
+      ++pending;
+      continue;
+    } else if (roll < 98) {  // retired: commit or abort of a pending member
+      rng.below(pending);                   // the member
+      if (rng.below(2) == 0) rng.below(4);  // commit, and its cell
+      --pending;
+      continue;
     } else {  // requests to reject: a duplicate place, an unknown release
       request = rng.below(2) == 0 ? vm_request(RequestOp::kPlace, live[rng.below(live.size())])
                                   : vm_request(RequestOp::kRelease, next_vm + 7);

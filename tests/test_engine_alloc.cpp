@@ -607,8 +607,7 @@ TEST(SnapshotAlloc, SaveRequestsNoBlockLargerThanTheChunk) {
       ++next_vm;
     }
   }
-  const GroupDirectory groups;
-  ASSERT_GE(serialize_snapshot(dc, admission, groups, 1).size(), 3 * kSnapshotChunkBytes)
+  ASSERT_GE(serialize_snapshot(dc, admission, 1).size(), 3 * kSnapshotChunkBytes)
       << "the ledger must span three chunks";
 
   // One PM's record: index, activation sequence, VM count, then per VM its
@@ -625,7 +624,7 @@ TEST(SnapshotAlloc, SaveRequestsNoBlockLargerThanTheChunk) {
   const std::filesystem::path dir = std::filesystem::temp_directory_path() /
                                     ("prvm-snap-alloc-" + std::to_string(::getpid()));
   g_largest_request.store(0, std::memory_order_relaxed);
-  const IoStatus status = save_snapshot(dir / "snapshot.bin", dc, admission, groups, 1);
+  const IoStatus status = save_snapshot(dir / "snapshot.bin", dc, admission, 1);
   const std::size_t largest = g_largest_request.load(std::memory_order_relaxed);
   std::filesystem::remove_all(dir);
   ASSERT_TRUE(status.ok()) << status.message();

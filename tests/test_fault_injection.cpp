@@ -235,7 +235,6 @@ struct SnapshotFixture {
   Catalog catalog = ec2_catalog();
   Datacenter dc{catalog, mixed_pm_fleet(catalog, 4)};
   AdmissionController admission;
-  GroupDirectory groups;
 
   SnapshotFixture() {
     Rng rng(0xfa);
@@ -256,16 +255,16 @@ TEST(ServiceSnapshotFaults, RenameFailureKeepsTheOldSnapshot) {
   TempDir dir("snap-rename");
   const auto path = dir.path() / "snapshot.bin";
   SnapshotFixture fx;
-  ASSERT_TRUE(save_snapshot(path, fx.dc, fx.admission, fx.groups, 10).ok());
+  ASSERT_TRUE(save_snapshot(path, fx.dc, fx.admission, 10).ok());
 
   FaultInjectingIoEnv env(FaultSchedule::parse("rename:nth=1:errno=EACCES"));
-  const IoStatus failed = save_snapshot(path, fx.dc, fx.admission, fx.groups, 20, &env);
+  const IoStatus failed = save_snapshot(path, fx.dc, fx.admission, 20, &env);
   EXPECT_EQ(failed.err, EACCES);
   auto loaded = load_snapshot(path, fx.catalog);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->last_op_seq, 10u) << "a failed rename must not promote the temp file";
 
-  ASSERT_TRUE(save_snapshot(path, fx.dc, fx.admission, fx.groups, 20, &env).ok());
+  ASSERT_TRUE(save_snapshot(path, fx.dc, fx.admission, 20, &env).ok());
   EXPECT_EQ(load_snapshot(path, fx.catalog)->last_op_seq, 20u);
 }
 
@@ -274,7 +273,7 @@ TEST(ServiceSnapshotFaults, FsyncFailurePreventsPromotion) {
   const auto path = dir.path() / "snapshot.bin";
   SnapshotFixture fx;
   FaultInjectingIoEnv env(FaultSchedule::parse("fsync:nth=1:errno=EIO"));
-  const IoStatus failed = save_snapshot(path, fx.dc, fx.admission, fx.groups, 5, &env);
+  const IoStatus failed = save_snapshot(path, fx.dc, fx.admission, 5, &env);
   EXPECT_EQ(failed.err, EIO);
   EXPECT_FALSE(load_snapshot(path, fx.catalog).has_value())
       << "an unsynced snapshot must never become the recovery source";
@@ -286,7 +285,6 @@ struct ChunkedSnapshotFixture {
   Catalog catalog = ec2_catalog();
   Datacenter dc{catalog, mixed_pm_fleet(catalog, 1500)};
   AdmissionController admission;
-  GroupDirectory groups;
 
   ChunkedSnapshotFixture() {
     Rng rng(0xc4);
@@ -304,7 +302,7 @@ struct ChunkedSnapshotFixture {
   }
 
   std::string blob(std::uint64_t op_seq) const {
-    return serialize_snapshot(dc, admission, groups, op_seq);
+    return serialize_snapshot(dc, admission, op_seq);
   }
 };
 
@@ -323,10 +321,10 @@ void expect_failed_stream_keeps_old_snapshot(const std::string& schedule, int ex
   const ChunkedSnapshotFixture fx;
   const std::string full = fx.blob(20);
   ASSERT_GE(full.size(), 3 * kSnapshotChunkBytes) << "the fixture must span three chunks";
-  ASSERT_TRUE(save_snapshot(path, fx.dc, fx.admission, fx.groups, 10).ok());
+  ASSERT_TRUE(save_snapshot(path, fx.dc, fx.admission, 10).ok());
 
   FaultInjectingIoEnv env(FaultSchedule::parse(schedule));
-  const IoStatus failed = save_snapshot(path, fx.dc, fx.admission, fx.groups, 20, &env);
+  const IoStatus failed = save_snapshot(path, fx.dc, fx.admission, 20, &env);
   EXPECT_EQ(failed.err, expected_err) << failed.message();
   EXPECT_EQ(env.calls(IoOp::kRename), 0u) << "a failed write must never reach the rename";
   ASSERT_TRUE(std::filesystem::exists(tmp));
@@ -337,7 +335,7 @@ void expect_failed_stream_keeps_old_snapshot(const std::string& schedule, int ex
   EXPECT_EQ(loaded->last_op_seq, 10u) << "the partial temp file must not be promoted";
   EXPECT_TRUE(datacenter_state_equal(fx.dc, *loaded->datacenter));
 
-  ASSERT_TRUE(save_snapshot(path, fx.dc, fx.admission, fx.groups, 20, &env).ok());
+  ASSERT_TRUE(save_snapshot(path, fx.dc, fx.admission, 20, &env).ok());
   EXPECT_FALSE(std::filesystem::exists(tmp));
   EXPECT_EQ(file_bytes(path), full) << "the clean save must rewrite the temp file whole";
   EXPECT_EQ(load_snapshot(path, fx.catalog)->last_op_seq, 20u);

@@ -130,15 +130,9 @@ std::vector<std::string> encoded_requests() {
                              RequestOp::kDrain, RequestOp::kRebalanceScan}) {
     requests.push_back(make(op));
   }
-  Request group_op = make(RequestOp::kGroupReserve, 31);
-  group_op.group = "db";
-  requests.push_back(group_op);
-  group_op.op = RequestOp::kGroupCommit;
-  group_op.cell = 2;
-  requests.push_back(group_op);
-  group_op.op = RequestOp::kGroupAbort;
-  group_op.cell.reset();
-  requests.push_back(group_op);
+  // The retired cross-cell group ops, as the encoder wrote them, keep their
+  // place in the corpus (and so every seeded mutation after them).
+  const std::size_t retired_at = requests.size();
   Request hello = make(RequestOp::kReplHello);
   hello.seq = 123456789012ull;
   requests.push_back(hello);
@@ -185,6 +179,10 @@ std::vector<std::string> encoded_requests() {
     line.pop_back();  // the newline
     lines.push_back(line);
   }
+  lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(retired_at),
+               {R"({"op":"gres","vm":31,"group":"db"})",
+                R"({"op":"gcommit","vm":31,"group":"db","cell":2})",
+                R"({"op":"gabort","vm":31,"group":"db"})"});
   return lines;
 }
 

@@ -219,8 +219,7 @@ TEST(UtilizationMapTest, SamplesLeaveSnapshotDigestAndWalBytesUnchanged) {
 
   EXPECT_EQ(datacenter_state_digest(a), datacenter_state_digest(b));
   EXPECT_TRUE(datacenter_state_equal(a, b));
-  EXPECT_EQ(serialize_snapshot(a, fed->admission(), fed->group_directory(), 1),
-            serialize_snapshot(b, plain->admission(), plain->group_directory(), 1));
+  EXPECT_EQ(serialize_snapshot(a, fed->admission(), 1), serialize_snapshot(b, plain->admission(), 1));
   const auto read_file = [](const std::filesystem::path& path) {
     std::ifstream in(path, std::ios::binary);
     return std::string(std::istreambuf_iterator<char>(in), {});

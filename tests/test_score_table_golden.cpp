@@ -338,8 +338,12 @@ TEST(ScoreTableLookup, NodeOfInvertsKeyOfOnBuiltAndMappedTables) {
   // between two neighbours, past the last key, or UINT64_MAX finds nothing
   // (the first key is 0, the empty profile, so no key lies below it), nor
   // does a key whose upper word no segment has, even with a low word some
-  // node has; and the key-based find and best_after agree with the
-  // node-keyed accessors (checked in parallel chunks of nodes).
+  // node has; and the key-based find agrees with the node-keyed score
+  // (checked in parallel chunks of nodes). Each node's best successor for
+  // each VM type is worked out once, with best_successor, and must be a node
+  // whose key finds it again. best_after(key, d) is best_after_node(node_of
+  // (key), d), so with node_of checked the two agree; they are compared with
+  // best_successor on the first node of each chunk.
   const Catalog catalog = ec2_sim_catalog();
   const ScoreTableSet owned = build_score_tables(catalog, {}, std::nullopt);
   const TempDir dir("node-of");
@@ -359,16 +363,24 @@ TEST(ScoreTableLookup, NodeOfInvertsKeyOfOnBuiltAndMappedTables) {
       WorkerPool::shared().parallel_chunks(n, 2048, [&](std::size_t lo, std::size_t hi) {
         std::size_t bad = 0;
         std::size_t between = 0;
+        std::vector<ProfileKey> scratch;
         for (std::size_t u = lo; u < hi; ++u) {
-          const ProfileKey key = table.key_of(static_cast<NodeId>(u));
-          bad += table.node_of(key) != std::optional<NodeId>(static_cast<NodeId>(u));
-          bad += table.find(key) != std::optional<double>(table.node_score(static_cast<NodeId>(u)));
+          const auto node = static_cast<NodeId>(u);
+          const ProfileKey key = table.key_of(node);
+          bad += table.node_of(key) != std::optional<NodeId>(node);
+          bad += table.find(key) != std::optional<double>(table.node_score(node));
           for (std::size_t d = 0; d < table.demand_count(); ++d) {
-            const auto by_key = table.best_after(key, d);
-            const auto by_node = table.best_after_node(static_cast<NodeId>(u), d);
-            bad += by_key.has_value() != by_node.has_value() ||
-                   (by_key.has_value() && (by_key->score != by_node->score ||
-                                           by_key->successor != by_node->successor));
+            const NodeId best = table.best_successor(node, d, scratch);
+            if (best != ScoreTable::kNoFit) {
+              bad += best >= n || table.node_of(table.key_of(best)) != std::optional<NodeId>(best);
+            }
+            if (u != lo) continue;
+            for (const auto& answer : {table.best_after(key, d), table.best_after_node(node, d)}) {
+              bad += answer.has_value() != (best != ScoreTable::kNoFit) ||
+                     (answer.has_value() &&
+                      (answer->score != static_cast<double>(table.node_score(best)) ||
+                       answer->successor != table.key_of(best)));
+            }
           }
           if (u + 1 < n && table.key_of(static_cast<NodeId>(u + 1)) - key > 1) {
             ++between;

@@ -245,7 +245,7 @@ TEST(ServiceSnapshot, RoundTripsDatacenterAndAdmissionState) {
 
   TempDir dir("snapshot");
   const auto path = dir.path() / "snapshot.bin";
-  save_snapshot(path, dc, admission, GroupDirectory{}, /*last_op_seq=*/123);
+  save_snapshot(path, dc, admission, /*last_op_seq=*/123);
 
   const auto loaded = load_snapshot(path, catalog);
   ASSERT_TRUE(loaded.has_value());
@@ -434,10 +434,8 @@ TEST_F(ServiceRecoveryTest, RecoveredServiceWritesTheLiveSnapshotBytes) {
   EXPECT_GT(stats.replayed_records, 0u) << "recovery must replay a WAL tail past the snapshot";
   ASSERT_EQ(stats.op_seq, service->stats().op_seq);
   EXPECT_TRUE(service->admission().state_equal(recovered->admission()));
-  EXPECT_EQ(serialize_snapshot(recovered->datacenter(), recovered->admission(),
-                               recovered->group_directory(), stats.op_seq),
-            serialize_snapshot(service->datacenter(), service->admission(),
-                               service->group_directory(), stats.op_seq));
+  EXPECT_EQ(serialize_snapshot(recovered->datacenter(), recovered->admission(), stats.op_seq),
+            serialize_snapshot(service->datacenter(), service->admission(), stats.op_seq));
 }
 
 TEST_F(ServiceRecoveryTest, DrainTruncatesWalAndRecoversFromSnapshotAlone) {
@@ -551,6 +549,78 @@ TEST_F(ServiceRecoveryTest, TornWalTailIsSurvived) {
   EXPECT_TRUE(recovered->stats().wal_torn_tail);
   EXPECT_EQ(datacenter_state_digest(recovered->datacenter()), digest)
       << "unacknowledged torn tail must not change recovered state";
+}
+
+// Recorded by recovering the same log with the group directory still in
+// the service: the retired records never touched the ledger.
+constexpr std::uint64_t kDigestWithRetiredRecords = 15263433111470248515ull;
+
+// A log written while the cross-cell group directory existed holds its
+// reserve (4), commit (5) and abort (6) records between placements. It still
+// recovers, cleanly: each such record only advances op_seq.
+TEST_F(ServiceRecoveryTest, WalWithRetiredGroupRecordsRecovers) {
+  std::vector<WalRecord> places;
+  std::uint64_t digest = 0;
+  {
+    TempDir live_dir("retired-live");
+    auto live = make_service(live_dir.path(), 0);
+    for (std::uint64_t vm = 1; vm <= 6; ++vm) {
+      Request request;
+      request.op = RequestOp::kPlace;
+      request.vm_id = vm;
+      request.vm_type_index = vm % catalog_.vm_types().size();
+      if (vm % 2 == 0) request.group = "web";
+      ASSERT_TRUE(live->execute(request).ok);
+    }
+    digest = datacenter_state_digest(live->datacenter());
+    live.reset();
+    places = read_wal(live_dir.path() / "wal.log");
+  }
+  ASSERT_EQ(places.size(), 6u);
+
+  // One frame built by hand: u32 payload length, u32 CRC-32, then type,
+  // op_seq, vm, vm_type, pm, from_pm, the group and no assignments.
+  const auto retired_frame = [](char type, std::uint64_t op_seq, std::uint64_t pm,
+                                std::uint64_t from_pm) {
+    std::string payload(1, type);
+    const auto put = [](std::string& out, std::uint64_t v, int bytes) {
+      for (int i = 0; i < bytes; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
+    };
+    for (const std::uint64_t field : {op_seq, std::uint64_t{100}, std::uint64_t{0}, pm, from_pm,
+                                      std::uint64_t{3}}) {
+      put(payload, field, 8);
+    }
+    payload += "web";
+    put(payload, 0, 8);
+    std::string frame;
+    put(frame, payload.size(), 4);
+    put(frame, crc32(payload.data(), payload.size()), 4);
+    return frame + payload;
+  };
+  std::string wal;
+  std::uint64_t op_seq = 0;
+  for (std::size_t i = 0; i < places.size(); ++i) {
+    if (i == 3) {
+      wal += retired_frame(4, ++op_seq, 0, /*deadline_ms=*/5000);  // reserve
+      wal += retired_frame(5, ++op_seq, /*cell=*/1, 0);             // commit
+      wal += retired_frame(6, ++op_seq, 0, 0);                      // abort
+    }
+    WalRecord record = places[i];
+    record.op_seq = ++op_seq;
+    wal += encode_wal_frame(record);
+  }
+  TempDir dir("retired");
+  std::ofstream(dir.path() / "wal.log", std::ios::binary) << wal;
+
+  auto recovered = make_service(dir.path(), 0);
+  const ServiceStats stats = recovered->stats();
+  EXPECT_TRUE(stats.recovered);
+  EXPECT_FALSE(stats.wal_torn_tail);
+  EXPECT_EQ(stats.replayed_records, 9u);
+  EXPECT_EQ(stats.op_seq, 9u) << "op_seq must run past the retired records";
+  EXPECT_EQ(datacenter_state_digest(recovered->datacenter()), digest);
+  EXPECT_EQ(digest, kDigestWithRetiredRecords);
+  recovered->datacenter().check_index_invariants();
 }
 
 }  // namespace

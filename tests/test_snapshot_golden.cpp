@@ -1,23 +1,25 @@
-// Golden bytes for the PRVMSNAP2 service snapshot.
+// Golden bytes for the service snapshot.
 //
-// Both golden files hold the snapshot of one fixed, seeded ledger: VMs with
-// several per-core and per-disk assignments, PMs freed again, admission
+// The golden files hold the snapshot of one fixed, seeded ledger: VMs with
+// several per-core and per-disk assignments, PMs freed again, and admission
 // groups whose names carry ':', spaces, newlines and 0xFF bytes (one of them
-// empties and is placed into again), and a group directory with pending and
-// committed members.
+// empties and is placed into again).
 //
-// snapshot_v2_live.golden is what the current writer produces: live groups
-// only, in name-byte order. Both writers of the format, save_snapshot (to a
-// file) and serialize_snapshot (the in-memory blob follower catch-up ships),
-// must reproduce it byte for byte.
+// snapshot_v1_live.golden is what the current writer produces: the
+// PRVMSNAP1 layout, live groups only, in name-byte order. Both writers,
+// save_snapshot (to a file) and serialize_snapshot (the in-memory blob
+// follower catch-up ships), must reproduce it byte for byte. It is
+// snapshot_v2_live.golden with its group-directory block cut out and byte 8
+// of the magic set to '1', and a test checks that relation.
 //
-// snapshot_v2.golden is the same ledger as written before groups were
-// dropped with their last member (groups in creation order). It stays as
-// recorded: parse_snapshot of it must rebuild the same state, and a v1
-// (PRVMSNAP1) blob cut from it must still load.
+// The two PRVMSNAP2 files stay as recorded and must still load, their
+// directory blocks (pending and committed members of the retired cross-cell
+// group directory) skipped. snapshot_v2_live.golden was the previous
+// writer's output; snapshot_v2.golden is the same ledger as written before
+// groups were dropped with their last member (groups in creation order).
 //
 // On a mismatch the writer tests write the bytes they produced to
-// snapshot_v2_live.golden.actual next to the golden file; copying that file
+// snapshot_v1_live.golden.actual next to the golden file; copying that file
 // over the recorded one re-records it.
 #include <gtest/gtest.h>
 
@@ -42,7 +44,6 @@ struct GoldenLedger {
   Catalog catalog = ec2_catalog();
   Datacenter dc{catalog, mixed_pm_fleet(catalog, 10)};
   AdmissionController admission;
-  GroupDirectory groups;
 
   GoldenLedger() {
     const std::string names[] = {"", "a:b", "two words", std::string("line\nbreak"),
@@ -62,18 +63,11 @@ struct GoldenLedger {
         admission.record_release(vm, pm);
       }
     }
-    groups.apply_reserve("a:b", 7, 11, 5000);
-    groups.apply_commit("a:b", 8, 2);
-    groups.apply_reserve(std::string("line\nbreak \xff", 12), 9, 12, 6000);
-    groups.apply_reserve("two words", 10, 13, 7000);
-    groups.apply_commit("two words", 10, 1);
   }
 };
 
-std::string golden_path() { return std::string(PRVM_TEST_DATA_DIR) + "/snapshot_v2.golden"; }
-std::string live_golden_path() {
-  return std::string(PRVM_TEST_DATA_DIR) + "/snapshot_v2_live.golden";
-}
+std::string data_path(const char* name) { return std::string(PRVM_TEST_DATA_DIR) + "/" + name; }
+std::string golden_path() { return data_path("snapshot_v1_live.golden"); }
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -83,7 +77,7 @@ std::string read_file(const std::string& path) {
 // Byte comparison against the recorded file; on a difference writes the
 // produced bytes beside it and reports the first differing offset.
 void expect_golden(const std::string& bytes, const char* writer) {
-  const std::string path = live_golden_path();
+  const std::string path = golden_path();
   const std::string recorded = read_file(path);
   EXPECT_FALSE(recorded.empty()) << "missing golden " << path;
   if (bytes == recorded) return;
@@ -98,9 +92,7 @@ void expect_golden(const std::string& bytes, const char* writer) {
 TEST(SnapshotGolden, SerializeSnapshotMatchesRecordedBytes) {
   const GoldenLedger ledger;
   ASSERT_GE(ledger.admission.grouped_vm_count(), 10u);
-  ASSERT_EQ(ledger.groups.pending_count(), 2u);
-  expect_golden(serialize_snapshot(ledger.dc, ledger.admission, ledger.groups, kOpSeq),
-                "serialize_snapshot");
+  expect_golden(serialize_snapshot(ledger.dc, ledger.admission, kOpSeq), "serialize_snapshot");
 }
 
 TEST(SnapshotGolden, SaveSnapshotMatchesRecordedBytes) {
@@ -109,8 +101,7 @@ TEST(SnapshotGolden, SaveSnapshotMatchesRecordedBytes) {
                                     ("prvm-snap-golden-" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   const std::filesystem::path path = dir / "snapshot.bin";
-  const IoStatus status =
-      save_snapshot(path, ledger.dc, ledger.admission, ledger.groups, kOpSeq);
+  const IoStatus status = save_snapshot(path, ledger.dc, ledger.admission, kOpSeq);
   ASSERT_TRUE(status.ok()) << status.message();
   expect_golden(read_file(path.string()), "save_snapshot");
   std::filesystem::remove_all(dir);
@@ -118,37 +109,41 @@ TEST(SnapshotGolden, SaveSnapshotMatchesRecordedBytes) {
 
 TEST(SnapshotGolden, RecordedBytesParseBackToTheLedger) {
   const GoldenLedger ledger;
-  for (const std::string& path : {golden_path(), live_golden_path()}) {
+  for (const std::string& path :
+       {golden_path(), data_path("snapshot_v2_live.golden"), data_path("snapshot_v2.golden")}) {
     SCOPED_TRACE(path);
     const ServiceSnapshot parsed = parse_snapshot(read_file(path), ledger.catalog);
     EXPECT_EQ(parsed.last_op_seq, kOpSeq);
     ASSERT_TRUE(parsed.datacenter.has_value());
     EXPECT_TRUE(datacenter_state_equal(ledger.dc, *parsed.datacenter));
     EXPECT_TRUE(ledger.admission.state_equal(parsed.admission));
-    EXPECT_TRUE(ledger.groups.state_equal(parsed.groups));
     parsed.datacenter->check_index_invariants();
   }
 }
 
-// v1 is v2 without the group-directory section: it still loads, with an
-// empty directory.
+// v1 is v2 without the group-directory section. Cut from the previous
+// writer's golden, it is byte for byte the current writer's golden; cut from
+// the creation-order golden, it loads to the same ledger.
 TEST(SnapshotGolden, V1BlobCutFromTheGoldenStillLoads) {
   const GoldenLedger ledger;
-  const std::string v2 = read_file(golden_path());
-  const std::size_t gdir = v2.find("gdir ");
-  const std::size_t dc = v2.find("PRVMDC01");
-  ASSERT_NE(gdir, std::string::npos);
-  ASSERT_NE(dc, std::string::npos);
-  std::string v1 = v2.substr(0, gdir) + v2.substr(dc);
-  ASSERT_EQ(v1.compare(0, 9, "PRVMSNAP2"), 0);
-  v1[8] = '1';
+  const auto cut_v1 = [](const std::string& v2) {
+    const std::size_t gdir = v2.find("gdir ");
+    const std::size_t dc = v2.find("PRVMDC01");
+    EXPECT_NE(gdir, std::string::npos);
+    EXPECT_NE(dc, std::string::npos);
+    EXPECT_EQ(v2.compare(0, 9, "PRVMSNAP2"), 0);
+    std::string v1 = v2.substr(0, gdir) + v2.substr(dc);
+    v1[8] = '1';
+    return v1;
+  };
+  EXPECT_EQ(cut_v1(read_file(data_path("snapshot_v2_live.golden"))), read_file(golden_path()));
 
-  const ServiceSnapshot parsed = parse_snapshot(v1, ledger.catalog);
+  const ServiceSnapshot parsed =
+      parse_snapshot(cut_v1(read_file(data_path("snapshot_v2.golden"))), ledger.catalog);
   EXPECT_EQ(parsed.last_op_seq, kOpSeq);
   ASSERT_TRUE(parsed.datacenter.has_value());
   EXPECT_TRUE(datacenter_state_equal(ledger.dc, *parsed.datacenter));
   EXPECT_TRUE(ledger.admission.state_equal(parsed.admission));
-  EXPECT_TRUE(parsed.groups.state_equal(GroupDirectory{}));
 }
 
 }  // namespace

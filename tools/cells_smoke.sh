@@ -11,8 +11,9 @@
 #      > count), which a router that serializes its cell calls never
 #      produces. Both are counts, not rates, so host load cannot fail them,
 #   3. runs a spanning-group round-trip over a raw TCP connection: three
-#      anti-collocation members placed via the reserve/commit saga, a
-#      duplicate vetoed by the home cell, a release that frees the id,
+#      anti-collocation members placed (each cell's admission keeps them
+#      off a shared PM), a duplicate rejected by the router's vm map, a
+#      release that frees the id,
 #   4. reads per-cell stats with loadgen's multi-endpoint mode,
 #   5. drains everything gracefully and requires exit 0 all around.
 #
@@ -114,7 +115,7 @@ for k, path in enumerate(cells):
 EOF
 echo "OK: each cell placed its share, with requests in flight together"
 
-# --- spanning-group round-trip over raw TCP ---------------------------------
+# --- grouped places, a duplicate and a release over raw TCP -----------------
 exec 3<>"/dev/tcp/127.0.0.1/$PORT"
 expect() {  # expect SUBSTRING <<< sent-request
   local want="$1" line
@@ -130,7 +131,7 @@ expect '"ok":true'                <<< '{"op":"release","vm":9000002}'
 expect '"ok":true'                <<< '{"op":"place","vm":9000002,"type":1,"group":"smoke"}'
 expect '"role":"router"'          <<< '{"op":"health"}'
 exec 3<&- 3>&-
-echo "OK: spanning-group reserve/commit round-trip"
+echo "OK: spanning-group place/duplicate/release round-trip"
 
 # --- per-cell visibility: loadgen multi-endpoint stats ----------------------
 "$LOADGEN" --endpoint "unix:$WORK/cell0.sock" --endpoint "unix:$WORK/cell1.sock" --stats \

@@ -2,10 +2,10 @@
 //
 // Listens on the same JSON-lines protocol as prvm_serve and fans requests
 // out to N placement cells (DESIGN.md §7): hash routing with capacity
-// spillover for ungrouped placements, a reserve/commit saga through each
-// group's home cell for anti-collocation groups that span cells, and
-// fan-out merges for stats/health/drain. Clients cannot tell a router from
-// a single-cell daemon.
+// spillover for every placement (each cell's admission enforces
+// anti-collocation groups over its own PMs), and fan-out merges for
+// stats/health/drain. Clients cannot tell a router from a single-cell
+// daemon.
 //
 // Each cell is a prvm_serve daemon started with --cell-id K, added with
 // --cell unix:/path/to/cell.sock or --cell tcp:PORT in cell-id order; the
@@ -54,8 +54,10 @@ void usage(const char* argv0) {
       << "  --retry-attempts N   re-submits after cell_unreachable (default 2; each retry\n"
       << "                       re-enters the channel, where failover happens)\n"
       << "  --retry-backoff-ms X linear backoff base between retries (default 25)\n"
-      << "  --map-file PATH      persist the vm->cell map: loaded at startup, saved\n"
-      << "                       every --map-save-s seconds and on drain\n"
+      << "  --map-file PATH      persist the vm->cell map: loaded and compacted at startup,\n"
+      << "                       saved every --map-save-s seconds and on drain; placements\n"
+      << "                       that spill off their hash cell are journaled to it as\n"
+      << "                       they happen\n"
       << "  --map-save-s N       periodic map save interval (default 30)\n";
 }
 
@@ -163,9 +165,16 @@ int main(int argc, char** argv) {
 
     router_config.metrics = obs::global_registry_ptr();
     Router router(std::move(sinks), router_config);
-    if (map_file.has_value() && router.load_vm_map(*map_file)) {
-      std::cout << "prvm_router: loaded vm map (" << router.vm_map_size()
-                << " entries) from " << *map_file << "\n";
+    if (map_file.has_value()) {
+      if (router.load_vm_map(*map_file)) {
+        std::cout << "prvm_router: loaded vm map (" << router.vm_map_size()
+                  << " entries) from " << *map_file << "\n";
+      }
+      // Compacts the loaded journal and starts journaling spills to the file.
+      if (!router.save_vm_map(*map_file)) {
+        std::cerr << "prvm_router: cannot write vm map " << *map_file << "\n";
+        return 1;
+      }
     }
 
     SocketServerConfig socket_config;
