@@ -331,10 +331,10 @@ BENCHMARK(BM_LedgerSerialize)->Unit(benchmark::kMillisecond);
 
 void BM_LedgerParse(benchmark::State& state) {
   const Datacenter& dc = churn_ledger();
-  const std::string blob = serialize_snapshot(dc, AdmissionController{}, 1);
+  const std::string blob = serialize_snapshot(CellState{dc, {}, 1});
   for (auto _ : state) {
-    ServiceSnapshot snapshot = parse_snapshot(blob, dc.catalog());
-    benchmark::DoNotOptimize(snapshot.datacenter);
+    CellState parsed = parse_snapshot(blob, dc.catalog());
+    benchmark::DoNotOptimize(parsed.dc);
   }
   state.SetLabel("vms:" + std::to_string(dc.vm_count()));
 }

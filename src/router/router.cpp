@@ -260,7 +260,7 @@ std::future<Response> Router::submit(Request request) {
                           });
       }
       // Unknown vm at submit time: the placement that makes it known may be
-      // in flight ahead of us, so route (or reject) at resolve time.
+      // in flight ahead of us, so route at resolve time.
       return std::async(std::launch::deferred,
                         [this, request = std::move(request)] {
                           return do_vm_op(request);
@@ -270,8 +270,8 @@ std::future<Response> Router::submit(Request request) {
       // A sample goes to the cell that owns its subject. Collectors that
       // know the topology say {"cell":N} outright (required for pm-keyed
       // samples: pm indices are per-cell); vm-keyed samples route through
-      // the vm map like any vm op.
-      std::optional<std::size_t> cell;
+      // the vm map like any vm op, a miss to the vm's hash cell.
+      std::size_t cell = 0;
       if (request.cell.has_value()) {
         if (*request.cell >= cells_.size()) {
           return std::async(std::launch::deferred, [this, request = std::move(request)] {
@@ -287,20 +287,14 @@ std::future<Response> Router::submit(Request request) {
       } else {
         std::lock_guard<std::mutex> lock(mu_);
         const auto it = vm_map_.find(request.vm_id);
-        if (it != vm_map_.end()) cell = it->second;
-      }
-      if (!cell.has_value()) {
-        return std::async(std::launch::deferred, [this, request = std::move(request)] {
-          return local_reject(request, to_string(RejectReason::kUnknownVm),
-                              "vm is not placed");
-        });
+        cell = it != vm_map_.end() ? it->second : cell_of_vm(request.vm_id, cells_.size());
       }
       m_.fanout_requests->inc();
-      auto eager = cells_[*cell]->submit(request);
+      auto eager = cells_[cell]->submit(request);
       return std::async(std::launch::deferred,
-                        [this, request = std::move(request), c = *cell,
+                        [this, request = std::move(request), cell,
                          eager = std::move(eager)]() mutable {
-                          return retry_unreachable(c, request, eager.get());
+                          return retry_unreachable(cell, request, eager.get());
                         });
     }
     case RequestOp::kRebalance: {
@@ -456,18 +450,17 @@ Response Router::finish_vm_op(Request request, std::future<Response> eager,
 }
 
 Response Router::do_vm_op(const Request& request) {
-  std::optional<std::size_t> cell;
+  // A map miss goes to the hash cell, which holds a VM placed there before
+  // the map was saved and answers unknown_vm for an id nobody placed.
+  std::size_t cell = cell_of_vm(request.vm_id, cells_.size());
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = vm_map_.find(request.vm_id);
     if (it != vm_map_.end()) cell = it->second;
   }
-  if (!cell.has_value())
-    return local_reject(request, to_string(RejectReason::kUnknownVm),
-                        "vm is not placed");
   m_.fanout_requests->inc();
-  auto f = cells_[*cell]->submit(request);
-  return finish_vm_op(request, std::move(f), *cell);
+  auto f = cells_[cell]->submit(request);
+  return finish_vm_op(request, std::move(f), cell);
 }
 
 Response Router::merge_stats(std::vector<std::future<Response>> futures) {

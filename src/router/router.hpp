@@ -15,12 +15,12 @@
 //    the group across the whole fleet. VM-id uniqueness across cells rests
 //    on the vm -> cell map: a known id is a duplicate, and two racing places
 //    of one id are settled by record_or_compensate.
-//  - release / migrate / lookup: routed by the router's vm -> cell map;
-//    a vm nobody placed answers unknown_vm without touching any cell.
+//  - release / migrate / lookup: routed by the router's vm -> cell map; a
+//    miss goes to the vm's hash cell (it answers unknown_vm if it lacks it).
 //  - stats: fanned out to every cell, numeric counters summed.
 //  - health: fanned out, worst cell mode wins, role "router".
-//  - util: routed to the owning cell (vm map, or explicit "cell" — required
-//    for pm-keyed samples since pm indices are per-cell).
+//  - util: routed to the owning cell (vm map, else hash cell, or explicit
+//    "cell" — required for pm-keyed samples since pm indices are per-cell).
 //  - rebalance: fanned out (each cell runs its own planner), move counters
 //    summed, busiest planner state wins, per-cell states reported.
 //  - metrics: the router's own registry (per-cell metrics are scraped from

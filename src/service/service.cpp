@@ -45,8 +45,7 @@ PlacementService::PlacementService(Catalog catalog, std::vector<std::size_t> fle
                                    std::shared_ptr<const ScoreTableSet> tables,
                                    ServiceConfig config)
     : config_(std::move(config)),
-      catalog_(std::move(catalog)),
-      dc_(catalog_, fleet),
+      state_{Datacenter(std::move(catalog), fleet), {}, 0},
       metrics_(config_.metrics != nullptr ? config_.metrics
                                           : std::make_shared<obs::Registry>()),
       util_codec_({config_.rebalance.half_life_ms, config_.rebalance.stale_after_ms},
@@ -105,8 +104,8 @@ PlacementService::PlacementService(Catalog catalog, std::vector<std::size_t> fle
   }
   instrumented_io_ = std::make_unique<InstrumentedIoEnv>(base, *metrics_);
   io_ = instrumented_io_.get();
-  for (std::size_t v = 0; v < catalog_.vm_types().size(); ++v) {
-    vm_type_by_name_.emplace(catalog_.vm_type(v).name, v);
+  for (std::size_t v = 0; v < this->catalog().vm_types().size(); ++v) {
+    vm_type_by_name_.emplace(this->catalog().vm_type(v).name, v);
   }
   if (!config_.data_dir.empty()) {
     recover(fleet);
@@ -183,13 +182,12 @@ PlacementService::~PlacementService() {
 }
 
 void PlacementService::recover(const std::vector<std::size_t>& fleet) {
-  std::optional<ServiceSnapshot> snapshot =
-      load_snapshot(config_.data_dir / kSnapshotFile, catalog_);
+  std::optional<CellState> snapshot = load_snapshot(config_.data_dir / kSnapshotFile, catalog());
   if (snapshot.has_value()) {
-    PRVM_REQUIRE(snapshot->datacenter->pm_count() == fleet.size() || fleet.empty(),
+    PRVM_REQUIRE(snapshot->dc.pm_count() == fleet.size() || fleet.empty(),
                  "snapshot fleet size does not match the configured fleet");
     install_snapshot(std::move(*snapshot));
-    snapshot_op_seq_ = op_seq_;
+    snapshot_op_seq_ = state_.op_seq;
     recovered_ = true;
   }
   const WalReadResult wal = read_wal_ex(config_.data_dir / kWalFile);
@@ -197,52 +195,24 @@ void PlacementService::recover(const std::vector<std::size_t>& fleet) {
   wal_torn_tail_ = wal.tail != WalTailStatus::kClean;
   for (const WalRecord& record : wal.records) {
     if (record.op_seq <= snapshot_op_seq_) continue;  // already in the snapshot
-    apply_wal_record(record);
+    state_.apply(record);
+    count_applied(record);
     m_.replayed_records->inc();
     recovered_ = true;
   }
 }
 
-void PlacementService::install_snapshot(ServiceSnapshot snapshot) {
+void PlacementService::install_snapshot(CellState snapshot) {
   // Samples are not snapshot state: keep those of the PMs and of the VMs
   // the installed ledger still holds.
-  snapshot.datacenter->copy_samples_from(dc_);
-  dc_ = std::move(*snapshot.datacenter);
-  admission_ = std::move(snapshot.admission);
-  op_seq_ = snapshot.last_op_seq;
+  snapshot.dc.copy_samples_from(state_.dc);
+  state_ = std::move(snapshot);
 }
 
-void PlacementService::apply_wal_record(const WalRecord& record) {
-  const VmId vm = static_cast<VmId>(record.vm);
-  const auto pm = static_cast<PmIndex>(record.pm);
-  switch (record.type) {
-    case WalRecord::Type::kPlace:
-      dc_.place(pm, Vm{vm, static_cast<std::size_t>(record.vm_type)}, record.assignments);
-      admission_.record_placement(vm, record.group, pm);
-      m_.placed->inc();
-      break;
-    case WalRecord::Type::kRelease:
-      dc_.remove(vm);
-      admission_.record_release(vm, pm);
-      m_.released->inc();
-      break;
-    case WalRecord::Type::kMigrate: {
-      // The degenerate pm == from_pm record of a failed migrate runs the
-      // same remove+place: it moves the PM's activation sequence number.
-      const Datacenter::PlacedVm removed = dc_.remove(vm);
-      admission_.record_release(vm, static_cast<PmIndex>(record.from_pm));
-      dc_.place(pm, removed.vm, record.assignments);
-      dc_.set_vm_sample(vm, removed.sample);  // a migrated VM keeps its sample
-      admission_.record_placement(vm, record.group, pm);
-      if (record.pm != record.from_pm) m_.migrated->inc();
-      break;
-    }
-    case WalRecord::Type::kRetiredGroupReserve:
-    case WalRecord::Type::kRetiredGroupCommit:
-    case WalRecord::Type::kRetiredGroupAbort:
-      break;  // a log written before these were retired: op_seq only
-  }
-  op_seq_ = record.op_seq;
+void PlacementService::count_applied(const WalRecord& record) {
+  if (record.type == WalRecord::Type::kPlace) m_.placed->inc();
+  if (record.type == WalRecord::Type::kRelease) m_.released->inc();
+  if (record.type == WalRecord::Type::kMigrate && record.pm != record.from_pm) m_.migrated->inc();
 }
 
 WalRecord& PlacementService::new_record(WalRecord::Type type, std::uint64_t vm) {
@@ -259,8 +229,9 @@ WalRecord& PlacementService::new_record(WalRecord::Type type, std::uint64_t vm) 
 }
 
 void PlacementService::commit(WalRecord& record) {
-  record.op_seq = op_seq_ + 1;
-  apply_wal_record(record);
+  record.op_seq = state_.op_seq + 1;
+  state_.apply(record);
+  count_applied(record);
   log_record(record);
 }
 
@@ -313,10 +284,10 @@ IoStatus PlacementService::write_snapshot() {
   IoStatus status;
   {
     const obs::ScopedTimerNs timer(*m_.snapshot_ns);
-    status = save_snapshot(config_.data_dir / kSnapshotFile, dc_, admission_, op_seq_, io_);
+    status = save_snapshot(config_.data_dir / kSnapshotFile, state_, io_);
   }
   if (status.ok()) {
-    snapshot_op_seq_ = op_seq_;
+    snapshot_op_seq_ = state_.op_seq;
     m_.snapshots->inc();
   }
   return status;
@@ -427,7 +398,7 @@ Response PlacementService::reject(const Request& request, RejectReason reason,
 
 std::optional<std::size_t> PlacementService::resolve_vm_type(const Request& request) const {
   if (request.vm_type_index.has_value()) {
-    if (*request.vm_type_index >= catalog_.vm_types().size()) return std::nullopt;
+    if (*request.vm_type_index >= catalog().vm_types().size()) return std::nullopt;
     return static_cast<std::size_t>(*request.vm_type_index);
   }
   const auto it = vm_type_by_name_.find(request.vm_type_name);
@@ -437,8 +408,8 @@ std::optional<std::size_t> PlacementService::resolve_vm_type(const Request& requ
 
 bool PlacementService::feasible_anywhere(std::size_t vm_type,
                                          const PlacementConstraints& constraints) const {
-  for (PmIndex i = 0; i < dc_.pm_count(); ++i) {
-    if (constraints.allowed(dc_, i) && dc_.fits(i, vm_type)) return true;
+  for (PmIndex i = 0; i < state_.dc.pm_count(); ++i) {
+    if (constraints.allowed(state_.dc, i) && state_.dc.fits(i, vm_type)) return true;
   }
   return false;
 }
@@ -452,15 +423,15 @@ Response PlacementService::place(const Request& request) {
                       : "unknown VM type \"" + request.vm_type_name + "\"");
   }
   const VmId vm = static_cast<VmId>(request.vm_id);
-  if (dc_.pm_of(vm).has_value()) {
+  if (state_.dc.pm_of(vm).has_value()) {
     return reject(request, RejectReason::kDuplicateVm, "VM id is already placed");
   }
 
-  const PlacementConstraints constraints = admission_.constraints_for(request.group);
+  const PlacementConstraints constraints = state_.admission.constraints_for(request.group);
   std::optional<PageRankVm::Pick> pick;
   {
     const obs::ScopedTimerNs timer(*m_.place_compute_ns);
-    pick = engine_->pick(dc_, Vm{vm, *vm_type}, constraints);
+    pick = engine_->pick(state_.dc, Vm{vm, *vm_type}, constraints);
   }
   if (!pick.has_value()) {
     m_.rejected->inc();
@@ -489,7 +460,7 @@ Response PlacementService::place(const Request& request) {
 
 Response PlacementService::release(const Request& request) {
   const VmId vm = static_cast<VmId>(request.vm_id);
-  const std::optional<PmIndex> pm = dc_.pm_of(vm);
+  const std::optional<PmIndex> pm = state_.dc.pm_of(vm);
   if (!pm.has_value()) {
     return reject(request, RejectReason::kUnknownVm, "VM id is not placed");
   }
@@ -504,7 +475,7 @@ Response PlacementService::release(const Request& request) {
 
 Response PlacementService::migrate(const Request& request) {
   const VmId vm = static_cast<VmId>(request.vm_id);
-  const std::optional<PmIndex> old_pm = dc_.pm_of(vm);
+  const std::optional<PmIndex> old_pm = state_.dc.pm_of(vm);
   if (!old_pm.has_value()) {
     return reject(request, RejectReason::kUnknownVm, "VM id is not placed");
   }
@@ -512,12 +483,12 @@ Response PlacementService::migrate(const Request& request) {
   // exclude that PM, and neither another PM's state nor the admission state
   // depends on where the VM is, so the pick is the one a remove-first order
   // would make.
-  const Datacenter::PlacedVm placed = dc_.placed(vm);
+  const Datacenter::PlacedVm placed = state_.dc.placed(vm);
   WalRecord& record = new_record(WalRecord::Type::kMigrate, vm);
   record.vm_type = placed.vm.type_index;
   record.from_pm = *old_pm;
-  record.group.assign(admission_.group_of(vm));
-  PlacementConstraints constraints = admission_.constraints_for(record.group);
+  record.group.assign(state_.admission.group_of(vm));
+  PlacementConstraints constraints = state_.admission.constraints_for(record.group);
   constraints.exclude = *old_pm;
   if (request.rebalance_dest_cap >= 0.0) {
     // Planner-issued migrate: the destination must stay at or under the
@@ -542,7 +513,7 @@ Response PlacementService::migrate(const Request& request) {
   std::optional<PageRankVm::Pick> pick;
   {
     const obs::ScopedTimerNs timer(*m_.place_compute_ns);
-    pick = engine_->pick(dc_, placed.vm, constraints);
+    pick = engine_->pick(state_.dc, placed.vm, constraints);
   }
   if (!pick.has_value()) {
     // Put the VM back exactly where it was. The remove+place round trip IS
@@ -567,13 +538,13 @@ Response PlacementService::migrate(const Request& request) {
 
 Response PlacementService::lookup(const Request& request) {
   const VmId vm = static_cast<VmId>(request.vm_id);
-  const std::optional<PmIndex> pm = dc_.pm_of(vm);
+  const std::optional<PmIndex> pm = state_.dc.pm_of(vm);
   if (!pm.has_value()) {
     return reject(request, RejectReason::kUnknownVm, "VM id is not placed");
   }
   Response response = accepted("lookup", request.vm_id);
   response.pm = *pm;
-  const std::string& group = admission_.group_of(vm);
+  const std::string& group = state_.admission.group_of(vm);
   if (!group.empty()) response.extra.emplace_back("group", json_quote(group));
   return response;
 }
@@ -601,7 +572,7 @@ Response repl_fail(const Request& request, const char* error, std::string messag
 Response PlacementService::repl_hello_response(const Request& request) {
   (void)request;
   Response response = accepted("repl_hello");
-  response.extra.emplace_back("op_seq", std::to_string(op_seq_));
+  response.extra.emplace_back("op_seq", std::to_string(state_.op_seq));
   response.extra.emplace_back(
       "role", json_quote(follower_.load(std::memory_order_relaxed) ? "follower" : "leader"));
   return response;
@@ -609,13 +580,13 @@ Response PlacementService::repl_hello_response(const Request& request) {
 
 Response PlacementService::apply_repl_snapshot(const Request& request) {
   const std::uint64_t snap_seq = request.seq.value_or(0);
-  if (snap_seq < op_seq_) {
+  if (snap_seq < state_.op_seq) {
     // This follower is ahead of the pushed snapshot: installing it would
     // roll back acknowledged state. The leader is stale; refuse.
     return repl_fail(request, "repl_stale",
                      "snapshot covers op_seq " + std::to_string(snap_seq) +
-                         " but this follower is at " + std::to_string(op_seq_),
-                     op_seq_);
+                         " but this follower is at " + std::to_string(state_.op_seq),
+                     state_.op_seq);
   }
   const std::uint64_t offset = request.offset.value_or(0);
   if (offset == 0) {
@@ -629,13 +600,13 @@ Response PlacementService::apply_repl_snapshot(const Request& request) {
     return repl_fail(request, "repl_gap",
                      "snapshot chunk at offset " + std::to_string(offset) + ", expected " +
                          std::to_string(expected),
-                     op_seq_);
+                     state_.op_seq);
   }
   repl_snap_buffer_ += request.data;
   repl_snap_offset_ += request.data.size();
   if (!request.eof) {
     Response response = accepted("repl_snap");
-    response.extra.emplace_back("op_seq", std::to_string(op_seq_));
+    response.extra.emplace_back("op_seq", std::to_string(state_.op_seq));
     return response;
   }
 
@@ -645,29 +616,29 @@ Response PlacementService::apply_repl_snapshot(const Request& request) {
   std::string blob;
   blob.swap(repl_snap_buffer_);
   repl_snap_offset_ = 0;
-  ServiceSnapshot snapshot;
+  std::optional<CellState> snapshot;
   try {
-    snapshot = parse_snapshot(blob, catalog_);
+    snapshot = parse_snapshot(blob, catalog());
   } catch (const std::exception& e) {
     return repl_fail(request, "bad_frame", std::string("snapshot blob rejected: ") + e.what(),
-                     op_seq_);
+                     state_.op_seq);
   }
-  if (snapshot.datacenter->pm_count() != dc_.pm_count()) {
+  if (snapshot->dc.pm_count() != state_.dc.pm_count()) {
     return repl_fail(request, "bad_frame",
-                     "snapshot fleet size " + std::to_string(snapshot.datacenter->pm_count()) +
-                         " does not match this follower's " + std::to_string(dc_.pm_count()),
-                     op_seq_);
+                     "snapshot fleet size " + std::to_string(snapshot->dc.pm_count()) +
+                         " does not match this follower's " + std::to_string(state_.dc.pm_count()),
+                     state_.op_seq);
   }
-  install_snapshot(std::move(snapshot));
+  install_snapshot(std::move(*snapshot));
   m_.repl_snapshots_in->inc();
   const IoStatus status = take_snapshot();
   if (!status.ok()) {
     enter_degraded(status);
     return repl_fail(request, "degraded_storage",
-                     "installed state could not be persisted: " + status.message(), op_seq_);
+                     "installed state could not be persisted: " + status.message(), state_.op_seq);
   }
   Response response = accepted("repl_snap");
-  response.extra.emplace_back("op_seq", std::to_string(op_seq_));
+  response.extra.emplace_back("op_seq", std::to_string(state_.op_seq));
   return response;
 }
 
@@ -676,22 +647,23 @@ Response PlacementService::apply_repl_frames(const Request& request) {
   std::vector<WalRecord> records;
   std::vector<std::size_t> offsets;
   if (!decode_wal_frames(raw, records, &offsets)) {
-    return repl_fail(request, "bad_frame", "frame batch failed CRC decode", op_seq_);
+    return repl_fail(request, "bad_frame", "frame batch failed CRC decode", state_.op_seq);
   }
   // Skip the already-applied prefix (snapshot/stream overlap), apply the
   // contiguous continuation, then re-append that run's validated raw bytes
   // to this node's WAL in ONE splice — no per-record re-encode, and byte
   // identity with the leader's log falls out by construction.
   std::size_t i = 0;
-  while (i < records.size() && records[i].op_seq <= op_seq_) ++i;
+  while (i < records.size() && records[i].op_seq <= state_.op_seq) ++i;
   const std::size_t first = i;
   std::uint64_t gap_seq = 0;
   for (; i < records.size(); ++i) {
-    if (records[i].op_seq != op_seq_ + 1) {
+    if (records[i].op_seq != state_.op_seq + 1) {
       gap_seq = records[i].op_seq;
       break;
     }
-    apply_wal_record(records[i]);
+    state_.apply(records[i]);
+    count_applied(records[i]);
     m_.repl_applied->inc();
   }
   const std::size_t limit = i;
@@ -709,11 +681,11 @@ Response PlacementService::apply_repl_frames(const Request& request) {
     // snapshot catch-up.
     return repl_fail(request, "repl_gap",
                      "frame op_seq " + std::to_string(gap_seq) + " leaves a gap after " +
-                         std::to_string(op_seq_),
-                     op_seq_);
+                         std::to_string(state_.op_seq),
+                     state_.op_seq);
   }
   Response response = accepted("repl_frames");
-  response.extra.emplace_back("op_seq", std::to_string(op_seq_));
+  response.extra.emplace_back("op_seq", std::to_string(state_.op_seq));
   return response;
 }
 
@@ -722,19 +694,19 @@ Response PlacementService::promote_response(const Request& request) {
     return reject(request, RejectReason::kNotFollower,
                   "this node is already a leader; promote applies to followers only");
   }
-  if (request.seq.has_value() && *request.seq > op_seq_) {
+  if (request.seq.has_value() && *request.seq > state_.op_seq) {
     return repl_fail(request, "repl_lag",
-                     "follower is at op_seq " + std::to_string(op_seq_) +
+                     "follower is at op_seq " + std::to_string(state_.op_seq) +
                          ", promotion requires " + std::to_string(*request.seq),
-                     op_seq_);
+                     state_.op_seq);
   }
   follower_.store(false, std::memory_order_relaxed);
   m_.promotions->inc();
   Response response = accepted("promote");
-  response.extra.emplace_back("op_seq", std::to_string(op_seq_));
+  response.extra.emplace_back("op_seq", std::to_string(state_.op_seq));
   response.extra.emplace_back("role", json_quote("leader"));
   response.extra.emplace_back("state_digest",
-                              json_quote(std::to_string(datacenter_state_digest(dc_))));
+                              json_quote(std::to_string(datacenter_state_digest(state_.dc))));
   return response;
 }
 
@@ -775,7 +747,7 @@ void PlacementService::maybe_send_catchup_snapshot() {
   // demote on a failed flush.
   flusher_barrier();
   if (flush_failed_.load(std::memory_order_acquire)) return;
-  repl_->send_snapshot(serialize_snapshot(dc_, admission_, op_seq_), op_seq_);
+  repl_->send_snapshot(serialize_snapshot(state_), state_.op_seq);
 }
 
 Response PlacementService::health_response() {
@@ -791,7 +763,7 @@ Response PlacementService::health_response() {
   // Keep the gauges honest even when nobody scrapes between batches.
   m_.mode->set(degraded_now ? 2 : (draining_now ? 1 : 0));
   m_.queue_depth->set(static_cast<std::int64_t>(queue_depth));
-  m_.wal_lag->set(static_cast<std::int64_t>(op_seq_ - snapshot_op_seq_));
+  m_.wal_lag->set(static_cast<std::int64_t>(state_.op_seq - snapshot_op_seq_));
   response.extra.emplace_back("mode", json_quote(mode));
   // Deployment identity: multi-cell members report their cell id; a
   // standalone daemon reports the default (cell 0, role "single").
@@ -815,8 +787,8 @@ Response PlacementService::health_response() {
   response.extra.emplace_back("queue_depth", std::to_string(queue_depth));
   // Ops acknowledged since the last durable snapshot = replay work a crash
   // right now would need (and the WAL bytes a degraded disk is holding up).
-  response.extra.emplace_back("wal_lag", std::to_string(op_seq_ - snapshot_op_seq_));
-  response.extra.emplace_back("op_seq", std::to_string(op_seq_));
+  response.extra.emplace_back("wal_lag", std::to_string(state_.op_seq - snapshot_op_seq_));
+  response.extra.emplace_back("op_seq", std::to_string(state_.op_seq));
   response.extra.emplace_back("degraded_entries",
                               std::to_string(m_.degraded_transitions->value()));
   response.extra.emplace_back("storage_probes", std::to_string(m_.probes->value()));
@@ -836,17 +808,17 @@ Response PlacementService::util_response(const Request& request) {
   response.op = "util";
   const std::uint64_t sample = util_codec_.pack(request.cpu, obs::now_ns());
   if (request.pm.has_value()) {
-    if (*request.pm >= dc_.pm_count()) {
+    if (*request.pm >= state_.dc.pm_count()) {
       response.ok = false;
       response.error = "bad_field";
       response.message = "pm index out of range";
       return response;
     }
-    dc_.set_pm_sample(static_cast<PmIndex>(*request.pm), sample);
+    state_.dc.set_pm_sample(static_cast<PmIndex>(*request.pm), sample);
   } else {
     // A sample for an id the ledger does not hold (never placed, already
     // released, a stray feed) has no slot to live in: count it, store nothing.
-    if (!dc_.set_vm_sample(static_cast<VmId>(request.vm_id), sample)) m_.util_unknown->inc();
+    if (!state_.dc.set_vm_sample(static_cast<VmId>(request.vm_id), sample)) m_.util_unknown->inc();
     response.vm = request.vm_id;
   }
   m_.util_samples->inc();
@@ -899,10 +871,10 @@ Response PlacementService::rebalance_scan_response(const Request& request) {
     response.message = "rebalance_scan without a sink";
     return response;
   }
-  // Worker thread owns dc_, so this copy is a consistent frozen snapshot.
+  // Worker thread owns the ledger, so this copy is a consistent frozen snapshot.
   request.scan_sink->leader = !follower_.load(std::memory_order_relaxed);
   request.scan_sink->degraded = degraded_.load(std::memory_order_relaxed);
-  request.scan_sink->dc = dc_;
+  request.scan_sink->dc = state_.dc;
   response.ok = true;
   return response;
 }
@@ -912,9 +884,9 @@ Response PlacementService::stats_response() {
   const auto add = [&response](const char* key, std::uint64_t value) {
     response.extra.emplace_back(key, std::to_string(value));
   };
-  add("used_pms", dc_.used_count());
-  add("pm_count", dc_.pm_count());
-  add("vm_count", dc_.vm_count());
+  add("used_pms", state_.dc.used_count());
+  add("pm_count", state_.dc.pm_count());
+  add("vm_count", state_.dc.vm_count());
   add("placed", m_.placed->value());
   add("released", m_.released->value());
   add("migrated", m_.migrated->value());
@@ -924,12 +896,12 @@ Response PlacementService::stats_response() {
   add("max_batch", static_cast<std::uint64_t>(m_.max_batch->value()));
   add("snapshots", m_.snapshots->value());
   add("replayed_records", m_.replayed_records->value());
-  add("op_seq", op_seq_);
-  add("admission_groups", admission_.group_count());
-  add("grouped_vms", admission_.grouped_vm_count());
+  add("op_seq", state_.op_seq);
+  add("admission_groups", state_.admission.group_count());
+  add("grouped_vms", state_.admission.grouped_vm_count());
   // 64-bit digest goes out as a string: JSON numbers lose precision > 2^53.
   response.extra.emplace_back("state_digest",
-                              json_quote(std::to_string(datacenter_state_digest(dc_))));
+                              json_quote(std::to_string(datacenter_state_digest(state_.dc))));
   response.extra.emplace_back("recovered", recovered_ ? "true" : "false");
   response.extra.emplace_back("wal_torn_tail", wal_torn_tail_ ? "true" : "false");
   response.extra.emplace_back("wal_tail", json_quote(to_string(wal_tail_)));
@@ -967,7 +939,7 @@ Response PlacementService::drain_response() {
     response.error = to_string(RejectReason::kDegradedStorage);
     response.message = status.message();
   }
-  response.extra.emplace_back("op_seq", std::to_string(op_seq_));
+  response.extra.emplace_back("op_seq", std::to_string(state_.op_seq));
   return response;
 }
 
@@ -1036,7 +1008,9 @@ Response PlacementService::execute(const Request& request) {
   }
   if (repl_ != nullptr) {
     if (!degraded_.load(std::memory_order_relaxed)) {
-      if (!replicate_frames(batch_repl_frames_, op_seq_)) demote_unreplicated(request.op, response);
+      if (!replicate_frames(batch_repl_frames_, state_.op_seq)) {
+        demote_unreplicated(request.op, response);
+      }
       maybe_send_catchup_snapshot();
     }
     batch_repl_frames_.clear();
@@ -1325,7 +1299,7 @@ void PlacementService::worker_loop() {
   // Establish replication links before traffic; a follower that is behind
   // gets its catch-up snapshot now rather than on the first flush.
   if (repl_ != nullptr) {
-    repl_->connect_all(op_seq_);
+    repl_->connect_all(state_.op_seq);
     maybe_send_catchup_snapshot();
   }
 
@@ -1465,7 +1439,7 @@ void PlacementService::run_pass() {
     group.wal_bytes = batch_wal_bytes_;
     group.computed_ns = obs::now_ns();
     group.repl_frames = std::move(batch_repl_frames_);
-    group.last_seq = op_seq_;
+    group.last_seq = state_.op_seq;
     batch_wal_bytes_ = 0;
     batch_repl_frames_.clear();
     std::size_t depth = 0;
@@ -1508,14 +1482,14 @@ void PlacementService::run_pass() {
   m_.batches->inc();
   m_.batch_size->record(count);
   m_.max_batch->set_max(static_cast<std::int64_t>(count));
-  m_.wal_lag->set(static_cast<std::int64_t>(op_seq_ - snapshot_op_seq_));
-  m_.admission_groups->set(static_cast<std::int64_t>(admission_.group_count()));
-  m_.admission_grouped_vms->set(static_cast<std::int64_t>(admission_.grouped_vm_count()));
-  m_.used_pms->set(static_cast<std::int64_t>(dc_.used_count()));
-  m_.vms->set(static_cast<std::int64_t>(dc_.vm_count()));
+  m_.wal_lag->set(static_cast<std::int64_t>(state_.op_seq - snapshot_op_seq_));
+  m_.admission_groups->set(static_cast<std::int64_t>(state_.admission.group_count()));
+  m_.admission_grouped_vms->set(static_cast<std::int64_t>(state_.admission.grouped_vm_count()));
+  m_.used_pms->set(static_cast<std::int64_t>(state_.dc.used_count()));
+  m_.vms->set(static_cast<std::int64_t>(state_.dc.vm_count()));
 
   if (config_.snapshot_every_ops > 0 && !degraded_.load(std::memory_order_relaxed) &&
-      op_seq_ - snapshot_op_seq_ >= config_.snapshot_every_ops) {
+      state_.op_seq - snapshot_op_seq_ >= config_.snapshot_every_ops) {
     const IoStatus status = take_snapshot();
     if (!status.ok()) enter_degraded(status);
   }
@@ -1580,7 +1554,7 @@ ServiceStats PlacementService::stats() const {
   copy.max_batch = static_cast<std::uint64_t>(m_.max_batch->value());
   copy.snapshots = m_.snapshots->value();
   copy.replayed_records = m_.replayed_records->value();
-  copy.op_seq = op_seq_;
+  copy.op_seq = state_.op_seq;
   copy.recovered = recovered_;
   copy.wal_torn_tail = wal_torn_tail_;
   copy.wal_tail = wal_tail_;

@@ -47,19 +47,20 @@
 // its responses are unsent (tail latency and memory stay bounded; clients
 // own their retry policy).
 //
-// One applier (DESIGN.md §4c): the ledger and the admission controller
-// change only when a WalRecord is applied by apply_wal_record. A live handler validates, decides (the engine's pick()
-// leaves the ledger alone), fills a record and commits it: next op_seq,
-// apply, append to the WAL. Recovery and a follower's frame stream apply
-// records through the same function, and install_snapshot is the one way a
-// snapshot replaces that state.
+// One applier (DESIGN.md §4c): the ledger, the admission controller and
+// op_seq are one CellState (snapshot.hpp), changed only by CellState::apply
+// (utilization samples aside). A live handler validates, decides (the
+// engine's pick() leaves the ledger alone), fills a record and commits it:
+// next op_seq, apply, append to the WAL. Recovery and a follower's frame
+// stream apply records through the same function, and install_snapshot
+// replaces the whole state with one move.
 //
-// Recovery: on construction with a data directory, the service loads the
-// newest snapshot (if any) and re-applies WAL records with op_seq beyond
-// it. Replay re-applies logged *outcomes* (PM + concrete assignments), not
-// requests, so the recovered ledger is bit-identical to the pre-crash one
-// (see datacenter_state_equal) — including activation sequence numbers,
-// bucket membership and the free-list.
+// Recovery: on construction with a data directory, the service installs
+// the newest snapshot's CellState (if any) and applies the WAL records with
+// op_seq beyond it. Replay re-applies logged *outcomes* (PM + concrete
+// assignments), not requests, so the recovered ledger is bit-identical to
+// the pre-crash one (see datacenter_state_equal) — including activation
+// sequence numbers, bucket membership and the free-list.
 //
 // Graceful drain (SIGTERM): stop admitting, flush the queue, write a final
 // snapshot and truncate the WAL, so the next start recovers instantly.
@@ -97,10 +98,10 @@
 #include "obs/metrics.hpp"
 #include "placement/pagerank_vm.hpp"
 #include "rebalance/planner.hpp"
-#include "service/admission.hpp"
 #include "service/protocol.hpp"
 #include "service/replication.hpp"
 #include "service/request_sink.hpp"
+#include "service/snapshot.hpp"
 #include "service/wal.hpp"
 
 namespace prvm {
@@ -188,7 +189,6 @@ struct ServiceStats {
 };
 
 class CellServer;
-struct ServiceSnapshot;
 struct CellConnection;
 
 class PlacementService : public RequestSink {
@@ -233,9 +233,9 @@ class PlacementService : public RequestSink {
   bool is_follower() const { return follower_.load(std::memory_order_relaxed); }
 
   /// Read-side accessors. Only consistent while the loop is stopped.
-  const Datacenter& datacenter() const { return dc_; }
-  const AdmissionController& admission() const { return admission_; }
-  const Catalog& catalog() const { return dc_.catalog(); }
+  const Datacenter& datacenter() const { return state_.dc; }
+  const CellState& state() const { return state_; }
+  const Catalog& catalog() const { return state_.dc.catalog(); }
   ServiceStats stats() const;
   bool draining() const { return draining_.load(std::memory_order_relaxed); }
   /// True while storage is failing and mutating requests are rejected.
@@ -326,7 +326,8 @@ class PlacementService : public RequestSink {
   /// full state and persist it as this node's own snapshot.
   Response apply_repl_snapshot(const Request& request);
   /// Follower side: decode a batch of WAL frames and apply each record —
-  /// idempotent skip below op_seq_, "repl_gap" rejection above op_seq_+1.
+  /// idempotent skip at or below the state's op_seq, "repl_gap" rejection
+  /// above op_seq + 1.
   Response apply_repl_frames(const Request& request);
   /// Failover: flip this follower into a leader (kNotFollower when already
   /// one; "repl_lag" when the caller supplied a seq this node has not seen).
@@ -347,11 +348,9 @@ class PlacementService : public RequestSink {
   void maybe_send_catchup_snapshot();
   std::optional<std::size_t> resolve_vm_type(const Request& request) const;
   bool feasible_anywhere(std::size_t vm_type, const PlacementConstraints& constraints) const;
-  /// The applier: the only code that changes the ledger, the admission
-  /// controller and the group directory outside install_snapshot(). Applies
-  /// one record and advances op_seq_ to it, live (through commit), in
-  /// recovery and on a follower alike.
-  void apply_wal_record(const WalRecord& record);
+  /// Counts an applied record in the placed/released/migrated counters; a
+  /// degenerate pm == from_pm migrate is not a migration.
+  void count_applied(const WalRecord& record);
   /// wal_record_, reset to a record of `type` for `vm` (capacity kept).
   WalRecord& new_record(WalRecord::Type type, std::uint64_t vm);
   /// Live path: numbers `record` with the next op_seq, applies it and
@@ -363,12 +362,11 @@ class PlacementService : public RequestSink {
   /// Flushes the WAL, writes a snapshot and truncates the WAL.
   IoStatus take_snapshot();
   /// Timed, counted save_snapshot() of the current state; on success
-  /// snapshot_op_seq_ covers op_seq_.
+  /// snapshot_op_seq_ covers the state's op_seq.
   IoStatus write_snapshot();
-  /// Replaces the ledger, admission controller, group directory and op_seq_
-  /// with a snapshot's (recovery and follower catch-up), keeping the
-  /// utilization samples of the VMs both ledgers hold.
-  void install_snapshot(ServiceSnapshot snapshot);
+  /// Replaces the cell's state with a snapshot's (recovery and follower
+  /// catch-up), keeping the utilization samples both ledgers can hold.
+  void install_snapshot(CellState snapshot);
   void recover(const std::vector<std::size_t>& fleet);
 
   // --- WAL group commit (flusher thread) ---
@@ -418,14 +416,12 @@ class PlacementService : public RequestSink {
   Response degraded_reject(const Request& request) const;
 
   ServiceConfig config_;
-  Catalog catalog_;
-  Datacenter dc_;
+  CellState state_;
   std::shared_ptr<obs::Registry> metrics_;  ///< before engine_: the engine points into it
   std::unique_ptr<PageRankVm> engine_;
-  AdmissionController admission_;
   std::unordered_map<std::string, std::size_t> vm_type_by_name_;
 
-  /// Sample decay settings and epoch; the samples themselves live in dc_.
+  /// Sample decay settings and epoch; the samples live in the ledger.
   UtilizationCodec util_codec_;
   /// Background migration planner (null unless config.rebalance.enabled).
   /// Started after the worker, stopped before it: every planner request
@@ -436,7 +432,6 @@ class PlacementService : public RequestSink {
   std::unique_ptr<InstrumentedIoEnv> instrumented_io_;
   std::unique_ptr<WalWriter> wal_;
   std::uint64_t snapshot_op_seq_ = 0;  ///< op_seq covered by the last snapshot
-  std::uint64_t op_seq_ = 0;
   bool wal_dirty_ = false;  ///< appended since last flush
   std::size_t batch_wal_bytes_ = 0;  ///< frame bytes the current batch appended
 

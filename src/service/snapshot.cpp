@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
+#include <utility>
 
 #include "common/byte_writer.hpp"
 #include "common/check.hpp"
@@ -17,18 +18,45 @@ namespace {
 constexpr char kHeaderMagicV1[] = "PRVMSNAP1";
 constexpr char kHeaderMagicV2[] = "PRVMSNAP2";
 
-void write_snapshot(ByteWriter& out, const Datacenter& datacenter,
-                    const AdmissionController& admission, std::uint64_t last_op_seq) {
-  out << kHeaderMagicV1 << " " << last_op_seq << "\n";
-  admission.serialize(out);
-  datacenter.serialize(out);
+void write_snapshot(ByteWriter& out, const CellState& state) {
+  out << kHeaderMagicV1 << " " << state.op_seq << "\n";
+  state.admission.serialize(out);
+  state.dc.serialize(out);
 }
 
 }  // namespace
 
-IoStatus save_snapshot(const std::filesystem::path& path, const Datacenter& datacenter,
-                       const AdmissionController& admission, std::uint64_t last_op_seq,
-                       IoEnv* env) {
+void CellState::apply(const WalRecord& record) {
+  const VmId vm = static_cast<VmId>(record.vm);
+  const auto pm = static_cast<PmIndex>(record.pm);
+  switch (record.type) {
+    case WalRecord::Type::kPlace:
+      dc.place(pm, Vm{vm, static_cast<std::size_t>(record.vm_type)}, record.assignments);
+      admission.record_placement(vm, record.group, pm);
+      break;
+    case WalRecord::Type::kRelease:
+      dc.remove(vm);
+      admission.record_release(vm, pm);
+      break;
+    case WalRecord::Type::kMigrate: {
+      // The degenerate pm == from_pm record of a failed migrate runs the
+      // same remove+place: it moves the PM's activation sequence number.
+      const Datacenter::PlacedVm removed = dc.remove(vm);
+      admission.record_release(vm, static_cast<PmIndex>(record.from_pm));
+      dc.place(pm, removed.vm, record.assignments);
+      dc.set_vm_sample(vm, removed.sample);  // a migrated VM keeps its sample
+      admission.record_placement(vm, record.group, pm);
+      break;
+    }
+    case WalRecord::Type::kRetiredGroupReserve:
+    case WalRecord::Type::kRetiredGroupCommit:
+    case WalRecord::Type::kRetiredGroupAbort:
+      break;  // a log written before these were retired: op_seq only
+  }
+  op_seq = record.op_seq;
+}
+
+IoStatus save_snapshot(const std::filesystem::path& path, const CellState& state, IoEnv* env) {
   IoEnv& io = env != nullptr ? *env : IoEnv::real();
   if (path.has_parent_path()) {
     std::error_code ec;
@@ -54,7 +82,7 @@ IoStatus save_snapshot(const std::filesystem::path& path, const Datacenter& data
   ByteWriter out(chunk, kSnapshotChunkBytes, [&](std::string_view bytes) {
     if (status.ok()) status = io_write_all(io, fd, bytes.data(), bytes.size(), what);
   });
-  write_snapshot(out, datacenter, admission, last_op_seq);
+  write_snapshot(out, state);
   out.finish();
   if (status.ok()) status = io_fsync(io, fd, "fsync(" + tmp.string() + ")");
   const IoStatus close_status = io_close(io, fd, "close(" + tmp.string() + ")");
@@ -107,15 +135,14 @@ void skip_group_directory(std::istream& is) {
   }
 }
 
-ServiceSnapshot read_snapshot_stream(std::istream& is, const Catalog& catalog,
-                                     const std::string& what) {
-  ServiceSnapshot snapshot;
+CellState read_snapshot_stream(std::istream& is, const Catalog& catalog, const std::string& what) {
   std::string magic;
-  PRVM_REQUIRE(static_cast<bool>(is >> magic >> snapshot.last_op_seq) &&
+  std::uint64_t op_seq = 0;
+  PRVM_REQUIRE(static_cast<bool>(is >> magic >> op_seq) &&
                    (magic == kHeaderMagicV1 || magic == kHeaderMagicV2),
                "not a service snapshot: " + what);
   is.get();  // the newline after the header
-  snapshot.admission = AdmissionController::deserialize(is);
+  AdmissionController admission = AdmissionController::deserialize(is);
   if (magic == kHeaderMagicV2) {
     while (is.peek() == '\n') is.get();
     skip_group_directory(is);
@@ -124,14 +151,13 @@ ServiceSnapshot read_snapshot_stream(std::istream& is, const Catalog& catalog,
   // next byte. operator>> left the stream right after the last token, so
   // skip the single separator.
   while (is.peek() == '\n') is.get();
-  snapshot.datacenter = Datacenter::deserialize(catalog, is);
-  return snapshot;
+  return CellState{Datacenter::deserialize(catalog, is), std::move(admission), op_seq};
 }
 
 }  // namespace
 
-std::optional<ServiceSnapshot> load_snapshot(const std::filesystem::path& path,
-                                             const Catalog& catalog) {
+std::optional<CellState> load_snapshot(const std::filesystem::path& path,
+                                       const Catalog& catalog) {
   std::ifstream is(path, std::ios::binary);
   if (!is.is_open()) {
     // Only a missing file means "no snapshot yet". Recovering from an empty
@@ -147,15 +173,14 @@ std::optional<ServiceSnapshot> load_snapshot(const std::filesystem::path& path,
   return read_snapshot_stream(is, catalog, path.string());
 }
 
-std::string serialize_snapshot(const Datacenter& datacenter, const AdmissionController& admission,
-                               std::uint64_t last_op_seq) {
+std::string serialize_snapshot(const CellState& state) {
   std::string blob;
   ByteWriter out(blob);
-  write_snapshot(out, datacenter, admission, last_op_seq);
+  write_snapshot(out, state);
   return blob;
 }
 
-ServiceSnapshot parse_snapshot(const std::string& blob, const Catalog& catalog) {
+CellState parse_snapshot(const std::string& blob, const Catalog& catalog) {
   std::istringstream is(blob, std::ios::binary);
   return read_snapshot_stream(is, catalog, "replication snapshot blob");
 }

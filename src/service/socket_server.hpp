@@ -1,9 +1,9 @@
 // Thread-per-connection socket front end for a RequestSink: the routing
 // tier's (prvm_router) listener. A cell daemon serves its sockets from the
 // PlacementService loop instead (cell_server.hpp). The router keeps this
-// design because its responses are futures that resolve on other threads —
-// deferred cross-cell saga steps block on remote cells — so each
-// connection needs a thread that can wait on them in order.
+// design because Router::submit returns deferred futures whose
+// continuations run at the response's FIFO slot on the writer thread and
+// may wait there on remote cells, so each connection needs its own thread.
 //
 // Each connection auto-negotiates its wire protocol from the first bytes
 // it sends: the 5-byte preamble "PRVB1" selects the binary protocol

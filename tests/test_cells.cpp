@@ -399,7 +399,7 @@ TEST_F(RouterTest, GroupedSagaSpansCellsWithoutDoublePlacement) {
         << "group members must never share a PM";
   }
   for (std::size_t k = 0; k < 2; ++k) {
-    EXPECT_EQ(embedded->cell(k).admission().grouped_vm_count(), 2u) << "cell " << k;
+    EXPECT_EQ(embedded->cell(k).state().admission.grouped_vm_count(), 2u) << "cell " << k;
   }
 
   // A duplicate member is rejected by the router's map, not placed.
@@ -566,7 +566,7 @@ TEST_F(RouterTest, AllCellsRecoverToThePreCrashStateAfterHardStop) {
     ASSERT_TRUE(call(router, vm_request(RequestOp::kRelease, 3)).ok);
     for (std::size_t k = 0; k < embedded->size(); ++k) {
       digests.push_back(datacenter_state_digest(embedded->cell(k).datacenter()));
-      admissions.push_back(embedded->cell(k).admission());
+      admissions.push_back(embedded->cell(k).state().admission);
     }
     embedded->stop_now();  // every cell dies with a dirty WAL
   }
@@ -576,7 +576,7 @@ TEST_F(RouterTest, AllCellsRecoverToThePreCrashStateAfterHardStop) {
       EXPECT_TRUE(embedded->cell(k).stats().recovered) << "cell " << k;
       EXPECT_EQ(datacenter_state_digest(embedded->cell(k).datacenter()), digests[k])
           << "cell " << k;
-      EXPECT_TRUE(embedded->cell(k).admission().state_equal(admissions[k])) << "cell " << k;
+      EXPECT_TRUE(embedded->cell(k).state().admission.state_equal(admissions[k])) << "cell " << k;
     }
     // The recovered deployment keeps serving: routing state rebuilt from
     // scratch, the fleet still accepts placements.
@@ -739,6 +739,21 @@ TEST_F(RouterTest, VmMapJournalServesSpilledVmsAfterARestart) {
   // that cell, which answers duplicate_vm itself.
   EXPECT_EQ(call(restarted, place_request(on_hash, 0)).error, "duplicate_vm");
   EXPECT_EQ(placements_of(*embedded, on_hash), 1u);
+  // Its other ops miss the map and reach that cell too: none strands it.
+  const Response looked = call(restarted, vm_request(RequestOp::kLookup, on_hash));
+  ASSERT_TRUE(looked.ok) << looked.error;
+  EXPECT_EQ(extra_of(looked, "cell"), "1");
+  Request util = vm_request(RequestOp::kUtil, on_hash);
+  util.cpu = 0.5;
+  const Response sampled = call(restarted, util);
+  EXPECT_TRUE(sampled.ok) << sampled.error;
+  const Response migrated = call(restarted, vm_request(RequestOp::kMigrate, on_hash));
+  ASSERT_TRUE(migrated.ok) << migrated.error;
+  EXPECT_EQ(extra_of(migrated, "cell"), "1");
+  EXPECT_NE(migrated.pm, looked.pm);
+  const Response released = call(restarted, vm_request(RequestOp::kRelease, on_hash));
+  ASSERT_TRUE(released.ok) << released.error;
+  EXPECT_EQ(placements_of(*embedded, on_hash), 0u);
 
   // A save compacts the journal and journals on; a release through the
   // restarted router reaches the next one.

@@ -593,8 +593,9 @@ TEST(HistogramAlloc, AShardIsAllocatedByTheFirstRecordIntoIt) {
 // the whole blob first would request several MiB.
 TEST(SnapshotAlloc, SaveRequestsNoBlockLargerThanTheChunk) {
   const Catalog catalog = ec2_catalog();
-  Datacenter dc(catalog, mixed_pm_fleet(catalog, 1500));
-  AdmissionController admission;
+  CellState state{Datacenter(catalog, mixed_pm_fleet(catalog, 1500)), {}, 1};
+  Datacenter& dc = state.dc;
+  AdmissionController& admission = state.admission;
   Rng rng(0xc4);
   VmId next_vm = 1;
   for (PmIndex pm = 0; pm < dc.pm_count(); ++pm) {
@@ -607,7 +608,7 @@ TEST(SnapshotAlloc, SaveRequestsNoBlockLargerThanTheChunk) {
       ++next_vm;
     }
   }
-  ASSERT_GE(serialize_snapshot(dc, admission, 1).size(), 3 * kSnapshotChunkBytes)
+  ASSERT_GE(serialize_snapshot(state).size(), 3 * kSnapshotChunkBytes)
       << "the ledger must span three chunks";
 
   // One PM's record: index, activation sequence, VM count, then per VM its
@@ -624,7 +625,7 @@ TEST(SnapshotAlloc, SaveRequestsNoBlockLargerThanTheChunk) {
   const std::filesystem::path dir = std::filesystem::temp_directory_path() /
                                     ("prvm-snap-alloc-" + std::to_string(::getpid()));
   g_largest_request.store(0, std::memory_order_relaxed);
-  const IoStatus status = save_snapshot(dir / "snapshot.bin", dc, admission, 1);
+  const IoStatus status = save_snapshot(dir / "snapshot.bin", state);
   const std::size_t largest = g_largest_request.load(std::memory_order_relaxed);
   std::filesystem::remove_all(dir);
   ASSERT_TRUE(status.ok()) << status.message();

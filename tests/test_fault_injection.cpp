@@ -236,6 +236,8 @@ struct SnapshotFixture {
   Datacenter dc{catalog, mixed_pm_fleet(catalog, 4)};
   AdmissionController admission;
 
+  CellState state(std::uint64_t op_seq) const { return CellState{dc, admission, op_seq}; }
+
   SnapshotFixture() {
     Rng rng(0xfa);
     VmId next_vm = 1;
@@ -255,17 +257,17 @@ TEST(ServiceSnapshotFaults, RenameFailureKeepsTheOldSnapshot) {
   TempDir dir("snap-rename");
   const auto path = dir.path() / "snapshot.bin";
   SnapshotFixture fx;
-  ASSERT_TRUE(save_snapshot(path, fx.dc, fx.admission, 10).ok());
+  ASSERT_TRUE(save_snapshot(path, fx.state(10)).ok());
 
   FaultInjectingIoEnv env(FaultSchedule::parse("rename:nth=1:errno=EACCES"));
-  const IoStatus failed = save_snapshot(path, fx.dc, fx.admission, 20, &env);
+  const IoStatus failed = save_snapshot(path, fx.state(20), &env);
   EXPECT_EQ(failed.err, EACCES);
   auto loaded = load_snapshot(path, fx.catalog);
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->last_op_seq, 10u) << "a failed rename must not promote the temp file";
+  EXPECT_EQ(loaded->op_seq, 10u) << "a failed rename must not promote the temp file";
 
-  ASSERT_TRUE(save_snapshot(path, fx.dc, fx.admission, 20, &env).ok());
-  EXPECT_EQ(load_snapshot(path, fx.catalog)->last_op_seq, 20u);
+  ASSERT_TRUE(save_snapshot(path, fx.state(20), &env).ok());
+  EXPECT_EQ(load_snapshot(path, fx.catalog)->op_seq, 20u);
 }
 
 TEST(ServiceSnapshotFaults, FsyncFailurePreventsPromotion) {
@@ -273,7 +275,7 @@ TEST(ServiceSnapshotFaults, FsyncFailurePreventsPromotion) {
   const auto path = dir.path() / "snapshot.bin";
   SnapshotFixture fx;
   FaultInjectingIoEnv env(FaultSchedule::parse("fsync:nth=1:errno=EIO"));
-  const IoStatus failed = save_snapshot(path, fx.dc, fx.admission, 5, &env);
+  const IoStatus failed = save_snapshot(path, fx.state(5), &env);
   EXPECT_EQ(failed.err, EIO);
   EXPECT_FALSE(load_snapshot(path, fx.catalog).has_value())
       << "an unsynced snapshot must never become the recovery source";
@@ -301,9 +303,8 @@ struct ChunkedSnapshotFixture {
     }
   }
 
-  std::string blob(std::uint64_t op_seq) const {
-    return serialize_snapshot(dc, admission, op_seq);
-  }
+  CellState state(std::uint64_t op_seq) const { return CellState{dc, admission, op_seq}; }
+  std::string blob(std::uint64_t op_seq) const { return serialize_snapshot(state(op_seq)); }
 };
 
 std::string file_bytes(const std::filesystem::path& path) {
@@ -321,10 +322,10 @@ void expect_failed_stream_keeps_old_snapshot(const std::string& schedule, int ex
   const ChunkedSnapshotFixture fx;
   const std::string full = fx.blob(20);
   ASSERT_GE(full.size(), 3 * kSnapshotChunkBytes) << "the fixture must span three chunks";
-  ASSERT_TRUE(save_snapshot(path, fx.dc, fx.admission, 10).ok());
+  ASSERT_TRUE(save_snapshot(path, fx.state(10)).ok());
 
   FaultInjectingIoEnv env(FaultSchedule::parse(schedule));
-  const IoStatus failed = save_snapshot(path, fx.dc, fx.admission, 20, &env);
+  const IoStatus failed = save_snapshot(path, fx.state(20), &env);
   EXPECT_EQ(failed.err, expected_err) << failed.message();
   EXPECT_EQ(env.calls(IoOp::kRename), 0u) << "a failed write must never reach the rename";
   ASSERT_TRUE(std::filesystem::exists(tmp));
@@ -332,13 +333,13 @@ void expect_failed_stream_keeps_old_snapshot(const std::string& schedule, int ex
   EXPECT_LT(std::filesystem::file_size(tmp), full.size());
   auto loaded = load_snapshot(path, fx.catalog);
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->last_op_seq, 10u) << "the partial temp file must not be promoted";
-  EXPECT_TRUE(datacenter_state_equal(fx.dc, *loaded->datacenter));
+  EXPECT_EQ(loaded->op_seq, 10u) << "the partial temp file must not be promoted";
+  EXPECT_TRUE(datacenter_state_equal(fx.dc, loaded->dc));
 
-  ASSERT_TRUE(save_snapshot(path, fx.dc, fx.admission, 20, &env).ok());
+  ASSERT_TRUE(save_snapshot(path, fx.state(20), &env).ok());
   EXPECT_FALSE(std::filesystem::exists(tmp));
   EXPECT_EQ(file_bytes(path), full) << "the clean save must rewrite the temp file whole";
-  EXPECT_EQ(load_snapshot(path, fx.catalog)->last_op_seq, 20u);
+  EXPECT_EQ(load_snapshot(path, fx.catalog)->op_seq, 20u);
 }
 
 TEST(ServiceSnapshotFaults, DiskFullOnTheSecondChunkKeepsTheOldSnapshot) {

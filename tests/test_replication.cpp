@@ -449,8 +449,7 @@ TEST_F(ReplicationTest, SnapshotInstallForgetsUtilizationOfVmsItDoesNotHold) {
     snap.seq = leader.stats().op_seq;
     snap.offset = 0;
     snap.eof = true;
-    snap.data =
-        serialize_snapshot(leader.datacenter(), leader.admission(), leader.stats().op_seq);
+    snap.data = serialize_snapshot(leader.state());
     return follower.execute(snap);
   };
 

@@ -198,7 +198,7 @@ TEST_F(ServicePipelineTest, GroupCommitIsByteIdenticalToSerialWorker) {
     // Identical final ledger, admission state — and byte-identical WAL.
     EXPECT_TRUE(datacenter_state_equal(serial_service->datacenter(),
                                        grouped_service->datacenter()));
-    EXPECT_TRUE(serial_service->admission().state_equal(grouped_service->admission()));
+    EXPECT_TRUE(serial_service->state().admission.state_equal(grouped_service->state().admission));
     EXPECT_EQ(datacenter_state_digest(serial_service->datacenter()),
               datacenter_state_digest(grouped_service->datacenter()));
     const std::string serial_wal = read_file(serial_dir.path() / "wal.log");

@@ -245,18 +245,69 @@ TEST(ServiceSnapshot, RoundTripsDatacenterAndAdmissionState) {
 
   TempDir dir("snapshot");
   const auto path = dir.path() / "snapshot.bin";
-  save_snapshot(path, dc, admission, /*last_op_seq=*/123);
+  save_snapshot(path, CellState{dc, admission, /*op_seq=*/123});
 
   const auto loaded = load_snapshot(path, catalog);
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->last_op_seq, 123u);
-  ASSERT_TRUE(loaded->datacenter.has_value());
-  EXPECT_TRUE(datacenter_state_equal(dc, *loaded->datacenter));
+  EXPECT_EQ(loaded->op_seq, 123u);
+  EXPECT_TRUE(datacenter_state_equal(dc, loaded->dc));
   EXPECT_TRUE(admission.state_equal(loaded->admission));
-  EXPECT_EQ(datacenter_state_digest(dc), datacenter_state_digest(*loaded->datacenter));
-  loaded->datacenter->check_index_invariants();
+  EXPECT_EQ(datacenter_state_digest(dc), datacenter_state_digest(loaded->dc));
+  loaded->dc.check_index_invariants();
 
   EXPECT_FALSE(load_snapshot(dir.path() / "absent.bin", catalog).has_value());
+}
+
+// The replay that can stand in for a twin ledger: the WAL of a live service,
+// applied record by record to a fresh CellState over the same fleet, lands
+// on the service's own state.
+TEST(CellState, ApplyingTheWalReproducesTheLiveState) {
+  const Catalog catalog = ec2_catalog();
+  const std::vector<std::size_t> fleet = mixed_pm_fleet(catalog, 8);
+  TempDir dir("cell-state-apply");
+  ServiceConfig config;
+  config.data_dir = dir.path();
+  PlacementService service(catalog, fleet, tables_for(catalog), config);
+  Rng rng(0xce11);
+  std::vector<VmId> live;
+  VmId next_vm = 1;
+  for (int op = 0; op < 400; ++op) {
+    const int dice = rng.uniform_int(0, 99);
+    Request request;
+    if (dice < 55 || live.empty()) {
+      request.op = RequestOp::kPlace;
+      request.vm_id = next_vm++;
+      request.vm_type_index = rng.uniform_index(catalog.vm_types().size());
+      if (rng.chance(0.4)) request.group = "g" + std::to_string(rng.uniform_int(0, 3));
+      if (service.execute(request).ok) live.push_back(request.vm_id);
+    } else if (dice < 80) {
+      const std::size_t pick = rng.uniform_index(live.size());
+      request.op = RequestOp::kRelease;
+      request.vm_id = live[pick];
+      ASSERT_TRUE(service.execute(request).ok);
+      live[pick] = live.back();
+      live.pop_back();
+    } else {
+      request.op = RequestOp::kMigrate;
+      request.vm_id = live[rng.uniform_index(live.size())];
+      service.execute(request);  // a failed migrate logs a degenerate one
+    }
+  }
+  service.stop_now();
+  const ServiceStats stats = service.stats();
+  ASSERT_GT(stats.released, 0u);
+  ASSERT_GT(stats.migrated, 0u);
+  ASSERT_GT(service.state().admission.grouped_vm_count(), 0u);
+
+  CellState replayed{Datacenter(catalog, fleet), {}, 0};
+  for (const WalRecord& record : read_wal_ex(dir.path() / "wal.log").records) {
+    replayed.apply(record);
+  }
+  const CellState& live_state = service.state();
+  EXPECT_TRUE(datacenter_state_equal(replayed.dc, live_state.dc));
+  EXPECT_TRUE(replayed.admission.state_equal(live_state.admission));
+  EXPECT_EQ(replayed.op_seq, live_state.op_seq);
+  EXPECT_EQ(serialize_snapshot(replayed), serialize_snapshot(live_state));
 }
 
 class ServiceRecoveryTest : public ::testing::Test {
@@ -335,7 +386,7 @@ TEST_F(ServiceRecoveryTest, RecoversBitIdenticalStateAfterHardStop) {
     EXPECT_TRUE(post.recovered);
     EXPECT_EQ(post.op_seq, pre.op_seq);
     ASSERT_TRUE(datacenter_state_equal(pre_dc, recovered->datacenter()));
-    EXPECT_TRUE(service->admission().state_equal(recovered->admission()));
+    EXPECT_TRUE(service->state().admission.state_equal(recovered->state().admission));
     EXPECT_EQ(datacenter_state_digest(recovered->datacenter()), digest);
     recovered->datacenter().check_index_invariants();
 
@@ -427,15 +478,14 @@ TEST_F(ServiceRecoveryTest, RecoveredServiceWritesTheLiveSnapshotBytes) {
   EXPECT_GT(group_deaths, 500u);
   EXPECT_GT(sole_member_migrates, 50u);
   ASSERT_GT(service->stats().snapshots, 0u);
-  ASSERT_GT(service->admission().group_count(), 0u);
+  ASSERT_GT(service->state().admission.group_count(), 0u);
 
   auto recovered = make();
   const ServiceStats stats = recovered->stats();
   EXPECT_GT(stats.replayed_records, 0u) << "recovery must replay a WAL tail past the snapshot";
   ASSERT_EQ(stats.op_seq, service->stats().op_seq);
-  EXPECT_TRUE(service->admission().state_equal(recovered->admission()));
-  EXPECT_EQ(serialize_snapshot(recovered->datacenter(), recovered->admission(), stats.op_seq),
-            serialize_snapshot(service->datacenter(), service->admission(), stats.op_seq));
+  EXPECT_TRUE(service->state().admission.state_equal(recovered->state().admission));
+  EXPECT_EQ(serialize_snapshot(recovered->state()), serialize_snapshot(service->state()));
 }
 
 TEST_F(ServiceRecoveryTest, DrainTruncatesWalAndRecoversFromSnapshotAlone) {

@@ -45,6 +45,8 @@ struct GoldenLedger {
   Datacenter dc{catalog, mixed_pm_fleet(catalog, 10)};
   AdmissionController admission;
 
+  CellState state() const { return CellState{dc, admission, kOpSeq}; }
+
   GoldenLedger() {
     const std::string names[] = {"", "a:b", "two words", std::string("line\nbreak"),
                                  std::string("\xff\xfe:\xff", 4), ""};
@@ -92,7 +94,7 @@ void expect_golden(const std::string& bytes, const char* writer) {
 TEST(SnapshotGolden, SerializeSnapshotMatchesRecordedBytes) {
   const GoldenLedger ledger;
   ASSERT_GE(ledger.admission.grouped_vm_count(), 10u);
-  expect_golden(serialize_snapshot(ledger.dc, ledger.admission, kOpSeq), "serialize_snapshot");
+  expect_golden(serialize_snapshot(ledger.state()), "serialize_snapshot");
 }
 
 TEST(SnapshotGolden, SaveSnapshotMatchesRecordedBytes) {
@@ -101,7 +103,7 @@ TEST(SnapshotGolden, SaveSnapshotMatchesRecordedBytes) {
                                     ("prvm-snap-golden-" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   const std::filesystem::path path = dir / "snapshot.bin";
-  const IoStatus status = save_snapshot(path, ledger.dc, ledger.admission, kOpSeq);
+  const IoStatus status = save_snapshot(path, ledger.state());
   ASSERT_TRUE(status.ok()) << status.message();
   expect_golden(read_file(path.string()), "save_snapshot");
   std::filesystem::remove_all(dir);
@@ -112,12 +114,11 @@ TEST(SnapshotGolden, RecordedBytesParseBackToTheLedger) {
   for (const std::string& path :
        {golden_path(), data_path("snapshot_v2_live.golden"), data_path("snapshot_v2.golden")}) {
     SCOPED_TRACE(path);
-    const ServiceSnapshot parsed = parse_snapshot(read_file(path), ledger.catalog);
-    EXPECT_EQ(parsed.last_op_seq, kOpSeq);
-    ASSERT_TRUE(parsed.datacenter.has_value());
-    EXPECT_TRUE(datacenter_state_equal(ledger.dc, *parsed.datacenter));
+    const CellState parsed = parse_snapshot(read_file(path), ledger.catalog);
+    EXPECT_EQ(parsed.op_seq, kOpSeq);
+    EXPECT_TRUE(datacenter_state_equal(ledger.dc, parsed.dc));
     EXPECT_TRUE(ledger.admission.state_equal(parsed.admission));
-    parsed.datacenter->check_index_invariants();
+    parsed.dc.check_index_invariants();
   }
 }
 
@@ -138,11 +139,10 @@ TEST(SnapshotGolden, V1BlobCutFromTheGoldenStillLoads) {
   };
   EXPECT_EQ(cut_v1(read_file(data_path("snapshot_v2_live.golden"))), read_file(golden_path()));
 
-  const ServiceSnapshot parsed =
+  const CellState parsed =
       parse_snapshot(cut_v1(read_file(data_path("snapshot_v2.golden"))), ledger.catalog);
-  EXPECT_EQ(parsed.last_op_seq, kOpSeq);
-  ASSERT_TRUE(parsed.datacenter.has_value());
-  EXPECT_TRUE(datacenter_state_equal(ledger.dc, *parsed.datacenter));
+  EXPECT_EQ(parsed.op_seq, kOpSeq);
+  EXPECT_TRUE(datacenter_state_equal(ledger.dc, parsed.dc));
   EXPECT_TRUE(ledger.admission.state_equal(parsed.admission));
 }
 
