@@ -4,9 +4,11 @@
 // the per-request parse/allocate cost on the socket hot path. Clients opt
 // in; between daemons it is the only codec (the router's cell channels, a
 // leader's replication links). The two protocols are semantically
-// identical: a binary frame decodes to the same Request struct the JSON
-// parser produces (and a Response encodes losslessly, `extra` members
-// included), so the service behind the codec cannot tell clients apart —
+// identical: both decoders fill one RequestFields and validate_request
+// (protocol.hpp) judges it, so a binary frame decodes to the same Request
+// struct the JSON parser produces (and a Response encodes losslessly,
+// `extra` members included); the service behind the codec cannot tell
+// clients apart —
 // the trace-replay differential in tests/test_binary_socket.cpp proves
 // identical WAL bytes and state digests for the same request stream over
 // either protocol.
@@ -106,13 +108,15 @@ void append_binary_frame(BinaryFrameKind kind, std::string_view payload, std::st
 /// unchanged) when `name` exceeds its u16 length prefix — never truncates.
 bool append_intern_frame(std::uint16_t slot, std::string_view name, std::string& out);
 
-/// Appends a framed binary request. Field selection mirrors encode_request()
-/// exactly, so decoding yields the same Request struct either encoder's
-/// output would. When `type_slot` is set, the vm-type name is sent as that
-/// string-table slot (the caller must have interned it); otherwise any name
-/// travels inline. False (with `out` unchanged) when a string field exceeds
-/// its wire length prefix (u16 type/group, u8 action, u32 data) — a request
-/// that cannot be represented is refused, never silently corrupted.
+/// Appends a framed binary request. Like encode_request(), it carries the
+/// present fields the op's schema row reads, so decoding yields the same
+/// Request struct either encoder's output would. When `type_slot` is set,
+/// the vm-type name is sent as that string-table slot (the caller must have
+/// interned it); otherwise any name travels inline. False (with `out`
+/// unchanged) when a string field exceeds its wire length prefix (u16
+/// type/group, u8 action, u32 data) or a type index exceeds its u32 field —
+/// a request that cannot be represented is refused, never silently
+/// corrupted.
 bool encode_binary_request_into(const Request& request, std::string& out,
                                 std::optional<std::uint16_t> type_slot = std::nullopt);
 
@@ -127,10 +131,11 @@ void encode_binary_response_into(const Response& response, std::string& out);
 
 // --- payload-level decode --------------------------------------------------
 
-/// Decodes one request payload (the bytes after a kRequest frame header).
-/// Validation matches parse_request(): same required-field rules, same
-/// machine-readable error codes, plus "bad_frame" for structural payload
-/// damage the JSON protocol cannot express.
+/// Decodes one request payload (the bytes after a kRequest frame header)
+/// into RequestFields and hands them to validate_request, as parse_request()
+/// does: the same rules, codes and messages, plus "bad_frame" for
+/// structural payload damage the JSON protocol cannot express and
+/// "bad_field" for a type slot that was never interned.
 std::variant<Request, ProtocolError> parse_binary_request(std::string_view payload,
                                                           const BinaryStringTable& types);
 

@@ -1,10 +1,11 @@
 // The request-submission seam between transports and request processors.
 //
-// SocketServer (and any future transport) only needs "hand me a Request,
-// get a future<Response> that resolves in submission order". Both the
-// single-engine PlacementService and the multi-cell Router satisfy that
-// contract, so one server implementation fronts either a standalone daemon
-// or a routing tier.
+// The router's transport, SocketServer, only needs "hand me a Request, get
+// a future<Response> that resolves in submission order". The single-engine
+// PlacementService, the multi-cell Router and a remote cell's
+// SocketCellChannel all satisfy that contract, so the router fronts
+// in-process and remote cells alike. A cell's own transport, CellServer
+// (cell_server.hpp), runs on the service's loop and drives it directly.
 #pragma once
 
 #include <future>

@@ -263,74 +263,121 @@ TEST(BinaryProtocol, InternSlotsResolveAndUnknownSlotIsBadField) {
   EXPECT_FALSE(table.install(BinaryStringTable::kMaxSlots, "overflow"));
 }
 
+// A request payload built field by field (op byte, field bits, string bits,
+// reserved byte, then the fields the bits declare, little-endian).
+struct Payload {
+  std::string bytes;
+  Payload(std::uint8_t op, std::uint8_t fields, std::uint8_t strs) {
+    bytes = {static_cast<char>(op), static_cast<char>(fields), static_cast<char>(strs), 0};
+  }
+  Payload& u64(std::uint64_t v) {
+    put_u64_le(bytes, v);
+    return *this;
+  }
+  Payload& u32(std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) bytes.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    return *this;
+  }
+  Payload& str16(std::string_view s) {
+    bytes.push_back(static_cast<char>(s.size() & 0xFF));
+    bytes.push_back(static_cast<char>(s.size() >> 8));
+    bytes.append(s);
+    return *this;
+  }
+  Payload& str8(std::string_view s) {
+    bytes.push_back(static_cast<char>(s.size()));
+    bytes.append(s);
+    return *this;
+  }
+  Payload& str32(std::string_view s) {
+    u32(static_cast<std::uint32_t>(s.size()));
+    bytes.append(s);
+    return *this;
+  }
+};
+
+// Presence bits (binary_protocol.cpp): fields, then strings.
+constexpr std::uint8_t kVm = 1, kPm = 2, kCell = 4, kSeq = 8, kOffset = 16, kCpu = 32,
+                       kTypeIndex = 64;
+constexpr std::uint8_t kTypeName = 2, kGroup = 4, kAction = 8, kData = 16;
+constexpr std::uint64_t kCpuHalf = 0x3FE0000000000000ull;  // 0.5 as f64 bits
+constexpr std::uint64_t kCpuTwoAndAHalf = 0x4004000000000000ull;
+
 TEST(BinaryProtocol, ValidationMatchesJsonErrorCodes) {
-  const BinaryStringTable table;
-  const auto code_of = [&](const Request& request) {
-    std::string encoded;
-    encode_binary_request_into(request, encoded);
-    std::string storage;
-    const auto frame = one_frame(encoded, storage);
-    const auto parsed = parse_binary_request(frame.payload, table);
-    const ProtocolError* error = std::get_if<ProtocolError>(&parsed);
-    return error != nullptr ? error->code : std::string("(accepted)");
+  // One request in each codec: both must reject it with the same code and
+  // message, or both accept it as the same Request. A catalog index above
+  // u32 has no PRVB1 form (the field is 32 bits); the encoder refuses it
+  // (EncoderRefusesStringsBeyondWireLimitsInsteadOfTruncating).
+  struct Case {
+    const char* json;
+    std::string payload;
   };
-
-  // A type-less place cannot come out of the encoder (it always sends an
-  // index for a name-less place); build the payload by hand: op 1 (place),
-  // field bits = vm only.
-  {
-    std::string payload;
-    payload.push_back(1);     // op code: place
-    payload.push_back(0x01);  // field bits: vm
-    payload.push_back(0);     // string bits
-    payload.push_back(0);     // reserved
-    put_u64_le(payload, 1);   // vm
-    const auto parsed = parse_binary_request(payload, table);
-    const ProtocolError* error = std::get_if<ProtocolError>(&parsed);
-    ASSERT_NE(error, nullptr);
-    EXPECT_EQ(error->code, "missing_field");
+  const Case cases[] = {
+      {R"({"op":"place","vm":1})", Payload(1, kVm, 0).u64(1).bytes},
+      {R"({"op":"place","vm":4294967296,"type":0})",
+       Payload(1, kVm | kTypeIndex, 0).u64(0x1'0000'0000ull).u32(0).bytes},
+      {R"({"op":"lookup"})", Payload(4, 0, 0).bytes},
+      {R"({"op":"util","vm":3,"cpu":2.5})",
+       Payload(16, kVm | kCpu, 0).u64(3).u64(kCpuTwoAndAHalf).bytes},
+      {R"({"op":"util","vm":3,"pm":4,"cpu":0.5})",
+       Payload(16, kVm | kPm | kCpu, 0).u64(3).u64(4).u64(kCpuHalf).bytes},
+      {R"({"op":"util","cpu":0.5})", Payload(16, kCpu, 0).u64(kCpuHalf).bytes},
+      {R"({"op":"util","vm":3})", Payload(16, kVm, 0).u64(3).bytes},
+      {R"({"op":"util","pm":4})", Payload(16, kPm, 0).u64(4).bytes},
+      {R"({"op":"util","pm":4,"cpu":0.5,"cell":1})",
+       Payload(16, kPm | kCell | kCpu, 0).u64(4).u64(1).u64(kCpuHalf).bytes},
+      {R"({"op":"rebalance","action":"explode"})",
+       Payload(17, 0, kAction).str8("explode").bytes},
+      {R"({"op":"rebalance","action":""})", Payload(17, 0, kAction).str8("").bytes},
+      {R"({"op":"repl_hello"})", Payload(12, 0, 0).bytes},
+      {R"({"op":"repl_snap","seq":1,"data":"x"})",
+       Payload(13, kSeq, kData).u64(1).str32("x").bytes},
+      {R"({"op":"promote"})", Payload(15, 0, 0).bytes},
+      // The empty strings: each is an absent field in both codecs.
+      {R"({"op":"place","vm":1,"type":""})", Payload(1, kVm, kTypeName).u64(1).str16("").bytes},
+      {R"({"op":"repl_frames","seq":1,"data":""})",
+       Payload(14, kSeq, kData).u64(1).str32("").bytes},
+      {R"({"op":"repl_snap","seq":1,"offset":0,"data":""})",
+       Payload(13, kSeq | kOffset, kData).u64(1).u64(0).str32("").bytes},
+      // Fields an op does not read are ignored by both codecs.
+      {R"({"op":"release","vm":3,"group":"web","seq":77,"cell":1,"action":"trigger"})",
+       Payload(2, kVm | kCell | kSeq, kGroup | kAction)
+           .u64(3)
+           .u64(1)
+           .u64(77)
+           .str16("web")
+           .str8("trigger")
+           .bytes},
+      {R"({"op":"stats","vm":5,"pm":6,"data":"x"})",
+       Payload(5, kVm | kPm, kData).u64(5).u64(6).str32("x").bytes},
+  };
+  const BinaryStringTable table;
+  for (const Case& c : cases) {
+    const auto json = parse_request(c.json);
+    const auto binary = parse_binary_request(c.payload, table);
+    const auto* json_error = std::get_if<ProtocolError>(&json);
+    const auto* binary_error = std::get_if<ProtocolError>(&binary);
+    ASSERT_EQ(json_error != nullptr, binary_error != nullptr)
+        << c.json << ": " << (json_error != nullptr ? json_error->message : binary_error->message);
+    if (json_error != nullptr) {
+      EXPECT_EQ(binary_error->code, json_error->code) << c.json;
+      EXPECT_EQ(binary_error->message, json_error->message) << c.json;
+    } else {
+      expect_same_request(std::get<Request>(binary), std::get<Request>(json), c.json);
+    }
   }
-
-  Request big_vm = place_request(0x1'0000'0000ull, 0);
-  EXPECT_EQ(code_of(big_vm), "bad_field");  // vm must fit 32 bits, like JSON
-
-  Request bad_cpu;
-  bad_cpu.op = RequestOp::kUtil;
-  bad_cpu.vm_id = 3;
-  bad_cpu.cpu = 2.5;
-  EXPECT_EQ(code_of(bad_cpu), "bad_field");
-
-  // A vm+pm util conflict cannot come out of the encoder either (a pm-keyed
-  // util never sends the vm): op 16 (util), field bits = vm|pm|cpu.
-  {
-    std::string payload;
-    payload.push_back(16);    // op code: util
-    payload.push_back(0x23);  // field bits: vm | pm | cpu
-    payload.push_back(0);     // string bits
-    payload.push_back(0);     // reserved
-    put_u64_le(payload, 3);   // vm
-    put_u64_le(payload, 4);   // pm
-    put_u64_le(payload, 0x3FE0000000000000ull);  // cpu = 0.5 as f64 bits
-    const auto parsed = parse_binary_request(payload, table);
-    const ProtocolError* error = std::get_if<ProtocolError>(&parsed);
-    ASSERT_NE(error, nullptr);
-    EXPECT_EQ(error->code, "bad_field");
-  }
-
-  Request bad_action;
-  bad_action.op = RequestOp::kRebalance;
-  bad_action.action = "explode";
-  EXPECT_EQ(code_of(bad_action), "bad_field");
-
-  Request no_seq;
-  no_seq.op = RequestOp::kReplHello;
-  EXPECT_EQ(code_of(no_seq), "missing_field");
 
   // The internal scan op has no wire code: it encodes to op 0, which must
   // decode as unknown_op — kRebalanceScan can never cross a socket.
   Request scan;
   scan.op = RequestOp::kRebalanceScan;
-  EXPECT_EQ(code_of(scan), "unknown_op");
+  std::string encoded;
+  ASSERT_TRUE(encode_binary_request_into(scan, encoded));
+  std::string storage;
+  const auto parsed = parse_binary_request(one_frame(encoded, storage).payload, table);
+  const ProtocolError* error = std::get_if<ProtocolError>(&parsed);
+  ASSERT_NE(error, nullptr);
+  EXPECT_EQ(error->code, "unknown_op");
 }
 
 TEST(BinaryProtocol, FrameBufferReassemblesArbitraryChunks) {
@@ -488,6 +535,13 @@ TEST(BinaryProtocol, EncoderRefusesStringsBeyondWireLimitsInsteadOfTruncating) {
   EXPECT_EQ(out, "prefix");
 
   EXPECT_FALSE(append_intern_frame(1, huge, out));
+  EXPECT_EQ(out, "prefix");
+
+  // A catalog index beyond the u32 field is refused the same way: wrapped,
+  // 4294967298 would place a type-2 VM.
+  Request big_index = place_request(4, 0);
+  big_index.vm_type_index = 0x1'0000'0002ull;
+  EXPECT_FALSE(encode_binary_request_into(big_index, out));
   EXPECT_EQ(out, "prefix");
 
   // The in-range shapes still encode.

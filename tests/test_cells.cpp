@@ -825,5 +825,51 @@ TEST_F(RouterTest, SocketChannelRoundTripsAndFailsFastWhenTheCellDies) {
   EXPECT_GE(counter(router, "prvm_router_cell_unreachable_total"), 1u);
 }
 
+TEST_F(RouterTest, PlaceThroughASocketChannelKeepsTheVmTypeItAskedFor) {
+  TempDir dir("type");
+  const std::string socket_path = (dir.path() / "cell.sock").string();
+  PlacementService cell(catalog_, mixed_pm_fleet(catalog_, 4), tables_, ServiceConfig{});
+  cell.start();
+  SocketServerConfig socket_config;
+  socket_config.unix_path = socket_path;
+  CellServer server(cell, socket_config);
+  server.start();
+  auto channel = std::make_unique<SocketCellChannel>("unix:" + socket_path);
+  ASSERT_TRUE(channel->connected());
+  std::vector<RequestSink*> sinks = {channel.get()};
+  Router router(sinks);
+
+  // What the router's server does with a client line: decode, then submit.
+  const auto submit_line = [&](std::string_view line) {
+    auto parsed = parse_request(line);
+    if (const auto* error = std::get_if<ProtocolError>(&parsed)) {
+      return protocol_error_response(*error);
+    }
+    return call(router, std::get<Request>(std::move(parsed)));
+  };
+  // 4294967298 is 2 mod 2^32: a truncating encoder would place a type-2 VM.
+  const Response too_big = submit_line(R"({"op":"place","vm":1,"type":4294967298})");
+  EXPECT_FALSE(too_big.ok);
+  EXPECT_EQ(too_big.error, "bad_field") << too_big.message;
+  const Response empty = submit_line(R"({"op":"place","vm":2,"type":""})");
+  EXPECT_FALSE(empty.ok);
+  EXPECT_EQ(empty.error, "missing_field") << empty.message;
+  // A Request built in code skips the decoder; the channel's encoder refuses it.
+  Request unencodable = place_request(3, 0);
+  unencodable.vm_type_index = 0x1'0000'0002ull;
+  const Response refused = call(router, unencodable);
+  EXPECT_FALSE(refused.ok);
+  EXPECT_EQ(refused.error, "bad_field") << refused.message;
+
+  for (const std::uint64_t vm : {1u, 2u, 3u}) {
+    EXPECT_EQ(channel->submit(vm_request(RequestOp::kLookup, vm)).get().error, "unknown_vm")
+        << "vm " << vm << " was placed";
+  }
+  // The channel still carries well-formed places.
+  EXPECT_TRUE(call(router, place_request(4, 2)).ok);
+  server.stop();
+  cell.stop_now();
+}
+
 }  // namespace
 }  // namespace prvm

@@ -495,6 +495,59 @@ TEST(JsonDecodeAlloc, WarmLinesAllocateNothing) {
   EXPECT_EQ(allocs, 0u) << static_cast<double>(allocs) / (64.0 * kChunks) << " per request";
 }
 
+// The PRVB1 twin of the test above, the cell's hot decode path: the same
+// 64-request mix as frames, places by interned slot and by catalog index,
+// through BinaryFrameBuffer and next_request. Once the frame buffer has its
+// capacity and the slot is interned, decoding touches no heap.
+TEST(BinaryDecodeAlloc, WarmFramesAllocateNothing) {
+  std::string chunk;
+  for (int i = 0; i < 64; ++i) {
+    Request r;
+    r.vm_id = 1000 + static_cast<std::uint64_t>(i);
+    switch (i % 5) {
+      case 0: r.op = RequestOp::kLookup; break;
+      case 1:
+        r.op = RequestOp::kUtil;
+        r.cpu = 0.4375;
+        break;
+      case 2: r.op = RequestOp::kRelease; break;
+      case 3:
+        r.op = RequestOp::kPlace;
+        r.vm_type_index = 3;
+        break;
+      default:
+        r.op = RequestOp::kPlace;
+        r.vm_type_name = "m3.xlarge";
+        r.group = "g1.7";
+    }
+    const bool by_slot = !r.vm_type_name.empty();
+    ASSERT_TRUE(encode_binary_request_into(r, chunk, by_slot ? std::optional<std::uint16_t>(0)
+                                                             : std::nullopt));
+  }
+
+  BinaryFrameBuffer frames;
+  BinaryStringTable types;
+  std::string intern;
+  ASSERT_TRUE(append_intern_frame(0, "m3.xlarge", intern));
+  frames.feed(intern);
+  std::size_t decoded = 0;
+  const auto decode_chunk = [&] {
+    frames.feed(chunk);
+    while (const auto request = next_request(frames, types)) {
+      if (std::holds_alternative<Request>(*request)) ++decoded;
+    }
+  };
+  decode_chunk();  // sizes the buffer, installs the slot
+  ASSERT_EQ(decoded, 64u);
+
+  constexpr int kChunks = 200;
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < kChunks; ++i) decode_chunk();
+  const std::size_t allocs = g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(decoded, 64u * (kChunks + 1));
+  EXPECT_EQ(allocs, 0u) << static_cast<double>(allocs) / (64.0 * kChunks) << " per request";
+}
+
 // The profile-graph build reads the successors of every (profile, VM type)
 // pair from the graph's memo, from worker threads.
 // Once the memo holds a profile's group states, reading its successors into
