@@ -218,7 +218,7 @@ std::uint32_t Datacenter::acquire_slot() {
     free_slot_ = slots_[s].next;
     return s;
   }
-  PRVM_REQUIRE(slots_.size() < kNoSlot, "VM slot pool full");
+  PRVM_REQUIRE(slots_.size() < slot_of_.kMaxRecords, "VM slot pool full");
   slots_.emplace_back();
   arena_.resize(arena_.size() + slot_stride_);
   return static_cast<std::uint32_t>(slots_.size() - 1);
@@ -227,7 +227,7 @@ std::uint32_t Datacenter::acquire_slot() {
 void Datacenter::place(PmIndex i, const Vm& vm,
                        std::span<const std::pair<int, int>> assignments) {
   PRVM_REQUIRE(i < pms_.size(), "PM index out of range");
-  PRVM_REQUIRE(slot_of_.find(vm.id) == FlatIdMap::kNone, "VM already placed");
+  PRVM_REQUIRE(slot_of(vm.id) == kNoSlot, "VM already placed");
   PRVM_REQUIRE(vm.type_index < catalog_.vm_types().size(), "VM type out of range");
   PRVM_REQUIRE(assignments.size() <= slot_stride_,
                "placement has more items than any catalog demand");
@@ -280,7 +280,7 @@ void Datacenter::place(PmIndex i, const Vm& vm,
   }
   pm.last = s;
   ++pm.vm_count;
-  slot_of_.insert(vm.id, s);
+  slot_of_.insert(s, slot_id());
 
   if (was_used) {
     add_to_bucket(i);
@@ -296,8 +296,8 @@ void Datacenter::place_first_fit(PmIndex i, const Vm& vm) {
 }
 
 Datacenter::PlacedVm Datacenter::remove(VmId vm) {
-  const std::uint32_t s = slot_of_.find(vm);
-  PRVM_REQUIRE(s != FlatIdMap::kNone, "VM is not placed");
+  const std::uint32_t s = slot_of(vm);
+  PRVM_REQUIRE(s != kNoSlot, "VM is not placed");
   const VmSlot slot = slots_[s];
   const PmIndex i = slot.pm;
   PmRecord& pm = pms_[i];
@@ -327,10 +327,10 @@ Datacenter::PlacedVm Datacenter::remove(VmId vm) {
   }
   --pm.vm_count;
   removed_.assign(assignments.items_.begin(), assignments.items_.end());
+  slot_of_.erase(s, slot_id());
   slots_[s] = VmSlot{};
   slots_[s].next = free_slot_;
   free_slot_ = s;
-  slot_of_.erase(vm);
 
   if (pm.vm_count > 0) {
     add_to_bucket(i);
@@ -341,34 +341,34 @@ Datacenter::PlacedVm Datacenter::remove(VmId vm) {
 }
 
 std::optional<PmIndex> Datacenter::pm_of(VmId vm) const {
-  const std::uint32_t s = slot_of_.find(vm);
-  if (s == FlatIdMap::kNone) return std::nullopt;
+  const std::uint32_t s = slot_of(vm);
+  if (s == kNoSlot) return std::nullopt;
   return slots_[s].pm;
 }
 
 Datacenter::PlacedVm Datacenter::placed(VmId vm) const {
-  const std::uint32_t s = slot_of_.find(vm);
-  PRVM_REQUIRE(s != FlatIdMap::kNone, "VM is not placed");
+  const std::uint32_t s = slot_of(vm);
+  PRVM_REQUIRE(s != kNoSlot, "VM is not placed");
   return PlacedVm{Vm{slots_[s].id, slots_[s].type}, assignments_of(s), slots_[s].sample};
 }
 
 bool Datacenter::set_vm_sample(VmId vm, std::uint64_t sample) {
-  const std::uint32_t s = slot_of_.find(vm);
-  if (s == FlatIdMap::kNone) return false;
+  const std::uint32_t s = slot_of(vm);
+  if (s == kNoSlot) return false;
   slots_[s].sample = sample;
   return true;
 }
 
 std::uint64_t Datacenter::vm_sample(VmId vm) const {
-  const std::uint32_t s = slot_of_.find(vm);
-  return s == FlatIdMap::kNone ? 0 : slots_[s].sample;
+  const std::uint32_t s = slot_of(vm);
+  return s == kNoSlot ? 0 : slots_[s].sample;
 }
 
 void Datacenter::copy_samples_from(const Datacenter& from) {
   for (PmIndex i = 0; i < std::min(pms_.size(), from.pms_.size()); ++i) {
     pms_[i].sample = from.pms_[i].sample;
   }
-  slot_of_.for_each([&](VmId id, std::uint32_t s) { slots_[s].sample = from.vm_sample(id); });
+  slot_of_.for_each([&](std::uint32_t s) { slots_[s].sample = from.vm_sample(slots_[s].id); });
 }
 
 void Datacenter::clear() {
@@ -530,7 +530,7 @@ void Datacenter::check_index_invariants() const {
       const VmSlot& slot = slots_[s];
       PRVM_CHECK(slot.pm == i, "slot names the wrong PM");
       PRVM_CHECK(slot.prev == prev, "PM list back-link out of sync");
-      PRVM_CHECK(slot_of_.find(slot.id) == s, "id map does not point at the VM's slot");
+      PRVM_CHECK(slot_of(slot.id) == s, "id map does not point at the VM's slot");
       PRVM_CHECK(slot.count <= slot_stride_, "slot assignment count exceeds the stride");
       for (auto [dim, amount] : assignments_of(s)) {
         PRVM_CHECK(dim < shape.total_dims() && amount > 0, "slot assignment corrupt");
@@ -554,9 +554,9 @@ void Datacenter::check_index_invariants() const {
   }
   PRVM_CHECK(free_count + live_count == slots_.size(), "slot neither free nor live");
   PRVM_CHECK(slot_of_.size() == live_count, "id map holds VMs no PM list holds");
-  slot_of_.for_each([&](VmId id, std::uint32_t s) {
-    PRVM_CHECK(s < slots_.size() && seen[s] == 2 && slots_[s].id == id,
-               "id map entry points at a free or foreign slot");
+  slot_of_.for_each([&](std::uint32_t s) {
+    PRVM_CHECK(s < slots_.size() && seen[s] == 2, "id map holds a free slot or one slot twice");
+    seen[s] = 3;
   });
 
   std::vector<bool> in_bucket(pms_.size(), false);

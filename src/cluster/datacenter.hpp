@@ -20,8 +20,9 @@
 // - the levels of all PMs sit in one flat array of bytes (the constructor
 //   requires every capacity to fit one), one fixed-stride row each, as wide
 //   as the widest PM shape; a PM's own width is its type's total_dims();
-// - a VM id finds its slot through an open-addressing FlatIdMap whose
-//   entries hold key and slot side by side;
+// - a VM id finds its slot through a RecordIndex: 4-byte entries of slot
+//   number and hash tag, the id itself read back from the slot (so the pool
+//   holds fewer than 2^24 slots);
 // - each VM's and each PM's latest utilization sample (DESIGN.md §9) is one
 //   word in its slot or PM record. Samples are soft state: serialize(), the
 //   state digest and the WAL never see them, remove() drops the VM's, and a
@@ -462,6 +463,15 @@ class Datacenter {
   Assignments assignments_of(std::uint32_t slot) const {
     return Assignments(std::span(arena_).subspan(slot * slot_stride_, slots_[slot].count));
   }
+  /// The key slot_of_ reads back from the pool: the VM id a slot holds.
+  auto slot_id() const {
+    return [this](std::uint32_t s) { return slots_[s].id; };
+  }
+  /// The slot of placed VM `vm`, or kNoSlot.
+  std::uint32_t slot_of(VmId vm) const {
+    static_assert(RecordIndex<VmId, IdHash>::kNone == kNoSlot);
+    return slot_of_.find(vm, slot_id());
+  }
   std::uint32_t acquire_slot();
   void add_to_bucket(PmIndex i);
   void remove_from_bucket(PmIndex i);
@@ -478,7 +488,7 @@ class Datacenter {
   std::vector<Item> arena_;  // slots_.size() rows of slot_stride_
   std::size_t slot_stride_ = 0;
   std::uint32_t free_slot_ = kNoSlot;  // head of the free-slot list
-  FlatIdMap slot_of_;                  // VM id -> slot
+  RecordIndex<VmId, IdHash> slot_of_;  // VM id -> slot
   std::vector<Item> removed_;  // the last remove()'s assignments
   std::vector<PmIndex> used_order_;
 

@@ -11,13 +11,19 @@
 // bucket index tombstones by value instead). The score table needs no hash:
 // its keys are sorted, and node_of binary-searches them.
 //
-// FlatIdMap is the erasable sibling for 32-bit ids: the datacenter's VM id ->
-// slot index and the admission controller's VM id -> group, which gain and
-// lose an entry on every place and release.
+// FlatIdMap is the erasable sibling for 32-bit ids: the admission
+// controller's VM id -> group, which gains and loses an entry on every
+// grouped place and release.
+//
+// RecordIndex finds records that hold their own keys (the datacenter's VM
+// slots by id, the admission controller's groups by name) with 4-byte
+// entries and no copy of any key.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -27,15 +33,20 @@ namespace prvm {
 
 namespace flatmap_detail {
 
-/// SplitMix64 finalizer: full-avalanche, so low bits are usable directly.
-inline std::size_t probe_start(std::uint64_t key, std::size_t mask) {
+/// SplitMix64 finalizer: full-avalanche, so low and high bits are both
+/// usable directly.
+inline std::uint64_t mix(std::uint64_t key) {
   std::uint64_t h = key;
   h ^= h >> 30;
   h *= 0xbf58476d1ce4e5b9ULL;
   h ^= h >> 27;
   h *= 0x94d049bb133111ebULL;
   h ^= h >> 31;
-  return static_cast<std::size_t>(h) & mask;
+  return h;
+}
+
+inline std::size_t probe_start(std::uint64_t key, std::size_t mask) {
+  return static_cast<std::size_t>(mix(key)) & mask;
 }
 
 }  // namespace flatmap_detail
@@ -246,6 +257,127 @@ class FlatIdMap {
   }
 
   std::vector<Entry> entries_;
+  std::size_t mask_ = 0;
+  std::size_t size_ = 0;
+};
+
+/// RecordIndex hash of a 32-bit id.
+struct IdHash {
+  std::uint64_t operator()(std::uint32_t id) const { return flatmap_detail::mix(id); }
+};
+
+/// RecordIndex hash of a name.
+struct NameHash {
+  std::uint64_t operator()(std::string_view name) const {
+    return flatmap_detail::mix(std::hash<std::string_view>{}(name));
+  }
+};
+
+/// Open-addressing index of records that hold their own keys: it maps a key
+/// to the number of the record holding it, and stores nothing else. An entry
+/// is 4 bytes, the record number and an 8-bit tag taken from the top of the
+/// key's hash: half a FlatIdMap's, and a fraction of a node-based map's for
+/// string keys. The caller owns the records and passes `key_of(record)` to
+/// every call that needs a key back. A probe reads a record only when its
+/// tag matches, so a miss reads one in 256 of the entries it passes. The low
+/// bits of the hash choose the home entry. Linear probing at load <= 3/4;
+/// erase shifts the rest of the probe run back (no tombstones), reading the
+/// key of each entry it passes to find its home.
+template <typename Key, typename Hash>
+class RecordIndex {
+ public:
+  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+  /// Record numbers run from 0 to kMaxRecords - 1: 24 bits of an entry.
+  static constexpr std::uint32_t kMaxRecords = (std::uint32_t{1} << 24) - 1;
+
+  std::size_t size() const { return size_; }
+  std::size_t capacity() const { return entries_.size(); }
+
+  void clear() {
+    entries_.clear();
+    mask_ = 0;
+    size_ = 0;
+  }
+
+  /// The record whose key is `key`, or kNone.
+  template <typename KeyOf>
+  std::uint32_t find(const Key& key, const KeyOf& key_of) const {
+    if (entries_.empty()) return kNone;
+    const std::uint64_t h = Hash{}(key);
+    for (std::size_t i = h & mask_;; i = (i + 1) & mask_) {
+      const std::uint32_t e = entries_[i];
+      if (e == kEmpty) return kNone;
+      if ((e & kTagMask) == tag_of(h) && key_of(record_of(e)) == key) return record_of(e);
+    }
+  }
+
+  /// Adds `record`. Its key must already be in the record, and no other
+  /// record with that key may be in the index.
+  template <typename KeyOf>
+  void insert(std::uint32_t record, const KeyOf& key_of) {
+    PRVM_CHECK(record < kMaxRecords, "record number beyond the index's 24 bits");
+    if ((size_ + 1) * 4 > entries_.size() * 3) {
+      rehash(entries_.empty() ? 16 : entries_.size() * 2, key_of);
+    }
+    put(Hash{}(key_of(record)), record);
+    ++size_;
+  }
+
+  /// Removes `record`, which must be in the index with the key it holds now.
+  template <typename KeyOf>
+  void erase(std::uint32_t record, const KeyOf& key_of) {
+    PRVM_CHECK(size_ > 0, "record not in the index");
+    std::size_t hole = Hash{}(key_of(record)) & mask_;
+    while (record_of(entries_[hole]) != record) {
+      PRVM_CHECK(entries_[hole] != kEmpty, "record not in the index");
+      hole = (hole + 1) & mask_;
+    }
+    // Backward shift: move back every later entry of the run whose home
+    // does not lie cyclically in (hole, j], which would otherwise become
+    // unreachable behind the new gap.
+    for (std::size_t j = (hole + 1) & mask_; entries_[j] != kEmpty; j = (j + 1) & mask_) {
+      const std::size_t h = Hash{}(key_of(record_of(entries_[j]))) & mask_;
+      const bool stays = hole < j ? (hole < h && h <= j) : (hole < h || h <= j);
+      if (stays) continue;
+      entries_[hole] = entries_[j];
+      hole = j;
+    }
+    entries_[hole] = kEmpty;
+    --size_;
+  }
+
+  /// Calls fn(record) on every indexed record, in table order.
+  template <typename Fn>
+  void for_each(Fn fn) const {
+    for (const std::uint32_t e : entries_) {
+      if (e != kEmpty) fn(record_of(e));
+    }
+  }
+
+ private:
+  static constexpr std::uint32_t kEmpty = 0;  // record numbers are stored plus one
+  static constexpr std::uint32_t kTagMask = 0xFF;
+
+  static std::uint32_t tag_of(std::uint64_t h) { return static_cast<std::uint32_t>(h >> 56); }
+  static std::uint32_t record_of(std::uint32_t e) { return (e >> 8) - 1; }
+
+  void put(std::uint64_t h, std::uint32_t record) {
+    std::size_t i = h & mask_;
+    while (entries_[i] != kEmpty) i = (i + 1) & mask_;
+    entries_[i] = (record + 1) << 8 | tag_of(h);
+  }
+
+  template <typename KeyOf>
+  void rehash(std::size_t new_capacity, const KeyOf& key_of) {
+    std::vector<std::uint32_t> old = std::move(entries_);
+    entries_.assign(new_capacity, kEmpty);
+    mask_ = new_capacity - 1;
+    for (const std::uint32_t e : old) {
+      if (e != kEmpty) put(Hash{}(key_of(record_of(e))), record_of(e));
+    }
+  }
+
+  std::vector<std::uint32_t> entries_;
   std::size_t mask_ = 0;
   std::size_t size_ = 0;
 };

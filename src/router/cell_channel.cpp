@@ -77,12 +77,14 @@ std::future<Response> SocketCellChannel::submit(Request request) {
     if (known != intern_slots_.end()) {
       slot = known->second;
     } else if (intern_slots_.size() < BinaryStringTable::kMaxSlots &&
+               intern_bytes_ + request.vm_type_name.size() <= BinaryStringTable::kMaxBytes &&
                append_intern_frame(static_cast<std::uint16_t>(intern_slots_.size()),
                                    request.vm_type_name, encode_buf_)) {
       // First sight of this type name: bind it in the cell's string table
       // with an intern frame riding the same send as the request.
       slot = static_cast<std::uint16_t>(intern_slots_.size());
       intern_slots_.emplace(request.vm_type_name, *slot);
+      intern_bytes_ += request.vm_type_name.size();
     }
     // Table full (or name beyond the wire limit): the name travels inline.
   }

@@ -68,6 +68,7 @@ class SocketCellChannel : public RequestSink {
   std::string encode_buf_;
   /// vm-type name -> slot already interned in the cell's string table.
   std::unordered_map<std::string, std::uint16_t> intern_slots_;
+  std::size_t intern_bytes_ = 0;  ///< their names' bytes: the cell's table caps them
   bool down_ = false;
   std::string down_detail_;
 };

@@ -49,12 +49,12 @@ auto lower_bound_pm(PmCounts& pms, PmIndex pm) {
 PlacementConstraints AdmissionController::constraints_for(const std::string& group) const {
   PlacementConstraints constraints;
   if (group.empty()) return constraints;
-  const auto it = group_ids_.find(group);
-  if (it == group_ids_.end()) return constraints;
+  const std::uint32_t id = find_group(group);
+  if (id == kNoGroup) return constraints;
   // One pointer fits std::function's small buffer: a grouped place copies
   // no veto set and allocates nothing. Both callers run the engine before
   // they mutate the controller, which is all the pointer needs.
-  const std::vector<PmCount>* vetoed = &groups_[it->second].pms;
+  const std::vector<PmCount>* vetoed = &groups_[id].pms;
   constraints.allow = [vetoed](const Datacenter&, PmIndex pm) {
     const auto entry = lower_bound_pm(*vetoed, pm);
     return entry == vetoed->end() || entry->pm != pm;
@@ -63,22 +63,23 @@ PlacementConstraints AdmissionController::constraints_for(const std::string& gro
 }
 
 std::uint32_t AdmissionController::group_id(const std::string& name) {
-  const auto [it, inserted] = group_ids_.try_emplace(name, 0);
-  if (!inserted) return it->second;
+  std::uint32_t id = find_group(name);
+  if (id != kNoGroup) return id;
   if (free_slots_.empty()) {
-    it->second = static_cast<std::uint32_t>(groups_.size());
+    id = static_cast<std::uint32_t>(groups_.size());
     groups_.emplace_back();
   } else {
-    it->second = free_slots_.back();
+    id = free_slots_.back();
     free_slots_.pop_back();
   }
-  groups_[it->second].name = name;
-  return it->second;
+  groups_[id].name = name;
+  group_ids_.insert(id, group_name());
+  return id;
 }
 
 void AdmissionController::drop_group(std::uint32_t id) {
   Group& group = groups_[id];
-  group_ids_.erase(group.name);
+  group_ids_.erase(id, group_name());
   // Swapped with empties: clear() would keep the storage.
   std::string().swap(group.name);
   std::vector<PmCount>().swap(group.pms);
@@ -88,7 +89,7 @@ void AdmissionController::drop_group(std::uint32_t id) {
 void AdmissionController::record_placement(VmId vm, const std::string& group, PmIndex pm) {
   if (group.empty()) return;
   const std::uint32_t key = pm_key(pm);
-  PRVM_REQUIRE(group_of_vm_.find(vm) == FlatIdMap::kNone, "VM already recorded in a group");
+  PRVM_REQUIRE(group_of_vm_.find(vm) == kNoGroup, "VM already recorded in a group");
   const std::uint32_t id = group_id(group);
   group_of_vm_.insert(vm, id);
   std::vector<PmCount>& pms = groups_[id].pms;
@@ -102,7 +103,7 @@ void AdmissionController::record_placement(VmId vm, const std::string& group, Pm
 
 void AdmissionController::record_release(VmId vm, PmIndex pm) {
   const std::uint32_t id = group_of_vm_.find(vm);
-  if (id == FlatIdMap::kNone) return;
+  if (id == kNoGroup) return;
   std::vector<PmCount>& pms = groups_[id].pms;
   const auto entry = lower_bound_pm(pms, pm);
   PRVM_CHECK(entry != pms.end() && entry->pm == pm, "group PM count out of sync");
@@ -116,7 +117,7 @@ void AdmissionController::record_release(VmId vm, PmIndex pm) {
 const std::string& AdmissionController::group_of(VmId vm) const {
   static const std::string kEmpty;
   const std::uint32_t id = group_of_vm_.find(vm);
-  return id == FlatIdMap::kNone ? kEmpty : groups_[id].name;
+  return id == kNoGroup ? kEmpty : groups_[id].name;
 }
 
 void AdmissionController::serialize(ByteWriter& out) const {
@@ -173,7 +174,7 @@ AdmissionController AdmissionController::deserialize(std::istream& is) {
   PRVM_REQUIRE(static_cast<bool>(is >> tag >> group_count) && tag == "groups",
                "admission snapshot corrupt");
   // File group id -> slot. Writers before live-only groups also kept groups
-  // whose members had all left, with no PMs: those load as kNone and are
+  // whose members had all left, with no PMs: those load as kNoGroup and are
   // dropped, and the VM ids below are remapped past them.
   std::vector<std::uint32_t> slot_of;
   for (std::size_t g = 0; g < group_count; ++g) {
@@ -188,10 +189,10 @@ AdmissionController AdmissionController::deserialize(std::istream& is) {
     std::size_t pm_count = 0;
     PRVM_REQUIRE(static_cast<bool>(is >> pm_count), "admission snapshot corrupt");
     if (pm_count == 0) {
-      slot_of.push_back(FlatIdMap::kNone);
+      slot_of.push_back(kNoGroup);
       continue;
     }
-    PRVM_REQUIRE(!name.empty() && !ac.group_ids_.contains(name), "admission snapshot corrupt");
+    PRVM_REQUIRE(!name.empty() && ac.find_group(name) == kNoGroup, "admission snapshot corrupt");
     const std::uint32_t id = ac.group_id(name);
     std::vector<PmCount>& pms = ac.groups_[id].pms;
     for (std::size_t p = 0; p < pm_count; ++p) {
@@ -214,7 +215,7 @@ AdmissionController AdmissionController::deserialize(std::istream& is) {
     VmId vm = 0;
     std::size_t group = 0;
     PRVM_REQUIRE(static_cast<bool>(is >> vm >> group) && group < slot_of.size() &&
-                     slot_of[group] != FlatIdMap::kNone &&
+                     slot_of[group] != kNoGroup &&
                      ac.group_of_vm_.insert(vm, slot_of[group]),
                  "admission snapshot corrupt");
     ++members[slot_of[group]];
@@ -239,13 +240,11 @@ bool AdmissionController::state_equal(const AdmissionController& other) const {
     equal &= other.group_of(vm) == groups_[id].name;
   });
   if (!equal) return false;
-  for (const auto& [name, id] : group_ids_) {
-    const auto it = other.group_ids_.find(name);
-    if (it == other.group_ids_.end() || groups_[id].pms != other.groups_[it->second].pms) {
-      return false;
-    }
-  }
-  return true;
+  group_ids_.for_each([&](std::uint32_t id) {
+    const std::uint32_t other_id = other.find_group(groups_[id].name);
+    equal &= other_id != kNoGroup && groups_[id].pms == other.groups_[other_id].pms;
+  });
+  return equal;
 }
 
 }  // namespace prvm

@@ -23,7 +23,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "cluster/datacenter.hpp"
@@ -114,10 +114,22 @@ class AdmissionController {
   std::uint32_t group_id(const std::string& name);
   /// Frees an empty group: its name entry, its PM storage and its slot.
   void drop_group(std::uint32_t id);
+  /// No group: what find_group() and group_of_vm_ answer for an absent key.
+  static constexpr std::uint32_t kNoGroup = FlatIdMap::kNone;
+  static_assert(RecordIndex<std::string_view, NameHash>::kNone == kNoGroup);
+
+  /// The key group_ids_ reads back from a slot: the group's name.
+  auto group_name() const {
+    return [this](std::uint32_t id) { return std::string_view(groups_[id].name); };
+  }
+  /// The slot of the live group `name`, or kNoGroup.
+  std::uint32_t find_group(std::string_view name) const {
+    return group_ids_.find(name, group_name());
+  }
 
   std::vector<Group> groups_;               ///< by slot; free slots are empty
   std::vector<std::uint32_t> free_slots_;   ///< reused before groups_ grows
-  std::unordered_map<std::string, std::uint32_t> group_ids_;  ///< live name -> slot
+  RecordIndex<std::string_view, NameHash> group_ids_;  ///< live name -> slot
   FlatIdMap group_of_vm_;                   ///< VM id -> slot
 };
 

@@ -119,8 +119,12 @@ constexpr std::uint8_t kRespExtra = 1u << 0;
 
 bool BinaryStringTable::install(std::uint16_t slot, std::string_view name) {
   if (slot >= kMaxSlots) return false;
+  const std::size_t old = slot < slots_.size() ? slots_[slot].size() : 0;
+  if (bytes_ - old + name.size() > kMaxBytes) return false;
   if (slots_.size() <= slot) slots_.resize(slot + 1);
-  slots_[slot].assign(name);
+  // A fresh string: assign() would keep a longer old name's capacity.
+  slots_[slot] = std::string(name);
+  bytes_ = bytes_ - old + name.size();
   return true;
 }
 

@@ -84,19 +84,27 @@ enum class BinaryFrameKind : std::uint8_t {
   kIntern = 3,
 };
 
-/// Per-connection decode-side string table for VM-type names. Bounded; an
-/// intern beyond the cap is dropped and later references fail as bad_field.
+/// Per-connection decode-side string table for VM-type names. Bounded by
+/// slots and by the bytes of the names it holds, so a client can pin at
+/// most about 100 KiB of a cell; an intern beyond either cap is dropped and
+/// later references fail as bad_field.
 class BinaryStringTable {
  public:
   static constexpr std::size_t kMaxSlots = 1024;
+  static constexpr std::size_t kMaxBytes = std::size_t{64} << 10;
 
-  /// Installs `name` at `slot` (re-installs overwrite). False when out of range.
+  /// Installs `name` at `slot` (re-installs overwrite and release the old
+  /// name). False, with nothing changed, when the slot is out of range or
+  /// the table's names would exceed kMaxBytes.
   bool install(std::uint16_t slot, std::string_view name);
   /// The name bound to `slot`, or nullptr when the slot was never interned.
   const std::string* lookup(std::uint16_t slot) const;
+  /// The bytes of the names installed now.
+  std::size_t bytes() const { return bytes_; }
 
  private:
   std::vector<std::string> slots_;
+  std::size_t bytes_ = 0;
 };
 
 // --- frame-level encode ----------------------------------------------------

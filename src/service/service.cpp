@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "common/allocator.hpp"
 #include "common/check.hpp"
 #include "service/cell_server.hpp"
 #include "service/snapshot.hpp"
@@ -163,6 +164,8 @@ void PlacementService::init_metrics() {
   m_.admission_grouped_vms = &r.gauge("prvm_admission_grouped_vms");
   m_.used_pms = &r.gauge("prvm_used_pms");
   m_.vms = &r.gauge("prvm_vms");
+  m_.resident_bytes = &r.gauge("prvm_resident_bytes");
+  m_.heap_in_use_bytes = &r.gauge("prvm_heap_in_use_bytes");
   m_.queue_wait_ns = &r.histogram("prvm_queue_wait_ns");
   m_.batch_size = &r.histogram("prvm_batch_size");
   m_.place_compute_ns = &r.histogram("prvm_place_compute_ns");
@@ -914,7 +917,14 @@ Response PlacementService::stats_response() {
   return response;
 }
 
+void PlacementService::refresh_memory_gauges() {
+  const MemoryUse use = read_memory_use();
+  m_.resident_bytes->set(static_cast<std::int64_t>(use.resident_bytes));
+  m_.heap_in_use_bytes->set(static_cast<std::int64_t>(use.heap_in_use_bytes));
+}
+
 Response PlacementService::metrics_response() {
+  refresh_memory_gauges();
   Response response = accepted("metrics");
   response.extra.emplace_back("metrics", metrics_->render_json());
   return response;

@@ -243,6 +243,10 @@ class PlacementService : public RequestSink {
   /// The registry every service/engine/IO metric of this instance lives in
   /// (config.metrics, or the private one created when that was null).
   obs::Registry& metrics_registry() const { return *metrics_; }
+  /// Sets prvm_resident_bytes and prvm_heap_in_use_bytes from the process's
+  /// memory now. The `metrics` op calls it; so should any other exporter of
+  /// the registry. Safe from any thread.
+  void refresh_memory_gauges();
   /// Encodes and decodes the ledger's utilization sample words
   /// (Datacenter::vm_sample / pm_sample).
   const UtilizationCodec& utilization_codec() const { return util_codec_; }
@@ -498,6 +502,8 @@ class PlacementService : public RequestSink {
     obs::Gauge* admission_grouped_vms = nullptr;
     obs::Gauge* used_pms = nullptr;  ///< PMs hosting a VM: the fleet's packing
     obs::Gauge* vms = nullptr;       ///< placed VMs
+    obs::Gauge* resident_bytes = nullptr;     ///< the process's resident memory
+    obs::Gauge* heap_in_use_bytes = nullptr;  ///< malloc'd and not freed
     obs::Histogram* queue_wait_ns = nullptr;
     obs::Histogram* batch_size = nullptr;
     obs::Histogram* place_compute_ns = nullptr;  ///< the engine's pick alone

@@ -70,14 +70,10 @@ IoStatus save_snapshot(const std::filesystem::path& path, const CellState& state
   // Stream the snapshot through one bounded chunk. Once a write fails the
   // rest is dropped and the function returns before the rename, so the
   // partial temp file never replaces the previous snapshot; the next save
-  // truncates it and writes it whole. The chunk outlives the call: prvm_serve
-  // pins malloc's trim threshold below its size, so a chunk freed at the top
-  // of the loop thread's arena would go back to the OS and be faulted in
-  // again on every snapshot.
+  // truncates it and writes it whole.
   const std::string what = "write(" + tmp.string() + ")";
   IoStatus status;
-  thread_local std::string chunk;
-  chunk.clear();
+  std::string chunk;
   chunk.reserve(kSnapshotChunkBytes);
   ByteWriter out(chunk, kSnapshotChunkBytes, [&](std::string_view bytes) {
     if (status.ok()) status = io_write_all(io, fd, bytes.data(), bytes.size(), what);

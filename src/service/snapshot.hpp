@@ -40,7 +40,10 @@ struct CellState {
 
 /// Largest chunk save_snapshot holds: the snapshot is serialized into it
 /// and written out each time it fills, so no ledger-sized buffer is built.
-inline constexpr std::size_t kSnapshotChunkBytes = std::size_t{256} << 10;
+/// Half the trim threshold prvm_serve pins (allocator.hpp), so the chunk is
+/// a plain local: freeing it never returns pages the next snapshot must
+/// fault in again.
+inline constexpr std::size_t kSnapshotChunkBytes = std::size_t{64} << 10;
 
 /// Atomically writes a snapshot: open the temp file, stream the bytes to it
 /// chunk by chunk, fsync, close, rename, then fsync the parent directory —

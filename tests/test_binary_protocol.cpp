@@ -263,6 +263,53 @@ TEST(BinaryProtocol, InternSlotsResolveAndUnknownSlotIsBadField) {
   EXPECT_FALSE(table.install(BinaryStringTable::kMaxSlots, "overflow"));
 }
 
+// The table is bounded by the bytes of its names too: 1,024 slots of
+// 65,535-byte names would let one connection pin 64 MiB. An intern past the
+// byte cap is dropped like one past the last slot, and later references to
+// its slot decode as bad_field; overwriting a slot releases the old name's
+// bytes.
+TEST(BinaryProtocol, InternsPastTheByteCapAreDropped) {
+  BinaryStringTable table;
+  const std::string big(BinaryStringTable::kMaxBytes - 100, 'x');
+  ASSERT_TRUE(table.install(0, big));
+  EXPECT_TRUE(table.install(1, std::string(100, 'y'))) << "exactly at the cap";
+  EXPECT_EQ(table.bytes(), BinaryStringTable::kMaxBytes);
+  EXPECT_FALSE(table.install(2, "c5.2xlarge")) << "one name past the cap";
+  EXPECT_EQ(table.lookup(2), nullptr);
+  EXPECT_FALSE(table.install(1, std::string(101, 'y'))) << "a longer overwrite past the cap";
+  ASSERT_NE(table.lookup(1), nullptr);
+  EXPECT_EQ(table.lookup(1)->size(), 100u) << "a dropped overwrite keeps the old name";
+
+  // Through the connection path: the intern frame is dropped, the request
+  // naming its slot is bad_field, and the table holds what it held.
+  BinaryFrameBuffer frames;
+  std::string bytes;
+  ASSERT_TRUE(append_intern_frame(2, "c5.2xlarge", bytes));
+  Request place;
+  place.op = RequestOp::kPlace;
+  place.vm_id = 1;
+  place.vm_type_name = "c5.2xlarge";
+  ASSERT_TRUE(encode_binary_request_into(place, bytes, 2));
+  frames.feed(bytes);
+  const auto dropped = next_request(frames, table);
+  ASSERT_TRUE(dropped.has_value());
+  const ProtocolError* error = std::get_if<ProtocolError>(&*dropped);
+  ASSERT_NE(error, nullptr);
+  EXPECT_EQ(error->code, "bad_field");
+  EXPECT_EQ(error->message, "type slot 2 not interned");
+  EXPECT_EQ(table.bytes(), BinaryStringTable::kMaxBytes);
+
+  // A shorter overwrite frees room, and the same intern then lands.
+  EXPECT_TRUE(table.install(0, "m5.large"));
+  EXPECT_EQ(table.bytes(), 108u);
+  frames.feed(bytes);
+  const auto installed = next_request(frames, table);
+  ASSERT_TRUE(installed.has_value());
+  const Request* request = std::get_if<Request>(&*installed);
+  ASSERT_NE(request, nullptr);
+  EXPECT_EQ(request->vm_type_name, "c5.2xlarge");
+}
+
 // A request payload built field by field (op byte, field bits, string bits,
 // reserved byte, then the fields the bits declare, little-endian).
 struct Payload {

@@ -352,6 +352,51 @@ TEST_F(BinarySocketTest, EveryDamagedCrcFrameGetsItsOwnErrorAndFifoHolds) {
   service->stop_now();
 }
 
+// A client cannot pin more of a cell than the string table's byte cap: an
+// intern that would take the connection's names past it is dropped, a
+// place naming that slot is refused as bad_field in its own order slot, and
+// the connection keeps serving, interned slots included.
+TEST_F(BinarySocketTest, InternsPastTheByteCapAreDroppedAndTheConnectionServes) {
+  TempDir dir("intern-cap");
+  const std::string socket_path = (dir.path() / "cell.sock").string();
+  auto service = make_service(ServiceConfig{});
+  service->start();
+  SocketServerConfig socket_config;
+  socket_config.unix_path = socket_path;
+  CellServer server(*service, socket_config);
+  server.start();
+
+  RawClient client(socket_path);
+  ASSERT_TRUE(client.ok());
+  const std::string& type = catalog_.vm_types()[0].name;
+  const std::string filler(BinaryStringTable::kMaxBytes - type.size() - 10, 'f');
+  std::string bytes(kBinaryPreamble, sizeof(kBinaryPreamble));
+  ASSERT_TRUE(append_intern_frame(0, type, bytes));
+  ASSERT_TRUE(append_intern_frame(1, filler, bytes));
+  ASSERT_TRUE(append_intern_frame(2, type + "-past-the-cap", bytes));  // dropped
+  Request place;
+  place.op = RequestOp::kPlace;
+  place.vm_type_name = type;
+  for (const std::uint16_t slot : {0, 2, 0}) {
+    ++place.vm_id;
+    ASSERT_TRUE(encode_binary_request_into(place, bytes, slot));
+  }
+  client.send(bytes);
+
+  const std::vector<Response> responses = client.recv_binary_responses(3);
+  ASSERT_EQ(responses.size(), 3u);
+  EXPECT_TRUE(responses[0].ok) << responses[0].error;
+  EXPECT_FALSE(responses[1].ok);
+  EXPECT_EQ(responses[1].error, "bad_field");
+  EXPECT_EQ(responses[1].message, "type slot 2 not interned");
+  EXPECT_TRUE(responses[2].ok) << responses[2].error;
+  EXPECT_EQ(responses[2].vm, 3u);
+
+  server.stop();
+  service->stop_now();
+  EXPECT_EQ(service->datacenter().vm_count(), 2u);
+}
+
 // The cross-cell group ops are retired: sent straight to a cell, as JSON
 // ("gres", "gcommit", "gabort") or as their old PRVB1 codes 9-11, each is an
 // unknown_op, and none of them touches the cell's op_seq or its WAL.

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <unordered_map>
+#include <vector>
 
 #include "common/rng.hpp"
 
@@ -148,6 +150,95 @@ TEST(FlatIdMap, ChurnMatchesReferenceWithoutGrowing) {
     ++visited;
   });
   EXPECT_EQ(visited, reference.size());
+}
+
+// A RecordIndex hash that collides on purpose: three tags, so most tag
+// matches are other keys, and six homes, so probe runs are long. A quarter
+// of the keys set every low bit and home on the table's last entry, so
+// their runs wrap to entry 0.
+struct CollidingHash {
+  std::uint64_t operator()(std::uint32_t key) const {
+    const std::uint64_t tag = std::uint64_t{key % 3} << 56;
+    const std::uint64_t home = key % 4 == 0 ? 0x00FFFFFFFFFFFFFFull : key % 5;
+    return tag | home;
+  }
+};
+
+// Random finds, inserts and erases against std::unordered_map, over a pool
+// of records that hold their keys and are reused LIFO, as the datacenter's
+// VM slots are. Backward-shift erase must keep every surviving record
+// reachable, and churn must not grow the table.
+template <typename Hash>
+void fuzz_record_index(std::uint64_t seed, std::size_t key_space, int ops) {
+  using Index = RecordIndex<std::uint32_t, Hash>;
+  Index index;
+  std::vector<std::uint32_t> keys;  // by record
+  std::vector<std::uint32_t> free_records;
+  std::unordered_map<std::uint32_t, std::uint32_t> reference;  // key -> record
+  const auto key_of = [&](std::uint32_t record) { return keys[record]; };
+  Rng rng(seed);
+  std::size_t settled_capacity = 0;
+  for (int i = 0; i < ops; ++i) {
+    const auto key = static_cast<std::uint32_t>(rng.uniform_index(key_space));
+    const auto it = reference.find(key);
+    const std::uint32_t expected = it == reference.end() ? Index::kNone : it->second;
+    ASSERT_EQ(index.find(key, key_of), expected) << "find #" << i << " of key " << key;
+    const std::size_t op = rng.uniform_index(2);
+    if (op == 0 && it == reference.end()) {
+      std::uint32_t record = static_cast<std::uint32_t>(keys.size());
+      if (free_records.empty()) {
+        keys.push_back(key);
+      } else {
+        record = free_records.back();
+        free_records.pop_back();
+        keys[record] = key;
+      }
+      index.insert(record, key_of);
+      reference.emplace(key, record);
+    } else if (op == 1 && it != reference.end()) {
+      index.erase(it->second, key_of);
+      free_records.push_back(it->second);
+      keys[it->second] = ~key;  // a freed record no longer holds its key
+      reference.erase(it);
+    }
+    ASSERT_EQ(index.size(), reference.size());
+    if (i == ops / 4) settled_capacity = index.capacity();
+  }
+  EXPECT_LE(index.capacity(), 2 * settled_capacity) << "a churning population kept growing";
+  for (std::uint32_t key = 0; key < key_space; ++key) {
+    const auto it = reference.find(key);
+    EXPECT_EQ(index.find(key, key_of), it == reference.end() ? Index::kNone : it->second) << key;
+  }
+  std::vector<int> visits(keys.size(), 0);
+  index.for_each([&](std::uint32_t record) { ++visits[record]; });
+  for (const auto& [key, record] : reference) EXPECT_EQ(visits[record], 1) << key;
+  for (const std::uint32_t record : free_records) EXPECT_EQ(visits[record], 0) << record;
+}
+
+TEST(RecordIndex, ChurnMatchesReference) { fuzz_record_index<IdHash>(11, 5000, 200000); }
+
+TEST(RecordIndex, CollidingTagsAndWrappedRunsMatchReference) {
+  fuzz_record_index<CollidingHash>(12, 400, 60000);
+}
+
+TEST(RecordIndex, NamesAndBounds) {
+  std::vector<std::string> names = {"web", "db", "", "cache"};
+  RecordIndex<std::string_view, NameHash> index;
+  const auto name_of = [&](std::uint32_t record) { return std::string_view(names[record]); };
+  EXPECT_EQ(index.find("web", name_of), index.kNone) << "an empty index finds nothing";
+  for (std::uint32_t record = 0; record < names.size(); ++record) index.insert(record, name_of);
+  EXPECT_EQ(index.find("db", name_of), 1u);
+  EXPECT_EQ(index.find("", name_of), 2u) << "the empty name is a key like any other";
+  EXPECT_EQ(index.find("dbx", name_of), index.kNone);
+  index.erase(0, name_of);
+  EXPECT_EQ(index.find("web", name_of), index.kNone);
+  EXPECT_EQ(index.find("cache", name_of), 3u);
+  EXPECT_THROW(index.erase(0, name_of), std::logic_error) << "an absent record";
+  EXPECT_THROW(index.insert(index.kMaxRecords, name_of), std::logic_error)
+      << "record numbers have 24 bits";
+  index.clear();
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.find("cache", name_of), index.kNone);
 }
 
 }  // namespace

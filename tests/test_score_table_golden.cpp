@@ -714,14 +714,15 @@ TEST(ScoreImage, ColdBuildLeavesNoAnonResidue) {
   // prvm_serve pins glibc's malloc thresholds before anything else. A cold
   // start on an empty image directory must then leave only a little
   // anonymous memory behind once its tables are served from the images:
-  // about 1 MB, where unpinned thresholds left about 8 MB in freed arena
-  // tops and heap. Measured in a child, so the pinned thresholds and the
-  // build's heap stay out of this process.
+  // about 0.3 MB, where unpinned thresholds left about 8 MB in freed arena
+  // tops and heap, and the pool threads' own arenas about 0.4 MB more.
+  // Measured in a child, so the pinned thresholds and the build's heap stay
+  // out of this process.
   if (kSanitizerAllocator) GTEST_SKIP() << "sanitizer allocators ignore mallopt";
 #if !defined(__GLIBC__)
   GTEST_SKIP() << "the thresholds are glibc's";
 #endif
-  constexpr long kBoundKb = 4096;
+  constexpr long kBoundKb = 512;
   const Catalog catalog = ec2_sim_catalog();
   const TempDir dir("image-residue");
   int fds[2];

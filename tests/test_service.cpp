@@ -442,6 +442,14 @@ TEST_F(ServiceTest, MetricsOpReportsRegistryState) {
   ASSERT_NE(gauges, nullptr);
   EXPECT_NE(gauges->find("prvm_mode"), nullptr);
   EXPECT_NE(gauges->find("prvm_queue_depth"), nullptr);
+  // The process's memory, read when the op is served. Sanitizer allocators
+  // bypass the malloc whose statistics the heap gauge reads.
+  ASSERT_NE(gauges->find("prvm_resident_bytes"), nullptr);
+  EXPECT_GT(gauges->find("prvm_resident_bytes")->number, 0.0);
+  ASSERT_NE(gauges->find("prvm_heap_in_use_bytes"), nullptr);
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+  EXPECT_GT(gauges->find("prvm_heap_in_use_bytes")->number, 0.0);
+#endif
 
   const JsonValue* histograms = metrics->find("histograms");
   ASSERT_NE(histograms, nullptr);

@@ -12,12 +12,12 @@
 # sum to at most MAX_IMAGE_BYTES.
 #
 # Usage: tools/cold_start_rss_smoke.sh [BUILD_DIR] [MAX_RSS_ANON_KB] [MAX_IMAGE_BYTES]
-# e.g.   tools/cold_start_rss_smoke.sh build 4096 1500000
+# e.g.   tools/cold_start_rss_smoke.sh build 1536 1500000 (the defaults, CI's budgets)
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
-MAX_KB="${2:-8192}"
-MAX_IMAGE_BYTES="${3:-8000000}"
+MAX_KB="${2:-1536}"
+MAX_IMAGE_BYTES="${3:-1500000}"
 SERVE="$BUILD_DIR/tools/prvm_serve"
 [ -x "$SERVE" ] || { echo "build prvm_serve first"; exit 1; }
 

@@ -17,6 +17,9 @@
 #   - the fleet's packing is exported: the prvm_used_pms and prvm_vms gauges
 #     read what `stats` reads (used_pms, vm_count) after the grouped places
 #     and after their releases, and are nonzero while the 300 VMs are placed.
+#   - the process's memory is exported: the prvm_resident_bytes and
+#     prvm_heap_in_use_bytes gauges, read at each scrape and each `metrics`
+#     op, are nonzero in both.
 #
 # Usage: tools/metrics_smoke.sh [BUILD_DIR]
 set -euo pipefail
@@ -112,13 +115,21 @@ check_groups() {  # phase, stats line, scrape file, expected groups, expected VM
     FAILED=1
   fi
 }
-for name in prvm_engine_best_memo_entries prvm_engine_memo_bytes; do
+for name in prvm_engine_best_memo_entries prvm_engine_memo_bytes \
+            prvm_resident_bytes prvm_heap_in_use_bytes; do
   value="$(gauge "$name" "$WORK/scrape2.txt")"
   if [ -z "$value" ] || [ "$value" -eq 0 ]; then
     echo "FAIL: gauge $name reads '${value}' after the traffic, expected nonzero"
     FAILED=1
   fi
 done
+python3 - "$WORK/metrics_op.json" <<'PY' || FAILED=1
+import json, sys
+gauges = json.load(open(sys.argv[1]))["metrics"]["gauges"]
+for name in ("prvm_resident_bytes", "prvm_heap_in_use_bytes"):
+    if not gauges.get(name):
+        sys.exit("FAIL: the metrics op reports %s as %r, expected nonzero" % (name, gauges.get(name)))
+PY
 STATS="$(grouped place)" || FAILED=1
 scrape "$WORK/scrape3.txt"
 check_groups "300 grouped places" "$STATS" "$WORK/scrape3.txt" 100 300

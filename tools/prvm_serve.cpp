@@ -274,7 +274,11 @@ int main(int argc, char** argv) {
     std::unique_ptr<obs::ExpositionServer> exposition;
     if (metrics_port.has_value()) {
       exposition = std::make_unique<obs::ExpositionServer>(
-          [] { return obs::Registry::global().render_prometheus(); }, *metrics_port);
+          [&service] {
+            service.refresh_memory_gauges();
+            return obs::Registry::global().render_prometheus();
+          },
+          *metrics_port);
       exposition->start();
       std::cout << "prvm_serve: metrics on 127.0.0.1:" << exposition->port() << std::endl;
     }
@@ -286,6 +290,7 @@ int main(int argc, char** argv) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
       if (g_dump_metrics != 0) {
         g_dump_metrics = 0;
+        service.refresh_memory_gauges();
         std::cout << obs::Registry::global().render_prometheus() << std::flush;
       }
     }
